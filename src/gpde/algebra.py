@@ -4,6 +4,13 @@ Generators carry an integer ghost number and a form degree (0 or 1); the
 Koszul parity of a generator is (ghost + form degree) mod 2.  Polynomials
 are dictionaries mapping canonical monomials to nonzero Fractions, so all
 arithmetic is exact and equality is literal dictionary equality.
+
+Two invariants hold for every Poly: no stored coefficient is zero, and a Poly
+owns its terms dict (no other Poly or caller shares it).  The public
+constructor copies and filters its input to establish them; every sum in the
+kernel is built in place by `accumulate`, which deletes entries that cancel,
+and the result is handed to the unfiltered `Poly._adopt`.  `is_zero` and
+equality rely on the first invariant, in-place accumulation on the second.
 """
 
 from __future__ import annotations
@@ -67,6 +74,7 @@ class Generator:
         "deriv",
         "_key",
         "_sort",
+        "_hash",
     )
 
     def __init__(self, space, role, name, gh, fdeg, base_index, lie_index, jet_I, jet_J, deriv):
@@ -83,6 +91,7 @@ class Generator:
         li = -1 if lie_index is None else lie_index
         self._key = (role, name, base_index, li, jet_I, jet_J, deriv, fdeg)
         self._sort = self._key
+        self._hash = hash(self._key)
 
     @property
     def parity(self) -> int:
@@ -95,7 +104,7 @@ class Generator:
         return self._sort < other._sort
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
     def __eq__(self, other):
         return self is other
@@ -227,6 +236,47 @@ def mono_fdeg(m: Monomial) -> int:
     return sum(g.fdeg * e for g, e in m)
 
 
+def accumulate(acc: dict, pairs) -> dict:
+    """Add (monomial, coefficient) pairs into acc in place and return it.
+
+    Entries that cancel are deleted and zero coefficients are never stored,
+    so a dict built only through this function may be adopted by a Poly
+    without filtering.  Every sum in the kernel goes through here."""
+    get = acc.get
+    for m, c in pairs:
+        old = get(m)
+        if old is None:
+            if c:
+                acc[m] = c
+        else:
+            c = old + c
+            if c:
+                acc[m] = c
+            else:
+                del acc[m]
+    return acc
+
+
+def _sandwich(prefix: Monomial, coeff: Fraction, terms: Mapping[Monomial, Fraction],
+              suffix: Monomial = ()):
+    """The (monomial, coefficient) pairs of prefix * (coeff * terms) * suffix,
+    with Koszul signs; products in which an odd generator squares are
+    dropped."""
+    for m, c in terms.items():
+        r = mono_mul(prefix, m)
+        if r is None:
+            continue
+        sign, m = r
+        if suffix:
+            r = mono_mul(m, suffix)
+            if r is None:
+                continue
+            sign *= r[0]
+            m = r[1]
+        c = coeff * c
+        yield m, (c if sign > 0 else -c)
+
+
 class Poly:
     """Polynomial in graded generators with Fraction coefficients.
 
@@ -242,18 +292,28 @@ class Poly:
 
     # constructors -----------------------------------------------------
 
+    @classmethod
+    def _adopt(cls, space: Optional[Space], terms: dict) -> "Poly":
+        """Take ownership of terms without filtering.  Only for a dict the
+        kernel has just built, holds no zero coefficient and shares with
+        no one (see the module docstring)."""
+        p = cls.__new__(cls)
+        p.space = space
+        p.terms = terms
+        return p
+
     @staticmethod
     def scalar(c: Scalar) -> "Poly":
         c = Fraction(c)
-        return Poly(None, {(): c} if c else {})
+        return Poly._adopt(None, {(): c} if c else {})
 
     @staticmethod
     def gen(g: Generator) -> "Poly":
-        return Poly(g.space, {((g, 1),): Fraction(1)})
+        return Poly._adopt(g.space, {((g, 1),): Fraction(1)})
 
     @staticmethod
     def zero() -> "Poly":
-        return Poly(None, {})
+        return Poly._adopt(None, {})
 
     # queries ----------------------------------------------------------
 
@@ -299,13 +359,13 @@ class Poly:
         return seen
 
     def form_component(self, k: int) -> "Poly":
-        return Poly(self.space, {m: c for m, c in self.terms.items() if mono_fdeg(m) == k})
+        return self.filter(lambda m: mono_fdeg(m) == k)
 
     def gh_component(self, k: int) -> "Poly":
-        return Poly(self.space, {m: c for m, c in self.terms.items() if mono_gh(m) == k})
+        return self.filter(lambda m: mono_gh(m) == k)
 
     def filter(self, pred) -> "Poly":
-        return Poly(self.space, {m: c for m, c in self.terms.items() if pred(m)})
+        return Poly._adopt(self.space, {m: c for m, c in self.terms.items() if pred(m)})
 
     def num_terms(self) -> int:
         return len(self.terms)
@@ -316,21 +376,15 @@ class Poly:
         other = normal_form(other)
         space = _unify(self.space, other.space)
         if len(self.terms) < len(other.terms):
-            small, big = self.terms, dict(other.terms)
+            small, big = self.terms, other.terms
         else:
-            small, big = other.terms, dict(self.terms)
-        for m, c in small.items():
-            nc = big.get(m, 0) + c
-            if nc:
-                big[m] = nc
-            else:
-                big.pop(m, None)
-        return Poly(space, big)
+            small, big = other.terms, self.terms
+        return Poly._adopt(space, accumulate(dict(big), small.items()))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.space, {m: -c for m, c in self.terms.items()})
+        return Poly._adopt(self.space, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         return self + (-normal_form(other))
@@ -342,18 +396,9 @@ class Poly:
         other = normal_form(other)
         space = _unify(self.space, other.space)
         out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                r = mono_mul(m1, m2)
-                if r is None:
-                    continue
-                s, m = r
-                nc = out.get(m, 0) + s * c1 * c2
-                if nc:
-                    out[m] = nc
-                else:
-                    del out[m]
-        return Poly(space, out)
+        for m, c in self.terms.items():
+            accumulate(out, _sandwich(m, c, other.terms))
+        return Poly._adopt(space, out)
 
     def __rmul__(self, other) -> "Poly":
         # scalars commute with everything
@@ -368,7 +413,7 @@ class Poly:
         c = Fraction(other)
         if not c:
             raise ZeroDivisionError("division of a polynomial by zero")
-        return Poly(self.space, {m: v / c for m, v in self.terms.items()})
+        return Poly._adopt(self.space, {m: v / c for m, v in self.terms.items()})
 
     def __eq__(self, other):
         other = normal_form(other)
@@ -390,16 +435,15 @@ class Poly:
             img = normal_form(img)
             if not img.is_zero() and img.parity() != g.parity:
                 raise DegreeError(f"substitution image for {g.name} has wrong parity")
-        out = Poly(self.space if not mapping else None, {})
+        space = self.space if not mapping else None
+        out: dict = {}
         cache = {}
         for m, c in self.terms.items():
             term = Poly.scalar(c)
             for g, e in m:
                 img = mapping.get(g)
                 if img is None:
-                    factor = Poly.gen(g)
-                    for _ in range(e):
-                        term = term * factor
+                    term = term * Poly._adopt(g.space, {((g, e),): Fraction(1)})
                 else:
                     img = normal_form(img)
                     if e == 1:
@@ -412,10 +456,9 @@ class Poly:
                                 pw = pw * img
                             cache[(g, e)] = pw
                         term = term * pw
-            out = out + term
-        if out.space is None:
-            out.space = self.space
-        return out
+            space = _unify(space, term.space)
+            accumulate(out, term.terms.items())
+        return Poly._adopt(self.space if space is None else space, out)
 
 
 def normal_form(x) -> Poly:
@@ -437,31 +480,26 @@ def derive(p: Poly, parity: int, image) -> Poly:
     parity q is (-1)^(parity*q).
     """
     space = p.space
-    acc = Poly(space, {})
+    acc: dict = {}
     for m, c in p.terms.items():
         prefix_parity = 0
         for idx, (g, e) in enumerate(m):
             img = image(g)
             if img is not None:
                 img = normal_form(img)
-                if img.is_zero():
-                    img = None
-            if img is None:
+            if img is None or not img.terms:
                 prefix_parity ^= (g.parity & 1) * (e & 1)
                 continue
+            space = _unify(space, img.space)
             # d(g^e) = e g^(e-1) dg for even g; odd g has e == 1
             sign = -1 if (parity & prefix_parity) else 1
             coeff = Fraction(sign * e) * c
             rest_pref = m[:idx]
             if e > 1:
                 rest_pref = rest_pref + ((g, e - 1),)
-            rest_suff = m[idx + 1:]
-            term = Poly(space, {rest_pref: coeff}) * img
-            if rest_suff:
-                term = term * Poly(space, {rest_suff: Fraction(1)})
-            acc = acc + term
+            accumulate(acc, _sandwich(rest_pref, coeff, img.terms, m[idx + 1:]))
             prefix_parity ^= (g.parity & 1) * (e & 1)
-    return acc
+    return Poly._adopt(space, acc)
 
 
 # Lie algebra data ----------------------------------------------------
@@ -575,13 +613,16 @@ def lie_bracket(x: LieValued, y: LieValued) -> LieValued:
     lie = x.lie
     out = []
     for a in range(lie.dim):
-        acc = Poly.zero()
+        space = None
+        acc: dict = {}
         for b in range(lie.dim):
             for c in range(lie.dim):
                 coef = lie.f[a][b][c]
                 if coef:
-                    acc = acc + Fraction(coef) * (x[b] * y[c])
-        out.append(acc)
+                    prod = x[b] * y[c]
+                    space = _unify(space, prod.space)
+                    accumulate(acc, ((m, coef * v) for m, v in prod.terms.items()))
+        out.append(Poly._adopt(space, acc))
     return LieValued(lie, out)
 
 
@@ -589,13 +630,16 @@ def trace_pair(x: LieValued, y: LieValued) -> Poly:
     """kappa(x, y) = kappa_{ab} x^a y^b, factors kept in the given order."""
     x._check(y)
     lie = x.lie
-    acc = Poly.zero()
+    space = None
+    acc: dict = {}
     for a in range(lie.dim):
         for b in range(lie.dim):
             k = lie.kappa[a][b]
             if k:
-                acc = acc + Fraction(k) * (x[a] * y[b])
-    return acc
+                prod = x[a] * y[b]
+                space = _unify(space, prod.space)
+                accumulate(acc, ((m, k * v) for m, v in prod.terms.items()))
+    return Poly._adopt(space, acc)
 
 
 # background tensors ---------------------------------------------------

@@ -23,6 +23,7 @@ from .algebra import (
     GradedAlgebraError,
     Poly,
     Space,
+    accumulate,
     derive,
     perm_sign,
 )
@@ -78,10 +79,11 @@ def horizontal_field_differential(m: Model) -> VectorField:
 
     def rule(g):
         if g.role == FIELD:
-            acc = Poly.zero()
+            terms: dict = {}
             for a in m.base_indices:
-                acc = acc + Poly.gen(m.theta[a]) * Poly.gen(shift_field(m.space, g, a))
-            return acc
+                theta_shift = Poly.gen(m.theta[a]) * Poly.gen(shift_field(m.space, g, a))
+                accumulate(terms, theta_shift.terms.items())
+            return Poly(m.space, terms)
         if g.role == BASE_X:
             return Poly.gen(m.theta[g.base_index[0]])
         if g.role in (FIBER, JET):
@@ -112,7 +114,7 @@ def generic_supersection(m: Model) -> Section:
     component fields running from gh(u) downwards."""
     mapping = {}
     for u in m.fiber_coords():
-        exp = Poly.zero()
+        terms: dict = {}
         idx = m.base_indices
         for k in range(len(idx) + 1):
             for J in itertools.combinations(idx, k):
@@ -120,8 +122,8 @@ def generic_supersection(m: Model) -> Section:
                 for j in J:
                     term = term * Poly.gen(m.theta[j])
                 _, g = field_symbol(m.space, u, J)
-                exp = exp + term * Poly.gen(g)
-        mapping[u] = exp
+                accumulate(terms, (term * Poly.gen(g)).terms.items())
+        mapping[u] = Poly(m.space, terms)
     return Section(m, mapping)
 
 
@@ -130,7 +132,7 @@ def generic_section(m: Model) -> Section:
     theta-level matching its ghost degree (nothing when that is negative)."""
     mapping = {}
     for u in m.fiber_coords():
-        exp = Poly.zero()
+        terms: dict = {}
         k = u.gh
         if 0 <= k <= len(m.base_indices):
             for J in itertools.combinations(m.base_indices, k):
@@ -138,8 +140,8 @@ def generic_section(m: Model) -> Section:
                 for j in J:
                     term = term * Poly.gen(m.theta[j])
                 _, g = field_symbol(m.space, u, J)
-                exp = exp + term * Poly.gen(g)
-        mapping[u] = exp
+                accumulate(terms, (term * Poly.gen(g)).terms.items())
+        mapping[u] = Poly(m.space, terms)
     return Section(m, mapping)
 
 
@@ -180,7 +182,7 @@ def theta_top_coefficient(m: Model, p: Poly) -> Poly:
         if frozenset(js) != want or len(js) != len(want):
             continue
         rest = tuple((g, e) for g, e in mono if not (g.role == BASE_THETA and g.fdeg == 0))
-        out[rest] = out.get(rest, Fraction(0)) + c
+        out[rest] = c
     return Poly(p.space, out)
 
 
@@ -237,13 +239,15 @@ def euler_lagrange(m: Model, dens: Poly) -> Dict[Generator, Poly]:
         sample = gens[0]
         base = m.space.coordinate(sample.name, FIELD, sample.gh, base_index=sample.base_index,
                                   lie_index=sample.lie_index, jet_J=sample.jet_J, deriv=())
-        acc = Poly.zero()
+        terms: dict = {}
         for g in gens:
             partial = derive(dens, g.parity, lambda h, g=g: 1 if h is g else None)
             for a in g.deriv:
                 partial = total_field_derivative(m, a).apply(partial)
-            acc = acc + Fraction((-1) ** len(g.deriv)) * partial
-        out[base] = acc
+            if len(g.deriv) % 2:
+                partial = -partial
+            accumulate(terms, partial.terms.items())
+        out[base] = Poly(dens.space, terms)
     return {g: v for g, v in out.items() if not v.is_zero()}
 
 

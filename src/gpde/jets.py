@@ -28,6 +28,7 @@ from .algebra import (
     Generator,
     GradedAlgebraError,
     Poly,
+    accumulate,
     derive,
     perm_sign,
 )
@@ -39,24 +40,22 @@ from .report import CheckResult
 def theta_coefficients(p: Poly) -> Dict[Tuple[int, ...], Poly]:
     """Split a polynomial as sum_J theta^J c_J.  The extraction is sign-free
     because theta factors sit left of every odd factor in canonical order."""
-    out: Dict[Tuple[int, ...], Poly] = {}
+    out: Dict[Tuple[int, ...], dict] = {}
     for mono, c in p.terms.items():
         J = tuple(g.base_index[0] for g, e in mono if g.role == BASE_THETA and g.fdeg == 0)
         rest = tuple((g, e) for g, e in mono if not (g.role == BASE_THETA and g.fdeg == 0))
-        acc = out.setdefault(J, Poly(p.space, {}))
-        out[J] = acc + Poly(p.space, {rest: c})
-    return {J: v for J, v in out.items() if not v.is_zero()}
+        out.setdefault(J, {})[rest] = c
+    return {J: Poly(p.space, t) for J, t in out.items()}
 
 
 def theta_components(p: Poly) -> Dict[int, Poly]:
     """Split by total theta degree (odd base coordinates, not their
     differentials).  Summing the components reconstructs the input."""
-    out: Dict[int, Poly] = {}
+    out: Dict[int, dict] = {}
     for mono, c in p.terms.items():
         k = sum(e for g, e in mono if g.role == BASE_THETA and g.fdeg == 0)
-        acc = out.setdefault(k, Poly(p.space, {}))
-        out[k] = acc + Poly(p.space, {mono: c})
-    return {k: v for k, v in out.items() if not v.is_zero()}
+        out.setdefault(k, {})[mono] = c
+    return {k: Poly(p.space, t) for k, t in out.items()}
 
 
 def vertical_lie(V: VectorField, p: Poly) -> Poly:
@@ -129,14 +128,15 @@ class JetModel:
         exp = self._expansions.get(fiber_gen)
         if exp is None:
             idx = self.parent.base_indices
-            exp = Poly.zero()
+            terms: dict = {}
             for k in range(len(idx) + 1):
                 for J in itertools.combinations(idx, k):
                     term = Poly.scalar(1)
                     for j in J:
                         term = term * Poly.gen(self.parent.theta[j])
                     _, g = self.jet(fiber_gen, (), J)
-                    exp = exp + term * Poly.gen(g)
+                    accumulate(terms, (term * Poly.gen(g)).terms.items())
+            exp = Poly(self.space, terms)
             self._expansions[fiber_gen] = exp
         return exp
 
@@ -178,11 +178,12 @@ class JetModel:
     def _d_rule(self, g: Generator):
         if g.role == JET:
             fib, I, J = self._info[g]
-            acc = Poly.zero()
+            terms: dict = {}
             for a in self.parent.base_indices:
                 _, shifted = self.jet(fib, I + (a,), J)
-                acc = acc + Poly.gen(self.parent.theta[a]) * Poly.gen(shifted)
-            return acc
+                theta_shift = Poly.gen(self.parent.theta[a]) * Poly.gen(shifted)
+                accumulate(terms, theta_shift.terms.items())
+            return Poly(self.space, terms)
         if g.role == BASE_X:
             return Poly.gen(self.parent.theta[g.base_index[0]])
         if g.role == FIBER:

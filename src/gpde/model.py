@@ -330,21 +330,16 @@ def solve_hamiltonian(m: Model) -> Poly:
     alphabar = m.ideal_reduce(alpha)
     vert = alphabar.form_component(1)
     f = interior(fiber_euler_field(m), vert)
-    L = Poly.zero()
-    by_degree: Dict[int, Poly] = {}
+    terms = {}
     for mono, c in f.terms.items():
         k = _fiber_degree(mono)
-        by_degree.setdefault(k, Poly(f.space, {}))
-        by_degree[k] = by_degree[k] + Poly(f.space, {mono: c})
-    for k, part in by_degree.items():
         if k == 0:
-            if not part.is_zero():
-                raise NotExactError(
-                    "contraction has a fiber-independent vertical part; "
-                    "no local hamiltonian exists"
-                )
-            continue
-        L = L + part / (-k)
+            raise NotExactError(
+                "contraction has a fiber-independent vertical part; "
+                "no local hamiltonian exists"
+            )
+        terms[mono] = c / -k
+    L = Poly(f.space, terms)
     ok, res = m.in_ideal(alpha + de_rham(L))
     if not ok:
         raise NotExactError(

@@ -33,6 +33,7 @@ from .algebra import (
     LieAlgebraData,
     LieValued,
     Poly,
+    accumulate,
     lie_bracket,
     theta_basis,
     trace_pair,
@@ -446,11 +447,10 @@ class Evaluator:
                 return LieValued(v.lie, [de_rham(c) for c in v.components])
             return de_rham(v)
         if kind == "tr":
-            total = None
+            terms: dict = {}
             for coeff, factors in _distribute(node[1]):
-                v = self.eval_term(coeff, factors, env, in_tr=True)
-                total = v if total is None else total + v
-            return total if total is not None else Poly.zero()
+                accumulate(terms, self.eval_term(coeff, factors, env, in_tr=True).terms.items())
+            return Poly(self.b.space, terms)
         if kind == "theta_basis":
             idx = tuple(self.index_value(a, env) for a in node[1])
             ths = [self.b.theta[a] for a in self.b.base_indices]
@@ -564,7 +564,10 @@ class ModelParser:
         v = Fraction(self.expect_int())
         if self.peek().kind == "/":
             self.next()
+            span = self.peek().span
             denom = self.expect_int()
+            if denom == 0:
+                raise DslError([Diagnostic("error", "division by zero", span)])
             v /= denom
         return v
 

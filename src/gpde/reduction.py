@@ -21,6 +21,7 @@ from .algebra import (
     GradedAlgebraError,
     Generator,
     Poly,
+    accumulate,
 )
 from .cartan import VectorField, interior
 
@@ -224,6 +225,18 @@ def _annihilator(kernel: List[List[Fraction]], ncols: int) -> List[List[Fraction
     return nullspace([list(v) for v in kernel], ncols)
 
 
+def _first_free_index(space, prefix: str) -> int:
+    """One past the largest i such that a coordinate named prefix<i> exists.
+
+    Survivors are interned in the form's space, so a later reduction in the
+    same space must number its survivors on from there: reusing a name would
+    either redeclare it with another ghost number or silently identify two
+    unrelated survivors."""
+    taken = [g.name[len(prefix):] for g in space.generators()
+             if g.fdeg == 0 and g.name.startswith(prefix)]
+    return 1 + max((int(t) for t in taken if t.isdigit()), default=-1)
+
+
 def reduce_form(form: Poly, universe: Sequence[Generator],
                 point: Optional[Dict[Generator, Fraction]] = None,
                 strip_volume: bool = False,
@@ -235,6 +248,8 @@ def reduce_form(form: Poly, universe: Sequence[Generator],
     Refuses kernels that mix ghost degrees (no graded splitting exists).
     When an evolutionary field s is supplied, the projected action must be
     constant along the kernel, otherwise the reduction is refused.
+    Survivors are new coordinates named survivor_prefix<i>, numbered on
+    from any such names already in the space.
     """
     universe = list(universe)
     ncols = len(universe)
@@ -251,6 +266,7 @@ def reduce_form(form: Poly, universe: Sequence[Generator],
             )
 
     ann = _annihilator(kernel, ncols)
+    first = _first_free_index(space, survivor_prefix)
     survivors: List[Generator] = []
     survivor_forms: List[List[Fraction]] = []
     for i, lam in enumerate(ann):
@@ -258,7 +274,7 @@ def reduce_form(form: Poly, universe: Sequence[Generator],
         gh = universe[nz[0]].gh
         if any(universe[A].gh != gh for A in nz):
             raise ReductionError("annihilator mixes ghost degrees")
-        g = space.coordinate(f"{survivor_prefix}{i}", FIBER, gh)
+        g = space.coordinate(f"{survivor_prefix}{first + i}", FIBER, gh)
         survivors.append(g)
         survivor_forms.append(list(lam))
 
@@ -272,18 +288,13 @@ def reduce_form(form: Poly, universe: Sequence[Generator],
     if pivots != list(range(ncols)):
         raise ReductionError("basis change is singular")
     tinv = [[red[i][ncols + j] for j in range(ncols)] for i in range(ncols)]
-    nsurv = len(survivors)
 
     # substitution tables: coordinates to survivor combinations (kernel part
     # dropped, which is evaluation at kernel coordinates zero), and each
     # differential present in the form to the matching survivor differentials
     csub: Dict[Generator, Poly] = {}
     for A, g in enumerate(universe):
-        expr = Poly.zero()
-        for i in range(nsurv):
-            if tinv[A][i]:
-                expr = expr + tinv[A][i] * Poly.gen(survivors[i])
-        csub[g] = expr
+        csub[g] = Poly(space, {((w, 1),): t for w, t in zip(survivors, tinv[A])})
     dsub: Dict[Generator, Poly] = {}
     uset = set(universe)
     for mono in work.terms:
@@ -298,12 +309,8 @@ def reduce_form(form: Poly, universe: Sequence[Generator],
                 )
             A = universe.index(base)
             vertical = g.role == VDIFF
-            expr = Poly.zero()
-            for i in range(nsurv):
-                if tinv[A][i]:
-                    dw = space.differential(survivors[i], vertical=vertical)
-                    expr = expr + tinv[A][i] * Poly.gen(dw)
-            dsub[g] = expr
+            dsub[g] = Poly(space, {((space.differential(w, vertical=vertical), 1),): t
+                                   for w, t in zip(survivors, tinv[A]) if t})
 
     reduced = work.substitute(dsub)
 
@@ -311,10 +318,12 @@ def reduce_form(form: Poly, universe: Sequence[Generator],
     if s is not None:
         s_action = {}
         for i, g in enumerate(survivors):
-            expr = Poly.zero()
+            terms: dict = {}
             for A in range(ncols):
                 if survivor_forms[i][A]:
-                    expr = expr + survivor_forms[i][A] * s.apply(Poly.gen(universe[A]))
+                    image = survivor_forms[i][A] * s.apply(Poly.gen(universe[A]))
+                    accumulate(terms, image.terms.items())
+            expr = Poly(space, terms)
             # constancy along every kernel direction
             for vec in kernel:
                 touched = [A for A in range(ncols) if vec[A]]

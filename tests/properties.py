@@ -19,6 +19,7 @@ from gpde.algebra import (
     Space,
     lie_bracket,
     mono_parity,
+    normal_form,
     theta_basis,
     trace_pair,
 )
@@ -558,6 +559,91 @@ def suite_el_invariance(cases: int = 1000, seed: int = 23):
             div = div + total_field_derivative(m, a).apply(cur)
         assert not euler_lagrange(m, div), f"exact density, case {k}"
         assert el_equivalent(m, dens, dens + div), f"shifted density, case {k}"
+
+
+def reference_sum(*polys) -> Poly:
+    """Plain dict sum, filtered by the public constructor; shares no code
+    with the kernel's in-place accumulator."""
+    total = {}
+    for p in polys:
+        for m, c in p.terms.items():
+            total[m] = total.get(m, 0) + c
+    return Poly(None, total)
+
+
+def reference_derive(p: Poly, parity: int, image) -> Poly:
+    """Loop version of algebra.derive: every Leibniz contribution is a
+    one-term Poly built through the public constructor, multiplied by the
+    image and the monomial suffix, and added to the running sum."""
+    space = p.space
+    acc = Poly.zero()
+    for m, c in p.terms.items():
+        prefix_parity = 0
+        for idx, (g, e) in enumerate(m):
+            img = image(g)
+            if img is not None and not normal_form(img).is_zero():
+                sign = -1 if (parity & prefix_parity) else 1
+                rest_pref = m[:idx] + (((g, e - 1),) if e > 1 else ())
+                term = Poly(space, {rest_pref: Fraction(sign * e) * c}) * normal_form(img)
+                term = term * Poly(space, {m[idx + 1:]: Fraction(1)})
+                acc = acc + term
+            prefix_parity ^= (g.parity & 1) * (e & 1)
+    return acc
+
+
+def suite_trusted_sums(cases: int = 1000, seed: int = 29):
+    """Every kernel result stores no zero coefficient (a stored zero would
+    make is_zero() false and turn a PASS into a FAIL), exact cancellations
+    leave an empty dict, and derive agrees with the loop reference."""
+    from gpde.algebra import LieAlgebraData, derive
+    from gpde.cartan import interior
+
+    sp, pool = playground()
+    x, u = pool[0], pool[4]
+    su2 = LieAlgebraData.su2()
+    rng = random.Random(seed)
+
+    def rotation(h):
+        # u -> x, x -> -u kills u^2 + x^2 although each term moves
+        return Poly.gen(x) if h is u else (-Poly.gen(u) if h is x else None)
+
+    for k in range(cases):
+        p = rand_poly(rng, pool, form_chance=0.3)
+        q = rand_poly(rng, pool, form_chance=0.3)
+        f = rand_poly(rng, pool)
+        V = rand_vector_field(rng, sp, pool)
+        g = rng.choice(pool)
+        mapping = {g: rand_parity_poly(rng, pool, g.parity)}
+        par = rng.randint(0, 1)
+        lx = rand_lie_valued(rng, su2, pool, rng.randint(0, 1))
+        ly = rand_lie_valued(rng, su2, pool, rng.randint(0, 1))
+
+        def image(h):
+            return V.coefficient(h) if not h.fdeg else None
+
+        results = {
+            "+": p + q, "-": p - q, "*": p * q,
+            "derive": derive(p, V.parity, image),
+            "substitute": p.substitute(mapping),
+            "de_rham": de_rham(p), "interior": interior(V, p),
+            "apply": V.apply(f),
+        }
+        for i, comp in enumerate(lie_bracket(lx, ly).components):
+            results[f"lie_bracket[{i}]"] = comp
+        for name, r in results.items():
+            assert all(r.terms.values()), f"stored zero after {name}, case {k}"
+
+        assert (p - p).terms == {}, f"p - p, case {k}"
+        assert de_rham(de_rham(p)).terms == {}, f"d d p, case {k}"
+        rest = rand_monomial(rng, [h for h in pool if h is not u and h is not x])
+        moved = rest * (Poly.gen(u) * Poly.gen(u) + Poly.gen(x) * Poly.gen(x))
+        assert derive(moved, 0, rotation).terms == {}, f"cancelling derivation, case {k}"
+
+        assert p + q == reference_sum(p, q), f"sum reference, case {k}"
+        assert results["derive"] == reference_derive(p, V.parity, image), \
+            f"derive reference, case {k}"
+        assert derive(p, par, rotation) == reference_derive(p, par, rotation), \
+            f"derive reference (parity {par}), case {k}"
 
 
 def maxwell_specializations(m: Model, order: int = 3):

@@ -138,11 +138,15 @@ def test_failed_check_exit_and_stderr(tmp_path, capsys):
 
 
 def test_parse_error_exit_two(tmp_path, capsys):
-    bad = tmp_path / "syntax.gpde"
-    bad.write_text("base dim = 1;\ncoord u : gh = 0\nmodel oops;\n")
-    rc, out, err = run(["check", str(bad)], capsys)
-    assert rc == 2
-    assert "error:" in err
+    sources = ["base dim = 1;\ncoord u : gh = 0\nmodel oops;\n",
+               "base dim = 1;\nmetric = diag(1/0);\n",
+               "base dim = 0;\nlie g { dim = 3; f[1][2][3] = 1/0; antisymmetrize; }\n"]
+    for i, text in enumerate(sources):
+        bad = tmp_path / f"syntax{i}.gpde"
+        bad.write_text(text)
+        rc, out, err = run(["check", str(bad)], capsys)
+        assert rc == 2, text
+        assert "error:" in err
 
 
 def test_unknown_model_name(capsys):

@@ -156,6 +156,18 @@ def test_division_by_expression_rejected():
     assert any("numeric constants" in d.message for d in err.value.diagnostics)
 
 
+@pytest.mark.parametrize("bad, col", [
+    ("base dim = 1;\nmetric = diag(1/0);\n", 17),
+    ("base dim = 0;\nlie g { dim = 3; f[1][2][3] = 1/0; antisymmetrize; }\n", 33),
+], ids=["metric", "structure_constant"])
+def test_zero_denominator_in_rational_literal(bad, col):
+    with pytest.raises(DslError) as err:
+        parse_model(bad)
+    first = err.value.diagnostics[0]
+    assert first.message == "division by zero"
+    assert (first.span.line, first.span.col) == (2, col)
+
+
 def test_base_override_warns():
     text = "base dim = 1;\nQ x[0] = 2*theta[0];\ncoord u : gh = 0;\n"
     model, diags = parse_with_diagnostics(text)

@@ -26,5 +26,9 @@ def test_variational_invariance():
     pr.suite_el_invariance(CASES)
 
 
+def test_trusted_sums():
+    pr.suite_trusted_sums(CASES)
+
+
 def test_maxwell_specializations(maxwell_model):
     pr.maxwell_specializations(maxwell_model)

@@ -166,3 +166,22 @@ class TestReduce:
         lines = rm.describe_survivors()
         assert lines[0] == "ds0 = a"
         assert lines[1] == "ds1 = b"
+
+    def test_second_reduction_on_one_model(self):
+        from gpde.density import boundary_reduction
+        from gpde.jets import JetModel, theta_components
+        from gpde.parser import load_builtin
+
+        m = load_builtin("maxwell_weak")
+        jm = JetModel(m, 1)
+        top = theta_components(jm.vertical_part(jm.omegabar()))[m.n]
+        universe = sorted({m.space.coordinate_of(g) for mono in top.terms
+                           for g, _ in mono if g.fdeg == 1}, key=lambda g: g._sort)
+        first = reduce_form(top, universe, strip_volume=True, s=jm.s)
+        names = [g.name for g in first.survivors]
+        assert names == [f"w{i}" for i in range(len(names))]
+        second = boundary_reduction(m, [0]).reduced
+        assert len(second.kernel_vectors) == 2
+        assert not set(second.survivors) & set(first.survivors)
+        assert [g.name for g in second.survivors] == \
+            [f"w{len(names) + i}" for i in range(len(second.survivors))]
