@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Tuple, Union
 
 Scalar = Union[int, Fraction]
 
@@ -361,9 +361,6 @@ class Poly:
     def form_component(self, k: int) -> "Poly":
         return self.filter(lambda m: mono_fdeg(m) == k)
 
-    def gh_component(self, k: int) -> "Poly":
-        return self.filter(lambda m: mono_gh(m) == k)
-
     def filter(self, pred) -> "Poly":
         return Poly._adopt(self.space, {m: c for m, c in self.terms.items() if pred(m)})
 
@@ -500,6 +497,20 @@ def derive(p: Poly, parity: int, image) -> Poly:
             accumulate(acc, _sandwich(rest_pref, coeff, img.terms, m[idx + 1:]))
             prefix_parity ^= (g.parity & 1) * (e & 1)
     return Poly._adopt(space, acc)
+
+
+def theta_split(p: Poly):
+    """Each term of p as (J, rest, monomial, coefficient), where J lists the
+    odd base directions of its theta factors (theta coordinates, not their
+    differentials) and rest is the monomial without them.  Every split by
+    theta level is a view over this one; dropping the theta factors is
+    sign-free because they sort left of all fiber content."""
+    for mono, c in p.terms.items():
+        J = tuple(g.base_index[0] for g, _ in mono if g.role == BASE_THETA and not g.fdeg)
+        rest = mono
+        if J:
+            rest = tuple(f for f in mono if not (f[0].role == BASE_THETA and not f[0].fdeg))
+        yield J, rest, mono, c
 
 
 # Lie algebra data ----------------------------------------------------
@@ -657,6 +668,16 @@ def perm_sign(perm) -> int:
     return sign
 
 
+def sort_sign(indices) -> Tuple[int, tuple]:
+    """(sign, sorted tuple) of a sequence of indices: the sign of the
+    permutation that sorts it, or 0 when an index repeats."""
+    indices = tuple(indices)
+    srt = tuple(sorted(indices))
+    if len(set(srt)) != len(srt):
+        return 0, srt
+    return perm_sign(indices), srt
+
+
 class BackgroundTensors:
     """Diagonal metric, its inverse, and the Levi-Civita symbol on the base."""
 
@@ -677,9 +698,7 @@ class BackgroundTensors:
         indices = tuple(indices)
         if len(indices) != self.dim:
             raise DegreeError("epsilon needs exactly base-dimension indices")
-        if len(set(indices)) != self.dim:
-            return Fraction(0)
-        return Fraction(perm_sign(indices))
+        return Fraction(sort_sign(indices)[0])
 
 
 def theta_basis(thetas, indices) -> Poly:
@@ -690,12 +709,11 @@ def theta_basis(thetas, indices) -> Poly:
     index order.  With all indices distinct this is a single monomial
     eps(indices + complement) * theta^{complement sorted}.
     """
-    n = len(thetas)
     indices = tuple(indices)
-    if len(set(indices)) != len(indices):
+    complement = tuple(sorted(set(range(len(thetas))) - set(indices)))
+    sign, _ = sort_sign(indices + complement)
+    if not sign:
         return Poly.zero()
-    complement = tuple(sorted(set(range(n)) - set(indices)))
-    sign = perm_sign(indices + complement)
     mono = tuple((thetas[j], 1) for j in complement)
     space = thetas[0].space if thetas else None
     return Poly(space, {mono: Fraction(sign)})

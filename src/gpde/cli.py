@@ -21,7 +21,7 @@ from .density import (
     generic_supersection,
     ghost_sector,
 )
-from .jets import JetModel, check_bv_identities, check_descent, theta_components
+from .jets import JetModel, check_bv_identities, check_descent
 from .model import (
     Model,
     NotExactError,
@@ -30,8 +30,8 @@ from .model import (
     standard_checks,
 )
 from .parser import DslError, builtin_names, load_builtin, load_model
-from .printing import gen_text, poly_text
-from .reduction import ReductionError, reduce_form
+from .printing import equations, gen_text, poly_latex, poly_text
+from .reduction import ReductionError, form_universe, reduce_form
 from .report import CheckResult, Report
 
 
@@ -68,10 +68,14 @@ def _parse_point(spec: str, candidates: Dict[str, Generator]) -> Dict[Generator,
     return point
 
 
-def _form_universe(m: Model, form: Poly) -> List[Generator]:
-    cos = {m.space.coordinate_of(g)
-           for mono in form.terms for g, _ in mono if g.fdeg == 1}
-    return sorted(cos, key=lambda g: g._sort)
+def _render(value, poly):
+    """A report output as text: a Poly through poly, survivor equations
+    joined by '; ', anything else unchanged."""
+    if isinstance(value, Poly):
+        return poly(value)
+    if isinstance(value, list):
+        return "; ".join(equations(value, poly))
+    return value
 
 
 # verbs ----------------------------------------------------------------
@@ -94,7 +98,7 @@ def _run_hamiltonian(m: Model, args) -> Report:
     rep.add(CheckResult("hamiltonian_exists", True))
     for c in check_solution(m, L):
         rep.add(c)
-    rep.outputs["hamiltonian"] = poly_text(L)
+    rep.outputs["hamiltonian"] = L
     return rep
 
 
@@ -138,7 +142,7 @@ def _run_bv_action(m: Model, args) -> Report:
         dens = ghost_sector(dens, args.ghost)
         rep.outputs["ghost"] = args.ghost
     rep.add(CheckResult("bv_action", True, detail=f"{dens.num_terms()} terms"))
-    rep.outputs["bv_action"] = poly_text(dens)
+    rep.outputs["bv_action"] = dens
     return rep
 
 
@@ -154,13 +158,12 @@ def _run_reduce(m: Model, args) -> Report:
         strip = False
     else:
         jm = JetModel(m, args.order)
-        comps = theta_components(jm.vertical_part(jm.omegabar()))
-        form = comps.get(m.n, Poly.zero())
+        form = jm.vertical_top()
         if form.is_zero():
             rep.add(CheckResult("reduction", False,
                                 detail="vertical two-form has no top component"))
             return rep
-        universe = _form_universe(m, form)
+        universe = form_universe(form)
         s = jm.s
         strip = True
     point = None
@@ -176,8 +179,8 @@ def _run_reduce(m: Model, args) -> Report:
     rep.add(CheckResult("reduction", True,
                         detail=f"kernel {len(red.kernel_vectors)}, "
                                f"survivors {len(red.survivors)}"))
-    rep.outputs["survivors"] = "; ".join(red.describe_survivors())
-    rep.outputs["reduced"] = poly_text(red.reduced_form)
+    rep.outputs["survivors"] = red.survivor_equations()
+    rep.outputs["reduced"] = red.reduced_form
     return rep
 
 
@@ -191,38 +194,32 @@ def _run_boundary(m: Model, args) -> Report:
         return rep
     for c in br.checks:
         rep.add(c)
-    rep.outputs["survivors"] = "; ".join(br.reduced.describe_survivors())
-    rep.outputs["reduced"] = poly_text(br.reduced.reduced_form)
+    rep.outputs["survivors"] = br.reduced.survivor_equations()
+    rep.outputs["reduced"] = br.reduced.reduced_form
     try:
-        dens = action_density(br.restricted, generic_supersection(br.restricted))
-        rep.outputs["charge_integrand"] = poly_text(dens)
+        rep.outputs["charge_integrand"] = action_density(
+            br.restricted, generic_supersection(br.restricted))
     except (NotExactError, GradedAlgebraError) as e:
         rep.add(CheckResult("charge_integrand", False, detail=str(e)))
     return rep
 
 
 def _run_report(m: Model, args) -> Report:
-    rep = Report(m.name)
-    for c in standard_checks(m):
-        rep.add(c)
-    if m.chi is not None:
-        try:
-            L = solve_hamiltonian(m)
-        except (NotExactError, GradedAlgebraError) as e:
-            rep.add(CheckResult("hamiltonian_exists", False, detail=str(e)))
-            return rep
-        rep.add(CheckResult("hamiltonian_exists", True))
-        for c in check_solution(m, L):
+    rep = _run_check(m, args)
+    if m.chi is None:
+        return rep
+    ham = _run_hamiltonian(m, args)
+    rep.checks += ham.checks
+    rep.outputs.update(ham.outputs)
+    if not ham.outputs:
+        return rep
+    if m.n > 0:
+        jm = JetModel(m, 1)
+        for c in check_descent(jm):
             rep.add(c)
-        rep.outputs["hamiltonian"] = poly_text(L)
-        if m.n > 0:
-            jm = JetModel(m, 1)
-            for c in check_descent(jm):
-                rep.add(c)
-            for c in check_bv_identities(jm):
-                rep.add(c)
-        rep.outputs["bv_action"] = poly_text(
-            action_density(m, generic_supersection(m)))
+        for c in check_bv_identities(jm):
+            rep.add(c)
+    rep.outputs["bv_action"] = action_density(m, generic_supersection(m))
     return rep
 
 
@@ -288,6 +285,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ReductionError, NotExactError, GradedAlgebraError) as e:
         rep = Report(m.name)
         rep.add(CheckResult(args.verb.replace("-", "_"), False, detail=str(e)))
+    poly = poly_latex if args.format == "latex" else poly_text
+    rep.outputs = {k: _render(v, poly) for k, v in rep.outputs.items()}
     if args.format == "json":
         print(rep.to_json())
     elif args.format == "latex":

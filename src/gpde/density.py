@@ -9,12 +9,10 @@ first-order action density whose variational calculus lives here too.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .algebra import (
-    BASE_THETA,
     BASE_X,
     FIBER,
     FIELD,
@@ -25,12 +23,13 @@ from .algebra import (
     Space,
     accumulate,
     derive,
-    perm_sign,
+    sort_sign,
+    theta_split,
 )
 from .cartan import VectorField
-from .jets import JetModel, theta_coefficients, theta_components
+from .jets import JetModel, theta_coefficients
 from .model import Model, solve_hamiltonian
-from .reduction import ReducedModel, reduce_form
+from .reduction import ReducedModel, form_universe, reduce_form
 from .report import CheckResult
 
 
@@ -38,13 +37,9 @@ def field_symbol(space: Space, fiber_gen: Generator, J=(), deriv=()):
     """Component field of a bundle coordinate at theta-level J, carrying a
     symmetric multi-index of base derivatives.  Returns (sign, generator);
     sign 0 on a repeated theta level."""
-    J = tuple(J)
-    sign = 1
-    if J:
-        if len(set(J)) != len(J):
-            return 0, None
-        sign = perm_sign(tuple(sorted(range(len(J)), key=lambda k: J[k])))
-        J = tuple(sorted(J))
+    sign, J = sort_sign(J)
+    if not sign:
+        return 0, None
     name = f"{fiber_gen.name}{len(J)}"
     g = space.coordinate(name, FIELD, fiber_gen.gh - len(J),
                          base_index=fiber_gen.base_index,
@@ -79,11 +74,7 @@ def horizontal_field_differential(m: Model) -> VectorField:
 
     def rule(g):
         if g.role == FIELD:
-            terms: dict = {}
-            for a in m.base_indices:
-                theta_shift = Poly.gen(m.theta[a]) * Poly.gen(shift_field(m.space, g, a))
-                accumulate(terms, theta_shift.terms.items())
-            return Poly(m.space, terms)
+            return m.theta_expansion([1], lambda K: shift_field(m.space, g, K[0]))
         if g.role == BASE_X:
             return Poly.gen(m.theta[g.base_index[0]])
         if g.role in (FIBER, JET):
@@ -112,37 +103,17 @@ class Section:
 def generic_supersection(m: Model) -> Section:
     """All theta-levels: the full BV-BFV field content, ghost degrees of the
     component fields running from gh(u) downwards."""
-    mapping = {}
-    for u in m.fiber_coords():
-        terms: dict = {}
-        idx = m.base_indices
-        for k in range(len(idx) + 1):
-            for J in itertools.combinations(idx, k):
-                term = Poly.scalar(1)
-                for j in J:
-                    term = term * Poly.gen(m.theta[j])
-                _, g = field_symbol(m.space, u, J)
-                accumulate(terms, (term * Poly.gen(g)).terms.items())
-        mapping[u] = Poly(m.space, terms)
-    return Section(m, mapping)
+    return Section(m, {u: m.theta_expansion(range(m.n + 1),
+                                            lambda J: field_symbol(m.space, u, J)[1])
+                       for u in m.fiber_coords()})
 
 
 def generic_section(m: Model) -> Section:
     """Ghost-zero field content only: each fiber coordinate contributes the
     theta-level matching its ghost degree (nothing when that is negative)."""
-    mapping = {}
-    for u in m.fiber_coords():
-        terms: dict = {}
-        k = u.gh
-        if 0 <= k <= len(m.base_indices):
-            for J in itertools.combinations(m.base_indices, k):
-                term = Poly.scalar(1)
-                for j in J:
-                    term = term * Poly.gen(m.theta[j])
-                _, g = field_symbol(m.space, u, J)
-                accumulate(terms, (term * Poly.gen(g)).terms.items())
-        mapping[u] = Poly(m.space, terms)
-    return Section(m, mapping)
+    return Section(m, {u: m.theta_expansion([u.gh] if u.gh >= 0 else [],
+                                            lambda J: field_symbol(m.space, u, J)[1])
+                       for u in m.fiber_coords()})
 
 
 def covariance_residual(m: Model, sec: Section) -> Dict[Generator, Poly]:
@@ -162,28 +133,17 @@ def gauge_variation(m: Model, sec: Section) -> Dict[Generator, Poly]:
     out = {}
     for u in m.fiber_coords():
         coeffs = theta_coefficients(res[u])
-        idx = m.base_indices
-        for k in range(len(idx) + 1):
-            for J in itertools.combinations(idx, k):
-                _, g = field_symbol(m.space, u, J)
-                if g in sec[u].generators():
-                    r = coeffs.get(J, Poly.zero())
-                    out[g] = Fraction((-1) ** len(J)) * r
+        for J in m.theta_levels(range(m.n + 1)):
+            _, g = field_symbol(m.space, u, J)
+            if g in sec[u].generators():
+                out[g] = Fraction((-1) ** len(J)) * coeffs.get(J, Poly.zero())
     return out
 
 
 def theta_top_coefficient(m: Model, p: Poly) -> Poly:
-    """Coefficient of the full odd volume; sign-free extraction because
-    theta factors sort left of all field content."""
-    want = frozenset(m.base_indices)
-    out: Dict = {}
-    for mono, c in p.terms.items():
-        js = [g.base_index[0] for g, e in mono if g.role == BASE_THETA and g.fdeg == 0]
-        if frozenset(js) != want or len(js) != len(want):
-            continue
-        rest = tuple((g, e) for g, e in mono if not (g.role == BASE_THETA and g.fdeg == 0))
-        out[rest] = c
-    return Poly(p.space, out)
+    """Coefficient of the full odd volume."""
+    top = tuple(sorted(m.base_indices))
+    return Poly(p.space, {rest: c for J, rest, _, c in theta_split(p) if J == top})
 
 
 def action_density(m: Model, sec: Section, L: Optional[Poly] = None) -> Poly:
@@ -294,16 +254,9 @@ def restrict_to_submanifold(m: Model, keep: Iterable[int]) -> Model:
     unknown = [a for a in keep if a not in m.base_indices]
     if unknown:
         raise GradedAlgebraError(f"cannot keep absent base directions {unknown}")
-    killed = [a for a in m.base_indices if a not in keep]
-    ksub0: Dict[Generator, Poly] = {}
-    ksub1: Dict[Generator, Poly] = {}
-    for a in killed:
-        ksub0[m.x[a]] = Poly.zero()
-        ksub0[m.theta[a]] = Poly.zero()
-        ksub1[m.space.differential(m.x[a])] = Poly.zero()
-        ksub1[m.space.differential(m.theta[a])] = Poly.zero()
+    ksub0 = _killed_coordinates(m, keep)
     full = dict(ksub0)
-    full.update(ksub1)
+    full.update({m.space.differential(g): Poly.zero() for g in ksub0})
 
     coeffs: Dict[Generator, Poly] = {}
     for a in keep:
@@ -327,17 +280,15 @@ def restrict_to_submanifold(m: Model, keep: Iterable[int]) -> Model:
 def tangency_residuals(m: Model, keep: Iterable[int]) -> Dict[Generator, Poly]:
     """The Q-image of every killed coordinate, restricted to the surface;
     nonzero entries mean Q is not tangent to the restriction."""
-    keep = tuple(sorted(keep))
-    killed = [a for a in m.base_indices if a not in keep]
-    ksub: Dict[Generator, Poly] = {}
-    for a in killed:
-        ksub[m.x[a]] = Poly.zero()
-        ksub[m.theta[a]] = Poly.zero()
-    out = {}
-    for a in killed:
-        out[m.x[a]] = m.q.coefficient(m.x[a]).substitute(ksub)
-        out[m.theta[a]] = m.q.coefficient(m.theta[a]).substitute(ksub)
-    return out
+    ksub = _killed_coordinates(m, tuple(keep))
+    return {g: m.q.coefficient(g).substitute(ksub) for g in ksub}
+
+
+def _killed_coordinates(m: Model, keep: Tuple[int, ...]) -> Dict[Generator, Poly]:
+    """x^a and theta^a of every base direction outside keep, each sent to
+    zero: the restriction to the surface."""
+    return {g: Poly.zero() for a in m.base_indices if a not in keep
+            for g in (m.x[a], m.theta[a])}
 
 
 class BoundaryReduction:
@@ -361,15 +312,10 @@ def boundary_reduction(m: Model, kill: Iterable[int], order: int = 1,
     checks.append(CheckResult("tangency", bad == 0, residual_terms=bad))
     mr = restrict_to_submanifold(m, keep)
     jr = JetModel(mr, order)
-    ov = jr.vertical_part(jr.omegabar())
-    comps = theta_components(ov)
-    top = comps.get(mr.n, Poly.zero())
+    top = jr.vertical_top()
     if top.is_zero():
         raise GradedAlgebraError("boundary two-form has no top theta component")
-    universe = sorted({mr.space.coordinate_of(g)
-                       for mono in top.terms for g, _ in mono if g.fdeg == 1},
-                      key=lambda g: g._sort)
-    reduced = reduce_form(top, universe, strip_volume=True,
+    reduced = reduce_form(top, form_universe(top), strip_volume=True,
                           s=jr.s if with_s else None, survivor_prefix="w")
     checks.append(CheckResult("kernel_split", True,
                               detail=f"kernel dimension {len(reduced.kernel_vectors)}"))

@@ -14,7 +14,6 @@ jets by commuting with the total derivatives.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -28,9 +27,9 @@ from .algebra import (
     Generator,
     GradedAlgebraError,
     Poly,
-    accumulate,
     derive,
-    perm_sign,
+    sort_sign,
+    theta_split,
 )
 from .cartan import VectorField, d_vertical, de_rham, interior
 from .model import Model, solve_hamiltonian
@@ -38,12 +37,9 @@ from .report import CheckResult
 
 
 def theta_coefficients(p: Poly) -> Dict[Tuple[int, ...], Poly]:
-    """Split a polynomial as sum_J theta^J c_J.  The extraction is sign-free
-    because theta factors sit left of every odd factor in canonical order."""
+    """Split a polynomial as sum_J theta^J c_J."""
     out: Dict[Tuple[int, ...], dict] = {}
-    for mono, c in p.terms.items():
-        J = tuple(g.base_index[0] for g, e in mono if g.role == BASE_THETA and g.fdeg == 0)
-        rest = tuple((g, e) for g, e in mono if not (g.role == BASE_THETA and g.fdeg == 0))
+    for J, rest, _, c in theta_split(p):
         out.setdefault(J, {})[rest] = c
     return {J: Poly(p.space, t) for J, t in out.items()}
 
@@ -52,9 +48,8 @@ def theta_components(p: Poly) -> Dict[int, Poly]:
     """Split by total theta degree (odd base coordinates, not their
     differentials).  Summing the components reconstructs the input."""
     out: Dict[int, dict] = {}
-    for mono, c in p.terms.items():
-        k = sum(e for g, e in mono if g.role == BASE_THETA and g.fdeg == 0)
-        out.setdefault(k, {})[mono] = c
+    for J, _, mono, c in theta_split(p):
+        out.setdefault(len(J), {})[mono] = c
     return {k: Poly(p.space, t) for k, t in out.items()}
 
 
@@ -110,13 +105,9 @@ class JetModel:
         if fiber_gen.role != FIBER:
             raise GradedAlgebraError("jets are indexed by bundle fiber coordinates")
         I = tuple(sorted(I))
-        J = tuple(J)
-        sign = 1
-        if J:
-            if len(set(J)) != len(J):
-                return 0, None
-            sign = perm_sign(tuple(sorted(range(len(J)), key=lambda k: J[k])))
-            J = tuple(sorted(J))
+        sign, J = sort_sign(J)
+        if not sign:
+            return 0, None
         g = self.space.coordinate(fiber_gen.name, JET, fiber_gen.gh - len(J),
                                   base_index=fiber_gen.base_index,
                                   lie_index=fiber_gen.lie_index,
@@ -127,16 +118,8 @@ class JetModel:
     def theta_expansion(self, fiber_gen: Generator) -> Poly:
         exp = self._expansions.get(fiber_gen)
         if exp is None:
-            idx = self.parent.base_indices
-            terms: dict = {}
-            for k in range(len(idx) + 1):
-                for J in itertools.combinations(idx, k):
-                    term = Poly.scalar(1)
-                    for j in J:
-                        term = term * Poly.gen(self.parent.theta[j])
-                    _, g = self.jet(fiber_gen, (), J)
-                    accumulate(terms, (term * Poly.gen(g)).terms.items())
-            exp = Poly(self.space, terms)
+            exp = self.parent.theta_expansion(
+                range(self.parent.n + 1), lambda J: self.jet(fiber_gen, (), J)[1])
             self._expansions[fiber_gen] = exp
         return exp
 
@@ -178,12 +161,7 @@ class JetModel:
     def _d_rule(self, g: Generator):
         if g.role == JET:
             fib, I, J = self._info[g]
-            terms: dict = {}
-            for a in self.parent.base_indices:
-                _, shifted = self.jet(fib, I + (a,), J)
-                theta_shift = Poly.gen(self.parent.theta[a]) * Poly.gen(shifted)
-                accumulate(terms, theta_shift.terms.items())
-            return Poly(self.space, terms)
+            return self.parent.theta_expansion([1], lambda K: self.jet(fib, I + K, J)[1])
         if g.role == BASE_X:
             return Poly.gen(self.parent.theta[g.base_index[0]])
         if g.role == FIBER:
@@ -251,6 +229,12 @@ class JetModel:
             elif g.role == FIBER:
                 raise GradedAlgebraError("bundle differential inside a jet-space expression")
         return p.substitute(mapping)
+
+    def vertical_top(self) -> Poly:
+        """The top theta-degree block of the vertical pulled-back two-form,
+        the form whose kernel the reductions quotient by."""
+        comps = theta_components(self.vertical_part(self.omegabar()))
+        return comps.get(self.parent.n, Poly.zero())
 
     def truncation_split(self, p: Poly) -> Tuple[Poly, Poly]:
         """(retained, excluded): a term is excluded when it touches a jet

@@ -20,7 +20,7 @@ from .algebra import (
     Poly,
     Space,
     normal_form,
-    perm_sign,
+    sort_sign,
 )
 from .cartan import VectorField, de_rham, interior, lie_derivative
 from .report import CheckResult, Report
@@ -77,13 +77,10 @@ class FiberFamily:
             raise GradedAlgebraError(
                 f"family {self.name!r} takes {self.slots} base indices, got {len(idx)}"
             )
-        if not self.antisym or len(idx) < 2:
+        if not self.antisym:
             return 1, self._gens[(idx, li)]
-        if len(set(idx)) != len(idx):
-            return 0, None
-        srt = tuple(sorted(idx))
-        sign = perm_sign(tuple(sorted(range(len(idx)), key=lambda k: idx[k])))
-        return sign, self._gens[(srt, li)]
+        sign, srt = sort_sign(idx)
+        return sign, self._gens[(srt, li)] if sign else None
 
     def as_lie_valued(self, idx: Tuple[int, ...] = ()) -> LieValued:
         if self.lie is None:
@@ -124,6 +121,19 @@ class Model:
 
     def thetas(self) -> List[Generator]:
         return [self.theta[a] for a in self.base_indices]
+
+    def theta_levels(self, sizes: Iterable[int]):
+        """The theta levels J: increasing tuples of base directions, of each
+        size in sizes."""
+        return (J for k in sizes for J in itertools.combinations(self.base_indices, k))
+
+    def theta_expansion(self, sizes: Iterable[int], symbol) -> Poly:
+        """sum_J theta^J symbol(J) over the theta levels of the given sizes.
+        The theta factors come in canonical order and sort left of every
+        symbol, so each term is one monomial with unit coefficient."""
+        one = Fraction(1)
+        return Poly(self.space, {tuple((self.theta[j], 1) for j in J) + ((symbol(J), 1),): one
+                                 for J in self.theta_levels(sizes)})
 
     def theta_volume(self) -> Poly:
         acc = Poly.scalar(1)

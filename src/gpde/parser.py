@@ -21,6 +21,7 @@ the base range; variables appearing once must be bound by the left side.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -35,6 +36,7 @@ from .algebra import (
     Poly,
     accumulate,
     lie_bracket,
+    sort_sign,
     theta_basis,
     trace_pair,
 )
@@ -582,10 +584,12 @@ class ModelParser:
 
     def parse(self) -> Model:
         while self.peek().kind != "eof":
+            start = self.pos
             try:
                 self.statement()
             except DslError as e:
                 self.diags.extend(e.diagnostics)
+                self.pos = start
                 self.skip_statement()
         errors = [d for d in self.diags if d.severity == "error"]
         if errors:
@@ -613,6 +617,9 @@ class ModelParser:
         return model
 
     def skip_statement(self):
+        """Skip the statement that begins at the current token: past its
+        closing ';' or, for a lie block, past the '}' that ends the block."""
+        block = self.peek().kind == "name" and self.peek().value == "lie"
         depth = 0
         while True:
             t = self.peek()
@@ -622,9 +629,9 @@ class ModelParser:
             if t.kind == "{":
                 depth += 1
             elif t.kind == "}":
-                if depth == 0:
-                    return
                 depth -= 1
+                if depth < 0 or (block and depth == 0):
+                    return
             elif t.kind == ";" and depth == 0:
                 return
 
@@ -737,19 +744,13 @@ class ModelParser:
                     raise DslError([Diagnostic(
                         "error", f"lie index {k} outside 1..{dim}", span)])
             if antisymmetrize:
-                import itertools as _it
-
                 base = (a - 1, bb - 1, c - 1)
                 if len(set(base)) != 3:
                     raise DslError([Diagnostic(
                         "error", "antisymmetrize needs distinct indices", span)])
-                for perm in _it.permutations(range(3)):
-                    sgn = 1
+                for perm in itertools.permutations(range(3)):
+                    sgn = sort_sign(perm)[0]
                     p = [base[k] for k in perm]
-                    for i in range(3):
-                        for j in range(i + 1, 3):
-                            if perm[i] > perm[j]:
-                                sgn = -sgn
                     if f[p[0]][p[1]][p[2]] not in (Fraction(0), sgn * val):
                         raise DslError([Diagnostic(
                             "error", "conflicting structure constants", span)])

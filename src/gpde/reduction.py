@@ -15,13 +15,13 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (
-    BASE_THETA,
     FIBER,
     VDIFF,
     GradedAlgebraError,
     Generator,
     Poly,
     accumulate,
+    theta_split,
 )
 from .cartan import VectorField, interior
 
@@ -75,16 +75,20 @@ def nullspace(rows: List[List[Fraction]], ncols: int) -> List[List[Fraction]]:
 
 
 def strip_theta_volume(form: Poly) -> Poly:
-    """Remove the full odd-volume factor from every monomial.  Sign-free
-    because theta factors sort left of all fiber content."""
+    """Remove the full odd-volume factor from every monomial."""
     stripped: Dict = {}
-    for mono, c in form.terms.items():
-        rest = tuple((g, e) for g, e in mono
-                     if not (g.role == BASE_THETA and g.fdeg == 0))
+    for _, rest, _, c in theta_split(form):
         if rest in stripped:
             raise ReductionError("volume stripping collided; form is not top-degree")
         stripped[rest] = c
     return Poly(form.space, stripped)
+
+
+def form_universe(form: Poly) -> List[Generator]:
+    """The coordinates whose differentials occur in a form, in canonical
+    order."""
+    return sorted({form.space.coordinate_of(g) for mono in form.terms for g, _ in mono
+                   if g.fdeg == 1}, key=lambda g: g._sort)
 
 
 class PresymplecticMatrix:
@@ -197,24 +201,15 @@ class ReducedModel:
         self.point = point
         self.s_action = s_action
 
-    def describe_survivors(self) -> List[str]:
-        from .printing import gen_text
+    def survivor_equations(self) -> List[Tuple[Generator, Poly]]:
+        """Each survivor with the linear form it stands for."""
+        return [(g, Poly(self.space, {((self.universe[A], 1),): c for A, c in enumerate(lam)}))
+                for g, lam in zip(self.survivors, self.survivor_forms)]
 
-        out = []
-        for g, lam in zip(self.survivors, self.survivor_forms):
-            parts = []
-            for A, c in enumerate(lam):
-                if not c:
-                    continue
-                name = gen_text(self.universe[A])
-                if c == 1:
-                    parts.append(name)
-                elif c == -1:
-                    parts.append(f"-{name}")
-                else:
-                    parts.append(f"{c}*{name}")
-            out.append(f"{gen_text(g)} = " + " + ".join(parts).replace("+ -", "- "))
-        return out
+    def describe_survivors(self) -> List[str]:
+        from .printing import equations
+
+        return equations(self.survivor_equations())
 
 
 def _annihilator(kernel: List[List[Fraction]], ncols: int) -> List[List[Fraction]]:

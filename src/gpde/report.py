@@ -57,6 +57,7 @@ class Report:
                     "pass": c.passed,
                     "residual_terms": c.residual_terms,
                     "excluded_terms": c.excluded_terms,
+                    "detail": c.detail,
                 }
                 for c in self.checks
             ],

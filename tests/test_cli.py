@@ -40,8 +40,14 @@ def test_check_json_schema(capsys):
     ]
     for c in doc["checks"]:
         assert c["pass"] is True
-        assert set(c) == {"name", "pass", "residual_terms", "excluded_terms"}
+        assert set(c) == {"name", "pass", "residual_terms", "excluded_terms", "detail"}
+        assert isinstance(c["detail"], str)
     assert doc["outputs"] == {}
+    # the JSON detail is the text line's parenthesised text
+    _, text, _ = run(["check", "maxwell_weak"], capsys)
+    line = next(ln for ln in text.splitlines() if "nilpotency_pattern" in ln)
+    detail = doc["checks"][1]["detail"]
+    assert detail and line.endswith(f"  ({detail})")
 
 
 def test_report_json_toy_golden(capsys):
@@ -51,15 +57,15 @@ def test_report_json_toy_golden(capsys):
     assert doc == {
         "model": "toy_dim0",
         "checks": [
-            {"name": "projection", "pass": True, "residual_terms": 0, "excluded_terms": 0},
-            {"name": "nilpotency", "pass": True, "residual_terms": 0, "excluded_terms": 0},
-            {"name": "closed", "pass": True, "residual_terms": 0, "excluded_terms": 0},
-            {"name": "q_invariance", "pass": True, "residual_terms": 0, "excluded_terms": 0},
-            {"name": "double_contraction", "pass": True, "residual_terms": 0, "excluded_terms": 0},
-            {"name": "hamiltonian_obstruction", "pass": True, "residual_terms": 0, "excluded_terms": 0},
-            {"name": "hamiltonian_exists", "pass": True, "residual_terms": 0, "excluded_terms": 0},
-            {"name": "hamiltonian_relation", "pass": True, "residual_terms": 0, "excluded_terms": 0},
-            {"name": "q_annihilates_hamiltonian", "pass": True, "residual_terms": 0, "excluded_terms": 0},
+            {"name": "projection", "pass": True, "residual_terms": 0, "excluded_terms": 0, "detail": ""},
+            {"name": "nilpotency", "pass": True, "residual_terms": 0, "excluded_terms": 0, "detail": ""},
+            {"name": "closed", "pass": True, "residual_terms": 0, "excluded_terms": 0, "detail": ""},
+            {"name": "q_invariance", "pass": True, "residual_terms": 0, "excluded_terms": 0, "detail": ""},
+            {"name": "double_contraction", "pass": True, "residual_terms": 0, "excluded_terms": 0, "detail": ""},
+            {"name": "hamiltonian_obstruction", "pass": True, "residual_terms": 0, "excluded_terms": 0, "detail": ""},
+            {"name": "hamiltonian_exists", "pass": True, "residual_terms": 0, "excluded_terms": 0, "detail": ""},
+            {"name": "hamiltonian_relation", "pass": True, "residual_terms": 0, "excluded_terms": 0, "detail": ""},
+            {"name": "q_annihilates_hamiltonian", "pass": True, "residual_terms": 0, "excluded_terms": 0, "detail": ""},
         ],
         "outputs": {
             "hamiltonian": "-1/3*u^3",
@@ -159,6 +165,15 @@ def test_latex_format(capsys):
     assert rc == 0
     assert r"\begin{tabular}{lccc}" in out
     assert r"\checkmark" in out
+
+
+def test_latex_power_of_decorated_generator(capsys):
+    rc, out, _ = run(["hamiltonian", "maxwell_weak", "--format", "latex"], capsys)
+    assert rc == 0
+    assert r"{F^{1}_{0 1}}^{2}" in out
+    assert r"}_{0 1}^{2}" not in out
+    rc, out, _ = run(["hamiltonian", "toy_dim0", "--format", "latex"], capsys)
+    assert r"\mathrm{hamiltonian} = -\tfrac{1}{3}u^{3}" in out
 
 
 def test_module_entry_point():

@@ -168,6 +168,23 @@ def test_zero_denominator_in_rational_literal(bad, col):
     assert (first.span.line, first.span.col) == (2, col)
 
 
+def test_error_inside_lie_block_skips_the_whole_block():
+    bad = ("base dim = 0;\n"
+           "lie g { dim = 3; f[1][2][3] = 1/0; antisymmetrize; kappa = diag(1, 1, 1); }\n"
+           "coord u : gh = 0;\n")
+    with pytest.raises(DslError) as err:
+        parse_model(bad)
+    assert [d.message for d in err.value.diagnostics] == ["division by zero"]
+
+
+def test_error_after_a_complete_statement_keeps_the_next_one():
+    bad = "base dim = 1;\nbase dim = 2;\nfoo;\n"
+    with pytest.raises(DslError) as err:
+        parse_model(bad)
+    assert [d.message for d in err.value.diagnostics] == [
+        "base dimension declared twice", "unknown declaration 'foo'"]
+
+
 def test_base_override_warns():
     text = "base dim = 1;\nQ x[0] = 2*theta[0];\ncoord u : gh = 0;\n"
     model, diags = parse_with_diagnostics(text)
