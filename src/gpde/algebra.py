@@ -11,6 +11,9 @@ constructor copies and filters its input to establish them; every sum in the
 kernel is built in place by `accumulate`, which deletes entries that cancel,
 and the result is handed to the unfiltered `Poly._adopt`.  `is_zero` and
 equality rely on the first invariant, in-place accumulation on the second.
+A generator's ghost number, form degree and hence its parity are fixed at
+construction (a conflicting redeclaration raises instead of mutating), so
+`Generator.parity` is a stored attribute.
 """
 
 from __future__ import annotations
@@ -72,6 +75,7 @@ class Generator:
         "jet_I",
         "jet_J",
         "deriv",
+        "parity",
         "_key",
         "_sort",
         "_hash",
@@ -88,14 +92,11 @@ class Generator:
         self.jet_I = jet_I
         self.jet_J = jet_J
         self.deriv = deriv
+        self.parity = (gh + fdeg) & 1
         li = -1 if lie_index is None else lie_index
         self._key = (role, name, base_index, li, jet_I, jet_J, deriv, fdeg)
         self._sort = self._key
         self._hash = hash(self._key)
-
-    @property
-    def parity(self) -> int:
-        return (self.gh + self.fdeg) & 1
 
     def __repr__(self):
         return f"<gen {self.name} gh={self.gh} fdeg={self.fdeg}>"
@@ -127,7 +128,8 @@ class Space:
 
     A Space owns interning: declaring the same structural key twice with a
     different ghost number is an error, with the same ghost number returns
-    the existing generator.
+    the existing generator.  With declare=False an unregistered key is
+    looked up only and gives None.
     """
 
     _counter = itertools.count()
@@ -140,7 +142,8 @@ class Space:
         self._coord_of: dict = {}      # differential -> coordinate
 
     def coordinate(self, name, role, gh, base_index=(), lie_index=None,
-                   jet_I=(), jet_J=(), deriv=(), fdeg=0) -> Generator:
+                   jet_I=(), jet_J=(), deriv=(), fdeg=0,
+                   declare: bool = True) -> Optional[Generator]:
         li = -1 if lie_index is None else lie_index
         key = (role, name, base_index, li, jet_I, jet_J, deriv, fdeg)
         g = self._gens.get(key)
@@ -150,6 +153,8 @@ class Space:
                     f"generator {name!r} redeclared with ghost {gh}, was {g.gh}"
                 )
             return g
+        if not declare:
+            return None
         g = Generator(self, role, name, gh, fdeg, base_index, lie_index, jet_I, jet_J, deriv)
         self._gens[key] = g
         return g
@@ -184,41 +189,56 @@ Monomial = tuple  # tuple[tuple[Generator, int], ...] sorted by generator
 
 def mono_mul(m1: Monomial, m2: Monomial):
     """Merge two canonical monomials.  Returns (sign, monomial) or None if an
-    odd generator squares to zero."""
+    odd generator squares to zero.
+
+    One pass: a factor of m2 that moves left past the factors of m1 still to
+    be emitted picks up the parity of their odd count.  Generators are
+    interned per Space and operands are unified first, so equal generators
+    are identical objects."""
     if not m1:
         return 1, m2
     if not m2:
         return 1, m1
+    odd = 0            # odd-generator factors of m1 not yet emitted
+    for g, e in m1:
+        if g.parity:
+            odd += e
     out = []
+    append = out.append
     sign = 1
     i = j = 0
     n1, n2 = len(m1), len(m2)
-    # tails[i] = number of odd-generator factors in m1[i:]
-    tails = [0] * (n1 + 1)
-    for k in range(n1 - 1, -1, -1):
-        g, e = m1[k]
-        tails[k] = tails[k + 1] + (e if g.parity else 0)
-    while i < n1 and j < n2:
-        g1, e1 = m1[i]
-        g2, e2 = m2[j]
-        if g1 is g2 or g1._sort == g2._sort:
+    g1, e1 = f1 = m1[0]
+    g2, e2 = f2 = m2[0]
+    while True:
+        if g1 is g2:
             if g1.parity:
                 return None
-            out.append((g1, e1 + e2))
+            append((g1, e1 + e2))
             i += 1
             j += 1
+            if i == n1 or j == n2:
+                break
+            g1, e1 = f1 = m1[i]
+            g2, e2 = f2 = m2[j]
         elif g1._sort < g2._sort:
-            out.append(m1[i])
+            append(f1)
+            if g1.parity:
+                odd -= e1
             i += 1
+            if i == n1:
+                break
+            g1, e1 = f1 = m1[i]
         else:
-            # g2 moves left past everything remaining in m1
-            if g2.parity and (tails[i] & 1):
+            # g2 moves left past the odd factors of m1 not yet emitted
+            if g2.parity and odd & 1:
                 sign = -sign
-            out.append(m2[j])
+            append(f2)
             j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return sign, tuple(out)
+            if j == n2:
+                break
+            g2, e2 = f2 = m2[j]
+    return sign, tuple(out) + m1[i:] + m2[j:]
 
 
 def mono_parity(m: Monomial) -> int:
@@ -261,7 +281,8 @@ def _sandwich(prefix: Monomial, coeff: Fraction, terms: Mapping[Monomial, Fracti
               suffix: Monomial = ()):
     """The (monomial, coefficient) pairs of prefix * (coeff * terms) * suffix,
     with Koszul signs; products in which an odd generator squares are
-    dropped."""
+    dropped.  A unit coeff costs no Fraction product."""
+    unit = coeff == 1
     for m, c in terms.items():
         r = mono_mul(prefix, m)
         if r is None:
@@ -273,8 +294,17 @@ def _sandwich(prefix: Monomial, coeff: Fraction, terms: Mapping[Monomial, Fracti
                 continue
             sign *= r[0]
             m = r[1]
-        c = coeff * c
+        if not unit:
+            c = coeff * c
         yield m, (c if sign > 0 else -c)
+
+
+def _product(a: Mapping[Monomial, Fraction], b: Mapping[Monomial, Fraction]) -> dict:
+    """The terms dict of the graded product a * b."""
+    out: dict = {}
+    for m, c in a.items():
+        accumulate(out, _sandwich(m, c, b))
+    return out
 
 
 class Poly:
@@ -392,10 +422,7 @@ class Poly:
     def __mul__(self, other) -> "Poly":
         other = normal_form(other)
         space = _unify(self.space, other.space)
-        out: dict = {}
-        for m, c in self.terms.items():
-            accumulate(out, _sandwich(m, c, other.terms))
-        return Poly._adopt(space, out)
+        return Poly._adopt(space, _product(self.terms, other.terms))
 
     def __rmul__(self, other) -> "Poly":
         # scalars commute with everything
@@ -428,33 +455,35 @@ class Poly:
     def substitute(self, mapping: Mapping[Generator, "Poly"]) -> "Poly":
         """Simultaneous substitution g -> mapping[g].  Images must be
         parity-homogeneous of the generator's parity (or zero)."""
+        images = {}
         for g, img in mapping.items():
             img = normal_form(img)
-            if not img.is_zero() and img.parity() != g.parity:
+            if img.terms and img.parity() != g.parity:
                 raise DegreeError(f"substitution image for {g.name} has wrong parity")
-        space = self.space if not mapping else None
+            images[g] = img
+        space = self.space if not images else None
+        one = Fraction(1)
+        factors: dict = {}      # (g, e) -> terms of the image of g^e, per call
         out: dict = {}
-        cache = {}
         for m, c in self.terms.items():
-            term = Poly.scalar(c)
-            for g, e in m:
-                img = mapping.get(g)
-                if img is None:
-                    term = term * Poly._adopt(g.space, {((g, e),): Fraction(1)})
-                else:
-                    img = normal_form(img)
-                    if e == 1:
-                        term = term * img
+            term = {(): one}
+            for f in m:
+                t = factors.get(f)
+                if t is None:
+                    g, e = f
+                    img = images.get(g)
+                    if img is None:
+                        t = {(f,): one}
+                        space = _unify(space, g.space)
                     else:
-                        pw = cache.get((g, e))
-                        if pw is None:
-                            pw = img
-                            for _ in range(e - 1):
-                                pw = pw * img
-                            cache[(g, e)] = pw
-                        term = term * pw
-            space = _unify(space, term.space)
-            accumulate(out, term.terms.items())
+                        t = img.terms
+                        for _ in range(e - 1):
+                            t = _product(t, img.terms)
+                        space = _unify(space, img.space)
+                    factors[f] = t
+                term = _product(term, t)
+            accumulate(out, term.items() if c == 1
+                       else ((tm, c * tc) for tm, tc in term.items()))
         return Poly._adopt(self.space if space is None else space, out)
 
 
@@ -485,17 +514,20 @@ def derive(p: Poly, parity: int, image) -> Poly:
             if img is not None:
                 img = normal_form(img)
             if img is None or not img.terms:
-                prefix_parity ^= (g.parity & 1) * (e & 1)
+                prefix_parity ^= g.parity & e
                 continue
             space = _unify(space, img.space)
             # d(g^e) = e g^(e-1) dg for even g; odd g has e == 1
-            sign = -1 if (parity & prefix_parity) else 1
-            coeff = Fraction(sign * e) * c
             rest_pref = m[:idx]
             if e > 1:
+                coeff = c * e
                 rest_pref = rest_pref + ((g, e - 1),)
+            else:
+                coeff = c
+            if parity & prefix_parity:
+                coeff = -coeff
             accumulate(acc, _sandwich(rest_pref, coeff, img.terms, m[idx + 1:]))
-            prefix_parity ^= (g.parity & 1) * (e & 1)
+            prefix_parity ^= g.parity & e
     return Poly._adopt(space, acc)
 
 

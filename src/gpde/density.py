@@ -33,10 +33,11 @@ from .reduction import ReducedModel, form_universe, reduce_form
 from .report import CheckResult
 
 
-def field_symbol(space: Space, fiber_gen: Generator, J=(), deriv=()):
+def field_symbol(space: Space, fiber_gen: Generator, J=(), deriv=(), declare: bool = True):
     """Component field of a bundle coordinate at theta-level J, carrying a
     symmetric multi-index of base derivatives.  Returns (sign, generator);
-    sign 0 on a repeated theta level."""
+    sign 0 on a repeated theta level.  With declare=False a field not yet
+    registered is not created and comes back as None."""
     sign, J = sort_sign(J)
     if not sign:
         return 0, None
@@ -44,7 +45,7 @@ def field_symbol(space: Space, fiber_gen: Generator, J=(), deriv=()):
     g = space.coordinate(name, FIELD, fiber_gen.gh - len(J),
                          base_index=fiber_gen.base_index,
                          lie_index=fiber_gen.lie_index,
-                         jet_J=J, deriv=tuple(sorted(deriv)))
+                         jet_J=J, deriv=tuple(sorted(deriv)), declare=declare)
     return sign, g
 
 
@@ -127,15 +128,17 @@ def covariance_residual(m: Model, sec: Section) -> Dict[Generator, Poly]:
 
 
 def gauge_variation(m: Model, sec: Section) -> Dict[Generator, Poly]:
-    """BRST-type variation of every component field, read off level by level
-    from the covariance residual."""
+    """BRST-type variation of every component field of the section, read off
+    level by level from the covariance residual.  Registers no generator
+    beyond those of the residual."""
     res = covariance_residual(m, sec)
     out = {}
     for u in m.fiber_coords():
         coeffs = theta_coefficients(res[u])
+        present = sec[u].generators()
         for J in m.theta_levels(range(m.n + 1)):
-            _, g = field_symbol(m.space, u, J)
-            if g in sec[u].generators():
+            _, g = field_symbol(m.space, u, J, declare=False)
+            if g in present:
                 out[g] = Fraction((-1) ** len(J)) * coeffs.get(J, Poly.zero())
     return out
 

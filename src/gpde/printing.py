@@ -94,7 +94,8 @@ def gen_latex(g: Generator) -> str:
             sup.append("(" + "".join(str(j) for j in g.jet_J) + ")")
         if g.deriv:
             sub = [",".join([""] + [str(i) for i in g.deriv])] + sub
-    s = g.name
+    # a DSL name may contain _: brace it so its scripts stay single
+    s = "{" + g.name + "}" if "_" in g.name else g.name
     if sup:
         s += "^{" + " ".join(sup) + "}"
     if sub:

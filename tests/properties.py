@@ -18,6 +18,7 @@ from gpde.algebra import (
     Poly,
     Space,
     lie_bracket,
+    mono_mul,
     mono_parity,
     normal_form,
     theta_basis,
@@ -561,6 +562,57 @@ def suite_el_invariance(cases: int = 1000, seed: int = 23):
         assert el_equivalent(m, dens, dens + div), f"shifted density, case {k}"
 
 
+def rand_canonical_monomial(rng: random.Random, pool, max_len: int = 5):
+    """Canonical monomial drawn directly, not through any product: distinct
+    generators in sort order, even ones to a power up to 3, odd ones once."""
+    gens = rng.sample(pool, rng.randint(0, min(max_len, len(pool))))
+    return tuple(sorted(((g, 1 if g.parity else rng.randint(1, 3)) for g in gens),
+                        key=lambda f: f[0]._sort))
+
+
+def reference_mono_mul(m1, m2):
+    """Independent oracle for mono_mul: expand both monomials into one factor
+    per unit of exponent, bubble-sort by the generator sort key flipping the
+    sign on every swap of two odd factors, and return None when an odd
+    factor repeats."""
+    seq = [g for g, e in m1 + m2 for _ in range(e)]
+    sign = 1
+    for end in range(len(seq) - 1, 0, -1):
+        for i in range(end):
+            a, b = seq[i], seq[i + 1]
+            if b._sort < a._sort:
+                seq[i], seq[i + 1] = b, a
+                if a.parity and b.parity:
+                    sign = -sign
+    out = []
+    for g in seq:
+        if out and out[-1][0] is g:
+            if g.parity:
+                return None
+            out[-1] = (g, out[-1][1] + 1)
+        else:
+            out.append((g, 1))
+    return sign, tuple(out)
+
+
+def suite_mono_mul(cases: int = 1000, seed: int = 31):
+    """mono_mul against the bubble-sort oracle on playground monomials and
+    their differentials, in both orders; the cases must hit both signs and
+    the vanishing of a repeated odd factor."""
+    sp, pool = playground()
+    pool = pool + [sp.differential(g) for g in pool]
+    rng = random.Random(seed)
+    seen = set()
+    for k in range(cases):
+        m1 = rand_canonical_monomial(rng, pool)
+        m2 = rand_canonical_monomial(rng, pool)
+        for a, b in ((m1, m2), (m2, m1)):
+            want = reference_mono_mul(a, b)
+            assert mono_mul(a, b) == want, f"mono_mul, case {k}"
+            seen.add(None if want is None else want[0])
+    assert seen == {1, -1, None}, f"vacuous mono_mul suite: outcomes {seen}"
+
+
 def reference_sum(*polys) -> Poly:
     """Plain dict sum, filtered by the public constructor; shares no code
     with the kernel's in-place accumulator."""
@@ -591,10 +643,30 @@ def reference_derive(p: Poly, parity: int, image) -> Poly:
     return acc
 
 
+def reference_substitute(p: Poly, mapping) -> Poly:
+    """Loop version of Poly.substitute: every term is a chain of Poly
+    products of its coefficient, its unmapped factors and the images of its
+    mapped factors (a power by repeated multiplication), added to the
+    running sum."""
+    acc = Poly.zero()
+    for m, c in p.terms.items():
+        term = Poly.scalar(c)
+        for g, e in m:
+            img = mapping.get(g)
+            if img is None:
+                term = term * Poly(g.space, {((g, e),): Fraction(1)})
+            else:
+                for _ in range(e):
+                    term = term * normal_form(img)
+        acc = acc + term
+    return Poly(p.space if acc.space is None else acc.space, acc.terms)
+
+
 def suite_trusted_sums(cases: int = 1000, seed: int = 29):
     """Every kernel result stores no zero coefficient (a stored zero would
     make is_zero() false and turn a PASS into a FAIL), exact cancellations
-    leave an empty dict, and derive agrees with the loop reference."""
+    leave an empty dict, and derive and substitute agree with their loop
+    references."""
     from gpde.algebra import LieAlgebraData, derive
     from gpde.cartan import interior
 
@@ -602,6 +674,7 @@ def suite_trusted_sums(cases: int = 1000, seed: int = 29):
     x, u = pool[0], pool[4]
     su2 = LieAlgebraData.su2()
     rng = random.Random(seed)
+    srng = random.Random(seed + 1)      # substitution data, apart from rng
 
     def rotation(h):
         # u -> x, x -> -u kills u^2 + x^2 although each term moves
@@ -617,6 +690,13 @@ def suite_trusted_sums(cases: int = 1000, seed: int = 29):
         par = rng.randint(0, 1)
         lx = rand_lie_valued(rng, su2, pool, rng.randint(0, 1))
         ly = rand_lie_valued(rng, su2, pool, rng.randint(0, 1))
+        # several images, one of them zero, and u^2 x^3 so that powers occur
+        wide = {h: rand_parity_poly(srng, pool, h.parity)
+                for h in srng.sample(pool, srng.randint(1, 4))}
+        wide[u] = rand_parity_poly(srng, pool, 0, terms=2, max_len=2)
+        wide[srng.choice(pool)] = Poly.zero()
+        powered = p + rand_monomial(srng, pool) * Poly.gen(u) * Poly.gen(u) \
+            * Poly.gen(x) * Poly.gen(x) * Poly.gen(x)
 
         def image(h):
             return V.coefficient(h) if not h.fdeg else None
@@ -625,6 +705,7 @@ def suite_trusted_sums(cases: int = 1000, seed: int = 29):
             "+": p + q, "-": p - q, "*": p * q,
             "derive": derive(p, V.parity, image),
             "substitute": p.substitute(mapping),
+            "substitute (wide)": powered.substitute(wide),
             "de_rham": de_rham(p), "interior": interior(V, p),
             "apply": V.apply(f),
         }
@@ -644,6 +725,10 @@ def suite_trusted_sums(cases: int = 1000, seed: int = 29):
             f"derive reference, case {k}"
         assert derive(p, par, rotation) == reference_derive(p, par, rotation), \
             f"derive reference (parity {par}), case {k}"
+        for name, src, mp in (("substitute", p, mapping), ("substitute (wide)", powered, wide)):
+            ref = reference_substitute(src, mp)
+            assert results[name] == ref and results[name].space is ref.space, \
+                f"{name} reference, case {k}"
 
 
 def maxwell_specializations(m: Model, order: int = 3):

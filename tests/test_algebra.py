@@ -117,6 +117,17 @@ class TestPolyArithmetic:
         with pytest.raises(ForeignGeneratorError):
             Poly.gen(x) + Poly.gen(y)
 
+    def test_substitute_unifies_spaces(self):
+        s1, s2 = Space("a"), Space("b")
+        x0 = s1.coordinate("x", BASE_X, 0, base_index=(0,))
+        x1 = s1.coordinate("x", BASE_X, 0, base_index=(1,))
+        y = s2.coordinate("x", BASE_X, 0, base_index=(1,))
+        # an unmapped factor keeps its space in the unification
+        with pytest.raises(ForeignGeneratorError):
+            (Poly.gen(x0) * Poly.gen(x1)).substitute({x0: Poly.gen(y)})
+        q = (Poly.gen(x0) * Poly.gen(x0)).substitute({x0: Poly.scalar(2)})
+        assert q == 4 and q.space is s1
+
     def test_homogeneity_queries(self, sp):
         th0, th1 = mk_theta(sp, 2)
         p = Poly.gen(th0) * Poly.gen(th1)

@@ -176,6 +176,17 @@ def test_latex_power_of_decorated_generator(capsys):
     assert r"\mathrm{hamiltonian} = -\tfrac{1}{3}u^{3}" in out
 
 
+def test_latex_name_with_underscore():
+    # a DSL name may contain _; braced, its index is a single subscript
+    from gpde import parse_model, poly_latex
+    from gpde.algebra import Poly
+
+    m = parse_model("base dim = 1; coord A_b[a] : gh = 0;")
+    _, g = m.fibers["A_b"].resolve((0,))
+    assert poly_latex(Poly.gen(g)) == "{A_b}_{0}"
+    assert poly_latex(Poly.gen(g) * Poly.gen(g)) == "{{A_b}_{0}}^{2}"
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "gpde.cli", "check", "toy_dim0"],

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from gpde.algebra import FIELD, JET, GradedAlgebraError, Poly
+from gpde.algebra import FIELD, JET, GradedAlgebraError, Poly, theta_split
 from gpde.density import (
     Section,
     action_density,
@@ -21,7 +21,7 @@ from gpde.density import (
     tangency_residuals,
     total_field_derivative,
 )
-from gpde.jets import JetModel
+from gpde.jets import JetModel, theta_coefficients
 from gpde.model import solve_hamiltonian
 
 from conftest import build_maxwell, build_toy
@@ -134,6 +134,26 @@ def test_gauge_variation_matches_jet_seeds_ym(ym_model):
                 _, jg = jm.jet(u, (), J)
                 _, fg = field_symbol(m.space, u, J)
                 assert var[fg] == jets_to_fields(m.space, jm.s.coefficient(jg))
+
+
+def test_gauge_variation_registers_no_fields():
+    # the residual registers the derivative symbols the variation contains;
+    # reading it off by theta level must add nothing, least of all the
+    # level fields a ghost-zero section leaves out
+    m = build_maxwell()
+    sec = generic_section(m)
+    res = covariance_residual(m, sec)
+    before = len(m.space.generators())
+    var = gauge_variation(m, sec)
+    assert len(m.space.generators()) == before
+    want = {}
+    for u in m.fiber_coords():
+        coeffs = theta_coefficients(res[u])
+        for J, rest, _, _ in theta_split(sec[u]):
+            ((g, _),) = rest
+            want[g] = (-1) ** len(J) * coeffs.get(J, Poly.zero())
+    assert var == want
+    assert len(var) == 10
 
 
 def test_gauge_variation_ce_formulas(ce_model):

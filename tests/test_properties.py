@@ -26,6 +26,10 @@ def test_variational_invariance():
     pr.suite_el_invariance(CASES)
 
 
+def test_mono_mul_oracle():
+    pr.suite_mono_mul(CASES)
+
+
 def test_trusted_sums():
     pr.suite_trusted_sums(CASES)
 
