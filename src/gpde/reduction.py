@@ -1,7 +1,10 @@
 """Kernel distribution of the presymplectic form and the reduced phase space.
 
-All linear algebra is exact over the rationals.  The form is flattened to a
-coefficient system over a declared universe of coordinates; kernel vectors
+All linear algebra is exact over the rationals, and elimination works on
+sparse rows that store only their nonzero entries, so its cost follows the
+nonzeros of the (mostly empty) systems rather than their size.  The form is
+flattened to a coefficient system over a declared universe of coordinates;
+it is read off in one walk over the form's terms.  Kernel vectors
 are constant rational combinations of coordinate directions, and survivors
 are returned as the canonical (reduced row echelon) basis of the linear
 forms annihilating the kernel, so coordinate kernels give back plain
@@ -23,7 +26,7 @@ from .algebra import (
     accumulate,
     theta_split,
 )
-from .cartan import VectorField, interior
+from .cartan import VectorField
 
 
 class ReductionError(GradedAlgebraError):
@@ -31,45 +34,74 @@ class ReductionError(GradedAlgebraError):
 
 
 def rref(rows: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
-    rows = [list(r) for r in rows]
+    """Reduced row echelon form; returns (nonzero rows, pivot column indices).
+
+    Rows are eliminated as {column: value} dicts holding no zero: a column is
+    cleared only from the rows that have an entry there, over the pivot
+    row's entries only.  The pivot is the shortest candidate row, which keeps
+    fill-in low; the result does not depend on it, since the reduced row
+    echelon form of a matrix is unique."""
     if not rows:
         return [], []
     ncols = len(rows[0])
+    zero, one = Fraction(0), Fraction(1)
+    todo = [r for r in ({c: v for c, v in enumerate(row) if v} for row in rows) if r]
+    done: List[Dict[int, Fraction]] = []
     pivots = []
-    r = 0
     for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
+        if not todo:
             break
-    return rows[:r], pivots
+        best = None
+        for i, r in enumerate(todo):
+            if c in r and (best is None or len(r) < len(todo[best])):
+                best = i
+        if best is None:
+            continue
+        prow = todo.pop(best)
+        pv = prow.pop(c)
+        if pv != 1:
+            prow = {k: v / pv for k, v in prow.items()}
+        for row in done + todo:
+            f = row.pop(c, None)
+            if f is None:
+                continue
+            for k, v in prow.items():
+                old = row.get(k)
+                if old is None:
+                    row[k] = -f * v
+                else:
+                    new = old - f * v
+                    if new:
+                        row[k] = new
+                    else:
+                        del row[k]
+        prow[c] = one
+        done.append(prow)
+        pivots.append(c)
+    dense = []
+    for row in done:
+        out = [zero] * ncols
+        for k, v in row.items():
+            out[k] = v
+        dense.append(out)
+    return dense, pivots
 
 
 def nullspace(rows: List[List[Fraction]], ncols: int) -> List[List[Fraction]]:
     """Basis of the right kernel of the row system, one vector per free column."""
     red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    pivot_set = set(pivots)
+    zero, one = Fraction(0), Fraction(1)
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        vec = [zero] * ncols
+        vec[fc] = one
         for ri, pc in enumerate(pivots):
-            vec[pc] = -red[ri][fc]
+            v = red[ri][fc]
+            if v:
+                vec[pc] = -v
         basis.append(vec)
     return basis
 
@@ -94,16 +126,33 @@ def form_universe(form: Poly) -> List[Generator]:
 class PresymplecticMatrix:
     """Contractions of a two-form along the unit field of each universe
     coordinate.  A constant vector K is in the kernel of the form exactly
-    when sum_A K^A columns[A] vanishes identically."""
+    when sum_A K^A columns[A] vanishes identically.
+
+    All columns are filled in one walk over the form's terms: contracting
+    the unit field of u^A replaces a differential of u^A (horizontal or
+    vertical) by 1 with the left-Leibniz sign of interior(), which is
+    (gh(u^A)+1) times the parity of the monomial prefix, and an even
+    differential of exponent e > 1 leaves e copies of the power e-1."""
 
     def __init__(self, form: Poly, universe: Sequence[Generator]):
         self.form = form
         self.universe = list(universe)
         space = form.space
-        self.columns = []
-        for g in self.universe:
-            unit = VectorField(space, -g.gh, coeffs={g: 1}, name=f"e_{g.name}")
-            self.columns.append(interior(unit, form))
+        index = {g: A for A, g in enumerate(self.universe)}
+        ipar = [(g.gh + 1) & 1 for g in self.universe]
+        acc: List[dict] = [{} for _ in self.universe]
+        for m, c in form.terms.items():
+            prefix = 0
+            for idx, (g, e) in enumerate(m):
+                A = index.get(space.coordinate_of(g)) if g.fdeg else None
+                if A is not None:
+                    coeff = c * e if e > 1 else c
+                    if prefix & ipar[A]:
+                        coeff = -coeff
+                    rest = m[:idx] + ((g, e - 1),) if e > 1 else m[:idx]
+                    accumulate(acc[A], ((rest + m[idx + 1:], coeff),))
+                prefix ^= g.parity & e
+        self.columns = [Poly(space, terms) for terms in acc]
 
     def is_constant(self) -> bool:
         for col in self.columns:
@@ -118,7 +167,8 @@ class PresymplecticMatrix:
             for mono, c in col.terms.items():
                 rows.setdefault(mono, {})[A] = c
         keys = sorted(rows, key=lambda m: tuple((g._sort, e) for g, e in m))
-        return [[rows[m].get(A, Fraction(0)) for A in range(len(self.universe))]
+        zero = Fraction(0)
+        return [[rows[m].get(A, zero) for A in range(len(self.universe))]
                 for m in keys]
 
     def kernel(self) -> List[List[Fraction]]:
@@ -157,17 +207,14 @@ def _kernel_with_context(form: Poly, universe: Sequence[Generator],
         rng = random.Random(20260819)
         pts = [{g: Fraction(rng.randint(1, 97), rng.randint(2, 13))
                 for g in even_coords} for _ in range(samples)]
-    kernels = []
-    for pt in pts:
-        ev = _evaluate_coefficients(work, pt)
-        kernels.append(PresymplecticMatrix(ev, universe).kernel())
+    evaluated = [_evaluate_coefficients(work, pt) for pt in pts]
+    kernels = [PresymplecticMatrix(ev, universe).kernel() for ev in evaluated]
     dims = {len(k) for k in kernels}
     if len(dims) != 1:
         raise ReductionError(
             f"kernel dimension is not stable across sample points: {sorted(dims)}"
         )
-    chosen = pts[0]
-    return kernels[0], _evaluate_coefficients(work, chosen), chosen
+    return kernels[0], evaluated[0], pts[0]
 
 
 def kernel_basis(form: Poly, universe: Sequence[Generator],
@@ -212,14 +259,6 @@ class ReducedModel:
         return equations(self.survivor_equations())
 
 
-def _annihilator(kernel: List[List[Fraction]], ncols: int) -> List[List[Fraction]]:
-    if not kernel:
-        ident = [[Fraction(1) if j == i else Fraction(0) for j in range(ncols)]
-                 for i in range(ncols)]
-        return ident
-    return nullspace([list(v) for v in kernel], ncols)
-
-
 def _first_free_index(space, prefix: str) -> int:
     """One past the largest i such that a coordinate named prefix<i> exists.
 
@@ -248,6 +287,7 @@ def reduce_form(form: Poly, universe: Sequence[Generator],
     """
     universe = list(universe)
     ncols = len(universe)
+    index = {g: A for A, g in enumerate(universe)}
     space = form.space
     kernel, work, used_point = _kernel_with_context(form, universe, point,
                                                     strip_volume, samples)
@@ -260,7 +300,8 @@ def reduce_form(form: Poly, universe: Sequence[Generator],
                 "no graded splitting exists"
             )
 
-    ann = _annihilator(kernel, ncols)
+    # the linear forms vanishing on the kernel (all of them when it is empty)
+    ann = nullspace(kernel, ncols)
     first = _first_free_index(space, survivor_prefix)
     survivors: List[Generator] = []
     survivor_forms: List[List[Fraction]] = []
@@ -274,11 +315,12 @@ def reduce_form(form: Poly, universe: Sequence[Generator],
         survivor_forms.append(list(lam))
 
     # invert the (survivor rows; kernel rows) basis change
-    T = [list(r) for r in ann] + [list(r) for r in kernel]
+    T = ann + kernel
     if len(T) != ncols:
         raise ReductionError("annihilator and kernel do not split the universe")
-    aug = [row + [Fraction(1) if j == i else Fraction(0) for j in range(ncols)]
-           for i, row in enumerate(T)]
+    aug = [row + [Fraction(0)] * ncols for row in T]
+    for i, row in enumerate(aug):
+        row[ncols + i] = Fraction(1)
     red, pivots = rref(aug)
     if pivots != list(range(ncols)):
         raise ReductionError("basis change is singular")
@@ -291,18 +333,17 @@ def reduce_form(form: Poly, universe: Sequence[Generator],
     for A, g in enumerate(universe):
         csub[g] = Poly(space, {((w, 1),): t for w, t in zip(survivors, tinv[A])})
     dsub: Dict[Generator, Poly] = {}
-    uset = set(universe)
     for mono in work.terms:
         for g, _ in mono:
             if g.fdeg != 1 or g in dsub:
                 continue
             base = space.coordinate_of(g)
-            if base not in uset:
+            A = index.get(base)
+            if A is None:
                 raise ReductionError(
                     f"form contains the differential of {base.name!r}, "
                     "which is outside the universe"
                 )
-            A = universe.index(base)
             vertical = g.role == VDIFF
             dsub[g] = Poly(space, {((space.differential(w, vertical=vertical), 1),): t
                                    for w, t in zip(survivors, tinv[A]) if t})
@@ -311,6 +352,13 @@ def reduce_form(form: Poly, universe: Sequence[Generator],
 
     s_action = None
     if s is not None:
+        # each kernel direction as a field, with the coordinates it moves
+        kfields = []
+        for vec in kernel:
+            touched = [A for A in range(ncols) if vec[A]]
+            kfield = VectorField(space, -universe[touched[0]].gh,
+                                 coeffs={universe[A]: vec[A] for A in touched})
+            kfields.append(({universe[A] for A in touched}, kfield))
         s_action = {}
         for i, g in enumerate(survivors):
             terms: dict = {}
@@ -319,14 +367,12 @@ def reduce_form(form: Poly, universe: Sequence[Generator],
                     image = survivor_forms[i][A] * s.apply(Poly.gen(universe[A]))
                     accumulate(terms, image.terms.items())
             expr = Poly(space, terms)
-            # constancy along every kernel direction
-            for vec in kernel:
-                touched = [A for A in range(ncols) if vec[A]]
-                if not touched:
+            # constancy along every kernel direction; a field that moves no
+            # coordinate of the 0-form expr sends it to zero
+            held = expr.generators()
+            for moved, kfield in kfields:
+                if moved.isdisjoint(held):
                     continue
-                kgh = universe[touched[0]].gh
-                kfield = VectorField(space, -kgh,
-                                     coeffs={universe[A]: vec[A] for A in touched})
                 if not kfield.apply(expr).is_zero():
                     raise ReductionError(
                         "the evolutionary field does not descend: "

@@ -731,6 +731,128 @@ def suite_trusted_sums(cases: int = 1000, seed: int = 29):
                 f"{name} reference, case {k}"
 
 
+def reference_rref(rows):
+    """The dense Gauss-Jordan loop that gpde.reduction.rref replaced, kept as
+    an independent oracle: every row is a full list, the pivot is the first
+    row with an entry in the column, and every other row is updated entry by
+    entry."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][c]
+        rows[r] = [v / pv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def rand_matrix(rng: random.Random, k: int):
+    """Seeded Fraction matrix for the elimination suites.  Case 0 is all
+    zero and case 1 a single row; the rest are sparse (2-30% filled) or
+    dense of low rank (a product of random rows x rank and rank x cols
+    factors), mostly up to 12 x 20 and about one in thirty up to 40 x 80,
+    with some rows or columns zeroed.  Large sparse cases are filled to at
+    most 10%: a random 40 x 80 system filled to 30% has full rank, reduced
+    entries of over a hundred digits, and takes most of a second."""
+    def entry():
+        return Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+
+    big = rng.random() < 0.03
+    nrows = rng.randint(20, 40) if big else rng.randint(1, 12)
+    ncols = rng.randint(40, 80) if big else rng.randint(1, 20)
+    if k == 1:
+        nrows = 1
+    zero = Fraction(0)
+    if k == 0:
+        return [[zero] * ncols for _ in range(nrows)]
+    if rng.random() < 0.5:
+        fill = rng.uniform(0.02, 0.1 if big else 0.3)
+        M = [[entry() if rng.random() < fill else zero for _ in range(ncols)]
+             for _ in range(nrows)]
+    else:
+        rank = rng.randint(1, min(nrows, ncols, 8 if big else 12))
+        A = [[entry() for _ in range(rank)] for _ in range(nrows)]
+        B = [[entry() for _ in range(ncols)] for _ in range(rank)]
+        M = [[sum((A[i][t] * B[t][j] for t in range(rank)), zero) for j in range(ncols)]
+             for i in range(nrows)]
+    if rng.random() < 0.3:
+        for i in rng.sample(range(nrows), rng.randint(1, nrows)):
+            M[i] = [zero] * ncols
+    if rng.random() < 0.3:
+        for j in rng.sample(range(ncols), rng.randint(1, ncols)):
+            for row in M:
+                row[j] = zero
+    return M
+
+
+def suite_rref(cases: int = 1000, seed: int = 37):
+    """rref against the dense reference, entry for entry and pivot for
+    pivot, without touching its input; every nullspace vector k gives
+    M k = 0, one per non-pivot column.  The cases must reach zero rank,
+    full row rank, full column rank and neither."""
+    from gpde.reduction import nullspace, rref
+
+    rng = random.Random(seed)
+    seen = set()
+    for k in range(cases):
+        M = rand_matrix(rng, k)
+        before = [list(r) for r in M]
+        ncols = len(M[0])
+        red, piv = rref(M)
+        want_red, want_piv = reference_rref(M)
+        assert M == before, f"rref changed its input, case {k}"
+        assert piv == want_piv, f"rref pivots, case {k}"
+        assert red == want_red, f"rref rows, case {k}"
+        basis = nullspace(M, ncols)
+        assert len(basis) == ncols - len(piv), f"nullspace dimension, case {k}"
+        for vec in basis:
+            support = [(j, v) for j, v in enumerate(vec) if v]
+            for row in M:
+                assert sum(row[j] * v for j, v in support) == 0, \
+                    f"nullspace vector, case {k}"
+        rank = len(piv)
+        seen.add("zero" if rank == 0 else
+                 "rows" if rank == len(M) else "cols" if rank == ncols else "neither")
+    assert seen == {"zero", "rows", "cols", "neither"}, f"vacuous rref suite: {seen}"
+
+
+def suite_rref_sympy(cases: int = 50, seed: int = 41):
+    """rref against sympy's Matrix.rref on matrices from the same generator;
+    sympy is used by the tests only."""
+    import sympy
+
+    from gpde.reduction import rref
+
+    rng = random.Random(seed)
+    for k in range(cases):
+        M = rand_matrix(rng, k)
+        red, piv = rref(M)
+        sred, spiv = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row]
+                                   for row in M]).rref()
+        assert piv == list(spiv), f"sympy pivots, case {k}"
+        want = [[Fraction(int(sred[i, j].p), int(sred[i, j].q)) for j in range(len(M[0]))]
+                for i in range(len(piv))]
+        assert red == want, f"sympy rows, case {k}"
+
+
 def maxwell_specializations(m: Model, order: int = 3):
     """Abelian limit of every curved-model acceptance check: strict
     nilpotency, exact residuals, golden formula matches, boundary pipeline."""

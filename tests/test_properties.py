@@ -1,6 +1,8 @@
 """Randomized law checking: a thousand seeded cases per algebraic law, plus
 the abelian specialization of the full curved-model pipeline."""
 
+import pytest
+
 import properties as pr
 
 CASES = 1000
@@ -32,6 +34,15 @@ def test_mono_mul_oracle():
 
 def test_trusted_sums():
     pr.suite_trusted_sums(CASES)
+
+
+def test_rref_oracle():
+    pr.suite_rref(CASES)
+
+
+def test_rref_sympy_cross_check():
+    pytest.importorskip("sympy")
+    pr.suite_rref_sympy(50)
 
 
 def test_maxwell_specializations(maxwell_model):

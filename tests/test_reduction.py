@@ -1,12 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from gpde.algebra import FIBER, Poly, Space
-from gpde.cartan import VectorField, de_rham
+from gpde.cartan import VectorField, d_vertical, de_rham, interior
+from gpde.jets import JetModel
+from gpde.parser import load_builtin
 from gpde.reduction import (
     PresymplecticMatrix,
     ReductionError,
+    form_universe,
     kernel_basis,
     nullspace,
     reduce_form,
@@ -90,6 +94,59 @@ class TestKernel:
         assert not PresymplecticMatrix(dep, [a, b]).is_constant()
 
 
+def interior_columns(form, universe):
+    """One interior() contraction per unit field, the definition the
+    one-pass PresymplecticMatrix columns must reproduce."""
+    return [interior(VectorField(form.space, -g.gh, coeffs={g: 1}), form) for g in universe]
+
+
+def assert_columns_match(form, universe):
+    got = PresymplecticMatrix(form, universe).columns
+    want = interior_columns(form, universe)
+    assert [c.terms for c in got] == [c.terms for c in want]
+    assert [c.space for c in got] == [c.space for c in want]
+
+
+class TestPresymplecticColumns:
+    @pytest.mark.parametrize("name", ["maxwell_weak", "ym_weak"])
+    def test_builtin_columns_match_interior(self, name):
+        top = JetModel(load_builtin(name), 1).vertical_top()
+        universe = form_universe(top)
+        for form in (top, strip_theta_volume(top)):
+            assert_columns_match(form, universe)
+
+    def test_powers_and_both_differentials(self):
+        # dc is even (c odd), so dc^2 occurs; a has a horizontal and a
+        # vertical differential in one monomial; du lies outside the universe
+        sp = Space("cols")
+        a = sp.coordinate("a", FIBER, 0)
+        c = sp.coordinate("c", FIBER, 1)
+        u = sp.coordinate("u", FIBER, 0)
+        dc = de_rham(Poly.gen(c))
+        form = (Poly.gen(u) * dc * dc
+                + Poly.gen(c) * de_rham(Poly.gen(a)) * d_vertical(Poly.gen(a))
+                + de_rham(Poly.gen(u)) * dc * Poly.gen(c) * 3)
+        assert any(e == 2 for mono in form.terms for g, e in mono if g.fdeg)
+        assert_columns_match(form, [a, c])
+
+    def test_random_forms(self):
+        from properties import playground, rand_poly
+
+        sp, pool = playground()
+        rng = random.Random(43)
+        powered = 0
+        for _ in range(200):
+            form = rand_poly(rng, pool, terms=4, form_chance=0.7) \
+                * de_rham(Poly.gen(rng.choice(pool)))
+            if form.space is None:
+                continue
+            powered += any(e > 1 for mono in form.terms for g, e in mono if g.fdeg)
+            universe = sorted(rng.sample(pool, rng.randint(1, len(pool))),
+                              key=lambda g: g._sort)
+            assert_columns_match(form, universe)
+        assert powered, "no random form holds a power of a differential"
+
+
 class TestReduce:
     def test_toy_model_reduction(self, toy_model):
         m = toy_model
@@ -139,6 +196,27 @@ class TestReduce:
         s = VectorField(sp, 0, coeffs={a: Poly.gen(k)})
         with pytest.raises(ReductionError, match="descend"):
             reduce_form(form, [a, b, k], s=s)
+
+    def test_field_varying_along_second_kernel_direction_refused(self):
+        # kernel spanned by k1 and k2; s(a) = k2 is constant along k1 and
+        # varies along k2 only
+        sp = Space("two_kernels")
+        a, b, k1, k2 = (sp.coordinate(n, FIBER, 0) for n in ("a", "b", "k1", "k2"))
+        form = de_rham(Poly.gen(a)) * de_rham(Poly.gen(b))
+        s = VectorField(sp, 0, coeffs={a: Poly.gen(k2)})
+        with pytest.raises(ReductionError, match="does not descend"):
+            reduce_form(form, [a, b, k1, k2], s=s)
+
+    def test_field_off_the_kernel_descends(self):
+        sp = Space("off_kernel")
+        a, b, k1, k2 = (sp.coordinate(n, FIBER, 0) for n in ("a", "b", "k1", "k2"))
+        form = de_rham(Poly.gen(a)) * de_rham(Poly.gen(b))
+        s = VectorField(sp, 0, coeffs={a: Poly.gen(b) * Poly.gen(b), b: Poly.gen(a)})
+        rm = reduce_form(form, [a, b, k1, k2], s=s, survivor_prefix="ok")
+        assert rm.kernel_vectors == [[F(0), F(0), F(1), F(0)], [F(0), F(0), F(0), F(1)]]
+        wa, wb = rm.survivors
+        assert rm.s_action[wa] == Poly.gen(wb) * Poly.gen(wb)
+        assert rm.s_action[wb] == Poly.gen(wa)
 
     def test_volume_stripping(self, maxwell_model):
         m = maxwell_model
