@@ -454,14 +454,15 @@ class Poly:
 
     def substitute(self, mapping: Mapping[Generator, "Poly"]) -> "Poly":
         """Simultaneous substitution g -> mapping[g].  Images must be
-        parity-homogeneous of the generator's parity (or zero)."""
+        parity-homogeneous of the generator's parity (or zero), and of this
+        Poly's space."""
         images = {}
         for g, img in mapping.items():
             img = normal_form(img)
             if img.terms and img.parity() != g.parity:
                 raise DegreeError(f"substitution image for {g.name} has wrong parity")
+            _unify(self.space, img.space)
             images[g] = img
-        space = self.space if not images else None
         one = Fraction(1)
         factors: dict = {}      # (g, e) -> terms of the image of g^e, per call
         out: dict = {}
@@ -474,17 +475,15 @@ class Poly:
                     img = images.get(g)
                     if img is None:
                         t = {(f,): one}
-                        space = _unify(space, g.space)
                     else:
                         t = img.terms
                         for _ in range(e - 1):
                             t = _product(t, img.terms)
-                        space = _unify(space, img.space)
                     factors[f] = t
                 term = _product(term, t)
             accumulate(out, term.items() if c == 1
                        else ((tm, c * tc) for tm, tc in term.items()))
-        return Poly._adopt(self.space if space is None else space, out)
+        return Poly._adopt(self.space, out)
 
 
 def normal_form(x) -> Poly:

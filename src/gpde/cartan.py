@@ -13,8 +13,6 @@ from __future__ import annotations
 from typing import Callable, Mapping, Optional
 
 from .algebra import (
-    BASE_THETA,
-    BASE_X,
     FIBER,
     FIELD,
     JET,

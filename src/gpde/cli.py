@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="symbolic checks for presymplectic gauge PDE models")
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    def verb(name, help, **extra):
+    def verb(name, help):
         p = sub.add_parser(name, help=help)
         p.add_argument("model", help="builtin model name or path to a model file")
         p.add_argument("--format", choices=("text", "json", "latex"),

@@ -23,7 +23,7 @@ from .algebra import (
     sort_sign,
 )
 from .cartan import VectorField, de_rham, interior, lie_derivative
-from .report import CheckResult, Report
+from .report import CheckResult
 
 
 class NotExactError(GradedAlgebraError):

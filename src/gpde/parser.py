@@ -15,6 +15,9 @@ A model file is a sequence of declarations:
 Expressions support + - * /, unary minus, the bracket [X, Y], Tr(...) with
 exactly two Lie-valued factors per term, the de Rham differential d(...),
 theta(k; i1..ik) volume cofactors, and eps/eta/inveta (metric required).
+A reference X{k} selects the k-th component (1..dim) of a Lie-valued
+coordinate, on either side of a Q-rule.  A denominator must expand to
+constant terms only; their sum is the divisor, and a zero sum is an error.
 Lowercase index variables repeated inside an additive term are summed over
 the base range; variables appearing once must be bound by the left side.
 """
@@ -26,8 +29,6 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import (
-    BASE_THETA,
-    BASE_X,
     DegreeError,
     Generator,
     GradedAlgebraError,
@@ -51,13 +52,12 @@ PUNCT = ";:,=+-*/()[]{}"
 
 
 class Span:
-    __slots__ = ("source", "line", "col", "length")
+    __slots__ = ("source", "line", "col")
 
-    def __init__(self, source, line, col, length=1):
+    def __init__(self, source, line, col):
         self.source = source
         self.line = line
         self.col = col
-        self.length = length
 
     def __str__(self):
         return f"{self.source}:{self.line}:{self.col}"
@@ -88,6 +88,11 @@ class DslError(GradedAlgebraError):
         super().__init__(msg or "model file is invalid")
 
 
+def _error(message: str, span: Optional[Span], hint: Optional[str] = None) -> DslError:
+    """The DslError carrying one error diagnostic; callers raise it."""
+    return DslError([Diagnostic("error", message, span, hint)])
+
+
 class Token:
     __slots__ = ("kind", "value", "span")
 
@@ -100,7 +105,9 @@ class Token:
         return f"Token({self.kind}, {self.value!r})"
 
 
-def tokenize(text: str, source: str) -> List[Token]:
+def tokenize(text: str, source: str, diags: List[Diagnostic]) -> List[Token]:
+    """Tokens of text, ending in an eof token.  An unexpected character is
+    reported in diags and skipped."""
     toks = []
     line, col = 1, 1
     i, n = 0, len(text)
@@ -124,7 +131,6 @@ def tokenize(text: str, source: str) -> List[Token]:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            span.length = j - i
             toks.append(Token("int", int(text[i:j]), span))
             col += j - i
             i = j
@@ -133,151 +139,28 @@ def tokenize(text: str, source: str) -> List[Token]:
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            span.length = j - i
             toks.append(Token("name", text[i:j], span))
             col += j - i
             i = j
             continue
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 1
-            if j >= n:
-                raise DslError([Diagnostic("error", "unterminated string", span)])
-            span.length = j + 1 - i
-            toks.append(Token("string", text[i + 1:j], span))
-            col += j + 1 - i
-            i = j + 1
-            continue
         if ch in PUNCT:
             toks.append(Token(ch, ch, span))
-            i += 1
-            col += 1
-            continue
-        raise DslError([Diagnostic("error", f"unexpected character {ch!r}", span)])
-    toks.append(Token("eof", None, Span(source, line, col)))
+        else:
+            diags.append(Diagnostic("error", f"unexpected character {ch!r}", span))
+        i += 1
+        col += 1
+    # the value is what a diagnostic prints as the found token
+    toks.append(Token("eof", "end of file", Span(source, line, col)))
     return toks
 
 
 # expression AST: tuples (kind, ..., span) ----------------------------------
 
 
-class ExprParser:
-    """Pratt parser for the expression sublanguage."""
-
-    LBP = {"+": 10, "-": 10, "*": 20, "/": 20}
-
-    def __init__(self, toks: List[Token], pos: int):
-        self.toks = toks
-        self.pos = pos
-
-    def peek(self) -> Token:
-        return self.toks[self.pos]
-
-    def next(self) -> Token:
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def expect(self, kind) -> Token:
-        t = self.next()
-        if t.kind != kind:
-            raise DslError([Diagnostic(
-                "error", f"expected {kind!r}, found {t.value!r}", t.span)])
-        return t
-
-    def parse(self, rbp: int = 0):
-        t = self.next()
-        left = self.nud(t)
-        while self.LBP.get(self.peek().kind, 0) > rbp:
-            t = self.next()
-            left = self.led(t, left)
-        return left
-
-    def nud(self, t: Token):
-        if t.kind == "int":
-            return ("num", Fraction(t.value), t.span)
-        if t.kind == "(":
-            e = self.parse(0)
-            self.expect(")")
-            return e
-        if t.kind == "-":
-            return ("neg", self.parse(25), t.span)
-        if t.kind == "[":
-            left = self.parse(0)
-            self.expect(",")
-            right = self.parse(0)
-            closer = self.next()
-            if closer.kind != "]":
-                raise DslError([Diagnostic(
-                    "error", "the bracket takes exactly two arguments",
-                    closer.span)])
-            return ("bracket", left, right, t.span)
-        if t.kind == "name":
-            return self.name_atom(t)
-        raise DslError([Diagnostic("error", f"unexpected token {t.value!r}", t.span)])
-
-    def led(self, t: Token, left):
-        ops = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
-        right = self.parse(self.LBP[t.kind])
-        return (ops[t.kind], left, right, t.span)
-
-    def name_atom(self, t: Token):
-        name = t.value
-        if name in ("d", "Tr") and self.peek().kind == "(":
-            self.next()
-            e = self.parse(0)
-            self.expect(")")
-            return ("d" if name == "d" else "tr", e, t.span)
-        if name == "theta" and self.peek().kind == "(":
-            self.next()
-            k = self.expect("int").value
-            self.expect(";")
-            idx = []
-            if self.peek().kind != ")":
-                idx.append(self.index_atom())
-                while self.peek().kind == ",":
-                    self.next()
-                    idx.append(self.index_atom())
-            self.expect(")")
-            if len(idx) != k:
-                raise DslError([Diagnostic(
-                    "error", f"theta({k}; ...) takes {k} indices, got {len(idx)}",
-                    t.span)])
-            return ("theta_basis", idx, t.span)
-        args = []
-        lie_sel = None
-        if self.peek().kind == "[":
-            self.next()
-            if self.peek().kind != "]":
-                args.append(self.index_atom())
-                while self.peek().kind == ",":
-                    self.next()
-                    args.append(self.index_atom())
-            self.expect("]")
-        if self.peek().kind == "{":
-            self.next()
-            lie_sel = self.expect("int").value
-            self.expect("}")
-        return ("ref", name, args, lie_sel, t.span)
-
-    def index_atom(self):
-        t = self.next()
-        if t.kind == "int":
-            return ("int", t.value, t.span)
-        if t.kind == "name":
-            return ("var", t.value, t.span)
-        raise DslError([Diagnostic("error", "expected an index", t.span)])
-
-
 def _collect_vars(node, counts: Dict[str, int]):
     kind = node[0]
-    if kind == "ref":
-        for a in node[2]:
-            if a[0] == "var":
-                counts[a[1]] = counts.get(a[1], 0) + 1
-    elif kind == "theta_basis":
-        for a in node[1]:
+    if kind in ("ref", "theta_basis"):
+        for a in (node[2] if kind == "ref" else node[1]):
             if a[0] == "var":
                 counts[a[1]] = counts.get(a[1], 0) + 1
     elif kind in ("neg", "d", "tr"):
@@ -306,26 +189,29 @@ def _distribute(node) -> List[Tuple[Fraction, List]]:
         return out
     if kind == "div":
         denom = _distribute(node[2])
-        if len(denom) != 1 or denom[0][1]:
-            raise DslError([Diagnostic(
-                "error", "division is only defined by numeric constants",
-                node[3])])
-        c2 = denom[0][0]
+        if any(fs for _, fs in denom):
+            raise _error("division is only defined by numeric constants", node[3])
+        c2 = sum(c for c, _ in denom)
         if c2 == 0:
-            raise DslError([Diagnostic("error", "division by zero", node[3])])
+            raise _error("division by zero", node[3])
         return [(c / c2, fs) for c, fs in _distribute(node[1])]
     return [(Fraction(1), [node])]
+
+
+_MIXED_LIE = "mixing values of different lie algebras"
+
+
+def _signed_gen(sign: int, g: Optional[Generator]) -> Poly:
+    if sign == 0:
+        return Poly.zero()
+    return Poly.gen(g) if sign == 1 else -Poly.gen(g)
 
 
 class Evaluator:
     """Turns expression trees into Poly / LieValued values over a builder."""
 
-    def __init__(self, builder: ModelBuilder, diags: List[Diagnostic]):
+    def __init__(self, builder: ModelBuilder):
         self.b = builder
-        self.diags = diags
-
-    def fail(self, message, span, hint=None):
-        raise DslError([Diagnostic("error", message, span, hint)])
 
     def statement_value(self, node, bound: Dict[str, int]):
         """Evaluate with Einstein summation over repeated free variables."""
@@ -339,44 +225,57 @@ class Evaluator:
                 if v in bound:
                     continue
                 if k == 1:
-                    span = node[-1] if isinstance(node[-1], Span) else None
-                    self.fail(f"index variable {v!r} appears once and is not "
-                              f"bound by the left-hand side", span,
-                              hint="repeated variables are summed")
+                    raise _error(f"index variable {v!r} appears once and is not "
+                                 f"bound by the left-hand side", node[-1],
+                                 hint="repeated variables are summed")
                 dummies.append(v)
-            total = self._sum_assignments(coeff, factors, dict(bound),
-                                          dummies, total, in_tr=False)
+            total = self._sum_assignments(coeff, factors, dict(bound), dummies, total)
         return total if total is not None else Poly.zero()
 
-    def _sum_assignments(self, coeff, factors, env, dummies, total, in_tr):
+    def _sum_assignments(self, coeff, factors, env, dummies, total):
         if not dummies:
-            v = self.eval_term(coeff, factors, env, in_tr)
-            return v if total is None else self._add(total, v)
+            return self._add(total, self.eval_term(coeff, factors, env, in_tr=False))
         head, rest = dummies[0], dummies[1:]
         for a in self.b.base_indices:
             env[head] = a
-            total = self._sum_assignments(coeff, factors, env, rest, total, in_tr)
+            total = self._sum_assignments(coeff, factors, env, rest, total)
         del env[head]
         return total
 
+    def argument_value(self, node, env):
+        """Value of a bracket or d(...) argument, whose index variables the
+        enclosing statement has bound in env."""
+        total = None
+        for coeff, factors in _distribute(node):
+            total = self._add(total, self.eval_term(coeff, factors, env, in_tr=False))
+        return total
+
     def _add(self, a, b):
+        if a is None:
+            return b
         if isinstance(a, LieValued) != isinstance(b, LieValued):
             if isinstance(a, Poly) and a.is_zero():
                 return b
             if isinstance(b, Poly) and b.is_zero():
                 return a
-            self.fail("cannot add a scalar and a lie-algebra valued expression", None)
+            raise _error("cannot add a scalar and a lie-algebra valued expression", None)
+        if isinstance(a, LieValued) and a.lie is not b.lie:
+            raise _error(_MIXED_LIE, None)
         return a + b
 
     def eval_term(self, coeff, factors, env, in_tr):
-        value = Poly.scalar(coeff)
+        # a unit coefficient is not multiplied in: the first factor starts the product
+        value = None if factors and coeff == 1 else Poly.scalar(coeff)
         paired = 0
         for f in factors:
             v = self.eval_factor(f, env)
-            value, paired = self._mul(value, v, in_tr, paired, f[-1])
+            if value is None:
+                value = v
+            else:
+                value, paired = self._mul(value, v, in_tr, paired, f[-1])
         if in_tr and (paired != 1 or isinstance(value, LieValued)):
-            self.fail("Tr needs exactly two lie-algebra valued factors in "
-                      "each term", factors[-1][-1] if factors else None)
+            raise _error("Tr needs exactly two lie-algebra valued factors in "
+                         "each term", factors[-1][-1] if factors else None)
         return value
 
     def _mul(self, a, b, in_tr, paired, span):
@@ -389,62 +288,26 @@ class Evaluator:
         if not b_lie:
             return LieValued(a.lie, [c * b for c in a.components]), paired
         if in_tr and paired == 0:
+            if a.lie is not b.lie:
+                raise _error(_MIXED_LIE, span)
             return trace_pair(a, b), 1
-        self.fail("product of two lie-algebra valued expressions; use Tr(...) "
-                  "or the bracket [.,.]", span)
-
-    def eval_simple(self, node, env):
-        """Recursive evaluation once every index variable is bound."""
-        kind = node[0]
-        if kind == "num":
-            return Poly.scalar(node[1])
-        if kind == "neg":
-            v = self.eval_simple(node[1], env)
-            return Fraction(-1) * v if isinstance(v, Poly) else \
-                LieValued(v.lie, [Fraction(-1) * c for c in v.components])
-        if kind in ("add", "sub"):
-            a = self.eval_simple(node[1], env)
-            bb = self.eval_simple(node[2], env)
-            if kind == "sub":
-                bb = Fraction(-1) * bb if isinstance(bb, Poly) else \
-                    LieValued(bb.lie, [Fraction(-1) * c for c in bb.components])
-            return self._add(a, bb)
-        if kind == "mul":
-            a = self.eval_simple(node[1], env)
-            bb = self.eval_simple(node[2], env)
-            v, _ = self._mul(a, bb, False, 0, node[3])
-            return v
-        if kind == "div":
-            a = self.eval_simple(node[1], env)
-            bb = self.eval_simple(node[2], env)
-            num = self._as_number(bb)
-            if num is None:
-                self.fail("division is only defined by numeric constants", node[3])
-            if isinstance(a, LieValued):
-                return LieValued(a.lie, [c / num for c in a.components])
-            return a / num
-        return self.eval_factor(node, env)
-
-    @staticmethod
-    def _as_number(v) -> Optional[Fraction]:
-        if not isinstance(v, Poly):
-            return None
-        if v.is_zero():
-            return Fraction(0)
-        if len(v.terms) == 1 and () in v.terms:
-            return v.terms[()]
-        return None
+        raise _error("product of two lie-algebra valued expressions; use Tr(...) "
+                     "or the bracket [.,.]", span)
 
     def eval_factor(self, node, env):
+        """Value of one factor of a distributed term: a bracket, d(...),
+        Tr(...), theta(k; ...) or a reference."""
         kind = node[0]
         if kind == "bracket":
-            a = self.eval_simple(node[1], env)
-            bb = self.eval_simple(node[2], env)
+            a = self.argument_value(node[1], env)
+            bb = self.argument_value(node[2], env)
             if not isinstance(a, LieValued) or not isinstance(bb, LieValued):
-                self.fail("the bracket needs lie-algebra valued arguments", node[3])
+                raise _error("the bracket needs lie-algebra valued arguments", node[3])
+            if a.lie is not bb.lie:
+                raise _error(_MIXED_LIE, node[3])
             return lie_bracket(a, bb)
         if kind == "d":
-            v = self.eval_simple(node[1], env)
+            v = self.argument_value(node[1], env)
             if isinstance(v, LieValued):
                 return LieValued(v.lie, [de_rham(c) for c in v.components])
             return de_rham(v)
@@ -457,79 +320,85 @@ class Evaluator:
             idx = tuple(self.index_value(a, env) for a in node[1])
             ths = [self.b.theta[a] for a in self.b.base_indices]
             return theta_basis(ths, idx)
-        if kind == "ref":
-            return self.eval_ref(node, env)
-        if kind in ("num", "neg", "add", "sub", "mul", "div"):
-            return self.eval_simple(node, env)
-        self.fail(f"cannot evaluate {kind}", node[-1])
+        return self.eval_ref(node, env)
 
     def index_value(self, atom, env) -> int:
         if atom[0] == "int":
             a = atom[1]
         else:
             if atom[1] not in env:
-                self.fail(f"unbound index variable {atom[1]!r}", atom[2])
+                raise _error(f"unbound index variable {atom[1]!r}", atom[2])
             a = env[atom[1]]
         if a not in self.b.base_indices:
-            self.fail(f"index {a} outside the base range", atom[2])
+            raise _error(f"index {a} outside the base range", atom[2])
         return a
 
-    def eval_ref(self, node, env):
+    def resolve(self, node, env):
+        """Resolve an x, theta or fiber reference to (lie, [(sign, generator)]).
+        lie is the algebra when the reference is Lie-valued, with one pair per
+        component; otherwise it is None with a single pair.  Sign 0 marks a
+        vanishing antisymmetric component."""
         _, name, args, lie_sel, span = node
         b = self.b
         if name in ("x", "theta"):
             if len(args) != 1 or lie_sel is not None:
-                self.fail(f"{name} takes one base index", span)
+                raise _error(f"{name} takes one base index", span)
             a = self.index_value(args[0], env)
-            return Poly.gen(b.x[a] if name == "x" else b.theta[a])
-        if name in ("eta", "inveta", "eps"):
-            if b.tensors is None:
-                self.fail(f"{name} requires a metric declaration", span)
-            idx = [self.index_value(a, env) for a in args]
-            if name == "eps":
-                return Poly.scalar(b.tensors.eps(idx))
-            if len(idx) != 2:
-                self.fail(f"{name} takes two indices", span)
-            fn = b.tensors.eta if name == "eta" else b.tensors.inveta
-            return Poly.scalar(fn(idx[0], idx[1]))
+            return None, [(1, b.x[a] if name == "x" else b.theta[a])]
         fam = b.fibers.get(name)
         if fam is None:
-            self.fail(f"undeclared symbol {name!r}", span)
+            raise _error(f"undeclared symbol {name!r}", span)
         if len(args) != fam.slots:
-            self.fail(f"{name!r} takes {fam.slots} base indices, got {len(args)}", span)
+            raise _error(f"{name!r} takes {fam.slots} base indices, got {len(args)}", span)
         idx = tuple(self.index_value(a, env) for a in args)
-        if lie_sel is not None:
+        if lie_sel is None:
             if fam.lie is None:
-                self.fail(f"{name!r} carries no lie algebra", span)
-            if not 1 <= lie_sel <= fam.lie.dim:
-                self.fail(f"lie component {lie_sel} outside 1..{fam.lie.dim}", span)
-            sign, g = fam.resolve(idx, lie_sel - 1)
-            return Poly.zero() if sign == 0 else Fraction(sign) * Poly.gen(g)
+                return None, [fam.resolve(idx, None)]
+            return fam.lie, [fam.resolve(idx, li) for li in range(fam.lie.dim)]
         if fam.lie is None:
-            sign, g = fam.resolve(idx, None)
-            return Poly.zero() if sign == 0 else Fraction(sign) * Poly.gen(g)
-        comps = []
-        for li in range(fam.lie.dim):
-            sign, g = fam.resolve(idx, li)
-            comps.append(Poly.zero() if sign == 0 else Fraction(sign) * Poly.gen(g))
-        return LieValued(fam.lie, comps)
+            raise _error(f"{name!r} carries no lie algebra", span)
+        if not 1 <= lie_sel <= fam.lie.dim:
+            raise _error(f"lie component {lie_sel} outside 1..{fam.lie.dim}", span)
+        return None, [fam.resolve(idx, lie_sel - 1)]
+
+    def eval_ref(self, node, env):
+        _, name, args, _, span = node
+        b = self.b
+        if name in ("eta", "inveta", "eps"):
+            if b.tensors is None:
+                raise _error(f"{name} requires a metric declaration", span)
+            idx = [self.index_value(a, env) for a in args]
+            if name == "eps":
+                if len(idx) != b.n:
+                    raise _error(f"eps takes {b.n} indices, got {len(idx)}", span)
+                return Poly.scalar(b.tensors.eps(idx))
+            if len(idx) != 2:
+                raise _error(f"{name} takes two indices", span)
+            fn = b.tensors.eta if name == "eta" else b.tensors.inveta
+            return Poly.scalar(fn(idx[0], idx[1]))
+        lie, comps = self.resolve(node, env)
+        values = [_signed_gen(sign, g) for sign, g in comps]
+        return values[0] if lie is None else LieValued(lie, values)
 
 
 class ModelParser:
-    """Statement-level parser driving a ModelBuilder."""
+    """Statement and expression parser driving a ModelBuilder."""
+
+    LBP = {"+": 10, "-": 10, "*": 20, "/": 20}
+    OPS = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
 
     def __init__(self, text: str, source: str, name: str):
-        self.toks = tokenize(text, source)
+        self.diags: List[Diagnostic] = []
+        self.toks = tokenize(text, source, self.diags)
         self.pos = 0
         self.name = name
         self.builder: Optional[ModelBuilder] = None
-        self.diags: List[Diagnostic] = []
         self.evaluator: Optional[Evaluator] = None
         self._chi_seen = False
         self._weak = False
         self._q_values: Dict[Generator, Tuple[Poly, Span]] = {}
 
-    # token helpers --------------------------------------------------------
+    # token cursor ---------------------------------------------------------
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -539,19 +408,16 @@ class ModelParser:
         self.pos += 1
         return t
 
-    def expect(self, kind, what=None) -> Token:
+    def expect(self, kind) -> Token:
         t = self.next()
         if t.kind != kind:
-            raise DslError([Diagnostic(
-                "error", f"expected {what or kind!r}, found "
-                f"{t.value if t.value is not None else 'end of file'!r}", t.span)])
+            raise _error(f"expected {kind!r}, found {t.value!r}", t.span)
         return t
 
     def expect_name(self, word) -> Token:
         t = self.next()
         if t.kind != "name" or t.value != word:
-            raise DslError([Diagnostic(
-                "error", f"expected {word!r}, found {t.value!r}", t.span)])
+            raise _error(f"expected {word!r}, found {t.value!r}", t.span)
         return t
 
     def expect_int(self) -> int:
@@ -569,20 +435,104 @@ class ModelParser:
             span = self.peek().span
             denom = self.expect_int()
             if denom == 0:
-                raise DslError([Diagnostic("error", "division by zero", span)])
+                raise _error("division by zero", span)
             v /= denom
         return v
+
+    def comma_list(self, item, close: str) -> list:
+        """Parse `item, item, ...` (possibly empty) and the closing token."""
+        out = []
+        if self.peek().kind != close:
+            out.append(item())
+            while self.peek().kind == ",":
+                self.next()
+                out.append(item())
+        self.expect(close)
+        return out
+
+    # expressions ----------------------------------------------------------
+
+    def expr(self, rbp: int = 0):
+        """Pratt parser for the expression sublanguage."""
+        left = self.nud(self.next())
+        while self.LBP.get(self.peek().kind, 0) > rbp:
+            t = self.next()
+            left = (self.OPS[t.kind], left, self.expr(self.LBP[t.kind]), t.span)
+        return left
+
+    def nud(self, t: Token):
+        if t.kind == "int":
+            return ("num", Fraction(t.value), t.span)
+        if t.kind == "(":
+            e = self.expr()
+            self.expect(")")
+            return e
+        if t.kind == "-":
+            return ("neg", self.expr(25), t.span)
+        if t.kind == "[":
+            left = self.expr()
+            self.expect(",")
+            right = self.expr()
+            closer = self.next()
+            if closer.kind != "]":
+                raise _error("the bracket takes exactly two arguments", closer.span)
+            return ("bracket", left, right, t.span)
+        if t.kind == "name":
+            return self.name_atom(t)
+        raise _error(f"unexpected token {t.value!r}", t.span)
+
+    def name_atom(self, t: Token):
+        name = t.value
+        if name in ("d", "Tr") and self.peek().kind == "(":
+            self.next()
+            e = self.expr()
+            self.expect(")")
+            return ("d" if name == "d" else "tr", e, t.span)
+        if name == "theta" and self.peek().kind == "(":
+            self.next()
+            k = self.expect("int").value
+            self.expect(";")
+            idx = self.comma_list(self.index_atom, ")")
+            if len(idx) != k:
+                raise _error(f"theta({k}; ...) takes {k} indices, got {len(idx)}", t.span)
+            return ("theta_basis", idx, t.span)
+        return self.reference(t)
+
+    def reference(self, name_tok: Token):
+        """The `[i, ...]{k}` tail, both parts optional, of a name."""
+        args = []
+        lie_sel = None
+        if self.peek().kind == "[":
+            self.next()
+            args = self.comma_list(self.index_atom, "]")
+        if self.peek().kind == "{":
+            self.next()
+            lie_sel = self.expect("int").value
+            self.expect("}")
+        return ("ref", name_tok.value, args, lie_sel, name_tok.span)
+
+    def index_atom(self):
+        t = self.next()
+        if t.kind == "int":
+            return ("int", t.value, t.span)
+        if t.kind == "name":
+            return ("var", t.value, t.span)
+        raise _error("expected an index", t.span)
 
     # statements -----------------------------------------------------------
 
     def need_builder(self, span) -> ModelBuilder:
         if self.builder is None:
-            raise DslError([Diagnostic(
-                "error", "the base dimension must be declared first", span,
-                hint="start with: base dim = <n>;")])
+            raise _error("the base dimension must be declared first", span,
+                         hint="start with: base dim = <n>;")
         return self.builder
 
+    def _raise_on_errors(self):
+        if any(d.severity == "error" for d in self.diags):
+            raise DslError(self.diags)
+
     def parse(self) -> Model:
+        """Build the model; a DslError raised here carries self.diags."""
         while self.peek().kind != "eof":
             start = self.pos
             try:
@@ -591,13 +541,12 @@ class ModelParser:
                 self.diags.extend(e.diagnostics)
                 self.pos = start
                 self.skip_statement()
-        errors = [d for d in self.diags if d.severity == "error"]
-        if errors:
-            raise DslError(self.diags)
+        self._raise_on_errors()
         b = self.builder
         if b is None:
-            raise DslError([Diagnostic(
-                "error", "empty model: no base dimension declared", None)])
+            self.diags.append(Diagnostic(
+                "error", "empty model: no base dimension declared", None))
+            raise DslError(self.diags)
         for g, (value, span) in self._q_values.items():
             try:
                 b.q_rule(g, value)
@@ -610,10 +559,7 @@ class ModelParser:
             model = b.build()
         except (DegreeError, GradedAlgebraError) as e:
             self.diags.append(Diagnostic("error", str(e), None))
-            raise DslError(self.diags)
-        errors = [d for d in self.diags if d.severity == "error"]
-        if errors:
-            raise DslError(self.diags)
+        self._raise_on_errors()
         return model
 
     def skip_statement(self):
@@ -638,8 +584,7 @@ class ModelParser:
     def statement(self):
         t = self.peek()
         if t.kind != "name":
-            raise DslError([Diagnostic(
-                "error", f"expected a declaration, found {t.value!r}", t.span)])
+            raise _error(f"expected a declaration, found {t.value!r}", t.span)
         kw = t.value
         if kw == "base":
             self.stmt_base()
@@ -660,8 +605,7 @@ class ModelParser:
             self.name = self.expect("name").value
             self.expect(";")
         else:
-            raise DslError([Diagnostic(
-                "error", f"unknown declaration {kw!r}", t.span)])
+            raise _error(f"unknown declaration {kw!r}", t.span)
 
     def stmt_base(self):
         t = self.next()
@@ -670,21 +614,16 @@ class ModelParser:
         n = self.expect_int()
         self.expect(";")
         if self.builder is not None:
-            raise DslError([Diagnostic("error", "base dimension declared twice", t.span)])
+            raise _error("base dimension declared twice", t.span)
         if n < 0:
-            raise DslError([Diagnostic("error", "base dimension must be >= 0", t.span)])
+            raise _error("base dimension must be >= 0", t.span)
         self.builder = ModelBuilder(self.name, n)
-        self.evaluator = Evaluator(self.builder, self.diags)
+        self.evaluator = Evaluator(self.builder)
 
     def parse_diag(self) -> List[Fraction]:
         self.expect_name("diag")
         self.expect("(")
-        vals = [self.expect_rational()]
-        while self.peek().kind == ",":
-            self.next()
-            vals.append(self.expect_rational())
-        self.expect(")")
-        return vals
+        return self.comma_list(self.expect_rational, ")")
 
     def stmt_metric(self):
         t = self.next()
@@ -695,7 +634,7 @@ class ModelParser:
         try:
             b.metric(vals)
         except GradedAlgebraError as e:
-            raise DslError([Diagnostic("error", str(e), t.span)])
+            raise _error(str(e), t.span)
 
     def stmt_lie(self):
         t = self.next()
@@ -730,38 +669,32 @@ class ModelParser:
                 antisymmetrize = True
                 self.expect(";")
             else:
-                raise DslError([Diagnostic(
-                    "error", f"unknown lie-block entry {st.value!r}", st.span)])
+                raise _error(f"unknown lie-block entry {st.value!r}", st.span)
         self.expect("}")
         if dim is None:
-            raise DslError([Diagnostic(
-                "error", f"lie {name_tok.value!r} does not declare its dimension",
-                name_tok.span)])
+            raise _error(f"lie {name_tok.value!r} does not declare its dimension",
+                         name_tok.span)
         f = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
         for a, bb, c, val, span in entries:
             for k in (a, bb, c):
                 if not 1 <= k <= dim:
-                    raise DslError([Diagnostic(
-                        "error", f"lie index {k} outside 1..{dim}", span)])
+                    raise _error(f"lie index {k} outside 1..{dim}", span)
             if antisymmetrize:
                 base = (a - 1, bb - 1, c - 1)
                 if len(set(base)) != 3:
-                    raise DslError([Diagnostic(
-                        "error", "antisymmetrize needs distinct indices", span)])
+                    raise _error("antisymmetrize needs distinct indices", span)
                 for perm in itertools.permutations(range(3)):
                     sgn = sort_sign(perm)[0]
                     p = [base[k] for k in perm]
                     if f[p[0]][p[1]][p[2]] not in (Fraction(0), sgn * val):
-                        raise DslError([Diagnostic(
-                            "error", "conflicting structure constants", span)])
+                        raise _error("conflicting structure constants", span)
                     f[p[0]][p[1]][p[2]] = sgn * val
             else:
                 f[a - 1][bb - 1][c - 1] = val
         if kappa_diag is None:
             kappa_diag = [Fraction(1)] * dim
         if len(kappa_diag) != dim:
-            raise DslError([Diagnostic(
-                "error", "kappa diagonal length does not match dim", name_tok.span)])
+            raise _error("kappa diagonal length does not match dim", name_tok.span)
         kappa = [[kappa_diag[i] if i == j else Fraction(0) for j in range(dim)]
                  for i in range(dim)]
         try:
@@ -771,7 +704,7 @@ class ModelParser:
             hint = None
             if "antisymmetric" in str(e) and not antisymmetrize:
                 hint = "add 'antisymmetrize;' to complete the given entries"
-            raise DslError([Diagnostic("error", str(e), name_tok.span, hint)])
+            raise _error(str(e), name_tok.span, hint)
 
     def stmt_coord(self):
         t = self.next()
@@ -779,22 +712,14 @@ class ModelParser:
         name_tok = self.expect("name")
         name = name_tok.value
         if name in RESERVED:
-            raise DslError([Diagnostic(
-                "error", f"{name!r} is reserved and cannot name a coordinate",
-                name_tok.span)])
+            raise _error(f"{name!r} is reserved and cannot name a coordinate",
+                         name_tok.span)
         slots = []
         if self.peek().kind == "[":
             self.next()
-            if self.peek().kind != "]":
-                slots.append(self.expect("name").value)
-                while self.peek().kind == ",":
-                    self.next()
-                    slots.append(self.expect("name").value)
-            self.expect("]")
+            slots = self.comma_list(lambda: self.expect("name").value, "]")
             if len(set(slots)) != len(slots):
-                raise DslError([Diagnostic(
-                    "error", "index slots must use distinct variables",
-                    name_tok.span)])
+                raise _error("index slots must use distinct variables", name_tok.span)
         self.expect(":")
         self.expect_name("gh")
         self.expect("=")
@@ -809,166 +734,99 @@ class ModelParser:
                 lname = self.expect("name")
                 lie = b.lies.get(lname.value)
                 if lie is None:
-                    raise DslError([Diagnostic(
-                        "error", f"undeclared lie algebra {lname.value!r}",
-                        lname.span)])
+                    raise _error(f"undeclared lie algebra {lname.value!r}", lname.span)
             else:
-                raise DslError([Diagnostic(
-                    "error", f"unknown coordinate attribute {attr.value!r}",
-                    attr.span)])
+                raise _error(f"unknown coordinate attribute {attr.value!r}", attr.span)
         self.expect(";")
         try:
             b.fiber(name, gh, slots=len(slots), antisym=antisym, lie=lie)
         except GradedAlgebraError as e:
-            raise DslError([Diagnostic("error", str(e), name_tok.span)])
-
-    def parse_target(self):
-        name_tok = self.expect("name")
-        args = []
-        lie_sel = None
-        if self.peek().kind == "[":
-            self.next()
-            if self.peek().kind != "]":
-                args.append(self.target_index())
-                while self.peek().kind == ",":
-                    self.next()
-                    args.append(self.target_index())
-            self.expect("]")
-        if self.peek().kind == "{":
-            self.next()
-            lie_sel = self.expect("int").value
-            self.expect("}")
-        return name_tok, args, lie_sel
-
-    def target_index(self):
-        t = self.next()
-        if t.kind == "int":
-            return ("int", t.value, t.span)
-        if t.kind == "name":
-            return ("var", t.value, t.span)
-        raise DslError([Diagnostic("error", "expected an index", t.span)])
+            raise _error(str(e), name_tok.span)
 
     def stmt_q(self):
         t = self.next()
         b = self.need_builder(t.span)
-        name_tok, args, lie_sel = self.parse_target()
+        target = self.reference(self.expect("name"))
         self.expect("=")
-        ep = ExprParser(self.toks, self.pos)
-        rhs = ep.parse(0)
-        self.pos = ep.pos
+        rhs = self.expr()
         self.expect(";")
         ev = self.evaluator
-        name = name_tok.value
+        _, name, args, lie_sel, span = target
         free = [a[1] for a in args if a[0] == "var"]
         if len(set(free)) != len(free):
-            raise DslError([Diagnostic(
-                "error", "left-hand index variables must be distinct",
-                name_tok.span)])
+            raise _error("left-hand index variables must be distinct", span)
 
         assignments = [{}]
         for v in free:
             assignments = [dict(env, **{v: a}) for env in assignments
                            for a in b.base_indices]
         for env in assignments:
+            lie, comps = ev.resolve(target, env)
+            value = ev.statement_value(rhs, env)
             if name in ("x", "theta"):
-                if len(args) != 1 or lie_sel is not None:
-                    raise DslError([Diagnostic(
-                        "error", f"{name} takes one base index", name_tok.span)])
-                a = ev.index_value(args[0], env)
-                g = b.x[a] if name == "x" else b.theta[a]
-                value = ev.statement_value(rhs, env)
                 if isinstance(value, LieValued):
-                    raise DslError([Diagnostic(
-                        "error", "base coordinates take scalar Q-rules",
-                        name_tok.span)])
+                    raise _error("base coordinates take scalar Q-rules", span)
+                g = comps[0][1]
+                a = g.base_index[0]
                 canonical = Poly.gen(b.theta[a]) if name == "x" else Poly.zero()
                 if value == canonical:
                     continue
                 self.diags.append(Diagnostic(
                     "warning", f"Q-rule for {name}[{a}] overrides the canonical "
-                    f"base differential", name_tok.span))
-                self.store_q(g, value, name_tok.span)
+                    f"base differential", span))
+                self.store_q(g, value, span)
                 continue
-            fam = b.fibers.get(name)
-            if fam is None:
-                raise DslError([Diagnostic(
-                    "error", f"undeclared coordinate {name!r}", name_tok.span)])
-            if len(args) != fam.slots:
-                raise DslError([Diagnostic(
-                    "error", f"{name!r} takes {fam.slots} base indices",
-                    name_tok.span)])
-            idx = tuple(ev.index_value(a, env) for a in args)
-            value = ev.statement_value(rhs, env)
-            if lie_sel is not None:
-                if fam.lie is None:
-                    raise DslError([Diagnostic(
-                        "error", f"{name!r} carries no lie algebra", name_tok.span)])
-                sign, g = fam.resolve(idx, lie_sel - 1)
+            if lie is None:
                 if isinstance(value, LieValued):
-                    raise DslError([Diagnostic(
-                        "error", "a single lie component takes a scalar rule",
-                        name_tok.span)])
-                self.assign_component(sign, g, value, name_tok.span)
-                continue
-            if fam.lie is not None:
-                if isinstance(value, Poly):
-                    if not value.is_zero():
-                        raise DslError([Diagnostic(
-                            "error", f"Q-rule for {name!r} must be "
-                            f"{fam.lie.name}-valued", name_tok.span)])
-                    value = LieValued(fam.lie, [Poly.zero()] * fam.lie.dim)
-                for li in range(fam.lie.dim):
-                    sign, g = fam.resolve(idx, li)
-                    self.assign_component(sign, g, value.components[li],
-                                          name_tok.span)
+                    raise _error("a single lie component takes a scalar rule"
+                                 if lie_sel is not None
+                                 else f"{name!r} carries no lie algebra", span)
+                values = [value]
             else:
-                if isinstance(value, LieValued):
-                    raise DslError([Diagnostic(
-                        "error", f"{name!r} carries no lie algebra", name_tok.span)])
-                sign, g = fam.resolve(idx, None)
-                self.assign_component(sign, g, value, name_tok.span)
+                if isinstance(value, Poly) and value.is_zero():
+                    value = LieValued(lie, [Poly.zero()] * lie.dim)
+                if not isinstance(value, LieValued) or value.lie is not lie:
+                    raise _error(f"Q-rule for {name!r} must be {lie.name}-valued", span)
+                values = value.components
+            for (sign, g), v in zip(comps, values):
+                self.assign_component(sign, g, v, span)
 
     def assign_component(self, sign, g, value: Poly, span):
         if sign == 0:
             if not value.is_zero():
-                raise DslError([Diagnostic(
-                    "error", "nonzero Q-rule on a vanishing antisymmetric "
-                    "component", span)])
+                raise _error("nonzero Q-rule on a vanishing antisymmetric component",
+                             span)
             return
-        self.store_q(g, Fraction(sign) * value, span)
+        self.store_q(g, value if sign == 1 else -value, span)
 
     def store_q(self, g: Generator, value: Poly, span):
         prev = self._q_values.get(g)
         if prev is not None:
             if prev[0] == value:
                 return
-            raise DslError([Diagnostic(
-                "error", f"conflicting Q-rules for the same coordinate", span)])
+            raise _error("conflicting Q-rules for the same coordinate", span)
         self._q_values[g] = (value, span)
 
     def stmt_chi(self):
         t = self.next()
         self.need_builder(t.span)
         self.expect("=")
-        ep = ExprParser(self.toks, self.pos)
-        rhs = ep.parse(0)
-        self.pos = ep.pos
+        rhs = self.expr()
         self.expect(";")
         value = self.evaluator.statement_value(rhs, {})
         if isinstance(value, LieValued):
-            raise DslError([Diagnostic(
-                "error", "chi must be a scalar expression; wrap lie factors "
-                "in Tr(...)", t.span)])
+            raise _error("chi must be a scalar expression; wrap lie factors "
+                         "in Tr(...)", t.span)
         if self._chi_seen is not False:
-            raise DslError([Diagnostic("error", "chi declared twice", t.span)])
+            raise _error("chi declared twice", t.span)
         self._chi_seen = value
 
     def stmt_weak(self):
-        t = self.next()
+        self.next()
         self.expect("=")
         v = self.expect("name")
         if v.value not in ("true", "false"):
-            raise DslError([Diagnostic("error", "weak takes true or false", v.span)])
+            raise _error("weak takes true or false", v.span)
         self.expect(";")
         self._weak = v.value == "true"
 
@@ -978,12 +836,9 @@ def parse_with_diagnostics(text: str, name: str = "model",
     """Returns (model_or_None, diagnostics)."""
     p = ModelParser(text, source, name)
     try:
-        model = p.parse()
-        return model, p.diags
-    except DslError as e:
-        diags = p.diags if e.diagnostics is p.diags else p.diags + [
-            d for d in e.diagnostics if d not in p.diags]
-        return None, diags
+        return p.parse(), p.diags
+    except DslError:
+        return None, p.diags
 
 
 def parse_model(text: str, name: str = "model", source: str = "<string>") -> Model:

@@ -122,9 +122,11 @@ class TestPolyArithmetic:
         x0 = s1.coordinate("x", BASE_X, 0, base_index=(0,))
         x1 = s1.coordinate("x", BASE_X, 0, base_index=(1,))
         y = s2.coordinate("x", BASE_X, 0, base_index=(1,))
-        # an unmapped factor keeps its space in the unification
+        # an image of another space is refused whatever else the term holds
         with pytest.raises(ForeignGeneratorError):
             (Poly.gen(x0) * Poly.gen(x1)).substitute({x0: Poly.gen(y)})
+        with pytest.raises(ForeignGeneratorError):
+            Poly.gen(x0).substitute({x0: Poly.gen(y)})
         q = (Poly.gen(x0) * Poly.gen(x0)).substitute({x0: Poly.scalar(2)})
         assert q == 4 and q.space is s1
 

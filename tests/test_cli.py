@@ -144,9 +144,16 @@ def test_failed_check_exit_and_stderr(tmp_path, capsys):
 
 
 def test_parse_error_exit_two(tmp_path, capsys):
+    su2 = "base dim = 0;\nlie g { dim = 3; f[1][2][3] = 1; antisymmetrize; }\ncoord C : gh = 1 in g;\n"
+    uv = "base dim = 0;\ncoord u : gh = 0;\ncoord v : gh = -1;\n"
     sources = ["base dim = 1;\ncoord u : gh = 0\nmodel oops;\n",
                "base dim = 1;\nmetric = diag(1/0);\n",
-               "base dim = 0;\nlie g { dim = 3; f[1][2][3] = 1/0; antisymmetrize; }\n"]
+               "base dim = 0;\nlie g { dim = 3; f[1][2][3] = 1/0; antisymmetrize; }\n",
+               su2 + "Q C{9} = 0;\n",
+               su2 + "Q C{0} = 0;\n",
+               su2 + "Q C = [C, C/0];\n",
+               uv + "chi = v*d(u/0);\n",
+               uv + "chi = v*(u"]
     for i, text in enumerate(sources):
         bad = tmp_path / f"syntax{i}.gpde"
         bad.write_text(text)

@@ -1,4 +1,8 @@
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpde.model import q_square, standard_checks
 from gpde.parser import (
@@ -235,3 +239,120 @@ def test_componentwise_rules_roundtrip():
     assert "Q C{1} =" in src
     m2 = parse_model(src, name="ce_aksz")
     assert model_to_source(m2) == src
+
+
+SU2_C = ("base dim = 0;\nlie g { dim = 3; f[1][2][3] = 1; antisymmetrize; }\n"
+         "coord C : gh = 1 in g;\n")
+UV = "base dim = 0;\ncoord u : gh = 0;\ncoord v : gh = -1;\n"
+
+
+@pytest.mark.parametrize("rule, message", [
+    ("Q C{9} = 0;", "lie component 9 outside 1..3"),
+    ("Q C{0} = 0;", "lie component 0 outside 1..3"),
+    ("Q Z = 0;", "undeclared symbol 'Z'"),
+    ("Q C[0] = 0;", "'C' takes 0 base indices, got 1"),
+])
+def test_q_target_resolved_like_an_expression_reference(rule, message):
+    model, diags = parse_with_diagnostics(SU2_C + rule + "\n")
+    assert model is None
+    assert [d.message for d in diags] == [message]
+    assert (diags[0].span.line, diags[0].span.col) == (4, 3)
+
+
+@pytest.mark.parametrize("text", [SU2_C + "Q C = [C, C/0];\n", UV + "chi = v*d(u/0);\n",
+                                  UV + "chi = v*d(u/(1-1));\n"],
+                         ids=["bracket", "d", "zero_sum"])
+def test_zero_denominator_inside_an_argument(text):
+    model, diags = parse_with_diagnostics(text)
+    assert model is None
+    assert [d.message for d in diags] == ["division by zero"]
+    line = text.splitlines()[diags[0].span.line - 1]
+    assert line[diags[0].span.col - 1] == "/"
+
+
+def test_numeric_denominator_sums_are_folded():
+    half = model_to_source(parse_model(UV + "chi = v*d(u)/2;\n"))
+    for chi in ("v*d(u/(1+1))", "v*d(u)/(1+1)", "v*d(u/2)"):
+        assert model_to_source(parse_model(UV + f"chi = {chi};\n")) == half
+
+
+@pytest.mark.parametrize("tail, message", [
+    ("chi = v*(u", "expected ')', found 'end of file'"),
+    ("chi = v*", "unexpected token 'end of file'"),
+    ("chi = v*d(u)", "expected ';', found 'end of file'"),
+    ("coord w : gh", "expected '=', found 'end of file'"),
+])
+def test_end_of_file_is_named_in_diagnostics(tail, message):
+    model, diags = parse_with_diagnostics(UV + tail)
+    assert model is None
+    assert [d.message for d in diags] == [message]
+
+
+def test_eps_arity():
+    bad = "base dim = 2;\nmetric = diag(1, 1);\ncoord u : gh = 0;\nchi = eps[0]*u*d(u);\n"
+    model, diags = parse_with_diagnostics(bad)
+    assert model is None
+    assert [str(d) for d in diags] == ["<string>:4:7: error: eps takes 2 indices, got 1"]
+
+
+def test_lexer_error_is_a_diagnostic():
+    model, diags = parse_with_diagnostics("base dim = 1; $")
+    assert model is None
+    assert [str(d) for d in diags] == ["<string>:1:15: error: unexpected character '$'"]
+
+
+TWO_ALGEBRAS = ("base dim = 0;\nlie g { dim = 3; f[1][2][3] = 1; antisymmetrize; }\n"
+                "lie h { dim = 2; }\ncoord A : gh = 1 in g;\ncoord B : gh = 0 in h;\n"
+                "coord E : gh = 1 in g;\ncoord G : gh = 2 in h;\n")
+
+
+@pytest.mark.parametrize("stmt, message", [
+    ("Q E = [A, B];", "mixing values of different lie algebras"),
+    ("Q A = A + B;", "mixing values of different lie algebras"),
+    ("chi = Tr(A*d(B));", "mixing values of different lie algebras"),
+    ("Q A = B;", "Q-rule for 'A' must be g-valued"),
+    ("Q G = [A, A];", "Q-rule for 'G' must be h-valued"),
+])
+def test_values_of_two_lie_algebras_do_not_mix(stmt, message):
+    model, diags = parse_with_diagnostics(TWO_ALGEBRAS + stmt + "\n")
+    assert model is None
+    assert [d.message for d in diags] == [message]
+
+
+def test_zero_dimensional_lie_algebra_roundtrip():
+    src = model_to_source(parse_model("base dim = 0;\nlie g { dim = 0; }\ncoord u : gh = 0;\n"))
+    assert "kappa = diag();" in src
+    assert model_to_source(parse_model(src, name="model")) == src
+
+
+def _builtin_token_texts():
+    def tokens(text):
+        return re.findall(r"[A-Za-z_]\w*|\d+|\S", re.sub(r"#[^\n]*", "", text))
+
+    return {name: tokens(open_builtin(name)) for name in builtin_names()}
+
+
+BUILTIN_TOKENS = _builtin_token_texts()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_token_mutants_give_a_model_or_diagnostics(data):
+    """Deleting, duplicating and swapping tokens of a builtin source gives a
+    model or (None, diagnostics) with an error, never another exception.
+    Tokens are rejoined with spaces, so no new literal appears."""
+    toks = list(BUILTIN_TOKENS[data.draw(st.sampled_from(sorted(BUILTIN_TOKENS)))])
+    edits = data.draw(st.lists(st.tuples(st.sampled_from(["delete", "duplicate", "swap"]),
+                                         st.integers(0, len(toks) - 1),
+                                         st.integers(0, len(toks) - 1)),
+                               min_size=1, max_size=4))
+    for op, i, j in edits:
+        i, j = i % len(toks), j % len(toks)
+        if op == "delete":
+            del toks[i]
+        elif op == "duplicate":
+            toks.insert(i, toks[i])
+        else:
+            toks[i], toks[j] = toks[j], toks[i]
+    model, diags = parse_with_diagnostics(" ".join(toks))
+    assert model is not None or any(d.severity == "error" for d in diags)
