@@ -555,13 +555,12 @@ class LieAlgebraData:
     Indices here are 0-based.
     """
 
-    def __init__(self, name: str, dim: int, f, kappa, check: bool = True):
+    def __init__(self, name: str, dim: int, f, kappa):
         self.name = name
         self.dim = dim
         self.f = tuple(tuple(tuple(Fraction(x) for x in row) for row in plane) for plane in f)
         self.kappa = tuple(tuple(Fraction(x) for x in row) for row in kappa)
-        if check:
-            self.validate()
+        self.validate()
 
     def validate(self):
         d = self.dim

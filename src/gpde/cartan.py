@@ -138,13 +138,12 @@ def interior(V: VectorField, p) -> Poly:
     return derive(p, ipar, img)
 
 
-def lie_derivative(V: VectorField, p, vertical: bool = False) -> Poly:
-    """L_V = [i_V, d].  With vertical=True the vertical differential is used
-    (the contraction is the same operator either way)."""
+def lie_derivative(V: VectorField, p) -> Poly:
+    """L_V = [i_V, d]."""
     p = normal_form(p)
     ipar = (V.parity + 1) % 2
-    first = interior(V, de_rham(p, vertical=vertical))
-    second = de_rham(interior(V, p), vertical=vertical)
+    first = interior(V, de_rham(p))
+    second = de_rham(interior(V, p))
     if ipar & 1:
         return first + second
     return first - second

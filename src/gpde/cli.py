@@ -24,7 +24,6 @@ from .density import (
 from .jets import JetModel, check_bv_identities, check_descent
 from .model import (
     Model,
-    NotExactError,
     check_solution,
     solve_hamiltonian,
     standard_checks,
@@ -92,7 +91,7 @@ def _run_hamiltonian(m: Model, args) -> Report:
     rep = Report(m.name)
     try:
         L = solve_hamiltonian(m)
-    except (NotExactError, GradedAlgebraError) as e:
+    except GradedAlgebraError as e:
         rep.add(CheckResult("hamiltonian_exists", False, detail=str(e)))
         return rep
     rep.add(CheckResult("hamiltonian_exists", True))
@@ -155,7 +154,6 @@ def _run_reduce(m: Model, args) -> Report:
         form = m.omega()
         universe = m.fiber_coords()
         s = m.q
-        strip = False
     else:
         jm = JetModel(m, args.order)
         form = jm.vertical_top()
@@ -165,18 +163,18 @@ def _run_reduce(m: Model, args) -> Report:
             return rep
         universe = form_universe(form)
         s = jm.s
-        strip = True
     point = None
     if args.at:
         names = {gen_text(g): g for mono in form.terms for g, _ in mono if g.fdeg == 0}
         names.update({gen_text(g): g for g in universe})
         point = _parse_point(args.at, names)
     try:
-        red = reduce_form(form, universe, point=point, strip_volume=strip, s=s)
+        red = reduce_form(form, universe, point=point, s=s)
     except ReductionError as e:
         rep.add(CheckResult("reduction", False, detail=str(e)))
         return rep
-    rep.add(CheckResult("reduction", True,
+    split = red.split_residual()
+    rep.add(CheckResult("reduction", split.is_zero(), residual_terms=split.num_terms(),
                         detail=f"kernel {len(red.kernel_vectors)}, "
                                f"survivors {len(red.survivors)}"))
     rep.outputs["survivors"] = red.survivor_equations()
@@ -187,11 +185,7 @@ def _run_reduce(m: Model, args) -> Report:
 def _run_boundary(m: Model, args) -> Report:
     rep = Report(m.name)
     kill = [int(s) for s in args.kill.split(",") if s.strip() != ""]
-    try:
-        br = boundary_reduction(m, kill, order=args.order)
-    except (ReductionError, GradedAlgebraError) as e:
-        rep.add(CheckResult("boundary", False, detail=str(e)))
-        return rep
+    br = boundary_reduction(m, kill, order=args.order)
     for c in br.checks:
         rep.add(c)
     rep.outputs["survivors"] = br.reduced.survivor_equations()
@@ -199,7 +193,7 @@ def _run_boundary(m: Model, args) -> Report:
     try:
         rep.outputs["charge_integrand"] = action_density(
             br.restricted, generic_supersection(br.restricted))
-    except (NotExactError, GradedAlgebraError) as e:
+    except GradedAlgebraError as e:
         rep.add(CheckResult("charge_integrand", False, detail=str(e)))
     return rep
 
@@ -282,7 +276,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     try:
         rep = _VERBS[args.verb](m, args)
-    except (ReductionError, NotExactError, GradedAlgebraError) as e:
+    except GradedAlgebraError as e:
         rep = Report(m.name)
         rep.add(CheckResult(args.verb.replace("-", "_"), False, detail=str(e)))
     poly = poly_latex if args.format == "latex" else poly_text

@@ -24,10 +24,9 @@ from .algebra import (
     accumulate,
     derive,
     sort_sign,
-    theta_split,
 )
 from .cartan import VectorField
-from .jets import JetModel, theta_coefficients
+from .jets import JetModel, theta_coefficients, theta_top_coefficient
 from .model import Model, solve_hamiltonian
 from .reduction import ReducedModel, form_universe, reduce_form
 from .report import CheckResult
@@ -141,12 +140,6 @@ def gauge_variation(m: Model, sec: Section) -> Dict[Generator, Poly]:
             if g in present:
                 out[g] = Fraction((-1) ** len(J)) * coeffs.get(J, Poly.zero())
     return out
-
-
-def theta_top_coefficient(m: Model, p: Poly) -> Poly:
-    """Coefficient of the full odd volume."""
-    top = tuple(sorted(m.base_indices))
-    return Poly(p.space, {rest: c for J, rest, _, c in theta_split(p) if J == top})
 
 
 def action_density(m: Model, sec: Section, L: Optional[Poly] = None) -> Poly:
@@ -303,8 +296,7 @@ class BoundaryReduction:
         self.checks = checks
 
 
-def boundary_reduction(m: Model, kill: Iterable[int], order: int = 1,
-                       with_s: bool = True) -> BoundaryReduction:
+def boundary_reduction(m: Model, kill: Iterable[int], order: int = 1) -> BoundaryReduction:
     """Restrict, prolong, verticalize, and quotient by the kernel of the top
     theta-degree block of the boundary two-form."""
     kill = set(kill)
@@ -318,8 +310,8 @@ def boundary_reduction(m: Model, kill: Iterable[int], order: int = 1,
     top = jr.vertical_top()
     if top.is_zero():
         raise GradedAlgebraError("boundary two-form has no top theta component")
-    reduced = reduce_form(top, form_universe(top), strip_volume=True,
-                          s=jr.s if with_s else None, survivor_prefix="w")
-    checks.append(CheckResult("kernel_split", True,
+    reduced = reduce_form(top, form_universe(top), s=jr.s)
+    split = reduced.split_residual()
+    checks.append(CheckResult("kernel_split", split.is_zero(), residual_terms=split.num_terms(),
                               detail=f"kernel dimension {len(reduced.kernel_vectors)}"))
     return BoundaryReduction(mr, jr, reduced, checks)

@@ -44,6 +44,12 @@ def theta_coefficients(p: Poly) -> Dict[Tuple[int, ...], Poly]:
     return {J: Poly(p.space, t) for J, t in out.items()}
 
 
+def theta_top_coefficient(m: Model, p: Poly) -> Poly:
+    """Coefficient of the full odd volume."""
+    top = tuple(sorted(m.base_indices))
+    return Poly(p.space, {rest: c for J, rest, _, c in theta_split(p) if J == top})
+
+
 def theta_components(p: Poly) -> Dict[int, Poly]:
     """Split by total theta degree (odd base coordinates, not their
     differentials).  Summing the components reconstructs the input."""
@@ -92,6 +98,7 @@ class JetModel:
         self._totals: Dict[int, VectorField] = {}
         self._chibar: Optional[Poly] = None
         self._omegabar: Optional[Poly] = None
+        self._vertical_omegabar: Optional[Poly] = None
         self._lbar: Optional[Poly] = None
         self.D = VectorField(self.space, 1, rule=self._d_rule, name="D")
         self.s = VectorField(self.space, 1, rule=self._s_rule, name="s")
@@ -209,6 +216,13 @@ class JetModel:
             self._omegabar = de_rham(self.chibar())
         return self._omegabar
 
+    def vertical_omegabar(self) -> Poly:
+        """The vertical part of omegabar, the two-form the descent tower, the
+        master identities and the reductions work on."""
+        if self._vertical_omegabar is None:
+            self._vertical_omegabar = self.vertical_part(self.omegabar())
+        return self._vertical_omegabar
+
     def lbar(self) -> Poly:
         if self._lbar is None:
             self._lbar = self.pullback(solve_hamiltonian(self.parent))
@@ -231,10 +245,9 @@ class JetModel:
         return p.substitute(mapping)
 
     def vertical_top(self) -> Poly:
-        """The top theta-degree block of the vertical pulled-back two-form,
-        the form whose kernel the reductions quotient by."""
-        comps = theta_components(self.vertical_part(self.omegabar()))
-        return comps.get(self.parent.n, Poly.zero())
+        """The coefficient of the theta volume in the vertical pulled-back
+        two-form, the form whose kernel the reductions quotient by."""
+        return theta_top_coefficient(self.parent, self.vertical_omegabar())
 
     def truncation_split(self, p: Poly) -> Tuple[Poly, Poly]:
         """(retained, excluded): a term is excluded when it touches a jet
@@ -273,8 +286,7 @@ def check_descent(jm: JetModel) -> List[CheckResult]:
     """The descent tower: on each theta-degree k component of the vertical
     pulled-back form, L_s moves degree k to k and L_D degree k-1 to k; the
     two contributions must cancel."""
-    ov = jm.vertical_part(jm.omegabar())
-    comps = theta_components(ov)
+    comps = theta_components(jm.vertical_omegabar())
     n = jm.parent.n
     out = []
     for k in range(n + 2):
@@ -294,8 +306,7 @@ def check_bv_identities(jm: JetModel) -> List[CheckResult]:
     lb = jm.lbar()
     scalar = interior(jm.D, chib) + lb
 
-    ov = jm.vertical_part(jm.omegabar())
-    r1 = interior(jm.s, ov) + d_vertical(scalar) \
+    r1 = interior(jm.s, jm.vertical_omegabar()) + d_vertical(scalar) \
         + vertical_lie(jm.D, jm.vertical_part(chib))
     out = [_split_result(jm, "master_vertical", r1)]
 

@@ -235,7 +235,7 @@ class ModelBuilder:
         self._weak = bool(flag)
         return self
 
-    def build(self, validate_chi: bool = True) -> Model:
+    def build(self) -> Model:
         coeffs: Dict[Generator, Poly] = {}
         for a in self.base_indices:
             coeffs[self.x[a]] = Poly.gen(self.theta[a])
@@ -246,7 +246,7 @@ class ModelBuilder:
         coeffs.update(self._q_rules)
         q = VectorField(self.space, 1, coeffs=coeffs, name="Q")
         chi = self._chi
-        if chi is not None and validate_chi and not chi.is_zero():
+        if chi is not None and not chi.is_zero():
             if chi.fdeg() != 1:
                 raise DegreeError("presymplectic potential must be a one-form")
             if chi.gh() != self.n - 1:

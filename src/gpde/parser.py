@@ -229,16 +229,17 @@ class Evaluator:
                                  f"bound by the left-hand side", node[-1],
                                  hint="repeated variables are summed")
                 dummies.append(v)
-            total = self._sum_assignments(coeff, factors, dict(bound), dummies, total)
+            total = self._sum_assignments(coeff, factors, dict(bound), dummies, total,
+                                          node[-1])
         return total if total is not None else Poly.zero()
 
-    def _sum_assignments(self, coeff, factors, env, dummies, total):
+    def _sum_assignments(self, coeff, factors, env, dummies, total, span):
         if not dummies:
-            return self._add(total, self.eval_term(coeff, factors, env, in_tr=False))
+            return self._add(total, self.eval_term(coeff, factors, env, in_tr=False), span)
         head, rest = dummies[0], dummies[1:]
         for a in self.b.base_indices:
             env[head] = a
-            total = self._sum_assignments(coeff, factors, env, rest, total)
+            total = self._sum_assignments(coeff, factors, env, rest, total, span)
         del env[head]
         return total
 
@@ -247,10 +248,11 @@ class Evaluator:
         enclosing statement has bound in env."""
         total = None
         for coeff, factors in _distribute(node):
-            total = self._add(total, self.eval_term(coeff, factors, env, in_tr=False))
+            total = self._add(total, self.eval_term(coeff, factors, env, in_tr=False),
+                              node[-1])
         return total
 
-    def _add(self, a, b):
+    def _add(self, a, b, span):
         if a is None:
             return b
         if isinstance(a, LieValued) != isinstance(b, LieValued):
@@ -258,9 +260,9 @@ class Evaluator:
                 return b
             if isinstance(b, Poly) and b.is_zero():
                 return a
-            raise _error("cannot add a scalar and a lie-algebra valued expression", None)
+            raise _error("cannot add a scalar and a lie-algebra valued expression", span)
         if isinstance(a, LieValued) and a.lie is not b.lie:
-            raise _error(_MIXED_LIE, None)
+            raise _error(_MIXED_LIE, span)
         return a + b
 
     def eval_term(self, coeff, factors, env, in_tr):
@@ -564,7 +566,9 @@ class ModelParser:
 
     def skip_statement(self):
         """Skip the statement that begins at the current token: past its
-        closing ';' or, for a lie block, past the '}' that ends the block."""
+        closing ';' or, for a lie block, past the '}' that ends the block.  The
+        ';' of theta(k; ...), which follows 'theta ( int', ends nothing; any
+        other ';' does, so an unclosed '(' hides no later statement."""
         block = self.peek().kind == "name" and self.peek().value == "lie"
         depth = 0
         while True:
@@ -579,7 +583,9 @@ class ModelParser:
                 if depth < 0 or (block and depth == 0):
                     return
             elif t.kind == ";" and depth == 0:
-                return
+                head = [(x.kind, x.value) for x in self.toks[max(self.pos - 4, 0):self.pos - 2]]
+                if head != [("name", "theta"), ("(", "(")] or self.toks[self.pos - 2].kind != "int":
+                    return
 
     def statement(self):
         t = self.peek()

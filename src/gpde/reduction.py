@@ -5,7 +5,8 @@ sparse rows that store only their nonzero entries, so its cost follows the
 nonzeros of the (mostly empty) systems rather than their size.  The form is
 flattened to a coefficient system over a declared universe of coordinates;
 it is read off in one walk over the form's terms.  Kernel vectors
-are constant rational combinations of coordinate directions, and survivors
+are constant rational combinations of coordinate directions, computed
+exactly and certified without sampling (see kernel_basis), and survivors
 are returned as the canonical (reduced row echelon) basis of the linear
 forms annihilating the kernel, so coordinate kernels give back plain
 surviving coordinates and trace-like combinations come out with unit
@@ -24,7 +25,6 @@ from .algebra import (
     Generator,
     Poly,
     accumulate,
-    theta_split,
 )
 from .cartan import VectorField
 
@@ -106,16 +106,6 @@ def nullspace(rows: List[List[Fraction]], ncols: int) -> List[List[Fraction]]:
     return basis
 
 
-def strip_theta_volume(form: Poly) -> Poly:
-    """Remove the full odd-volume factor from every monomial."""
-    stripped: Dict = {}
-    for _, rest, _, c in theta_split(form):
-        if rest in stripped:
-            raise ReductionError("volume stripping collided; form is not top-degree")
-        stripped[rest] = c
-    return Poly(form.space, stripped)
-
-
 def form_universe(form: Poly) -> List[Generator]:
     """The coordinates whose differentials occur in a form, in canonical
     order."""
@@ -175,57 +165,40 @@ class PresymplecticMatrix:
         return nullspace(self.matrix(), len(self.universe))
 
 
-def _evaluate_coefficients(p: Poly, point: Dict[Generator, Fraction]) -> Poly:
-    """Evaluate coordinate dependence: even coordinates at the point values,
-    odd ones at zero, differentials untouched."""
-    subs: Dict[Generator, Poly] = {}
-    for g in p.generators():
-        if g.fdeg:
-            continue
-        if g.parity:
-            subs[g] = Poly.zero()
-        else:
-            subs[g] = Poly.scalar(point.get(g, Fraction(0)))
-    return p.substitute(subs)
+def _body(form: Poly, point: Optional[Dict[Generator, Fraction]] = None) -> Poly:
+    """The form with its odd coordinates at zero and, when a point is given,
+    every even coordinate at its value there (zero when not given);
+    differentials are untouched."""
+    subs = {g: Poly.scalar(0 if g.parity else point.get(g, 0))
+            for g in form.generators() if g.fdeg == 0 and (g.parity or point is not None)}
+    return form.substitute(subs) if subs else form
 
 
-def _kernel_with_context(form: Poly, universe: Sequence[Generator],
-                         point: Optional[Dict[Generator, Fraction]],
-                         strip_volume: bool, samples: int):
-    work = strip_theta_volume(form) if strip_volume else form
-    pm = PresymplecticMatrix(work, universe)
-    if pm.is_constant() and point is None:
-        return pm.kernel(), work, None
-    even_coords = sorted({g for col in pm.columns for mono in col.terms
-                          for g, _ in mono if g.fdeg == 0 and g.parity == 0},
-                         key=lambda g: g._sort)
-    if point is not None:
-        pts = [dict(point)]
-    else:
-        import random
-
-        rng = random.Random(20260819)
-        pts = [{g: Fraction(rng.randint(1, 97), rng.randint(2, 13))
-                for g in even_coords} for _ in range(samples)]
-    evaluated = [_evaluate_coefficients(work, pt) for pt in pts]
-    kernels = [PresymplecticMatrix(ev, universe).kernel() for ev in evaluated]
-    dims = {len(k) for k in kernels}
-    if len(dims) != 1:
-        raise ReductionError(
-            f"kernel dimension is not stable across sample points: {sorted(dims)}"
-        )
-    return kernels[0], evaluated[0], pts[0]
+# two fixed rational points, by the index of each coordinate in canonical order
+_WITNESSES = (lambda k: Fraction(2 * k + 3, 2), lambda k: Fraction(-5, 2 * k + 7))
 
 
 def kernel_basis(form: Poly, universe: Sequence[Generator],
-                 point: Optional[Dict[Generator, Fraction]] = None,
-                 strip_volume: bool = False,
-                 samples: int = 3) -> List[List[Fraction]]:
-    """Constant-coefficient kernel of the form over the universe.  When the
-    flattened system is field-dependent, it is evaluated at the supplied
-    point, or at several random rational points which must agree on the
-    kernel dimension."""
-    kernel, _, _ = _kernel_with_context(form, universe, point, strip_volume, samples)
+                 point: Optional[Dict[Generator, Fraction]] = None) -> List[List[Fraction]]:
+    """Kernel of the form's body over the universe, as constant vectors.
+
+    Given a point, the body is evaluated there and the kernel is the
+    pointwise one.  Otherwise even coordinates stay symbolic; matrix() keys
+    its rows by the full monomial, so the nullspace K0 is exactly the set of
+    constant vectors annihilating the form identically.  K0 lies in the
+    kernel at every point, so a fixed point where the kernel has the
+    dimension of K0 certifies K0 as the generic kernel.  A point can only
+    support a refusal: when both fixed points show a larger kernel, the
+    kernel distribution is taken to vary and the form is refused."""
+    body = _body(form, point)
+    pm = PresymplecticMatrix(body, universe)
+    kernel = pm.kernel()
+    if not pm.is_constant():
+        coords = sorted({g for col in pm.columns for mono in col.terms
+                         for g, _ in mono if g.fdeg == 0}, key=lambda g: g._sort)
+        if all(len(kernel_basis(body, universe, {g: value(k) for k, g in enumerate(coords)}))
+               > len(kernel) for value in _WITNESSES):
+            raise ReductionError("kernel distribution is not constant in these coordinates")
     return kernel
 
 
@@ -233,20 +206,37 @@ class ReducedModel:
     """Quotient by the kernel distribution.
 
     survivors[i] is a fresh coordinate generator representing the linear
-    form survivor_forms[i] over the original universe; reduced_form is the
-    two-form rewritten in the surviving differentials; s_action, when
-    requested, is the projected evolutionary field on the survivors."""
+    form survivor_forms[i] over the original universe; form is the two-form
+    that was reduced (the body of the input) and reduced_form the same form
+    rewritten in the surviving differentials; s_action, when requested, is
+    the projected evolutionary field on the survivors."""
 
     def __init__(self, space, survivors, survivor_forms, kernel_vectors,
-                 reduced_form, universe, point=None, s_action=None):
+                 reduced_form, universe, form, s_action=None):
         self.space = space
         self.survivors = survivors
         self.survivor_forms = survivor_forms
         self.kernel_vectors = kernel_vectors
         self.reduced_form = reduced_form
         self.universe = universe
-        self.point = point
+        self.form = form
         self.s_action = s_action
+
+    def split_residual(self) -> Poly:
+        """reduced_form with each survivor differential dw_i replaced by its
+        linear form sum_A lambda_i^A du^A (vertical where dw_i is), minus the
+        form that was reduced: zero exactly when the quotient keeps all of
+        the form."""
+        space = self.space
+        lam = dict(zip(self.survivors, self.survivor_forms))
+        back = {}
+        for dw in self.reduced_form.generators():
+            if dw.fdeg:
+                vertical = dw.role == VDIFF
+                back[dw] = Poly(space, {((space.differential(u, vertical=vertical), 1),): c
+                                        for u, c in zip(self.universe,
+                                                        lam[space.coordinate_of(dw)]) if c})
+        return self.reduced_form.substitute(back) - self.form
 
     def survivor_equations(self) -> List[Tuple[Generator, Poly]]:
         """Each survivor with the linear form it stands for."""
@@ -259,39 +249,36 @@ class ReducedModel:
         return equations(self.survivor_equations())
 
 
-def _first_free_index(space, prefix: str) -> int:
-    """One past the largest i such that a coordinate named prefix<i> exists.
+def _first_free_index(space) -> int:
+    """One past the largest i such that a coordinate named w<i> exists.
 
     Survivors are interned in the form's space, so a later reduction in the
     same space must number its survivors on from there: reusing a name would
     either redeclare it with another ghost number or silently identify two
     unrelated survivors."""
-    taken = [g.name[len(prefix):] for g in space.generators()
-             if g.fdeg == 0 and g.name.startswith(prefix)]
+    taken = [g.name[1:] for g in space.generators()
+             if g.fdeg == 0 and g.name.startswith("w")]
     return 1 + max((int(t) for t in taken if t.isdigit()), default=-1)
 
 
 def reduce_form(form: Poly, universe: Sequence[Generator],
                 point: Optional[Dict[Generator, Fraction]] = None,
-                strip_volume: bool = False,
-                s: Optional[VectorField] = None,
-                survivor_prefix: str = "w",
-                samples: int = 3) -> ReducedModel:
-    """Quotient the universe by the kernel of the form.
+                s: Optional[VectorField] = None) -> ReducedModel:
+    """Quotient the universe by the kernel of the form's body (see
+    kernel_basis; with a point the reduction is pointwise).
 
     Refuses kernels that mix ghost degrees (no graded splitting exists).
     When an evolutionary field s is supplied, the projected action must be
     constant along the kernel, otherwise the reduction is refused.
-    Survivors are new coordinates named survivor_prefix<i>, numbered on
-    from any such names already in the space.
+    Survivors are new coordinates named w<i>, numbered on from any such
+    names already in the space.
     """
     universe = list(universe)
     ncols = len(universe)
     index = {g: A for A, g in enumerate(universe)}
     space = form.space
-    kernel, work, used_point = _kernel_with_context(form, universe, point,
-                                                    strip_volume, samples)
-    kernel, _ = rref(kernel)
+    body = _body(form, point)
+    kernel, _ = rref(kernel_basis(body, universe))
     for vec in kernel:
         ghs = {universe[A].gh for A in range(ncols) if vec[A]}
         if len(ghs) > 1:
@@ -302,16 +289,15 @@ def reduce_form(form: Poly, universe: Sequence[Generator],
 
     # the linear forms vanishing on the kernel (all of them when it is empty)
     ann = nullspace(kernel, ncols)
-    first = _first_free_index(space, survivor_prefix)
+    # each annihilator row is 1 at a free column and otherwise nonzero only
+    # at the pivots of kernel rows holding that column, so the check above
+    # makes it one ghost degree
+    first = _first_free_index(space)
     survivors: List[Generator] = []
     survivor_forms: List[List[Fraction]] = []
     for i, lam in enumerate(ann):
-        nz = [A for A in range(ncols) if lam[A]]
-        gh = universe[nz[0]].gh
-        if any(universe[A].gh != gh for A in nz):
-            raise ReductionError("annihilator mixes ghost degrees")
-        g = space.coordinate(f"{survivor_prefix}{first + i}", FIBER, gh)
-        survivors.append(g)
+        gh = universe[next(A for A in range(ncols) if lam[A])].gh
+        survivors.append(space.coordinate(f"w{first + i}", FIBER, gh))
         survivor_forms.append(list(lam))
 
     # invert the (survivor rows; kernel rows) basis change
@@ -333,7 +319,7 @@ def reduce_form(form: Poly, universe: Sequence[Generator],
     for A, g in enumerate(universe):
         csub[g] = Poly(space, {((w, 1),): t for w, t in zip(survivors, tinv[A])})
     dsub: Dict[Generator, Poly] = {}
-    for mono in work.terms:
+    for mono in body.terms:
         for g, _ in mono:
             if g.fdeg != 1 or g in dsub:
                 continue
@@ -348,7 +334,7 @@ def reduce_form(form: Poly, universe: Sequence[Generator],
             dsub[g] = Poly(space, {((space.differential(w, vertical=vertical), 1),): t
                                    for w, t in zip(survivors, tinv[A]) if t})
 
-    reduced = work.substitute(dsub)
+    reduced = body.substitute(dsub)
 
     s_action = None
     if s is not None:
@@ -381,4 +367,4 @@ def reduce_form(form: Poly, universe: Sequence[Generator],
             s_action[g] = expr.substitute(csub)
 
     return ReducedModel(space, survivors, survivor_forms, kernel, reduced,
-                        universe, point=used_point, s_action=s_action)
+                        universe, body, s_action=s_action)

@@ -95,6 +95,50 @@ def test_reduce_at_point(capsys):
     assert "survivors: w0 = u; w1 = v" in out
 
 
+def _wrong_survivor_forms(reduce_form):
+    """reduce_form with the first survivor form doubled, so the reduced form
+    no longer lifts back to the form that was reduced."""
+    from gpde.reduction import ReducedModel
+
+    def reduce(*args, **kwargs):
+        rm = reduce_form(*args, **kwargs)
+        forms = [[2 * c for c in rm.survivor_forms[0]]] + rm.survivor_forms[1:]
+        return ReducedModel(rm.space, rm.survivors, forms, rm.kernel_vectors,
+                            rm.reduced_form, rm.universe, rm.form, rm.s_action)
+
+    return reduce
+
+
+def test_reduction_pass_needs_the_split(capsys, monkeypatch):
+    import gpde.cli
+
+    monkeypatch.setattr(gpde.cli, "reduce_form", _wrong_survivor_forms(gpde.cli.reduce_form))
+    rc, out, err = run(["reduce", "toy_dim0"], capsys)
+    assert rc == 1
+    assert "FAIL reduction residual_terms=1 kernel 1, survivors 2" in err
+
+
+def test_kernel_split_is_checked(capsys, monkeypatch):
+    import gpde.density
+
+    monkeypatch.setattr(gpde.density, "reduce_form",
+                        _wrong_survivor_forms(gpde.density.reduce_form))
+    rc, out, err = run(["boundary", "maxwell_weak", "--kill", "0"], capsys)
+    assert rc == 1
+    assert "FAIL kernel_split residual_terms=" in err
+    assert "[PASS] tangency" in out
+
+
+def test_check_error_has_a_location(tmp_path, capsys):
+    bad = tmp_path / "two_algebras.gpde"
+    bad.write_text("base dim = 0;\nlie g { dim = 3; f[1][2][3] = 1; antisymmetrize; }\n"
+                   "lie h { dim = 2; }\ncoord A : gh = 1 in g;\ncoord B : gh = 0 in h;\n"
+                   "Q A = A + B;\n")
+    rc, out, err = run(["check", str(bad)], capsys)
+    assert rc == 2
+    assert err == f"{bad}:6:9: error: mixing values of different lie algebras\n"
+
+
 def test_reduce_bad_point_name(capsys):
     with pytest.raises(SystemExit):
         main(["reduce", "toy_dim0", "--at", "nope=1"])

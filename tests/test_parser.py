@@ -319,6 +319,17 @@ def test_values_of_two_lie_algebras_do_not_mix(stmt, message):
     assert [d.message for d in diags] == [message]
 
 
+def test_semicolon_inside_theta_ends_no_statement():
+    text = open_builtin("ym_weak")
+    chi = next(line for line in text.splitlines() if line.startswith("chi ="))
+    model, diags = parse_with_diagnostics(text.replace(chi, "chi = theta(99999; a)*v;"))
+    assert model is None
+    assert [d.message for d in diags] == ["theta(99999; ...) takes 99999 indices, got 1"]
+    # any other ';' still ends the statement, even inside an unclosed '('
+    model, diags = parse_with_diagnostics("base dim = 0;\ncoord u : gh = 0;\nchi = (u;\nfoo;\n")
+    assert [d.message for d in diags] == ["expected ')', found ';'", "unknown declaration 'foo'"]
+
+
 def test_zero_dimensional_lie_algebra_roundtrip():
     src = model_to_source(parse_model("base dim = 0;\nlie g { dim = 0; }\ncoord u : gh = 0;\n"))
     assert "kappa = diag();" in src

@@ -5,17 +5,17 @@ import pytest
 
 from gpde.algebra import FIBER, Poly, Space
 from gpde.cartan import VectorField, d_vertical, de_rham, interior
-from gpde.jets import JetModel
+from gpde.jets import JetModel, theta_components, theta_top_coefficient
 from gpde.parser import load_builtin
 from gpde.reduction import (
     PresymplecticMatrix,
+    ReducedModel,
     ReductionError,
     form_universe,
     kernel_basis,
     nullspace,
     reduce_form,
     rref,
-    strip_theta_volume,
 )
 
 F = Fraction
@@ -86,6 +86,44 @@ class TestKernel:
         at_zero = kernel_basis(form, [a, b], point={u: F(0)})
         assert len(at_zero) == 2
 
+    def test_rotating_kernel_refused(self):
+        # the kernel at u is spanned by (0, -u, 1): one direction at every
+        # point, but no constant one
+        sp = Space("rot")
+        u, a, b, c = (sp.coordinate(n, FIBER, 0) for n in "uabc")
+        form = de_rham(Poly.gen(a)) * (de_rham(Poly.gen(b))
+                                       + Poly.gen(u) * de_rham(Poly.gen(c)))
+        with pytest.raises(ReductionError, match="not constant"):
+            kernel_basis(form, [a, b, c])
+        with pytest.raises(ReductionError, match="not constant"):
+            reduce_form(form, [a, b, c])
+        assert kernel_basis(form, [a, b, c], point={u: F(2)}) == [[F(0), F(-2), F(1)]]
+
+    def test_rank_drop_on_a_hypersurface_reduces(self):
+        # degenerate at u = 1 only: the generic kernel is empty
+        sp = Space("drop")
+        u, a, b = (sp.coordinate(n, FIBER, 0) for n in "uab")
+        form = (Poly.gen(u) - 1) * de_rham(Poly.gen(a)) * de_rham(Poly.gen(b))
+        rm = reduce_form(form, [a, b])
+        assert rm.kernel_vectors == []
+        w0, w1 = rm.survivors
+        assert rm.reduced_form == \
+            (Poly.gen(u) - 1) * de_rham(Poly.gen(w0)) * de_rham(Poly.gen(w1))
+        assert rm.split_residual().is_zero()
+
+    def test_field_dependent_kernel_certified(self):
+        sp = Space("cert")
+        u, a, b, k = (sp.coordinate(n, FIBER, 0) for n in "uabk")
+        form = Poly.gen(u) * de_rham(Poly.gen(a)) * de_rham(Poly.gen(b))
+        assert kernel_basis(form, [a, b, k]) == [[F(0), F(0), F(1)]]
+
+    def test_odd_coordinates_are_set_to_zero(self, flat_space):
+        sp, a, b, k = flat_space
+        c = sp.coordinate("c", FIBER, 1)
+        form = de_rham(Poly.gen(a)) * de_rham(Poly.gen(b)) \
+            + Poly.gen(c) * de_rham(Poly.gen(a)) * de_rham(Poly.gen(k))
+        assert kernel_basis(form, [a, b, k]) == [[F(0), F(0), F(1)]]
+
     def test_matrix_constant_detection(self, flat_space):
         sp, a, b, k = flat_space
         const = de_rham(Poly.gen(a)) * de_rham(Poly.gen(b))
@@ -110,9 +148,11 @@ def assert_columns_match(form, universe):
 class TestPresymplecticColumns:
     @pytest.mark.parametrize("name", ["maxwell_weak", "ym_weak"])
     def test_builtin_columns_match_interior(self, name):
-        top = JetModel(load_builtin(name), 1).vertical_top()
+        jm = JetModel(load_builtin(name), 1)
+        top = jm.vertical_top()
         universe = form_universe(top)
-        for form in (top, strip_theta_volume(top)):
+        block = theta_components(jm.vertical_omegabar())[jm.parent.n]
+        for form in (block, top):
             assert_columns_match(form, universe)
 
     def test_powers_and_both_differentials(self):
@@ -153,7 +193,7 @@ class TestReduce:
         u = m.fibers["u"].gen()
         v = m.fibers["v"].gen()
         z = m.fibers["z"].gen()
-        rm = reduce_form(m.omega(), [u, v, z], s=m.q, survivor_prefix="ty")
+        rm = reduce_form(m.omega(), [u, v, z], s=m.q)
         assert len(rm.kernel_vectors) == 1
         assert rm.kernel_vectors[0] == [F(0), F(0), F(1)]
         assert rm.survivor_forms == [[F(1), F(0), F(0)], [F(0), F(1), F(0)]]
@@ -173,7 +213,7 @@ class TestReduce:
         for g in p:
             one_form = one_form + de_rham(Poly.gen(g))
         form = one_form * de_rham(Poly.gen(c))
-        rm = reduce_form(form, p + [c], survivor_prefix="tr")
+        rm = reduce_form(form, p + [c])
         assert rm.survivor_forms == [
             [F(1), F(1), F(1), F(0)],
             [F(0), F(0), F(0), F(1)],
@@ -212,7 +252,7 @@ class TestReduce:
         a, b, k1, k2 = (sp.coordinate(n, FIBER, 0) for n in ("a", "b", "k1", "k2"))
         form = de_rham(Poly.gen(a)) * de_rham(Poly.gen(b))
         s = VectorField(sp, 0, coeffs={a: Poly.gen(b) * Poly.gen(b), b: Poly.gen(a)})
-        rm = reduce_form(form, [a, b, k1, k2], s=s, survivor_prefix="ok")
+        rm = reduce_form(form, [a, b, k1, k2], s=s)
         assert rm.kernel_vectors == [[F(0), F(0), F(1), F(0)], [F(0), F(0), F(0), F(1)]]
         wa, wb = rm.survivors
         assert rm.s_action[wa] == Poly.gen(wb) * Poly.gen(wb)
@@ -225,11 +265,22 @@ class TestReduce:
         w = sp.coordinate("rw", FIBER, 0)
         vol = m.theta_volume()
         form = vol * de_rham(Poly.gen(u)) * de_rham(Poly.gen(w))
-        stripped = strip_theta_volume(form)
+        stripped = theta_top_coefficient(m, form)
         assert stripped == de_rham(Poly.gen(u)) * de_rham(Poly.gen(w))
-        rm = reduce_form(form, [u, w], strip_volume=True, survivor_prefix="vs")
+        rm = reduce_form(stripped, [u, w])
         assert rm.kernel_vectors == []
         assert rm.reduced_form.num_terms() == 1
+
+    def test_wrong_survivor_form_fails_the_split_check(self, flat_space):
+        sp, a, b, k = flat_space
+        form = de_rham(Poly.gen(a)) * de_rham(Poly.gen(b))
+        rm = reduce_form(form, [a, b, k])
+        assert rm.split_residual().is_zero()
+        forms = [rm.survivor_forms[0], [F(0), F(1), F(1)]]
+        wrong = ReducedModel(sp, rm.survivors, forms, rm.kernel_vectors,
+                             rm.reduced_form, rm.universe, rm.form)
+        assert wrong.split_residual() == \
+            de_rham(Poly.gen(a)) * de_rham(Poly.gen(k))
 
     def test_outside_universe_differential_refused(self, flat_space):
         sp, a, b, k = flat_space
@@ -240,22 +291,19 @@ class TestReduce:
     def test_describe_survivors(self, flat_space):
         sp, a, b, k = flat_space
         form = de_rham(Poly.gen(a)) * de_rham(Poly.gen(b))
-        rm = reduce_form(form, [a, b, k], survivor_prefix="ds")
+        rm = reduce_form(form, [a, b, k])
         lines = rm.describe_survivors()
-        assert lines[0] == "ds0 = a"
-        assert lines[1] == "ds1 = b"
+        assert lines[0] == "w0 = a"
+        assert lines[1] == "w1 = b"
 
     def test_second_reduction_on_one_model(self):
         from gpde.density import boundary_reduction
-        from gpde.jets import JetModel, theta_components
-        from gpde.parser import load_builtin
-
         m = load_builtin("maxwell_weak")
         jm = JetModel(m, 1)
-        top = theta_components(jm.vertical_part(jm.omegabar()))[m.n]
+        top = jm.vertical_top()
         universe = sorted({m.space.coordinate_of(g) for mono in top.terms
                            for g, _ in mono if g.fdeg == 1}, key=lambda g: g._sort)
-        first = reduce_form(top, universe, strip_volume=True, s=jm.s)
+        first = reduce_form(top, universe, s=jm.s)
         names = [g.name for g in first.survivors]
         assert names == [f"w{i}" for i in range(len(names))]
         second = boundary_reduction(m, [0]).reduced
