@@ -2,15 +2,21 @@
 
 Generators carry an integer ghost number and a form degree (0 or 1); the
 Koszul parity of a generator is (ghost + form degree) mod 2.  Polynomials
-are dictionaries mapping canonical monomials to nonzero Fractions, so all
-arithmetic is exact and equality is literal dictionary equality.
+are dictionaries mapping canonical monomials to nonzero exact rationals, so
+all arithmetic is exact and equality is literal dictionary equality.
 
-Two invariants hold for every Poly: no stored coefficient is zero, and a Poly
+Three invariants hold for every Poly: no stored coefficient is zero; every
+stored coefficient is a `Scalar` in normal form, an int when it is integral
+and a Fraction only when its denominator is not 1, never a float; and a Poly
 owns its terms dict (no other Poly or caller shares it).  The public
-constructor copies and filters its input to establish them; every sum in the
-kernel is built in place by `accumulate`, which deletes entries that cancel,
-and the result is handed to the unfiltered `Poly._adopt`.  `is_zero` and
-equality rely on the first invariant, in-place accumulation on the second.
+constructor copies, filters and normalises its input to establish them;
+every sum in the kernel is built in place by `accumulate`, which deletes
+entries that cancel and stores an integral Fraction as its int numerator,
+and the result is handed to the unfiltered `Poly._adopt`.  `rational` is the
+one conversion into normal form and refuses a float; `qdiv` is the one exact
+quotient, since int / int is a float in Python.  `is_zero` and equality rely
+on the first invariant, in-place accumulation on the last; the second keeps
+the common integral coefficient out of the slower Fraction arithmetic.
 A generator's ghost number, form degree and hence its parity are fixed at
 construction (a conflicting redeclaration raises instead of mutating), so
 `Generator.parity` is a stored attribute.
@@ -20,9 +26,32 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from numbers import Rational
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
-Scalar = Union[int, Fraction]
+Scalar = Union[int, Fraction]   # in normal form: int when integral
+
+
+def rational(x) -> Scalar:
+    """x as a coefficient in normal form: an int when it is integral, else a
+    Fraction.  A float is refused, since its binary expansion is not the
+    rational it was meant to be."""
+    if type(x) is not Fraction:
+        if type(x) is int:
+            return x
+        if not isinstance(x, Rational):
+            raise TypeError(f"cannot coerce {type(x).__name__} into an exact rational")
+        x = Fraction(int(x.numerator), int(x.denominator))
+    return x.numerator if x.denominator == 1 else x
+
+
+def qdiv(a: Scalar, b: Scalar) -> Scalar:
+    """The exact quotient a / b in normal form (int / int is a float in
+    Python, so every division in gpde goes through here)."""
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
 
 
 class GradedAlgebraError(Exception):
@@ -259,29 +288,31 @@ def mono_fdeg(m: Monomial) -> int:
 def accumulate(acc: dict, pairs) -> dict:
     """Add (monomial, coefficient) pairs into acc in place and return it.
 
-    Entries that cancel are deleted and zero coefficients are never stored,
-    so a dict built only through this function may be adopted by a Poly
-    without filtering.  Every sum in the kernel goes through here."""
+    Entries that cancel are deleted, zero coefficients are never stored and
+    an integral Fraction is stored as its int numerator, so a dict built
+    only through this function from Scalar coefficients may be adopted by a
+    Poly without filtering.  Every sum in the kernel goes through here."""
     get = acc.get
     for m, c in pairs:
         old = get(m)
-        if old is None:
-            if c:
-                acc[m] = c
-        else:
+        if old is not None:
             c = old + c
-            if c:
-                acc[m] = c
-            else:
+            if not c:
                 del acc[m]
+                continue
+        elif not c:
+            continue
+        if type(c) is Fraction and c.denominator == 1:
+            c = c.numerator
+        acc[m] = c
     return acc
 
 
-def _sandwich(prefix: Monomial, coeff: Fraction, terms: Mapping[Monomial, Fraction],
+def _sandwich(prefix: Monomial, coeff: Scalar, terms: Mapping[Monomial, Scalar],
               suffix: Monomial = ()):
     """The (monomial, coefficient) pairs of prefix * (coeff * terms) * suffix,
     with Koszul signs; products in which an odd generator squares are
-    dropped.  A unit coeff costs no Fraction product."""
+    dropped.  A unit coeff costs no product."""
     unit = coeff == 1
     for m, c in terms.items():
         r = mono_mul(prefix, m)
@@ -299,7 +330,7 @@ def _sandwich(prefix: Monomial, coeff: Fraction, terms: Mapping[Monomial, Fracti
         yield m, (c if sign > 0 else -c)
 
 
-def _product(a: Mapping[Monomial, Fraction], b: Mapping[Monomial, Fraction]) -> dict:
+def _product(a: Mapping[Monomial, Scalar], b: Mapping[Monomial, Scalar]) -> dict:
     """The terms dict of the graded product a * b."""
     out: dict = {}
     for m, c in a.items():
@@ -308,17 +339,19 @@ def _product(a: Mapping[Monomial, Fraction], b: Mapping[Monomial, Fraction]) -> 
 
 
 class Poly:
-    """Polynomial in graded generators with Fraction coefficients.
+    """Polynomial in graded generators with exact rational coefficients.
 
-    terms: dict mapping canonical monomial tuples to nonzero Fractions.
+    terms: dict mapping canonical monomial tuples to nonzero Scalars in
+    normal form (int when integral, Fraction otherwise).
     space is None for pure scalars and unifies on every binary operation.
     """
 
     __slots__ = ("space", "terms")
 
-    def __init__(self, space: Optional[Space], terms: Mapping[Monomial, Fraction]):
+    def __init__(self, space: Optional[Space], terms: Mapping[Monomial, Scalar]):
         self.space = space
-        self.terms = {m: c for m, c in terms.items() if c}
+        self.terms = {m: c if type(c) is int else rational(c)
+                      for m, c in terms.items() if c}
 
     # constructors -----------------------------------------------------
 
@@ -334,12 +367,12 @@ class Poly:
 
     @staticmethod
     def scalar(c: Scalar) -> "Poly":
-        c = Fraction(c)
+        c = rational(c)
         return Poly._adopt(None, {(): c} if c else {})
 
     @staticmethod
     def gen(g: Generator) -> "Poly":
-        return Poly._adopt(g.space, {((g, 1),): Fraction(1)})
+        return Poly._adopt(g.space, {((g, 1),): 1})
 
     @staticmethod
     def zero() -> "Poly":
@@ -375,11 +408,11 @@ class Poly:
             raise DegreeError("polynomial is not ghost-homogeneous")
         return gs.pop()
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
+    def constant_term(self) -> Scalar:
+        return self.terms.get((), 0)
 
-    def coefficient(self, m: Monomial) -> Fraction:
-        return self.terms.get(m, Fraction(0))
+    def coefficient(self, m: Monomial) -> Scalar:
+        return self.terms.get(m, 0)
 
     def generators(self):
         seen = set()
@@ -434,10 +467,10 @@ class Poly:
                 other = other.constant_term()
             else:
                 raise DegreeError("division only by nonzero scalars")
-        c = Fraction(other)
+        c = rational(other)
         if not c:
             raise ZeroDivisionError("division of a polynomial by zero")
-        return Poly._adopt(self.space, {m: v / c for m, v in self.terms.items()})
+        return Poly._adopt(self.space, {m: qdiv(v, c) for m, v in self.terms.items()})
 
     def __eq__(self, other):
         other = normal_form(other)
@@ -463,18 +496,17 @@ class Poly:
                 raise DegreeError(f"substitution image for {g.name} has wrong parity")
             _unify(self.space, img.space)
             images[g] = img
-        one = Fraction(1)
         factors: dict = {}      # (g, e) -> terms of the image of g^e, per call
         out: dict = {}
         for m, c in self.terms.items():
-            term = {(): one}
+            term = {(): 1}
             for f in m:
                 t = factors.get(f)
                 if t is None:
                     g, e = f
                     img = images.get(g)
                     if img is None:
-                        t = {(f,): one}
+                        t = {(f,): 1}
                     else:
                         t = img.terms
                         for _ in range(e - 1):
@@ -558,8 +590,8 @@ class LieAlgebraData:
     def __init__(self, name: str, dim: int, f, kappa):
         self.name = name
         self.dim = dim
-        self.f = tuple(tuple(tuple(Fraction(x) for x in row) for row in plane) for plane in f)
-        self.kappa = tuple(tuple(Fraction(x) for x in row) for row in kappa)
+        self.f = tuple(tuple(tuple(rational(x) for x in row) for row in plane) for plane in f)
+        self.kappa = tuple(tuple(rational(x) for x in row) for row in kappa)
         self.validate()
 
     def validate(self):
@@ -579,7 +611,7 @@ class LieAlgebraData:
             for a in range(d):
                 for b in range(d):
                     for c in range(d):
-                        s = Fraction(0)
+                        s = 0
                         for e in range(d):
                             s += f[e][a][b] * f[m][e][c]
                             s += f[e][b][c] * f[m][e][a]
@@ -590,7 +622,7 @@ class LieAlgebraData:
         for a in range(d):
             for b in range(d):
                 for c in range(d):
-                    s = Fraction(0)
+                    s = 0
                     for e in range(d):
                         s += k[e][c] * f[e][a][b] + k[b][e] * f[e][a][c]
                     if s:
@@ -712,23 +744,23 @@ class BackgroundTensors:
     """Diagonal metric, its inverse, and the Levi-Civita symbol on the base."""
 
     def __init__(self, diag: Iterable[Scalar]):
-        d = tuple(Fraction(x) for x in diag)
+        d = tuple(rational(x) for x in diag)
         if any(x == 0 for x in d):
             raise GradedAlgebraError("metric diagonal entries must be nonzero")
         self.dim = len(d)
         self.diag = d
 
-    def eta(self, a: int, b: int) -> Fraction:
-        return self.diag[a] if a == b else Fraction(0)
+    def eta(self, a: int, b: int) -> Scalar:
+        return self.diag[a] if a == b else 0
 
-    def inveta(self, a: int, b: int) -> Fraction:
-        return 1 / self.diag[a] if a == b else Fraction(0)
+    def inveta(self, a: int, b: int) -> Scalar:
+        return qdiv(1, self.diag[a]) if a == b else 0
 
-    def eps(self, indices) -> Fraction:
+    def eps(self, indices) -> int:
         indices = tuple(indices)
         if len(indices) != self.dim:
             raise DegreeError("epsilon needs exactly base-dimension indices")
-        return Fraction(sort_sign(indices)[0])
+        return sort_sign(indices)[0]
 
 
 def theta_basis(thetas, indices) -> Poly:
@@ -746,4 +778,4 @@ def theta_basis(thetas, indices) -> Poly:
         return Poly.zero()
     mono = tuple((thetas[j], 1) for j in complement)
     space = thetas[0].space if thetas else None
-    return Poly(space, {mono: Fraction(sign)})
+    return Poly(space, {mono: sign})

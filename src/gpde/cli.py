@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .algebra import Generator, GradedAlgebraError, Poly
+from .algebra import Generator, GradedAlgebraError, Poly, Scalar, rational
 from .density import (
     action_density,
     boundary_reduction,
@@ -45,7 +45,7 @@ def _load(ref: str) -> Model:
     )
 
 
-def _parse_point(spec: str, candidates: Dict[str, Generator]) -> Dict[Generator, Fraction]:
+def _parse_point(spec: str, candidates: Dict[str, Generator]) -> Dict[Generator, Scalar]:
     point = {}
     for item in spec.split(","):
         item = item.strip()
@@ -61,7 +61,7 @@ def _parse_point(spec: str, candidates: Dict[str, Generator]) -> Dict[Generator,
                 f"(known: {', '.join(sorted(candidates))})"
             )
         try:
-            point[g] = Fraction(val.strip())
+            point[g] = rational(Fraction(val.strip()))
         except (ValueError, ZeroDivisionError):
             raise SystemExit(f"gpde: bad rational value {val.strip()!r} in --at")
     return point

@@ -9,7 +9,6 @@ first-order action density whose variational calculus lives here too.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .algebra import (
@@ -20,9 +19,11 @@ from .algebra import (
     Generator,
     GradedAlgebraError,
     Poly,
+    Scalar,
     Space,
     accumulate,
     derive,
+    qdiv,
     sort_sign,
 )
 from .cartan import VectorField
@@ -138,7 +139,8 @@ def gauge_variation(m: Model, sec: Section) -> Dict[Generator, Poly]:
         for J in m.theta_levels(range(m.n + 1)):
             _, g = field_symbol(m.space, u, J, declare=False)
             if g in present:
-                out[g] = Fraction((-1) ** len(J)) * coeffs.get(J, Poly.zero())
+                c = coeffs.get(J, Poly.zero())
+                out[g] = -c if len(J) & 1 else c
     return out
 
 
@@ -211,7 +213,7 @@ def el_equivalent(m: Model, a: Poly, b: Poly) -> bool:
     return not euler_lagrange(m, a - b)
 
 
-def el_proportional(m: Model, a: Poly, b: Poly) -> Tuple[bool, Optional[Fraction]]:
+def el_proportional(m: Model, a: Poly, b: Poly) -> Tuple[bool, Optional[Scalar]]:
     """Whether a and b have proportional variational content; returns the
     single scalar when it exists."""
     ea = euler_lagrange(m, a)
@@ -223,7 +225,7 @@ def el_proportional(m: Model, a: Poly, b: Poly) -> Tuple[bool, Optional[Fraction
         pa = ea.get(g, Poly.zero())
         for mono, cb in pb.terms.items():
             ca = pa.coefficient(mono)
-            cand = ca / cb
+            cand = qdiv(ca, cb)
             if lam is None:
                 lam = cand
             elif lam != cand:

@@ -14,7 +14,6 @@ jets by commuting with the total derivatives.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import (
@@ -185,7 +184,7 @@ class JetModel:
             residue = q_of.substitute(mapping) - self.D.apply(self.theta_expansion(fiber_gen))
             seeds = {}
             for J, coeff in theta_coefficients(residue).items():
-                seeds[J] = Fraction((-1) ** len(J)) * coeff
+                seeds[J] = -coeff if len(J) & 1 else coeff
             self._seeds[fiber_gen] = seeds
         return seeds
 
@@ -315,7 +314,7 @@ def check_bv_identities(jm: JetModel) -> List[CheckResult]:
         return all(g.role == JET for g, _ in mono if g.fdeg == 1)
 
     opp = jm.omegabar().filter(two_jets)
-    r2 = Fraction(1, 2) * interior(jm.s, interior(jm.s, opp)) - jm.D.apply(scalar)
+    r2 = interior(jm.s, interior(jm.s, opp)) / 2 - jm.D.apply(scalar)
     out.append(_split_result(jm, "master_scalar", r2))
     return out
 

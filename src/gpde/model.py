@@ -4,7 +4,6 @@ presymplectic potential, and the associated consistency checks."""
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .algebra import (
@@ -20,6 +19,7 @@ from .algebra import (
     Poly,
     Space,
     normal_form,
+    qdiv,
     sort_sign,
 )
 from .cartan import VectorField, de_rham, interior, lie_derivative
@@ -131,8 +131,7 @@ class Model:
         """sum_J theta^J symbol(J) over the theta levels of the given sizes.
         The theta factors come in canonical order and sort left of every
         symbol, so each term is one monomial with unit coefficient."""
-        one = Fraction(1)
-        return Poly(self.space, {tuple((self.theta[j], 1) for j in J) + ((symbol(J), 1),): one
+        return Poly(self.space, {tuple((self.theta[j], 1) for j in J) + ((symbol(J), 1),): 1
                                  for J in self.theta_levels(sizes)})
 
     def theta_volume(self) -> Poly:
@@ -348,7 +347,7 @@ def solve_hamiltonian(m: Model) -> Poly:
                 "contraction has a fiber-independent vertical part; "
                 "no local hamiltonian exists"
             )
-        terms[mono] = c / -k
+        terms[mono] = qdiv(c, -k)
     L = Poly(f.space, terms)
     ok, res = m.in_ideal(alpha + de_rham(L))
     if not ok:

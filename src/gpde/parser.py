@@ -25,7 +25,6 @@ the base range; variables appearing once must be bound by the left side.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import (
@@ -35,8 +34,10 @@ from .algebra import (
     LieAlgebraData,
     LieValued,
     Poly,
+    Scalar,
     accumulate,
     lie_bracket,
+    qdiv,
     sort_sign,
     theta_basis,
     trace_pair,
@@ -170,7 +171,7 @@ def _collect_vars(node, counts: Dict[str, int]):
         _collect_vars(node[2], counts)
 
 
-def _distribute(node) -> List[Tuple[Fraction, List]]:
+def _distribute(node) -> List[Tuple[Scalar, List]]:
     """Expand an expression into (coefficient, factor list) terms."""
     kind = node[0]
     if kind == "num":
@@ -194,8 +195,8 @@ def _distribute(node) -> List[Tuple[Fraction, List]]:
         c2 = sum(c for c, _ in denom)
         if c2 == 0:
             raise _error("division by zero", node[3])
-        return [(c / c2, fs) for c, fs in _distribute(node[1])]
-    return [(Fraction(1), [node])]
+        return [(qdiv(c, c2), fs) for c, fs in _distribute(node[1])]
+    return [(1, [node])]
 
 
 _MIXED_LIE = "mixing values of different lie algebras"
@@ -430,15 +431,15 @@ class ModelParser:
         t = self.expect("int")
         return -t.value if neg else t.value
 
-    def expect_rational(self) -> Fraction:
-        v = Fraction(self.expect_int())
+    def expect_rational(self) -> Scalar:
+        v = self.expect_int()
         if self.peek().kind == "/":
             self.next()
             span = self.peek().span
             denom = self.expect_int()
             if denom == 0:
                 raise _error("division by zero", span)
-            v /= denom
+            v = qdiv(v, denom)
         return v
 
     def comma_list(self, item, close: str) -> list:
@@ -464,7 +465,7 @@ class ModelParser:
 
     def nud(self, t: Token):
         if t.kind == "int":
-            return ("num", Fraction(t.value), t.span)
+            return ("num", t.value, t.span)
         if t.kind == "(":
             e = self.expr()
             self.expect(")")
@@ -626,7 +627,7 @@ class ModelParser:
         self.builder = ModelBuilder(self.name, n)
         self.evaluator = Evaluator(self.builder)
 
-    def parse_diag(self) -> List[Fraction]:
+    def parse_diag(self) -> List[Scalar]:
         self.expect_name("diag")
         self.expect("(")
         return self.comma_list(self.expect_rational, ")")
@@ -648,8 +649,8 @@ class ModelParser:
         name_tok = self.expect("name")
         self.expect("{")
         dim = None
-        entries: List[Tuple[int, int, int, Fraction, Span]] = []
-        kappa_diag: Optional[List[Fraction]] = None
+        entries: List[Tuple[int, int, int, Scalar, Span]] = []
+        kappa_diag: Optional[List[Scalar]] = None
         antisymmetrize = False
         while self.peek().kind != "}":
             st = self.expect("name")
@@ -680,7 +681,7 @@ class ModelParser:
         if dim is None:
             raise _error(f"lie {name_tok.value!r} does not declare its dimension",
                          name_tok.span)
-        f = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+        f = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
         for a, bb, c, val, span in entries:
             for k in (a, bb, c):
                 if not 1 <= k <= dim:
@@ -692,16 +693,16 @@ class ModelParser:
                 for perm in itertools.permutations(range(3)):
                     sgn = sort_sign(perm)[0]
                     p = [base[k] for k in perm]
-                    if f[p[0]][p[1]][p[2]] not in (Fraction(0), sgn * val):
+                    if f[p[0]][p[1]][p[2]] not in (0, sgn * val):
                         raise _error("conflicting structure constants", span)
                     f[p[0]][p[1]][p[2]] = sgn * val
             else:
                 f[a - 1][bb - 1][c - 1] = val
         if kappa_diag is None:
-            kappa_diag = [Fraction(1)] * dim
+            kappa_diag = [1] * dim
         if len(kappa_diag) != dim:
             raise _error("kappa diagonal length does not match dim", name_tok.span)
-        kappa = [[kappa_diag[i] if i == j else Fraction(0) for j in range(dim)]
+        kappa = [[kappa_diag[i] if i == j else 0 for j in range(dim)]
                  for i in range(dim)]
         try:
             data = LieAlgebraData(name_tok.value, dim, f, kappa)

@@ -24,7 +24,10 @@ from .algebra import (
     GradedAlgebraError,
     Generator,
     Poly,
+    Scalar,
     accumulate,
+    qdiv,
+    rational,
 )
 from .cartan import VectorField
 
@@ -33,20 +36,20 @@ class ReductionError(GradedAlgebraError):
     pass
 
 
-def rref(rows: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
+def rref(rows: List[List[Scalar]]) -> Tuple[List[List[Scalar]], List[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot column indices).
 
     Rows are eliminated as {column: value} dicts holding no zero: a column is
     cleared only from the rows that have an entry there, over the pivot
     row's entries only.  The pivot is the shortest candidate row, which keeps
     fill-in low; the result does not depend on it, since the reduced row
-    echelon form of a matrix is unique."""
+    echelon form of a matrix is unique.  Its entries are in the normal form
+    of gpde.algebra: an int when integral, else a Fraction."""
     if not rows:
         return [], []
     ncols = len(rows[0])
-    zero, one = Fraction(0), Fraction(1)
     todo = [r for r in ({c: v for c, v in enumerate(row) if v} for row in rows) if r]
-    done: List[Dict[int, Fraction]] = []
+    done: List[Dict[int, Scalar]] = []
     pivots = []
     for c in range(ncols):
         if not todo:
@@ -60,7 +63,7 @@ def rref(rows: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
         prow = todo.pop(best)
         pv = prow.pop(c)
         if pv != 1:
-            prow = {k: v / pv for k, v in prow.items()}
+            prow = {k: qdiv(v, pv) for k, v in prow.items()}
         for row in done + todo:
             f = row.pop(c, None)
             if f is None:
@@ -75,29 +78,28 @@ def rref(rows: List[List[Fraction]]) -> Tuple[List[List[Fraction]], List[int]]:
                         row[k] = new
                     else:
                         del row[k]
-        prow[c] = one
+        prow[c] = 1
         done.append(prow)
         pivots.append(c)
     dense = []
     for row in done:
-        out = [zero] * ncols
+        out = [0] * ncols
         for k, v in row.items():
-            out[k] = v
+            out[k] = v if type(v) is int else rational(v)
         dense.append(out)
     return dense, pivots
 
 
-def nullspace(rows: List[List[Fraction]], ncols: int) -> List[List[Fraction]]:
+def nullspace(rows: List[List[Scalar]], ncols: int) -> List[List[Scalar]]:
     """Basis of the right kernel of the row system, one vector per free column."""
     red, pivots = rref(rows)
     pivot_set = set(pivots)
-    zero, one = Fraction(0), Fraction(1)
     basis = []
     for fc in range(ncols):
         if fc in pivot_set:
             continue
-        vec = [zero] * ncols
-        vec[fc] = one
+        vec = [0] * ncols
+        vec[fc] = 1
         for ri, pc in enumerate(pivots):
             v = red[ri][fc]
             if v:
@@ -151,21 +153,20 @@ class PresymplecticMatrix:
                     return False
         return True
 
-    def matrix(self) -> List[List[Fraction]]:
+    def matrix(self) -> List[List[Scalar]]:
         rows: Dict = {}
         for A, col in enumerate(self.columns):
             for mono, c in col.terms.items():
                 rows.setdefault(mono, {})[A] = c
         keys = sorted(rows, key=lambda m: tuple((g._sort, e) for g, e in m))
-        zero = Fraction(0)
-        return [[rows[m].get(A, zero) for A in range(len(self.universe))]
+        return [[rows[m].get(A, 0) for A in range(len(self.universe))]
                 for m in keys]
 
-    def kernel(self) -> List[List[Fraction]]:
+    def kernel(self) -> List[List[Scalar]]:
         return nullspace(self.matrix(), len(self.universe))
 
 
-def _body(form: Poly, point: Optional[Dict[Generator, Fraction]] = None) -> Poly:
+def _body(form: Poly, point: Optional[Dict[Generator, Scalar]] = None) -> Poly:
     """The form with its odd coordinates at zero and, when a point is given,
     every even coordinate at its value there (zero when not given);
     differentials are untouched."""
@@ -179,7 +180,7 @@ _WITNESSES = (lambda k: Fraction(2 * k + 3, 2), lambda k: Fraction(-5, 2 * k + 7
 
 
 def kernel_basis(form: Poly, universe: Sequence[Generator],
-                 point: Optional[Dict[Generator, Fraction]] = None) -> List[List[Fraction]]:
+                 point: Optional[Dict[Generator, Scalar]] = None) -> List[List[Scalar]]:
     """Kernel of the form's body over the universe, as constant vectors.
 
     Given a point, the body is evaluated there and the kernel is the
@@ -262,7 +263,7 @@ def _first_free_index(space) -> int:
 
 
 def reduce_form(form: Poly, universe: Sequence[Generator],
-                point: Optional[Dict[Generator, Fraction]] = None,
+                point: Optional[Dict[Generator, Scalar]] = None,
                 s: Optional[VectorField] = None) -> ReducedModel:
     """Quotient the universe by the kernel of the form's body (see
     kernel_basis; with a point the reduction is pointwise).
@@ -294,7 +295,7 @@ def reduce_form(form: Poly, universe: Sequence[Generator],
     # makes it one ghost degree
     first = _first_free_index(space)
     survivors: List[Generator] = []
-    survivor_forms: List[List[Fraction]] = []
+    survivor_forms: List[List[Scalar]] = []
     for i, lam in enumerate(ann):
         gh = universe[next(A for A in range(ncols) if lam[A])].gh
         survivors.append(space.coordinate(f"w{first + i}", FIBER, gh))
@@ -304,9 +305,9 @@ def reduce_form(form: Poly, universe: Sequence[Generator],
     T = ann + kernel
     if len(T) != ncols:
         raise ReductionError("annihilator and kernel do not split the universe")
-    aug = [row + [Fraction(0)] * ncols for row in T]
+    aug = [row + [0] * ncols for row in T]
     for i, row in enumerate(aug):
-        row[ncols + i] = Fraction(1)
+        row[ncols + i] = 1
     red, pivots = rref(aug)
     if pivots != list(range(ncols)):
         raise ReductionError("basis change is singular")

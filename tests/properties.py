@@ -613,6 +613,17 @@ def suite_mono_mul(cases: int = 1000, seed: int = 31):
     assert seen == {1, -1, None}, f"vacuous mono_mul suite: outcomes {seen}"
 
 
+def is_normal(c) -> bool:
+    """c is a coefficient in normal form: an int, or a Fraction that is not
+    integral (never a float, a bool or an integral Fraction)."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def assert_normal(p: Poly, what: str = "result"):
+    bad = [c for c in p.terms.values() if not is_normal(c)]
+    assert not bad, f"coefficients not in normal form after {what}: {bad[:3]}"
+
+
 def reference_sum(*polys) -> Poly:
     """Plain dict sum, filtered by the public constructor; shares no code
     with the kernel's in-place accumulator."""
@@ -664,9 +675,10 @@ def reference_substitute(p: Poly, mapping) -> Poly:
 
 def suite_trusted_sums(cases: int = 1000, seed: int = 29):
     """Every kernel result stores no zero coefficient (a stored zero would
-    make is_zero() false and turn a PASS into a FAIL), exact cancellations
-    leave an empty dict, and derive and substitute agree with their loop
-    references."""
+    make is_zero() false and turn a PASS into a FAIL) and only coefficients
+    in normal form (an int when integral, else a Fraction), exact
+    cancellations leave an empty dict, and derive and substitute agree with
+    their loop references."""
     from gpde.algebra import LieAlgebraData, derive
     from gpde.cartan import interior
 
@@ -713,6 +725,7 @@ def suite_trusted_sums(cases: int = 1000, seed: int = 29):
             results[f"lie_bracket[{i}]"] = comp
         for name, r in results.items():
             assert all(r.terms.values()), f"stored zero after {name}, case {k}"
+            assert_normal(r, f"{name}, case {k}")
 
         assert (p - p).terms == {}, f"p - p, case {k}"
         assert de_rham(de_rham(p)).terms == {}, f"d d p, case {k}"
@@ -851,6 +864,69 @@ def suite_rref_sympy(cases: int = 50, seed: int = 41):
         want = [[Fraction(int(sred[i, j].p), int(sred[i, j].q)) for j in range(len(M[0]))]
                 for i in range(len(piv))]
         assert red == want, f"sympy rows, case {k}"
+
+
+def suite_even_sympy(cases: int = 50, seed: int = 43):
+    """Poly +, * and substitute on the even, commutative sector against
+    sympy.  Operands and images are built from seeded {exponents: coefficient}
+    dicts through the public constructor only, with coefficients that mix
+    ints and proper Fractions; the expected values are sympy's expansions of
+    the same dicts, compared coefficient for coefficient.  sympy is used by
+    the tests only."""
+    import sympy
+
+    sp = Space("even")
+    gens = [sp.coordinate("x", BASE_X, 0, base_index=(a,)) for a in range(2)]
+    gens.append(sp.coordinate("u", FIBER, 0))
+    syms = sympy.symbols("x0 x1 u")
+    rng = random.Random(seed)
+
+    def coeff():
+        if rng.random() < 0.5:
+            return rng.randint(-6, 6) or 1
+        return Fraction(rng.randint(-9, 9) or 1, rng.randint(2, 5))
+
+    def rand_dict(terms):
+        return {tuple(rng.randint(0, 3) for _ in gens): coeff()
+                for _ in range(rng.randint(0, terms))}
+
+    def to_poly(d):
+        return Poly(sp, {tuple((g, e) for g, e in zip(gens, exps) if e): c
+                         for exps, c in d.items()})
+
+    def to_sympy(d):
+        return sympy.Add(*[sympy.Rational(c.numerator, c.denominator)
+                           * sympy.Mul(*[s ** e for s, e in zip(syms, exps)])
+                           for exps, c in d.items()])
+
+    def exponents(p):
+        out = {}
+        for m, c in p.terms.items():
+            powers = dict(m)
+            out[tuple(powers.get(g, 0) for g in gens)] = c
+        return out
+
+    def check(got: Poly, want, what):
+        assert_normal(got, what)
+        want = {k: Fraction(int(v.p), int(v.q))
+                for k, v in sympy.Poly(sympy.expand(want), *syms).as_dict().items()}
+        assert exponents(got) == want, what
+
+    seen = set()
+    for k in range(cases):
+        a, b = rand_dict(5), rand_dict(5)
+        images = {i: rand_dict(3) for i in rng.sample(range(len(gens)), rng.randint(1, 3))}
+        pa, pb = to_poly(a), to_poly(b)
+        sa, sb = to_sympy(a), to_sympy(b)
+        check(pa + pb, sa + sb, f"sum, case {k}")
+        check(pa * pb, sa * sb, f"product, case {k}")
+        mapping = {gens[i]: to_poly(d) for i, d in images.items()}
+        check(pa.substitute(mapping),
+              sa.xreplace({syms[i]: to_sympy(d) for i, d in images.items()}),
+              f"substitute, case {k}")
+        seen.update(type(c) for p in (pa * pb, pa.substitute(mapping))
+                    for c in p.terms.values())
+    assert seen == {int, Fraction}, f"vacuous sympy suite: coefficient types {seen}"
 
 
 def maxwell_specializations(m: Model, order: int = 3):

@@ -45,5 +45,10 @@ def test_rref_sympy_cross_check():
     pr.suite_rref_sympy(50)
 
 
+def test_even_sector_sympy_oracle():
+    pytest.importorskip("sympy")
+    pr.suite_even_sympy(50)
+
+
 def test_maxwell_specializations(maxwell_model):
     pr.maxwell_specializations(maxwell_model)
