@@ -25,6 +25,7 @@ construction (a conflicting redeclaration raises instead of mutating), so
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Mapping, Optional, Tuple, Union
@@ -606,27 +607,32 @@ class LieAlgebraData:
                         raise GradedAlgebraError(
                             f"structure constants not antisymmetric in lie {self.name!r}"
                         )
-        # Jacobi: sum_e f[e][a][b] f[m][e][c] + cyclic(a,b,c) = 0
-        for m in range(d):
-            for a in range(d):
-                for b in range(d):
-                    for c in range(d):
-                        s = 0
-                        for e in range(d):
-                            s += f[e][a][b] * f[m][e][c]
-                            s += f[e][b][c] * f[m][e][a]
-                            s += f[e][c][a] * f[m][e][b]
-                        if s:
-                            raise GradedAlgebraError(f"Jacobi identity fails in lie {self.name!r}")
-        # invariance: kappa([x,y],z) + kappa(y,[x,z]) = 0
-        for a in range(d):
-            for b in range(d):
-                for c in range(d):
-                    s = 0
-                    for e in range(d):
-                        s += k[e][c] * f[e][a][b] + k[b][e] * f[e][a][c]
-                    if s:
-                        raise GradedAlgebraError(f"kappa not invariant in lie {self.name!r}")
+        nonzero = [(e, a, b, f[e][a][b]) for e in range(d) for a in range(d)
+                   for b in range(d) if f[e][a][b]]
+        # Jacobi: J[m][a][b][c] = sum_e f[e][a][b] f[m][e][c] + cyclic(a,b,c) = 0.
+        # With f antisymmetric in its last two slots J is totally antisymmetric
+        # in (a,b,c), so only a < b < c is checked; the term of (a,b,c) counts
+        # there when it is a cyclic rotation of an increasing triple.
+        by_middle = defaultdict(list)   # e -> [(m, c, f[m][e][c])]
+        for m, e, c, v in nonzero:
+            by_middle[e].append((m, c, v))
+        jac: dict = defaultdict(int)
+        for e, a, b, v in nonzero:
+            for m, c, w in by_middle[e]:
+                if a < b < c or b < c < a or c < a < b:
+                    jac[(m, *sorted((a, b, c)))] += v * w
+        if any(jac.values()):
+            raise GradedAlgebraError(f"Jacobi identity fails in lie {self.name!r}")
+        # invariance: kappa([x,y],z) + kappa(y,[x,z]) = 0, i.e.
+        # sum_e k[e][c] f[e][a][b] + k[b][e] f[e][a][c] = 0 for all a, b, c
+        inv: dict = defaultdict(int)
+        for e, a, b, v in nonzero:
+            for c, w in enumerate(k[e]):
+                if w:
+                    inv[a, b, c] += w * v
+                    inv[a, c, b] += w * v     # k[c][e] = k[e][c]
+        if any(inv.values()):
+            raise GradedAlgebraError(f"kappa not invariant in lie {self.name!r}")
 
     @staticmethod
     def su2() -> "LieAlgebraData":

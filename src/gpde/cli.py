@@ -9,6 +9,7 @@ line, prefixed with FAIL.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -230,7 +231,10 @@ _VERBS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    main() call of the process; parse_args leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="gpde",
         description="symbolic checks for presymplectic gauge PDE models")

@@ -61,6 +61,8 @@ class Span:
         self.col = col
 
     def __str__(self):
+        if self.line is None:
+            return self.source
         return f"{self.source}:{self.line}:{self.col}"
 
 
@@ -107,8 +109,8 @@ class Token:
 
 
 def tokenize(text: str, source: str, diags: List[Diagnostic]) -> List[Token]:
-    """Tokens of text, ending in an eof token.  An unexpected character is
-    reported in diags and skipped."""
+    """Tokens of text, ending in an eof token.  An int literal is a run of
+    ASCII digits.  An unexpected character is reported in diags and skipped."""
     toks = []
     line, col = 1, 1
     i, n = 0, len(text)
@@ -128,9 +130,9 @@ def tokenize(text: str, source: str, diags: List[Diagnostic]) -> List[Token]:
                 i += 1
             continue
         span = Span(source, line, col)
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             toks.append(Token("int", int(text[i:j]), span))
             col += j - i
@@ -209,13 +211,21 @@ def _signed_gen(sign: int, g: Optional[Generator]) -> Poly:
 
 
 class Evaluator:
-    """Turns expression trees into Poly / LieValued values over a builder."""
+    """Turns expression trees into Poly / LieValued values over a builder.
+
+    During one statement_value call each factor node is evaluated once per
+    assignment of the index variables that occur in it; later uses read the
+    memo.  Only a factor that evaluated without error has a memo entry."""
 
     def __init__(self, builder: ModelBuilder):
         self.b = builder
+        self._memo: dict = {}         # (id(node), its variables' values) -> value
+        self._node_vars: dict = {}    # id(node) -> the index variables in it
 
     def statement_value(self, node, bound: Dict[str, int]):
         """Evaluate with Einstein summation over repeated free variables."""
+        # node ids are unique only while one statement's tree is alive
+        self._memo, self._node_vars = {}, {}
         total = None
         for coeff, factors in _distribute(node):
             counts: Dict[str, int] = {}
@@ -241,7 +251,7 @@ class Evaluator:
         for a in self.b.base_indices:
             env[head] = a
             total = self._sum_assignments(coeff, factors, env, rest, total, span)
-        del env[head]
+        env.pop(head, None)   # a base of dimension 0 assigns nothing
         return total
 
     def argument_value(self, node, env):
@@ -264,6 +274,8 @@ class Evaluator:
             raise _error("cannot add a scalar and a lie-algebra valued expression", span)
         if isinstance(a, LieValued) and a.lie is not b.lie:
             raise _error(_MIXED_LIE, span)
+        if b.is_zero():
+            return a
         return a + b
 
     def eval_term(self, coeff, factors, env, in_tr):
@@ -300,6 +312,18 @@ class Evaluator:
     def eval_factor(self, node, env):
         """Value of one factor of a distributed term: a bracket, d(...),
         Tr(...), theta(k; ...) or a reference."""
+        names = self._node_vars.get(id(node))
+        if names is None:
+            counts: Dict[str, int] = {}
+            _collect_vars(node, counts)
+            names = self._node_vars[id(node)] = tuple(counts)
+        key = (id(node),) + tuple(env.get(v) for v in names)
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = self._eval_factor(node, env)
+        return value
+
+    def _eval_factor(self, node, env):
         kind = node[0]
         if kind == "bracket":
             a = self.argument_value(node[1], env)
@@ -856,10 +880,19 @@ def parse_model(text: str, name: str = "model", source: str = "<string>") -> Mod
 
 
 def load_model(path) -> Model:
+    """Parse a model file.  A file that cannot be read, or is not UTF-8
+    text, gives a DslError whose diagnostic names only the file."""
     import os
 
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise _error(f"not UTF-8 text: byte {e.object[e.start]:#04x} at offset {e.start}",
+                     Span(str(path), None, None))
+    except OSError as e:
+        raise _error(f"cannot read the model file: {e.strerror}",
+                     Span(str(path), None, None))
     stem = os.path.splitext(os.path.basename(path))[0]
     return parse_model(text, name=stem, source=str(path))
 

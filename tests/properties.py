@@ -545,6 +545,118 @@ def suite_lie_jacobi(cases: int = 1000, seed: int = 19):
             f"trace invariance, case {k}"
 
 
+def reference_validate(name: str, dim: int, f, kappa) -> Optional[str]:
+    """The message LieAlgebraData gives for this data, or None when the data
+    is valid: the dense loops over every index, checking kappa symmetry and
+    f antisymmetry, then Jacobi, then invariance."""
+    d, k = dim, kappa
+    for a in range(d):
+        for b in range(d):
+            if k[a][b] != k[b][a]:
+                return f"kappa not symmetric in lie {name!r}"
+            for c in range(d):
+                if f[a][b][c] != -f[a][c][b]:
+                    return f"structure constants not antisymmetric in lie {name!r}"
+    # Jacobi: sum_e f[e][a][b] f[m][e][c] + cyclic(a,b,c) = 0
+    for m in range(d):
+        for a in range(d):
+            for b in range(d):
+                for c in range(d):
+                    s = 0
+                    for e in range(d):
+                        s += f[e][a][b] * f[m][e][c]
+                        s += f[e][b][c] * f[m][e][a]
+                        s += f[e][c][a] * f[m][e][b]
+                    if s:
+                        return f"Jacobi identity fails in lie {name!r}"
+    # invariance: kappa([x,y],z) + kappa(y,[x,z]) = 0
+    for a in range(d):
+        for b in range(d):
+            for c in range(d):
+                s = 0
+                for e in range(d):
+                    s += k[e][c] * f[e][a][b] + k[b][e] * f[e][a][c]
+                if s:
+                    return f"kappa not invariant in lie {name!r}"
+    return None
+
+
+def rand_lie_entry(rng: random.Random):
+    """A nonzero int, or a proper fraction with denominator 2 or 3."""
+    num = rng.randint(-3, 3) or 1
+    return num if rng.random() < 0.5 else Fraction(num, rng.choice([2, 3]))
+
+
+def rand_lie_data(rng: random.Random):
+    """(kind, dim, f, kappa): antisymmetric f and symmetric kappa built one of
+    several ways.  "su2", "su2+u1" and "abelian" are valid by construction;
+    the others usually break Jacobi ("random", "perturbed") or invariance
+    ("noninvariant")."""
+    kind = rng.choice(["su2", "su2+u1", "abelian", "random", "perturbed", "noninvariant"])
+    dims = {"su2": [3], "noninvariant": [3], "su2+u1": [4], "perturbed": [4],
+            "abelian": [1, 2, 3, 4], "random": [3, 4]}
+    dim = rng.choice(dims[kind])
+    f = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    kappa = [[0] * dim for _ in range(dim)]
+
+    def put(a, b, c, v):
+        f[a][b][c] = v
+        f[a][c][b] = -v
+
+    if kind in ("su2", "su2+u1", "perturbed", "noninvariant"):
+        # su(2) on three basis slots, rescaled: e'_i = s_i e_i
+        slots = rng.sample(range(dim), 3)
+        s = [rand_lie_entry(rng) for _ in range(3)]
+        t = rand_lie_entry(rng)
+        for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            put(slots[a], slots[b], slots[c], Fraction(s[b] * s[c]) / s[a])
+        for i in range(3):
+            kappa[slots[i]][slots[i]] = t * s[i] * s[i]
+        for i in set(range(dim)) - set(slots):
+            kappa[i][i] = rand_lie_entry(rng)
+        if kind == "perturbed":
+            a, b, c = rng.randrange(dim), *rng.sample(range(dim), 2)
+            put(a, b, c, f[a][b][c] + rand_lie_entry(rng))
+        elif kind == "noninvariant":
+            i = rng.randrange(dim)
+            kappa[i][i] *= rng.choice([2, -1, Fraction(1, 2)])
+    else:
+        if kind == "random":
+            for _ in range(rng.randint(1, 4)):
+                a, b, c = rng.randrange(dim), *rng.sample(range(dim), 2)
+                put(a, b, c, rand_lie_entry(rng))
+        for i in range(dim):
+            for j in range(i, dim):
+                if i == j or rng.random() < 0.3:
+                    kappa[i][j] = kappa[j][i] = rand_lie_entry(rng)
+    return kind, dim, f, kappa
+
+
+def suite_lie_validate(cases: int = 500, seed: int = 47):
+    """LieAlgebraData agrees with reference_validate, verdict and message,
+    on random antisymmetric structure constants and symmetric kappa.  Valid
+    algebras, Jacobi failures and invariance failures all occur."""
+    from gpde.algebra import GradedAlgebraError, LieAlgebraData
+
+    rng = random.Random(seed)
+    seen = set()
+    for k in range(cases):
+        kind, dim, f, kappa = rand_lie_data(rng)
+        name = f"case{k}"
+        want = reference_validate(name, dim, f, kappa)
+        try:
+            LieAlgebraData(name, dim, f, kappa)
+            got = None
+        except GradedAlgebraError as e:
+            got = str(e)
+        assert got == want, f"case {k} ({kind}): {got!r} != {want!r}"
+        seen.add((kind, want.split(" in lie")[0] if want else "valid"))
+    for kind in ("su2", "su2+u1", "abelian"):
+        assert (kind, "valid") in seen, f"no valid {kind} case"
+    verdicts = {v for _, v in seen}
+    assert {"Jacobi identity fails", "kappa not invariant"} <= verdicts, verdicts
+
+
 def suite_el_invariance(cases: int = 1000, seed: int = 23):
     """The variational derivative annihilates total derivatives, so adding a
     divergence never changes the equivalence class of a density."""

@@ -229,6 +229,17 @@ class TestLieAlgebra:
         with pytest.raises(GradedAlgebraError):
             LieAlgebraData("bad", 2, f, [[1, 0], [0, 1]])
 
+    def test_jacobi_violation_rejected(self):
+        # f_{123} = f_{145} = 1, totally antisymmetric: antisymmetry holds and
+        # kappa = 1 is invariant, but [[e2, e3], e4] + cyclic = e5 != 0
+        f = [[[0] * 5 for _ in range(5)] for _ in range(5)]
+        for t in ((0, 1, 2), (0, 3, 4)):
+            for p in itertools.permutations(range(3)):
+                f[t[p[0]]][t[p[1]]][t[p[2]]] = perm_sign(p)
+        kappa = [[int(i == j) for j in range(5)] for i in range(5)]
+        with pytest.raises(GradedAlgebraError, match="^Jacobi identity fails in lie 'bad'$"):
+            LieAlgebraData("bad", 5, f, kappa)
+
     def test_noninvariant_kappa_rejected(self):
         lie = LieAlgebraData.su2()
         kappa = [[1, 0, 0], [0, 2, 0], [0, 0, 1]]

@@ -1,10 +1,16 @@
 """Command line behaviour: exit codes, report formats, verb wiring."""
 
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpde.cli import main
 
@@ -244,3 +250,39 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "result: OK" in proc.stdout
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe", "not UTF-8 text: byte 0xff at offset 0"),
+    (b"base dim = 1;\n\xc3(", "not UTF-8 text: byte 0xc3 at offset 14"),
+])
+def test_undecodable_model_file(tmp_path, capsys, content, message):
+    bad = tmp_path / "x.gpde"
+    bad.write_bytes(content)
+    rc, out, err = run(["check", str(bad)], capsys)
+    assert (rc, out, err) == (2, "", f"{bad}: error: {message}\n")
+
+
+def test_directory_as_model_file(tmp_path, capsys):
+    bad = tmp_path / "x.gpde"
+    bad.mkdir()
+    rc, out, err = run(["check", str(bad)], capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"{bad}: error: cannot read the model file: ")
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.binary())
+def test_arbitrary_bytes_get_a_verdict_or_a_diagnostic(content):
+    """Any file content exits 0 or 1 with a report, or 2 with a diagnostic;
+    never with a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.gpde")
+        with open(path, "wb") as fh:
+            fh.write(content)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(["check", path])
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert "error:" in err.getvalue()

@@ -367,3 +367,31 @@ def test_token_mutants_give_a_model_or_diagnostics(data):
             toks[i], toks[j] = toks[j], toks[i]
     model, diags = parse_with_diagnostics(" ".join(toks))
     assert model is not None or any(d.severity == "error" for d in diags)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.text())
+def test_arbitrary_text_gives_a_model_or_diagnostics(text):
+    model, diags = parse_with_diagnostics(text)
+    assert model is not None or any(d.severity == "error" for d in diags)
+
+
+@pytest.mark.parametrize("digit", ["²", "٣", "①"])
+def test_int_literals_are_ascii_digits(digit):
+    model, diags = parse_with_diagnostics(f"base dim = {digit};")
+    assert model is None
+    assert [str(d) for d in diags] == [
+        f"<string>:1:12: error: unexpected character {digit!r}",
+        "<string>:1:13: error: expected 'int', found ';'"]
+
+
+def test_unicode_letter_names_tokenize():
+    model = parse_model("base dim = 0;\ncoord ψ2 : gh = 0;\ncoord v : gh = -1;\n"
+                        "Q v = ψ2*ψ2;\n")
+    assert [fam.name for fam in model.fibers.values()] == ["ψ2", "v"]
+
+
+def test_sum_over_an_empty_base_is_zero():
+    model = parse_model("base dim = 0;\ncoord u : gh = 0;\ncoord v : gh = -1;\n"
+                        "Q v = u*u + x[a]*theta[a];\n")
+    assert "Q v = u*u;" in model_to_source(model)

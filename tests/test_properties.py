@@ -24,6 +24,10 @@ def test_lie_bracket_jacobi():
     pr.suite_lie_jacobi(CASES)
 
 
+def test_lie_validate_oracle():
+    pr.suite_lie_validate(500)
+
+
 def test_variational_invariance():
     pr.suite_el_invariance(CASES)
 
