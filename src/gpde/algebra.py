@@ -19,7 +19,26 @@ on the first invariant, in-place accumulation on the last; the second keeps
 the common integral coefficient out of the slower Fraction arithmetic.
 A generator's ghost number, form degree and hence its parity are fixed at
 construction (a conflicting redeclaration raises instead of mutating), so
-`Generator.parity` is a stored attribute.
+`Generator.parity` is a stored attribute.  Generators are interned per Space,
+so equality is identity and a Generator keeps object's own `==` and hash:
+dict and set lookups hash in C.  A set of generators therefore iterates in an
+order that depends on memory addresses; whatever must not depend on it walks
+the generators in their canonical `_sort` order.
+
+The two kernels behind every jet verb, graded derivations and substitution,
+do each piece of work once.  `derive` keeps, for one call, a table from each
+distinct generator to its image terms (or None for a zero image), so
+image(g), its normal form, the zero test and the space check run once per
+generator, in order of first occurrence.  Each Leibniz
+term then costs one merge: prefix * im * suffix equals
+(-1)^(p(im) p(suffix)) (prefix suffix) * im, where prefix suffix is already
+canonical and p(im) is read off the image term itself, since an image need
+not be homogeneous.  `substitute` moves each monomial's mapped factors to
+the right of its unmapped factors U, folding the Koszul sign into the
+coefficient, and multiplies the images into {U: +-c} one at a time, left to
+right.  Starting from U, an image term that repeats an odd factor of U (a
+theta, say) drops at its first merge, not after the images have been
+multiplied out; a term with no mapped factor is added as it is.
 """
 
 from __future__ import annotations
@@ -89,9 +108,10 @@ class Generator:
     """A single graded coordinate or differential.
 
     Identity is structural: two declarations with the same key are the same
-    object (interned per Space).  The sort key orders base coordinates before
-    fiber coordinates before jets, with differentials adjacent to their
-    coordinate, so canonical monomials put the theta-volume factor leftmost.
+    object (interned per Space), so equality and hashing are by identity.
+    The sort key orders base coordinates before fiber coordinates before
+    jets, with differentials adjacent to their coordinate, so canonical
+    monomials put the theta-volume factor leftmost.
     """
 
     __slots__ = (
@@ -108,7 +128,6 @@ class Generator:
         "parity",
         "_key",
         "_sort",
-        "_hash",
     )
 
     def __init__(self, space, role, name, gh, fdeg, base_index, lie_index, jet_I, jet_J, deriv):
@@ -126,19 +145,12 @@ class Generator:
         li = -1 if lie_index is None else lie_index
         self._key = (role, name, base_index, li, jet_I, jet_J, deriv, fdeg)
         self._sort = self._key
-        self._hash = hash(self._key)
 
     def __repr__(self):
         return f"<gen {self.name} gh={self.gh} fdeg={self.fdeg}>"
 
     def __lt__(self, other):
         return self._sort < other._sort
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return self is other
 
 
 def _unify(a: Optional["Space"], b: Optional["Space"]) -> Optional["Space"]:
@@ -309,23 +321,16 @@ def accumulate(acc: dict, pairs) -> dict:
     return acc
 
 
-def _sandwich(prefix: Monomial, coeff: Scalar, terms: Mapping[Monomial, Scalar],
-              suffix: Monomial = ()):
-    """The (monomial, coefficient) pairs of prefix * (coeff * terms) * suffix,
-    with Koszul signs; products in which an odd generator squares are
-    dropped.  A unit coeff costs no product."""
+def _sandwich(prefix: Monomial, coeff: Scalar, terms: Mapping[Monomial, Scalar]):
+    """The (monomial, coefficient) pairs of prefix * (coeff * terms), with
+    Koszul signs; products in which an odd generator squares are dropped.
+    A unit coeff costs no product."""
     unit = coeff == 1
     for m, c in terms.items():
         r = mono_mul(prefix, m)
         if r is None:
             continue
         sign, m = r
-        if suffix:
-            r = mono_mul(m, suffix)
-            if r is None:
-                continue
-            sign *= r[0]
-            m = r[1]
         if not unit:
             c = coeff * c
         yield m, (c if sign > 0 else -c)
@@ -496,26 +501,38 @@ class Poly:
             if img.terms and img.parity() != g.parity:
                 raise DegreeError(f"substitution image for {g.name} has wrong parity")
             _unify(self.space, img.space)
-            images[g] = img
+            images[g] = img.terms
         factors: dict = {}      # (g, e) -> terms of the image of g^e, per call
         out: dict = {}
         for m, c in self.terms.items():
-            term = {(): 1}
+            # move the mapped factors right of the unmapped ones U, in order
+            unmapped, mapped = [], []
+            odd = 0             # parity of the mapped factors met so far
             for f in m:
+                g = f[0]
+                if g in images:
+                    mapped.append(f)
+                    odd ^= g.parity     # an odd generator has exponent 1
+                else:
+                    unmapped.append(f)
+                    if g.parity & odd:
+                        c = -c
+            if not mapped:
+                accumulate(out, ((m, c),))
+                continue
+            term = {tuple(unmapped): c}
+            for f in mapped:
                 t = factors.get(f)
                 if t is None:
                     g, e = f
-                    img = images.get(g)
-                    if img is None:
-                        t = {(f,): 1}
-                    else:
-                        t = img.terms
-                        for _ in range(e - 1):
-                            t = _product(t, img.terms)
+                    t = base = images[g]
+                    for _ in range(e - 1):
+                        t = _product(t, base)
                     factors[f] = t
                 term = _product(term, t)
-            accumulate(out, term.items() if c == 1
-                       else ((tm, c * tc) for tm, tc in term.items()))
+                if not term:
+                    break
+            accumulate(out, term.items())
         return Poly._adopt(self.space, out)
 
 
@@ -533,32 +550,45 @@ def derive(p: Poly, parity: int, image) -> Poly:
     """Apply a graded derivation of the given parity to p.
 
     image(g) must return the derivation's value on each generator (Poly or
-    anything normal_form accepts, or None for zero).  Left Leibniz rule:
-    the sign picked up moving the derivation past a monomial prefix of
-    parity q is (-1)^(parity*q).
+    anything normal_form accepts, or None for zero); it is called once per
+    distinct generator of p.  Left Leibniz rule: the sign picked up moving
+    the derivation past a monomial prefix of parity q is (-1)^(parity*q).
     """
     space = p.space
     acc: dict = {}
+    # generator -> (image terms, the same with odd terms negated), or None
+    table: dict = {}
+    get = table.get
     for m, c in p.terms.items():
+        total = None            # parity of m, read when a factor has an image
         prefix_parity = 0
         for idx, (g, e) in enumerate(m):
-            img = image(g)
-            if img is not None:
-                img = normal_form(img)
-            if img is None or not img.terms:
-                prefix_parity ^= g.parity & e
-                continue
-            space = _unify(space, img.space)
-            # d(g^e) = e g^(e-1) dg for even g; odd g has e == 1
-            rest_pref = m[:idx]
-            if e > 1:
-                coeff = c * e
-                rest_pref = rest_pref + ((g, e - 1),)
-            else:
-                coeff = c
-            if parity & prefix_parity:
-                coeff = -coeff
-            accumulate(acc, _sandwich(rest_pref, coeff, img.terms, m[idx + 1:]))
+            entry = get(g, False)
+            if entry is False:
+                img = image(g)
+                if img is not None:
+                    img = normal_form(img)
+                entry = None
+                if img is not None and img.terms:
+                    space = _unify(space, img.space)
+                    entry = (img.terms, {im: -ic if mono_parity(im) else ic
+                                         for im, ic in img.terms.items()})
+                table[g] = entry
+            if entry is not None:
+                # d(g^e) = e g^(e-1) dg for even g; odd g has e == 1; the
+                # image moves right past the suffix (see the module docstring)
+                if total is None:
+                    total = mono_parity(m)
+                if e > 1:
+                    coeff = c * e
+                    rest = m[:idx] + ((g, e - 1),) + m[idx + 1:]
+                else:
+                    coeff = c
+                    rest = m[:idx] + m[idx + 1:]
+                if parity & prefix_parity:
+                    coeff = -coeff
+                suffix_parity = total ^ prefix_parity ^ (g.parity & e)
+                accumulate(acc, _sandwich(rest, coeff, entry[suffix_parity]))
             prefix_parity ^= g.parity & e
     return Poly._adopt(space, acc)
 

@@ -187,9 +187,10 @@ def _field_base_key(g: Generator):
 def euler_lagrange(m: Model, dens: Poly) -> Dict[Generator, Poly]:
     """Variational derivative with respect to every undifferentiated field
     symbol present: sum over derivative multi-indices I of
-    (-1)^{|I|} D_I (left-partial w.r.t. the I-shifted symbol)."""
+    (-1)^{|I|} D_I (left-partial w.r.t. the I-shifted symbol).  Keys come
+    in canonical generator order."""
     groups: Dict = {}
-    for g in dens.generators():
+    for g in sorted(dens.generators(), key=lambda g: g._sort):
         if g.role == FIELD:
             groups.setdefault(_field_base_key(g), []).append(g)
     out = {}

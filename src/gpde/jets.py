@@ -284,18 +284,12 @@ def _split_result(jm: JetModel, name: str, residual: Poly) -> CheckResult:
 def check_descent(jm: JetModel) -> List[CheckResult]:
     """The descent tower: on each theta-degree k component of the vertical
     pulled-back form, L_s moves degree k to k and L_D degree k-1 to k; the
-    two contributions must cancel."""
-    comps = theta_components(jm.vertical_omegabar())
-    n = jm.parent.n
-    out = []
-    for k in range(n + 2):
-        r = Poly.zero()
-        if k in comps:
-            r = r + vertical_lie(jm.s, comps[k])
-        if k - 1 in comps:
-            r = r + vertical_lie(jm.D, comps[k - 1])
-        out.append(_split_result(jm, f"descent_theta_{k}", r))
-    return out
+    two contributions must cancel.  So the residual of level k is the
+    theta-degree k component of (L_s + L_D) of the whole form."""
+    om = jm.vertical_omegabar()
+    comps = theta_components(vertical_lie(jm.s, om) + vertical_lie(jm.D, om))
+    return [_split_result(jm, f"descent_theta_{k}", comps.get(k, Poly.zero()))
+            for k in range(jm.parent.n + 2)]
 
 
 def check_bv_identities(jm: JetModel) -> List[CheckResult]:

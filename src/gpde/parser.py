@@ -161,43 +161,67 @@ def tokenize(text: str, source: str, diags: List[Diagnostic]) -> List[Token]:
 
 
 def _collect_vars(node, counts: Dict[str, int]):
-    kind = node[0]
-    if kind in ("ref", "theta_basis"):
-        for a in (node[2] if kind == "ref" else node[1]):
-            if a[0] == "var":
-                counts[a[1]] = counts.get(a[1], 0) + 1
-    elif kind in ("neg", "d", "tr"):
-        _collect_vars(node[1], counts)
-    elif kind in ("add", "sub", "mul", "div", "bracket"):
-        _collect_vars(node[1], counts)
-        _collect_vars(node[2], counts)
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        kind = node[0]
+        if kind in ("ref", "theta_basis"):
+            for a in (node[2] if kind == "ref" else node[1]):
+                if a[0] == "var":
+                    counts[a[1]] = counts.get(a[1], 0) + 1
+        elif kind in ("neg", "d", "tr"):
+            stack.append(node[1])
+        elif kind in ("add", "sub", "mul", "div", "bracket"):
+            stack += (node[2], node[1])
+
+
+def _divisor(node) -> Scalar:
+    """The constant a division node divides by."""
+    denom = _distribute(node[2])
+    if any(fs for _, fs in denom):
+        raise _error("division is only defined by numeric constants", node[3])
+    c2 = sum(c for c, _ in denom)
+    if c2 == 0:
+        raise _error("division by zero", node[3])
+    return c2
 
 
 def _distribute(node) -> List[Tuple[Scalar, List]]:
-    """Expand an expression into (coefficient, factor list) terms."""
+    """Expand an expression into (coefficient, factor list) terms.
+
+    A chain of binary operators nests to the left, as deep as it is long, so
+    a chain of sums or of products is walked in a loop: each denominator is
+    expanded on the way down and every other right operand on the way up,
+    the order of a recursive walk.  Only the nesting the parser bounds (see
+    MAX_NESTING) recurses."""
     kind = node[0]
     if kind == "num":
         return [(node[1], [])]
     if kind == "neg":
         return [(-c, fs) for c, fs in _distribute(node[1])]
-    if kind == "add":
-        return _distribute(node[1]) + _distribute(node[2])
-    if kind == "sub":
-        return _distribute(node[1]) + [(-c, fs) for c, fs in _distribute(node[2])]
-    if kind == "mul":
-        out = []
-        for c1, f1 in _distribute(node[1]):
-            for c2, f2 in _distribute(node[2]):
-                out.append((c1 * c2, f1 + f2))
+    if kind in ("add", "sub"):
+        spine = []
+        while node[0] in ("add", "sub"):
+            spine.append(node)
+            node = node[1]
+        out = _distribute(node)
+        for op in reversed(spine):
+            right = _distribute(op[2])
+            out += right if op[0] == "add" else [(-c, fs) for c, fs in right]
         return out
-    if kind == "div":
-        denom = _distribute(node[2])
-        if any(fs for _, fs in denom):
-            raise _error("division is only defined by numeric constants", node[3])
-        c2 = sum(c for c, _ in denom)
-        if c2 == 0:
-            raise _error("division by zero", node[3])
-        return [(qdiv(c, c2), fs) for c, fs in _distribute(node[1])]
+    if kind in ("mul", "div"):
+        spine = []
+        while node[0] in ("mul", "div"):
+            spine.append((node, _divisor(node) if node[0] == "div" else None))
+            node = node[1]
+        out = _distribute(node)
+        for op, divisor in reversed(spine):
+            if divisor is None:
+                right = _distribute(op[2])
+                out = [(c1 * c2, f1 + f2) for c1, f1 in out for c2, f2 in right]
+            else:
+                out = [(qdiv(c, divisor), fs) for c, fs in out]
+        return out
     return [(1, [node])]
 
 
@@ -408,6 +432,12 @@ class Evaluator:
         return values[0] if lie is None else LieValued(lie, values)
 
 
+# levels of (...), unary minus, [.,.], d(...) and Tr(...) an expression may
+# nest; each level costs about four Python frames when it is parsed and
+# evaluated, so a model at the limit still loads from 200 frames deep
+MAX_NESTING = 100
+
+
 class ModelParser:
     """Statement and expression parser driving a ModelBuilder."""
 
@@ -418,6 +448,7 @@ class ModelParser:
         self.diags: List[Diagnostic] = []
         self.toks = tokenize(text, source, self.diags)
         self.pos = 0
+        self.depth = 0          # expression nesting, bounded by MAX_NESTING
         self.name = name
         self.builder: Optional[ModelBuilder] = None
         self.evaluator: Optional[Evaluator] = None
@@ -487,19 +518,30 @@ class ModelParser:
             left = (self.OPS[t.kind], left, self.expr(self.LBP[t.kind]), t.span)
         return left
 
+    def nested(self, opener: Token, rbp: int = 0):
+        """An expression one nesting level below the opener token."""
+        if self.depth == MAX_NESTING:
+            raise _error(f"expression nested more than {MAX_NESTING} levels deep",
+                         opener.span)
+        self.depth += 1
+        try:
+            return self.expr(rbp)
+        finally:
+            self.depth -= 1
+
     def nud(self, t: Token):
         if t.kind == "int":
             return ("num", t.value, t.span)
         if t.kind == "(":
-            e = self.expr()
+            e = self.nested(t)
             self.expect(")")
             return e
         if t.kind == "-":
-            return ("neg", self.expr(25), t.span)
+            return ("neg", self.nested(t, 25), t.span)
         if t.kind == "[":
-            left = self.expr()
+            left = self.nested(t)
             self.expect(",")
-            right = self.expr()
+            right = self.nested(t)
             closer = self.next()
             if closer.kind != "]":
                 raise _error("the bracket takes exactly two arguments", closer.span)
@@ -512,7 +554,7 @@ class ModelParser:
         name = t.value
         if name in ("d", "Tr") and self.peek().kind == "(":
             self.next()
-            e = self.expr()
+            e = self.nested(t)
             self.expect(")")
             return ("d" if name == "d" else "tr", e, t.span)
         if name == "theta" and self.peek().kind == "(":

@@ -351,7 +351,7 @@ def reduce_form(form: Poly, universe: Sequence[Generator],
             terms: dict = {}
             for A in range(ncols):
                 if survivor_forms[i][A]:
-                    image = survivor_forms[i][A] * s.apply(Poly.gen(universe[A]))
+                    image = survivor_forms[i][A] * s.coefficient(universe[A])
                     accumulate(terms, image.terms.items())
             expr = Poly(space, terms)
             # constancy along every kernel direction; a field that moves no

@@ -856,6 +856,79 @@ def suite_trusted_sums(cases: int = 1000, seed: int = 29):
                 f"{name} reference, case {k}"
 
 
+def suite_long_monomials(cases: int = 500, seed: int = 53):
+    """derive and substitute against their loop references on sums of
+    canonical monomials of up to six factors, over the playground and its
+    differentials (eight odd generators), with even powers up to 3.
+
+    Derivation images mix parities, so the sign of moving an image term past
+    the monomial suffix must come from that term; substitution maps half of
+    the odd generators, so mapped and unmapped odd factors interleave.  The
+    cases must reach each of these paths with a nonzero result, and derive
+    must ask for the image of each distinct generator exactly once a call."""
+    from collections import Counter
+
+    from gpde.algebra import derive
+
+    sp, pool = playground()
+    pool = pool + [sp.differential(g) for g in pool]
+    odd = [g for g in pool if g.parity]
+    even = [g for g in pool if not g.parity]
+    assert len(odd) >= 3
+    rng = random.Random(seed)
+    hits = Counter()
+    for k in range(cases):
+        p = Poly(sp, {rand_canonical_monomial(rng, pool, max_len=6): rand_scalar(rng)
+                      for _ in range(rng.randint(1, 4))})
+        if any(len(m) >= 5 for m in p.terms):
+            hits["five or six factors"] += 1
+
+        images = {g: rand_poly(rng, pool, terms=4, max_len=2)
+                  for g in rng.sample(pool, rng.randint(1, 6))}
+        calls = Counter()
+
+        def image(h):
+            calls[h] += 1
+            return images.get(h)
+
+        par = rng.randint(0, 1)
+        got = derive(p, par, image)
+        assert set(calls) == p.generators() and set(calls.values()) <= {1}, \
+            f"derive image calls, case {k}: {sorted(calls.values())}"
+        assert got == reference_derive(p, par, images.get), f"derive reference, case {k}"
+        for m in p.terms:
+            one = Poly(sp, {m: 1})
+            for g, e in m:
+                img = images.get(g)
+                if img is None or derive(one, par, images.get).is_zero():
+                    continue
+                if len({mono_parity(t) for t in img.terms}) == 2:
+                    hits["image of mixed parity"] += 1
+                if e > 1:
+                    hits["derived power"] += 1
+
+        mapping = {g: rand_parity_poly(rng, pool, g.parity, terms=2, max_len=2)
+                   for g in rng.sample(odd, len(odd) // 2)
+                   + rng.sample(even, rng.randint(0, 3))}
+        got = p.substitute(mapping)
+        assert got == reference_substitute(p, mapping), f"substitute reference, case {k}"
+        for m in p.terms:
+            if Poly(sp, {m: 1}).substitute(mapping).is_zero():
+                continue
+            seen_mapped_odd = False
+            for g, e in m:
+                if g in mapping:
+                    seen_mapped_odd |= bool(g.parity)
+                    if e > 1:
+                        hits["substituted power"] += 1
+                elif g.parity and seen_mapped_odd:
+                    hits["odd factor kept right of a mapped odd one"] += 1
+    want = {"five or six factors", "image of mixed parity", "derived power",
+            "substituted power", "odd factor kept right of a mapped odd one"}
+    assert set(hits) == want, f"vacuous long-monomial suite: hits {dict(hits)}"
+    return hits
+
+
 def reference_rref(rows):
     """The dense Gauss-Jordan loop that gpde.reduction.rref replaced, kept as
     an independent oracle: every row is a full list, the pivot is the first

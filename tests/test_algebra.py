@@ -56,6 +56,13 @@ class TestGenerators:
         assert sp.differential(x).parity == 1
         assert sp.differential(th).parity == 0
 
+    def test_hash_and_equality_are_identity(self, sp):
+        a = sp.coordinate("C", FIBER, 1, lie_index=0)
+        other = Space("other").coordinate("C", FIBER, 1, lie_index=0)
+        assert a == a and a != other
+        assert hash(a) == object.__hash__(a)
+        assert len({a, sp.coordinate("C", FIBER, 1, lie_index=0), other}) == 2
+
     def test_differential_of_differential_rejected(self, sp):
         x = sp.coordinate("x", BASE_X, 0, base_index=(0,))
         dx = sp.differential(x)
@@ -177,6 +184,24 @@ class TestDerive:
         assert dp == -Poly.gen(th0)
         dp0 = derive(p, 1, lambda g: 1 if g is th0 else None)
         assert dp0 == Poly.gen(th1)
+
+    def test_image_asked_once_per_generator_per_call(self, sp):
+        th0, th1 = mk_theta(sp, 2)
+        x0, x1 = mk_x(sp, 2)
+        X0, X1, T0, T1 = (Poly.gen(g) for g in (x0, x1, th0, th1))
+        p = X0 * X0 * T0 * T1 + X0 * X1 * T1 + X1 * X1 * X1 + 3 * X0
+        calls = []
+
+        def image(g):
+            calls.append(g)
+            return X1 if g is x0 else None
+
+        assert derive(p, 0, image) == 2 * X0 * X1 * T0 * T1 + X1 * X1 * T1 + 3 * X1
+        # in order of first occurrence, over the terms in their stored order
+        assert calls == [x0, th0, th1, x1]
+        calls.clear()
+        derive(p, 0, image)
+        assert calls == [x0, th0, th1, x1]
 
     def test_derivation_product_rule_randomized(self, sp):
         import random

@@ -243,6 +243,18 @@ def test_el_proportional(maxwell_model):
     assert not ok
 
 
+def test_euler_lagrange_keys_in_canonical_order(maxwell_model):
+    """Generators hash by identity, so a set of them iterates in an order
+    that depends on memory addresses; the keys must not."""
+    m = maxwell_model
+    dens = action_density(m, generic_section(m))
+    dens = dens + fld(m, "F", (2, 3)) * fld(m, "C", J=(0,), deriv=(1,)) \
+        + fld(m, "C", J=(3,)) * fld(m, "F", (0, 1), deriv=(2,))
+    keys = list(euler_lagrange(m, dens))
+    assert len(keys) >= 3
+    assert keys == sorted(keys, key=lambda g: g._sort)
+
+
 # action densities ----------------------------------------------------------
 
 

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpde.model import q_square, standard_checks
+from gpde.cli import main
 from gpde.parser import (
+    MAX_NESTING,
     DslError,
     builtin_names,
     load_builtin,
@@ -395,3 +397,54 @@ def test_sum_over_an_empty_base_is_zero():
     model = parse_model("base dim = 0;\ncoord u : gh = 0;\ncoord v : gh = -1;\n"
                         "Q v = u*u + x[a]*theta[a];\n")
     assert "Q v = u*u;" in model_to_source(model)
+
+
+NESTED_HEAD = "base dim = 1;\ncoord u : gh = 0;\ncoord c : gh = 1;\n"
+NESTED = {  # kind -> (the opening character of a level, the body at n levels)
+    "parentheses": ("(", lambda n: "Q u = " + "(" * n + "c" + ")" * n + ";"),
+    "unary_minus": ("-", lambda n: "Q u = " + "-" * n + "c;"),
+    "differential": ("d", lambda n: "chi = " + "d(" * n + "u" + ")" * n + ";"),
+    "product_operand": ("(", lambda n: "Q u = " + "c*(" * n + "1" + ")" * n + ";"),
+}
+
+
+def _from_frames_deep(depth, fn):
+    return fn() if depth == 0 else _from_frames_deep(depth - 1, fn)
+
+
+@pytest.mark.parametrize("kind", sorted(NESTED))
+def test_nesting_beyond_the_limit_is_a_diagnostic(kind, tmp_path, capsys):
+    opener, make = NESTED[kind]
+    body = make(3000)
+    # the diagnostic names the opener of level MAX_NESTING + 1
+    col = [i for i, ch in enumerate(body) if ch == opener][MAX_NESTING] + 1
+    model, diags = parse_with_diagnostics(NESTED_HEAD + body)
+    assert model is None
+    assert [str(d) for d in diags] == [
+        f"<string>:4:{col}: error: expression nested more than {MAX_NESTING} levels deep"]
+    path = tmp_path / "deep.gpde"
+    path.write_text(NESTED_HEAD + body)
+    assert main(["check", str(path)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == f"{path}:4:{col}: error: expression nested more than " \
+        f"{MAX_NESTING} levels deep\n"
+
+
+@pytest.mark.parametrize("kind", sorted(NESTED))
+def test_nesting_at_the_limit_loads_from_deep_in_the_stack(kind, tmp_path, capsys):
+    path = tmp_path / "deep.gpde"
+    path.write_text(NESTED_HEAD + NESTED[kind][1](MAX_NESTING))
+    assert _from_frames_deep(200, lambda: main(["check", str(path)])) in (0, 1)
+    assert capsys.readouterr().err == ""
+
+
+def test_long_operator_chains_are_not_nesting():
+    """A chain of sums or products nests to the left in the syntax tree, as
+    deep as it is long, and is still expanded without recursion."""
+    head = "base dim = 0;\ncoord u : gh = 0;\ncoord v : gh = -1;\n"
+    for rule, want in (("+".join(["u*u"] * 3000), "Q v = 3000*u*u;"),
+                       ("u*u" + "-u*u" * 2999, "Q v = -2998*u*u;"),
+                       ("*".join(["1"] * 3000) + "*u*u", "Q v = u*u;"),
+                       ("u*u" + "/2*2" * 3000 + "/4", "Q v = 1/4*u*u;")):
+        assert want in model_to_source(parse_model(head + f"Q v = {rule};\n"))

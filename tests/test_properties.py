@@ -40,6 +40,10 @@ def test_trusted_sums():
     pr.suite_trusted_sums(CASES)
 
 
+def test_long_monomial_oracles():
+    pr.suite_long_monomials(CASES)
+
+
 def test_rref_oracle():
     pr.suite_rref(CASES)
 
