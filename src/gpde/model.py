@@ -119,9 +119,6 @@ class Model:
             out.extend(fam.coords())
         return out
 
-    def thetas(self) -> List[Generator]:
-        return [self.theta[a] for a in self.base_indices]
-
     def theta_levels(self, sizes: Iterable[int]):
         """The theta levels J: increasing tuples of base directions, of each
         size in sizes."""
@@ -167,6 +164,16 @@ def build_base(space: Space, base_indices) -> Tuple[Dict[int, Generator], Dict[i
         xs[a] = space.coordinate("x", BASE_X, 0, base_index=(a,))
         ths[a] = space.coordinate("th", BASE_THETA, 1, base_index=(a,))
     return xs, ths
+
+
+def check_potential(chi: Optional[Poly], n: int) -> None:
+    """A presymplectic potential is absent, zero or a one-form of ghost n - 1."""
+    if chi is None or chi.is_zero():
+        return
+    if chi.fdeg() != 1:
+        raise DegreeError("presymplectic potential must be a one-form")
+    if chi.gh() != n - 1:
+        raise DegreeError(f"presymplectic potential must have ghost {n - 1}, got {chi.gh()}")
 
 
 class ModelBuilder:
@@ -244,16 +251,9 @@ class ModelBuilder:
                 coeffs[g] = Poly.zero()
         coeffs.update(self._q_rules)
         q = VectorField(self.space, 1, coeffs=coeffs, name="Q")
-        chi = self._chi
-        if chi is not None and not chi.is_zero():
-            if chi.fdeg() != 1:
-                raise DegreeError("presymplectic potential must be a one-form")
-            if chi.gh() != self.n - 1:
-                raise DegreeError(
-                    f"presymplectic potential must have ghost {self.n - 1}, got {chi.gh()}"
-                )
+        check_potential(self._chi, self.n)
         return Model(self.space, self.name, self.n, self.base_indices,
-                     self.x, self.theta, self.fibers, q, chi,
+                     self.x, self.theta, self.fibers, q, self._chi,
                      self.lies, self.tensors, self._weak)
 
 

@@ -43,7 +43,7 @@ from .algebra import (
     trace_pair,
 )
 from .cartan import de_rham
-from .model import Model, ModelBuilder
+from .model import Model, ModelBuilder, check_potential
 
 RESERVED = {"x", "theta", "d", "Tr", "eps", "eta", "inveta", "diag",
             "base", "metric", "lie", "coord", "Q", "chi", "weak",
@@ -620,7 +620,9 @@ class ModelParser:
             try:
                 b.q_rule(g, value)
             except (DegreeError, GradedAlgebraError) as e:
-                self.diags.append(Diagnostic("error", str(e), span))
+                # one error per Q statement, not one per component it sets
+                if not any(d.span is span and d.severity == "error" for d in self.diags):
+                    self.diags.append(Diagnostic("error", str(e), span))
         if self._chi_seen is not False:
             b.chi(self._chi_seen)
         b.weak(self._weak)
@@ -892,6 +894,10 @@ class ModelParser:
                          "in Tr(...)", t.span)
         if self._chi_seen is not False:
             raise _error("chi declared twice", t.span)
+        try:
+            check_potential(value, self.builder.n)
+        except GradedAlgebraError as e:
+            raise _error(str(e), t.span) from None
         self._chi_seen = value
 
     def stmt_weak(self):

@@ -365,7 +365,7 @@ def reduce_form(form: Poly, universe: Sequence[Generator],
                         "the evolutionary field does not descend: "
                         "survivor image varies along the kernel"
                     )
-            s_action[g] = expr.substitute(csub)
+            s_action[g] = expr.substitute({h: csub[h] for h in held if h in csub})
 
     return ReducedModel(space, survivors, survivor_forms, kernel, reduced,
                         universe, body, s_action=s_action)

@@ -1,9 +1,11 @@
 import pytest
 
-from gpde.algebra import GradedAlgebraError, Poly
+from gpde.algebra import BASE_THETA, BASE_X, JET, GradedAlgebraError, Poly
 from gpde.cartan import d_vertical, de_rham, interior
+from gpde.density import restrict_to_submanifold
 from gpde.jets import (
     JetModel,
+    _split_result,
     bv_lagrangian,
     check_bv_identities,
     check_descent,
@@ -12,6 +14,7 @@ from gpde.jets import (
     theta_components,
     vertical_lie,
 )
+from gpde.model import ModelBuilder
 
 
 @pytest.fixture(scope="module")
@@ -224,3 +227,78 @@ class TestDescentAndMasters:
         assert jm.N == 0
         stats = jm.registry_stats()
         assert stats["jet_coordinates"] >= 0
+
+
+def build_base_differentials():
+    """Base dimension 2, u (gh 0) and C (gh 1) with Q u = C, and a chi that
+    holds dx and dtheta factors next to a fiber differential."""
+    b = ModelBuilder("base_differentials", 2)
+    ug, Cg = b.fiber("u", gh=0).gen(), b.fiber("C", gh=1).gen()
+    u, C = Poly.gen(ug), Poly.gen(Cg)
+    b.q_rule(ug, C)
+    x0, th0, th1 = (Poly.gen(g) for g in (b.x[0], b.theta[0], b.theta[1]))
+    b.chi(C * de_rham(x0) + u * de_rham(th1) + th0 * u * de_rham(u) + C * de_rham(u))
+    return b.build()
+
+
+def _is_base_differential(g):
+    return g.fdeg == 1 and g.role in (BASE_X, BASE_THETA)
+
+
+@pytest.fixture(scope="module", params=["maxwell_weak", "ym_weak", "restricted",
+                                        "base_differentials"])
+def vertical_case(request, maxwell_model, ym_model):
+    model = {"maxwell_weak": lambda: maxwell_model,
+             "ym_weak": lambda: ym_model,
+             "restricted": lambda: restrict_to_submanifold(ym_model, (1, 2, 3)),
+             "base_differentials": build_base_differentials}[request.param]()
+    return JetModel(model, 1)
+
+
+class TestVerticalFirst:
+    """The vertical forms are built from the vertical pull-back of chi; the
+    full pull-back and omegabar, verticalized afterwards, are the oracle."""
+
+    def test_vertical_chibar_is_vertical_part_of_chibar(self, vertical_case):
+        jm = vertical_case
+        assert not jm.vertical_chibar().is_zero()
+        assert jm.vertical_chibar() == jm.vertical_part(jm.chibar())
+
+    def test_vertical_omegabar_is_vertical_part_of_omegabar(self, vertical_case):
+        jm = vertical_case
+        assert not jm.vertical_omegabar().is_zero()
+        assert jm.vertical_omegabar() == jm.vertical_part(jm.omegabar())
+
+    def test_double_contraction_sees_only_the_vertical_part(self, vertical_case):
+        jm = vertical_case
+
+        def two_jets(mono):
+            return all(g.role == JET for g, _ in mono if g.fdeg == 1)
+
+        full = interior(jm.s, interior(jm.s, jm.omegabar().filter(two_jets)))
+        assert not full.is_zero()
+        assert interior(jm.s, interior(jm.s, jm.vertical_omegabar())) == full
+
+    def test_base_differentials_go_to_zero(self):
+        jm = JetModel(build_base_differentials(), 1)
+        assert any(_is_base_differential(g) for g in jm.chibar().generators())
+        assert not any(_is_base_differential(g) for g in jm.vertical_chibar().generators())
+        assert jm.vertical_chibar().num_terms() < jm.chibar().num_terms()
+
+    def test_checks_never_build_omegabar(self, maxwell_model, monkeypatch):
+        def omegabar(self):
+            raise AssertionError("omegabar built")
+
+        monkeypatch.setattr(JetModel, "omegabar", omegabar)
+        jm = JetModel(maxwell_model, 1)
+        for r in check_descent(jm) + check_bv_identities(jm):
+            assert r.passed, r.name
+        assert not jm.vertical_top().is_zero()
+
+    def test_residual_beyond_the_order_fails(self, maxwell_model):
+        # a single first-derivative jet is the whole residual: no PASS at order 0
+        jm = JetModel(maxwell_model, 0)
+        _, g = jm.jet(maxwell_model.fibers["C"].gen(li=0), (0,), ())
+        r = _split_result(jm, "one_jet", Poly.gen(g))
+        assert not r.passed
+        assert (r.residual_terms, r.excluded_terms) == (1, 1)

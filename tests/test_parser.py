@@ -321,6 +321,33 @@ def test_values_of_two_lie_algebras_do_not_mix(stmt, message):
     assert [d.message for d in diags] == [message]
 
 
+@pytest.mark.parametrize("rhs, message", [
+    ("[F[a, b], C] + theta[a]*theta[b]*C", "polynomial is not ghost-homogeneous"),
+    ("theta[a]*theta[b]*C", "must have ghost 1, got 3"),
+], ids=["inhomogeneous", "wrong_ghost"])
+def test_bad_rule_on_antisymmetric_coordinate_is_reported_once(rhs, message):
+    text = open_builtin("ym_weak")
+    rule = next(line for line in text.splitlines() if line.startswith("Q F"))
+    model, diags = parse_with_diagnostics(text.replace(rule, f"Q F[a, b] = {rhs};"))
+    assert model is None
+    assert len(diags) == 1 and message in diags[0].message
+    line = text.splitlines().index(rule) + 1
+    assert (diags[0].span.line, diags[0].span.col) == (line, 3)
+
+
+@pytest.mark.parametrize("chi, message", [
+    ("v*d(u) + d(u)", "polynomial is not ghost-homogeneous"),
+    ("v*u", "presymplectic potential must be a one-form"),
+    ("u*d(u)", "presymplectic potential must have ghost -1, got 0"),
+], ids=["inhomogeneous", "not_one_form", "wrong_ghost"])
+def test_chi_errors_carry_the_statement_location(chi, message):
+    model, diags = parse_with_diagnostics(UV + f"chi = {chi};\nfoo;\n")
+    assert model is None
+    # the bad chi is skipped like any failing statement, so parsing goes on
+    assert [str(d) for d in diags] == [f"<string>:4:1: error: {message}",
+                                       "<string>:5:1: error: unknown declaration 'foo'"]
+
+
 def test_semicolon_inside_theta_ends_no_statement():
     text = open_builtin("ym_weak")
     chi = next(line for line in text.splitlines() if line.startswith("chi ="))
