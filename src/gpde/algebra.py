@@ -594,17 +594,23 @@ def derive(p: Poly, parity: int, image) -> Poly:
 
 
 def theta_split(p: Poly):
-    """Each term of p as (J, rest, monomial, coefficient), where J lists the
-    odd base directions of its theta factors (theta coordinates, not their
-    differentials) and rest is the monomial without them.  Every split by
-    theta level is a view over this one; dropping the theta factors is
-    sign-free because they sort left of all fiber content."""
+    """Each term of p as (J, rest, monomial, coefficient) with monomial the
+    term's own and p == sum coefficient * theta^J * rest: J lists the base
+    directions of its theta coordinates (not their differentials) and rest
+    is the monomial without them.  Each theta moving left past an odd factor
+    (an odd dx sorts left of every theta) flips the sign of the coefficient.
+    Every split by theta level is a view over this one."""
     for mono, c in p.terms.items():
-        J = tuple(g.base_index[0] for g, _ in mono if g.role == BASE_THETA and not g.fdeg)
-        rest = mono
-        if J:
-            rest = tuple(f for f in mono if not (f[0].role == BASE_THETA and not f[0].fdeg))
-        yield J, rest, mono, c
+        J, rest, odd = [], [], 0
+        for f in mono:
+            g = f[0]
+            if g.role == BASE_THETA and not g.fdeg:
+                J.append(g.base_index[0])
+                c = -c if odd else c
+            else:
+                rest.append(f)
+                odd ^= g.parity & f[1]
+        yield tuple(J), tuple(rest), mono, c
 
 
 # Lie algebra data ----------------------------------------------------

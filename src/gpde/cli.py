@@ -25,6 +25,7 @@ from .density import (
 from .jets import JetModel, check_bv_identities, check_descent
 from .model import (
     Model,
+    NotExactError,
     check_solution,
     solve_hamiltonian,
     standard_checks,
@@ -68,6 +69,12 @@ def _parse_point(spec: str, candidates: Dict[str, Generator]) -> Dict[Generator,
     return point
 
 
+def _failed(name: str, e: GradedAlgebraError) -> CheckResult:
+    """A check that an error ended; a NotExactError counts its residual."""
+    residual = e.residual.num_terms() if isinstance(e, NotExactError) else 0
+    return CheckResult(name, False, residual_terms=residual, detail=str(e))
+
+
 def _render(value, poly):
     """A report output as text: a Poly through poly, survivor equations
     joined by '; ', anything else unchanged."""
@@ -82,10 +89,7 @@ def _render(value, poly):
 
 
 def _run_check(m: Model, args) -> Report:
-    rep = Report(m.name)
-    for c in standard_checks(m):
-        rep.add(c)
-    return rep
+    return Report(m.name, standard_checks(m))
 
 
 def _run_hamiltonian(m: Model, args) -> Report:
@@ -93,11 +97,8 @@ def _run_hamiltonian(m: Model, args) -> Report:
     try:
         L = solve_hamiltonian(m)
     except GradedAlgebraError as e:
-        rep.add(CheckResult("hamiltonian_exists", False, detail=str(e)))
-        return rep
-    rep.add(CheckResult("hamiltonian_exists", True))
-    for c in check_solution(m, L):
-        rep.add(c)
+        return rep.add(_failed("hamiltonian_exists", e))
+    rep.checks += [CheckResult("hamiltonian_exists", True)] + check_solution(m, L)
     rep.outputs["hamiltonian"] = L
     return rep
 
@@ -120,19 +121,11 @@ def _run_prolong(m: Model, args) -> Report:
 
 
 def _run_descent(m: Model, args) -> Report:
-    rep = Report(m.name)
-    jm = JetModel(m, args.order)
-    for c in check_descent(jm):
-        rep.add(c)
-    return rep
+    return Report(m.name, check_descent(JetModel(m, args.order)))
 
 
 def _run_bv_identities(m: Model, args) -> Report:
-    rep = Report(m.name)
-    jm = JetModel(m, args.order)
-    for c in check_bv_identities(jm):
-        rep.add(c)
-    return rep
+    return Report(m.name, check_bv_identities(JetModel(m, args.order)))
 
 
 def _run_bv_action(m: Model, args) -> Report:
@@ -210,10 +203,7 @@ def _run_report(m: Model, args) -> Report:
         return rep
     if m.n > 0:
         jm = JetModel(m, 1)
-        for c in check_descent(jm):
-            rep.add(c)
-        for c in check_bv_identities(jm):
-            rep.add(c)
+        rep.checks += check_descent(jm) + check_bv_identities(jm)
     rep.outputs["bv_action"] = action_density(m, generic_supersection(m))
     return rep
 
@@ -281,8 +271,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         rep = _VERBS[args.verb](m, args)
     except GradedAlgebraError as e:
-        rep = Report(m.name)
-        rep.add(CheckResult(args.verb.replace("-", "_"), False, detail=str(e)))
+        rep = Report(m.name).add(_failed(args.verb.replace("-", "_"), e))
     poly = poly_latex if args.format == "latex" else poly_text
     rep.outputs = {k: _render(v, poly) for k, v in rep.outputs.items()}
     if args.format == "json":

@@ -4,7 +4,8 @@ Bundle coordinates u^A acquire jet coordinates psi^A_{I|J}: I a symmetric
 multi-index of base derivatives, J a strictly increasing tuple of odd base
 directions (the theta-expansion level, lowering ghost degree by |J|).  The
 expansion convention is u^A = sum_J theta^J psi^A_{|J} with unit
-coefficients and theta factors on the left.
+coefficients and theta factors on the left.  Pull-backs multiply expansions
+out level by level, over disjoint pairs theta^J theta^K only.
 
 Two odd vector fields act on jet space: the total derivative
 D = theta^a D_a and the evolutionary differential s, seeded so that the
@@ -17,6 +18,7 @@ the full omegabar = d(chibar).
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import (
@@ -29,6 +31,8 @@ from .algebra import (
     Generator,
     GradedAlgebraError,
     Poly,
+    _sandwich,
+    accumulate,
     derive,
     sort_sign,
     theta_split,
@@ -56,9 +60,31 @@ def theta_components(p: Poly) -> Dict[int, Poly]:
     """Split by total theta degree (odd base coordinates, not their
     differentials).  Summing the components reconstructs the input."""
     out: Dict[int, dict] = {}
-    for J, _, mono, c in theta_split(p):
-        out.setdefault(len(J), {})[mono] = c
+    for J, _, mono, _ in theta_split(p):
+        out.setdefault(len(J), {})[mono] = p.terms[mono]
     return {k: Poly(p.space, t) for k, t in out.items()}
+
+
+# sort_sign of the theta levels J + K of a product theta^J theta^K
+_join = functools.cache(sort_sign)
+
+
+def _level_product(levels: dict, parity: int, image: dict) -> dict:
+    """levels * image, both {J: terms} standing for sum_J theta^J * terms,
+    levels of the given parity: theta^K moves left past a level-J rest of
+    parity parity + |J|."""
+    out: dict = {}
+    for K, R in image.items():
+        for J, A in levels.items():
+            sign, JK = _join(J + K)
+            if not sign:
+                continue
+            if len(K) & (parity ^ len(J)) & 1:
+                sign = -sign
+            acc = out.setdefault(JK, {})
+            for a, c in A.items():
+                accumulate(acc, _sandwich(a, c if sign > 0 else -c, R))
+    return out
 
 
 def vertical_lie(V: VectorField, p: Poly) -> Poly:
@@ -87,7 +113,8 @@ class JetModel:
 
     Jet coordinates are materialized on demand; the truncation order only
     controls the excluded count in reports, never the values or verdicts.
-    Pulled-back forms are cached; no check builds omegabar()."""
+    Pull-backs and the seeds of s are built level by level; pulled-back
+    forms are cached, and no check builds omegabar()."""
 
     def __init__(self, parent: Model, order: int):
         if order < 0:
@@ -96,7 +123,7 @@ class JetModel:
         self.N = order
         self.space = parent.space
         self._info: Dict[Generator, Tuple[Generator, Tuple[int, ...], Tuple[int, ...]]] = {}
-        self._expansions: Dict[Generator, Poly] = {}
+        self._images: Dict[Tuple[Generator, bool], dict] = {}
         self._seeds: Dict[Generator, Dict[Tuple[int, ...], Poly]] = {}
         self._totals: Dict[int, VectorField] = {}
         self._chibar: Optional[Poly] = None
@@ -127,28 +154,59 @@ class JetModel:
         return sign, g
 
     def theta_expansion(self, fiber_gen: Generator) -> Poly:
-        exp = self._expansions.get(fiber_gen)
-        if exp is None:
-            exp = self.parent.theta_expansion(
-                range(self.parent.n + 1), lambda J: self.jet(fiber_gen, (), J)[1])
-            self._expansions[fiber_gen] = exp
-        return exp
+        return self.parent.theta_expansion(range(self.parent.n + 1),
+                                           lambda J: self.jet(fiber_gen, (), J)[1])
+
+    def _image_levels(self, g: Generator, vertical: bool) -> dict:
+        """The levels of the image of a fiber coordinate or differential."""
+        key = (g, vertical and g.fdeg == 1)
+        if key not in self._images:
+            img = self.theta_expansion(self.space.coordinate_of(g) if g.fdeg else g)
+            img = de_rham(img, vertical) if g.fdeg else img
+            self._images[key] = {J: c.terms for J, c in theta_coefficients(img).items()}
+        return self._images[key]
+
+    def level_pullback(self, p: Poly, vertical: bool = False) -> Dict[Tuple[int, ...], dict]:
+        """The pull-back of p as {J: terms}, standing for sum_J theta^J * terms.
+        A term of p is theta^J0 U M (theta_split), its fiber factors M moved
+        right of the others U with substitute's sign; the images of M are
+        multiplied in level by level, a power e times.  With vertical=True a
+        base differential kills its term."""
+        out: dict = {}
+        for J0, rest, _, c in theta_split(p):
+            unmapped, mapped = [], []
+            parity, odd = len(J0) & 1, 0    # of theta^J0 U, of M met so far
+            for g, e in rest:
+                if g.role == FIBER:
+                    mapped.append((g, e))
+                    odd ^= g.parity
+                elif vertical and g.fdeg and g.role in (BASE_X, BASE_THETA):
+                    break
+                else:
+                    unmapped.append((g, e))
+                    parity ^= g.parity & e
+                    c = -c if g.parity & odd else c
+            else:
+                levels = {J0: {tuple(unmapped): c}}
+                for g, e in mapped:
+                    for _ in range(e):
+                        levels = _level_product(levels, parity, self._image_levels(g, vertical))
+                        parity ^= g.parity
+                for J, t in levels.items():
+                    accumulate(out.setdefault(J, {}), t.items())
+        return {J: t for J, t in out.items() if t}
 
     def pullback(self, p: Poly, vertical: bool = False) -> Poly:
         """Substitute every bundle fiber coordinate (and its differential)
-        by its theta-expansion (and the expansion's differential).  With
-        vertical=True du goes to d_v of the expansion and base differentials
-        to zero: a homomorphism that agrees with vertical_part of the full
-        pull-back on every generator, so on every form."""
-        mapping = {}
-        for g in p.generators():
-            if g.fdeg == 0 and g.role == FIBER:
-                mapping[g] = self.theta_expansion(g)
-            elif g.role == FIBER:
-                mapping[g] = de_rham(self.theta_expansion(self.space.coordinate_of(g)), vertical)
-            elif vertical and g.fdeg and g.role in (BASE_X, BASE_THETA):
-                mapping[g] = Poly.zero()
-        return p.substitute(mapping)
+        by its theta-expansion (and the expansion's differential), level by
+        level.  With vertical=True du goes to d_v of the expansion and base
+        differentials to zero: a homomorphism that agrees with vertical_part
+        of the full pull-back on every generator, so on every form."""
+        theta = self.parent.theta
+        out: dict = {}
+        for J, terms in self.level_pullback(p, vertical).items():
+            accumulate(out, _sandwich(tuple((theta[j], 1) for j in J), 1, terms))
+        return Poly._adopt(self.space, out)
 
     # the two odd vector fields --------------------------------------------
 
@@ -186,15 +244,21 @@ class JetModel:
         return None
 
     def _seed(self, fiber_gen: Generator) -> Dict[Tuple[int, ...], Poly]:
+        """s on the level jets psi_{|K}, read off the levels of Q exp u =
+        s exp u + D exp u: [s exp u]_K = (-1)^{|K|} s(psi_{|K}), and [D exp u]_K
+        sums (-1)^{|J|} sort_sign(J + a) psi_{a|J} = (-1)^i psi_{a|J} over
+        a = K[i], J = K - a, since D = theta^a D_a passes theta^J."""
         seeds = self._seeds.get(fiber_gen)
         if seeds is None:
-            q_of = self.parent.q.coefficient(fiber_gen)
-            mapping = {u: self.theta_expansion(u) for u in sorted(q_of.generators())
-                       if u.role == FIBER}
-            residue = q_of.substitute(mapping) - self.D.apply(self.theta_expansion(fiber_gen))
-            seeds = {}
-            for J, coeff in theta_coefficients(residue).items():
-                seeds[J] = -coeff if len(J) & 1 else coeff
+            levels = self.level_pullback(self.parent.q.coefficient(fiber_gen))
+            for K in self.parent.theta_levels(range(1, self.parent.n + 1)):
+                acc = levels.setdefault(K, {})
+                for i, a in enumerate(K):
+                    _, g = self.jet(fiber_gen, (a,), K[:i] + K[i + 1:])
+                    accumulate(acc, ((((g, 1),), 1 if i & 1 else -1),))
+            seeds = {K: Poly._adopt(self.space, {m: -c for m, c in t.items()}
+                                    if len(K) & 1 else t)
+                     for K, t in levels.items() if t}
             self._seeds[fiber_gen] = seeds
         return seeds
 

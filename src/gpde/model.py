@@ -28,7 +28,12 @@ from .report import CheckResult
 
 class NotExactError(GradedAlgebraError):
     """The reduced contraction of Q with the presymplectic form is not the
-    fiber differential of any local function."""
+    fiber differential of any local function; residual holds the terms
+    that show it."""
+
+    def __init__(self, message: str, residual: Poly):
+        super().__init__(message)
+        self.residual = residual
 
 
 class FiberFamily:
@@ -345,16 +350,14 @@ def solve_hamiltonian(m: Model) -> Poly:
         if k == 0:
             raise NotExactError(
                 "contraction has a fiber-independent vertical part; "
-                "no local hamiltonian exists"
-            )
+                "no local hamiltonian exists", f.filter(lambda t: not _fiber_degree(t)))
         terms[mono] = qdiv(c, -k)
     L = Poly(f.space, terms)
     ok, res = m.in_ideal(alpha + de_rham(L))
     if not ok:
         raise NotExactError(
             f"reduced contraction is not the fiber differential of a local "
-            f"function ({res.num_terms()} residual terms)"
-        )
+            f"function ({res.num_terms()} residual terms)", res)
     return L
 
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -169,6 +170,24 @@ def test_prolong_summary(capsys):
     rc, out, _ = run(["prolong", "maxwell_weak", "--order", "1"], capsys)
     assert rc == 0
     assert "jet_coordinates:" in out
+
+
+def test_not_exact_failure_counts_its_residual(tmp_path, capsys):
+    # one more term of chi breaks exactness; both verbs that need the
+    # hamiltonian report the residual's 2 terms, not 0
+    import gpde
+
+    src = (Path(gpde.__file__).parent / "models" / "maxwell_weak.gpde").read_text()
+    chi = "*Tr(F[c, d]*d(C));"
+    assert chi in src
+    bad = tmp_path / "inexact.gpde"
+    bad.write_text(src.replace(chi, chi[:-1] + " + theta(2; 0, 1)*Tr(F[2, 3]*d(C));"))
+    for verb, name in (("bv-identities", "bv_identities"), ("hamiltonian", "hamiltonian_exists")):
+        rc, out, err = run([verb, str(bad)], capsys)
+        assert rc == 1
+        assert f"[FAIL] {name} residual_terms=2  (" in out
+        assert err.startswith(f"FAIL {name} residual_terms=2 ")
+        assert "(2 residual terms)" in err
 
 
 def test_missing_potential_fails(capsys):

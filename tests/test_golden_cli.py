@@ -24,6 +24,7 @@ VERBS = {
     "reduce": ["reduce"],
     "report": ["report"],
     "boundary_kill0": ["boundary", "--kill", "0"],
+    "prolong": ["prolong"],
 }
 CASES = [(c, m) for c in VERBS if c != "boundary_kill0" for m in BUILTINS]
 CASES += [("boundary_kill0", m) for m in ("maxwell_weak", "ym_weak")]

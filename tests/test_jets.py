@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from gpde.algebra import BASE_THETA, BASE_X, JET, GradedAlgebraError, Poly
+from gpde.algebra import BASE_THETA, BASE_X, FIBER, JET, GradedAlgebraError, Poly
 from gpde.cartan import d_vertical, de_rham, interior
 from gpde.density import restrict_to_submanifold
 from gpde.jets import (
@@ -14,7 +16,9 @@ from gpde.jets import (
     theta_components,
     vertical_lie,
 )
-from gpde.model import ModelBuilder
+from gpde.cli import main
+from gpde.model import ModelBuilder, NotExactError, solve_hamiltonian
+from gpde.parser import load_builtin
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +93,29 @@ class TestThetaSplits:
                 t = t * Poly.gen(m.theta[j])
             acc = acc + t * v
         assert acc == p
+
+    def test_coefficients_reconstruct_forms_with_base_differentials(self, maxwell_model):
+        # an odd dx sorts left of every theta: theta^J c_J must carry its sign
+        m = maxwell_model
+        th = [Poly.gen(m.theta[a]) for a in range(4)]
+        dx = [de_rham(Poly.gen(m.x[a])) for a in range(4)]
+        C = Poly.gen(m.fibers["C"].gen(li=0))
+        F = Poly.gen(m.fibers["F"].gen((0, 1), li=0))
+        forms = [
+            dx[0] * th[1],
+            dx[0] * dx[2] * th[1] * th[3] * de_rham(C),
+            dx[1] * de_rham(th[0]) * th[2] * th[3] * C + de_rham(th[1]) * th[0] * th[2] * F,
+            dx[3] * th[0] * th[1] * th[2] * F * de_rham(F) + dx[0] * dx[1] * dx[2] * th[3] * C,
+        ]
+        for p in forms:
+            acc = Poly.zero()
+            for J, v in theta_coefficients(p).items():
+                t = Poly.scalar(1)
+                for j in J:
+                    t = t * th[j]
+                acc = acc + t * v
+            assert acc == p
+        assert theta_coefficients(dx[0] * th[1]) == {(1,): -dx[0]}
 
 
 class TestVectorFields:
@@ -302,3 +329,118 @@ class TestVerticalFirst:
         r = _split_result(jm, "one_jet", Poly.gen(g))
         assert not r.passed
         assert (r.residual_terms, r.excluded_terms) == (1, 1)
+
+
+# level-wise pull-back against substitution -----------------------------------
+
+
+def reference_pullback(jm, p, vertical):
+    """The pull-back by Poly.substitute: u to its expansion, du to d (or d_v)
+    of it and, when vertical, every base differential to zero."""
+    mapping = {}
+    for g in p.generators():
+        if g.role == FIBER:
+            u = jm.space.coordinate_of(g) if g.fdeg else g
+            exp = jm.theta_expansion(u)
+            mapping[g] = de_rham(exp, vertical) if g.fdeg else exp
+        elif vertical and g.fdeg and g.role in (BASE_X, BASE_THETA):
+            mapping[g] = Poly.zero()
+    return p.substitute(mapping)
+
+
+def reference_seeds(jm, u):
+    """s on the level jets of u, split off Q exp u - D exp u by substitution,
+    D.apply and theta_coefficients."""
+    mapping = {v: jm.theta_expansion(v) for v in jm.parent.fiber_coords()}
+    residue = (jm.parent.q.coefficient(u).substitute(mapping)
+               - jm.D.apply(jm.theta_expansion(u)))
+    return {J: -c if len(J) % 2 else c for J, c in theta_coefficients(residue).items()}
+
+
+def _forms(m):
+    """chi, and h where a hamiltonian exists."""
+    try:
+        return [m.chi, solve_hamiltonian(m)]
+    except NotExactError:
+        return [m.chi]
+
+
+class TestLevelPullback:
+    """pullback and the seeds of s are built level by level; substitution,
+    D.apply and theta_coefficients on whole polynomials are the oracle."""
+
+    def test_pullback_matches_substitution(self, vertical_case):
+        # both kinds of pull-back, each after the other, share one jet model
+        jm = vertical_case
+        for vertical in (False, True, False):
+            for p in _forms(jm.parent):
+                got = jm.pullback(p, vertical)
+                assert not got.is_zero()
+                assert got == reference_pullback(jm, p, vertical)
+
+    def test_seeds_match_substitution(self, vertical_case):
+        jm = vertical_case
+        for u in jm.parent.fiber_coords():
+            got = jm._seed(u)
+            assert got == reference_seeds(jm, u), u
+
+    def test_levels_rebuild_the_pullback(self, vertical_case):
+        jm = vertical_case
+        th = jm.parent.theta
+        for vertical in (False, True):
+            acc = Poly.zero()
+            for J, terms in jm.level_pullback(jm.parent.chi, vertical).items():
+                t = Poly.scalar(1)
+                for j in J:
+                    t = t * Poly.gen(th[j])
+                acc = acc + t * Poly(jm.space, terms)
+            assert acc == jm.pullback(jm.parent.chi, vertical)
+
+    @pytest.mark.parametrize("vertical", [False, True])
+    def test_mostly_colliding_levels(self, ym_model, vertical):
+        # theta^0 theta^1 theta^2 leaves each image only its levels () and
+        # (3,): 2 of 16, so nearly every pair of levels collides
+        jm = JetModel(ym_model, 1)
+        th = [Poly.gen(ym_model.theta[a]) for a in range(4)]
+        C = [Poly.gen(ym_model.fibers["C"].gen(li=i)) for i in range(3)]
+        p = th[0] * th[1] * th[2] * C[0] * C[1] * de_rham(C[2])
+        p = p + th[0] * th[1] * th[3] * C[1] * de_rham(C[0]) * de_rham(C[2])
+        got = jm.pullback(p, vertical)
+        assert not got.is_zero()
+        assert got == reference_pullback(jm, p, vertical)
+
+    @pytest.mark.parametrize("vertical", [False, True])
+    def test_unmapped_factors_right_of_fiber_factors(self, ym_model, vertical):
+        # a jet coordinate sorts right of the fiber coordinates and is left
+        # alone; the odd fiber factors it moves past sign it
+        jm = JetModel(ym_model, 1)
+        C = [ym_model.fibers["C"].gen(li=i) for i in range(3)]
+        _, psi = jm.jet(C[2], (0,), ())
+        p = Poly.gen(C[0]) * de_rham(Poly.gen(C[1])) * Poly.gen(psi) * de_rham(Poly.gen(psi))
+        got = jm.pullback(p, vertical)
+        assert not got.is_zero()
+        assert got == reference_pullback(jm, p, vertical)
+
+    @pytest.mark.parametrize("vertical", [False, True])
+    def test_even_powers(self, ym_model, vertical):
+        jm = JetModel(ym_model, 1)
+        F = Poly.gen(ym_model.fibers["F"].gen((0, 1), li=0))
+        G = Poly.gen(ym_model.fibers["F"].gen((2, 3), li=1))
+        C = Poly.gen(ym_model.fibers["C"].gen(li=2))
+        dx = de_rham(Poly.gen(ym_model.x[1]))
+        p = F * F * de_rham(C) + F * F * F * G * G * dx * de_rham(F) + G * G * C * de_rham(G)
+        assert any(e > 1 for mono in p.terms for _, e in mono)
+        got = jm.pullback(p, vertical)
+        assert not got.is_zero()
+        assert got == reference_pullback(jm, p, vertical)
+
+
+@pytest.mark.parametrize("name", ["toy_dim0", "ce_aksz", "maxwell_weak", "ym_weak"])
+def test_prolong_jet_count(name, capsys):
+    # psi_{|J} for each of the 2^n levels J, and psi_{a|J} for a not in J:
+    # n 2^(n-1) pairs; no jet psi_{a|J} with a in J is made
+    m = load_builtin(name)
+    n = m.n
+    assert main(["prolong", name, "--format", "json"]) == 0
+    got = int(json.loads(capsys.readouterr().out)["outputs"]["jet_coordinates"])
+    assert got == len(m.fiber_coords()) * (2 ** n + n * 2 ** n // 2)

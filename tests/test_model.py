@@ -206,6 +206,20 @@ class TestHamiltonian:
         with pytest.raises(NotExactError):
             solve_hamiltonian(m)
 
+    def test_not_exact_carries_its_residual(self):
+        # chi = c dw with Q w = u^2: alpha + dL, L solved from u^2 dc, is left
+        # with 2/3 c u du + 2/3 u^2 dc outside the ideal
+        b = ModelBuilder("inexact", 1)
+        u = b.fiber("u", gh=0).gen()
+        w = b.fiber("w", gh=-1).gen()
+        c = b.fiber("c", gh=1).gen()
+        b.q_rule(w, Poly.gen(u) * Poly.gen(u))
+        b.chi(Poly.gen(c) * de_rham(Poly.gen(w)))
+        with pytest.raises(NotExactError) as info:
+            solve_hamiltonian(b.build())
+        assert info.value.residual.num_terms() == 2
+        assert "(2 residual terms)" in str(info.value)
+
     def test_no_chi_raises(self, ce_model):
         with pytest.raises(GradedAlgebraError):
             solve_hamiltonian(ce_model)
