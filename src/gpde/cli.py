@@ -3,7 +3,8 @@
 Every verb loads a model (a builtin name or a path to a model file), runs
 its checks, prints a report and exits 0 exactly when all requested checks
 passed.  On failure the failing checks are repeated on stderr, one per
-line, prefixed with FAIL.
+line, prefixed with FAIL.  A usage error (an unknown model, a malformed
+--at or --kill) prints one `gpde:` line on stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -36,15 +37,19 @@ from .reduction import ReductionError, form_universe, reduce_form
 from .report import CheckResult, Report
 
 
+def _usage(message: str) -> SystemExit:
+    """A usage error: the message on stderr, and the exit of code 2 to raise."""
+    print(f"gpde: {message}", file=sys.stderr)
+    return SystemExit(2)
+
+
 def _load(ref: str) -> Model:
     if ref in builtin_names():
         return load_builtin(ref)
     if os.path.exists(ref):
         return load_model(ref)
-    raise SystemExit(
-        f"gpde: no file {ref!r} and no builtin of that name "
-        f"(builtins: {', '.join(builtin_names())})"
-    )
+    raise _usage(f"no file {ref!r} and no builtin of that name "
+                 f"(builtins: {', '.join(builtin_names())})")
 
 
 def _parse_point(spec: str, candidates: Dict[str, Generator]) -> Dict[Generator, Scalar]:
@@ -54,18 +59,16 @@ def _parse_point(spec: str, candidates: Dict[str, Generator]) -> Dict[Generator,
         if not item:
             continue
         if "=" not in item:
-            raise SystemExit(f"gpde: --at expects name=value pairs, got {item!r}")
+            raise _usage(f"--at expects name=value pairs, got {item!r}")
         name, _, val = item.partition("=")
         g = candidates.get(name.strip())
         if g is None:
-            raise SystemExit(
-                f"gpde: unknown coordinate {name.strip()!r} in --at "
-                f"(known: {', '.join(sorted(candidates))})"
-            )
+            raise _usage(f"unknown coordinate {name.strip()!r} in --at "
+                         f"(known: {', '.join(sorted(candidates))})")
         try:
             point[g] = rational(Fraction(val.strip()))
         except (ValueError, ZeroDivisionError):
-            raise SystemExit(f"gpde: bad rational value {val.strip()!r} in --at")
+            raise _usage(f"bad rational value {val.strip()!r} in --at")
     return point
 
 
@@ -178,7 +181,14 @@ def _run_reduce(m: Model, args) -> Report:
 
 def _run_boundary(m: Model, args) -> Report:
     rep = Report(m.name)
-    kill = [int(s) for s in args.kill.split(",") if s.strip() != ""]
+    try:
+        kill = [int(s) for s in args.kill.split(",") if s.strip() != ""]
+    except ValueError:
+        raise _usage(f"--kill expects comma separated base directions, got {args.kill!r}")
+    absent = [a for a in kill if a not in m.base_indices]
+    if absent:
+        raise _usage(f"no base direction {absent[0]} to kill (base directions: "
+                     f"{', '.join(map(str, m.base_indices))})")
     br = boundary_reduction(m, kill, order=args.order)
     for c in br.checks:
         rep.add(c)
@@ -186,7 +196,7 @@ def _run_boundary(m: Model, args) -> Report:
     rep.outputs["reduced"] = br.reduced.reduced_form
     try:
         rep.outputs["charge_integrand"] = action_density(
-            br.restricted, generic_supersection(br.restricted))
+            br.restricted, generic_supersection(br.restricted), br.jets)
     except GradedAlgebraError as e:
         rep.add(CheckResult("charge_integrand", False, detail=str(e)))
     return rep
@@ -201,10 +211,10 @@ def _run_report(m: Model, args) -> Report:
     rep.outputs.update(ham.outputs)
     if not ham.outputs:
         return rep
+    jm = JetModel(m, 1)
     if m.n > 0:
-        jm = JetModel(m, 1)
         rep.checks += check_descent(jm) + check_bv_identities(jm)
-    rep.outputs["bv_action"] = action_density(m, generic_supersection(m))
+    rep.outputs["bv_action"] = action_density(m, generic_supersection(m), jm)
     return rep
 
 

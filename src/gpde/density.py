@@ -4,7 +4,10 @@ A section assigns to every bundle fiber coordinate a theta-expansion in
 component field symbols phi(x); pulling the structure back along a section
 turns the homological data into field-theory data: the covariance residual
 (curvature), the gauge variation of the component fields, and the
-first-order action density whose variational calculus lives here too.
+first-order action density whose variational calculus lives here too: the
+top theta level of the jet BV scalar i_D chibar + hbar pulled back along the
+prolonged section, which sends psi_{I|J} of u to del_I c_J when
+sec[u] = sum_J theta^J c_J.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from .algebra import (
     FIBER,
     FIELD,
     JET,
+    DegreeError,
     Generator,
     GradedAlgebraError,
     Poly,
@@ -27,8 +31,8 @@ from .algebra import (
     sort_sign,
 )
 from .cartan import VectorField
-from .jets import JetModel, theta_coefficients, theta_top_coefficient
-from .model import Model, solve_hamiltonian
+from .jets import JetModel, theta_coefficients
+from .model import Model
 from .reduction import ReducedModel, form_universe, reduce_form
 from .report import CheckResult
 
@@ -144,24 +148,31 @@ def gauge_variation(m: Model, sec: Section) -> Dict[Generator, Poly]:
     return out
 
 
-def action_density(m: Model, sec: Section, L: Optional[Poly] = None) -> Poly:
-    """First-order action integrand: pull the presymplectic potential back
-    along the de Rham image of the section, add the hamiltonian, take the
-    top theta coefficient."""
+def action_density(m: Model, sec: Section, jets: Optional[JetModel] = None) -> Poly:
+    """First-order action integrand: the theta-volume coefficient of the BV
+    scalar of `jets` (a jet model of m, built at order 1 when not given),
+    pulled back along the prolonged section."""
     if m.chi is None:
         raise GradedAlgebraError("model has no presymplectic potential")
-    if L is None:
-        L = solve_hamiltonian(m)
-    dx_field = horizontal_field_differential(m)
-    mapping = dict(sec.mapping)
+    top = (JetModel(m, 1) if jets is None else jets).bv_top()
+    levels = {}     # the theta levels c_J of each image, by its jets' name and indices
     for u in m.fiber_coords():
-        du = m.space.differential(u)
-        mapping[du] = dx_field.apply(sec[u])
-    for a in m.base_indices:
-        mapping[m.space.differential(m.x[a])] = Poly.gen(m.theta[a])
-        mapping[m.space.differential(m.theta[a])] = Poly.zero()
-    total = m.chi.substitute(mapping) + sec.pull(L)
-    return theta_top_coefficient(m, total)
+        img = sec[u]
+        if any(g.role in (FIBER, JET) for g in img.generators()):
+            raise GradedAlgebraError(
+                "bundle or jet coordinate inside a component-field expression")
+        if img.terms and img.parity() != u.parity:
+            raise DegreeError(f"substitution image for {u.name} has wrong parity")
+        levels[u.name, u.base_index, u.lie_index] = theta_coefficients(img)
+    partial = {a: total_field_derivative(m, a) for a in m.base_indices}
+    mapping = {}
+    for g in top.generators():
+        if g.role == JET:
+            c = levels[g.name, g.base_index, g.lie_index].get(g.jet_J, Poly.zero())
+            for a in g.jet_I:
+                c = partial[a].apply(c)
+            mapping[g] = c
+    return top.substitute(mapping)
 
 
 def ghost_sector(p: Poly, gh: int) -> Poly:

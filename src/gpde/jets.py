@@ -10,10 +10,11 @@ out level by level, over disjoint pairs theta^J theta^K only.
 Two odd vector fields act on jet space: the total derivative
 D = theta^a D_a and the evolutionary differential s, seeded so that the
 pulled-back Q-structure equals s + D on expansions and extended to deeper
-jets by commuting with the total derivatives.  The checks read only the
-vertical two-form d_v(V chibar), where the vertical pull-back V sends du to
-d_v of u's expansion and base differentials to zero; only `prolong` builds
-the full omegabar = d(chibar).
+jets by commuting with the total derivatives.  Three pull-backs send u to
+its expansion and du to d, d_v or D of it: the full one gives chibar (only
+`prolong` builds omegabar = d(chibar)), the vertical one the two-form
+d_v(V chibar) the checks read, and the horizontal one, with dx^a going to
+theta^a, the BV scalar i_D chibar + hbar out of chi + h.
 """
 
 from __future__ import annotations
@@ -68,6 +69,8 @@ def theta_components(p: Poly) -> Dict[int, Poly]:
 # sort_sign of the theta levels J + K of a product theta^J theta^K
 _join = functools.cache(sort_sign)
 
+HORIZONTAL = 2  # the pull-backs' `vertical`: du goes to d (False), d_v (True) or D
+
 
 def _level_product(levels: dict, parity: int, image: dict) -> dict:
     """levels * image, both {J: terms} standing for sum_J theta^J * terms,
@@ -113,8 +116,8 @@ class JetModel:
 
     Jet coordinates are materialized on demand; the truncation order only
     controls the excluded count in reports, never the values or verdicts.
-    Pull-backs and the seeds of s are built level by level; pulled-back
-    forms are cached, and no check builds omegabar()."""
+    Pull-backs and the seeds of s are built level by level; the forms the
+    checks read are cached, and no check builds omegabar()."""
 
     def __init__(self, parent: Model, order: int):
         if order < 0:
@@ -126,11 +129,10 @@ class JetModel:
         self._images: Dict[Tuple[Generator, bool], dict] = {}
         self._seeds: Dict[Generator, Dict[Tuple[int, ...], Poly]] = {}
         self._totals: Dict[int, VectorField] = {}
-        self._chibar: Optional[Poly] = None
         self._omegabar: Optional[Poly] = None
         self._vertical_chibar: Optional[Poly] = None
         self._vertical_omegabar: Optional[Poly] = None
-        self._lbar: Optional[Poly] = None
+        self._bv_levels: Optional[dict] = None
         self.D = VectorField(self.space, 1, rule=self._d_rule, name="D")
         self.s = VectorField(self.space, 1, rule=self._s_rule, name="s")
 
@@ -157,27 +159,42 @@ class JetModel:
         return self.parent.theta_expansion(range(self.parent.n + 1),
                                            lambda J: self.jet(fiber_gen, (), J)[1])
 
-    def _image_levels(self, g: Generator, vertical: bool) -> dict:
-        """The levels of the image of a fiber coordinate or differential."""
-        key = (g, vertical and g.fdeg == 1)
+    def _d_levels(self, fiber_gen: Generator) -> dict:
+        """The levels of D exp u: [D exp u]_K = sum (-1)^i psi_{a|K-a} over
+        a = K[i], since D = theta^a D_a and theta^a theta^{K-a} = (-1)^i theta^K."""
+        return {K: {((self.jet(fiber_gen, (a,), K[:i] + K[i + 1:])[1], 1),): -1 if i & 1 else 1
+                    for i, a in enumerate(K)}
+                for K in self.parent.theta_levels(range(1, self.parent.n + 1))}
+
+    def _image_levels(self, g: Generator, vertical) -> dict:
+        """The levels of the image of a fiber coordinate, a fiber
+        differential, or (horizontally) a dx^a, whose image is theta^a."""
+        key = (g, vertical if g.fdeg else False)
         if key not in self._images:
-            img = self.theta_expansion(self.space.coordinate_of(g) if g.fdeg else g)
-            img = de_rham(img, vertical) if g.fdeg else img
-            self._images[key] = {J: c.terms for J, c in theta_coefficients(img).items()}
+            if g.role == BASE_X:
+                levels = {g.base_index: {(): 1}}
+            elif g.fdeg and vertical == HORIZONTAL:
+                levels = self._d_levels(self.space.coordinate_of(g))
+            else:
+                img = self.theta_expansion(self.space.coordinate_of(g) if g.fdeg else g)
+                img = de_rham(img, vertical) if g.fdeg else img
+                levels = {J: c.terms for J, c in theta_coefficients(img).items()}
+            self._images[key] = levels
         return self._images[key]
 
-    def level_pullback(self, p: Poly, vertical: bool = False) -> Dict[Tuple[int, ...], dict]:
+    def level_pullback(self, p: Poly, vertical=False) -> Dict[Tuple[int, ...], dict]:
         """The pull-back of p as {J: terms}, standing for sum_J theta^J * terms.
-        A term of p is theta^J0 U M (theta_split), its fiber factors M moved
+        A term of p is theta^J0 U M (theta_split), its mapped factors M moved
         right of the others U with substitute's sign; the images of M are
         multiplied in level by level, a power e times.  With vertical=True a
-        base differential kills its term."""
+        base differential kills its term; with HORIZONTAL dx^a is mapped to
+        theta^a and dtheta^a kills its term."""
         out: dict = {}
         for J0, rest, _, c in theta_split(p):
             unmapped, mapped = [], []
             parity, odd = len(J0) & 1, 0    # of theta^J0 U, of M met so far
             for g, e in rest:
-                if g.role == FIBER:
+                if g.role == FIBER or (vertical == HORIZONTAL and g.fdeg and g.role == BASE_X):
                     mapped.append((g, e))
                     odd ^= g.parity
                 elif vertical and g.fdeg and g.role in (BASE_X, BASE_THETA):
@@ -196,15 +213,20 @@ class JetModel:
                     accumulate(out.setdefault(J, {}), t.items())
         return {J: t for J, t in out.items() if t}
 
-    def pullback(self, p: Poly, vertical: bool = False) -> Poly:
+    def pullback(self, p: Poly, vertical=False) -> Poly:
         """Substitute every bundle fiber coordinate (and its differential)
         by its theta-expansion (and the expansion's differential), level by
         level.  With vertical=True du goes to d_v of the expansion and base
         differentials to zero: a homomorphism that agrees with vertical_part
-        of the full pull-back on every generator, so on every form."""
+        of the full pull-back on every generator, so on every form.  With
+        HORIZONTAL du goes to D of it, dx^a to theta^a, dtheta^a to zero."""
+        return self._assemble(self.level_pullback(p, vertical))
+
+    def _assemble(self, levels: dict) -> Poly:
+        """sum_J theta^J * terms over levels {J: terms}."""
         theta = self.parent.theta
         out: dict = {}
-        for J, terms in self.level_pullback(p, vertical).items():
+        for J, terms in levels.items():
             accumulate(out, _sandwich(tuple((theta[j], 1) for j in J), 1, terms))
         return Poly._adopt(self.space, out)
 
@@ -245,17 +267,13 @@ class JetModel:
 
     def _seed(self, fiber_gen: Generator) -> Dict[Tuple[int, ...], Poly]:
         """s on the level jets psi_{|K}, read off the levels of Q exp u =
-        s exp u + D exp u: [s exp u]_K = (-1)^{|K|} s(psi_{|K}), and [D exp u]_K
-        sums (-1)^{|J|} sort_sign(J + a) psi_{a|J} = (-1)^i psi_{a|J} over
-        a = K[i], J = K - a, since D = theta^a D_a passes theta^J."""
+        s exp u + D exp u: [s exp u]_K = (-1)^{|K|} s(psi_{|K}), and the
+        levels of D exp u are _d_levels."""
         seeds = self._seeds.get(fiber_gen)
         if seeds is None:
             levels = self.level_pullback(self.parent.q.coefficient(fiber_gen))
-            for K in self.parent.theta_levels(range(1, self.parent.n + 1)):
-                acc = levels.setdefault(K, {})
-                for i, a in enumerate(K):
-                    _, g = self.jet(fiber_gen, (a,), K[:i] + K[i + 1:])
-                    accumulate(acc, ((((g, 1),), 1 if i & 1 else -1),))
+            for K, t in self._d_levels(fiber_gen).items():
+                accumulate(levels.setdefault(K, {}), ((g, -c) for g, c in t.items()))
             seeds = {K: Poly._adopt(self.space, {m: -c for m, c in t.items()}
                                     if len(K) & 1 else t)
                      for K, t in levels.items() if t}
@@ -278,11 +296,9 @@ class JetModel:
     # pulled-back structures -------------------------------------------------
 
     def chibar(self) -> Poly:
-        if self._chibar is None:
-            if self.parent.chi is None:
-                raise GradedAlgebraError("parent model has no presymplectic potential")
-            self._chibar = self.pullback(self.parent.chi)
-        return self._chibar
+        if self.parent.chi is None:
+            raise GradedAlgebraError("parent model has no presymplectic potential")
+        return self.pullback(self.parent.chi)
 
     def omegabar(self) -> Poly:
         if self._omegabar is None:
@@ -305,9 +321,25 @@ class JetModel:
         return self._vertical_omegabar
 
     def lbar(self) -> Poly:
-        if self._lbar is None:
-            self._lbar = self.pullback(solve_hamiltonian(self.parent))
-        return self._lbar
+        return self.pullback(solve_hamiltonian(self.parent))
+
+    def _bv(self) -> dict:
+        """The levels of the horizontal pull-back of chi + h, cached."""
+        if self._bv_levels is None:
+            if self.parent.chi is None:
+                raise GradedAlgebraError("parent model has no presymplectic potential")
+            self._bv_levels = self.level_pullback(
+                self.parent.chi + solve_hamiltonian(self.parent), HORIZONTAL)
+        return self._bv_levels
+
+    def bv_scalar(self) -> Poly:
+        """i_D chibar + lbar, built as the horizontal pull-back of chi + h:
+        each term of chi has one differential and i_D only substitutes it."""
+        return self._assemble(self._bv())
+
+    def bv_top(self) -> Poly:
+        """The coefficient of the theta volume in bv_scalar()."""
+        return Poly(self.space, self._bv().get(tuple(sorted(self.parent.base_indices)), {}))
 
     def vertical_part(self, p: Poly) -> Poly:
         """Keep only fiber-direction differentials, renamed to vertical
@@ -376,9 +408,9 @@ def check_descent(jm: JetModel) -> List[CheckResult]:
 
 def check_bv_identities(jm: JetModel) -> List[CheckResult]:
     """Two master identities tying the vertical two-form, the pulled-back
-    potential and the pulled-back hamiltonian together; i_s kills base
+    potential and the BV scalar i_D chibar + lbar together; i_s kills base
     differentials, so i_s i_s of the vertical two-form is that of omegabar."""
-    scalar = interior(jm.D, jm.chibar()) + jm.lbar()
+    scalar = jm.bv_scalar()
     i_s = interior(jm.s, jm.vertical_omegabar())
     r1 = i_s + d_vertical(scalar) + vertical_lie(jm.D, jm.vertical_chibar())
     r2 = interior(jm.s, i_s) / 2 - jm.D.apply(scalar)
@@ -387,7 +419,6 @@ def check_bv_identities(jm: JetModel) -> List[CheckResult]:
 
 
 def bv_lagrangian(jm: JetModel) -> Poly:
-    """Top theta-degree component of the pulled-back hamiltonian plus the
-    D-contraction of the pulled-back potential."""
-    scalar = interior(jm.D, jm.chibar()) + jm.lbar()
-    return theta_components(scalar).get(jm.parent.n, Poly.zero())
+    """Top theta-degree component of the BV scalar, the D-contraction of the
+    pulled-back potential plus the pulled-back hamiltonian."""
+    return jm.parent.theta_volume() * jm.bv_top()

@@ -115,6 +115,7 @@ class Model:
         self.tensors = tensors
         self.weak = weak
         self._omega: Optional[Poly] = None
+        self._hamiltonian: Optional[Poly] = None
 
     # structure access ---------------------------------------------------
 
@@ -339,7 +340,10 @@ def solve_hamiltonian(m: Model) -> Poly:
     """Reconstruct the covariant Hamiltonian L from i_Q omega + dL in I,
     normalized so the fiber-independent part of L vanishes.
 
-    Raises NotExactError when no such local function exists."""
+    Solved once per model: a second call returns the same Poly.  Raises
+    NotExactError when no such local function exists, on every call."""
+    if m._hamiltonian is not None:
+        return m._hamiltonian
     alpha = interior(m.q, m.omega())
     alphabar = m.ideal_reduce(alpha)
     vert = alphabar.form_component(1)
@@ -358,6 +362,7 @@ def solve_hamiltonian(m: Model) -> Poly:
         raise NotExactError(
             f"reduced contraction is not the fiber differential of a local "
             f"function ({res.num_terms()} residual terms)", res)
+    m._hamiltonian = L
     return L
 
 

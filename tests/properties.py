@@ -14,6 +14,7 @@ from gpde.algebra import (
     BASE_THETA,
     BASE_X,
     FIBER,
+    GradedAlgebraError,
     LieValued,
     Poly,
     Space,
@@ -783,6 +784,53 @@ def reference_substitute(p: Poly, mapping) -> Poly:
                     term = term * normal_form(img)
         acc = acc + term
     return Poly(p.space if acc.space is None else acc.space, acc.terms)
+
+
+def reference_action_density(m: Model, sec) -> Poly:
+    """The action density by field substitution: chi with u sent to sec[u],
+    du to d_X sec[u], dx^a to theta^a and dtheta^a to zero, plus the
+    hamiltonian along the section; its top theta coefficient."""
+    from gpde.density import horizontal_field_differential
+    from gpde.jets import theta_top_coefficient
+    from gpde.model import solve_hamiltonian
+
+    if m.chi is None:
+        raise GradedAlgebraError("model has no presymplectic potential")
+    L = solve_hamiltonian(m)
+    dx_field = horizontal_field_differential(m)
+    mapping = dict(sec.mapping)
+    for u in m.fiber_coords():
+        mapping[m.space.differential(u)] = dx_field.apply(sec[u])
+    for a in m.base_indices:
+        mapping[m.space.differential(m.x[a])] = Poly.gen(m.theta[a])
+        mapping[m.space.differential(m.theta[a])] = Poly.zero()
+    total = m.chi.substitute(mapping) + sec.pull(L)
+    return theta_top_coefficient(m, total)
+
+
+def curved_model(seed: int, n: int) -> Model:
+    """A seeded connection-curvature model of base dimension n, the family
+    of ym_weak: random metric signs and scales, su(2) or u(1) with a random
+    invariant scale."""
+    from gpde.parser import parse_model
+
+    rng = random.Random(seed)
+    metric = ", ".join(rng.choice(["-1", "1", "2", "-1/2"]) for _ in range(n))
+    k = rng.choice(["1", "2", "1/3", "-1"])
+    lie = rng.choice([f"dim = 3; f[1][2][3] = 1; antisymmetrize; kappa = diag({k}, {k}, {k});",
+                      f"dim = 1; kappa = diag({k});"])
+    return parse_model("\n".join([
+        f"model curved_s{seed}_n{n};",
+        f"base dim = {n};",
+        f"metric = diag({metric});",
+        f"lie g {{ {lie} }}",
+        "coord C : gh = 1 in g;",
+        "coord F[a, b] : gh = 0 antisym in g;",
+        "Q C = -1/2*[C, C] + 1/2*theta[a]*theta[b]*F[a, b];",
+        "Q F[a, b] = [F[a, b], C];",
+        "chi = inveta[a, c]*inveta[b, d]*theta(2; a, b)*Tr(F[c, d]*d(C));",
+        "weak = true;",
+    ]))
 
 
 def suite_trusted_sums(cases: int = 1000, seed: int = 29):

@@ -236,6 +236,29 @@ def test_unknown_model_name(capsys):
         main(["check", "no_such_model"])
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["check", "no_such_model"], "gpde: no file 'no_such_model' and no builtin of that name"),
+    (["boundary", "maxwell_weak", "--kill", "a"],
+     "gpde: --kill expects comma separated base directions, got 'a'"),
+    (["boundary", "maxwell_weak", "--kill", "9"],
+     "gpde: no base direction 9 to kill (base directions: 0, 1, 2, 3)"),
+    (["boundary", "maxwell_weak", "--kill", "0,4"],
+     "gpde: no base direction 4 to kill (base directions: 0, 1, 2, 3)"),
+    (["reduce", "toy_dim0", "--at", "zz"], "gpde: --at expects name=value pairs, got 'zz'"),
+    (["reduce", "maxwell_weak", "--at", "C{1}[|]=x"], "gpde: bad rational value 'x' in --at"),
+    (["reduce", "toy_dim0", "--at", "nope=1"], "gpde: unknown coordinate 'nope' in --at"),
+])
+def test_usage_errors_exit_2_with_one_line(argv, message, capsys):
+    # exit code 1 is kept for a failed check; a usage error prints no report
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith(message)
+    assert cap.err.count("\n") == 1
+
+
 def test_latex_format(capsys):
     rc, out, _ = run(["report", "toy_dim0", "--format", "latex"], capsys)
     assert rc == 0

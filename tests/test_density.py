@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from gpde.algebra import FIELD, JET, GradedAlgebraError, Poly, theta_split
+from gpde.algebra import FIELD, JET, DegreeError, GradedAlgebraError, Poly, theta_split
+from gpde.cartan import interior
 from gpde.density import (
     Section,
     action_density,
@@ -23,8 +24,10 @@ from gpde.density import (
 )
 from gpde.jets import JetModel, theta_coefficients
 from gpde.model import solve_hamiltonian
+from gpde.parser import load_builtin
 
-from conftest import build_maxwell, build_toy
+from conftest import build_ce, build_maxwell, build_toy
+from properties import curved_model, reference_action_density
 
 
 def fib(m, fam, idx=(), li=None):
@@ -343,3 +346,113 @@ def test_boundary_bfv_integrand_maxwell(maxwell_model):
     # abelian charge: momentum times the gradient of the ghost field
     names = {g.name for g in gh1.generators() if g.role == FIELD}
     assert "C0" in names and "F0" in names
+
+
+# action density against field substitution ----------------------------------
+
+
+def _oracle_model(name):
+    if name in ("toy_dim0", "ce_aksz", "maxwell_weak", "ym_weak"):
+        return load_builtin(name)
+    if name == "restricted":
+        return restrict_to_submanifold(load_builtin("ym_weak"), (1, 2, 3))
+    seed, n = name.split("_")[1:]      # "curved_<seed>_<n>"
+    return curved_model(int(seed), int(n))
+
+
+# seeds 1 and 2 give su(2) and u(1) at base dimensions 2 and 3
+ORACLE_MODELS = ["toy_dim0", "ce_aksz", "maxwell_weak", "ym_weak", "restricted",
+                 "curved_1_2", "curved_1_3", "curved_2_2", "curved_2_3"]
+
+
+@pytest.fixture(scope="module", params=ORACLE_MODELS)
+def oracle_model(request):
+    return _oracle_model(request.param)
+
+
+@pytest.mark.parametrize("make", [generic_supersection, generic_section])
+def test_action_density_matches_field_substitution(oracle_model, make):
+    m = oracle_model
+    sec = make(m)
+    if m.chi is None:
+        for density in (action_density, reference_action_density):
+            with pytest.raises(GradedAlgebraError, match="no presymplectic potential"):
+                density(m, sec)
+        return
+    got = action_density(m, sec)
+    # the ghost-zero section of the restricted model has no top level
+    assert got.is_zero() == (make is generic_section and m.name.endswith("_on_123"))
+    assert got == reference_action_density(m, sec)
+    # a jet model whose BV scalar the master identities already built
+    jm = JetModel(m, 1)
+    jm.bv_scalar()
+    assert action_density(m, sec, jm) == got
+
+
+def test_bv_scalar_is_the_D_contraction_plus_lbar(oracle_model):
+    jm = JetModel(oracle_model, 1)
+    if oracle_model.chi is None:
+        with pytest.raises(GradedAlgebraError, match="no presymplectic potential"):
+            jm.bv_scalar()
+        return
+    got = jm.bv_scalar()
+    assert not got.is_zero()
+    assert got == interior(jm.D, jm.chibar()) + jm.lbar()
+
+
+def flat_section_with_theta_levels(m):
+    """The flat Maxwell section of test_flat_section_kills_residual plus
+    theta^0 theta^1 del_3 phi_{C|01} in the image of C."""
+    mapping = dict(generic_section(m).mapping)
+    for a, b in itertools.combinations(range(4), 2):
+        mapping[fib(m, "F", (a, b))] = (fld(m, "C", J=(b,), deriv=(a,))
+                                        - fld(m, "C", J=(a,), deriv=(b,)))
+    th0, th1 = Poly.gen(m.theta[0]), Poly.gen(m.theta[1])
+    C = fib(m, "C")
+    mapping[C] = mapping[C] + th0 * th1 * fld(m, "C", J=(0, 1), deriv=(3,))
+    return Section(m, mapping)
+
+
+def test_action_density_of_images_with_theta_and_derivatives(maxwell_model):
+    m = maxwell_model
+    sec = flat_section_with_theta_levels(m)
+    got = action_density(m, sec)
+    # the curvature is the derivative of the connection's level fields
+    assert {(g.name, len(g.deriv)) for g in got.generators()} == {("C1", 1)}
+    assert got == reference_action_density(m, sec)
+
+
+def test_action_density_rejects_inhomogeneous_or_wrong_parity_images(maxwell_model):
+    m = maxwell_model
+    C = fib(m, "C")
+    bad = {
+        "not parity-homogeneous": Poly.gen(m.theta[0]) * fld(m, "C", J=(0,)) + fld(m, "F", (0, 1)),
+        "wrong parity": fld(m, "F", (0, 1)),
+    }
+    for match, img in bad.items():
+        mapping = dict(generic_supersection(m).mapping)
+        mapping[C] = img
+        with pytest.raises(DegreeError, match=match):
+            action_density(m, Section(m, mapping))
+
+
+def test_action_density_rejects_bundle_and_jet_coordinates(maxwell_model):
+    m = maxwell_model
+    C, F = fib(m, "C"), fib(m, "F", (0, 1))
+    _, psi = JetModel(m, 1).jet(C, (), (0,))
+    th0 = Poly.gen(m.theta[0])
+    for img in (Poly.gen(C), th0 * Poly.gen(psi) * Poly.gen(F)):
+        mapping = dict(generic_supersection(m).mapping)
+        mapping[C] = img
+        with pytest.raises(GradedAlgebraError, match="bundle or jet coordinate"):
+            action_density(m, Section(m, mapping))
+
+
+def test_action_density_without_chi_makes_no_jet():
+    m = build_ce()
+    jm = JetModel(m, 1)
+    for jets in (None, jm):
+        with pytest.raises(GradedAlgebraError, match="no presymplectic potential"):
+            action_density(m, generic_supersection(m), jets)
+    assert jm.registry_stats()["jet_coordinates"] == 0
+    assert not any(g.role == JET for g in m.space.generators())

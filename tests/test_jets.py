@@ -6,6 +6,7 @@ from gpde.algebra import BASE_THETA, BASE_X, FIBER, JET, GradedAlgebraError, Pol
 from gpde.cartan import d_vertical, de_rham, interior
 from gpde.density import restrict_to_submanifold
 from gpde.jets import (
+    HORIZONTAL,
     JetModel,
     _split_result,
     bv_lagrangian,
@@ -395,6 +396,20 @@ class TestLevelPullback:
                     t = t * Poly.gen(th[j])
                 acc = acc + t * Poly(jm.space, terms)
             assert acc == jm.pullback(jm.parent.chi, vertical)
+
+    def test_horizontal_pullback_is_the_D_contraction(self, vertical_case):
+        # base_differentials holds dx^0, which goes to theta^0, and dtheta^1
+        jm = vertical_case
+        got = jm.pullback(jm.parent.chi, HORIZONTAL)
+        assert not got.is_zero()
+        assert got == interior(jm.D, jm.chibar())
+
+    def test_horizontal_pullback_makes_no_jet_with_a_in_J(self, ym_model):
+        jm = JetModel(ym_model, 1)
+        jm.bv_scalar()
+        jets = [g for g in jm.space.generators() if g.role == JET and g in jm._info]
+        assert any(g.jet_I for g in jets)
+        assert not any(set(g.jet_I) & set(g.jet_J) for g in jets)
 
     @pytest.mark.parametrize("vertical", [False, True])
     def test_mostly_colliding_levels(self, ym_model, vertical):

@@ -16,6 +16,8 @@ from gpde.model import (
     standard_checks,
 )
 
+from conftest import build_maxwell
+
 
 class TestBuilder:
     def test_antisym_resolve(self, maxwell_model):
@@ -223,6 +225,25 @@ class TestHamiltonian:
     def test_no_chi_raises(self, ce_model):
         with pytest.raises(GradedAlgebraError):
             solve_hamiltonian(ce_model)
+
+    def test_solved_once_per_model(self):
+        m = build_maxwell()
+        L = solve_hamiltonian(m)
+        assert solve_hamiltonian(m) is L
+
+    def test_failure_raises_on_every_call(self):
+        # the inexact model of test_not_exact_carries_its_residual
+        b = ModelBuilder("inexact", 1)
+        u = b.fiber("u", gh=0).gen()
+        w = b.fiber("w", gh=-1).gen()
+        c = b.fiber("c", gh=1).gen()
+        b.q_rule(w, Poly.gen(u) * Poly.gen(u))
+        b.chi(Poly.gen(c) * de_rham(Poly.gen(w)))
+        m = b.build()
+        for _ in range(2):
+            with pytest.raises(NotExactError) as info:
+                solve_hamiltonian(m)
+            assert info.value.residual.num_terms() == 2
 
     def test_standard_checks_shape(self, maxwell_model):
         out = standard_checks(maxwell_model)
