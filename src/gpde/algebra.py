@@ -92,16 +92,6 @@ BASE_THETA = 1
 FIBER = 2
 JET = 3
 VDIFF = 4
-FIELD = 5
-
-_ROLE_NAMES = {
-    BASE_X: "base_x",
-    BASE_THETA: "base_theta",
-    FIBER: "fiber",
-    JET: "jet",
-    VDIFF: "vdiff",
-    FIELD: "field",
-}
 
 
 class Generator:
@@ -124,13 +114,12 @@ class Generator:
         "lie_index",
         "jet_I",
         "jet_J",
-        "deriv",
         "parity",
         "_key",
         "_sort",
     )
 
-    def __init__(self, space, role, name, gh, fdeg, base_index, lie_index, jet_I, jet_J, deriv):
+    def __init__(self, space, role, name, gh, fdeg, base_index, lie_index, jet_I, jet_J):
         self.space = space
         self.role = role
         self.name = name
@@ -140,10 +129,9 @@ class Generator:
         self.lie_index = lie_index
         self.jet_I = jet_I
         self.jet_J = jet_J
-        self.deriv = deriv
         self.parity = (gh + fdeg) & 1
         li = -1 if lie_index is None else lie_index
-        self._key = (role, name, base_index, li, jet_I, jet_J, deriv, fdeg)
+        self._key = (role, name, base_index, li, jet_I, jet_J, fdeg)
         self._sort = self._key
 
     def __repr__(self):
@@ -166,7 +154,7 @@ def _unify(a: Optional["Space"], b: Optional["Space"]) -> Optional["Space"]:
 
 
 class Space:
-    """Registry of generators for one model (including its jets and fields).
+    """Registry of generators for one model (including its jets).
 
     A Space owns interning: declaring the same structural key twice with a
     different ghost number is an error, with the same ghost number returns
@@ -184,10 +172,10 @@ class Space:
         self._coord_of: dict = {}      # differential -> coordinate
 
     def coordinate(self, name, role, gh, base_index=(), lie_index=None,
-                   jet_I=(), jet_J=(), deriv=(), fdeg=0,
+                   jet_I=(), jet_J=(), fdeg=0,
                    declare: bool = True) -> Optional[Generator]:
         li = -1 if lie_index is None else lie_index
-        key = (role, name, base_index, li, jet_I, jet_J, deriv, fdeg)
+        key = (role, name, base_index, li, jet_I, jet_J, fdeg)
         g = self._gens.get(key)
         if g is not None:
             if g.gh != gh:
@@ -197,7 +185,7 @@ class Space:
             return g
         if not declare:
             return None
-        g = Generator(self, role, name, gh, fdeg, base_index, lie_index, jet_I, jet_J, deriv)
+        g = Generator(self, role, name, gh, fdeg, base_index, lie_index, jet_I, jet_J)
         self._gens[key] = g
         return g
 
@@ -211,7 +199,7 @@ class Space:
             prefix = "dv" if vertical else "d"
             dg = self.coordinate(prefix + g.name, role, g.gh,
                                  base_index=g.base_index, lie_index=g.lie_index,
-                                 jet_I=g.jet_I, jet_J=g.jet_J, deriv=g.deriv, fdeg=1)
+                                 jet_I=g.jet_I, jet_J=g.jet_J, fdeg=1)
             table[g] = dg
             self._coord_of[dg] = g
         return dg

@@ -14,7 +14,6 @@ from typing import Callable, Mapping, Optional
 
 from .algebra import (
     FIBER,
-    FIELD,
     JET,
     DegreeError,
     Generator,
@@ -103,14 +102,8 @@ def de_rham(p, vertical: bool = False) -> Poly:
     def img(g):
         if g.fdeg:
             return None
-        if vertical:
-            if g.role not in (FIBER, JET):
-                return None
-        elif g.role == FIELD:
-            raise DegreeError(
-                "the de Rham differential does not act on component fields; "
-                "use the horizontal differential of the density module"
-            )
+        if vertical and g.role not in (FIBER, JET):
+            return None
         return Poly.gen(space.differential(g, vertical=vertical))
 
     return derive(p, 1, img)

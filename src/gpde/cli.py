@@ -4,7 +4,8 @@ Every verb loads a model (a builtin name or a path to a model file), runs
 its checks, prints a report and exits 0 exactly when all requested checks
 passed.  On failure the failing checks are repeated on stderr, one per
 line, prefixed with FAIL.  A usage error (an unknown model, a malformed
---at or --kill) prints one `gpde:` line on stderr and exits 2.
+--at or --kill, a negative --order) prints one `gpde:` line on stderr and
+exits 2.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def _run_bv_identities(m: Model, args) -> Report:
 
 def _run_bv_action(m: Model, args) -> Report:
     rep = Report(m.name)
-    dens = action_density(m, generic_supersection(m))
+    dens = action_density(generic_supersection(JetModel(m, 1)))
     if args.ghost is not None:
         dens = ghost_sector(dens, args.ghost)
         rep.outputs["ghost"] = args.ghost
@@ -195,8 +196,7 @@ def _run_boundary(m: Model, args) -> Report:
     rep.outputs["survivors"] = br.reduced.survivor_equations()
     rep.outputs["reduced"] = br.reduced.reduced_form
     try:
-        rep.outputs["charge_integrand"] = action_density(
-            br.restricted, generic_supersection(br.restricted), br.jets)
+        rep.outputs["charge_integrand"] = action_density(generic_supersection(br.jets))
     except GradedAlgebraError as e:
         rep.add(CheckResult("charge_integrand", False, detail=str(e)))
     return rep
@@ -214,7 +214,7 @@ def _run_report(m: Model, args) -> Report:
     jm = JetModel(m, 1)
     if m.n > 0:
         rep.checks += check_descent(jm) + check_bv_identities(jm)
-    rep.outputs["bv_action"] = action_density(m, generic_supersection(m), jm)
+    rep.outputs["bv_action"] = action_density(generic_supersection(jm))
     return rep
 
 
@@ -272,6 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "order", 0) < 0:
+        raise _usage(f"--order must be nonnegative, got {args.order}")
     try:
         m = _load(args.model)
     except DslError as e:

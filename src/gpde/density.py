@@ -1,13 +1,14 @@
-"""Sections, component fields, boundary restriction and action densities.
+"""Sections, boundary restriction and action densities.
 
-A section assigns to every bundle fiber coordinate a theta-expansion in
-component field symbols phi(x); pulling the structure back along a section
-turns the homological data into field-theory data: the covariance residual
-(curvature), the gauge variation of the component fields, and the
-first-order action density whose variational calculus lives here too: the
-top theta level of the jet BV scalar i_D chibar + hbar pulled back along the
-prolonged section, which sends psi_{I|J} of u to del_I c_J when
-sec[u] = sum_J theta^J c_J.
+A section assigns to every bundle fiber coordinate u a theta-expansion
+sum_J theta^J c_J in the jet coordinates of a JetModel; the generic
+supersection takes c_J = psi_{|J}, the level jets of u.  Pulling the
+structure back along a section turns the homological data into field-theory
+data: the covariance residual (curvature), the gauge variation of the level
+jets, and the first-order action density: the top theta level of the jet BV
+scalar i_D chibar + hbar pulled back along the prolonged section, which
+sends psi_{I|J} of u to D_I c_J.  The variational calculus on jet
+expressions lives here too, with D_I the jet model's total derivatives.
 """
 
 from __future__ import annotations
@@ -15,20 +16,16 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .algebra import (
-    BASE_X,
     FIBER,
-    FIELD,
     JET,
     DegreeError,
     Generator,
     GradedAlgebraError,
     Poly,
     Scalar,
-    Space,
     accumulate,
     derive,
     qdiv,
-    sort_sign,
 )
 from .cartan import VectorField
 from .jets import JetModel, theta_coefficients
@@ -37,65 +34,12 @@ from .reduction import ReducedModel, form_universe, reduce_form
 from .report import CheckResult
 
 
-def field_symbol(space: Space, fiber_gen: Generator, J=(), deriv=(), declare: bool = True):
-    """Component field of a bundle coordinate at theta-level J, carrying a
-    symmetric multi-index of base derivatives.  Returns (sign, generator);
-    sign 0 on a repeated theta level.  With declare=False a field not yet
-    registered is not created and comes back as None."""
-    sign, J = sort_sign(J)
-    if not sign:
-        return 0, None
-    name = f"{fiber_gen.name}{len(J)}"
-    g = space.coordinate(name, FIELD, fiber_gen.gh - len(J),
-                         base_index=fiber_gen.base_index,
-                         lie_index=fiber_gen.lie_index,
-                         jet_J=J, deriv=tuple(sorted(deriv)), declare=declare)
-    return sign, g
-
-
-def shift_field(space: Space, g: Generator, a: int) -> Generator:
-    return space.coordinate(g.name, FIELD, g.gh, base_index=g.base_index,
-                            lie_index=g.lie_index, jet_J=g.jet_J,
-                            deriv=tuple(sorted(g.deriv + (a,))))
-
-
-def total_field_derivative(m: Model, a: int) -> VectorField:
-    def rule(g, a=a):
-        if g.role == FIELD:
-            return Poly.gen(shift_field(m.space, g, a))
-        if g.role == BASE_X:
-            return Poly.scalar(1) if g.base_index[0] == a else None
-        if g.role in (FIBER, JET):
-            raise GradedAlgebraError(
-                "bundle or jet coordinate inside a component-field expression"
-            )
-        return None
-
-    return VectorField(m.space, 0, rule=rule, name=f"del_{a}")
-
-
-def horizontal_field_differential(m: Model) -> VectorField:
-    """d_X = theta^a del_a on component-field expressions."""
-
-    def rule(g):
-        if g.role == FIELD:
-            return m.theta_expansion([1], lambda K: shift_field(m.space, g, K[0]))
-        if g.role == BASE_X:
-            return Poly.gen(m.theta[g.base_index[0]])
-        if g.role in (FIBER, JET):
-            raise GradedAlgebraError(
-                "bundle or jet coordinate inside a component-field expression"
-            )
-        return None
-
-    return VectorField(m.space, 1, rule=rule, name="d_X")
-
-
 class Section:
-    """Theta-expansion of every bundle fiber coordinate in field symbols."""
+    """Theta-expansion of every bundle fiber coordinate in the jet
+    coordinates of `jets`."""
 
-    def __init__(self, model: Model, mapping: Dict[Generator, Poly]):
-        self.model = model
+    def __init__(self, jets: JetModel, mapping: Dict[Generator, Poly]):
+        self.jets = jets
         self.mapping = dict(mapping)
 
     def __getitem__(self, g: Generator) -> Poly:
@@ -105,85 +49,80 @@ class Section:
         return p.substitute(self.mapping)
 
 
-def generic_supersection(m: Model) -> Section:
-    """All theta-levels: the full BV-BFV field content, ghost degrees of the
-    component fields running from gh(u) downwards."""
-    return Section(m, {u: m.theta_expansion(range(m.n + 1),
-                                            lambda J: field_symbol(m.space, u, J)[1])
-                       for u in m.fiber_coords()})
+def generic_supersection(jm: JetModel) -> Section:
+    """u -> sum_J theta^J psi_{|J} over all levels: the full BV-BFV field
+    content, ghost degrees of the level jets running from gh(u) downwards."""
+    return Section(jm, {u: jm.theta_expansion(u) for u in jm.parent.fiber_coords()})
 
 
-def generic_section(m: Model) -> Section:
-    """Ghost-zero field content only: each fiber coordinate contributes the
-    theta-level matching its ghost degree (nothing when that is negative)."""
-    return Section(m, {u: m.theta_expansion([u.gh] if u.gh >= 0 else [],
-                                            lambda J: field_symbol(m.space, u, J)[1])
-                       for u in m.fiber_coords()})
+def generic_section(jm: JetModel) -> Section:
+    """Ghost-zero field content only: each fiber coordinate keeps the levels
+    matching its ghost degree (none when that is negative)."""
+    m = jm.parent
+    return Section(jm, {u: m.theta_expansion([u.gh] if u.gh >= 0 else [],
+                                             lambda J: jm.jet(u, (), J)[1])
+                        for u in m.fiber_coords()})
 
 
-def covariance_residual(m: Model, sec: Section) -> Dict[Generator, Poly]:
-    """R(u) = section-pullback of Q(u) minus d_X of the section image.
+def covariance_residual(sec: Section) -> Dict[Generator, Poly]:
+    """R(u) = section-pullback of Q(u) minus D of the section image.
     Vanishes exactly on solutions; the theta-bilinear part is the curvature."""
-    dx = horizontal_field_differential(m)
+    jm = sec.jets
+    return {u: sec.pull(jm.parent.q.coefficient(u)) - jm.D.apply(sec[u])
+            for u in jm.parent.fiber_coords()}
+
+
+def gauge_variation(sec: Section) -> Dict[Generator, Poly]:
+    """BRST-type variation of every level jet psi_{|J} of u in sec[u], read
+    off level J of the covariance residual.  Registers no generator beyond
+    those of the residual."""
     out = {}
-    for u in m.fiber_coords():
-        out[u] = sec.pull(m.q.coefficient(u)) - dx.apply(sec[u])
+    for u, res in covariance_residual(sec).items():
+        coeffs = theta_coefficients(res)
+        for g in sec[u].generators():
+            if g.role == JET and not g.jet_I and sec.jets.jet_of(g)[0] is u:
+                c = coeffs.get(g.jet_J, Poly.zero())
+                out[g] = -c if len(g.jet_J) & 1 else c
     return out
 
 
-def gauge_variation(m: Model, sec: Section) -> Dict[Generator, Poly]:
-    """BRST-type variation of every component field of the section, read off
-    level by level from the covariance residual.  Registers no generator
-    beyond those of the residual."""
-    res = covariance_residual(m, sec)
-    out = {}
-    for u in m.fiber_coords():
-        coeffs = theta_coefficients(res[u])
-        present = sec[u].generators()
-        for J in m.theta_levels(range(m.n + 1)):
-            _, g = field_symbol(m.space, u, J, declare=False)
-            if g in present:
-                c = coeffs.get(J, Poly.zero())
-                out[g] = -c if len(J) & 1 else c
-    return out
-
-
-def action_density(m: Model, sec: Section, jets: Optional[JetModel] = None) -> Poly:
+def action_density(sec: Section) -> Poly:
     """First-order action integrand: the theta-volume coefficient of the BV
-    scalar of `jets` (a jet model of m, built at order 1 when not given),
-    pulled back along the prolonged section."""
+    scalar of the section's jet model, pulled back along the prolonged
+    section: psi_{I|J} of u goes to D_I c_J where sec[u] = sum_J theta^J c_J."""
+    jm = sec.jets
+    m = jm.parent
     if m.chi is None:
         raise GradedAlgebraError("model has no presymplectic potential")
-    top = (JetModel(m, 1) if jets is None else jets).bv_top()
-    levels = {}     # the theta levels c_J of each image, by its jets' name and indices
+    levels = {}     # the theta levels c_J of each image
     for u in m.fiber_coords():
         img = sec[u]
-        if any(g.role in (FIBER, JET) for g in img.generators()):
-            raise GradedAlgebraError(
-                "bundle or jet coordinate inside a component-field expression")
+        if any(g.role == FIBER for g in img.generators()):
+            raise GradedAlgebraError(f"bundle coordinate inside the section image of {u.name}")
         if img.terms and img.parity() != u.parity:
             raise DegreeError(f"substitution image for {u.name} has wrong parity")
-        levels[u.name, u.base_index, u.lie_index] = theta_coefficients(img)
-    partial = {a: total_field_derivative(m, a) for a in m.base_indices}
+        levels[u] = theta_coefficients(img)
+    top = jm.bv_top()
     mapping = {}
     for g in top.generators():
         if g.role == JET:
-            c = levels[g.name, g.base_index, g.lie_index].get(g.jet_J, Poly.zero())
-            for a in g.jet_I:
-                c = partial[a].apply(c)
+            u, I, J = jm.jet_of(g)
+            c = levels[u].get(J, Poly.zero())
+            for a in I:
+                c = jm.total_derivative(a).apply(c)
             mapping[g] = c
     return top.substitute(mapping)
 
 
 def ghost_sector(p: Poly, gh: int) -> Poly:
-    """Terms whose positive-ghost field symbols carry total degree gh.
+    """Terms whose positive-ghost jet coordinates carry total degree gh.
 
     A BV-type density is homogeneous in the plain total, so the useful
     grading counts the ghost content only: the gh=0 sector of a master
     density is exactly the part free of ghosts and their momenta."""
 
     def pred(mono):
-        return sum(g.gh * e for g, e in mono if g.role == FIELD and g.gh > 0) == gh
+        return sum(g.gh * e for g, e in mono if g.role == JET and g.gh > 0) == gh
 
     return p.filter(pred)
 
@@ -191,45 +130,29 @@ def ghost_sector(p: Poly, gh: int) -> Poly:
 # variational calculus ------------------------------------------------------
 
 
-def _field_base_key(g: Generator):
-    return (g.name, g.base_index, g.lie_index, g.jet_J)
-
-
-def euler_lagrange(m: Model, dens: Poly) -> Dict[Generator, Poly]:
-    """Variational derivative with respect to every undifferentiated field
-    symbol present: sum over derivative multi-indices I of
-    (-1)^{|I|} D_I (left-partial w.r.t. the I-shifted symbol).  Keys come
-    in canonical generator order."""
-    groups: Dict = {}
-    for g in sorted(dens.generators(), key=lambda g: g._sort):
-        if g.role == FIELD:
-            groups.setdefault(_field_base_key(g), []).append(g)
-    out = {}
-    for key, gens in groups.items():
-        sample = gens[0]
-        base = m.space.coordinate(sample.name, FIELD, sample.gh, base_index=sample.base_index,
-                                  lie_index=sample.lie_index, jet_J=sample.jet_J, deriv=())
-        terms: dict = {}
-        for g in gens:
+def euler_lagrange(jm: JetModel, dens: Poly) -> Dict[Generator, Poly]:
+    """Variational derivative with respect to every level jet psi_{|J} whose
+    prolongations psi_{I|J} occur: the sum over I of (-1)^{|I|} D_I (left
+    partial w.r.t. psi_{I|J}).  Keys come in canonical generator order."""
+    out: Dict[Generator, dict] = {}
+    for g in dens.generators():
+        if g.role == JET:
+            u, I, J = jm.jet_of(g)
             partial = derive(dens, g.parity, lambda h, g=g: 1 if h is g else None)
-            for a in g.deriv:
-                partial = total_field_derivative(m, a).apply(partial)
-            if len(g.deriv) % 2:
-                partial = -partial
-            accumulate(terms, partial.terms.items())
-        out[base] = Poly(dens.space, terms)
-    return {g: v for g, v in out.items() if not v.is_zero()}
+            for a in I:
+                partial = jm.total_derivative(a).apply(partial)
+            accumulate(out.setdefault(jm.jet(u, (), J)[1], {}),
+                       (-partial if len(I) & 1 else partial).terms.items())
+    return {g: Poly(dens.space, out[g]) for g in sorted(out, key=lambda g: g._sort) if out[g]}
+def el_equivalent(jm: JetModel, a: Poly, b: Poly) -> bool:
+    return not euler_lagrange(jm, a - b)
 
 
-def el_equivalent(m: Model, a: Poly, b: Poly) -> bool:
-    return not euler_lagrange(m, a - b)
-
-
-def el_proportional(m: Model, a: Poly, b: Poly) -> Tuple[bool, Optional[Scalar]]:
+def el_proportional(jm: JetModel, a: Poly, b: Poly) -> Tuple[bool, Optional[Scalar]]:
     """Whether a and b have proportional variational content; returns the
     single scalar when it exists."""
-    ea = euler_lagrange(m, a)
-    eb = euler_lagrange(m, b)
+    ea = euler_lagrange(jm, a)
+    eb = euler_lagrange(jm, b)
     if not eb:
         return (not ea), None
     lam = None
@@ -314,6 +237,9 @@ def boundary_reduction(m: Model, kill: Iterable[int], order: int = 1) -> Boundar
     """Restrict, prolong, verticalize, and quotient by the kernel of the top
     theta-degree block of the boundary two-form."""
     kill = set(kill)
+    absent = sorted(kill.difference(m.base_indices))
+    if absent:
+        raise GradedAlgebraError(f"cannot kill absent base directions {absent}")
     keep = [a for a in m.base_indices if a not in kill]
     checks = []
     tang = tangency_residuals(m, keep)

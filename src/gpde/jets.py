@@ -155,6 +155,17 @@ class JetModel:
         self._info.setdefault(g, (fiber_gen, I, J))
         return sign, g
 
+    def jet_of(self, g: Generator):
+        """(u, I, J) of a jet coordinate psi^u_{I|J}; a jet that another jet
+        model of the same space made is registered here on first sight."""
+        if g not in self._info:
+            u = self.space.coordinate(g.name, FIBER, g.gh + len(g.jet_J), base_index=g.base_index,
+                                      lie_index=g.lie_index, declare=False)
+            if u is None:
+                raise GradedAlgebraError(f"jet coordinate {g.name!r} of no bundle coordinate")
+            self.jet(u, g.jet_I, g.jet_J)
+        return self._info[g]
+
     def theta_expansion(self, fiber_gen: Generator) -> Poly:
         return self.parent.theta_expansion(range(self.parent.n + 1),
                                            lambda J: self.jet(fiber_gen, (), J)[1])
@@ -238,7 +249,7 @@ class JetModel:
 
             def rule(g, a=a):
                 if g.role == JET:
-                    fib, I, J = self._info[g]
+                    fib, I, J = self.jet_of(g)
                     _, shifted = self.jet(fib, I + (a,), J)
                     return Poly.gen(shifted)
                 if g.role == BASE_X:
@@ -255,7 +266,7 @@ class JetModel:
 
     def _d_rule(self, g: Generator):
         if g.role == JET:
-            fib, I, J = self._info[g]
+            fib, I, J = self.jet_of(g)
             return self.parent.theta_expansion([1], lambda K: self.jet(fib, I + K, J)[1])
         if g.role == BASE_X:
             return Poly.gen(self.parent.theta[g.base_index[0]])
@@ -282,7 +293,7 @@ class JetModel:
 
     def _s_rule(self, g: Generator):
         if g.role == JET:
-            fib, I, J = self._info[g]
+            fib, I, J = self.jet_of(g)
             if I:
                 _, lower = self.jet(fib, I[1:], J)
                 return self.total_derivative(I[0]).apply(self.s.coefficient(lower))

@@ -14,7 +14,6 @@ from .algebra import (
     BASE_THETA,
     BASE_X,
     FIBER,
-    FIELD,
     JET,
     VDIFF,
     Generator,
@@ -45,11 +44,6 @@ def gen_text(g: Generator) -> str:
         s = _decorated(g)
         if g.role in (JET, VDIFF):
             s += f"[{_indices(g.jet_I)}|{_indices(g.jet_J)}]"
-        elif g.role == FIELD:
-            if g.jet_J:
-                s += f"({_indices(g.jet_J)})"
-            if g.deriv:
-                s += "_" + "".join(str(i) for i in g.deriv)
     if g.fdeg:
         if g.role == VDIFF:
             # vdiff generators are created with the dv prefix in the name
@@ -86,14 +80,8 @@ def gen_latex(g: Generator) -> str:
         sup.append(str(g.lie_index + 1))
     sub = list(str(i) for i in g.base_index)
     if g.role == JET:
-        sub += [str(i) for i in g.jet_I]
-        if g.jet_J:
-            sub.append("|" + "".join(str(j) for j in g.jet_J))
-    if g.role == FIELD:
-        if g.jet_J:
-            sup.append("(" + "".join(str(j) for j in g.jet_J) + ")")
-        if g.deriv:
-            sub = [",".join([""] + [str(i) for i in g.deriv])] + sub
+        # the bar stays when J is empty: psi_{|} is not the bundle coordinate
+        sub += [str(i) for i in g.jet_I] + ["|" + "".join(str(j) for j in g.jet_J)]
     # a DSL name may contain _: brace it so its scripts stay single
     s = "{" + g.name + "}" if "_" in g.name else g.name
     if sup:

@@ -26,7 +26,7 @@ from gpde.algebra import (
     trace_pair,
 )
 from gpde.cartan import VectorField, de_rham
-from gpde.density import field_symbol
+from gpde.jets import JetModel
 from gpde.model import Model, ModelBuilder
 
 
@@ -104,25 +104,27 @@ def rand_lie_valued(rng: random.Random, lie, pool, parity: int) -> LieValued:
 # jet playground for variational checks -------------------------------------
 
 
-def variational_model(n: int = 2) -> Model:
-    """Plain scalar bundle over an n-dimensional base: one even and one odd
-    fiber coordinate, no differential, used only through its field symbols."""
+def variational_model(n: int = 2) -> JetModel:
+    """Jet model of a plain scalar bundle over an n-dimensional base: one
+    even and one odd fiber coordinate, no differential, used only through
+    its jet coordinates."""
     b = ModelBuilder("el_playground", n)
     b.fiber("u", gh=0)
     b.fiber("c", gh=1)
-    return b.build()
+    return JetModel(b.build(), 1)
 
 
-def rand_field_poly(rng: random.Random, m: Model, depth: int = 2,
+def rand_field_poly(rng: random.Random, jm: JetModel, depth: int = 2,
                     terms: int = 3, max_len: int = 3,
                     with_x: bool = False) -> Poly:
-    """Random local functional of the playground fields: products of
-    derivative symbols up to the given depth."""
+    """Random local functional of the playground fields: products of the
+    jets psi_{I|} with |I| up to the given depth."""
+    m = jm.parent
     gens = []
     for fam in m.fibers.values():
         base = fam.gen()
         for dv in _derivs(m, depth):
-            _, g = field_symbol(m.space, base, (), dv)
+            _, g = jm.jet(base, dv, ())
             gens.append(g)
     if with_x:
         gens.extend(m.x[a] for a in m.base_indices)
@@ -237,16 +239,17 @@ def boundary_one_form_display(m: Model, mr: Model) -> Poly:
     return exp
 
 
-def first_order_density(m: Model) -> Poly:
-    """Classical first-order functional in derivative symbols:
+def first_order_density(jm: JetModel) -> Poly:
+    """Classical first-order functional in jet coordinates, A_b = psi^C_{|b}
+    and d_a A_b = psi^C_{a|b}:
     tr(F^{ab}(d_a A_b - d_b A_a + [A_a, A_b])) - 1/2 tr(F_ab F^{ab})."""
+    m = jm.parent
     lie = lie_of(m)
-    sp = m.space
     F = m.fibers["F"]
     C = m.fibers["C"]
 
     def a_field(li, j, dv=()):
-        _, g = field_symbol(sp, C.gen(li=li), (j,), dv)
+        _, g = jm.jet(C.gen(li=li), dv, (j,))
         return Poly.gen(g)
 
     acc = Poly.zero()
@@ -261,11 +264,11 @@ def first_order_density(m: Model) -> Poly:
                     if not ka:
                         continue
                     s, gf = F.resolve((a, b), li=i)
-                    _, fsym = field_symbol(sp, gf, (), ())
+                    _, fsym = jm.jet(gf)
                     up = Fraction(w * s * ka) * Poly.gen(fsym)
                     acc = acc + up * (a_field(j, b, (a,)) - a_field(j, a, (b,)))
                     s2, gf2 = F.resolve((a, b), li=j)
-                    _, fdn = field_symbol(sp, gf2, (), ())
+                    _, fdn = jm.jet(gf2)
                     acc = acc - Fraction(w * ka * s * s2, 2) * Poly.gen(fsym) * Poly.gen(fdn)
                     for k in range(lie.dim):
                         for l in range(lie.dim):
@@ -275,13 +278,14 @@ def first_order_density(m: Model) -> Poly:
     return acc
 
 
-def boundary_charge_display(m: Model, mr: Model, ghost_half: bool = True) -> Poly:
+def boundary_charge_display(m: Model, jr: JetModel, ghost_half: bool = True) -> Poly:
     """Constraint-times-parameter integrand the boundary charge density must
-    be proportional to: tr(pi^i (d_i gh + [A_i, gh]) - 1/2 P [gh, gh]), with
+    be proportional to: tr(pi^i (d_i gh + [A_i, gh]) - 1/2 P [gh, gh]), in
+    the jet coordinates of jr, the jet model of the restricted model, with
     pi and P named through the parent curvature components.  ghost_half=False
     drops the conventional 1/2 on the ghost-squared term."""
     lie = lie_of(m)
-    sp = mr.space
+    mr = jr.parent
     F = m.fibers["F"]
     C = m.fibers["C"]
     spatial = list(mr.base_indices)
@@ -289,12 +293,12 @@ def boundary_charge_display(m: Model, mr: Model, ghost_half: bool = True) -> Pol
 
     def momentum(i, li, J=()):
         s, g = F.resolve((t, i), li=li)
-        _, fld = field_symbol(sp, g, J, ())
-        return Fraction(s) * Poly.gen(fld)
+        _, psi = jr.jet(g, (), J)
+        return Fraction(s) * Poly.gen(psi)
 
     def ghost(li, J=(), dv=()):
-        _, fld = field_symbol(sp, C.gen(li=li), J, dv)
-        return Poly.gen(fld)
+        _, psi = jr.jet(C.gen(li=li), dv, J)
+        return Poly.gen(psi)
 
     exp = Poly.zero()
     for al in range(lie.dim):
@@ -370,16 +374,16 @@ def expected_reduced_form(red, lie, spatial) -> Poly:
     return exp
 
 
-def flatness_curvature(m: Model) -> Dict:
-    """Curvature two-form of a symbolic connection in derivative symbols,
-    one component per lie index: theta^a theta^b (d_a A_b - d_b A_a +
-    [A_a, A_b]) over a < b."""
+def flatness_curvature(jm: JetModel) -> Dict:
+    """Curvature two-form of a symbolic connection A_b = psi^C_{|b} in jet
+    coordinates, one component per lie index: theta^a theta^b (d_a A_b -
+    d_b A_a + [A_a, A_b]) over a < b."""
+    m = jm.parent
     lie = lie_of(m)
-    sp = m.space
     C = m.fibers["C"]
 
     def a_fld(k, a, dv=()):
-        _, g = field_symbol(sp, C.gen(li=k), (a,), dv)
+        _, g = jm.jet(C.gen(li=k), dv, (a,))
         return Poly.gen(g)
 
     out = {}
@@ -400,25 +404,26 @@ def flatness_curvature(m: Model) -> Dict:
     return out
 
 
-def gauge_transformation(m: Model) -> Dict:
-    """Expected variation of the symbolic connection components:
-    d_a eps + [A_a, eps], with the level-zero ghost symbol as parameter."""
+def gauge_transformation(jm: JetModel) -> Dict:
+    """Expected variation of the symbolic connection components
+    A_a = psi^C_{|a}: d_a eps + [A_a, eps], with the level-zero ghost jet
+    eps = psi^C_{|} as parameter."""
+    m = jm.parent
     lie = lie_of(m)
-    sp = m.space
     C = m.fibers["C"]
     out = {}
     for i in range(lie.dim):
         for a in m.base_indices:
-            _, gi = field_symbol(sp, C.gen(li=i), (), (a,))
+            _, gi = jm.jet(C.gen(li=i), (a,), ())
             want = Poly.gen(gi)
             for k in range(lie.dim):
                 for l in range(lie.dim):
                     cc = lie.f[i][k][l]
                     if cc:
-                        _, ga = field_symbol(sp, C.gen(li=k), (a,))
-                        _, gc = field_symbol(sp, C.gen(li=l), ())
+                        _, ga = jm.jet(C.gen(li=k), (), (a,))
+                        _, gc = jm.jet(C.gen(li=l))
                         want = want + Fraction(cc) * Poly.gen(ga) * Poly.gen(gc)
-            _, af = field_symbol(sp, C.gen(li=i), (a,))
+            _, af = jm.jet(C.gen(li=i), (), (a,))
             out[af] = want
     return out
 
@@ -661,18 +666,18 @@ def suite_lie_validate(cases: int = 500, seed: int = 47):
 def suite_el_invariance(cases: int = 1000, seed: int = 23):
     """The variational derivative annihilates total derivatives, so adding a
     divergence never changes the equivalence class of a density."""
-    from gpde.density import el_equivalent, euler_lagrange, total_field_derivative
+    from gpde.density import el_equivalent, euler_lagrange
 
-    m = variational_model()
+    jm = variational_model()
     rng = random.Random(seed)
     for k in range(cases):
-        dens = rand_field_poly(rng, m, depth=1, terms=2, max_len=3)
+        dens = rand_field_poly(rng, jm, depth=1, terms=2, max_len=3)
         div = Poly.zero()
-        for a in m.base_indices:
-            cur = rand_field_poly(rng, m, depth=1, terms=2, max_len=2, with_x=True)
-            div = div + total_field_derivative(m, a).apply(cur)
-        assert not euler_lagrange(m, div), f"exact density, case {k}"
-        assert el_equivalent(m, dens, dens + div), f"shifted density, case {k}"
+        for a in jm.parent.base_indices:
+            cur = rand_field_poly(rng, jm, depth=1, terms=2, max_len=2, with_x=True)
+            div = div + jm.total_derivative(a).apply(cur)
+        assert not euler_lagrange(jm, div), f"exact density, case {k}"
+        assert el_equivalent(jm, dens, dens + div), f"shifted density, case {k}"
 
 
 def rand_canonical_monomial(rng: random.Random, pool, max_len: int = 5):
@@ -786,21 +791,22 @@ def reference_substitute(p: Poly, mapping) -> Poly:
     return Poly(p.space if acc.space is None else acc.space, acc.terms)
 
 
-def reference_action_density(m: Model, sec) -> Poly:
-    """The action density by field substitution: chi with u sent to sec[u],
-    du to d_X sec[u], dx^a to theta^a and dtheta^a to zero, plus the
-    hamiltonian along the section; its top theta coefficient."""
-    from gpde.density import horizontal_field_differential
+def reference_action_density(sec) -> Poly:
+    """The action density by substitution: chi with u sent to sec[u], du to
+    D sec[u] (D the total derivative of the section's jet model), dx^a to
+    theta^a and dtheta^a to zero, plus the hamiltonian along the section;
+    its top theta coefficient."""
     from gpde.jets import theta_top_coefficient
     from gpde.model import solve_hamiltonian
 
+    jm = sec.jets
+    m = jm.parent
     if m.chi is None:
         raise GradedAlgebraError("model has no presymplectic potential")
     L = solve_hamiltonian(m)
-    dx_field = horizontal_field_differential(m)
     mapping = dict(sec.mapping)
     for u in m.fiber_coords():
-        mapping[m.space.differential(u)] = dx_field.apply(sec[u])
+        mapping[m.space.differential(u)] = jm.D.apply(sec[u])
     for a in m.base_indices:
         mapping[m.space.differential(m.x[a])] = Poly.gen(m.theta[a])
         mapping[m.space.differential(m.theta[a])] = Poly.zero()
@@ -1192,9 +1198,9 @@ def maxwell_specializations(m: Model, order: int = 3):
         {"ghost": 1, "A": 3, "pi": 3, "P": 1}
     assert br.reduced.reduced_form == \
         expected_reduced_form(br.reduced, lie, list(mr.base_indices))
-    dens = action_density(mr, generic_supersection(mr))
-    ok, lam = el_proportional(mr, dens, boundary_charge_display(m, mr))
+    dens = action_density(generic_supersection(br.jets))
+    ok, lam = el_proportional(br.jets, dens, boundary_charge_display(m, br.jets))
     assert ok and lam == 2
-    full = ghost_sector(action_density(m, generic_supersection(m)), 0)
-    ok, lam = el_proportional(m, full, first_order_density(m))
+    full = ghost_sector(action_density(generic_supersection(jm)), 0)
+    ok, lam = el_proportional(jm, full, first_order_density(jm))
     assert ok and lam == 1

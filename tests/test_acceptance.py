@@ -50,12 +50,12 @@ def _run(label, limit, body):
 def test_criterion_1_flat_connection_model():
     def body():
         assert _cli(["check", "ce_aksz"]) == 0
-        m = build_ce()
-        res = covariance_residual(m, generic_section(m))
-        for g, exp in pr.flatness_curvature(m).items():
+        jm = JetModel(build_ce(), 1)
+        res = covariance_residual(generic_section(jm))
+        for g, exp in pr.flatness_curvature(jm).items():
             assert res[g] == -exp
-        var = gauge_variation(m, generic_supersection(m))
-        for g, exp in pr.gauge_transformation(m).items():
+        var = gauge_variation(generic_supersection(jm))
+        for g, exp in pr.gauge_transformation(jm).items():
             assert var[g] == exp
 
     _run("criterion 1: flat connection model checks", 1.0, body)
@@ -124,13 +124,13 @@ def test_criterion_5_time_boundary_reduction():
         assert len(br.reduced.survivors) == 24
         assert br.reduced.reduced_form == \
             pr.expected_reduced_form(br.reduced, lie, list(mr.base_indices))
-        dens = action_density(mr, generic_supersection(mr))
-        ok, lam = el_proportional(mr, dens, pr.boundary_charge_display(m, mr))
+        dens = action_density(generic_supersection(br.jets))
+        ok, lam = el_proportional(br.jets, dens, pr.boundary_charge_display(m, br.jets))
         assert ok and lam == Fraction(2)
         # the charge carries the conventional half on the ghost-squared term;
         # without it no single scalar matches (see the decisions ledger)
         ok, _ = el_proportional(
-            mr, dens, pr.boundary_charge_display(m, mr, ghost_half=False))
+            br.jets, dens, pr.boundary_charge_display(m, br.jets, ghost_half=False))
         assert not ok
 
     _run("criterion 5: time-boundary reduction and charge", 60.0, body)
@@ -139,9 +139,9 @@ def test_criterion_5_time_boundary_reduction():
 def test_criterion_6_classical_sector():
     def body():
         assert _cli(["bv-action", "ym_weak", "--ghost", "0"]) == 0
-        m = build_ym()
-        sector = ghost_sector(action_density(m, generic_supersection(m)), 0)
-        ok, lam = el_proportional(m, sector, pr.first_order_density(m))
+        jm = JetModel(build_ym(), 1)
+        sector = ghost_sector(action_density(generic_supersection(jm)), 0)
+        ok, lam = el_proportional(jm, sector, pr.first_order_density(jm))
         assert ok and lam == Fraction(1)
 
     _run("criterion 6: classical sector is first-order Yang-Mills", None, body)

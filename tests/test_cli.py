@@ -76,7 +76,7 @@ def test_report_json_toy_golden(capsys):
         ],
         "outputs": {
             "hamiltonian": "-1/3*u^3",
-            "bv_action": "-1/3*u0^3",
+            "bv_action": "-1/3*u[|]^3",
         },
     }
 
@@ -154,7 +154,7 @@ def test_reduce_bad_point_name(capsys):
 def test_bv_action_ghost_zero(capsys):
     rc, out, _ = run(["bv-action", "toy_dim0", "--ghost", "0"], capsys)
     assert rc == 0
-    assert "bv_action: -1/3*u0^3" in out
+    assert "bv_action: -1/3*u[|]^3" in out
 
 
 def test_descent_and_identities_maxwell(capsys):
@@ -247,6 +247,13 @@ def test_unknown_model_name(capsys):
     (["reduce", "toy_dim0", "--at", "zz"], "gpde: --at expects name=value pairs, got 'zz'"),
     (["reduce", "maxwell_weak", "--at", "C{1}[|]=x"], "gpde: bad rational value 'x' in --at"),
     (["reduce", "toy_dim0", "--at", "nope=1"], "gpde: unknown coordinate 'nope' in --at"),
+    (["prolong", "maxwell_weak", "--order", "-1"], "gpde: --order must be nonnegative, got -1"),
+    (["descent", "maxwell_weak", "--order", "-1"], "gpde: --order must be nonnegative, got -1"),
+    (["bv-identities", "maxwell_weak", "--order", "-2"],
+     "gpde: --order must be nonnegative, got -2"),
+    (["reduce", "toy_dim0", "--order", "-1"], "gpde: --order must be nonnegative, got -1"),
+    (["boundary", "maxwell_weak", "--kill", "0", "--order", "-1"],
+     "gpde: --order must be nonnegative, got -1"),
 ])
 def test_usage_errors_exit_2_with_one_line(argv, message, capsys):
     # exit code 1 is kept for a failed check; a usage error prints no report
@@ -284,6 +291,17 @@ def test_latex_name_with_underscore():
     _, g = m.fibers["A_b"].resolve((0,))
     assert poly_latex(Poly.gen(g)) == "{A_b}_{0}"
     assert poly_latex(Poly.gen(g) * Poly.gen(g)) == "{{A_b}_{0}}^{2}"
+
+
+def test_latex_level_jet_is_not_its_bundle_coordinate():
+    from gpde import JetModel, load_builtin, poly_latex
+    from gpde.algebra import Poly
+
+    jm = JetModel(load_builtin("maxwell_weak"), 1)
+    F = jm.parent.fibers["F"].resolve((0, 1), 0)[1]
+    latex = {J: poly_latex(Poly.gen(jm.jet(F, (2,), J)[1])) for J in ((), (3,))}
+    assert latex == {(): "F^{1}_{0 1 2 |}", (3,): "F^{1}_{0 1 2 |3}"}
+    assert poly_latex(Poly.gen(jm.jet(F)[1])) == "F^{1}_{0 1 |}" != poly_latex(Poly.gen(F))
 
 
 def test_module_entry_point():

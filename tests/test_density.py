@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
-from gpde.algebra import FIELD, JET, DegreeError, GradedAlgebraError, Poly, theta_split
-from gpde.cartan import interior
+from gpde.algebra import JET, DegreeError, GradedAlgebraError, Poly, theta_split
+from gpde.cartan import VectorField, interior
 from gpde.density import (
     Section,
     action_density,
@@ -12,18 +12,14 @@ from gpde.density import (
     el_equivalent,
     el_proportional,
     euler_lagrange,
-    field_symbol,
     gauge_variation,
     generic_section,
     generic_supersection,
     ghost_sector,
-    horizontal_field_differential,
     restrict_to_submanifold,
     tangency_residuals,
-    total_field_derivative,
 )
 from gpde.jets import JetModel, theta_coefficients
-from gpde.model import solve_hamiltonian
 from gpde.parser import load_builtin
 
 from conftest import build_ce, build_maxwell, build_toy
@@ -39,23 +35,11 @@ def fib(m, fam, idx=(), li=None):
     return u
 
 
-def fld(m, fam, idx=(), J=(), deriv=(), li=None):
-    s2, g = field_symbol(m.space, fib(m, fam, idx, li), J, deriv)
+def psi(jm, fam, idx=(), J=(), I=(), li=None):
+    """The jet psi_{I|J} of a fiber coordinate, as a Poly."""
+    s2, g = jm.jet(fib(jm.parent, fam, idx, li), I, J)
     assert s2 == 1
     return Poly.gen(g)
-
-
-def jets_to_fields(space, p):
-    """Rename jet coordinates into component field symbols: the theta level
-    carries over, the prolongation multi-index becomes a derivative index."""
-    sub = {}
-    for g in p.generators():
-        if g.role == JET:
-            f = space.coordinate(f"{g.name}{len(g.jet_J)}", FIELD, g.gh,
-                                 base_index=g.base_index, lie_index=g.lie_index,
-                                 jet_J=g.jet_J, deriv=g.jet_I)
-            sub[g] = Poly.gen(f)
-    return p.substitute(sub)
 
 
 # sections ------------------------------------------------------------------
@@ -63,11 +47,11 @@ def jets_to_fields(space, p):
 
 def test_generic_section_shapes(maxwell_model):
     m = maxwell_model
-    sec = generic_section(m)
+    sec = generic_section(JetModel(m, 1))
     C = fib(m, "C")
     assert sec[C].num_terms() == 4
     for g in sec[C].generators():
-        if g.role == FIELD:
+        if g.role == JET:
             assert g.gh == 0
     F01 = fib(m, "F", (0, 1))
     assert sec[F01].num_terms() == 1
@@ -75,41 +59,39 @@ def test_generic_section_shapes(maxwell_model):
 
 def test_generic_supersection_levels(maxwell_model):
     m = maxwell_model
-    sec = generic_supersection(m)
+    sec = generic_supersection(JetModel(m, 1))
     C = fib(m, "C")
     assert sec[C].num_terms() == 16
-    ghs = {g.gh for g in sec[C].generators() if g.role == FIELD}
+    ghs = {g.gh for g in sec[C].generators() if g.role == JET}
     assert ghs == {1, 0, -1, -2, -3}
 
 
 def test_covariance_residual_maxwell(maxwell_model):
     m = maxwell_model
-    sec = generic_section(m)
-    res = covariance_residual(m, sec)
+    jm = JetModel(m, 1)
+    sec = generic_section(jm)
+    res = covariance_residual(sec)
     C = fib(m, "C")
-    from gpde.jets import theta_coefficients
-
     coeffs = theta_coefficients(res[C])
     for a, b in itertools.combinations(range(4), 2):
-        want = (fld(m, "F", (a, b)) + fld(m, "C", J=(a,), deriv=(b,))
-                - fld(m, "C", J=(b,), deriv=(a,)))
+        want = (psi(jm, "F", (a, b)) + psi(jm, "C", J=(a,), I=(b,))
+                - psi(jm, "C", J=(b,), I=(a,)))
         assert coeffs[(a, b)] == want
-    # the field strength coordinate itself is transported by -d_X only
+    # the field strength coordinate itself is transported by -D only
     F01 = fib(m, "F", (0, 1))
-    dxf = horizontal_field_differential(m)
-    assert res[F01] == -dxf.apply(sec[F01])
+    assert res[F01] == -jm.D.apply(sec[F01])
 
 
 def test_flat_section_kills_residual(maxwell_model):
     m = maxwell_model
-    base = generic_section(m)
-    mapping = dict(base.mapping)
+    jm = JetModel(m, 1)
+    mapping = dict(generic_section(jm).mapping)
     for a, b in itertools.combinations(range(4), 2):
         F = fib(m, "F", (a, b))
-        mapping[F] = fld(m, "C", J=(b,), deriv=(a,)) - fld(m, "C", J=(a,), deriv=(b,))
-    sec = Section(m, mapping)
+        mapping[F] = psi(jm, "C", J=(b,), I=(a,)) - psi(jm, "C", J=(a,), I=(b,))
+    sec = Section(jm, mapping)
     C = fib(m, "C")
-    assert covariance_residual(m, sec)[C].is_zero()
+    assert covariance_residual(sec)[C].is_zero()
 
 
 # gauge variation vs the jet evolutionary field -----------------------------
@@ -118,36 +100,34 @@ def test_flat_section_kills_residual(maxwell_model):
 def test_gauge_variation_matches_jet_seeds_maxwell(maxwell_model):
     m = maxwell_model
     jm = JetModel(m, 1)
-    var = gauge_variation(m, generic_supersection(m))
+    var = gauge_variation(generic_supersection(jm))
     for u in m.fiber_coords():
         for k in range(3):
             for J in itertools.combinations(m.base_indices, k):
                 _, jg = jm.jet(u, (), J)
-                _, fg = field_symbol(m.space, u, J)
-                assert var[fg] == jets_to_fields(m.space, jm.s.coefficient(jg))
+                assert var[jg] == jm.s.coefficient(jg)
 
 
 def test_gauge_variation_matches_jet_seeds_ym(ym_model):
     m = ym_model
     jm = JetModel(m, 1)
-    var = gauge_variation(m, generic_supersection(m))
+    var = gauge_variation(generic_supersection(jm))
     for u in m.fiber_coords():
         for k in range(2):
             for J in itertools.combinations(m.base_indices, k):
                 _, jg = jm.jet(u, (), J)
-                _, fg = field_symbol(m.space, u, J)
-                assert var[fg] == jets_to_fields(m.space, jm.s.coefficient(jg))
+                assert var[jg] == jm.s.coefficient(jg)
 
 
 def test_gauge_variation_registers_no_fields():
-    # the residual registers the derivative symbols the variation contains;
+    # the residual registers the derivative jets the variation contains;
     # reading it off by theta level must add nothing, least of all the
-    # level fields a ghost-zero section leaves out
+    # level jets a ghost-zero section leaves out
     m = build_maxwell()
-    sec = generic_section(m)
-    res = covariance_residual(m, sec)
+    sec = generic_section(JetModel(m, 1))
+    res = covariance_residual(sec)
     before = len(m.space.generators())
-    var = gauge_variation(m, sec)
+    var = gauge_variation(sec)
     assert len(m.space.generators()) == before
     want = {}
     for u in m.fiber_coords():
@@ -161,39 +141,38 @@ def test_gauge_variation_registers_no_fields():
 
 def test_gauge_variation_ce_formulas(ce_model):
     m = ce_model
-    var = gauge_variation(m, generic_supersection(m))
-    space = m.space
+    jm = JetModel(m, 1)
+    var = gauge_variation(generic_supersection(jm))
     # ghost: s c = -(1/2)[c, c], component 1 of su(2) reads -c2*c3
-    _, c1 = field_symbol(space, fib(m, "C", li=0))
-    assert var[c1] == -fld(m, "C", li=1) * fld(m, "C", li=2)
+    _, c1 = jm.jet(fib(m, "C", li=0))
+    assert var[c1] == -psi(jm, "C", li=1) * psi(jm, "C", li=2)
     # connection: s A_a = del_a c + [A_a, c]
-    _, a01 = field_symbol(space, fib(m, "C", li=0), J=(0,))
-    want = (fld(m, "C", li=0, deriv=(0,))
-            + fld(m, "C", J=(0,), li=1) * fld(m, "C", li=2)
-            - fld(m, "C", J=(0,), li=2) * fld(m, "C", li=1))
+    _, a01 = jm.jet(fib(m, "C", li=0), (), (0,))
+    want = (psi(jm, "C", li=0, I=(0,))
+            + psi(jm, "C", J=(0,), li=1) * psi(jm, "C", li=2)
+            - psi(jm, "C", J=(0,), li=2) * psi(jm, "C", li=1))
     assert var[a01] == want
 
 
 def test_gauge_variation_squares_to_zero(ce_model):
     m = ce_model
-    var = gauge_variation(m, generic_supersection(m))
+    jm = JetModel(m, 1)
+    var = gauge_variation(generic_supersection(jm))
     space = m.space
 
     def srule(g):
-        if g.role != FIELD:
+        if g.role != JET:
             return None
-        base = space.coordinate(g.name, FIELD, g.gh, base_index=g.base_index,
-                                lie_index=g.lie_index, jet_J=g.jet_J, deriv=())
+        base = space.coordinate(g.name, JET, g.gh, base_index=g.base_index,
+                                lie_index=g.lie_index, jet_J=g.jet_J)
         img = var.get(base)
         if img is None:
             return None
-        for a in g.deriv:
-            img = total_field_derivative(m, a).apply(img)
+        for a in g.jet_I:
+            img = jm.total_derivative(a).apply(img)
         return img
 
-    from gpde.cartan import VectorField
-
-    s = VectorField(space, 1, rule=srule, name="s_fields")
+    s = VectorField(space, 1, rule=srule, name="s_levels")
     for g, img in var.items():
         assert s.apply(img).is_zero(), f"s^2 fails on {g.name}"
 
@@ -202,58 +181,58 @@ def test_gauge_variation_squares_to_zero(ce_model):
 
 
 def test_euler_lagrange_second_order(maxwell_model):
-    m = maxwell_model
-    a0 = fld(m, "C", J=(0,))
-    dens = fld(m, "C", J=(0,), deriv=(1,)) * fld(m, "C", J=(0,), deriv=(1,)) / 2
-    el = euler_lagrange(m, dens)
-    key = [g for g in el if g.name == "C1"][0]
-    assert el[key] == -fld(m, "C", J=(0,), deriv=(1, 1))
-    assert key.jet_J == (0,) and key.deriv == ()
+    jm = JetModel(maxwell_model, 1)
+    a0 = psi(jm, "C", J=(0,))
+    dens = psi(jm, "C", J=(0,), I=(1,)) * psi(jm, "C", J=(0,), I=(1,)) / 2
+    el = euler_lagrange(jm, dens)
+    key = [g for g in el if g.name == "C"][0]
+    assert el[key] == -psi(jm, "C", J=(0,), I=(1, 1))
+    assert key.jet_J == (0,) and key.jet_I == ()
     assert a0.generators()
 
 
 def test_euler_lagrange_odd_field(maxwell_model):
-    m = maxwell_model
-    c = fld(m, "C")
-    dens = c * fld(m, "C", deriv=(0,))
-    el = euler_lagrange(m, dens)
+    jm = JetModel(maxwell_model, 1)
+    c = psi(jm, "C")
+    dens = c * psi(jm, "C", I=(0,))
+    el = euler_lagrange(jm, dens)
     key = [g for g in el][0]
-    assert el[key] == 2 * fld(m, "C", deriv=(0,))
+    assert el[key] == 2 * psi(jm, "C", I=(0,))
 
 
 def test_euler_lagrange_ignores_total_derivatives(maxwell_model):
-    m = maxwell_model
-    base = fld(m, "C", J=(1,)) * fld(m, "C", J=(1,), deriv=(2,))
+    jm = JetModel(maxwell_model, 1)
+    base = psi(jm, "C", J=(1,)) * psi(jm, "C", J=(1,), I=(2,))
     currents = [
-        fld(m, "C", J=(0,)) * fld(m, "C", J=(0,), deriv=(1,)),
-        fld(m, "C") * fld(m, "C", J=(2,)) * fld(m, "C", J=(2,), deriv=(0,)),
-        fld(m, "F", (0, 1)) * fld(m, "C", deriv=(3,)),
+        psi(jm, "C", J=(0,)) * psi(jm, "C", J=(0,), I=(1,)),
+        psi(jm, "C") * psi(jm, "C", J=(2,)) * psi(jm, "C", J=(2,), I=(0,)),
+        psi(jm, "F", (0, 1)) * psi(jm, "C", I=(3,)),
     ]
     for j in currents:
         for a in (0, 1, 3):
-            shifted = base + total_field_derivative(m, a).apply(j)
-            assert el_equivalent(m, base, shifted)
-            assert not el_equivalent(m, base + fld(m, "C", J=(1,)), base)
+            shifted = base + jm.total_derivative(a).apply(j)
+            assert el_equivalent(jm, base, shifted)
+            assert not el_equivalent(jm, base + psi(jm, "C", J=(1,)), base)
 
 
 def test_el_proportional(maxwell_model):
-    m = maxwell_model
-    a = fld(m, "C", J=(0,)) * fld(m, "C", J=(0,), deriv=(1,)) * fld(m, "F", (2, 3))
-    ok, lam = el_proportional(m, 3 * a, a)
+    jm = JetModel(maxwell_model, 1)
+    a = psi(jm, "C", J=(0,)) * psi(jm, "C", J=(0,), I=(1,)) * psi(jm, "F", (2, 3))
+    ok, lam = el_proportional(jm, 3 * a, a)
     assert ok and lam == 3
-    f01 = fld(m, "F", (0, 1))
-    ok, _ = el_proportional(m, a, a + f01 * f01)
+    f01 = psi(jm, "F", (0, 1))
+    ok, _ = el_proportional(jm, a, a + f01 * f01)
     assert not ok
 
 
 def test_euler_lagrange_keys_in_canonical_order(maxwell_model):
     """Generators hash by identity, so a set of them iterates in an order
     that depends on memory addresses; the keys must not."""
-    m = maxwell_model
-    dens = action_density(m, generic_section(m))
-    dens = dens + fld(m, "F", (2, 3)) * fld(m, "C", J=(0,), deriv=(1,)) \
-        + fld(m, "C", J=(3,)) * fld(m, "F", (0, 1), deriv=(2,))
-    keys = list(euler_lagrange(m, dens))
+    jm = JetModel(maxwell_model, 1)
+    dens = action_density(generic_section(jm))
+    dens = dens + psi(jm, "F", (2, 3)) * psi(jm, "C", J=(0,), I=(1,)) \
+        + psi(jm, "C", J=(3,)) * psi(jm, "F", (0, 1), I=(2,))
+    keys = list(euler_lagrange(jm, dens))
     assert len(keys) >= 3
     assert keys == sorted(keys, key=lambda g: g._sort)
 
@@ -262,26 +241,24 @@ def test_euler_lagrange_keys_in_canonical_order(maxwell_model):
 
 
 def test_action_density_dim0():
-    m = build_toy()
-    sec = generic_section(m)
-    dens = action_density(m, sec)
-    u0 = fld(m, "u")
+    jm = JetModel(build_toy(), 1)
+    dens = action_density(generic_section(jm))
+    u0 = psi(jm, "u")
     assert dens == -u0 * u0 * u0 / 3
-    el = euler_lagrange(m, dens)
+    el = euler_lagrange(jm, dens)
     assert list(el.values()) == [-u0 * u0]
 
 
 def test_action_density_maxwell_first_order():
-    m = build_maxwell()
-    sec = generic_section(m)
-    dens = action_density(m, sec)
+    jm = JetModel(build_maxwell(), 1)
+    dens = action_density(generic_section(jm))
     assert not dens.is_zero()
     assert ghost_sector(dens, 0) == dens
-    names = {g.name for g in dens.generators() if g.role == FIELD}
-    assert names == {"C1", "F0"}
+    levels = {(g.name, len(g.jet_J)) for g in dens.generators() if g.role == JET}
+    assert levels == {("C", 1), ("F", 0)}
     # quadratic field-strength block and the mixing block both present
-    sq = dens.filter(lambda mono: sum(e for g, e in mono if g.name == "F0") == 2)
-    mix = dens.filter(lambda mono: any(g.name == "C1" for g, e in mono))
+    sq = dens.filter(lambda mono: sum(e for g, e in mono if g.name == "F") == 2)
+    mix = dens.filter(lambda mono: any(g.name == "C" for g, e in mono))
     assert not sq.is_zero() and not mix.is_zero()
     assert (sq + mix) == dens
 
@@ -339,13 +316,12 @@ def test_boundary_reduction_maxwell(maxwell_model):
 
 def test_boundary_bfv_integrand_maxwell(maxwell_model):
     br = boundary_reduction(maxwell_model, kill=(0,), order=1)
-    mr = br.restricted
-    dens = action_density(mr, generic_supersection(mr))
+    dens = action_density(generic_supersection(br.jets))
     gh1 = ghost_sector(dens, 1)
     assert not gh1.is_zero()
     # abelian charge: momentum times the gradient of the ghost field
-    names = {g.name for g in gh1.generators() if g.role == FIELD}
-    assert "C0" in names and "F0" in names
+    levels = {(g.name, len(g.jet_J)) for g in gh1.generators() if g.role == JET}
+    assert ("C", 0) in levels and ("F", 0) in levels
 
 
 # action density against field substitution ----------------------------------
@@ -373,20 +349,34 @@ def oracle_model(request):
 @pytest.mark.parametrize("make", [generic_supersection, generic_section])
 def test_action_density_matches_field_substitution(oracle_model, make):
     m = oracle_model
-    sec = make(m)
+    sec = make(JetModel(m, 1))
     if m.chi is None:
         for density in (action_density, reference_action_density):
             with pytest.raises(GradedAlgebraError, match="no presymplectic potential"):
-                density(m, sec)
+                density(sec)
         return
-    got = action_density(m, sec)
+    got = action_density(sec)
     # the ghost-zero section of the restricted model has no top level
     assert got.is_zero() == (make is generic_section and m.name.endswith("_on_123"))
-    assert got == reference_action_density(m, sec)
+    assert got == reference_action_density(sec)
     # a jet model whose BV scalar the master identities already built
     jm = JetModel(m, 1)
     jm.bv_scalar()
-    assert action_density(m, sec, jm) == got
+    assert action_density(make(jm)) == got
+
+
+def test_generic_supersection_density_is_bv_top(oracle_model):
+    """Along the generic supersection psi_{I|J} goes to D_I psi_{|J}, itself:
+    the action density is the top level of the BV scalar, term for term."""
+    jm = JetModel(oracle_model, 1)
+    sec = generic_supersection(jm)
+    if oracle_model.chi is None:
+        with pytest.raises(GradedAlgebraError, match="no presymplectic potential"):
+            action_density(sec)
+        return
+    top = jm.bv_top()
+    assert not top.is_zero()
+    assert action_density(sec) == top
 
 
 def test_bv_scalar_is_the_D_contraction_plus_lbar(oracle_model):
@@ -400,59 +390,88 @@ def test_bv_scalar_is_the_D_contraction_plus_lbar(oracle_model):
     assert got == interior(jm.D, jm.chibar()) + jm.lbar()
 
 
-def flat_section_with_theta_levels(m):
+def flat_section_with_theta_levels(jm):
     """The flat Maxwell section of test_flat_section_kills_residual plus
-    theta^0 theta^1 del_3 phi_{C|01} in the image of C."""
-    mapping = dict(generic_section(m).mapping)
+    theta^0 theta^1 psi^C_{3|01} in the image of C."""
+    m = jm.parent
+    mapping = dict(generic_section(jm).mapping)
     for a, b in itertools.combinations(range(4), 2):
-        mapping[fib(m, "F", (a, b))] = (fld(m, "C", J=(b,), deriv=(a,))
-                                        - fld(m, "C", J=(a,), deriv=(b,)))
+        mapping[fib(m, "F", (a, b))] = (psi(jm, "C", J=(b,), I=(a,))
+                                        - psi(jm, "C", J=(a,), I=(b,)))
     th0, th1 = Poly.gen(m.theta[0]), Poly.gen(m.theta[1])
     C = fib(m, "C")
-    mapping[C] = mapping[C] + th0 * th1 * fld(m, "C", J=(0, 1), deriv=(3,))
-    return Section(m, mapping)
+    mapping[C] = mapping[C] + th0 * th1 * psi(jm, "C", J=(0, 1), I=(3,))
+    return Section(jm, mapping)
 
 
 def test_action_density_of_images_with_theta_and_derivatives(maxwell_model):
-    m = maxwell_model
-    sec = flat_section_with_theta_levels(m)
-    got = action_density(m, sec)
-    # the curvature is the derivative of the connection's level fields
-    assert {(g.name, len(g.deriv)) for g in got.generators()} == {("C1", 1)}
-    assert got == reference_action_density(m, sec)
+    sec = flat_section_with_theta_levels(JetModel(maxwell_model, 1))
+    got = action_density(sec)
+    # the curvature is the derivative of the connection's level jets
+    assert {(g.name, len(g.jet_J), len(g.jet_I)) for g in got.generators()} == {("C", 1, 1)}
+    assert got == reference_action_density(sec)
 
 
 def test_action_density_rejects_inhomogeneous_or_wrong_parity_images(maxwell_model):
     m = maxwell_model
+    jm = JetModel(m, 1)
     C = fib(m, "C")
     bad = {
-        "not parity-homogeneous": Poly.gen(m.theta[0]) * fld(m, "C", J=(0,)) + fld(m, "F", (0, 1)),
-        "wrong parity": fld(m, "F", (0, 1)),
+        "not parity-homogeneous": Poly.gen(m.theta[0]) * psi(jm, "C", J=(0,)) + psi(jm, "F", (0, 1)),
+        "wrong parity": psi(jm, "F", (0, 1)),
     }
     for match, img in bad.items():
-        mapping = dict(generic_supersection(m).mapping)
+        mapping = dict(generic_supersection(jm).mapping)
         mapping[C] = img
         with pytest.raises(DegreeError, match=match):
-            action_density(m, Section(m, mapping))
+            action_density(Section(jm, mapping))
 
 
-def test_action_density_rejects_bundle_and_jet_coordinates(maxwell_model):
+def test_action_density_rejects_bundle_coordinates(maxwell_model):
     m = maxwell_model
+    jm = JetModel(m, 1)
     C, F = fib(m, "C"), fib(m, "F", (0, 1))
-    _, psi = JetModel(m, 1).jet(C, (), (0,))
+    _, psi0 = jm.jet(C, (), (0,))
     th0 = Poly.gen(m.theta[0])
-    for img in (Poly.gen(C), th0 * Poly.gen(psi) * Poly.gen(F)):
-        mapping = dict(generic_supersection(m).mapping)
+    for img in (Poly.gen(C), th0 * Poly.gen(psi0) * Poly.gen(F)):
+        mapping = dict(generic_supersection(jm).mapping)
         mapping[C] = img
-        with pytest.raises(GradedAlgebraError, match="bundle or jet coordinate"):
-            action_density(m, Section(m, mapping))
+        with pytest.raises(GradedAlgebraError, match="bundle coordinate"):
+            action_density(Section(jm, mapping))
+
+
+def test_images_in_jets_another_jet_model_made(maxwell_model):
+    # a jet is a generator of the space: any jet model of it acts on it
+    other = generic_supersection(JetModel(maxwell_model, 1))
+    jm = JetModel(maxwell_model, 1)
+    sec = Section(jm, other.mapping)
+    assert covariance_residual(sec) == covariance_residual(other)
+    assert action_density(sec) == action_density(other)
+    assert jm.registry_stats() == other.jets.registry_stats()
 
 
 def test_action_density_without_chi_makes_no_jet():
     m = build_ce()
     jm = JetModel(m, 1)
-    for jets in (None, jm):
-        with pytest.raises(GradedAlgebraError, match="no presymplectic potential"):
-            action_density(m, generic_supersection(m), jets)
-    assert jm.registry_stats()["jet_coordinates"] == 0
-    assert not any(g.role == JET for g in m.space.generators())
+    sec = generic_supersection(jm)
+    made = jm.registry_stats()["jet_coordinates"]
+    level_jets = [g for g in m.space.generators() if g.role == JET]
+    assert made == len(level_jets)
+    with pytest.raises(GradedAlgebraError, match="no presymplectic potential"):
+        action_density(sec)
+    # no jet beyond the section's level jets
+    assert jm.registry_stats()["jet_coordinates"] == made
+    assert [g for g in m.space.generators() if g.role == JET] == level_jets
+
+
+def test_boundary_reduction_refuses_absent_kill_directions(maxwell_model):
+    for kill, absent in (([9], r"\[9\]"), ([0, 7, 5], r"\[5, 7\]")):
+        with pytest.raises(GradedAlgebraError, match=f"cannot kill absent base directions {absent}"):
+            boundary_reduction(maxwell_model, kill=kill)
+
+
+def test_jet_of_no_bundle_coordinate_is_refused():
+    m = build_maxwell()
+    stray = m.space.coordinate("Z", JET, 0, jet_I=(1,))
+    with pytest.raises(GradedAlgebraError, match="jet coordinate 'Z' of no bundle coordinate"):
+        JetModel(m, 1).D.apply(Poly.gen(stray))

@@ -21,7 +21,8 @@ from gpde.algebra import (
     rational,
 )
 from gpde.cli import _VERBS, _parse_point, build_parser
-from gpde.density import el_proportional, field_symbol
+from gpde.density import el_proportional
+from gpde.jets import JetModel
 from gpde.model import solve_hamiltonian
 from gpde.parser import builtin_names, load_builtin, parse_model
 from gpde.reduction import nullspace, rref
@@ -140,10 +141,10 @@ def test_hamiltonian_exact_half():
 
 
 def test_proportionality_scalar_of_int_densities():
-    m = parse_model(HALF, name="half")
-    _, g = field_symbol(m.space, m.fibers["u"].gen(), ())
+    jm = JetModel(parse_model(HALF, name="half"), 1)
+    _, g = jm.jet(jm.parent.fibers["u"].gen())
     a = Poly.gen(g) * Poly.gen(g) * Poly.gen(g)
-    ok, lam = el_proportional(m, a, 2 * a)
+    ok, lam = el_proportional(jm, a, 2 * a)
     assert ok
     exact(lam, Fraction(1, 2))
 
