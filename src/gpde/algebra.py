@@ -312,16 +312,26 @@ def accumulate(acc: dict, pairs) -> dict:
 def _sandwich(prefix: Monomial, coeff: Scalar, terms: Mapping[Monomial, Scalar]):
     """The (monomial, coefficient) pairs of prefix * (coeff * terms), with
     Koszul signs; products in which an odd generator squares are dropped.
-    A unit coeff costs no product."""
+    A unit coeff costs no product, a term coefficient of int 1 or -1 only
+    a sign, and coeff is negated at most once per call."""
     unit = coeff == 1
+    neg = None
     for m, c in terms.items():
         r = mono_mul(prefix, m)
         if r is None:
             continue
         sign, m = r
-        if not unit:
-            c = coeff * c
-        yield m, (c if sign > 0 else -c)
+        if unit:
+            yield m, (c if sign > 0 else -c)
+        elif type(c) is int and (c == 1 or c == -1):
+            if (sign > 0) == (c > 0):
+                yield m, coeff
+            else:
+                if neg is None:
+                    neg = -coeff
+                yield m, neg
+        else:
+            yield m, coeff * (c if sign > 0 else -c)
 
 
 def _product(a: Mapping[Monomial, Scalar], b: Mapping[Monomial, Scalar]) -> dict:

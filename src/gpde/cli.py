@@ -112,9 +112,10 @@ def _run_prolong(m: Model, args) -> Report:
     jm = JetModel(m, args.order)
     if m.chi is not None:
         jm.omegabar()
-    # touch the gauge part so the seed registry is populated
+    # s on every level jet psi_{|K}: its seeds make the jets psi_{a|K-a}
     for g in m.fiber_coords():
-        jm.s.coefficient(jm.jet(g, (), ())[1])
+        for K in m.theta_levels(range(m.n + 1)):
+            jm.s.coefficient(jm.jet(g, (), K)[1])
     stats = jm.registry_stats()
     rep.add(CheckResult("prolongation", True,
                         detail=f"order {args.order}, "

@@ -5,21 +5,26 @@ multi-index of base derivatives, J a strictly increasing tuple of odd base
 directions (the theta-expansion level, lowering ghost degree by |J|).  The
 expansion convention is u^A = sum_J theta^J psi^A_{|J} with unit
 coefficients and theta factors on the left.  Pull-backs multiply expansions
-out level by level, over disjoint pairs theta^J theta^K only.
+out level by level, over disjoint pairs theta^J theta^K only; asked for one
+target level, a pull-back forms only the products that stay inside it.
 
 Two odd vector fields act on jet space: the total derivative
 D = theta^a D_a and the evolutionary differential s, seeded so that the
 pulled-back Q-structure equals s + D on expansions and extended to deeper
-jets by commuting with the total derivatives.  Three pull-backs send u to
-its expansion and du to d, d_v or D of it: the full one gives chibar (only
-`prolong` builds omegabar = d(chibar)), the vertical one the two-form
-d_v(V chibar) the checks read, and the horizontal one, with dx^a going to
-theta^a, the BV scalar i_D chibar + hbar out of chi + h.
+jets by commuting with the total derivatives.  The seed of s on a level jet
+psi_{|K} is built when s is first read there, from level K of Q exp u and
+D exp u alone.  Three pull-backs send u to its expansion and du to d, d_v or
+D of it: the full one gives chibar (only `prolong` builds omegabar =
+d(chibar)), the vertical one the two-form d_v(V chibar) the checks read and,
+at the theta-volume level only, the top block the reductions quotient by,
+and the horizontal one, with dx^a going to theta^a, the BV scalar
+i_D chibar + hbar out of chi + h.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import (
@@ -72,19 +77,32 @@ _join = functools.cache(sort_sign)
 HORIZONTAL = 2  # the pull-backs' `vertical`: du goes to d (False), d_v (True) or D
 
 
-def _level_product(levels: dict, parity: int, image: dict) -> dict:
-    """levels * image, both {J: terms} standing for sum_J theta^J * terms,
-    levels of the given parity: theta^K moves left past a level-J rest of
-    parity parity + |J|."""
+@functools.cache
+def _free_levels(target: Tuple[int, ...], J: Tuple[int, ...], last: bool) -> tuple:
+    """The levels L with J + L inside target and disjoint: the subsets of
+    target - J, or with last only target - J itself."""
+    free = tuple(k for k in target if k not in J)
+    if last:
+        return (free,)
+    return tuple(L for r in range(len(free) + 1) for L in itertools.combinations(free, r))
+
+
+def _level_product(levels: dict, parity: int, image, target: tuple, last: bool) -> dict:
+    """levels * image, levels {J: terms} standing for sum_J theta^J * terms
+    and of the given parity, image(L) the terms of level L of the other
+    factor (empty or None when it has none): theta^L moves left past a
+    level-J rest of parity parity + |J|.  Only the pairs whose product level
+    stays inside target are formed, and with last only those landing on it."""
     out: dict = {}
-    for K, R in image.items():
-        for J, A in levels.items():
-            sign, JK = _join(J + K)
-            if not sign:
+    for J, A in levels.items():
+        for L in _free_levels(target, J, last):
+            R = image(L)
+            if not R:
                 continue
-            if len(K) & (parity ^ len(J)) & 1:
+            sign, JL = _join(J + L)
+            if len(L) & (parity ^ len(J)) & 1:
                 sign = -sign
-            acc = out.setdefault(JK, {})
+            acc = out.setdefault(JL, {})
             for a, c in A.items():
                 accumulate(acc, _sandwich(a, c if sign > 0 else -c, R))
     return out
@@ -116,8 +134,9 @@ class JetModel:
 
     Jet coordinates are materialized on demand; the truncation order only
     controls the excluded count in reports, never the values or verdicts.
-    Pull-backs and the seeds of s are built level by level; the forms the
-    checks read are cached, and no check builds omegabar()."""
+    Pull-backs are built level by level, and the seeds of s per level, on
+    demand; the forms the checks read are cached, and no check builds
+    omegabar()."""
 
     def __init__(self, parent: Model, order: int):
         if order < 0:
@@ -125,9 +144,9 @@ class JetModel:
         self.parent = parent
         self.N = order
         self.space = parent.space
+        self._top = tuple(sorted(parent.base_indices))
         self._info: Dict[Generator, Tuple[Generator, Tuple[int, ...], Tuple[int, ...]]] = {}
         self._images: Dict[Tuple[Generator, bool], dict] = {}
-        self._seeds: Dict[Generator, Dict[Tuple[int, ...], Poly]] = {}
         self._totals: Dict[int, VectorField] = {}
         self._omegabar: Optional[Poly] = None
         self._vertical_chibar: Optional[Poly] = None
@@ -170,43 +189,52 @@ class JetModel:
         return self.parent.theta_expansion(range(self.parent.n + 1),
                                            lambda J: self.jet(fiber_gen, (), J)[1])
 
-    def _d_levels(self, fiber_gen: Generator) -> dict:
-        """The levels of D exp u: [D exp u]_K = sum (-1)^i psi_{a|K-a} over
-        a = K[i], since D = theta^a D_a and theta^a theta^{K-a} = (-1)^i theta^K."""
-        return {K: {((self.jet(fiber_gen, (a,), K[:i] + K[i + 1:])[1], 1),): -1 if i & 1 else 1
-                    for i, a in enumerate(K)}
-                for K in self.parent.theta_levels(range(1, self.parent.n + 1))}
+    def _d_level(self, fiber_gen: Generator, K: Tuple[int, ...]) -> dict:
+        """Level K of D exp u: sum (-1)^i psi_{a|K-a} over a = K[i], since
+        D = theta^a D_a and theta^a theta^{K-a} = (-1)^i theta^K."""
+        return {((self.jet(fiber_gen, (a,), K[:i] + K[i + 1:])[1], 1),): -1 if i & 1 else 1
+                for i, a in enumerate(K)}
 
-    def _image_levels(self, g: Generator, vertical) -> dict:
-        """The levels of the image of a fiber coordinate, a fiber
-        differential, or (horizontally) a dx^a, whose image is theta^a."""
+    def _image_level(self, g: Generator, vertical):
+        """The function L -> terms of level L of the image of a fiber
+        coordinate, a fiber differential, or (horizontally) a dx^a, whose
+        image is theta^a.  Horizontally du goes to D exp u, whose levels are
+        built one at a time as they are asked for; the other images are
+        expanded whole once and cached."""
+        if g.fdeg and vertical == HORIZONTAL and g.role != BASE_X:
+            return functools.partial(self._d_level, self.space.coordinate_of(g))
         key = (g, vertical if g.fdeg else False)
         if key not in self._images:
             if g.role == BASE_X:
                 levels = {g.base_index: {(): 1}}
-            elif g.fdeg and vertical == HORIZONTAL:
-                levels = self._d_levels(self.space.coordinate_of(g))
             else:
                 img = self.theta_expansion(self.space.coordinate_of(g) if g.fdeg else g)
                 img = de_rham(img, vertical) if g.fdeg else img
                 levels = {J: c.terms for J, c in theta_coefficients(img).items()}
             self._images[key] = levels
-        return self._images[key]
+        return self._images[key].get
 
-    def level_pullback(self, p: Poly, vertical=False) -> Dict[Tuple[int, ...], dict]:
+    def level_pullback(self, p: Poly, vertical=False, level=None) -> dict:
         """The pull-back of p as {J: terms}, standing for sum_J theta^J * terms.
         A term of p is theta^J0 U M (theta_split), its mapped factors M moved
         right of the others U with substitute's sign; the images of M are
-        multiplied in level by level, a power e times.  With vertical=True a
-        base differential kills its term; with HORIZONTAL dx^a is mapped to
-        theta^a and dtheta^a kills its term."""
+        multiplied in level by level over disjoint levels, a power e times.
+        With vertical=True a base differential kills its term; with
+        HORIZONTAL dx^a is mapped to theta^a and dtheta^a kills its term.
+
+        Given a level K, only the terms of level K are returned, and only the
+        products that stay inside K are formed: the last mapped factor
+        contributes just its level K - J."""
+        target = self._top if level is None else level
         out: dict = {}
         for J0, rest, _, c in theta_split(p):
+            if level is not None and not all(j in level for j in J0):
+                continue
             unmapped, mapped = [], []
             parity, odd = len(J0) & 1, 0    # of theta^J0 U, of M met so far
             for g, e in rest:
                 if g.role == FIBER or (vertical == HORIZONTAL and g.fdeg and g.role == BASE_X):
-                    mapped.append((g, e))
+                    mapped.extend([g] * e)
                     odd ^= g.parity
                 elif vertical and g.fdeg and g.role in (BASE_X, BASE_THETA):
                     break
@@ -216,12 +244,15 @@ class JetModel:
                     c = -c if g.parity & odd else c
             else:
                 levels = {J0: {tuple(unmapped): c}}
-                for g, e in mapped:
-                    for _ in range(e):
-                        levels = _level_product(levels, parity, self._image_levels(g, vertical))
-                        parity ^= g.parity
+                for i, g in enumerate(mapped):
+                    levels = _level_product(levels, parity, self._image_level(g, vertical),
+                                            target, level is not None and i == len(mapped) - 1)
+                    parity ^= g.parity
                 for J, t in levels.items():
-                    accumulate(out.setdefault(J, {}), t.items())
+                    if level is None or J == level:
+                        accumulate(out.setdefault(J, {}), t.items())
+        if level is not None:
+            return out.get(level, {})
         return {J: t for J, t in out.items() if t}
 
     def pullback(self, p: Poly, vertical=False) -> Poly:
@@ -276,20 +307,16 @@ class JetModel:
             )
         return None
 
-    def _seed(self, fiber_gen: Generator) -> Dict[Tuple[int, ...], Poly]:
-        """s on the level jets psi_{|K}, read off the levels of Q exp u =
-        s exp u + D exp u: [s exp u]_K = (-1)^{|K|} s(psi_{|K}), and the
-        levels of D exp u are _d_levels."""
-        seeds = self._seeds.get(fiber_gen)
-        if seeds is None:
-            levels = self.level_pullback(self.parent.q.coefficient(fiber_gen))
-            for K, t in self._d_levels(fiber_gen).items():
-                accumulate(levels.setdefault(K, {}), ((g, -c) for g, c in t.items()))
-            seeds = {K: Poly._adopt(self.space, {m: -c for m, c in t.items()}
-                                    if len(K) & 1 else t)
-                     for K, t in levels.items() if t}
-            self._seeds[fiber_gen] = seeds
-        return seeds
+    def _seed(self, fiber_gen: Generator, K: Tuple[int, ...]) -> Optional[Poly]:
+        """s(psi_{|K}), read off level K of Q exp u = s exp u + D exp u:
+        [s exp u]_K = (-1)^{|K|} s(psi_{|K}), so it is (-1)^{|K|}([Q exp u]_K
+        - [D exp u]_K), None when zero.  Only level K is built; s.coefficient
+        memoises it per jet psi_{|K}."""
+        t = self.level_pullback(self.parent.q.coefficient(fiber_gen), level=K)
+        accumulate(t, ((m, -c) for m, c in self._d_level(fiber_gen, K).items()))
+        if not t:
+            return None
+        return Poly._adopt(self.space, {m: -c for m, c in t.items()} if len(K) & 1 else t)
 
     def _s_rule(self, g: Generator):
         if g.role == JET:
@@ -297,7 +324,7 @@ class JetModel:
             if I:
                 _, lower = self.jet(fib, I[1:], J)
                 return self.total_derivative(I[0]).apply(self.s.coefficient(lower))
-            return self._seed(fib).get(J)
+            return self._seed(fib, J)
         if g.role == FIBER:
             raise GradedAlgebraError(
                 f"bundle coordinate {g.name!r} inside a jet-space expression"
@@ -306,10 +333,13 @@ class JetModel:
 
     # pulled-back structures -------------------------------------------------
 
-    def chibar(self) -> Poly:
+    def _chi(self) -> Poly:
         if self.parent.chi is None:
             raise GradedAlgebraError("parent model has no presymplectic potential")
-        return self.pullback(self.parent.chi)
+        return self.parent.chi
+
+    def chibar(self) -> Poly:
+        return self.pullback(self._chi())
 
     def omegabar(self) -> Poly:
         if self._omegabar is None:
@@ -319,17 +349,23 @@ class JetModel:
     def vertical_chibar(self) -> Poly:
         """vertical_part(chibar()), built by the vertical pull-back."""
         if self._vertical_chibar is None:
-            if self.parent.chi is None:
-                raise GradedAlgebraError("parent model has no presymplectic potential")
-            self._vertical_chibar = self.pullback(self.parent.chi, vertical=True)
+            self._vertical_chibar = self.pullback(self._chi(), vertical=True)
         return self._vertical_chibar
 
     def vertical_omegabar(self) -> Poly:
         """The vertical part of omegabar, built as d_v(vertical_chibar()): the
-        two-form the descent tower, the master identities and the reductions use."""
+        two-form the descent tower and the master identities use."""
         if self._vertical_omegabar is None:
             self._vertical_omegabar = d_vertical(self.vertical_chibar())
         return self._vertical_omegabar
+
+    def vertical_top(self) -> Poly:
+        """The coefficient of the theta volume in vertical_omegabar(), the form
+        whose kernel the reductions quotient by.  d_v passes each theta with a
+        sign, so it is (-1)^n d_v of the volume level of the vertical
+        pull-back of chi, and only that level is built."""
+        top = d_vertical(Poly._adopt(self.space, self.level_pullback(self._chi(), True, self._top)))
+        return -top if len(self._top) & 1 else top
 
     def lbar(self) -> Poly:
         return self.pullback(solve_hamiltonian(self.parent))
@@ -337,10 +373,8 @@ class JetModel:
     def _bv(self) -> dict:
         """The levels of the horizontal pull-back of chi + h, cached."""
         if self._bv_levels is None:
-            if self.parent.chi is None:
-                raise GradedAlgebraError("parent model has no presymplectic potential")
-            self._bv_levels = self.level_pullback(
-                self.parent.chi + solve_hamiltonian(self.parent), HORIZONTAL)
+            self._bv_levels = self.level_pullback(self._chi() + solve_hamiltonian(self.parent),
+                                                  HORIZONTAL)
         return self._bv_levels
 
     def bv_scalar(self) -> Poly:
@@ -350,7 +384,7 @@ class JetModel:
 
     def bv_top(self) -> Poly:
         """The coefficient of the theta volume in bv_scalar()."""
-        return Poly(self.space, self._bv().get(tuple(sorted(self.parent.base_indices)), {}))
+        return Poly(self.space, self._bv().get(self._top, {}))
 
     def vertical_part(self, p: Poly) -> Poly:
         """Keep only fiber-direction differentials, renamed to vertical
@@ -367,11 +401,6 @@ class JetModel:
             elif g.role == FIBER:
                 raise GradedAlgebraError("bundle differential inside a jet-space expression")
         return p.substitute(mapping)
-
-    def vertical_top(self) -> Poly:
-        """The coefficient of the theta volume in the vertical pulled-back
-        two-form, the form whose kernel the reductions quotient by."""
-        return theta_top_coefficient(self.parent, self.vertical_omegabar())
 
     def truncation_split(self, p: Poly) -> Tuple[Poly, Poly]:
         """(retained, excluded): a term is excluded when it touches a jet

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -15,6 +16,7 @@ from gpde.jets import (
     prolong,
     theta_coefficients,
     theta_components,
+    theta_top_coefficient,
     vertical_lie,
 )
 from gpde.cli import main
@@ -366,6 +368,15 @@ def _forms(m):
         return [m.chi]
 
 
+def colliding_form(m):
+    """theta^0 theta^1 theta^2 leaves each image only its levels () and (3,):
+    2 of 16, so nearly every pair of levels collides."""
+    th = [Poly.gen(m.theta[a]) for a in range(4)]
+    C = [Poly.gen(m.fibers["C"].gen(li=i)) for i in range(3)]
+    p = th[0] * th[1] * th[2] * C[0] * C[1] * de_rham(C[2])
+    return p + th[0] * th[1] * th[3] * C[1] * de_rham(C[0]) * de_rham(C[2])
+
+
 class TestLevelPullback:
     """pullback and the seeds of s are built level by level; substitution,
     D.apply and theta_coefficients on whole polynomials are the oracle."""
@@ -380,10 +391,14 @@ class TestLevelPullback:
                 assert got == reference_pullback(jm, p, vertical)
 
     def test_seeds_match_substitution(self, vertical_case):
+        # one level at a time: every level, and no reference level elsewhere
         jm = vertical_case
+        levels = list(jm.parent.theta_levels(range(jm.parent.n + 1)))
         for u in jm.parent.fiber_coords():
-            got = jm._seed(u)
-            assert got == reference_seeds(jm, u), u
+            want = reference_seeds(jm, u)
+            assert set(want) <= set(levels), u
+            for K in levels:
+                assert jm._seed(u, K) == want.get(K), (u, K)
 
     def test_levels_rebuild_the_pullback(self, vertical_case):
         jm = vertical_case
@@ -413,13 +428,8 @@ class TestLevelPullback:
 
     @pytest.mark.parametrize("vertical", [False, True])
     def test_mostly_colliding_levels(self, ym_model, vertical):
-        # theta^0 theta^1 theta^2 leaves each image only its levels () and
-        # (3,): 2 of 16, so nearly every pair of levels collides
         jm = JetModel(ym_model, 1)
-        th = [Poly.gen(ym_model.theta[a]) for a in range(4)]
-        C = [Poly.gen(ym_model.fibers["C"].gen(li=i)) for i in range(3)]
-        p = th[0] * th[1] * th[2] * C[0] * C[1] * de_rham(C[2])
-        p = p + th[0] * th[1] * th[3] * C[1] * de_rham(C[0]) * de_rham(C[2])
+        p = colliding_form(ym_model)
         got = jm.pullback(p, vertical)
         assert not got.is_zero()
         assert got == reference_pullback(jm, p, vertical)
@@ -448,6 +458,55 @@ class TestLevelPullback:
         got = jm.pullback(p, vertical)
         assert not got.is_zero()
         assert got == reference_pullback(jm, p, vertical)
+
+
+class TestOneLevel:
+    """A pull-back asked for one level, the seeds of s and vertical_top build
+    a single theta level; the whole level-wise pull-back and the volume
+    coefficient of the whole vertical two-form are the oracle."""
+
+    @pytest.mark.parametrize("vertical", [False, True, HORIZONTAL])
+    def test_level_pullback_at_each_level(self, vertical_case, vertical):
+        jm = vertical_case
+        for p in _forms(jm.parent):
+            whole = jm.level_pullback(p, vertical)
+            assert whole
+            for K in jm.parent.theta_levels(range(jm.parent.n + 1)):
+                assert jm.level_pullback(p, vertical, level=K) == whole.get(K, {}), K
+
+    @pytest.mark.parametrize("vertical", [False, True, HORIZONTAL])
+    def test_mostly_colliding_level_pullback_at_each_level(self, ym_model, vertical):
+        jm = JetModel(ym_model, 1)
+        p = colliding_form(ym_model)
+        whole = jm.level_pullback(p, vertical)
+        assert whole
+        for K in ym_model.theta_levels(range(5)):
+            assert jm.level_pullback(p, vertical, level=K) == whole.get(K, {}), K
+
+    def test_vertical_top_is_the_volume_coefficient(self, vertical_case):
+        # restricted has base dim 3, where d_v passing the volume flips the sign
+        jm = vertical_case
+        top = jm.vertical_top()
+        assert not top.is_zero()
+        assert top == theta_top_coefficient(jm.parent, jm.vertical_omegabar())
+
+    def test_vertical_top_builds_no_vertical_form(self, ym_model):
+        jm = JetModel(ym_model, 1)
+        assert not jm.vertical_top().is_zero()
+        assert jm._vertical_omegabar is None and jm._vertical_chibar is None
+
+    def test_checks_read_s_on_low_levels_only(self, ym_model):
+        # every term of ym_weak's chi holds two thetas, so the checks read s
+        # on level jets psi_{|K} with |K| <= 2 only and on no derivative jet,
+        # and make no jet psi_{I|J} with I nonempty and |J| >= 3
+        jm = JetModel(ym_model, 1)
+        for r in check_descent(jm) + check_bv_identities(jm):
+            assert r.passed, r.name
+        read = [g for g in jm.s._coeffs if g.role == JET]
+        assert not any(g.jet_I for g in read)
+        assert Counter(len(g.jet_J) for g in read) == {0: 21, 1: 48, 2: 36}
+        assert any(g.jet_I and len(g.jet_J) == 2 for g in jm._info)
+        assert not any(g.jet_I and len(g.jet_J) >= 3 for g in jm._info)
 
 
 @pytest.mark.parametrize("name", ["toy_dim0", "ce_aksz", "maxwell_weak", "ym_weak"])

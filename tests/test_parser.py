@@ -1,10 +1,13 @@
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpde.model import q_square, standard_checks
+from gpde.algebra import LieAlgebraData, Poly
+from gpde.cartan import de_rham
+from gpde.model import ModelBuilder, q_square, standard_checks
 from gpde.cli import main
 from gpde.parser import (
     MAX_NESTING,
@@ -49,6 +52,71 @@ def test_parse_print_parse_fixpoint(name):
     m = load_builtin(name)
     src = model_to_source(m)
     again = parse_model(src, name=m.name)
+    assert model_to_source(again) == src
+
+
+FAMILY_NAMES = ["u", "v", "C", "F", "A", "phi"]
+COEFFICIENTS = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
+
+
+@st.composite
+def built_models(draw):
+    """A ModelBuilder model over a base of dim 0-3, with an optional metric,
+    an optional Lie algebra, one to three fiber families, and random Q rules
+    and an optional chi of the right ghost numbers.  The last factor of a
+    term is drawn among the generators that complete its ghost number."""
+    n = draw(st.integers(0, 3))
+    b = ModelBuilder("m", n)
+    if n and draw(st.booleans()):
+        b.metric(draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)))
+    lie = None
+    if draw(st.booleans()):
+        lie = b.lie(draw(st.sampled_from([LieAlgebraData.su2(), LieAlgebraData.abelian(2, "u2")])))
+    for name in draw(st.lists(st.sampled_from(FAMILY_NAMES), min_size=1, max_size=3, unique=True)):
+        b.fiber(name, gh=draw(st.integers(-2, 2)), slots=draw(st.integers(0, min(n, 2))),
+                antisym=draw(st.booleans()), lie=lie if draw(st.booleans()) else None)
+    coords = [g for fam in b.fibers.values() for g in fam.coords()]
+    factors = coords + list(b.theta.values()) + list(b.x.values())
+
+    def poly(gh, last_choices):
+        p = Poly.zero()
+        for _ in range(draw(st.integers(1, 3))):
+            term = Poly.scalar(draw(st.sampled_from(COEFFICIENTS)))
+            for _ in range(draw(st.integers(0, 2))):
+                term = term * Poly.gen(draw(st.sampled_from(factors)))
+            last = [g for g in last_choices if term.is_zero() or term.gh() + g.gh == gh]
+            if not term.is_zero() and last:
+                p = p + term * last_choices[draw(st.sampled_from(last))]
+        return p
+
+    for g in coords:
+        if draw(st.booleans()):
+            b.q_rule(g, poly(g.gh + 1, {f: Poly.gen(f) for f in factors}))
+    if coords and draw(st.booleans()):
+        b.chi(poly(n - 1, {u: de_rham(Poly.gen(u)) for u in coords}))
+    return b.weak(draw(st.booleans())).build()
+
+
+def model_structure(m):
+    """Everything model_to_source prints, with generators by structural key,
+    so that models of two spaces compare."""
+    def terms(p):
+        return {tuple((g._key, e) for g, e in mono): c for mono, c in p.terms.items()}
+
+    return (m.n, m.weak, None if m.tensors is None else tuple(m.tensors.diag),
+            {k: (lie.dim, lie.f, lie.kappa) for k, lie in m.lies.items()},
+            [(fam.name, fam.gh, fam.slots, fam.antisym, fam.lie and fam.lie.name)
+             for fam in m.fibers.values()],
+            {g._key: terms(m.q.coefficient(g)) for g in m.fiber_coords()},
+            None if m.chi is None else terms(m.chi))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(built_models())
+def test_built_models_roundtrip(m):
+    src = model_to_source(m)
+    again = parse_model(src)
+    assert model_structure(again) == model_structure(m)
     assert model_to_source(again) == src
 
 
