@@ -80,8 +80,10 @@ class VectorField:
         return derive(p, self.parity, self._image)
 
     def _image(self, g: Generator):
-        v = self.coefficient(g)
-        return v if not v.is_zero() else None
+        # a field without a rule has all its coefficients declared: an
+        # undeclared generator is not moved, and no zero Poly is stored
+        v = self.coefficient(g) if self.rule is not None else self._coeffs.get(g)
+        return v if v is not None and not v.is_zero() else None
 
     def __repr__(self):
         return f"<vector field {self.name} gh={self.gh}>"

@@ -19,6 +19,14 @@ d(chibar)), the vertical one the two-form d_v(V chibar) the checks read and,
 at the theta-volume level only, the top block the reductions quotient by,
 and the horizontal one, with dx^a going to theta^a, the BV scalar
 i_D chibar + hbar out of chi + h.
+
+The forms the checks read stay in level form {J: terms}, standing for
+sum_J theta^J * terms, as the pull-backs return them.  s, i_s, d_v and each
+D_a keep the level; s and d_v pass theta^J with the sign (-1)^{|J|}.  D
+raises it: D(theta^J T) = (-1)^{|J|} theta^J theta^a D_a T, and theta^J
+theta^a vanishes for a in J, so D acts through the free directions only.
+The descent residual of degree k and both master residuals are read off the
+levels without assembling a form.
 """
 
 from __future__ import annotations
@@ -62,15 +70,6 @@ def theta_top_coefficient(m: Model, p: Poly) -> Poly:
     return Poly(p.space, {rest: c for J, rest, _, c in theta_split(p) if J == top})
 
 
-def theta_components(p: Poly) -> Dict[int, Poly]:
-    """Split by total theta degree (odd base coordinates, not their
-    differentials).  Summing the components reconstructs the input."""
-    out: Dict[int, dict] = {}
-    for J, _, mono, _ in theta_split(p):
-        out.setdefault(len(J), {})[mono] = p.terms[mono]
-    return {k: Poly(p.space, t) for k, t in out.items()}
-
-
 # sort_sign of the theta levels J + K of a product theta^J theta^K
 _join = functools.cache(sort_sign)
 
@@ -108,14 +107,30 @@ def _level_product(levels: dict, parity: int, image, target: tuple, last: bool) 
     return out
 
 
-def vertical_lie(V: VectorField, p: Poly) -> Poly:
+def _level_sum(*parts: dict) -> dict:
+    """The sum of level forms {J: terms}, empty levels dropped."""
+    out: dict = {}
+    for levels in parts:
+        for J, t in levels.items():
+            accumulate(out.setdefault(J, {}), t.items())
+    return {J: t for J, t in out.items() if t}
+
+
+def _negated(terms: dict) -> dict:
+    return {m: -c for m, c in terms.items()}
+
+
+def vertical_lie(V: VectorField, p: Poly, dv_images: Optional[dict] = None) -> Poly:
     """Lie derivative along an evolutionary-type field on vertical forms:
     coordinates move by V, vertical differentials by
-    dv(c) -> (-1)^{parity(V)} dv(V(c)).  Rejects horizontal differentials."""
+    dv(c) -> (-1)^{parity(V)} dv(V(c)).  Rejects horizontal differentials.
+    dv_images, when given, keeps the images of vertical differentials of V
+    across calls."""
     space = p.space
     if space is None:
         return Poly.zero()
     sign = -1 if V.parity else 1
+    dv = {} if dv_images is None else dv_images
 
     def img(g):
         if g.fdeg == 0:
@@ -123,8 +138,10 @@ def vertical_lie(V: VectorField, p: Poly) -> Poly:
             return v if not v.is_zero() else None
         if g.role != VDIFF:
             raise DegreeError("vertical_lie acts on vertical forms only")
-        base = space.coordinate_of(g)
-        return sign * d_vertical(V.coefficient(base))
+        v = dv.get(g)
+        if v is None:
+            v = dv[g] = sign * d_vertical(V.coefficient(space.coordinate_of(g)))
+        return v
 
     return derive(p, V.parity, img)
 
@@ -135,8 +152,8 @@ class JetModel:
     Jet coordinates are materialized on demand; the truncation order only
     controls the excluded count in reports, never the values or verdicts.
     Pull-backs are built level by level, and the seeds of s per level, on
-    demand; the forms the checks read are cached, and no check builds
-    omegabar()."""
+    demand; the forms the checks read are cached as levels, and no check
+    builds omegabar()."""
 
     def __init__(self, parent: Model, order: int):
         if order < 0:
@@ -149,9 +166,10 @@ class JetModel:
         self._images: Dict[Tuple[Generator, bool], dict] = {}
         self._totals: Dict[int, VectorField] = {}
         self._omegabar: Optional[Poly] = None
-        self._vertical_chibar: Optional[Poly] = None
-        self._vertical_omegabar: Optional[Poly] = None
+        self._vertical_chibar: Optional[dict] = None
+        self._vertical_omegabar: Optional[dict] = None
         self._bv_levels: Optional[dict] = None
+        self._dv_images: Dict[VectorField, dict] = {}
         self.D = VectorField(self.space, 1, rule=self._d_rule, name="D")
         self.s = VectorField(self.space, 1, rule=self._s_rule, name="s")
 
@@ -264,6 +282,43 @@ class JetModel:
         HORIZONTAL du goes to D of it, dx^a to theta^a, dtheta^a to zero."""
         return self._assemble(self.level_pullback(p, vertical))
 
+    def lie(self, V: VectorField, p: Poly) -> Poly:
+        """vertical_lie(V, p), the images of V on vertical differentials
+        built once per jet model, not once per level."""
+        return vertical_lie(V, p, self._dv_images.setdefault(V, {}))
+
+    def levelwise(self, levels: dict, op, odd: bool) -> dict:
+        """A level-preserving operator on a level form: op(terms) at each
+        level, with the sign (-1)^{|J|} of passing theta^J when op is odd
+        and kills theta (s, d_v), none when it is even (i_s)."""
+        out = {}
+        for J, t in levels.items():
+            r = op(Poly._adopt(self.space, t)).terms
+            if r:
+                out[J] = _negated(r) if odd and len(J) & 1 else r
+        return out
+
+    def total_levels(self, levels: dict, forms: bool) -> dict:
+        """D = theta^a D_a on a level form: level J moves to J + a as
+        (-1)^{|J|} sort_sign(J + a) theta^{J+a} D_a(terms), over the free
+        directions a not in J only.  On vertical forms D_a acts as
+        lie(D_a, .), on functions as D_a.apply."""
+        out: dict = {}
+        for J, t in levels.items():
+            p = Poly._adopt(self.space, t)
+            for a in self._top:
+                if a in J:
+                    continue
+                Da = self.total_derivative(a)
+                r = (self.lie(Da, p) if forms else Da.apply(p)).terms
+                if not r:
+                    continue
+                sign, JA = _join(J + (a,))
+                if len(J) & 1:
+                    sign = -sign
+                accumulate(out.setdefault(JA, {}), r.items() if sign > 0 else _negated(r).items())
+        return {J: t for J, t in out.items() if t}
+
     def _assemble(self, levels: dict) -> Poly:
         """sum_J theta^J * terms over levels {J: terms}."""
         theta = self.parent.theta
@@ -346,18 +401,27 @@ class JetModel:
             self._omegabar = de_rham(self.chibar())
         return self._omegabar
 
-    def vertical_chibar(self) -> Poly:
-        """vertical_part(chibar()), built by the vertical pull-back."""
+    def vertical_chibar_levels(self) -> dict:
+        """The levels of the vertical pull-back of chi, cached."""
         if self._vertical_chibar is None:
-            self._vertical_chibar = self.pullback(self._chi(), vertical=True)
+            self._vertical_chibar = self.level_pullback(self._chi(), vertical=True)
         return self._vertical_chibar
 
-    def vertical_omegabar(self) -> Poly:
-        """The vertical part of omegabar, built as d_v(vertical_chibar()): the
-        two-form the descent tower and the master identities use."""
+    def vertical_omegabar_levels(self) -> dict:
+        """The levels of d_v of the vertical pull-back of chi, cached: the
+        two-form the descent tower and the master identities read."""
         if self._vertical_omegabar is None:
-            self._vertical_omegabar = d_vertical(self.vertical_chibar())
+            self._vertical_omegabar = self.levelwise(self.vertical_chibar_levels(),
+                                                     d_vertical, odd=True)
         return self._vertical_omegabar
+
+    def vertical_chibar(self) -> Poly:
+        """vertical_part(chibar()), built by the vertical pull-back."""
+        return self._assemble(self.vertical_chibar_levels())
+
+    def vertical_omegabar(self) -> Poly:
+        """The vertical part of omegabar, built as d_v(vertical_chibar())."""
+        return self._assemble(self.vertical_omegabar_levels())
 
     def vertical_top(self) -> Poly:
         """The coefficient of the theta volume in vertical_omegabar(), the form
@@ -370,7 +434,7 @@ class JetModel:
     def lbar(self) -> Poly:
         return self.pullback(solve_hamiltonian(self.parent))
 
-    def _bv(self) -> dict:
+    def bv_levels(self) -> dict:
         """The levels of the horizontal pull-back of chi + h, cached."""
         if self._bv_levels is None:
             self._bv_levels = self.level_pullback(self._chi() + solve_hamiltonian(self.parent),
@@ -380,11 +444,11 @@ class JetModel:
     def bv_scalar(self) -> Poly:
         """i_D chibar + lbar, built as the horizontal pull-back of chi + h:
         each term of chi has one differential and i_D only substitutes it."""
-        return self._assemble(self._bv())
+        return self._assemble(self.bv_levels())
 
     def bv_top(self) -> Poly:
         """The coefficient of the theta volume in bv_scalar()."""
-        return Poly(self.space, self._bv().get(self._top, {}))
+        return Poly(self.space, self.bv_levels().get(self._top, {}))
 
     def vertical_part(self, p: Poly) -> Poly:
         """Keep only fiber-direction differentials, renamed to vertical
@@ -402,17 +466,14 @@ class JetModel:
                 raise GradedAlgebraError("bundle differential inside a jet-space expression")
         return p.substitute(mapping)
 
+    def retained(self, mono) -> bool:
+        """False when a monomial touches a jet coordinate of base-derivative
+        order above the truncation order."""
+        return not any(g.role in (JET, VDIFF) and len(g.jet_I) > self.N for g, _ in mono)
+
     def truncation_split(self, p: Poly) -> Tuple[Poly, Poly]:
-        """(retained, excluded): a term is excluded when it touches a jet
-        coordinate of base-derivative order above the truncation order."""
-
-        def retained(mono):
-            for g, _ in mono:
-                if g.role in (JET, VDIFF) and len(g.jet_I) > self.N:
-                    return False
-            return True
-
-        keep = p.filter(retained)
+        """(retained, excluded) terms of p."""
+        keep = p.filter(self.retained)
         return keep, p - keep
 
     def registry_stats(self) -> Dict[str, int]:
@@ -428,32 +489,43 @@ def prolong(model: Model, order: int) -> JetModel:
 # identity checks -----------------------------------------------------------
 
 
-def _split_result(jm: JetModel, name: str, residual: Poly) -> CheckResult:
-    """The verdict reads the whole residual; excluded_terms is reported only."""
-    excluded = jm.truncation_split(residual)[1]
-    return CheckResult(name, residual.is_zero(), residual_terms=residual.num_terms(),
-                       excluded_terms=excluded.num_terms())
+def _split_result(jm: JetModel, name: str, levels: dict) -> CheckResult:
+    """The verdict reads the whole residual, given in level form: its terms
+    are those of all levels, since theta^J keeps distinct monomials apart.
+    excluded_terms is reported only."""
+    total = sum(len(t) for t in levels.values())
+    excluded = sum(1 for t in levels.values() for mono in t if not jm.retained(mono))
+    return CheckResult(name, not total, residual_terms=total, excluded_terms=excluded)
 
 
 def check_descent(jm: JetModel) -> List[CheckResult]:
-    """The descent tower: on each theta-degree k component of the vertical
-    pulled-back form, L_s moves degree k to k and L_D degree k-1 to k; the
-    two contributions must cancel.  So the residual of level k is the
-    theta-degree k component of (L_s + L_D) of the whole form."""
-    om = jm.vertical_omegabar()
-    comps = theta_components(vertical_lie(jm.s, om) + vertical_lie(jm.D, om))
-    return [_split_result(jm, f"descent_theta_{k}", comps.get(k, Poly.zero()))
+    """The descent tower: L_s keeps the theta level of the vertical
+    pulled-back two-form and L_D raises it by one, so the residual of
+    degree k is L_s omega_k + L_D omega_{k-1}, read off the levels J with
+    |J| = k of (L_s + L_D) omega; the two contributions must cancel."""
+    om = jm.vertical_omegabar_levels()
+    res = _level_sum(jm.levelwise(om, functools.partial(jm.lie, jm.s), odd=True),
+                     jm.total_levels(om, forms=True))
+    by_degree: Dict[int, dict] = {}
+    for J, t in res.items():
+        by_degree.setdefault(len(J), {})[J] = t
+    return [_split_result(jm, f"descent_theta_{k}", by_degree.get(k, {}))
             for k in range(jm.parent.n + 2)]
 
 
 def check_bv_identities(jm: JetModel) -> List[CheckResult]:
     """Two master identities tying the vertical two-form, the pulled-back
-    potential and the BV scalar i_D chibar + lbar together; i_s kills base
-    differentials, so i_s i_s of the vertical two-form is that of omegabar."""
-    scalar = jm.bv_scalar()
-    i_s = interior(jm.s, jm.vertical_omegabar())
-    r1 = i_s + d_vertical(scalar) + vertical_lie(jm.D, jm.vertical_chibar())
-    r2 = interior(jm.s, i_s) / 2 - jm.D.apply(scalar)
+    potential and the BV scalar i_D chibar + lbar together, each residual a
+    sum over theta levels: i_s keeps the level with no sign, d_v with
+    (-1)^{|J|}, and D moves level J to J + a for the free directions a.
+    i_s kills base differentials, so i_s i_s of the vertical two-form is
+    that of omegabar."""
+    scalar = jm.bv_levels()
+    i_s = jm.levelwise(jm.vertical_omegabar_levels(), functools.partial(interior, jm.s), odd=False)
+    r1 = _level_sum(i_s, jm.levelwise(scalar, d_vertical, odd=True),
+                    jm.total_levels(jm.vertical_chibar_levels(), forms=True))
+    r2 = _level_sum(jm.levelwise(i_s, lambda p: interior(jm.s, p) / 2, odd=False),
+                    {J: _negated(t) for J, t in jm.total_levels(scalar, forms=False).items()})
     return [_split_result(jm, "master_vertical", r1),
             _split_result(jm, "master_scalar", r2)]
 

@@ -23,10 +23,11 @@ from gpde.algebra import (
     mono_parity,
     normal_form,
     theta_basis,
+    theta_split,
     trace_pair,
 )
-from gpde.cartan import VectorField, de_rham
-from gpde.jets import JetModel
+from gpde.cartan import VectorField, d_vertical, de_rham, interior
+from gpde.jets import JetModel, vertical_lie
 from gpde.model import Model, ModelBuilder
 
 
@@ -789,6 +790,60 @@ def reference_substitute(p: Poly, mapping) -> Poly:
                     term = term * normal_form(img)
         acc = acc + term
     return Poly(p.space if acc.space is None else acc.space, acc.terms)
+
+
+def theta_components(p: Poly) -> Dict[int, Poly]:
+    """Split by total theta degree (odd base coordinates, not their
+    differentials).  Summing the components reconstructs the input."""
+    out: Dict[int, dict] = {}
+    for J, _, mono, _ in theta_split(p):
+        out.setdefault(len(J), {})[mono] = p.terms[mono]
+    return {k: Poly(p.space, t) for k, t in out.items()}
+
+
+# the level-form jet calculus against whole forms ------------------------------
+
+
+def assemble_levels(jm: JetModel, levels) -> Poly:
+    """sum_J theta^J * terms of a level form {J: terms}, by Poly products."""
+    acc = Poly.zero()
+    for J, terms in levels.items():
+        t = Poly.scalar(1)
+        for j in J:
+            t = t * Poly.gen(jm.parent.theta[j])
+        acc = acc + t * Poly(jm.space, terms)
+    return acc
+
+
+def reference_total(jm: JetModel, p: Poly, forms: bool) -> Poly:
+    """D on a whole form: the derivation D = theta^a D_a over every
+    direction, through vertical_lie on vertical forms and D.apply on
+    functions, so its products over a repeated theta die in mono_mul."""
+    return vertical_lie(jm.D, p) if forms else jm.D.apply(p)
+
+
+def check_level_form(jm: JetModel, levels, forms: bool):
+    """The level-form D and each level-preserving piece (L_s or s, i_s, d_v)
+    equal the whole-form action on the assembled form.  Returns D of the
+    form, for the caller to check that the comparison was not vacuous."""
+    valid = set(jm.parent.theta_levels(range(jm.parent.n + 1)))
+    whole = assemble_levels(jm, levels)
+    assert not whole.is_zero()
+    raised = jm.total_levels(levels, forms)
+    # a level with a repeated theta would vanish on assembly unseen
+    assert set(raised) <= valid and all(raised.values())
+    moved = assemble_levels(jm, raised)
+    assert moved == reference_total(jm, whole, forms)
+    pieces = [(d_vertical, True)]
+    if forms:
+        pieces += [(lambda p: vertical_lie(jm.s, p), True), (lambda p: interior(jm.s, p), False)]
+    else:
+        pieces += [(jm.s.apply, True)]
+    for op, odd in pieces:
+        kept = jm.levelwise(levels, op, odd)
+        assert set(kept) <= set(levels) and all(kept.values())
+        assert assemble_levels(jm, kept) == op(whole)
+    return moved
 
 
 def reference_action_density(sec) -> Poly:

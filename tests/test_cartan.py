@@ -113,6 +113,16 @@ class TestVectorField:
         assert V.coefficient(x) == Poly.gen(th)
         assert len(calls) == 1
 
+    def test_apply_without_rule_stores_no_zero_coefficients(self, setup):
+        # a declared zero moves nothing either; coefficient() still answers
+        # an undeclared generator with zero
+        sp, x, th, psi, c = setup
+        V = VectorField(sp, 0, coeffs={x: 1, psi: 0})
+        p = Poly.gen(x) * Poly.gen(psi) * Poly.gen(c) + Poly.gen(th) * Poly.gen(c)
+        assert V.apply(p) == Poly.gen(psi) * Poly.gen(c)
+        assert set(V._coeffs) == {x, psi}
+        assert V.coefficient(c).is_zero()
+
 
 class TestContraction:
     def test_contraction_of_differential(self, setup):

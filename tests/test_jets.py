@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -15,13 +16,13 @@ from gpde.jets import (
     check_descent,
     prolong,
     theta_coefficients,
-    theta_components,
     theta_top_coefficient,
     vertical_lie,
 )
 from gpde.cli import main
 from gpde.model import ModelBuilder, NotExactError, solve_hamiltonian
-from gpde.parser import load_builtin
+from gpde.parser import load_builtin, parse_model
+from properties import check_level_form, theta_components
 
 
 @pytest.fixture(scope="module")
@@ -329,7 +330,7 @@ class TestVerticalFirst:
         # a single first-derivative jet is the whole residual: no PASS at order 0
         jm = JetModel(maxwell_model, 0)
         _, g = jm.jet(maxwell_model.fibers["C"].gen(li=0), (0,), ())
-        r = _split_result(jm, "one_jet", Poly.gen(g))
+        r = _split_result(jm, "one_jet", {(): Poly.gen(g).terms})
         assert not r.passed
         assert (r.residual_terms, r.excluded_terms) == (1, 1)
 
@@ -497,16 +498,19 @@ class TestOneLevel:
 
     def test_checks_read_s_on_low_levels_only(self, ym_model):
         # every term of ym_weak's chi holds two thetas, so the checks read s
-        # on level jets psi_{|K} with |K| <= 2 only and on no derivative jet,
-        # and make no jet psi_{I|J} with I nonempty and |J| >= 3
+        # on level jets psi_{|K} with |K| <= 2 only and on no derivative jet;
+        # D_a acts on level J only for a not in J, and a level with |J| >= 3
+        # holds level jets psi_{|K} with |K| <= 1, so no jet psi_{I|J} with
+        # I nonempty and |J| >= 2 is made
         jm = JetModel(ym_model, 1)
         for r in check_descent(jm) + check_bv_identities(jm):
             assert r.passed, r.name
         read = [g for g in jm.s._coeffs if g.role == JET]
         assert not any(g.jet_I for g in read)
         assert Counter(len(g.jet_J) for g in read) == {0: 21, 1: 48, 2: 36}
-        assert any(g.jet_I and len(g.jet_J) == 2 for g in jm._info)
-        assert not any(g.jet_I and len(g.jet_J) >= 3 for g in jm._info)
+        assert any(g.jet_I and len(g.jet_J) == 1 for g in jm._info)
+        assert not any(g.jet_I and len(g.jet_J) >= 2 for g in jm._info)
+        assert not any(set(g.jet_I) & set(g.jet_J) for g in jm._info)
 
 
 @pytest.mark.parametrize("name", ["toy_dim0", "ce_aksz", "maxwell_weak", "ym_weak"])
@@ -518,3 +522,84 @@ def test_prolong_jet_count(name, capsys):
     assert main(["prolong", name, "--format", "json"]) == 0
     got = int(json.loads(capsys.readouterr().out)["outputs"]["jet_coordinates"])
     assert got == len(m.fiber_coords()) * (2 ** n + n * 2 ** n // 2)
+
+
+# the checks in level form against whole forms --------------------------------
+
+
+def broken_ym_source():
+    """ym_weak with Q F = 2 [F, C]: s no longer commutes with D on F, so the
+    descent tower fails from level 2 on, and chi + h has no hamiltonian."""
+    import gpde
+
+    src = (Path(gpde.__file__).parent / "models" / "ym_weak.gpde").read_text()
+    rule = "Q F[a, b] = [F[a, b], C];"
+    assert rule in src
+    return src.replace(rule, "Q F[a, b] = 2*[F[a, b], C];")
+
+
+@pytest.fixture(scope="module")
+def broken_ym():
+    return parse_model(broken_ym_source())
+
+
+class TestLevelForm:
+    """D = theta^a D_a over the free directions, and L_s, i_s, d_v level by
+    level, against the whole-form derivations on the assembled forms."""
+
+    def test_vertical_levels(self, vertical_case):
+        jm = vertical_case
+        for levels in (jm.vertical_chibar_levels(), jm.vertical_omegabar_levels()):
+            assert not check_level_form(jm, levels, forms=True).is_zero()
+
+    def test_scalar_levels(self, vertical_case):
+        # on the base-dim-3 restricted model every level of the pulled-back
+        # chi is the volume, which D kills; the hamiltonian adds lower ones
+        jm = vertical_case
+        check_level_form(jm, jm.level_pullback(jm.parent.chi, HORIZONTAL), forms=False)
+        try:
+            solve_hamiltonian(jm.parent)
+        except NotExactError:
+            return
+        assert not check_level_form(jm, jm.bv_levels(), forms=False).is_zero()
+
+    def test_mostly_colliding_levels(self, ym_model):
+        jm = JetModel(ym_model, 1)
+        p = colliding_form(ym_model)
+        assert not check_level_form(jm, jm.level_pullback(p, True), forms=True).is_zero()
+        # horizontally each term reaches the volume, which D kills
+        check_level_form(jm, jm.level_pullback(p, HORIZONTAL), forms=False)
+
+    def test_broken_model_levels(self, broken_ym):
+        jm = JetModel(broken_ym, 1)
+        for levels in (jm.vertical_chibar_levels(), jm.vertical_omegabar_levels()):
+            assert not check_level_form(jm, levels, forms=True).is_zero()
+        horizontal = jm.level_pullback(broken_ym.chi, HORIZONTAL)
+        assert not check_level_form(jm, horizontal, forms=False).is_zero()
+
+    def test_descent_residuals_are_the_whole_form_components(self, broken_ym):
+        # the level k residual is the theta-degree k component of
+        # (L_s + L_D) of the whole vertical two-form
+        jm = JetModel(broken_ym, 1)
+        om = jm.vertical_omegabar()
+        comps = theta_components(vertical_lie(jm.s, om) + vertical_lie(jm.D, om))
+        assert [r.residual_terms for r in check_descent(jm)] == [
+            comps[k].num_terms() if k in comps else 0 for k in range(6)]
+
+
+def test_broken_model_fails_descent_and_master_identities(broken_ym, tmp_path, capsys):
+    jm = JetModel(broken_ym, 1)
+    got = [(r.name, r.passed, r.residual_terms) for r in check_descent(jm)]
+    assert got == [("descent_theta_0", True, 0), ("descent_theta_1", True, 0),
+                   ("descent_theta_2", False, 36), ("descent_theta_3", False, 216),
+                   ("descent_theta_4", False, 324), ("descent_theta_5", True, 0)]
+    with pytest.raises(NotExactError):
+        check_bv_identities(jm)
+    path = tmp_path / "broken_ym.gpde"
+    path.write_text(broken_ym_source())
+    assert main(["descent", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] descent_theta_2 residual_terms=36\n" in out
+    assert "[FAIL] descent_theta_4 residual_terms=324\n" in out
+    assert main(["bv-identities", str(path)]) == 1
+    assert "[FAIL] bv_identities residual_terms=54  (" in capsys.readouterr().out
