@@ -20,7 +20,6 @@ from .algebra import (
     Poly,
     Space,
     derive,
-    mono_fdeg,
     normal_form,
 )
 
@@ -74,12 +73,13 @@ class VectorField:
 
     def apply(self, p) -> Poly:
         """Act as a derivation on a function (0-form)."""
-        p = normal_form(p)
-        if any(mono_fdeg(m) for m in p.terms):
-            raise DegreeError("vector fields act on functions; contract forms with interior()")
-        return derive(p, self.parity, self._image)
+        return derive(normal_form(p), self.parity, self._image)
 
     def _image(self, g: Generator):
+        # derive asks once per distinct generator, so a differential is
+        # refused here, whether or not the field has a coefficient on it
+        if g.fdeg:
+            raise DegreeError("vector fields act on functions; contract forms with interior()")
         # a field without a rule has all its coefficients declared: an
         # undeclared generator is not moved, and no zero Poly is stored
         v = self.coefficient(g) if self.rule is not None else self._coeffs.get(g)
@@ -136,12 +136,13 @@ def interior(V: VectorField, p) -> Poly:
 def lie_derivative(V: VectorField, p) -> Poly:
     """L_V = [i_V, d]."""
     p = normal_form(p)
-    ipar = (V.parity + 1) % 2
-    first = interior(V, de_rham(p))
-    second = de_rham(interior(V, p))
-    if ipar & 1:
-        return first + second
-    return first - second
+    return cartan_formula(V, interior(V, de_rham(p)), de_rham(interior(V, p)))
+
+
+def cartan_formula(V: VectorField, i_dp: Poly, d_ip: Poly) -> Poly:
+    """L_V p = i_V d p - (-1)^{parity(i_V)} d i_V p from its two pieces, so
+    a caller that holds i_V p, or knows d p, reuses them."""
+    return i_dp - d_ip if V.parity else i_dp + d_ip
 
 
 def vf_commutator(V: VectorField, W: VectorField, name: str = "") -> VectorField:

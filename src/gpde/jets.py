@@ -27,6 +27,15 @@ raises it: D(theta^J T) = (-1)^{|J|} theta^J theta^a D_a T, and theta^J
 theta^a vanishes for a in J, so D acts through the free directions only.
 The descent residual of degree k and both master residuals are read off the
 levels without assembling a form.
+
+Lie derivatives of the closed two-form come from Cartan's formula.  On
+vertical forms L_s = [i_s, d_v] = i_s d_v - d_v i_s, and each level of the
+vertical two-form omega is d_v of a level of the vertical pull-back chi_v
+of chi, so d_v omega = 0 by construction (d_v d_v = 0) and
+L_s omega = -d_v i_s omega.  D_a moves jets and x^a only and d_v x^a = 0, so
+D_a commutes with d_v and L_D omega = -d_v D chi_v, the minus from the odd
+theta^a passing d_v.  The jet model caches i_s omega and D chi_v as levels;
+the descent tower and the first master identity both read them.
 """
 
 from __future__ import annotations
@@ -62,12 +71,6 @@ def theta_coefficients(p: Poly) -> Dict[Tuple[int, ...], Poly]:
     for J, rest, _, c in theta_split(p):
         out.setdefault(J, {})[rest] = c
     return {J: Poly(p.space, t) for J, t in out.items()}
-
-
-def theta_top_coefficient(m: Model, p: Poly) -> Poly:
-    """Coefficient of the full odd volume."""
-    top = tuple(sorted(m.base_indices))
-    return Poly(p.space, {rest: c for J, rest, _, c in theta_split(p) if J == top})
 
 
 # sort_sign of the theta levels J + K of a product theta^J theta^K
@@ -152,8 +155,8 @@ class JetModel:
     Jet coordinates are materialized on demand; the truncation order only
     controls the excluded count in reports, never the values or verdicts.
     Pull-backs are built level by level, and the seeds of s per level, on
-    demand; the forms the checks read are cached as levels, and no check
-    builds omegabar()."""
+    demand; the forms the checks read are cached as levels (chi_v, its d_v,
+    i_s of that and D chi_v), and no check builds omegabar()."""
 
     def __init__(self, parent: Model, order: int):
         if order < 0:
@@ -168,6 +171,8 @@ class JetModel:
         self._omegabar: Optional[Poly] = None
         self._vertical_chibar: Optional[dict] = None
         self._vertical_omegabar: Optional[dict] = None
+        self._i_s_omegabar: Optional[dict] = None
+        self._total_chibar: Optional[dict] = None
         self._bv_levels: Optional[dict] = None
         self._dv_images: Dict[VectorField, dict] = {}
         self.D = VectorField(self.space, 1, rule=self._d_rule, name="D")
@@ -415,6 +420,21 @@ class JetModel:
                                                      d_vertical, odd=True)
         return self._vertical_omegabar
 
+    def i_s_omegabar_levels(self) -> dict:
+        """The levels of i_s of the vertical two-form, cached: i_s keeps the
+        level with no sign.  The descent tower and the first master identity
+        both read it."""
+        if self._i_s_omegabar is None:
+            self._i_s_omegabar = self.levelwise(self.vertical_omegabar_levels(),
+                                               functools.partial(interior, self.s), odd=False)
+        return self._i_s_omegabar
+
+    def total_chibar_levels(self) -> dict:
+        """The levels of D of the vertical pull-back of chi, cached."""
+        if self._total_chibar is None:
+            self._total_chibar = self.total_levels(self.vertical_chibar_levels(), forms=True)
+        return self._total_chibar
+
     def vertical_chibar(self) -> Poly:
         """vertical_part(chibar()), built by the vertical pull-back."""
         return self._assemble(self.vertical_chibar_levels())
@@ -502,10 +522,17 @@ def check_descent(jm: JetModel) -> List[CheckResult]:
     """The descent tower: L_s keeps the theta level of the vertical
     pulled-back two-form and L_D raises it by one, so the residual of
     degree k is L_s omega_k + L_D omega_{k-1}, read off the levels J with
-    |J| = k of (L_s + L_D) omega; the two contributions must cancel."""
-    om = jm.vertical_omegabar_levels()
-    res = _level_sum(jm.levelwise(om, functools.partial(jm.lie, jm.s), odd=True),
-                     jm.total_levels(om, forms=True))
+    |J| = k of (L_s + L_D) omega; the two contributions must cancel.
+
+    Both Lie derivatives come from Cartan's formula on a closed form.  On
+    vertical forms L_s = [i_s, d_v] = i_s d_v - d_v i_s, and each level of
+    omega is d_v of a level of the pulled-back chi, so d_v omega = 0 and
+    L_s omega = -d_v i_s omega.  D_a commutes with d_v, so L_D omega =
+    -d_v D chi (the minus from D passing d_v).  The residual is therefore
+    -d_v(i_s omega + D chi), level by level, from the two cached level
+    forms; the hamiltonian is not needed."""
+    res = jm.levelwise(_level_sum(jm.i_s_omegabar_levels(), jm.total_chibar_levels()),
+                       lambda p: -d_vertical(p), odd=True)
     by_degree: Dict[int, dict] = {}
     for J, t in res.items():
         by_degree.setdefault(len(J), {})[J] = t
@@ -521,9 +548,8 @@ def check_bv_identities(jm: JetModel) -> List[CheckResult]:
     i_s kills base differentials, so i_s i_s of the vertical two-form is
     that of omegabar."""
     scalar = jm.bv_levels()
-    i_s = jm.levelwise(jm.vertical_omegabar_levels(), functools.partial(interior, jm.s), odd=False)
-    r1 = _level_sum(i_s, jm.levelwise(scalar, d_vertical, odd=True),
-                    jm.total_levels(jm.vertical_chibar_levels(), forms=True))
+    i_s = jm.i_s_omegabar_levels()
+    r1 = _level_sum(i_s, jm.levelwise(scalar, d_vertical, odd=True), jm.total_chibar_levels())
     r2 = _level_sum(jm.levelwise(i_s, lambda p: interior(jm.s, p) / 2, odd=False),
                     {J: _negated(t) for J, t in jm.total_levels(scalar, forms=False).items()})
     return [_split_result(jm, "master_vertical", r1),

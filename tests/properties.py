@@ -26,8 +26,8 @@ from gpde.algebra import (
     theta_split,
     trace_pair,
 )
-from gpde.cartan import VectorField, d_vertical, de_rham, interior
-from gpde.jets import JetModel, vertical_lie
+from gpde.cartan import VectorField, d_vertical, de_rham, interior, lie_derivative
+from gpde.jets import JetModel, theta_coefficients, vertical_lie
 from gpde.model import Model, ModelBuilder
 
 
@@ -801,6 +801,12 @@ def theta_components(p: Poly) -> Dict[int, Poly]:
     return {k: Poly(p.space, t) for k, t in out.items()}
 
 
+def theta_top_coefficient(m: Model, p: Poly) -> Poly:
+    """Coefficient of the full odd volume."""
+    top = tuple(sorted(m.base_indices))
+    return Poly(p.space, {rest: c for J, rest, _, c in theta_split(p) if J == top})
+
+
 # the level-form jet calculus against whole forms ------------------------------
 
 
@@ -846,12 +852,57 @@ def check_level_form(jm: JetModel, levels, forms: bool):
     return moved
 
 
+# Cartan's formula on closed forms against whole-form Lie derivatives ----------
+
+
+def broken_ym_source() -> str:
+    """ym_weak with Q F = 2 [F, C]: s no longer commutes with D on F, so the
+    descent tower fails from level 2 on, and chi + h has no hamiltonian."""
+    import gpde
+    from pathlib import Path
+
+    src = (Path(gpde.__file__).parent / "models" / "ym_weak.gpde").read_text()
+    rule = "Q F[a, b] = [F[a, b], C];"
+    assert rule in src
+    return src.replace(rule, "Q F[a, b] = 2*[F[a, b], C];")
+
+
+def reference_presymplectic(m: Model):
+    """The forms check_presymplectic tests for ideal membership, in its
+    order, by whole-form lie_derivative and interior on omega = d chi:
+    L_Q omega, i_Q i_Q omega and i_Q L_Q omega."""
+    omega = de_rham(m.chi)
+    lq = lie_derivative(m.q, omega)
+    return [lq, interior(m.q, interior(m.q, omega)), interior(m.q, lq)]
+
+
+def check_cartan_descent(jm: JetModel) -> int:
+    """Level by level: d_v kills every level of the vertical two-form, and
+    L_s omega = -d_v i_s omega and L_D omega = -d_v D chi_v, where the left
+    sides are whole-form vertical_lie on the assembled two-form, split by
+    theta level, and the right sides d_v of the jet model's cached i_s omega
+    and D chi_v levels.  Returns the number of levels compared."""
+    om = jm.vertical_omegabar_levels()
+    assert om
+    for J, t in om.items():
+        assert d_vertical(Poly(jm.space, t)).is_zero(), J
+    whole = assemble_levels(jm, om)
+    compared = 0
+    for V, levels in ((jm.s, jm.i_s_omegabar_levels()), (jm.D, jm.total_chibar_levels())):
+        want = theta_coefficients(vertical_lie(V, whole))
+        got = jm.levelwise(levels, d_vertical, odd=True)
+        assert set(got) == set(want), V.name
+        for J, c in want.items():
+            assert -Poly(jm.space, got[J]) == c, (V.name, J)
+        compared += len(want)
+    return compared
+
+
 def reference_action_density(sec) -> Poly:
     """The action density by substitution: chi with u sent to sec[u], du to
     D sec[u] (D the total derivative of the section's jet model), dx^a to
     theta^a and dtheta^a to zero, plus the hamiltonian along the section;
     its top theta coefficient."""
-    from gpde.jets import theta_top_coefficient
     from gpde.model import solve_hamiltonian
 
     jm = sec.jets

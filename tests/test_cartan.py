@@ -93,6 +93,19 @@ class TestVectorField:
         with pytest.raises(DegreeError):
             V.apply(Poly.gen(sp.differential(x)))
 
+    def test_apply_rejects_forms_off_its_coefficients(self, setup):
+        # the field moves x only; the form's differential d psi sits beside
+        # a function factor the field does not move, and is still refused
+        sp, x, th, psi, c = setup
+        V = VectorField(sp, 0, coeffs={x: 1})
+        form = Poly.gen(c) * Poly.gen(sp.differential(psi))
+        for p in (form, Poly.gen(x) * form, Poly.gen(x) + form):
+            with pytest.raises(DegreeError, match="vector fields act on functions"):
+                V.apply(p)
+        W = VectorField(sp, 1, rule=lambda g: Poly.gen(c) if g is psi else None)
+        with pytest.raises(DegreeError, match="vector fields act on functions"):
+            W.apply(form)
+
     def test_coefficient_parity_checked(self, setup):
         sp, x, th, psi, c = setup
         with pytest.raises(DegreeError):

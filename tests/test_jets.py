@@ -1,6 +1,5 @@
 import json
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -16,13 +15,18 @@ from gpde.jets import (
     check_descent,
     prolong,
     theta_coefficients,
-    theta_top_coefficient,
     vertical_lie,
 )
 from gpde.cli import main
 from gpde.model import ModelBuilder, NotExactError, solve_hamiltonian
 from gpde.parser import load_builtin, parse_model
-from properties import check_level_form, theta_components
+from properties import (
+    broken_ym_source,
+    check_cartan_descent,
+    check_level_form,
+    theta_components,
+    theta_top_coefficient,
+)
 
 
 @pytest.fixture(scope="module")
@@ -527,17 +531,6 @@ def test_prolong_jet_count(name, capsys):
 # the checks in level form against whole forms --------------------------------
 
 
-def broken_ym_source():
-    """ym_weak with Q F = 2 [F, C]: s no longer commutes with D on F, so the
-    descent tower fails from level 2 on, and chi + h has no hamiltonian."""
-    import gpde
-
-    src = (Path(gpde.__file__).parent / "models" / "ym_weak.gpde").read_text()
-    rule = "Q F[a, b] = [F[a, b], C];"
-    assert rule in src
-    return src.replace(rule, "Q F[a, b] = 2*[F[a, b], C];")
-
-
 @pytest.fixture(scope="module")
 def broken_ym():
     return parse_model(broken_ym_source())
@@ -603,3 +596,69 @@ def test_broken_model_fails_descent_and_master_identities(broken_ym, tmp_path, c
     assert "[FAIL] descent_theta_4 residual_terms=324\n" in out
     assert main(["bv-identities", str(path)]) == 1
     assert "[FAIL] bv_identities residual_terms=54  (" in capsys.readouterr().out
+
+
+class TestCartanDescent:
+    """The descent tower read off Cartan's formula: d_v omega = 0 level by
+    level, so L_s omega = -d_v i_s omega, and L_D omega = -d_v D chi_v,
+    against whole-form vertical_lie on the assembled two-form."""
+
+    def test_vertical_cases(self, vertical_case):
+        assert check_cartan_descent(vertical_case) > 0
+
+    def test_broken_model(self, broken_ym):
+        assert check_cartan_descent(JetModel(broken_ym, 1)) > 0
+
+    def test_descent_residual_is_the_whole_form_lie_derivative(self, broken_ym, monkeypatch):
+        # the residual levels themselves, not only their counts: the level
+        # J residual is the theta^J coefficient of (L_s + L_D) omega
+        import gpde.jets as jets
+
+        jm = JetModel(broken_ym, 1)
+        read, real = {}, jets._split_result
+
+        def split_result(jm, name, levels):
+            read.update(levels)
+            return real(jm, name, levels)
+
+        monkeypatch.setattr(jets, "_split_result", split_result)
+        check_descent(jm)
+        om = jm.vertical_omegabar()
+        want = theta_coefficients(vertical_lie(jm.s, om) + vertical_lie(jm.D, om))
+        assert want and set(read) == set(want)
+        for J, c in want.items():
+            assert Poly(jm.space, read[J]) == c, J
+
+    def test_checks_contract_omegabar_once(self, ym_model, monkeypatch):
+        import gpde.jets as jets
+
+        jm = JetModel(ym_model, 1)
+        om = jm.vertical_omegabar_levels()
+        contracted, lie_fields = [], []
+        real_interior, real_lie = jets.interior, jets.vertical_lie
+
+        def interior(V, p):
+            if V is jm.s:
+                contracted.extend(J for J, t in om.items() if p.terms is t)
+            return real_interior(V, p)
+
+        def vertical_lie(V, p, dv_images=None):
+            lie_fields.append(V)
+            return real_lie(V, p, dv_images)
+
+        monkeypatch.setattr(jets, "interior", interior)
+        monkeypatch.setattr(jets, "vertical_lie", vertical_lie)
+        for r in check_descent(jm) + check_bv_identities(jm):
+            assert r.passed, r.name
+        assert sorted(contracted) == sorted(om)
+        assert lie_fields and not any(V is jm.s for V in lie_fields)
+
+    def test_descent_needs_no_hamiltonian(self, broken_ym, monkeypatch):
+        import gpde.jets as jets
+
+        def solve_hamiltonian(m):
+            raise AssertionError("solve_hamiltonian called")
+
+        monkeypatch.setattr(jets, "solve_hamiltonian", solve_hamiltonian)
+        got = [r.residual_terms for r in check_descent(JetModel(broken_ym, 1))]
+        assert got == [0, 0, 36, 216, 324, 0]

@@ -4,7 +4,9 @@ import pytest
 
 from gpde.algebra import DegreeError, GradedAlgebraError, LieAlgebraData, Poly
 from gpde.cartan import de_rham, interior, lie_derivative
+from gpde.density import restrict_to_submanifold
 from gpde.model import (
+    Model,
     ModelBuilder,
     NotExactError,
     check_nilpotency,
@@ -15,8 +17,10 @@ from gpde.model import (
     solve_hamiltonian,
     standard_checks,
 )
+from gpde.parser import parse_model
 
 from conftest import build_maxwell
+from properties import broken_ym_source, reference_presymplectic
 
 
 class TestBuilder:
@@ -170,6 +174,64 @@ class TestPresymplectic:
         m = maxwell_model
         lq = lie_derivative(m.q, m.omega())
         assert not lq.is_zero()
+
+
+@pytest.fixture(scope="module", params=["maxwell_weak", "ym_weak", "broken_ym", "restricted"])
+def cartan_case(request, maxwell_model, ym_model):
+    return {"maxwell_weak": lambda: maxwell_model,
+            "ym_weak": lambda: ym_model,
+            "broken_ym": lambda: parse_model(broken_ym_source()),
+            "restricted": lambda: restrict_to_submanifold(ym_model, (1, 2, 3)),
+            }[request.param]()
+
+
+class TestCartanFormula:
+    """omega = d chi is closed, so check_presymplectic reads L_Q omega off
+    the cached i_Q omega; the whole-form lie_derivative is the oracle."""
+
+    def test_residual_forms_match_whole_form_derivations(self, cartan_case, monkeypatch):
+        m = cartan_case
+        tested = []
+        real = Model.in_ideal
+
+        def in_ideal(self, p):
+            tested.append(p)
+            return real(self, p)
+
+        monkeypatch.setattr(Model, "in_ideal", in_ideal)
+        check_presymplectic(m)
+        want = reference_presymplectic(m)
+        assert not want[0].is_zero()
+        assert tested == want
+        assert m.iq_omega() == interior(m.q, de_rham(m.chi))
+
+    def test_report_contracts_omega_once(self, monkeypatch, capsys):
+        import gpde.cartan
+        import gpde.jets
+        import gpde.model
+        from gpde.cli import main
+
+        omegas, contractions = [], []
+        real_omega, real_interior = Model.omega, gpde.cartan.interior
+
+        def omega(self):
+            w = real_omega(self)
+            if not any(w is o for o in omegas):
+                omegas.append(w)
+            return w
+
+        def interior(V, p):
+            if V.name == "Q" and any(p == o for o in omegas):
+                contractions.append(p)
+            return real_interior(V, p)
+
+        monkeypatch.setattr(Model, "omega", omega)
+        for module in (gpde.cartan, gpde.model, gpde.jets):
+            monkeypatch.setattr(module, "interior", interior)
+        assert main(["report", "ym_weak"]) == 0
+        capsys.readouterr()
+        assert len(omegas) == 1
+        assert len(contractions) == 1
 
 
 class TestHamiltonian:

@@ -5,7 +5,7 @@ import pytest
 
 from gpde.algebra import FIBER, Poly, Space
 from gpde.cartan import VectorField, d_vertical, de_rham, interior
-from gpde.jets import JetModel, theta_top_coefficient
+from gpde.jets import JetModel
 from gpde.parser import load_builtin
 from gpde.reduction import (
     PresymplecticMatrix,
@@ -17,7 +17,7 @@ from gpde.reduction import (
     reduce_form,
     rref,
 )
-from properties import theta_components
+from properties import theta_components, theta_top_coefficient
 
 F = Fraction
 
