@@ -20,7 +20,9 @@ the common integral coefficient out of the slower Fraction arithmetic.
 A generator's ghost number, form degree and hence its parity are fixed at
 construction (a conflicting redeclaration raises instead of mutating), so
 `Generator.parity` is a stored attribute.  Generators are interned per Space,
-so equality is identity and a Generator keeps object's own `==` and hash:
+which owns them (a generator's `space` is a weak back-reference, so the two
+form no reference cycle), so equality is identity and a Generator keeps
+object's own `==` and hash:
 dict and set lookups hash in C.  A set of generators therefore iterates in an
 order that depends on memory addresses; whatever must not depend on it walks
 the generators in their canonical `_sort` order.
@@ -44,6 +46,7 @@ multiplied out; a term with no mapped factor is added as it is.
 from __future__ import annotations
 
 import itertools
+import weakref
 from collections import defaultdict
 from fractions import Fraction
 from numbers import Rational
@@ -101,11 +104,13 @@ class Generator:
     object (interned per Space), so equality and hashing are by identity.
     The sort key orders base coordinates before fiber coordinates before
     jets, with differentials adjacent to their coordinate, so canonical
-    monomials put the theta-volume factor leftmost.
+    monomials put the theta-volume factor leftmost.  The Space owns its
+    generators and a generator points back to it weakly, so neither keeps
+    the other alive; `space` raises once the Space is gone.
     """
 
     __slots__ = (
-        "space",
+        "_space",
         "role",
         "name",
         "gh",
@@ -120,7 +125,7 @@ class Generator:
     )
 
     def __init__(self, space, role, name, gh, fdeg, base_index, lie_index, jet_I, jet_J):
-        self.space = space
+        self._space = weakref.ref(space)
         self.role = role
         self.name = name
         self.gh = gh
@@ -133,6 +138,13 @@ class Generator:
         li = -1 if lie_index is None else lie_index
         self._key = (role, name, base_index, li, jet_I, jet_J, fdeg)
         self._sort = self._key
+
+    @property
+    def space(self) -> "Space":
+        space = self._space()
+        if space is None:
+            raise GradedAlgebraError(f"the space of generator {self.name!r} is gone")
+        return space
 
     def __repr__(self):
         return f"<gen {self.name} gh={self.gh} fdeg={self.fdeg}>"
@@ -159,7 +171,9 @@ class Space:
     A Space owns interning: declaring the same structural key twice with a
     different ghost number is an error, with the same ghost number returns
     the existing generator.  With declare=False an unregistered key is
-    looked up only and gives None.
+    looked up only and gives None.  The registries own the generators;
+    a generator refers back to its Space weakly, so a Space is freed by
+    reference counting once no model, form or Poly holds it.
     """
 
     _counter = itertools.count()

@@ -36,12 +36,19 @@ L_s omega = -d_v i_s omega.  D_a moves jets and x^a only and d_v x^a = 0, so
 D_a commutes with d_v and L_D omega = -d_v D chi_v, the minus from the odd
 theta^a passing d_v.  The jet model caches i_s omega and D chi_v as levels;
 the descent tower and the first master identity both read them.
+
+Ownership: a JetModel owns its fields D, D_a and s.  Their rules hold the
+JetRegistry (space, parent model, jet coordinates and cached expansions)
+and the D_a table, never the JetModel, and s reaches its own coefficients
+through a weak reference, so a request's jet model and its level caches
+are freed by reference counting, with no cycle for the collector to find.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import (
@@ -149,36 +156,17 @@ def vertical_lie(V: VectorField, p: Poly, dv_images: Optional[dict] = None) -> P
     return derive(p, V.parity, img)
 
 
-class JetModel:
-    """Jet prolongation of a model to a stated truncation order.
+class JetRegistry:
+    """The jet coordinates of one model and the expansions the pull-backs
+    multiply in: all that the rules of D, each D_a and s read.  It holds no
+    vector field, so the fields' rules hold it without a reference cycle."""
 
-    Jet coordinates are materialized on demand; the truncation order only
-    controls the excluded count in reports, never the values or verdicts.
-    Pull-backs are built level by level, and the seeds of s per level, on
-    demand; the forms the checks read are cached as levels (chi_v, its d_v,
-    i_s of that and D chi_v), and no check builds omegabar()."""
-
-    def __init__(self, parent: Model, order: int):
-        if order < 0:
-            raise GradedAlgebraError("truncation order must be nonnegative")
+    def __init__(self, parent: Model):
         self.parent = parent
-        self.N = order
         self.space = parent.space
         self._top = tuple(sorted(parent.base_indices))
         self._info: Dict[Generator, Tuple[Generator, Tuple[int, ...], Tuple[int, ...]]] = {}
         self._images: Dict[Tuple[Generator, bool], dict] = {}
-        self._totals: Dict[int, VectorField] = {}
-        self._omegabar: Optional[Poly] = None
-        self._vertical_chibar: Optional[dict] = None
-        self._vertical_omegabar: Optional[dict] = None
-        self._i_s_omegabar: Optional[dict] = None
-        self._total_chibar: Optional[dict] = None
-        self._bv_levels: Optional[dict] = None
-        self._dv_images: Dict[VectorField, dict] = {}
-        self.D = VectorField(self.space, 1, rule=self._d_rule, name="D")
-        self.s = VectorField(self.space, 1, rule=self._s_rule, name="s")
-
-    # jet coordinates ------------------------------------------------------
 
     def jet(self, fiber_gen: Generator, I=(), J=()):
         """The jet coordinate psi_{I|J} of a bundle coordinate.  I is
@@ -278,6 +266,120 @@ class JetModel:
             return out.get(level, {})
         return {J: t for J, t in out.items() if t}
 
+    def seed(self, fiber_gen: Generator, K: Tuple[int, ...]) -> Optional[Poly]:
+        """s(psi_{|K}), read off level K of Q exp u = s exp u + D exp u:
+        [s exp u]_K = (-1)^{|K|} s(psi_{|K}), so it is (-1)^{|K|}([Q exp u]_K
+        - [D exp u]_K), None when zero.  Only level K is built; s.coefficient
+        memoises it per jet psi_{|K}."""
+        t = self.level_pullback(self.parent.q.coefficient(fiber_gen), level=K)
+        accumulate(t, ((m, -c) for m, c in self._d_level(fiber_gen, K).items()))
+        if not t:
+            return None
+        return Poly._adopt(self.space, {m: -c for m, c in t.items()} if len(K) & 1 else t)
+
+    # the rules of D, D_a and s ----------------------------------------------
+
+    def d_rule(self, g: Generator):
+        if g.role == JET:
+            fib, I, J = self.jet_of(g)
+            return self.parent.theta_expansion([1], lambda K: self.jet(fib, I + K, J)[1])
+        if g.role == BASE_X:
+            return Poly.gen(self.parent.theta[g.base_index[0]])
+        return self._no_bundle_coordinate(g)
+
+    def total_rule(self, a: int, g: Generator):
+        if g.role == JET:
+            fib, I, J = self.jet_of(g)
+            return Poly.gen(self.jet(fib, I + (a,), J)[1])
+        if g.role == BASE_X:
+            return Poly.scalar(1) if g.base_index[0] == a else None
+        return self._no_bundle_coordinate(g)
+
+    def s_rule(self, totals: "_TotalDerivatives", s: "weakref.ref[VectorField]", g: Generator):
+        """s on a jet: its seed at a level jet, D_a of s of the jet below
+        otherwise.  s is reached weakly, and is alive, since its rule runs
+        only inside s.coefficient."""
+        if g.role == JET:
+            fib, I, J = self.jet_of(g)
+            if I:
+                _, lower = self.jet(fib, I[1:], J)
+                return totals[I[0]].apply(s().coefficient(lower))
+            return self.seed(fib, J)
+        return self._no_bundle_coordinate(g)
+
+    @staticmethod
+    def _no_bundle_coordinate(g: Generator):
+        """None, the rules' value off the jets and x, except on a bundle
+        coordinate, which has no place in a jet-space expression."""
+        if g.role == FIBER:
+            raise GradedAlgebraError(
+                f"bundle coordinate {g.name!r} inside a jet-space expression"
+            )
+        return None
+
+
+class _TotalDerivatives(dict):
+    """a -> D_a, each built on first use; its rule holds the registry only."""
+
+    def __init__(self, registry: JetRegistry):
+        super().__init__()
+        self.registry = registry
+
+    def __missing__(self, a: int) -> VectorField:
+        td = self[a] = VectorField(self.registry.space, 0, name=f"D_{a}",
+                                   rule=functools.partial(self.registry.total_rule, a))
+        return td
+
+
+class JetModel:
+    """Jet prolongation of a model to a stated truncation order.
+
+    Jet coordinates are materialized on demand; the truncation order only
+    controls the excluded count in reports, never the values or verdicts.
+    Pull-backs are built level by level, and the seeds of s per level, on
+    demand; the forms the checks read are cached as levels (chi_v, its d_v,
+    i_s of that and D chi_v), and no check builds omegabar().
+
+    A JetModel owns its fields D, D_a and s; their rules hold the jet
+    registry and the D_a table, never the JetModel, so a JetModel and its
+    level caches are freed by reference counting, and a field that outlives
+    it keeps working."""
+
+    def __init__(self, parent: Model, order: int):
+        if order < 0:
+            raise GradedAlgebraError("truncation order must be nonnegative")
+        self.registry = reg = JetRegistry(parent)
+        self.parent = parent
+        self.N = order
+        self.space = parent.space
+        self._top = reg._top
+        self._info = reg._info
+        self._totals = _TotalDerivatives(reg)
+        self._omegabar: Optional[Poly] = None
+        self._vertical_chibar: Optional[dict] = None
+        self._vertical_omegabar: Optional[dict] = None
+        self._i_s_omegabar: Optional[dict] = None
+        self._total_chibar: Optional[dict] = None
+        self._bv_levels: Optional[dict] = None
+        self._dv_images: Dict[VectorField, dict] = {}
+        self.D = VectorField(self.space, 1, rule=reg.d_rule, name="D")
+        self.s = VectorField(self.space, 1, name="s")
+        self.s.rule = functools.partial(reg.s_rule, self._totals, weakref.ref(self.s))
+
+    # jet coordinates (see JetRegistry) ------------------------------------
+
+    def jet(self, fiber_gen: Generator, I=(), J=()):
+        return self.registry.jet(fiber_gen, I, J)
+
+    def jet_of(self, g: Generator):
+        return self.registry.jet_of(g)
+
+    def theta_expansion(self, fiber_gen: Generator) -> Poly:
+        return self.registry.theta_expansion(fiber_gen)
+
+    def level_pullback(self, p: Poly, vertical=False, level=None) -> dict:
+        return self.registry.level_pullback(p, vertical, level)
+
     def pullback(self, p: Poly, vertical=False) -> Poly:
         """Substitute every bundle fiber coordinate (and its differential)
         by its theta-expansion (and the expansion's differential), level by
@@ -335,61 +437,7 @@ class JetModel:
     # the two odd vector fields --------------------------------------------
 
     def total_derivative(self, a: int) -> VectorField:
-        td = self._totals.get(a)
-        if td is None:
-
-            def rule(g, a=a):
-                if g.role == JET:
-                    fib, I, J = self.jet_of(g)
-                    _, shifted = self.jet(fib, I + (a,), J)
-                    return Poly.gen(shifted)
-                if g.role == BASE_X:
-                    return Poly.scalar(1) if g.base_index[0] == a else None
-                if g.role == FIBER:
-                    raise GradedAlgebraError(
-                        f"bundle coordinate {g.name!r} inside a jet-space expression"
-                    )
-                return None
-
-            td = VectorField(self.space, 0, rule=rule, name=f"D_{a}")
-            self._totals[a] = td
-        return td
-
-    def _d_rule(self, g: Generator):
-        if g.role == JET:
-            fib, I, J = self.jet_of(g)
-            return self.parent.theta_expansion([1], lambda K: self.jet(fib, I + K, J)[1])
-        if g.role == BASE_X:
-            return Poly.gen(self.parent.theta[g.base_index[0]])
-        if g.role == FIBER:
-            raise GradedAlgebraError(
-                f"bundle coordinate {g.name!r} inside a jet-space expression"
-            )
-        return None
-
-    def _seed(self, fiber_gen: Generator, K: Tuple[int, ...]) -> Optional[Poly]:
-        """s(psi_{|K}), read off level K of Q exp u = s exp u + D exp u:
-        [s exp u]_K = (-1)^{|K|} s(psi_{|K}), so it is (-1)^{|K|}([Q exp u]_K
-        - [D exp u]_K), None when zero.  Only level K is built; s.coefficient
-        memoises it per jet psi_{|K}."""
-        t = self.level_pullback(self.parent.q.coefficient(fiber_gen), level=K)
-        accumulate(t, ((m, -c) for m, c in self._d_level(fiber_gen, K).items()))
-        if not t:
-            return None
-        return Poly._adopt(self.space, {m: -c for m, c in t.items()} if len(K) & 1 else t)
-
-    def _s_rule(self, g: Generator):
-        if g.role == JET:
-            fib, I, J = self.jet_of(g)
-            if I:
-                _, lower = self.jet(fib, I[1:], J)
-                return self.total_derivative(I[0]).apply(self.s.coefficient(lower))
-            return self._seed(fib, J)
-        if g.role == FIBER:
-            raise GradedAlgebraError(
-                f"bundle coordinate {g.name!r} inside a jet-space expression"
-            )
-        return None
+        return self._totals[a]
 
     # pulled-back structures -------------------------------------------------
 
@@ -428,6 +476,19 @@ class JetModel:
             self._i_s_omegabar = self.levelwise(self.vertical_omegabar_levels(),
                                                functools.partial(interior, self.s), odd=False)
         return self._i_s_omegabar
+
+    def half_i_s_i_s_levels(self) -> dict:
+        """The levels of 1/2 i_s i_s of the vertical two-form, each by one
+        substitution dv(c) -> s(c): i_s is even and s(c) has the parity of
+        dv(c), so on a k-form the substitution is i_s^k / k! (an even
+        dv(c)^2 goes to s(c)^2)."""
+        space, s = self.space, self.s
+
+        def half(p):
+            return p.substitute({g: s.coefficient(space.coordinate_of(g))
+                                 for g in p.generators() if g.fdeg})
+
+        return self.levelwise(self.vertical_omegabar_levels(), half, odd=False)
 
     def total_chibar_levels(self) -> dict:
         """The levels of D of the vertical pull-back of chi, cached."""
@@ -546,11 +607,11 @@ def check_bv_identities(jm: JetModel) -> List[CheckResult]:
     sum over theta levels: i_s keeps the level with no sign, d_v with
     (-1)^{|J|}, and D moves level J to J + a for the free directions a.
     i_s kills base differentials, so i_s i_s of the vertical two-form is
-    that of omegabar."""
+    that of omegabar; its half is read by one substitution per level."""
     scalar = jm.bv_levels()
-    i_s = jm.i_s_omegabar_levels()
-    r1 = _level_sum(i_s, jm.levelwise(scalar, d_vertical, odd=True), jm.total_chibar_levels())
-    r2 = _level_sum(jm.levelwise(i_s, lambda p: interior(jm.s, p) / 2, odd=False),
+    r1 = _level_sum(jm.i_s_omegabar_levels(), jm.levelwise(scalar, d_vertical, odd=True),
+                    jm.total_chibar_levels())
+    r2 = _level_sum(jm.half_i_s_i_s_levels(),
                     {J: _negated(t) for J, t in jm.total_levels(scalar, forms=False).items()})
     return [_split_result(jm, "master_vertical", r1),
             _split_result(jm, "master_scalar", r2)]

@@ -126,8 +126,10 @@ def tokenize(text: str, source: str, diags: List[Diagnostic]) -> List[Token]:
             col += 1
             continue
         if ch == "#" or text[i:i + 2] == "//":
-            while i < n and text[i] != "\n":
-                i += 1
+            j = text.find("\n", i)
+            j = n if j < 0 else j
+            col += j - i
+            i = j
             continue
         span = Span(source, line, col)
         if "0" <= ch <= "9":

@@ -898,6 +898,20 @@ def check_cartan_descent(jm: JetModel) -> int:
     return compared
 
 
+def check_half_double_contraction(jm: JetModel) -> int:
+    """Level by level, 1/2 i_s i_s of the vertical two-form, read by the jet
+    model as one substitution dv(c) -> s(c), equals the whole-form
+    interior(s, interior(s, omegabar)) / 2 on the full omegabar (whose base
+    differentials i_s kills), split by theta level.  Returns the number of
+    levels compared."""
+    want = theta_coefficients(interior(jm.s, interior(jm.s, jm.omegabar())) / 2)
+    got = jm.half_i_s_i_s_levels()
+    assert set(got) == set(want)
+    for J, c in want.items():
+        assert Poly(jm.space, got[J]) == c, J
+    return len(want)
+
+
 def reference_action_density(sec) -> Poly:
     """The action density by substitution: chi with u sent to sec[u], du to
     D sec[u] (D the total derivative of the section's jet model), dx^a to

@@ -23,6 +23,7 @@ from gpde.parser import load_builtin, parse_model
 from properties import (
     broken_ym_source,
     check_cartan_descent,
+    check_half_double_contraction,
     check_level_form,
     theta_components,
     theta_top_coefficient,
@@ -403,7 +404,7 @@ class TestLevelPullback:
             want = reference_seeds(jm, u)
             assert set(want) <= set(levels), u
             for K in levels:
-                assert jm._seed(u, K) == want.get(K), (u, K)
+                assert jm.registry.seed(u, K) == want.get(K), (u, K)
 
     def test_levels_rebuild_the_pullback(self, vertical_case):
         jm = vertical_case
@@ -608,6 +609,12 @@ class TestCartanDescent:
 
     def test_broken_model(self, broken_ym):
         assert check_cartan_descent(JetModel(broken_ym, 1)) > 0
+
+    def test_half_double_contraction_is_one_substitution(self, vertical_case):
+        assert check_half_double_contraction(vertical_case) > 0
+
+    def test_half_double_contraction_broken_model(self, broken_ym):
+        assert check_half_double_contraction(JetModel(broken_ym, 1)) > 0
 
     def test_descent_residual_is_the_whole_form_lie_derivative(self, broken_ym, monkeypatch):
         # the residual levels themselves, not only their counts: the level

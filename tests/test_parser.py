@@ -358,6 +358,19 @@ def test_end_of_file_is_named_in_diagnostics(tail, message):
     assert [d.message for d in diags] == [message]
 
 
+@pytest.mark.parametrize("text, col", [
+    ("base dim = 1 # trailing", 24),
+    ("base dim = 1 // trailing", 25),
+    ("base dim = 1   ", 16),
+])
+def test_end_of_file_column_after_a_comment_or_blanks(text, col):
+    # a comment, like whitespace, moves the column to the end of the line
+    model, diags = parse_with_diagnostics(text)
+    assert model is None
+    assert [str(d) for d in diags] == [
+        f"<string>:1:{col}: error: expected ';', found 'end of file'"]
+
+
 def test_eps_arity():
     bad = "base dim = 2;\nmetric = diag(1, 1);\ncoord u : gh = 0;\nchi = eps[0]*u*d(u);\n"
     model, diags = parse_with_diagnostics(bad)
