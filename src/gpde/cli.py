@@ -6,6 +6,11 @@ passed.  On failure the failing checks are repeated on stderr, one per
 line, prefixed with FAIL.  A usage error (an unknown model, a malformed
 --at or --kill, a negative --order) prints one `gpde:` line on stderr and
 exits 2.
+
+Jets are made on demand, so no verb truncates them.  `reduce`, `descent`
+and `bv-identities` still accept `--order`, which nothing reads but the
+nonnegative check: the benchmark inputs under perfbench/ pass it, until the
+benchmark revision (ROADMAP item 1) drops it from them.
 """
 
 from __future__ import annotations
@@ -18,8 +23,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .algebra import Generator, GradedAlgebraError, Poly, Scalar, rational
-# action_density and generic_supersection are no longer called here (see
-# _action_density), but perfbench/spans.py times them under these names
+# action_density and generic_supersection are not called here (the verbs
+# read JetModel.bv_top), but perfbench/spans.py times them under these names
 from .density import (  # noqa: F401
     action_density,
     boundary_reduction,
@@ -82,15 +87,6 @@ def _parse_point(spec: str, candidates: Dict[str, Generator]) -> Dict[Generator,
     return point
 
 
-def _action_density(jm: JetModel) -> Poly:
-    """The action density of the generic supersection of jm, which is the
-    top level of the BV scalar: the prolonged pull-back sends psi_{I|J} to
-    D_I psi_{|J} = psi_{I|J}."""
-    if jm.parent.chi is None:
-        raise GradedAlgebraError("model has no presymplectic potential")
-    return jm.bv_top()
-
-
 def _failed(name: str, e: GradedAlgebraError) -> CheckResult:
     """A check that an error ended; a NotExactError counts its residual."""
     residual = e.residual.num_terms() if isinstance(e, NotExactError) else 0
@@ -125,35 +121,17 @@ def _run_hamiltonian(m: Model, args) -> Report:
     return rep
 
 
-def _run_prolong(m: Model, args) -> Report:
-    rep = Report(m.name)
-    jm = JetModel(m, args.order)
-    if m.chi is not None:
-        jm.omegabar()
-    # s on every level jet psi_{|K}: its seeds make the jets psi_{a|K-a}
-    for g in m.fiber_coords():
-        for K in m.theta_levels(range(m.n + 1)):
-            jm.s.coefficient(jm.jet(g, (), K)[1])
-    stats = jm.registry_stats()
-    rep.add(CheckResult("prolongation", True,
-                        detail=f"order {args.order}, "
-                               f"{stats['jet_coordinates']} jet coordinates"))
-    rep.outputs["jet_coordinates"] = stats["jet_coordinates"]
-    rep.outputs["beyond_order"] = stats["beyond_order"]
-    return rep
-
-
 def _run_descent(m: Model, args) -> Report:
-    return Report(m.name, check_descent(JetModel(m, args.order)))
+    return Report(m.name, check_descent(JetModel(m)))
 
 
 def _run_bv_identities(m: Model, args) -> Report:
-    return Report(m.name, check_bv_identities(JetModel(m, args.order)))
+    return Report(m.name, check_bv_identities(JetModel(m)))
 
 
 def _run_bv_action(m: Model, args) -> Report:
     rep = Report(m.name)
-    dens = _action_density(JetModel(m, 1))
+    dens = JetModel(m).bv_top()
     if args.ghost is not None:
         dens = ghost_sector(dens, args.ghost)
         rep.outputs["ghost"] = args.ghost
@@ -172,7 +150,7 @@ def _run_reduce(m: Model, args) -> Report:
         universe = m.fiber_coords()
         s = m.q
     else:
-        jm = JetModel(m, args.order)
+        jm = JetModel(m)
         form = jm.vertical_top()
         if form.is_zero():
             rep.add(CheckResult("reduction", False,
@@ -209,13 +187,13 @@ def _run_boundary(m: Model, args) -> Report:
     if absent:
         raise _usage(f"no base direction {absent[0]} to kill (base directions: "
                      f"{', '.join(map(str, m.base_indices))})")
-    br = boundary_reduction(m, kill, order=args.order)
+    br = boundary_reduction(m, kill)
     for c in br.checks:
         rep.add(c)
     rep.outputs["survivors"] = br.reduced.survivor_equations()
     rep.outputs["reduced"] = br.reduced.reduced_form
     try:
-        rep.outputs["charge_integrand"] = _action_density(br.jets)
+        rep.outputs["charge_integrand"] = br.jets.bv_top()
     except GradedAlgebraError as e:
         rep.add(CheckResult("charge_integrand", False, detail=str(e)))
     return rep
@@ -230,17 +208,16 @@ def _run_report(m: Model, args) -> Report:
     rep.outputs.update(ham.outputs)
     if not ham.outputs:
         return rep
-    jm = JetModel(m, 1)
+    jm = JetModel(m)
     if m.n > 0:
         rep.checks += check_descent(jm) + check_bv_identities(jm)
-    rep.outputs["bv_action"] = _action_density(jm)
+    rep.outputs["bv_action"] = jm.bv_top()
     return rep
 
 
 _VERBS = {
     "check": _run_check,
     "hamiltonian": _run_hamiltonian,
-    "prolong": _run_prolong,
     "descent": _run_descent,
     "bv-identities": _run_bv_identities,
     "bv-action": _run_bv_action,
@@ -266,25 +243,25 @@ def build_parser() -> argparse.ArgumentParser:
                        default="text", help="report rendering")
         return p
 
+    def order(p):
+        # accepted and checked, never read: see the module docstring
+        p.add_argument("--order", type=int, default=0,
+                       help="no effect: jets are made on demand, never truncated")
+
     verb("check", "projection, nilpotency and presymplectic compatibility")
     verb("hamiltonian", "solve for the covariant hamiltonian and verify it")
-    p = verb("prolong", "prolong to jets and summarize the coordinate registry")
-    p.add_argument("--order", type=int, default=2)
-    p = verb("descent", "descent tower on the vertical two-form")
-    p.add_argument("--order", type=int, default=2)
-    p = verb("bv-identities", "master identities on the jet prolongation")
-    p.add_argument("--order", type=int, default=2)
+    order(verb("descent", "descent tower on the vertical two-form"))
+    order(verb("bv-identities", "master identities on the jet prolongation"))
     p = verb("bv-action", "field-space action density from a generic section")
     p.add_argument("--ghost", type=int, default=None,
                    help="restrict the density to one ghost degree")
     p = verb("reduce", "kernel reduction of the vertical two-form")
-    p.add_argument("--order", type=int, default=1)
+    order(p)
     p.add_argument("--at", default=None,
                    help="evaluation point, comma separated name=rational pairs")
     p = verb("boundary", "restrict to a submanifold and reduce the boundary form")
     p.add_argument("--kill", required=True,
                    help="comma separated base directions to drop")
-    p.add_argument("--order", type=int, default=1)
     verb("report", "full check battery with hamiltonian and action outputs")
     return ap
 

@@ -233,7 +233,7 @@ class BoundaryReduction:
         self.checks = checks
 
 
-def boundary_reduction(m: Model, kill: Iterable[int], order: int = 1) -> BoundaryReduction:
+def boundary_reduction(m: Model, kill: Iterable[int]) -> BoundaryReduction:
     """Restrict, prolong, verticalize, and quotient by the kernel of the top
     theta-degree block of the boundary two-form."""
     kill = set(kill)
@@ -246,7 +246,7 @@ def boundary_reduction(m: Model, kill: Iterable[int], order: int = 1) -> Boundar
     bad = sum(p.num_terms() for p in tang.values())
     checks.append(CheckResult("tangency", bad == 0, residual_terms=bad))
     mr = restrict_to_submanifold(m, keep)
-    jr = JetModel(mr, order)
+    jr = JetModel(mr)
     top = jr.vertical_top()
     if top.is_zero():
         raise GradedAlgebraError("boundary two-form has no top theta component")

@@ -14,11 +14,12 @@ pulled-back Q-structure equals s + D on expansions and extended to deeper
 jets by commuting with the total derivatives.  The seed of s on a level jet
 psi_{|K} is built when s is first read there, from level K of Q exp u and
 D exp u alone.  Three pull-backs send u to its expansion and du to d, d_v or
-D of it: the full one gives chibar (only `prolong` builds omegabar =
-d(chibar)), the vertical one the two-form d_v(V chibar) the checks read and,
-at the theta-volume level only, the top block the reductions quotient by,
-and the horizontal one, with dx^a going to theta^a, the BV scalar
-i_D chibar + hbar out of chi + h.
+D of it: the full one gives chibar and omegabar = d(chibar), which no check
+reads, the vertical one the two-form d_v(V chibar) the checks read and, at
+the theta-volume level only, the top block the reductions quotient by, and
+the horizontal one, with dx^a going to theta^a, the BV scalar i_D chibar +
+hbar out of chi + h.  Jets are made as the pull-backs and seeds ask for them,
+so the jet space is never truncated.
 
 The forms the checks read stay in level form {J: terms}, standing for
 sum_J theta^J * terms, as the pull-backs return them.  s, i_s, d_v and each
@@ -332,30 +333,25 @@ class _TotalDerivatives(dict):
 
 
 class JetModel:
-    """Jet prolongation of a model to a stated truncation order.
+    """The super-jet prolongation of a model, with no truncation order.
 
-    Jet coordinates are materialized on demand; the truncation order only
-    controls the excluded count in reports, never the values or verdicts.
-    Pull-backs are built level by level, and the seeds of s per level, on
-    demand; the forms the checks read are cached as levels (chi_v, its d_v,
-    i_s of that and D chi_v), and no check builds omegabar().
+    Jet coordinates are materialized on demand.  Pull-backs are built level
+    by level, and the seeds of s per level, on demand; the forms the checks
+    read are cached as levels (chi_v, its d_v, i_s of that and D chi_v), and
+    no check builds omegabar().
 
     A JetModel owns its fields D, D_a and s; their rules hold the jet
     registry and the D_a table, never the JetModel, so a JetModel and its
     level caches are freed by reference counting, and a field that outlives
     it keeps working."""
 
-    def __init__(self, parent: Model, order: int):
-        if order < 0:
-            raise GradedAlgebraError("truncation order must be nonnegative")
+    def __init__(self, parent: Model):
         self.registry = reg = JetRegistry(parent)
         self.parent = parent
-        self.N = order
         self.space = parent.space
         self._top = reg._top
         self._info = reg._info
         self._totals = _TotalDerivatives(reg)
-        self._omegabar: Optional[Poly] = None
         self._vertical_chibar: Optional[dict] = None
         self._vertical_omegabar: Optional[dict] = None
         self._i_s_omegabar: Optional[dict] = None
@@ -443,16 +439,14 @@ class JetModel:
 
     def _chi(self) -> Poly:
         if self.parent.chi is None:
-            raise GradedAlgebraError("parent model has no presymplectic potential")
+            raise GradedAlgebraError("model has no presymplectic potential")
         return self.parent.chi
 
     def chibar(self) -> Poly:
         return self.pullback(self._chi())
 
     def omegabar(self) -> Poly:
-        if self._omegabar is None:
-            self._omegabar = de_rham(self.chibar())
-        return self._omegabar
+        return de_rham(self.chibar())
 
     def vertical_chibar_levels(self) -> dict:
         """The levels of the vertical pull-back of chi, cached."""
@@ -547,36 +541,19 @@ class JetModel:
                 raise GradedAlgebraError("bundle differential inside a jet-space expression")
         return p.substitute(mapping)
 
-    def retained(self, mono) -> bool:
-        """False when a monomial touches a jet coordinate of base-derivative
-        order above the truncation order."""
-        return not any(g.role in (JET, VDIFF) and len(g.jet_I) > self.N for g, _ in mono)
-
-    def truncation_split(self, p: Poly) -> Tuple[Poly, Poly]:
-        """(retained, excluded) terms of p."""
-        keep = p.filter(self.retained)
-        return keep, p - keep
-
     def registry_stats(self) -> Dict[str, int]:
-        total = len(self._info)
-        deep = sum(1 for g in self._info if len(g.jet_I) > self.N)
-        return {"jet_coordinates": total, "beyond_order": deep}
-
-
-def prolong(model: Model, order: int) -> JetModel:
-    return JetModel(model, order)
+        """The number of jet coordinates made so far."""
+        return {"jet_coordinates": len(self._info)}
 
 
 # identity checks -----------------------------------------------------------
 
 
-def _split_result(jm: JetModel, name: str, levels: dict) -> CheckResult:
+def _split_result(name: str, levels: dict) -> CheckResult:
     """The verdict reads the whole residual, given in level form: its terms
-    are those of all levels, since theta^J keeps distinct monomials apart.
-    excluded_terms is reported only."""
+    are those of all levels, since theta^J keeps distinct monomials apart."""
     total = sum(len(t) for t in levels.values())
-    excluded = sum(1 for t in levels.values() for mono in t if not jm.retained(mono))
-    return CheckResult(name, not total, residual_terms=total, excluded_terms=excluded)
+    return CheckResult(name, not total, residual_terms=total)
 
 
 def check_descent(jm: JetModel) -> List[CheckResult]:
@@ -597,7 +574,7 @@ def check_descent(jm: JetModel) -> List[CheckResult]:
     by_degree: Dict[int, dict] = {}
     for J, t in res.items():
         by_degree.setdefault(len(J), {})[J] = t
-    return [_split_result(jm, f"descent_theta_{k}", by_degree.get(k, {}))
+    return [_split_result(f"descent_theta_{k}", by_degree.get(k, {}))
             for k in range(jm.parent.n + 2)]
 
 
@@ -613,8 +590,8 @@ def check_bv_identities(jm: JetModel) -> List[CheckResult]:
                     jm.total_chibar_levels())
     r2 = _level_sum(jm.half_i_s_i_s_levels(),
                     {J: _negated(t) for J, t in jm.total_levels(scalar, forms=False).items()})
-    return [_split_result(jm, "master_vertical", r1),
-            _split_result(jm, "master_scalar", r2)]
+    return [_split_result("master_vertical", r1),
+            _split_result("master_scalar", r2)]
 
 
 def bv_lagrangian(jm: JetModel) -> Poly:

@@ -244,11 +244,6 @@ class ReducedModel:
         return [(g, Poly(self.space, {((self.universe[A], 1),): c for A, c in enumerate(lam)}))
                 for g, lam in zip(self.survivors, self.survivor_forms)]
 
-    def describe_survivors(self) -> List[str]:
-        from .printing import equations
-
-        return equations(self.survivor_equations())
-
 
 def _first_free_index(space) -> int:
     """One past the largest i such that a coordinate named w<i> exists.

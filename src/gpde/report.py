@@ -12,15 +12,11 @@ class CheckResult:
     name: str
     passed: bool
     residual_terms: int = 0
-    excluded_terms: int = 0
     detail: str = ""
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
-        extra = f" residual_terms={self.residual_terms}"
-        if self.excluded_terms:
-            extra += f" excluded_terms={self.excluded_terms}"
-        msg = f"[{tag}] {self.name}{extra}"
+        msg = f"[{tag}] {self.name} residual_terms={self.residual_terms}"
         if self.detail:
             msg += f"  ({self.detail})"
         return msg
@@ -56,7 +52,6 @@ class Report:
                     "name": c.name,
                     "pass": c.passed,
                     "residual_terms": c.residual_terms,
-                    "excluded_terms": c.excluded_terms,
                     "detail": c.detail,
                 }
                 for c in self.checks
@@ -70,11 +65,11 @@ class Report:
         for c in self.checks:
             status = r"\checkmark" if c.passed else r"\times"
             name = c.name.replace("_", r"\_")
-            rows.append(f"{name} & ${status}$ & {c.residual_terms} & {c.excluded_terms} \\\\")
+            rows.append(f"{name} & ${status}$ & {c.residual_terms} \\\\")
         body = "\n".join(rows)
         out = [
-            r"\begin{tabular}{lccc}",
-            r"check & status & residual terms & excluded terms \\ \hline",
+            r"\begin{tabular}{lcc}",
+            r"check & status & residual terms \\ \hline",
             body,
             r"\end{tabular}",
         ]

@@ -112,7 +112,7 @@ def variational_model(n: int = 2) -> JetModel:
     b = ModelBuilder("el_playground", n)
     b.fiber("u", gh=0)
     b.fiber("c", gh=1)
-    return JetModel(b.build(), 1)
+    return JetModel(b.build())
 
 
 def rand_field_poly(rng: random.Random, jm: JetModel, depth: int = 2,
@@ -1288,7 +1288,7 @@ def suite_even_sympy(cases: int = 50, seed: int = 43):
     assert seen == {int, Fraction}, f"vacuous sympy suite: coefficient types {seen}"
 
 
-def maxwell_specializations(m: Model, order: int = 3):
+def maxwell_specializations(m: Model):
     """Abelian limit of every curved-model acceptance check: strict
     nilpotency, exact residuals, golden formula matches, boundary pipeline."""
     from gpde.density import (action_density, boundary_reduction,
@@ -1306,7 +1306,7 @@ def maxwell_specializations(m: Model, order: int = 3):
     assert L == hamiltonian_display(m)
     for res in check_solution(m, L):
         assert res.passed and res.residual_terms == 0, res.name
-    jm = JetModel(m, order)
+    jm = JetModel(m)
     for res in check_descent(jm) + check_bv_identities(jm):
         assert res.passed and res.residual_terms == 0, res.name
     br = boundary_reduction(m, [0])

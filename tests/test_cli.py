@@ -47,7 +47,7 @@ def test_check_json_schema(capsys):
     ]
     for c in doc["checks"]:
         assert c["pass"] is True
-        assert set(c) == {"name", "pass", "residual_terms", "excluded_terms", "detail"}
+        assert set(c) == {"name", "pass", "residual_terms", "detail"}
         assert isinstance(c["detail"], str)
     assert doc["outputs"] == {}
     # the JSON detail is the text line's parenthesised text
@@ -64,15 +64,15 @@ def test_report_json_toy_golden(capsys):
     assert doc == {
         "model": "toy_dim0",
         "checks": [
-            {"name": "projection", "pass": True, "residual_terms": 0, "excluded_terms": 0, "detail": ""},
-            {"name": "nilpotency", "pass": True, "residual_terms": 0, "excluded_terms": 0, "detail": ""},
-            {"name": "closed", "pass": True, "residual_terms": 0, "excluded_terms": 0, "detail": ""},
-            {"name": "q_invariance", "pass": True, "residual_terms": 0, "excluded_terms": 0, "detail": ""},
-            {"name": "double_contraction", "pass": True, "residual_terms": 0, "excluded_terms": 0, "detail": ""},
-            {"name": "hamiltonian_obstruction", "pass": True, "residual_terms": 0, "excluded_terms": 0, "detail": ""},
-            {"name": "hamiltonian_exists", "pass": True, "residual_terms": 0, "excluded_terms": 0, "detail": ""},
-            {"name": "hamiltonian_relation", "pass": True, "residual_terms": 0, "excluded_terms": 0, "detail": ""},
-            {"name": "q_annihilates_hamiltonian", "pass": True, "residual_terms": 0, "excluded_terms": 0, "detail": ""},
+            {"name": "projection", "pass": True, "residual_terms": 0, "detail": ""},
+            {"name": "nilpotency", "pass": True, "residual_terms": 0, "detail": ""},
+            {"name": "closed", "pass": True, "residual_terms": 0, "detail": ""},
+            {"name": "q_invariance", "pass": True, "residual_terms": 0, "detail": ""},
+            {"name": "double_contraction", "pass": True, "residual_terms": 0, "detail": ""},
+            {"name": "hamiltonian_obstruction", "pass": True, "residual_terms": 0, "detail": ""},
+            {"name": "hamiltonian_exists", "pass": True, "residual_terms": 0, "detail": ""},
+            {"name": "hamiltonian_relation", "pass": True, "residual_terms": 0, "detail": ""},
+            {"name": "q_annihilates_hamiltonian", "pass": True, "residual_terms": 0, "detail": ""},
         ],
         "outputs": {
             "hamiltonian": "-1/3*u^3",
@@ -166,10 +166,23 @@ def test_descent_and_identities_maxwell(capsys):
     assert "master_vertical" in out and "master_scalar" in out
 
 
-def test_prolong_summary(capsys):
-    rc, out, _ = run(["prolong", "maxwell_weak", "--order", "1"], capsys)
-    assert rc == 0
-    assert "jet_coordinates:" in out
+@pytest.mark.parametrize("argv", [["reduce", "ym_weak"], ["descent", "maxwell_weak"],
+                                  ["bv-identities", "maxwell_weak"]])
+def test_order_changes_no_output(argv, capsys):
+    # jets are made on demand: --order is accepted and read by nothing
+    outs = [run(argv + ["--order", order], capsys) for order in ("0", "3")]
+    assert outs[0][0] == 0
+    assert outs[0] == outs[1]
+
+
+def test_missing_potential_is_one_diagnostic(capsys):
+    # every verb that needs chi reports its absence in the same words
+    details = set()
+    for verb in ("descent", "bv-identities", "bv-action", "reduce"):
+        rc, _, err = run([verb, "ce_aksz"], capsys)
+        assert rc == 1
+        details.add(err.split(" residual_terms=0 ", 1)[1])
+    assert details == {"model has no presymplectic potential\n"}
 
 
 def test_not_exact_failure_counts_its_residual(tmp_path, capsys):
@@ -247,13 +260,10 @@ def test_unknown_model_name(capsys):
     (["reduce", "toy_dim0", "--at", "zz"], "gpde: --at expects name=value pairs, got 'zz'"),
     (["reduce", "maxwell_weak", "--at", "C{1}[|]=x"], "gpde: bad rational value 'x' in --at"),
     (["reduce", "toy_dim0", "--at", "nope=1"], "gpde: unknown coordinate 'nope' in --at"),
-    (["prolong", "maxwell_weak", "--order", "-1"], "gpde: --order must be nonnegative, got -1"),
     (["descent", "maxwell_weak", "--order", "-1"], "gpde: --order must be nonnegative, got -1"),
     (["bv-identities", "maxwell_weak", "--order", "-2"],
      "gpde: --order must be nonnegative, got -2"),
     (["reduce", "toy_dim0", "--order", "-1"], "gpde: --order must be nonnegative, got -1"),
-    (["boundary", "maxwell_weak", "--kill", "0", "--order", "-1"],
-     "gpde: --order must be nonnegative, got -1"),
 ])
 def test_usage_errors_exit_2_with_one_line(argv, message, capsys):
     # exit code 1 is kept for a failed check; a usage error prints no report
@@ -269,7 +279,7 @@ def test_usage_errors_exit_2_with_one_line(argv, message, capsys):
 def test_latex_format(capsys):
     rc, out, _ = run(["report", "toy_dim0", "--format", "latex"], capsys)
     assert rc == 0
-    assert r"\begin{tabular}{lccc}" in out
+    assert r"\begin{tabular}{lcc}" in out
     assert r"\checkmark" in out
 
 
@@ -297,7 +307,7 @@ def test_latex_level_jet_is_not_its_bundle_coordinate():
     from gpde import JetModel, load_builtin, poly_latex
     from gpde.algebra import Poly
 
-    jm = JetModel(load_builtin("maxwell_weak"), 1)
+    jm = JetModel(load_builtin("maxwell_weak"))
     F = jm.parent.fibers["F"].resolve((0, 1), 0)[1]
     latex = {J: poly_latex(Poly.gen(jm.jet(F, (2,), J)[1])) for J in ((), (3,))}
     assert latex == {(): "F^{1}_{0 1 2 |}", (3,): "F^{1}_{0 1 2 |3}"}

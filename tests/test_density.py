@@ -47,7 +47,7 @@ def psi(jm, fam, idx=(), J=(), I=(), li=None):
 
 def test_generic_section_shapes(maxwell_model):
     m = maxwell_model
-    sec = generic_section(JetModel(m, 1))
+    sec = generic_section(JetModel(m))
     C = fib(m, "C")
     assert sec[C].num_terms() == 4
     for g in sec[C].generators():
@@ -59,7 +59,7 @@ def test_generic_section_shapes(maxwell_model):
 
 def test_generic_supersection_levels(maxwell_model):
     m = maxwell_model
-    sec = generic_supersection(JetModel(m, 1))
+    sec = generic_supersection(JetModel(m))
     C = fib(m, "C")
     assert sec[C].num_terms() == 16
     ghs = {g.gh for g in sec[C].generators() if g.role == JET}
@@ -68,7 +68,7 @@ def test_generic_supersection_levels(maxwell_model):
 
 def test_covariance_residual_maxwell(maxwell_model):
     m = maxwell_model
-    jm = JetModel(m, 1)
+    jm = JetModel(m)
     sec = generic_section(jm)
     res = covariance_residual(sec)
     C = fib(m, "C")
@@ -84,7 +84,7 @@ def test_covariance_residual_maxwell(maxwell_model):
 
 def test_flat_section_kills_residual(maxwell_model):
     m = maxwell_model
-    jm = JetModel(m, 1)
+    jm = JetModel(m)
     mapping = dict(generic_section(jm).mapping)
     for a, b in itertools.combinations(range(4), 2):
         F = fib(m, "F", (a, b))
@@ -99,7 +99,7 @@ def test_flat_section_kills_residual(maxwell_model):
 
 def test_gauge_variation_matches_jet_seeds_maxwell(maxwell_model):
     m = maxwell_model
-    jm = JetModel(m, 1)
+    jm = JetModel(m)
     var = gauge_variation(generic_supersection(jm))
     for u in m.fiber_coords():
         for k in range(3):
@@ -110,7 +110,7 @@ def test_gauge_variation_matches_jet_seeds_maxwell(maxwell_model):
 
 def test_gauge_variation_matches_jet_seeds_ym(ym_model):
     m = ym_model
-    jm = JetModel(m, 1)
+    jm = JetModel(m)
     var = gauge_variation(generic_supersection(jm))
     for u in m.fiber_coords():
         for k in range(2):
@@ -124,7 +124,7 @@ def test_gauge_variation_registers_no_fields():
     # reading it off by theta level must add nothing, least of all the
     # level jets a ghost-zero section leaves out
     m = build_maxwell()
-    sec = generic_section(JetModel(m, 1))
+    sec = generic_section(JetModel(m))
     res = covariance_residual(sec)
     before = len(m.space.generators())
     var = gauge_variation(sec)
@@ -141,7 +141,7 @@ def test_gauge_variation_registers_no_fields():
 
 def test_gauge_variation_ce_formulas(ce_model):
     m = ce_model
-    jm = JetModel(m, 1)
+    jm = JetModel(m)
     var = gauge_variation(generic_supersection(jm))
     # ghost: s c = -(1/2)[c, c], component 1 of su(2) reads -c2*c3
     _, c1 = jm.jet(fib(m, "C", li=0))
@@ -156,7 +156,7 @@ def test_gauge_variation_ce_formulas(ce_model):
 
 def test_gauge_variation_squares_to_zero(ce_model):
     m = ce_model
-    jm = JetModel(m, 1)
+    jm = JetModel(m)
     var = gauge_variation(generic_supersection(jm))
     space = m.space
 
@@ -181,7 +181,7 @@ def test_gauge_variation_squares_to_zero(ce_model):
 
 
 def test_euler_lagrange_second_order(maxwell_model):
-    jm = JetModel(maxwell_model, 1)
+    jm = JetModel(maxwell_model)
     a0 = psi(jm, "C", J=(0,))
     dens = psi(jm, "C", J=(0,), I=(1,)) * psi(jm, "C", J=(0,), I=(1,)) / 2
     el = euler_lagrange(jm, dens)
@@ -192,7 +192,7 @@ def test_euler_lagrange_second_order(maxwell_model):
 
 
 def test_euler_lagrange_odd_field(maxwell_model):
-    jm = JetModel(maxwell_model, 1)
+    jm = JetModel(maxwell_model)
     c = psi(jm, "C")
     dens = c * psi(jm, "C", I=(0,))
     el = euler_lagrange(jm, dens)
@@ -201,7 +201,7 @@ def test_euler_lagrange_odd_field(maxwell_model):
 
 
 def test_euler_lagrange_ignores_total_derivatives(maxwell_model):
-    jm = JetModel(maxwell_model, 1)
+    jm = JetModel(maxwell_model)
     base = psi(jm, "C", J=(1,)) * psi(jm, "C", J=(1,), I=(2,))
     currents = [
         psi(jm, "C", J=(0,)) * psi(jm, "C", J=(0,), I=(1,)),
@@ -216,7 +216,7 @@ def test_euler_lagrange_ignores_total_derivatives(maxwell_model):
 
 
 def test_el_proportional(maxwell_model):
-    jm = JetModel(maxwell_model, 1)
+    jm = JetModel(maxwell_model)
     a = psi(jm, "C", J=(0,)) * psi(jm, "C", J=(0,), I=(1,)) * psi(jm, "F", (2, 3))
     ok, lam = el_proportional(jm, 3 * a, a)
     assert ok and lam == 3
@@ -228,7 +228,7 @@ def test_el_proportional(maxwell_model):
 def test_euler_lagrange_keys_in_canonical_order(maxwell_model):
     """Generators hash by identity, so a set of them iterates in an order
     that depends on memory addresses; the keys must not."""
-    jm = JetModel(maxwell_model, 1)
+    jm = JetModel(maxwell_model)
     dens = action_density(generic_section(jm))
     dens = dens + psi(jm, "F", (2, 3)) * psi(jm, "C", J=(0,), I=(1,)) \
         + psi(jm, "C", J=(3,)) * psi(jm, "F", (0, 1), I=(2,))
@@ -241,7 +241,7 @@ def test_euler_lagrange_keys_in_canonical_order(maxwell_model):
 
 
 def test_action_density_dim0():
-    jm = JetModel(build_toy(), 1)
+    jm = JetModel(build_toy())
     dens = action_density(generic_section(jm))
     u0 = psi(jm, "u")
     assert dens == -u0 * u0 * u0 / 3
@@ -250,7 +250,7 @@ def test_action_density_dim0():
 
 
 def test_action_density_maxwell_first_order():
-    jm = JetModel(build_maxwell(), 1)
+    jm = JetModel(build_maxwell())
     dens = action_density(generic_section(jm))
     assert not dens.is_zero()
     assert ghost_sector(dens, 0) == dens
@@ -287,7 +287,7 @@ def test_restriction_rejects_unknown_directions(maxwell_model):
 
 
 def test_boundary_reduction_maxwell(maxwell_model):
-    br = boundary_reduction(maxwell_model, kill=(0,), order=1)
+    br = boundary_reduction(maxwell_model, kill=(0,))
     assert all(c.passed for c in br.checks)
     red = br.reduced
     assert len(red.survivors) == 8
@@ -315,7 +315,7 @@ def test_boundary_reduction_maxwell(maxwell_model):
 
 
 def test_boundary_bfv_integrand_maxwell(maxwell_model):
-    br = boundary_reduction(maxwell_model, kill=(0,), order=1)
+    br = boundary_reduction(maxwell_model, kill=(0,))
     dens = action_density(generic_supersection(br.jets))
     gh1 = ghost_sector(dens, 1)
     assert not gh1.is_zero()
@@ -349,7 +349,7 @@ def oracle_model(request):
 @pytest.mark.parametrize("make", [generic_supersection, generic_section])
 def test_action_density_matches_field_substitution(oracle_model, make):
     m = oracle_model
-    sec = make(JetModel(m, 1))
+    sec = make(JetModel(m))
     if m.chi is None:
         for density in (action_density, reference_action_density):
             with pytest.raises(GradedAlgebraError, match="no presymplectic potential"):
@@ -360,7 +360,7 @@ def test_action_density_matches_field_substitution(oracle_model, make):
     assert got.is_zero() == (make is generic_section and m.name.endswith("_on_123"))
     assert got == reference_action_density(sec)
     # a jet model whose BV scalar the master identities already built
-    jm = JetModel(m, 1)
+    jm = JetModel(m)
     jm.bv_scalar()
     assert action_density(make(jm)) == got
 
@@ -368,7 +368,7 @@ def test_action_density_matches_field_substitution(oracle_model, make):
 def test_generic_supersection_density_is_bv_top(oracle_model):
     """Along the generic supersection psi_{I|J} goes to D_I psi_{|J}, itself:
     the action density is the top level of the BV scalar, term for term."""
-    jm = JetModel(oracle_model, 1)
+    jm = JetModel(oracle_model)
     sec = generic_supersection(jm)
     if oracle_model.chi is None:
         with pytest.raises(GradedAlgebraError, match="no presymplectic potential"):
@@ -380,7 +380,7 @@ def test_generic_supersection_density_is_bv_top(oracle_model):
 
 
 def test_bv_scalar_is_the_D_contraction_plus_lbar(oracle_model):
-    jm = JetModel(oracle_model, 1)
+    jm = JetModel(oracle_model)
     if oracle_model.chi is None:
         with pytest.raises(GradedAlgebraError, match="no presymplectic potential"):
             jm.bv_scalar()
@@ -405,7 +405,7 @@ def flat_section_with_theta_levels(jm):
 
 
 def test_action_density_of_images_with_theta_and_derivatives(maxwell_model):
-    sec = flat_section_with_theta_levels(JetModel(maxwell_model, 1))
+    sec = flat_section_with_theta_levels(JetModel(maxwell_model))
     got = action_density(sec)
     # the curvature is the derivative of the connection's level jets
     assert {(g.name, len(g.jet_J), len(g.jet_I)) for g in got.generators()} == {("C", 1, 1)}
@@ -414,7 +414,7 @@ def test_action_density_of_images_with_theta_and_derivatives(maxwell_model):
 
 def test_action_density_rejects_inhomogeneous_or_wrong_parity_images(maxwell_model):
     m = maxwell_model
-    jm = JetModel(m, 1)
+    jm = JetModel(m)
     C = fib(m, "C")
     bad = {
         "not parity-homogeneous": Poly.gen(m.theta[0]) * psi(jm, "C", J=(0,)) + psi(jm, "F", (0, 1)),
@@ -429,7 +429,7 @@ def test_action_density_rejects_inhomogeneous_or_wrong_parity_images(maxwell_mod
 
 def test_action_density_rejects_bundle_coordinates(maxwell_model):
     m = maxwell_model
-    jm = JetModel(m, 1)
+    jm = JetModel(m)
     C, F = fib(m, "C"), fib(m, "F", (0, 1))
     _, psi0 = jm.jet(C, (), (0,))
     th0 = Poly.gen(m.theta[0])
@@ -442,8 +442,8 @@ def test_action_density_rejects_bundle_coordinates(maxwell_model):
 
 def test_images_in_jets_another_jet_model_made(maxwell_model):
     # a jet is a generator of the space: any jet model of it acts on it
-    other = generic_supersection(JetModel(maxwell_model, 1))
-    jm = JetModel(maxwell_model, 1)
+    other = generic_supersection(JetModel(maxwell_model))
+    jm = JetModel(maxwell_model)
     sec = Section(jm, other.mapping)
     assert covariance_residual(sec) == covariance_residual(other)
     assert action_density(sec) == action_density(other)
@@ -452,7 +452,7 @@ def test_images_in_jets_another_jet_model_made(maxwell_model):
 
 def test_action_density_without_chi_makes_no_jet():
     m = build_ce()
-    jm = JetModel(m, 1)
+    jm = JetModel(m)
     sec = generic_supersection(jm)
     made = jm.registry_stats()["jet_coordinates"]
     level_jets = [g for g in m.space.generators() if g.role == JET]
@@ -474,4 +474,4 @@ def test_jet_of_no_bundle_coordinate_is_refused():
     m = build_maxwell()
     stray = m.space.coordinate("Z", JET, 0, jet_I=(1,))
     with pytest.raises(GradedAlgebraError, match="jet coordinate 'Z' of no bundle coordinate"):
-        JetModel(m, 1).D.apply(Poly.gen(stray))
+        JetModel(m).D.apply(Poly.gen(stray))

@@ -141,7 +141,7 @@ def test_hamiltonian_exact_half():
 
 
 def test_proportionality_scalar_of_int_densities():
-    jm = JetModel(parse_model(HALF, name="half"), 1)
+    jm = JetModel(parse_model(HALF, name="half"))
     _, g = jm.jet(jm.parent.fibers["u"].gen())
     a = Poly.gen(g) * Poly.gen(g) * Poly.gen(g)
     ok, lam = el_proportional(jm, a, 2 * a)

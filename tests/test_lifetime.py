@@ -39,7 +39,7 @@ def _weak(*objs):
 def test_checks_free_model_space_and_jet_model():
     with collector_off():
         m = load_builtin("maxwell_weak")
-        jm = JetModel(m, 1)
+        jm = JetModel(m)
         results = check_descent(jm) + check_bv_identities(jm)
         assert all(r.passed for r in results)
         refs = _weak(m, m.space, jm)
@@ -50,7 +50,7 @@ def test_checks_free_model_space_and_jet_model():
 def test_reduction_frees_model_space_and_jet_model():
     with collector_off():
         m = load_builtin("maxwell_weak")
-        jm = JetModel(m, 1)
+        jm = JetModel(m)
         top = jm.vertical_top()
         red = reduce_form(top, form_universe(top), s=jm.s)
         assert red.split_residual().is_zero()
@@ -63,12 +63,12 @@ def test_fields_outlive_their_jet_model():
     m = load_builtin("maxwell_weak")
     u = m.fiber_coords()[0]
     with collector_off():
-        jm = JetModel(m, 1)
+        jm = JetModel(m)
         ref = weakref.ref(jm)
         s, D = jm.s, jm.D
         del jm
         assert ref() is None
-    other = JetModel(m, 1)
+    other = JetModel(m)
     _, g = other.jet(u, (0, 1), (2,))
     assert not s.coefficient(g).is_zero()
     assert s.coefficient(g) == other.s.coefficient(g)

@@ -7,6 +7,7 @@ from gpde.algebra import FIBER, Poly, Space
 from gpde.cartan import VectorField, d_vertical, de_rham, interior
 from gpde.jets import JetModel
 from gpde.parser import load_builtin
+from gpde.printing import equations
 from gpde.reduction import (
     PresymplecticMatrix,
     ReducedModel,
@@ -149,7 +150,7 @@ def assert_columns_match(form, universe):
 class TestPresymplecticColumns:
     @pytest.mark.parametrize("name", ["maxwell_weak", "ym_weak"])
     def test_builtin_columns_match_interior(self, name):
-        jm = JetModel(load_builtin(name), 1)
+        jm = JetModel(load_builtin(name))
         top = jm.vertical_top()
         universe = form_universe(top)
         block = theta_components(jm.vertical_omegabar())[jm.parent.n]
@@ -293,14 +294,14 @@ class TestReduce:
         sp, a, b, k = flat_space
         form = de_rham(Poly.gen(a)) * de_rham(Poly.gen(b))
         rm = reduce_form(form, [a, b, k])
-        lines = rm.describe_survivors()
+        lines = equations(rm.survivor_equations())
         assert lines[0] == "w0 = a"
         assert lines[1] == "w1 = b"
 
     def test_second_reduction_on_one_model(self):
         from gpde.density import boundary_reduction
         m = load_builtin("maxwell_weak")
-        jm = JetModel(m, 1)
+        jm = JetModel(m)
         top = jm.vertical_top()
         universe = sorted({m.space.coordinate_of(g) for mono in top.terms
                            for g, _ in mono if g.fdeg == 1}, key=lambda g: g._sort)
