@@ -1,20 +1,26 @@
 """Kernel distribution of the presymplectic form and the reduced phase space.
 
-All linear algebra is exact over the rationals, and elimination works on
-sparse rows that store only their nonzero entries, so its cost follows the
-nonzeros of the (mostly empty) systems rather than their size.  The form is
-flattened to a coefficient system over a declared universe of coordinates;
-it is read off in one walk over the form's terms.  Kernel vectors
-are constant rational combinations of coordinate directions, computed
-exactly and certified without sampling (see kernel_basis), and survivors
-are returned as the canonical (reduced row echelon) basis of the linear
-forms annihilating the kernel, so coordinate kernels give back plain
+All linear algebra is exact over the rationals and works on sparse rows
+{column: value} that store only their nonzero entries (sparse_rref), from
+the coefficient system through the kernel, its annihilator and the inverse
+basis change, so its cost follows the nonzeros of the (mostly empty)
+systems rather than their size; rref and nullspace are dense adapters.  The
+form is flattened to a coefficient system over a declared universe of
+coordinates; it is read off in one walk over the form's terms.  Kernel
+vectors are constant rational combinations of coordinate directions,
+computed exactly and certified without sampling (see kernel_basis), and
+survivors are returned as the canonical (reduced row echelon) basis of the
+linear forms annihilating the kernel, so coordinate kernels give back plain
 surviving coordinates and trace-like combinations come out with unit
-leading coefficient.
+leading coefficient.  Whether an evolutionary field descends is decided
+when reducing; the projected field itself (ReducedModel.s_action), which no
+verdict reads, is built on first read.
 """
 
 from __future__ import annotations
 
+import functools
+from collections import defaultdict
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -36,35 +42,46 @@ class ReductionError(GradedAlgebraError):
     pass
 
 
-def rref(rows: List[List[Scalar]]) -> Tuple[List[List[Scalar]], List[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot column indices).
+def sparse_rref(rows: List[Dict[int, Scalar]], ncols: int
+                ) -> Tuple[List[Dict[int, Scalar]], List[int]]:
+    """Reduced row echelon form of sparse rows {column: value} holding no
+    zero, which it consumes; returns (nonzero rows, pivot columns).
 
-    Rows are eliminated as {column: value} dicts holding no zero: a column is
-    cleared only from the rows that have an entry there, over the pivot
-    row's entries only.  The pivot is the shortest candidate row, which keeps
+    Each column keeps a superset of the rows with an entry there, so a
+    column is found and cleared only in those rows, over the pivot row's
+    entries only.  The pivot is the shortest candidate row, which keeps
     fill-in low; the result does not depend on it, since the reduced row
     echelon form of a matrix is unique.  Its entries are in the normal form
     of gpde.algebra: an int when integral, else a Fraction."""
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    todo = [r for r in ({c: v for c, v in enumerate(row) if v} for row in rows) if r]
+    holders: Dict[int, set] = defaultdict(set)
+    for i, row in enumerate(rows):
+        for k in row:
+            holders[k].add(i)
+    free = set(range(len(rows)))
     done: List[Dict[int, Scalar]] = []
     pivots = []
     for c in range(ncols):
-        if not todo:
+        if not free:
             break
-        best = None
-        for i, r in enumerate(todo):
-            if c in r and (best is None or len(r) < len(todo[best])):
-                best = i
+        hold = holders.get(c)
+        if hold is None:
+            continue
+        best = size = None
+        for i in hold:
+            if i in free and c in rows[i]:
+                n = len(rows[i])
+                if best is None or n < size or (n == size and i < best):
+                    best, size = i, n
         if best is None:
             continue
-        prow = todo.pop(best)
+        free.discard(best)
+        prow = rows[best]
         pv = prow.pop(c)
         if pv != 1:
-            prow = {k: qdiv(v, pv) for k, v in prow.items()}
-        for row in done + todo:
+            prow = rows[best] = {k: qdiv(v, pv) for k, v in prow.items()}
+        # prow holds no column left of c, so fill-in lands right of it
+        for i in hold:
+            row = rows[i]
             f = row.pop(c, None)
             if f is None:
                 continue
@@ -72,6 +89,7 @@ def rref(rows: List[List[Scalar]]) -> Tuple[List[List[Scalar]], List[int]]:
                 old = row.get(k)
                 if old is None:
                     row[k] = -f * v
+                    holders[k].add(i)
                 else:
                     new = old - f * v
                     if new:
@@ -81,31 +99,50 @@ def rref(rows: List[List[Scalar]]) -> Tuple[List[List[Scalar]], List[int]]:
         prow[c] = 1
         done.append(prow)
         pivots.append(c)
-    dense = []
     for row in done:
-        out = [0] * ncols
         for k, v in row.items():
-            out[k] = v if type(v) is int else rational(v)
-        dense.append(out)
-    return dense, pivots
+            if type(v) is not int:
+                row[k] = rational(v)
+    return done, pivots
+
+
+def sparse_nullspace(red: List[Dict[int, Scalar]], pivots: List[int],
+                     ncols: int) -> List[Dict[int, Scalar]]:
+    """Basis of the right kernel of sparse reduced rows, one vector per free
+    column, in column order."""
+    taken = set(pivots)
+    basis = {fc: {fc: 1} for fc in range(ncols) if fc not in taken}
+    for pc, row in zip(pivots, red):
+        for k, v in row.items():
+            if k != pc:
+                basis[k][pc] = -v
+    return list(basis.values())
+
+
+def _sparse(rows: List[List[Scalar]]) -> List[Dict[int, Scalar]]:
+    return [{c: v for c, v in enumerate(row) if v} for row in rows]
+
+
+def _dense(rows: List[Dict[int, Scalar]], ncols: int) -> List[List[Scalar]]:
+    out = [[0] * ncols for _ in rows]
+    for vec, row in zip(out, rows):
+        for k, v in row.items():
+            vec[k] = v
+    return out
+
+
+def rref(rows: List[List[Scalar]]) -> Tuple[List[List[Scalar]], List[int]]:
+    """Reduced row echelon form of dense rows (see sparse_rref); returns
+    (nonzero rows, pivot column indices)."""
+    if not rows:
+        return [], []
+    red, pivots = sparse_rref(_sparse(rows), len(rows[0]))
+    return _dense(red, len(rows[0])), pivots
 
 
 def nullspace(rows: List[List[Scalar]], ncols: int) -> List[List[Scalar]]:
     """Basis of the right kernel of the row system, one vector per free column."""
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        vec = [0] * ncols
-        vec[fc] = 1
-        for ri, pc in enumerate(pivots):
-            v = red[ri][fc]
-            if v:
-                vec[pc] = -v
-        basis.append(vec)
-    return basis
+    return _dense(sparse_nullspace(*sparse_rref(_sparse(rows), ncols), ncols), ncols)
 
 
 def form_universe(form: Poly) -> List[Generator]:
@@ -115,55 +152,57 @@ def form_universe(form: Poly) -> List[Generator]:
                    if g.fdeg == 1}, key=lambda g: g._sort)
 
 
+def _factor_derivatives(p: Poly, column: Dict[Generator, int]) -> Dict[int, dict]:
+    """The terms of the derivation that removes one factor g of p, for each
+    column A = column[g]: it has the parity of g, so it picks up the
+    left-Leibniz sign of derive(), (-1)^(parity(g) * parity of the monomial
+    prefix), and g^e leaves e copies of g^(e-1).  One walk over p's terms."""
+    acc: Dict[int, dict] = {}
+    for m, c in p.terms.items():
+        prefix = 0
+        for idx, (g, e) in enumerate(m):
+            A = column.get(g)
+            if A is not None:
+                coeff = c * e if e > 1 else c
+                if prefix & g.parity:
+                    coeff = -coeff
+                rest = m[:idx] + ((g, e - 1),) if e > 1 else m[:idx]
+                accumulate(acc.setdefault(A, {}), ((rest + m[idx + 1:], coeff),))
+            prefix ^= g.parity & e
+    return acc
+
+
 class PresymplecticMatrix:
     """Contractions of a two-form along the unit field of each universe
     coordinate.  A constant vector K is in the kernel of the form exactly
     when sum_A K^A columns[A] vanishes identically.
 
-    All columns are filled in one walk over the form's terms: contracting
-    the unit field of u^A replaces a differential of u^A (horizontal or
-    vertical) by 1 with the left-Leibniz sign of interior(), which is
-    (gh(u^A)+1) times the parity of the monomial prefix, and an even
-    differential of exponent e > 1 leaves e copies of the power e-1."""
+    Contracting the unit field of u^A removes a differential of u^A
+    (horizontal or vertical), so all columns come from one walk over the
+    form's terms (see _factor_derivatives)."""
 
     def __init__(self, form: Poly, universe: Sequence[Generator]):
-        self.form = form
         self.universe = list(universe)
         space = form.space
         index = {g: A for A, g in enumerate(self.universe)}
-        ipar = [(g.gh + 1) & 1 for g in self.universe]
-        acc: List[dict] = [{} for _ in self.universe]
-        for m, c in form.terms.items():
-            prefix = 0
-            for idx, (g, e) in enumerate(m):
-                A = index.get(space.coordinate_of(g)) if g.fdeg else None
-                if A is not None:
-                    coeff = c * e if e > 1 else c
-                    if prefix & ipar[A]:
-                        coeff = -coeff
-                    rest = m[:idx] + ((g, e - 1),) if e > 1 else m[:idx]
-                    accumulate(acc[A], ((rest + m[idx + 1:], coeff),))
-                prefix ^= g.parity & e
-        self.columns = [Poly(space, terms) for terms in acc]
+        column = {g: index[space.coordinate_of(g)] for g in form.generators()
+                  if g.fdeg and space.coordinate_of(g) in index}
+        acc = _factor_derivatives(form, column)
+        self.columns = [Poly(space, acc.get(A, {})) for A in range(len(self.universe))]
 
     def is_constant(self) -> bool:
-        for col in self.columns:
-            for mono in col.terms:
-                if any(g.fdeg == 0 for g, _ in mono):
-                    return False
-        return True
+        return not any(g.fdeg == 0 for col in self.columns for mono in col.terms
+                       for g, _ in mono)
 
-    def matrix(self) -> List[List[Scalar]]:
+    def kernel(self) -> List[List[Scalar]]:
+        """One sparse row per monomial of the columns, holding that
+        monomial's coefficient in each column."""
         rows: Dict = {}
         for A, col in enumerate(self.columns):
             for mono, c in col.terms.items():
                 rows.setdefault(mono, {})[A] = c
-        keys = sorted(rows, key=lambda m: tuple((g._sort, e) for g, e in m))
-        return [[rows[m].get(A, 0) for A in range(len(self.universe))]
-                for m in keys]
-
-    def kernel(self) -> List[List[Scalar]]:
-        return nullspace(self.matrix(), len(self.universe))
+        n = len(self.universe)
+        return _dense(sparse_nullspace(*sparse_rref(list(rows.values()), n), n), n)
 
 
 def _body(form: Poly, point: Optional[Dict[Generator, Scalar]] = None) -> Poly:
@@ -184,7 +223,7 @@ def kernel_basis(form: Poly, universe: Sequence[Generator],
     """Kernel of the form's body over the universe, as constant vectors.
 
     Given a point, the body is evaluated there and the kernel is the
-    pointwise one.  Otherwise even coordinates stay symbolic; matrix() keys
+    pointwise one.  Otherwise even coordinates stay symbolic; kernel() keys
     its rows by the full monomial, so the nullspace K0 is exactly the set of
     constant vectors annihilating the form identically.  K0 lies in the
     kernel at every point, so a fixed point where the kernel has the
@@ -209,11 +248,13 @@ class ReducedModel:
     survivors[i] is a fresh coordinate generator representing the linear
     form survivor_forms[i] over the original universe; form is the two-form
     that was reduced (the body of the input) and reduced_form the same form
-    rewritten in the surviving differentials; s_action, when requested, is
-    the projected evolutionary field on the survivors."""
+    rewritten in the surviving differentials.  Given images (each survivor's
+    image under the evolutionary field, over the universe) and tinv (the
+    survivor part {i: t} of each universe coordinate), s_action is the
+    projected field on the survivors, built on first read."""
 
     def __init__(self, space, survivors, survivor_forms, kernel_vectors,
-                 reduced_form, universe, form, s_action=None):
+                 reduced_form, universe, form, images=None, tinv=None):
         self.space = space
         self.survivors = survivors
         self.survivor_forms = survivor_forms
@@ -221,7 +262,20 @@ class ReducedModel:
         self.reduced_form = reduced_form
         self.universe = universe
         self.form = form
-        self.s_action = s_action
+        self.images = images
+        self.tinv = tinv
+
+    @functools.cached_property
+    def s_action(self) -> Optional[Dict[Generator, Poly]]:
+        """Each survivor image with the universe coordinates replaced by
+        their survivor parts (the kernel part dropped, which is evaluation
+        at kernel coordinates zero); None when no field was given."""
+        if self.images is None:
+            return None
+        csub = {g: Poly(self.space, {((self.survivors[i], 1),): t for i, t in row.items()})
+                for g, row in zip(self.universe, self.tinv)}
+        return {w: expr.substitute({h: csub[h] for h in expr.generators() if h in csub})
+                for w, expr in self.images.items()}
 
     def split_residual(self) -> Poly:
         """reduced_form with each survivor differential dw_i replaced by its
@@ -274,46 +328,34 @@ def reduce_form(form: Poly, universe: Sequence[Generator],
     index = {g: A for A, g in enumerate(universe)}
     space = form.space
     body = _body(form, point)
-    kernel, _ = rref(kernel_basis(body, universe))
+    kernel, pivots = sparse_rref(_sparse(kernel_basis(body, universe)), ncols)
     for vec in kernel:
-        ghs = {universe[A].gh for A in range(ncols) if vec[A]}
-        if len(ghs) > 1:
+        if len({universe[A].gh for A in vec}) > 1:
             raise ReductionError(
                 "kernel mixes coordinates of different ghost degree; "
                 "no graded splitting exists"
             )
 
     # the linear forms vanishing on the kernel (all of them when it is empty)
-    ann = nullspace(kernel, ncols)
+    ann = sparse_nullspace(kernel, pivots, ncols)
     # each annihilator row is 1 at a free column and otherwise nonzero only
     # at the pivots of kernel rows holding that column, so the check above
     # makes it one ghost degree
     first = _first_free_index(space)
-    survivors: List[Generator] = []
-    survivor_forms: List[List[Scalar]] = []
-    for i, lam in enumerate(ann):
-        gh = universe[next(A for A in range(ncols) if lam[A])].gh
-        survivors.append(space.coordinate(f"w{first + i}", FIBER, gh))
-        survivor_forms.append(list(lam))
+    survivors = [space.coordinate(f"w{first + i}", FIBER, universe[min(lam)].gh)
+                 for i, lam in enumerate(ann)]
 
-    # invert the (survivor rows; kernel rows) basis change
-    T = ann + kernel
-    if len(T) != ncols:
-        raise ReductionError("annihilator and kernel do not split the universe")
-    aug = [row + [0] * ncols for row in T]
-    for i, row in enumerate(aug):
-        row[ncols + i] = 1
-    red, pivots = rref(aug)
-    if pivots != list(range(ncols)):
-        raise ReductionError("basis change is singular")
-    tinv = [[red[i][ncols + j] for j in range(ncols)] for i in range(ncols)]
+    # the survivor part of the inverse basis change: the (survivor rows;
+    # kernel rows) basis change is invertible (each annihilator row is 1 at
+    # its free column, each kernel row at its pivot), so the reduced
+    # (survivor rows | unit columns; kernel rows) system has row A equal to
+    # u^A = sum_i tinv[A][i] w_i plus a kernel part
+    red, _ = sparse_rref([{**lam, ncols + i: 1} for i, lam in enumerate(ann)]
+                         + [dict(vec) for vec in kernel], ncols + len(ann))
+    tinv = [{k - ncols: v for k, v in row.items() if k >= ncols} for row in red]
 
-    # substitution tables: coordinates to survivor combinations (kernel part
-    # dropped, which is evaluation at kernel coordinates zero), and each
-    # differential present in the form to the matching survivor differentials
-    csub: Dict[Generator, Poly] = {}
-    for A, g in enumerate(universe):
-        csub[g] = Poly(space, {((w, 1),): t for w, t in zip(survivors, tinv[A])})
+    # each differential present in the form to the matching survivor
+    # differentials
     dsub: Dict[Generator, Poly] = {}
     for mono in body.terms:
         for g, _ in mono:
@@ -327,40 +369,34 @@ def reduce_form(form: Poly, universe: Sequence[Generator],
                     "which is outside the universe"
                 )
             vertical = g.role == VDIFF
-            dsub[g] = Poly(space, {((space.differential(w, vertical=vertical), 1),): t
-                                   for w, t in zip(survivors, tinv[A]) if t})
-
+            dsub[g] = Poly(space, {((space.differential(survivors[i], vertical=vertical), 1),): t
+                                   for i, t in tinv[A].items()})
     reduced = body.substitute(dsub)
 
-    s_action = None
+    images = None
     if s is not None:
-        # each kernel direction as a field, with the coordinates it moves
-        kfields = []
-        for vec in kernel:
-            touched = [A for A in range(ncols) if vec[A]]
-            kfield = VectorField(space, -universe[touched[0]].gh,
-                                 coeffs={universe[A]: vec[A] for A in touched})
-            kfields.append(({universe[A] for A in touched}, kfield))
-        s_action = {}
-        for i, g in enumerate(survivors):
+        images = {}
+        for w, lam in zip(survivors, ann):
             terms: dict = {}
-            for A in range(ncols):
-                if survivor_forms[i][A]:
-                    image = survivor_forms[i][A] * s.coefficient(universe[A])
-                    accumulate(terms, image.terms.items())
-            expr = Poly(space, terms)
-            # constancy along every kernel direction; a field that moves no
-            # coordinate of the 0-form expr sends it to zero
-            held = expr.generators()
-            for moved, kfield in kfields:
-                if moved.isdisjoint(held):
-                    continue
-                if not kfield.apply(expr).is_zero():
+            for A, t in lam.items():
+                image = s.coefficient(universe[A]).terms.items()
+                accumulate(terms, image if t == 1 else ((m, t * c) for m, c in image))
+            images[w] = Poly(space, terms)
+        # constancy along every kernel direction k, sum_A k^A d_A image = 0,
+        # from the partials along the coordinates the kernel moves
+        moved = {universe[A]: A for vec in kernel for A in vec}
+        for expr in images.values():
+            partials = _factor_derivatives(expr, moved)
+            for vec in kernel if partials else ():
+                along: dict = {}
+                for A in partials.keys() & vec.keys():
+                    k = vec[A]
+                    accumulate(along, ((m, k * c) for m, c in partials[A].items()))
+                if along:
                     raise ReductionError(
                         "the evolutionary field does not descend: "
                         "survivor image varies along the kernel"
                     )
-            s_action[g] = expr.substitute({h: csub[h] for h in held if h in csub})
 
-    return ReducedModel(space, survivors, survivor_forms, kernel, reduced,
-                        universe, body, s_action=s_action)
+    return ReducedModel(space, survivors, _dense(ann, ncols),
+                        _dense(kernel, ncols), reduced, universe, body, images, tinv)

@@ -1175,12 +1175,30 @@ def rand_matrix(rng: random.Random, k: int):
     return M
 
 
+def reference_nullspace(rows, ncols: int):
+    """Dense right-kernel basis read off reference_rref: for each free column
+    fc, the vector that is 1 at fc and minus the reduced rows' fc entries at
+    their pivots."""
+    red, pivots = reference_rref(rows)
+    basis = []
+    for fc in range(ncols):
+        if fc not in pivots:
+            vec = [Fraction(0)] * ncols
+            vec[fc] = Fraction(1)
+            for row, pc in zip(red, pivots):
+                vec[pc] = -row[fc]
+            basis.append(vec)
+    return basis
+
+
 def suite_rref(cases: int = 1000, seed: int = 37):
-    """rref against the dense reference, entry for entry and pivot for
-    pivot, without touching its input; every nullspace vector k gives
-    M k = 0, one per non-pivot column.  The cases must reach zero rank,
-    full row rank, full column rank and neither."""
-    from gpde.reduction import nullspace, rref
+    """rref, and the sparse core it adapts, against the dense reference,
+    entry for entry and pivot for pivot, rref without touching its input;
+    the sparse core's rows store no zero and only normal-form entries.
+    Every nullspace vector k gives M k = 0, one per non-pivot column.  The
+    cases must reach zero rank, full row rank, full column rank and
+    neither."""
+    from gpde.reduction import nullspace, rref, sparse_rref
 
     rng = random.Random(seed)
     seen = set()
@@ -1193,6 +1211,12 @@ def suite_rref(cases: int = 1000, seed: int = 37):
         assert M == before, f"rref changed its input, case {k}"
         assert piv == want_piv, f"rref pivots, case {k}"
         assert red == want_red, f"rref rows, case {k}"
+        sred, spiv = sparse_rref([{j: v for j, v in enumerate(row) if v} for row in M], ncols)
+        assert spiv == want_piv, f"sparse rref pivots, case {k}"
+        assert [[row.get(j, 0) for j in range(ncols)] for row in sred] == want_red, \
+            f"sparse rref rows, case {k}"
+        assert all(v and is_normal(v) for row in sred for v in row.values()), \
+            f"sparse rref entries, case {k}"
         basis = nullspace(M, ncols)
         assert len(basis) == ncols - len(piv), f"nullspace dimension, case {k}"
         for vec in basis:
@@ -1223,6 +1247,37 @@ def suite_rref_sympy(cases: int = 50, seed: int = 41):
         want = [[Fraction(int(sred[i, j].p), int(sred[i, j].q)) for j in range(len(M[0]))]
                 for i in range(len(piv))]
         assert red == want, f"sympy rows, case {k}"
+
+
+def reference_s_action(rm, s: VectorField) -> Dict:
+    """The projected evolutionary field of a ReducedModel, built eagerly:
+    each survivor's image sum_A lambda^A s(u^A) over its survivor_forms row,
+    with every universe coordinate u^A replaced by sum_i X[A][i] w_i, where
+    X is the survivor part of the inverse of the (survivor_forms;
+    kernel_vectors) basis change, inverted by sympy (used by the tests
+    only) over QQ, and the substitution is Poly.substitute."""
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    rows = rm.survivor_forms + rm.kernel_vectors
+    n = len(rm.universe)
+    T = DomainMatrix([[QQ(int(Fraction(v).numerator), int(Fraction(v).denominator))
+                       for v in row] for row in rows], (n, n), QQ)
+    X = T.inv().to_Matrix()
+    space = rm.space
+    csub = {}
+    for A, u in enumerate(rm.universe):
+        terms = {((w, 1),): Fraction(int(X[A, i].p), int(X[A, i].q))
+                 for i, w in enumerate(rm.survivors)}
+        csub[u] = Poly(space, terms)
+    out = {}
+    for w, lam in zip(rm.survivors, rm.survivor_forms):
+        image = Poly.zero()
+        for u, c in zip(rm.universe, lam):
+            if c:
+                image = image + s.coefficient(u) * c
+        out[w] = image.substitute({h: csub[h] for h in image.generators() if h in csub})
+    return out
 
 
 def suite_even_sympy(cases: int = 50, seed: int = 43):

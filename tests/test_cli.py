@@ -111,9 +111,30 @@ def _wrong_survivor_forms(reduce_form):
         rm = reduce_form(*args, **kwargs)
         forms = [[2 * c for c in rm.survivor_forms[0]]] + rm.survivor_forms[1:]
         return ReducedModel(rm.space, rm.survivors, forms, rm.kernel_vectors,
-                            rm.reduced_form, rm.universe, rm.form, rm.s_action)
+                            rm.reduced_form, rm.universe, rm.form, rm.images, rm.tinv)
 
     return reduce
+
+
+def test_text_reduce_builds_no_projected_field(capsys, monkeypatch):
+    """No verb reads the projected field s_action, which is built on first
+    read: a text reduce of ym_weak substitutes twice (the survivor
+    differentials into the form, and back in the split check), where
+    building the field would add one substitution per survivor (66)."""
+    from gpde.algebra import Poly
+
+    calls = []
+    substitute = Poly.substitute
+
+    def counted(self, mapping):
+        calls.append(len(mapping))
+        return substitute(self, mapping)
+
+    monkeypatch.setattr(Poly, "substitute", counted)
+    rc, out, _ = run(["reduce", "ym_weak"], capsys)
+    assert rc == 0
+    assert "survivors 66" in out
+    assert len(calls) == 2
 
 
 def test_reduction_pass_needs_the_split(capsys, monkeypatch):

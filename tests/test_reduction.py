@@ -5,6 +5,7 @@ import pytest
 
 from gpde.algebra import FIBER, Poly, Space
 from gpde.cartan import VectorField, d_vertical, de_rham, interior
+from gpde.density import restrict_to_submanifold
 from gpde.jets import JetModel
 from gpde.parser import load_builtin
 from gpde.printing import equations
@@ -18,7 +19,12 @@ from gpde.reduction import (
     reduce_form,
     rref,
 )
-from properties import theta_components, theta_top_coefficient
+from properties import (
+    reference_nullspace,
+    reference_s_action,
+    theta_components,
+    theta_top_coefficient,
+)
 
 F = Fraction
 
@@ -313,3 +319,78 @@ class TestReduce:
         assert not set(second.survivors) & set(first.survivors)
         assert [g.name for g in second.survivors] == \
             [f"w{len(names) + i}" for i in range(len(second.survivors))]
+
+
+def _top_block(name, kill=None):
+    """The theta-volume block that reduce (kill None) or boundary --kill
+    reduces, with its universe and evolutionary field."""
+    m = load_builtin(name)
+    if kill is not None:
+        m = restrict_to_submanifold(m, [a for a in m.base_indices if a != kill])
+    if m.n == 0:
+        return m.omega(), m.fiber_coords(), m.q
+    jm = JetModel(m)
+    top = jm.vertical_top()
+    return top, form_universe(top), jm.s
+
+
+@pytest.mark.parametrize("kill", [None, 0], ids=["reduce", "boundary_kill0"])
+@pytest.mark.parametrize("name", ["maxwell_weak", "ym_weak"])
+def test_sparse_kernel_matches_dense_reference(name, kill):
+    top, universe, _ = _top_block(name, kill)
+    pm = PresymplecticMatrix(top, universe)
+    rows = {}
+    for A, col in enumerate(pm.columns):
+        for mono, c in col.terms.items():
+            rows.setdefault(mono, [F(0)] * len(universe))[A] = F(c)
+    want = reference_nullspace(list(rows.values()), len(universe))
+    assert want, "vacuous: the block has no kernel"
+    assert pm.kernel() == want
+
+
+class TestKernelConstancySign:
+    """A kernel direction that pairs two odd coordinates p and r, with an odd
+    q sorting between them: in q*(p + r) = -p*q + q*r the partial along r
+    crosses the odd q and the one along p does not, so the image is constant
+    along e_p - e_r only with the left-Leibniz sign of derive()."""
+
+    @pytest.fixture
+    def setup(self):
+        sp = Space("koszul")
+        a, b = (sp.coordinate(n, FIBER, 0) for n in "ab")
+        p, q, r = (sp.coordinate(n, FIBER, 1) for n in "pqr")
+        dpr = de_rham(Poly.gen(p)) + de_rham(Poly.gen(r))
+        form = de_rham(Poly.gen(a)) * de_rham(Poly.gen(b)) + dpr * dpr
+        return sp, a, b, p, q, r, form
+
+    def test_cancelling_partials_descend(self, setup):
+        sp, a, b, p, q, r, form = setup
+        image = Poly.gen(q) * (Poly.gen(p) + Poly.gen(r))
+        assert image.terms == {((p, 1), (q, 1)): -1, ((q, 1), (r, 1)): 1}
+        kfield = VectorField(sp, -1, coeffs={p: 1, r: -1})
+        assert kfield.apply(image).is_zero()
+        rm = reduce_form(form, [a, b, p, r], s=VectorField(sp, 0, coeffs={a: image}))
+        assert rm.kernel_vectors == [[0, 0, 1, -1]]
+        wa, wb, wpr = rm.survivors
+        assert rm.survivor_forms[2] == [0, 0, 1, 1]
+        assert rm.s_action[wa] == Poly.gen(q) * Poly.gen(wpr)
+        assert rm.s_action[wb].is_zero()
+
+    def test_non_cancelling_partials_refused(self, setup):
+        sp, a, b, p, q, r, form = setup
+        image = Poly.gen(q) * (Poly.gen(p) - Poly.gen(r))
+        kfield = VectorField(sp, -1, coeffs={p: 1, r: -1})
+        assert kfield.apply(image) == -2 * Poly.gen(q)
+        with pytest.raises(ReductionError, match="does not descend"):
+            reduce_form(form, [a, b, p, r], s=VectorField(sp, 0, coeffs={a: image}))
+
+
+@pytest.mark.parametrize("name", ["toy_dim0", "maxwell_weak", "ym_weak"])
+def test_s_action_on_first_read_matches_eager_reference(name):
+    pytest.importorskip("sympy")
+    form, universe, s = _top_block(name)
+    rm = reduce_form(form, universe, s=s)
+    got = rm.s_action
+    assert got == reference_s_action(rm, s)
+    assert rm.s_action is got
+    assert any(not img.is_zero() for img in got.values())
