@@ -4,9 +4,10 @@ Bundle coordinates u^A acquire jet coordinates psi^A_{I|J}: I a symmetric
 multi-index of base derivatives, J a strictly increasing tuple of odd base
 directions (the theta-expansion level, lowering ghost degree by |J|).  The
 expansion convention is u^A = sum_J theta^J psi^A_{|J} with unit
-coefficients and theta factors on the left.  Pull-backs multiply expansions
-out level by level, over disjoint pairs theta^J theta^K only; asked for one
-target level, a pull-back forms only the products that stay inside it.
+coefficients and theta factors on the left.  Pull-backs multiply images in
+level by level, over disjoint pairs theta^J theta^K only, each image level
+built alone when first read; asked for one target level, a pull-back forms
+only the products that stay inside it.
 
 Two odd vector fields act on jet space: the total derivative
 D = theta^a D_a and the evolutionary differential s, seeded so that the
@@ -39,8 +40,8 @@ theta^a passing d_v.  The jet model caches i_s omega and D chi_v as levels;
 the descent tower and the first master identity both read them.
 
 Ownership: a JetModel owns its fields D, D_a and s.  Their rules hold the
-JetRegistry (space, parent model, jet coordinates and cached expansions)
-and the D_a table, never the JetModel, and s reaches its own coefficients
+JetRegistry (space, parent model, jet coordinates and image levels) and
+the D_a table, never the JetModel, and s reaches its own coefficients
 through a weak reference, so a request's jet model and its level caches
 are freed by reference counting, with no cycle for the collector to find.
 """
@@ -158,7 +159,7 @@ def vertical_lie(V: VectorField, p: Poly, dv_images: Optional[dict] = None) -> P
 
 
 class JetRegistry:
-    """The jet coordinates of one model and the expansions the pull-backs
+    """The jet coordinates of one model and the image levels the pull-backs
     multiply in: all that the rules of D, each D_a and s read.  It holds no
     vector field, so the fields' rules hold it without a reference cycle."""
 
@@ -167,7 +168,7 @@ class JetRegistry:
         self.space = parent.space
         self._top = tuple(sorted(parent.base_indices))
         self._info: Dict[Generator, Tuple[Generator, Tuple[int, ...], Tuple[int, ...]]] = {}
-        self._images: Dict[Tuple[Generator, bool], dict] = {}
+        self._images: Dict[tuple, dict] = {}  # (u, mode) -> {K: terms}
 
     def jet(self, fiber_gen: Generator, I=(), J=()):
         """The jet coordinate psi_{I|J} of a bundle coordinate.  I is
@@ -197,34 +198,42 @@ class JetRegistry:
             self.jet(u, g.jet_I, g.jet_J)
         return self._info[g]
 
-    def theta_expansion(self, fiber_gen: Generator) -> Poly:
-        return self.parent.theta_expansion(range(self.parent.n + 1),
-                                           lambda J: self.jet(fiber_gen, (), J)[1])
-
-    def _d_level(self, fiber_gen: Generator, K: Tuple[int, ...]) -> dict:
-        """Level K of D exp u: sum (-1)^i psi_{a|K-a} over a = K[i], since
-        D = theta^a D_a and theta^a theta^{K-a} = (-1)^i theta^K."""
-        return {((self.jet(fiber_gen, (a,), K[:i] + K[i + 1:])[1], 1),): -1 if i & 1 else 1
-                for i, a in enumerate(K)}
+    def _level(self, u: Generator, mode, K: Tuple[int, ...]) -> dict:
+        """Level K of the image of u (mode None), or of du under d (False),
+        d_v (True) or D (HORIZONTAL), built when first asked for.  With
+        exp u = sum_J theta^J psi_{|J} it is psi_{|K}; (-1)^{|K|} d_v psi_{|K};
+        (-1)^{|K|} d psi_{|K} plus (-1)^i dtheta^a psi_{|K+a} for each a not
+        in K, at position i of K + a; or sum (-1)^i psi_{a|K-a} over a = K[i]."""
+        memo = self._images.setdefault((u, mode), {})
+        t = memo.get(K)
+        if t is not None:
+            return t
+        jet, d = self.jet, self.space.differential
+        if mode == HORIZONTAL:
+            t = {((jet(u, (a,), K[:i] + K[i + 1:])[1], 1),): -1 if i & 1 else 1
+                 for i, a in enumerate(K)}
+        elif mode is None:
+            t = {((jet(u, (), K)[1], 1),): 1}
+        else:
+            t = {((d(jet(u, (), K)[1], vertical=mode), 1),): -1 if len(K) & 1 else 1}
+            if not mode:    # d passes the i thetas left of dtheta^a; dtheta^a is even
+                for a in self._top:
+                    if a not in K:
+                        i = sum(k < a for k in K)
+                        psi = jet(u, (), K[:i] + (a,) + K[i:])[1]
+                        t[((d(self.parent.theta[a]), 1), (psi, 1))] = -1 if i & 1 else 1
+        memo[K] = t
+        return t
 
     def _image_level(self, g: Generator, vertical):
         """The function L -> terms of level L of the image of a fiber
         coordinate, a fiber differential, or (horizontally) a dx^a, whose
-        image is theta^a.  Horizontally du goes to D exp u, whose levels are
-        built one at a time as they are asked for; the other images are
-        expanded whole once and cached."""
-        if g.fdeg and vertical == HORIZONTAL and g.role != BASE_X:
-            return functools.partial(self._d_level, self.space.coordinate_of(g))
-        key = (g, vertical if g.fdeg else False)
-        if key not in self._images:
-            if g.role == BASE_X:
-                levels = {g.base_index: {(): 1}}
-            else:
-                img = self.theta_expansion(self.space.coordinate_of(g) if g.fdeg else g)
-                img = de_rham(img, vertical) if g.fdeg else img
-                levels = {J: c.terms for J, c in theta_coefficients(img).items()}
-            self._images[key] = levels
-        return self._images[key].get
+        image is theta^a."""
+        if g.role == BASE_X:
+            return {g.base_index: {(): 1}}.get
+        if g.fdeg:
+            return functools.partial(self._level, self.space.coordinate_of(g), vertical)
+        return functools.partial(self._level, g, None)
 
     def level_pullback(self, p: Poly, vertical=False, level=None) -> dict:
         """The pull-back of p as {J: terms}, standing for sum_J theta^J * terms.
@@ -273,7 +282,7 @@ class JetRegistry:
         - [D exp u]_K), None when zero.  Only level K is built; s.coefficient
         memoises it per jet psi_{|K}."""
         t = self.level_pullback(self.parent.q.coefficient(fiber_gen), level=K)
-        accumulate(t, ((m, -c) for m, c in self._d_level(fiber_gen, K).items()))
+        accumulate(t, ((m, -c) for m, c in self._level(fiber_gen, HORIZONTAL, K).items()))
         if not t:
             return None
         return Poly._adopt(self.space, {m: -c for m, c in t.items()} if len(K) & 1 else t)
@@ -371,7 +380,8 @@ class JetModel:
         return self.registry.jet_of(g)
 
     def theta_expansion(self, fiber_gen: Generator) -> Poly:
-        return self.registry.theta_expansion(fiber_gen)
+        return self.parent.theta_expansion(range(self.parent.n + 1),
+                                           lambda J: self.jet(fiber_gen, (), J)[1])
 
     def level_pullback(self, p: Poly, vertical=False, level=None) -> dict:
         return self.registry.level_pullback(p, vertical, level)
@@ -490,16 +500,8 @@ class JetModel:
             self._total_chibar = self.total_levels(self.vertical_chibar_levels(), forms=True)
         return self._total_chibar
 
-    def vertical_chibar(self) -> Poly:
-        """vertical_part(chibar()), built by the vertical pull-back."""
-        return self._assemble(self.vertical_chibar_levels())
-
-    def vertical_omegabar(self) -> Poly:
-        """The vertical part of omegabar, built as d_v(vertical_chibar())."""
-        return self._assemble(self.vertical_omegabar_levels())
-
     def vertical_top(self) -> Poly:
-        """The coefficient of the theta volume in vertical_omegabar(), the form
+        """The theta-volume level of vertical_omegabar_levels(), the form
         whose kernel the reductions quotient by.  d_v passes each theta with a
         sign, so it is (-1)^n d_v of the volume level of the vertical
         pull-back of chi, and only that level is built."""
@@ -516,13 +518,9 @@ class JetModel:
                                                   HORIZONTAL)
         return self._bv_levels
 
-    def bv_scalar(self) -> Poly:
-        """i_D chibar + lbar, built as the horizontal pull-back of chi + h:
-        each term of chi has one differential and i_D only substitutes it."""
-        return self._assemble(self.bv_levels())
-
     def bv_top(self) -> Poly:
-        """The coefficient of the theta volume in bv_scalar()."""
+        """The theta-volume level of bv_levels(), the BV scalar
+        i_D chibar + lbar."""
         return Poly(self.space, self.bv_levels().get(self._top, {}))
 
     def vertical_part(self, p: Poly) -> Poly:

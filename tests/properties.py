@@ -27,7 +27,7 @@ from gpde.algebra import (
     trace_pair,
 )
 from gpde.cartan import VectorField, d_vertical, de_rham, interior, lie_derivative
-from gpde.jets import JetModel, theta_coefficients, vertical_lie
+from gpde.jets import HORIZONTAL, JetModel, theta_coefficients, vertical_lie
 from gpde.model import Model, ModelBuilder
 
 
@@ -852,19 +852,56 @@ def check_level_form(jm: JetModel, levels, forms: bool):
     return moved
 
 
+def reference_image_levels(jm: JetModel, u) -> dict:
+    """The levels of the images of u, du, d_v u and D u by whole forms: the
+    expansion sum_J theta^J psi_{|J} of u, its de_rham (or D of it), split
+    by theta level.  Keyed by the modes of JetRegistry._level."""
+    exp = jm.theta_expansion(u)
+    return {None: theta_coefficients(exp),
+            False: theta_coefficients(de_rham(exp)),
+            True: theta_coefficients(de_rham(exp, vertical=True)),
+            HORIZONTAL: theta_coefficients(jm.D.apply(exp))}
+
+
+def check_image_levels(jm: JetModel, u) -> int:
+    """Every level K of every mode of JetRegistry._level on u equals the
+    whole-form reference.  Returns the number of nonzero levels compared."""
+    compared = 0
+    for mode, want in reference_image_levels(jm, u).items():
+        for K in jm.parent.theta_levels(range(jm.parent.n + 1)):
+            got = Poly(jm.space, jm.registry._level(u, mode, K))
+            assert got == want.get(K, Poly.zero()), (u.name, mode, K)
+            compared += not got.is_zero()
+    return compared
+
+
 # Cartan's formula on closed forms against whole-form Lie derivatives ----------
+
+
+def ym_weak_source() -> str:
+    """The text of the packaged ym_weak model."""
+    import gpde
+    from pathlib import Path
+
+    return (Path(gpde.__file__).parent / "models" / "ym_weak.gpde").read_text()
 
 
 def broken_ym_source() -> str:
     """ym_weak with Q F = 2 [F, C]: s no longer commutes with D on F, so the
     descent tower fails from level 2 on, and chi + h has no hamiltonian."""
-    import gpde
-    from pathlib import Path
-
-    src = (Path(gpde.__file__).parent / "models" / "ym_weak.gpde").read_text()
+    src = ym_weak_source()
     rule = "Q F[a, b] = [F[a, b], C];"
     assert rule in src
     return src.replace(rule, "Q F[a, b] = 2*[F[a, b], C];")
+
+
+def ym_source(n: int) -> str:
+    """ym_weak on base dimension n with metric diag(-1, 1, ..., 1)."""
+    src = ym_weak_source()
+    head = "base dim = 4;\nmetric = diag(-1, 1, 1, 1);"
+    assert head in src
+    metric = ", ".join(["-1"] + ["1"] * (n - 1))
+    return src.replace(head, f"base dim = {n};\nmetric = diag({metric});")
 
 
 def reference_presymplectic(m: Model):

@@ -23,7 +23,7 @@ from gpde.jets import JetModel, theta_coefficients
 from gpde.parser import load_builtin
 
 from conftest import build_ce, build_maxwell, build_toy
-from properties import curved_model, reference_action_density
+from properties import assemble_levels, curved_model, reference_action_density
 
 
 def fib(m, fam, idx=(), li=None):
@@ -361,7 +361,7 @@ def test_action_density_matches_field_substitution(oracle_model, make):
     assert got == reference_action_density(sec)
     # a jet model whose BV scalar the master identities already built
     jm = JetModel(m)
-    jm.bv_scalar()
+    jm.bv_levels()
     assert action_density(make(jm)) == got
 
 
@@ -383,9 +383,9 @@ def test_bv_scalar_is_the_D_contraction_plus_lbar(oracle_model):
     jm = JetModel(oracle_model)
     if oracle_model.chi is None:
         with pytest.raises(GradedAlgebraError, match="no presymplectic potential"):
-            jm.bv_scalar()
+            jm.bv_levels()
         return
-    got = jm.bv_scalar()
+    got = assemble_levels(jm, jm.bv_levels())
     assert not got.is_zero()
     assert got == interior(jm.D, jm.chibar()) + jm.lbar()
 

@@ -19,12 +19,15 @@ from gpde.cli import main
 from gpde.model import ModelBuilder, NotExactError, solve_hamiltonian
 from gpde.parser import load_builtin, parse_model
 from properties import (
+    assemble_levels,
     broken_ym_source,
     check_cartan_descent,
     check_half_double_contraction,
+    check_image_levels,
     check_level_form,
     theta_components,
     theta_top_coefficient,
+    ym_source,
 )
 
 
@@ -278,13 +281,15 @@ class TestVerticalFirst:
 
     def test_vertical_chibar_is_vertical_part_of_chibar(self, vertical_case):
         jm = vertical_case
-        assert not jm.vertical_chibar().is_zero()
-        assert jm.vertical_chibar() == jm.vertical_part(reference_chibar(jm))
+        chi_v = assemble_levels(jm, jm.vertical_chibar_levels())
+        assert not chi_v.is_zero()
+        assert chi_v == jm.vertical_part(reference_chibar(jm))
 
     def test_vertical_omegabar_is_vertical_part_of_omegabar(self, vertical_case):
         jm = vertical_case
-        assert not jm.vertical_omegabar().is_zero()
-        assert jm.vertical_omegabar() == jm.vertical_part(de_rham(reference_chibar(jm)))
+        om = assemble_levels(jm, jm.vertical_omegabar_levels())
+        assert not om.is_zero()
+        assert om == jm.vertical_part(de_rham(reference_chibar(jm)))
 
     def test_double_contraction_sees_only_the_vertical_part(self, vertical_case):
         jm = vertical_case
@@ -294,14 +299,16 @@ class TestVerticalFirst:
 
         full = interior(jm.s, interior(jm.s, de_rham(reference_chibar(jm)).filter(two_jets)))
         assert not full.is_zero()
-        assert interior(jm.s, interior(jm.s, jm.vertical_omegabar())) == full
+        om = assemble_levels(jm, jm.vertical_omegabar_levels())
+        assert interior(jm.s, interior(jm.s, om)) == full
 
     def test_base_differentials_go_to_zero(self):
         jm = JetModel(build_base_differentials())
         full = reference_chibar(jm)
         assert any(_is_base_differential(g) for g in full.generators())
-        assert not any(_is_base_differential(g) for g in jm.vertical_chibar().generators())
-        assert jm.vertical_chibar().num_terms() < full.num_terms()
+        chi_v = assemble_levels(jm, jm.vertical_chibar_levels())
+        assert not any(_is_base_differential(g) for g in chi_v.generators())
+        assert chi_v.num_terms() < full.num_terms()
 
     def test_checks_never_build_omegabar(self, maxwell_model, monkeypatch):
         def omegabar(self):
@@ -414,7 +421,7 @@ class TestLevelPullback:
 
     def test_horizontal_pullback_makes_no_jet_with_a_in_J(self, ym_model):
         jm = JetModel(ym_model)
-        jm.bv_scalar()
+        jm.bv_levels()
         jets = [g for g in jm.space.generators() if g.role == JET and g in jm._info]
         assert any(g.jet_I for g in jets)
         assert not any(set(g.jet_I) & set(g.jet_J) for g in jets)
@@ -481,7 +488,8 @@ class TestOneLevel:
         jm = vertical_case
         top = jm.vertical_top()
         assert not top.is_zero()
-        assert top == theta_top_coefficient(jm.parent, jm.vertical_omegabar())
+        om = assemble_levels(jm, jm.vertical_omegabar_levels())
+        assert top == theta_top_coefficient(jm.parent, om)
 
     def test_vertical_top_builds_no_vertical_form(self, ym_model):
         jm = JetModel(ym_model)
@@ -517,6 +525,45 @@ def test_prolong_jet_count(name):
         for K in m.theta_levels(range(n + 1)):
             jm.s.coefficient(jm.jet(u, (), K)[1])
     assert jm.registry_stats()["jet_coordinates"] == len(m.fiber_coords()) * (2 ** n + n * 2 ** n // 2)
+
+
+@pytest.mark.parametrize("n, top, checks", [(4, 105, 243), (6, 246, 579), (8, 447, 1059)])
+def test_yang_mills_jet_count(n, top, checks):
+    # a pull-back builds only the image levels it reads: a Yang-Mills chi
+    # sits at theta level n - 2, so no expansion of all 2^n level jets is made
+    m = parse_model(ym_source(n), name=f"ym{n}")
+    jm = JetModel(m)
+    assert not jm.vertical_top().is_zero()
+    assert jm.registry_stats()["jet_coordinates"] == top
+    jm = JetModel(m)
+    for r in check_descent(jm) + check_bv_identities(jm):
+        assert r.passed, r.name
+    assert jm.registry_stats()["jet_coordinates"] == checks
+
+
+class TestImageLevels:
+    """JetRegistry._level builds each level of the image of u, du, d_v u and
+    D u alone; the whole expansion of u, differentiated and split by theta
+    level, is the oracle."""
+
+    @pytest.mark.parametrize("name", ["ym_weak", "base_differentials"])
+    def test_every_level_of_every_mode(self, name, ym_model):
+        m = ym_model if name == "ym_weak" else build_base_differentials()
+        jm = JetModel(m)
+        coords = m.fiber_coords()
+        for u in (next(u for u in coords if not u.parity), next(u for u in coords if u.parity)):
+            # u, du and d_v u have every level, D u every level but ()
+            assert check_image_levels(jm, u) == 4 * 2 ** m.n - 1
+
+    def test_a_level_is_built_when_first_asked_for(self, ym_model):
+        jm = JetModel(ym_model)
+        u = ym_model.fiber_coords()[0]
+        du = jm.registry._level(u, False, (1, 3))
+        # psi_{|13}, and psi_{|013} and psi_{|123} beside dtheta^0 and dtheta^2
+        assert len(du) == 3 and jm.registry_stats()["jet_coordinates"] == 3
+        assert jm.registry._level(u, False, (1, 3)) is du
+        jm.registry._level(u, None, (1, 3))
+        assert jm.registry_stats()["jet_coordinates"] == 3
 
 
 # the checks in level form against whole forms --------------------------------
@@ -565,7 +612,7 @@ class TestLevelForm:
         # the level k residual is the theta-degree k component of
         # (L_s + L_D) of the whole vertical two-form
         jm = JetModel(broken_ym)
-        om = jm.vertical_omegabar()
+        om = assemble_levels(jm, jm.vertical_omegabar_levels())
         comps = theta_components(vertical_lie(jm.s, om) + vertical_lie(jm.D, om))
         assert [r.residual_terms for r in check_descent(jm)] == [
             comps[k].num_terms() if k in comps else 0 for k in range(6)]
@@ -620,7 +667,7 @@ class TestCartanDescent:
 
         monkeypatch.setattr(jets, "_split_result", split_result)
         check_descent(jm)
-        om = jm.vertical_omegabar()
+        om = assemble_levels(jm, jm.vertical_omegabar_levels())
         want = theta_coefficients(vertical_lie(jm.s, om) + vertical_lie(jm.D, om))
         assert want and set(read) == set(want)
         for J, c in want.items():

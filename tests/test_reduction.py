@@ -20,6 +20,7 @@ from gpde.reduction import (
     rref,
 )
 from properties import (
+    assemble_levels,
     reference_nullspace,
     reference_s_action,
     theta_components,
@@ -159,7 +160,8 @@ class TestPresymplecticColumns:
         jm = JetModel(load_builtin(name))
         top = jm.vertical_top()
         universe = form_universe(top)
-        block = theta_components(jm.vertical_omegabar())[jm.parent.n]
+        om = assemble_levels(jm, jm.vertical_omegabar_levels())
+        block = theta_components(om)[jm.parent.n]
         for form in (block, top):
             assert_columns_match(form, universe)
 
