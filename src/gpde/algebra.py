@@ -491,11 +491,18 @@ class Poly:
         return Poly._adopt(self.space, {m: qdiv(v, c) for m, v in self.terms.items()})
 
     def __eq__(self, other):
-        other = normal_form(other)
-        return self.terms == other.terms
+        try:
+            return self.terms == normal_form(other).terms
+        except TypeError:
+            return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # a Poly equal to a scalar or to a generator hashes like it
+        if len(self.terms) == 1:
+            ((m, c),) = self.terms.items()
+            if not m or (c == 1 and len(m) == 1 and m[0][1] == 1):
+                return hash(m[0][0] if m else c)
+        return hash(frozenset(self.terms.items())) if self.terms else 0
 
     def __repr__(self):
         from .printing import poly_text

@@ -134,14 +134,8 @@ def interior(V: VectorField, p) -> Poly:
 
 
 def lie_derivative(V: VectorField, p) -> Poly:
-    """L_V = [i_V, d]."""
-    p = normal_form(p)
-    return cartan_formula(V, interior(V, de_rham(p)), de_rham(interior(V, p)))
-
-
-def cartan_formula(V: VectorField, i_dp: Poly, d_ip: Poly) -> Poly:
-    """L_V p = i_V d p - (-1)^{parity(i_V)} d i_V p from its two pieces, so
-    a caller that holds i_V p, or knows d p, reuses them."""
+    """L_V = [i_V, d] = i_V d - (-1)^{parity(i_V)} d i_V."""
+    i_dp, d_ip = interior(V, de_rham(p)), de_rham(interior(V, p))
     return i_dp - d_ip if V.parity else i_dp + d_ip
 
 

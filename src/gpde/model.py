@@ -1,5 +1,14 @@
 """Gauge PDE models: graded fiber bundle data, homological vector field,
-presymplectic potential, and the associated consistency checks."""
+presymplectic potential, and the associated consistency checks.
+
+The compatibility conditions hold modulo the ideal I generated by
+dx^a - theta^a and dtheta^a, and are read on the quotient: each residual
+is reduced (dx^a -> theta^a, dtheta^a -> 0), never tested for membership.
+They are posed for a Q that projects to the base (Q x^a = theta^a,
+Q theta^a = 0), which keeps I stable under L_Q as d does; on any other Q
+they are refused.
+i_Q keeps only the dtheta^a part of I, so omega is contracted modulo the
+dtheta^a and reduced modulo I after."""
 
 from __future__ import annotations
 
@@ -22,7 +31,7 @@ from .algebra import (
     qdiv,
     sort_sign,
 )
-from .cartan import VectorField, cartan_formula, de_rham, interior
+from .cartan import VectorField, de_rham, interior
 from .report import CheckResult
 
 
@@ -152,24 +161,25 @@ class Model:
         return self._omega
 
     def iq_omega(self) -> Poly:
-        """i_Q omega, cached: the contraction that q_invariance, the double
-        contraction and the hamiltonian relation all read."""
+        """i_Q omega modulo the dtheta^a, cached for the presymplectic
+        checks and the hamiltonian; refused unless Q projects to the base."""
         if self._iq_omega is None:
-            self._iq_omega = interior(self.q, self.omega())
+            if not check_projection(self).passed:
+                raise GradedAlgebraError("Q does not project to the base")
+            self._iq_omega = interior(self.q, self.drop_dtheta(self.omega()))
         return self._iq_omega
 
-    # the ideal generated by (dx^a - theta^a) and dtheta^a -----------------
+    # the ideal I generated by (dx^a - theta^a) and dtheta^a -----------------
+
+    def drop_dtheta(self, p: Poly) -> Poly:
+        """p modulo the dtheta^a alone, which d keeps, and i_Q if Q theta^a = 0."""
+        return p.substitute({self.space.differential(t): 0 for t in self.theta.values()})
 
     def ideal_reduce(self, p: Poly) -> Poly:
-        subs = {}
-        for a in self.base_indices:
-            subs[self.space.differential(self.x[a])] = Poly.gen(self.theta[a])
-            subs[self.space.differential(self.theta[a])] = Poly.zero()
-        return p.substitute(subs)
-
-    def in_ideal(self, p) -> Tuple[bool, Poly]:
-        residual = self.ideal_reduce(normal_form(p))
-        return residual.is_zero(), residual
+        """p modulo I: dx^a -> theta^a, dtheta^a -> 0.  d keeps I."""
+        return p.substitute({**{self.space.differential(t): 0 for t in self.theta.values()},
+                             **{self.space.differential(x): Poly.gen(self.theta[a])
+                                for a, x in self.x.items()}})
 
 
 def build_base(space: Space, base_indices) -> Tuple[Dict[int, Generator], Dict[int, Generator]]:
@@ -205,7 +215,6 @@ class ModelBuilder:
         self._q_rules: Dict[Generator, Poly] = {}
         self._chi: Optional[Poly] = None
         self._weak = False
-        self.base_overrides: List[Generator] = []
 
     def metric(self, diag) -> "ModelBuilder":
         if self.tensors is not None:
@@ -235,9 +244,7 @@ class ModelBuilder:
         value = normal_form(value)
         if g in self._q_rules:
             raise GradedAlgebraError(f"q-rule for {g.name!r} declared twice")
-        if g.role in (BASE_X, BASE_THETA):
-            self.base_overrides.append(g)
-        elif not value.is_zero():
+        if g.role not in (BASE_X, BASE_THETA) and not value.is_zero():
             if value.fdeg() != 0:
                 raise DegreeError(f"q-rule for {g.name!r} is not a function")
             if value.gh() != g.gh + 1:
@@ -310,35 +317,31 @@ def check_nilpotency(m: Model) -> CheckResult:
     return CheckResult("nilpotency", bad == 0, residual_terms=bad)
 
 
+def presymplectic_residuals(m: Model) -> Dict[str, Poly]:
+    """The residuals modulo I of L_Q omega, i_Q i_Q omega and i_Q L_Q omega,
+    by check name.  omega = d chi is closed (d d = 0), so Cartan's formula
+    gives L_Q omega = -d i_Q omega, here modulo the dtheta^a."""
+    iq = m.iq_omega()
+    lq = -m.drop_dtheta(de_rham(iq))
+    return {"q_invariance": m.ideal_reduce(lq),
+            "double_contraction": m.ideal_reduce(interior(m.q, iq)),
+            "hamiltonian_obstruction": m.ideal_reduce(interior(m.q, lq))}
+
+
 def check_presymplectic(m: Model) -> List[CheckResult]:
     """The four compatibility conditions between Q and the presymplectic
-    form, all as ideal-membership residuals.
-
-    omega = d chi is closed by construction (d d = 0), so the closedness
-    residual is read for the record and is empty.  L_Q omega comes from
-    Cartan's formula L_Q = [i_Q, d] = i_Q d - d i_Q with both pieces at
-    hand: d omega from the closedness check and the cached i_Q omega, which
-    the double contraction contracts once more."""
-    iq = m.iq_omega()
-    results = []
-
+    form.  omega = d chi is closed by construction, so the closedness
+    residual is read for the record and is empty; the other three FAIL
+    with the reason on a Q that does not project to the base."""
     r_closed = de_rham(m.omega())
-    results.append(CheckResult("closed", r_closed.is_zero(),
-                               residual_terms=r_closed.num_terms()))
-
-    lq = cartan_formula(m.q, interior(m.q, r_closed), de_rham(iq))
-    ok, res = m.in_ideal(lq)
-    results.append(CheckResult("q_invariance", ok, residual_terms=res.num_terms()))
-
-    iiq = interior(m.q, iq)
-    ok, res = m.in_ideal(iiq)
-    results.append(CheckResult("double_contraction", ok, residual_terms=res.num_terms()))
-
-    ilq = interior(m.q, lq)
-    ok, res = m.in_ideal(ilq)
-    results.append(CheckResult("hamiltonian_obstruction", ok, residual_terms=res.num_terms()))
-
-    return results
+    results = [CheckResult("closed", r_closed.is_zero(), residual_terms=r_closed.num_terms())]
+    try:
+        residuals = presymplectic_residuals(m)
+    except GradedAlgebraError as e:
+        return results + [CheckResult(name, False, detail=str(e)) for name in
+                          ("q_invariance", "double_contraction", "hamiltonian_obstruction")]
+    return results + [CheckResult(name, r.is_zero(), residual_terms=r.num_terms())
+                      for name, r in residuals.items()]
 
 
 def fiber_euler_field(m: Model) -> VectorField:
@@ -352,20 +355,14 @@ def _fiber_degree(mono) -> int:
 
 def solve_hamiltonian(m: Model) -> Poly:
     """Reconstruct the covariant Hamiltonian L from i_Q omega + dL in I,
-    normalized so the fiber-independent part of L vanishes.
-
-    alpha = i_Q omega is the model's cached contraction, the one
-    check_presymplectic reads: omega = d chi is closed (d d = 0), so by
-    Cartan's formula L_Q omega = -d alpha, and a hamiltonian, alpha + dL in
-    I with d I inside I, puts it in I.  Solved once per model: a second call
-    returns the same Poly.  Raises NotExactError when no such local function
-    exists, on every call."""
+    normalized so the fiber-independent part of L vanishes; then
+    L_Q omega = -d i_Q omega is in I too.  Solved once per model: a second
+    call returns the same Poly.  Raises NotExactError when no such local
+    function exists, on every call."""
     if m._hamiltonian is not None:
         return m._hamiltonian
-    alpha = m.iq_omega()
-    alphabar = m.ideal_reduce(alpha)
-    vert = alphabar.form_component(1)
-    f = interior(fiber_euler_field(m), vert)
+    alpha = m.ideal_reduce(m.iq_omega())
+    f = interior(fiber_euler_field(m), alpha.form_component(1))
     terms = {}
     for mono, c in f.terms.items():
         k = _fiber_degree(mono)
@@ -375,8 +372,8 @@ def solve_hamiltonian(m: Model) -> Poly:
                 "no local hamiltonian exists", f.filter(lambda t: not _fiber_degree(t)))
         terms[mono] = qdiv(c, -k)
     L = Poly(f.space, terms)
-    ok, res = m.in_ideal(alpha + de_rham(L))
-    if not ok:
+    res = alpha + m.ideal_reduce(de_rham(L))
+    if not res.is_zero():
         raise NotExactError(
             f"reduced contraction is not the fiber differential of a local "
             f"function ({res.num_terms()} residual terms)", res)
@@ -385,8 +382,8 @@ def solve_hamiltonian(m: Model) -> Poly:
 
 
 def check_solution(m: Model, L: Poly) -> List[CheckResult]:
-    ok, res = m.in_ideal(m.iq_omega() + de_rham(L))
-    out = [CheckResult("hamiltonian_relation", ok, residual_terms=res.num_terms())]
+    res = m.ideal_reduce(m.iq_omega() + de_rham(L))
+    out = [CheckResult("hamiltonian_relation", res.is_zero(), residual_terms=res.num_terms())]
     ql = m.q.apply(L)
     out.append(CheckResult("q_annihilates_hamiltonian", ql.is_zero(),
                            residual_terms=ql.num_terms()))

@@ -895,6 +895,12 @@ def broken_ym_source() -> str:
     return src.replace(rule, "Q F[a, b] = 2*[F[a, b], C];")
 
 
+def non_projecting_ym_source() -> str:
+    """ym_weak with Q theta^1 = theta^0 theta^1: Q no longer projects to the
+    base, so the ideal I is not Q-invariant and no condition modulo I holds."""
+    return ym_weak_source() + "Q theta[1] = theta[0]*theta[1];\n"
+
+
 def ym_source(n: int) -> str:
     """ym_weak on base dimension n with metric diag(-1, 1, ..., 1)."""
     src = ym_weak_source()
@@ -905,8 +911,8 @@ def ym_source(n: int) -> str:
 
 
 def reference_presymplectic(m: Model):
-    """The forms check_presymplectic tests for ideal membership, in its
-    order, by whole-form lie_derivative and interior on omega = d chi:
+    """The forms whose residuals modulo I check_presymplectic reports, in
+    its order, by whole-form lie_derivative and interior on omega = d chi:
     L_Q omega, i_Q i_Q omega and i_Q L_Q omega."""
     omega = de_rham(m.chi)
     lq = lie_derivative(m.q, omega)

@@ -381,3 +381,22 @@ class TestScalarCoercion:
         p = 2 * Poly.gen(x) * Poly.gen(th0) - Poly.gen(th1)
         assert isinstance(repr(p), str)
         assert repr(Poly.zero()) == "0"
+
+
+class TestEqualityContract:
+    def test_foreign_operands_compare_unequal(self, sp):
+        p = Poly.gen(mk_x(sp, 1)[0])
+        assert p != None  # noqa: E711
+        assert not p == "x"
+        assert p in [None, p]
+        assert [None, p].index(p) == 1
+        assert (p == 1.5) is False
+
+    def test_equal_values_hash_alike(self, sp):
+        x = mk_x(sp, 1)[0]
+        for p, v in ((Poly.scalar(2), 2), (Poly.scalar(Fraction(1, 2)), Fraction(1, 2)),
+                     (Poly.zero(), 0), (Poly.gen(x), x)):
+            assert p == v and hash(p) == hash(v)
+        assert len({Poly.scalar(2), 2, Fraction(4, 2)}) == 1
+        assert {Poly.gen(x): 1}.get(x) == 1
+        assert 2 * Poly.gen(x) != 2 and 2 * Poly.gen(x) != x

@@ -13,6 +13,7 @@ from gpde.model import (
     check_presymplectic,
     check_projection,
     check_solution,
+    presymplectic_residuals,
     q_square,
     solve_hamiltonian,
     standard_checks,
@@ -20,7 +21,27 @@ from gpde.model import (
 from gpde.parser import parse_model
 
 from conftest import build_maxwell
-from properties import broken_ym_source, reference_presymplectic
+from properties import broken_ym_source, non_projecting_ym_source, reference_presymplectic
+
+# chi and Q depend on x, so omega and its contractions carry dx^a terms
+X_DEPENDENT = """
+model x_dependent;
+base dim = 2;
+coord u : gh = 0;
+coord c : gh = 1;
+Q u = x[0]*c;
+chi = theta[1]*u*d(u) + c*u*d(u) + x[1]*theta[1]*u*u*d(u) + x[0]*theta[0]*d(u);
+"""
+
+# chi holds dx and dtheta factors next to fiber differentials
+BASE_DIFFERENTIALS = """
+model base_differentials;
+base dim = 2;
+coord u : gh = 0;
+coord C : gh = 1;
+Q u = C;
+chi = C*d(x[0]) + u*d(theta[1]) + theta[0]*u*d(u) + C*d(u);
+"""
 
 
 class TestBuilder:
@@ -77,12 +98,11 @@ class TestIdeal:
             dx = Poly.gen(sp.differential(m.x[a]))
             th = Poly.gen(m.theta[a])
             dth = Poly.gen(sp.differential(m.theta[a]))
-            ok, _ = m.in_ideal(dx - th)
-            assert ok
-            ok, _ = m.in_ideal(dth)
-            assert ok
-            ok, res = m.in_ideal(dx)
-            assert not ok and res == th
+            assert m.ideal_reduce(dx - th).is_zero()
+            assert m.ideal_reduce(dth).is_zero()
+            assert m.ideal_reduce(dx) == th
+            assert m.drop_dtheta(dth).is_zero()
+            assert m.drop_dtheta(dx - th) == dx - th
 
     def test_ideal_closed_under_multiplication(self, maxwell_model):
         m = maxwell_model
@@ -91,8 +111,21 @@ class TestIdeal:
         th0 = Poly.gen(m.theta[0])
         F = m.fibers["F"]
         anything = Poly.gen(F.gen((0, 1), li=0)) * Poly.gen(m.theta[2])
-        ok, _ = m.in_ideal((dx0 - th0) * anything)
-        assert ok
+        assert m.ideal_reduce((dx0 - th0) * anything).is_zero()
+        assert m.ideal_reduce(anything * (dx0 - th0)).is_zero()
+
+    def test_d_keeps_the_ideal_and_i_q_keeps_only_dtheta(self, maxwell_model):
+        # d(dx^a - theta^a) = -dtheta^a, but i_Q(dx^a - theta^a) = Q x^a =
+        # theta^a: omega is contracted modulo the dtheta^a, not modulo I
+        m = maxwell_model
+        sp = m.space
+        F = Poly.gen(m.fibers["F"].gen((0, 1), li=0))
+        for a in m.base_indices:
+            gen = Poly.gen(sp.differential(m.x[a])) - Poly.gen(m.theta[a])
+            dth = Poly.gen(sp.differential(m.theta[a]))
+            assert m.ideal_reduce(de_rham(F * gen)).is_zero()
+            assert m.ideal_reduce(interior(m.q, gen)) == Poly.gen(m.theta[a])
+            assert m.drop_dtheta(interior(m.q, dth * de_rham(F))).is_zero()
 
 
 class TestProjectionAndNilpotency:
@@ -176,12 +209,15 @@ class TestPresymplectic:
         assert not lq.is_zero()
 
 
-@pytest.fixture(scope="module", params=["maxwell_weak", "ym_weak", "broken_ym", "restricted"])
+@pytest.fixture(scope="module", params=["maxwell_weak", "ym_weak", "broken_ym", "restricted",
+                                        "x_dependent", "base_differentials"])
 def cartan_case(request, maxwell_model, ym_model):
     return {"maxwell_weak": lambda: maxwell_model,
             "ym_weak": lambda: ym_model,
             "broken_ym": lambda: parse_model(broken_ym_source()),
             "restricted": lambda: restrict_to_submanifold(ym_model, (1, 2, 3)),
+            "x_dependent": lambda: parse_model(X_DEPENDENT),
+            "base_differentials": lambda: parse_model(BASE_DIFFERENTIALS),
             }[request.param]()
 
 
@@ -189,21 +225,32 @@ class TestCartanFormula:
     """omega = d chi is closed, so check_presymplectic reads L_Q omega off
     the cached i_Q omega; the whole-form lie_derivative is the oracle."""
 
-    def test_residual_forms_match_whole_form_derivations(self, cartan_case, monkeypatch):
+    def test_residual_forms_match_whole_form_derivations(self, cartan_case):
         m = cartan_case
-        tested = []
-        real = Model.in_ideal
-
-        def in_ideal(self, p):
-            tested.append(p)
-            return real(self, p)
-
-        monkeypatch.setattr(Model, "in_ideal", in_ideal)
-        check_presymplectic(m)
         want = reference_presymplectic(m)
         assert not want[0].is_zero()
-        assert tested == want
-        assert m.iq_omega() == interior(m.q, de_rham(m.chi))
+        residuals = presymplectic_residuals(m)
+        assert list(residuals.values()) == [m.ideal_reduce(f) for f in want]
+        assert [(r.name, r.passed, r.residual_terms) for r in check_presymplectic(m)[1:]] == [
+            (name, r.is_zero(), r.num_terms()) for name, r in residuals.items()]
+        whole = interior(m.q, de_rham(m.chi))
+        assert m.iq_omega() == m.drop_dtheta(whole)
+        assert m.ideal_reduce(m.iq_omega()) == m.ideal_reduce(whole)
+
+    def test_omega_without_dx_is_contracted_modulo_the_ideal(self, cartan_case):
+        m = cartan_case
+        whole = interior(m.q, de_rham(m.chi))
+        if m.name in ("x_dependent", "base_differentials"):
+            assert m.drop_dtheta(m.omega()) != m.ideal_reduce(m.omega())
+        else:
+            assert m.iq_omega() == m.ideal_reduce(whole)
+            assert m.iq_omega() == interior(m.q, m.ideal_reduce(m.omega()))
+
+    def test_reducing_omega_before_contracting_loses_dx_terms(self):
+        m = parse_model(BASE_DIFFERENTIALS)
+        whole = interior(m.q, de_rham(m.chi))
+        assert interior(m.q, m.ideal_reduce(m.omega())) != m.ideal_reduce(whole)
+        assert m.ideal_reduce(m.iq_omega()) == m.ideal_reduce(whole)
 
     def test_report_contracts_omega_once(self, monkeypatch, capsys):
         import gpde.cartan
@@ -216,13 +263,14 @@ class TestCartanFormula:
 
         def omega(self):
             w = real_omega(self)
-            if not any(w is o for o in omegas):
-                omegas.append(w)
+            if not any(w is o for o, _ in omegas):
+                omegas.append((w, self.drop_dtheta(w)))
             return w
 
         def interior(V, p):
-            if V.name == "Q" and any(p == o for o in omegas):
-                contractions.append(p)
+            if V.name == "Q":
+                contractions.extend("whole" if p == w else "reduced"
+                                    for w, r in omegas if p in (w, r))
             return real_interior(V, p)
 
         monkeypatch.setattr(Model, "omega", omega)
@@ -231,7 +279,37 @@ class TestCartanFormula:
         assert main(["report", "ym_weak"]) == 0
         capsys.readouterr()
         assert len(omegas) == 1
-        assert len(contractions) == 1
+        assert omegas[0][0] != omegas[0][1]
+        assert contractions == ["reduced"]
+
+
+class TestNonProjecting:
+    """Q theta^1 = theta^0 theta^1: I is not Q-invariant, so every condition
+    modulo I FAILs with that reason instead of reading a residual."""
+
+    Q_LINES = ("q_invariance", "double_contraction", "hamiltonian_obstruction")
+
+    def test_q_dependent_checks_fail_naming_the_projection(self):
+        m = parse_model(non_projecting_ym_source())
+        checks = {r.name: r for r in standard_checks(m)}
+        assert not checks["projection"].passed
+        assert checks["closed"].passed
+        for name in self.Q_LINES:
+            assert not checks[name].passed, name
+            assert "does not project to the base" in checks[name].detail
+        with pytest.raises(GradedAlgebraError, match="does not project to the base"):
+            solve_hamiltonian(m)
+
+    def test_report_passes_no_q_dependent_line(self, tmp_path, capsys):
+        from gpde.cli import main
+
+        path = tmp_path / "non_projecting.gpde"
+        path.write_text(non_projecting_ym_source())
+        assert main(["report", str(path)]) == 1
+        out = capsys.readouterr().out
+        for name in self.Q_LINES + ("hamiltonian_exists",):
+            assert f"[FAIL] {name} " in out, name
+            assert f"[PASS] {name} " not in out, name
 
 
 class TestHamiltonian:
