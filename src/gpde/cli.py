@@ -195,7 +195,7 @@ def _run_boundary(m: Model, args) -> Report:
     try:
         rep.outputs["charge_integrand"] = br.jets.bv_top()
     except GradedAlgebraError as e:
-        rep.add(CheckResult("charge_integrand", False, detail=str(e)))
+        rep.add(_failed("charge_integrand", e))
     return rep
 
 

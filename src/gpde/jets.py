@@ -14,13 +14,15 @@ D = theta^a D_a and the evolutionary differential s, seeded so that the
 pulled-back Q-structure equals s + D on expansions and extended to deeper
 jets by commuting with the total derivatives.  The seed of s on a level jet
 psi_{|K} is built when s is first read there, from level K of Q exp u and
-D exp u alone.  Three pull-backs send u to its expansion and du to d, d_v or
-D of it: the full one gives chibar and omegabar = d(chibar), which no check
-reads, the vertical one the two-form d_v(V chibar) the checks read and, at
-the theta-volume level only, the top block the reductions quotient by, and
-the horizontal one, with dx^a going to theta^a, the BV scalar i_D chibar +
-hbar out of chi + h.  Jets are made as the pull-backs and seeds ask for them,
-so the jet space is never truncated.
+D exp u alone.  Two level pull-backs send u to its expansion and du to d_v or
+D of it: the vertical one gives the two-form d_v(V chibar) the checks read
+and, at the theta-volume level only, the top block the reductions quotient
+by; the horizontal one reads its form modulo the contact ideal
+(Model.ideal_reduce: dx^a to theta^a, dtheta^a to zero) and gives the BV
+scalar i_D chibar + hbar out of chi + h.  chibar and omegabar = d(chibar),
+which no check reads, are one substitution along the generic supersection,
+apart from the level engine.  Jets are made as the pull-backs and seeds ask
+for them, so the jet space is never truncated.
 
 The forms the checks read stay in level form {J: terms}, standing for
 sum_J theta^J * terms, as the pull-backs return them.  s, i_s, d_v and each
@@ -85,7 +87,7 @@ def theta_coefficients(p: Poly) -> Dict[Tuple[int, ...], Poly]:
 # sort_sign of the theta levels J + K of a product theta^J theta^K
 _join = functools.cache(sort_sign)
 
-HORIZONTAL = 2  # the pull-backs' `vertical`: du goes to d (False), d_v (True) or D
+HORIZONTAL = 2  # the pull-backs' `vertical`: du goes to d_v (True) or D
 
 
 @functools.cache
@@ -139,8 +141,6 @@ def vertical_lie(V: VectorField, p: Poly, dv_images: Optional[dict] = None) -> P
     dv_images, when given, keeps the images of vertical differentials of V
     across calls."""
     space = p.space
-    if space is None:
-        return Poly.zero()
     sign = -1 if V.parity else 1
     dv = {} if dv_images is None else dv_images
 
@@ -199,53 +199,48 @@ class JetRegistry:
         return self._info[g]
 
     def _level(self, u: Generator, mode, K: Tuple[int, ...]) -> dict:
-        """Level K of the image of u (mode None), or of du under d (False),
-        d_v (True) or D (HORIZONTAL), built when first asked for.  With
+        """Level K of the image of u (mode None), or of du under d_v (True)
+        or D (HORIZONTAL), built when first asked for.  With
         exp u = sum_J theta^J psi_{|J} it is psi_{|K}; (-1)^{|K|} d_v psi_{|K};
-        (-1)^{|K|} d psi_{|K} plus (-1)^i dtheta^a psi_{|K+a} for each a not
-        in K, at position i of K + a; or sum (-1)^i psi_{a|K-a} over a = K[i]."""
+        or sum (-1)^i psi_{a|K-a} over a = K[i]."""
         memo = self._images.setdefault((u, mode), {})
         t = memo.get(K)
         if t is not None:
             return t
-        jet, d = self.jet, self.space.differential
-        if mode == HORIZONTAL:
+        jet = self.jet
+        if mode is None:
+            t = {((jet(u, (), K)[1], 1),): 1}
+        elif mode == HORIZONTAL:
             t = {((jet(u, (a,), K[:i] + K[i + 1:])[1], 1),): -1 if i & 1 else 1
                  for i, a in enumerate(K)}
-        elif mode is None:
-            t = {((jet(u, (), K)[1], 1),): 1}
         else:
-            t = {((d(jet(u, (), K)[1], vertical=mode), 1),): -1 if len(K) & 1 else 1}
-            if not mode:    # d passes the i thetas left of dtheta^a; dtheta^a is even
-                for a in self._top:
-                    if a not in K:
-                        i = sum(k < a for k in K)
-                        psi = jet(u, (), K[:i] + (a,) + K[i:])[1]
-                        t[((d(self.parent.theta[a]), 1), (psi, 1))] = -1 if i & 1 else 1
+            dv = self.space.differential(jet(u, (), K)[1], vertical=True)
+            t = {((dv, 1),): -1 if len(K) & 1 else 1}
         memo[K] = t
         return t
 
     def _image_level(self, g: Generator, vertical):
         """The function L -> terms of level L of the image of a fiber
-        coordinate, a fiber differential, or (horizontally) a dx^a, whose
-        image is theta^a."""
-        if g.role == BASE_X:
-            return {g.base_index: {(): 1}}.get
+        coordinate, or of a fiber differential under the pull-back's mode."""
         if g.fdeg:
             return functools.partial(self._level, self.space.coordinate_of(g), vertical)
         return functools.partial(self._level, g, None)
 
-    def level_pullback(self, p: Poly, vertical=False, level=None) -> dict:
+    def level_pullback(self, p: Poly, vertical=None, level=None) -> dict:
         """The pull-back of p as {J: terms}, standing for sum_J theta^J * terms.
         A term of p is theta^J0 U M (theta_split), its mapped factors M moved
         right of the others U with substitute's sign; the images of M are
         multiplied in level by level over disjoint levels, a power e times.
-        With vertical=True a base differential kills its term; with
-        HORIZONTAL dx^a is mapped to theta^a and dtheta^a kills its term.
+        u goes to its expansion; du to d_v of it with vertical=True, where a
+        base differential kills its term, or to D of it with HORIZONTAL,
+        where p is first read modulo the contact ideal (dx^a -> theta^a,
+        dtheta^a -> 0).  With no mode p holds no fiber differential.
 
         Given a level K, only the terms of level K are returned, and only the
         products that stay inside K are formed: the last mapped factor
         contributes just its level K - J."""
+        if vertical == HORIZONTAL:
+            p = self.parent.ideal_reduce(p)
         target = self._top if level is None else level
         out: dict = {}
         for J0, rest, _, c in theta_split(p):
@@ -254,7 +249,10 @@ class JetRegistry:
             unmapped, mapped = [], []
             parity, odd = len(J0) & 1, 0    # of theta^J0 U, of M met so far
             for g, e in rest:
-                if g.role == FIBER or (vertical == HORIZONTAL and g.fdeg and g.role == BASE_X):
+                if g.role == FIBER:
+                    if g.fdeg and not vertical:
+                        raise GradedAlgebraError(
+                            "a fiber differential pulls back vertically or horizontally only")
                     mapped.extend([g] * e)
                     odd ^= g.parity
                 elif vertical and g.fdeg and g.role in (BASE_X, BASE_THETA):
@@ -383,17 +381,8 @@ class JetModel:
         return self.parent.theta_expansion(range(self.parent.n + 1),
                                            lambda J: self.jet(fiber_gen, (), J)[1])
 
-    def level_pullback(self, p: Poly, vertical=False, level=None) -> dict:
+    def level_pullback(self, p: Poly, vertical=None, level=None) -> dict:
         return self.registry.level_pullback(p, vertical, level)
-
-    def pullback(self, p: Poly, vertical=False) -> Poly:
-        """Substitute every bundle fiber coordinate (and its differential)
-        by its theta-expansion (and the expansion's differential), level by
-        level.  With vertical=True du goes to d_v of the expansion and base
-        differentials to zero: a homomorphism that agrees with vertical_part
-        of the full pull-back on every generator, so on every form.  With
-        HORIZONTAL du goes to D of it, dx^a to theta^a, dtheta^a to zero."""
-        return self._assemble(self.level_pullback(p, vertical))
 
     def lie(self, V: VectorField, p: Poly) -> Poly:
         """vertical_lie(V, p), the images of V on vertical differentials
@@ -411,19 +400,18 @@ class JetModel:
                 out[J] = _negated(r) if odd and len(J) & 1 else r
         return out
 
-    def total_levels(self, levels: dict, forms: bool) -> dict:
+    def total_levels(self, levels: dict) -> dict:
         """D = theta^a D_a on a level form: level J moves to J + a as
         (-1)^{|J|} sort_sign(J + a) theta^{J+a} D_a(terms), over the free
-        directions a not in J only.  On vertical forms D_a acts as
-        lie(D_a, .), on functions as D_a.apply."""
+        directions a not in J only.  D_a acts as lie(D_a, .), which is
+        D_a.apply on functions."""
         out: dict = {}
         for J, t in levels.items():
             p = Poly._adopt(self.space, t)
             for a in self._top:
                 if a in J:
                     continue
-                Da = self.total_derivative(a)
-                r = (self.lie(Da, p) if forms else Da.apply(p)).terms
+                r = self.lie(self.total_derivative(a), p).terms
                 if not r:
                     continue
                 sign, JA = _join(J + (a,))
@@ -431,14 +419,6 @@ class JetModel:
                     sign = -sign
                 accumulate(out.setdefault(JA, {}), r.items() if sign > 0 else _negated(r).items())
         return {J: t for J, t in out.items() if t}
-
-    def _assemble(self, levels: dict) -> Poly:
-        """sum_J theta^J * terms over levels {J: terms}."""
-        theta = self.parent.theta
-        out: dict = {}
-        for J, terms in levels.items():
-            accumulate(out, _sandwich(tuple((theta[j], 1) for j in J), 1, terms))
-        return Poly._adopt(self.space, out)
 
     # the two odd vector fields --------------------------------------------
 
@@ -452,8 +432,18 @@ class JetModel:
             raise GradedAlgebraError("model has no presymplectic potential")
         return self.parent.chi
 
+    def _supersection_pullback(self, p: Poly) -> Poly:
+        """p along the generic supersection by one substitution: u to its
+        theta-expansion, du to the expansion's de_rham."""
+        mapping = {}
+        for g in p.generators():
+            if g.role == FIBER:
+                exp = self.theta_expansion(self.space.coordinate_of(g) if g.fdeg else g)
+                mapping[g] = de_rham(exp) if g.fdeg else exp
+        return p.substitute(mapping)
+
     def chibar(self) -> Poly:
-        return self.pullback(self._chi())
+        return self._supersection_pullback(self._chi())
 
     def omegabar(self) -> Poly:
         return de_rham(self.chibar())
@@ -497,7 +487,7 @@ class JetModel:
     def total_chibar_levels(self) -> dict:
         """The levels of D of the vertical pull-back of chi, cached."""
         if self._total_chibar is None:
-            self._total_chibar = self.total_levels(self.vertical_chibar_levels(), forms=True)
+            self._total_chibar = self.total_levels(self.vertical_chibar_levels())
         return self._total_chibar
 
     def vertical_top(self) -> Poly:
@@ -509,7 +499,7 @@ class JetModel:
         return -top if len(self._top) & 1 else top
 
     def lbar(self) -> Poly:
-        return self.pullback(solve_hamiltonian(self.parent))
+        return self._supersection_pullback(solve_hamiltonian(self.parent))
 
     def bv_levels(self) -> dict:
         """The levels of the horizontal pull-back of chi + h, cached."""
@@ -587,7 +577,7 @@ def check_bv_identities(jm: JetModel) -> List[CheckResult]:
     r1 = _level_sum(jm.i_s_omegabar_levels(), jm.levelwise(scalar, d_vertical, odd=True),
                     jm.total_chibar_levels())
     r2 = _level_sum(jm.half_i_s_i_s_levels(),
-                    {J: _negated(t) for J, t in jm.total_levels(scalar, forms=False).items()})
+                    {J: _negated(t) for J, t in jm.total_levels(scalar).items()})
     return [_split_result("master_vertical", r1),
             _split_result("master_scalar", r2)]
 

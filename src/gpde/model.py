@@ -203,10 +203,10 @@ def check_potential(chi: Optional[Poly], n: int) -> None:
 class ModelBuilder:
     """Incremental construction with validation at build time."""
 
-    def __init__(self, name: str, n: int, space: Optional[Space] = None):
+    def __init__(self, name: str, n: int):
         self.name = name
         self.n = n
-        self.space = space or Space(name)
+        self.space = Space(name)
         self.base_indices = tuple(range(n))
         self.x, self.theta = build_base(self.space, self.base_indices)
         self.fibers: Dict[str, FiberFamily] = {}
@@ -363,15 +363,9 @@ def solve_hamiltonian(m: Model) -> Poly:
         return m._hamiltonian
     alpha = m.ideal_reduce(m.iq_omega())
     f = interior(fiber_euler_field(m), alpha.form_component(1))
-    terms = {}
-    for mono, c in f.terms.items():
-        k = _fiber_degree(mono)
-        if k == 0:
-            raise NotExactError(
-                "contraction has a fiber-independent vertical part; "
-                "no local hamiltonian exists", f.filter(lambda t: not _fiber_degree(t)))
-        terms[mono] = qdiv(c, -k)
-    L = Poly(f.space, terms)
+    # modulo I only fiber differentials are left, and i_E du = u: no term
+    # of f is free of fiber coordinates
+    L = Poly(f.space, {mono: qdiv(c, -_fiber_degree(mono)) for mono, c in f.terms.items()})
     res = alpha + m.ideal_reduce(de_rham(L))
     if not res.is_zero():
         raise NotExactError(

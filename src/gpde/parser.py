@@ -452,6 +452,7 @@ class ModelParser:
         self.pos = 0
         self.depth = 0          # expression nesting, bounded by MAX_NESTING
         self.name = name
+        self._named = False     # a model statement was read
         self.builder: Optional[ModelBuilder] = None
         self.evaluator: Optional[Evaluator] = None
         self._chi_seen = False
@@ -628,6 +629,7 @@ class ModelParser:
         if self._chi_seen is not False:
             b.chi(self._chi_seen)
         b.weak(self._weak)
+        b.name = self.name
         try:
             model = b.build()
         except (DegreeError, GradedAlgebraError) as e:
@@ -678,11 +680,18 @@ class ModelParser:
         elif kw == "weak":
             self.stmt_weak()
         elif kw == "model":
-            self.next()
-            self.name = self.expect("name").value
-            self.expect(";")
+            self.stmt_model()
         else:
             raise _error(f"unknown declaration {kw!r}", t.span)
+
+    def stmt_model(self):
+        t = self.next()
+        name = self.expect("name").value
+        self.expect(";")
+        if self._named:
+            raise _error("model name declared twice", t.span)
+        self._named = True
+        self.name = name
 
     def stmt_base(self):
         t = self.next()

@@ -828,14 +828,16 @@ def reference_total(jm: JetModel, p: Poly, forms: bool) -> Poly:
     return vertical_lie(jm.D, p) if forms else jm.D.apply(p)
 
 
-def check_level_form(jm: JetModel, levels, forms: bool):
+def check_level_form(jm: JetModel, levels):
     """The level-form D and each level-preserving piece (L_s or s, i_s, d_v)
-    equal the whole-form action on the assembled form.  Returns D of the
-    form, for the caller to check that the comparison was not vacuous."""
+    equal the whole-form action on the assembled form, a vertical form or a
+    function.  Returns D of the form, for the caller to check that the
+    comparison was not vacuous."""
     valid = set(jm.parent.theta_levels(range(jm.parent.n + 1)))
     whole = assemble_levels(jm, levels)
     assert not whole.is_zero()
-    raised = jm.total_levels(levels, forms)
+    forms = any(g.fdeg for g in whole.generators())
+    raised = jm.total_levels(levels)
     # a level with a repeated theta would vanish on assembly unseen
     assert set(raised) <= valid and all(raised.values())
     moved = assemble_levels(jm, raised)
@@ -853,12 +855,11 @@ def check_level_form(jm: JetModel, levels, forms: bool):
 
 
 def reference_image_levels(jm: JetModel, u) -> dict:
-    """The levels of the images of u, du, d_v u and D u by whole forms: the
-    expansion sum_J theta^J psi_{|J} of u, its de_rham (or D of it), split
-    by theta level.  Keyed by the modes of JetRegistry._level."""
+    """The levels of the images of u, d_v u and D u by whole forms: the
+    expansion sum_J theta^J psi_{|J} of u, its vertical de_rham or D of it,
+    split by theta level.  Keyed by the modes of JetRegistry._level."""
     exp = jm.theta_expansion(u)
     return {None: theta_coefficients(exp),
-            False: theta_coefficients(de_rham(exp)),
             True: theta_coefficients(de_rham(exp, vertical=True)),
             HORIZONTAL: theta_coefficients(jm.D.apply(exp))}
 

@@ -224,6 +224,35 @@ def test_not_exact_failure_counts_its_residual(tmp_path, capsys):
         assert "(2 residual terms)" in err
 
 
+def test_boundary_charge_integrand_counts_its_residual(tmp_path, capsys):
+    # broken_ym has no hamiltonian, so its charge integrand fails with the
+    # residual of the reduced contraction, counted on the FAIL line
+    from properties import broken_ym_source
+
+    bad = tmp_path / "broken_ym.gpde"
+    bad.write_text(broken_ym_source())
+    rc, out, err = run(["boundary", str(bad), "--kill", "0"], capsys)
+    assert rc == 1
+    assert "[FAIL] charge_integrand residual_terms=27  (" in out
+    assert "(27 residual terms)" in out
+    assert err.startswith("FAIL charge_integrand residual_terms=27 ")
+
+
+def test_reduce_kernel_dependent_q_does_not_descend(tmp_path, capsys):
+    # toy_dim0 with Q v = u*u + k: Q varies along the kernel direction k
+    import gpde
+
+    src = (Path(gpde.__file__).parent / "models" / "toy_dim0.gpde").read_text()
+    assert "coord z : gh = -1;\n" in src and "Q v = u*u;\n" in src
+    bad = tmp_path / "kernel_toy.gpde"
+    bad.write_text(src.replace("coord z : gh = -1;\n", "coord z : gh = -1;\ncoord k : gh = 0;\n")
+                   .replace("Q v = u*u;\n", "Q v = u*u + k;\n"))
+    rc, out, err = run(["reduce", str(bad)], capsys)
+    assert rc == 1
+    assert "[FAIL] reduction" in out and "does not descend" in out
+    assert err.startswith("FAIL reduction ")
+
+
 def test_missing_potential_fails(capsys):
     rc, out, err = run(["descent", "ce_aksz"], capsys)
     assert rc == 1

@@ -194,7 +194,7 @@ class TestVectorFields:
 class TestPullback:
     def test_pullback_commutes_with_d(self, jet_maxwell):
         jm = jet_maxwell
-        assert jm.omegabar() == jm.pullback(jm.parent.omega())
+        assert jm.omegabar() == reference_pullback(jm, jm.parent.omega(), False)
 
     def test_theta_degree_sets(self, jet_maxwell):
         jm = jet_maxwell
@@ -333,16 +333,24 @@ class TestVerticalFirst:
 
 
 def reference_pullback(jm, p, vertical):
-    """The pull-back by Poly.substitute: u to its expansion, du to d (or d_v)
-    of it and, when vertical, every base differential to zero."""
+    """The pull-back by Poly.substitute: u to its expansion and du to d of
+    it; with vertical=True du to d_v of it and every base differential to
+    zero; with HORIZONTAL du to D.apply of it, dx^a to theta^a and dtheta^a
+    to zero."""
     mapping = {}
     for g in p.generators():
         if g.role == FIBER:
-            u = jm.space.coordinate_of(g) if g.fdeg else g
-            exp = jm.theta_expansion(u)
-            mapping[g] = de_rham(exp, vertical) if g.fdeg else exp
+            exp = jm.theta_expansion(jm.space.coordinate_of(g) if g.fdeg else g)
+            if not g.fdeg:
+                mapping[g] = exp
+            elif vertical == HORIZONTAL:
+                mapping[g] = jm.D.apply(exp)
+            else:
+                mapping[g] = de_rham(exp, vertical)
         elif vertical and g.fdeg and g.role in (BASE_X, BASE_THETA):
-            mapping[g] = Poly.zero()
+            a = jm.space.coordinate_of(g).base_index[0]
+            horizontal_dx = vertical == HORIZONTAL and g.role == BASE_X
+            mapping[g] = Poly.gen(jm.parent.theta[a]) if horizontal_dx else Poly.zero()
     return p.substitute(mapping)
 
 
@@ -368,27 +376,44 @@ def _forms(m):
         return [m.chi]
 
 
-def colliding_form(m):
+def colliding_form(m, d=de_rham):
     """theta^0 theta^1 theta^2 leaves each image only its levels () and (3,):
-    2 of 16, so nearly every pair of levels collides."""
+    2 of 16, so nearly every pair of levels collides.  With d the identity,
+    the function of the same shape."""
     th = [Poly.gen(m.theta[a]) for a in range(4)]
     C = [Poly.gen(m.fibers["C"].gen(li=i)) for i in range(3)]
-    p = th[0] * th[1] * th[2] * C[0] * C[1] * de_rham(C[2])
-    return p + th[0] * th[1] * th[3] * C[1] * de_rham(C[0]) * de_rham(C[2])
+    p = th[0] * th[1] * th[2] * C[0] * C[1] * d(C[2])
+    return p + th[0] * th[1] * th[3] * C[1] * d(C[0]) * d(C[2])
+
+
+def _functions(m):
+    """Q of every fiber coordinate: the functions the seeds of s pull back."""
+    return [q for q in map(m.q.coefficient, m.fiber_coords()) if not q.is_zero()]
 
 
 class TestLevelPullback:
-    """pullback and the seeds of s are built level by level; substitution,
-    D.apply and theta_coefficients on whole polynomials are the oracle."""
+    """The pull-backs and the seeds of s are built level by level;
+    substitution, D.apply and theta_coefficients on whole polynomials are the
+    oracle."""
 
     def test_pullback_matches_substitution(self, vertical_case):
         # both kinds of pull-back, each after the other, share one jet model
         jm = vertical_case
-        for vertical in (False, True, False):
+        for vertical in (True, HORIZONTAL, True):
             for p in _forms(jm.parent):
-                got = jm.pullback(p, vertical)
+                got = assemble_levels(jm, jm.level_pullback(p, vertical))
                 assert not got.is_zero()
                 assert got == reference_pullback(jm, p, vertical)
+
+    def test_fiber_differential_needs_a_mode(self, vertical_case):
+        # only functions pull back with no mode: the seeds of s read them
+        jm = vertical_case
+        for level in (None, jm._top):
+            with pytest.raises(GradedAlgebraError, match="vertically or horizontally"):
+                jm.level_pullback(jm.parent.chi, level=level)
+        for p in _functions(jm.parent):
+            got = assemble_levels(jm, jm.level_pullback(p))
+            assert got == reference_pullback(jm, p, False)
 
     def test_seeds_match_substitution(self, vertical_case):
         # one level at a time: every level, and no reference level elsewhere
@@ -401,21 +426,20 @@ class TestLevelPullback:
                 assert jm.registry.seed(u, K) == want.get(K), (u, K)
 
     def test_levels_rebuild_the_pullback(self, vertical_case):
+        # every level is an increasing tuple of base directions, and none is empty
         jm = vertical_case
-        th = jm.parent.theta
-        for vertical in (False, True):
-            acc = Poly.zero()
-            for J, terms in jm.level_pullback(jm.parent.chi, vertical).items():
-                t = Poly.scalar(1)
-                for j in J:
-                    t = t * Poly.gen(th[j])
-                acc = acc + t * Poly(jm.space, terms)
-            assert acc == jm.pullback(jm.parent.chi, vertical)
+        valid = set(jm.parent.theta_levels(range(jm.parent.n + 1)))
+        for vertical in (HORIZONTAL, True):
+            levels = jm.level_pullback(jm.parent.chi, vertical)
+            assert set(levels) <= valid and all(levels.values())
+            acc = assemble_levels(jm, levels)
+            assert acc == reference_pullback(jm, jm.parent.chi, vertical)
 
     def test_horizontal_pullback_is_the_D_contraction(self, vertical_case):
-        # base_differentials holds dx^0, which goes to theta^0, and dtheta^1
+        # base_differentials holds dx^0, which goes to theta^0, and dtheta^1;
+        # chibar is a substitution, apart from the level pull-backs
         jm = vertical_case
-        got = jm.pullback(jm.parent.chi, HORIZONTAL)
+        got = assemble_levels(jm, jm.level_pullback(jm.parent.chi, HORIZONTAL))
         assert not got.is_zero()
         assert got == interior(jm.D, jm.chibar())
 
@@ -426,15 +450,15 @@ class TestLevelPullback:
         assert any(g.jet_I for g in jets)
         assert not any(set(g.jet_I) & set(g.jet_J) for g in jets)
 
-    @pytest.mark.parametrize("vertical", [False, True])
+    @pytest.mark.parametrize("vertical", [HORIZONTAL, True])
     def test_mostly_colliding_levels(self, ym_model, vertical):
         jm = JetModel(ym_model)
         p = colliding_form(ym_model)
-        got = jm.pullback(p, vertical)
+        got = assemble_levels(jm, jm.level_pullback(p, vertical))
         assert not got.is_zero()
         assert got == reference_pullback(jm, p, vertical)
 
-    @pytest.mark.parametrize("vertical", [False, True])
+    @pytest.mark.parametrize("vertical", [HORIZONTAL, True])
     def test_unmapped_factors_right_of_fiber_factors(self, ym_model, vertical):
         # a jet coordinate sorts right of the fiber coordinates and is left
         # alone; the odd fiber factors it moves past sign it
@@ -442,12 +466,13 @@ class TestLevelPullback:
         C = [ym_model.fibers["C"].gen(li=i) for i in range(3)]
         _, psi = jm.jet(C[2], (0,), ())
         p = Poly.gen(C[0]) * de_rham(Poly.gen(C[1])) * Poly.gen(psi) * de_rham(Poly.gen(psi))
-        got = jm.pullback(p, vertical)
+        got = assemble_levels(jm, jm.level_pullback(p, vertical))
         assert not got.is_zero()
         assert got == reference_pullback(jm, p, vertical)
 
-    @pytest.mark.parametrize("vertical", [False, True])
+    @pytest.mark.parametrize("vertical", [HORIZONTAL, True])
     def test_even_powers(self, ym_model, vertical):
+        # horizontally the dx^1 goes to theta^1 through Model.ideal_reduce
         jm = JetModel(ym_model)
         F = Poly.gen(ym_model.fibers["F"].gen((0, 1), li=0))
         G = Poly.gen(ym_model.fibers["F"].gen((2, 3), li=1))
@@ -455,7 +480,7 @@ class TestLevelPullback:
         dx = de_rham(Poly.gen(ym_model.x[1]))
         p = F * F * de_rham(C) + F * F * F * G * G * dx * de_rham(F) + G * G * C * de_rham(G)
         assert any(e > 1 for mono in p.terms for _, e in mono)
-        got = jm.pullback(p, vertical)
+        got = assemble_levels(jm, jm.level_pullback(p, vertical))
         assert not got.is_zero()
         assert got == reference_pullback(jm, p, vertical)
 
@@ -467,8 +492,9 @@ class TestOneLevel:
 
     @pytest.mark.parametrize("vertical", [False, True, HORIZONTAL])
     def test_level_pullback_at_each_level(self, vertical_case, vertical):
+        # with no mode (False), the functions the seeds of s read
         jm = vertical_case
-        for p in _forms(jm.parent):
+        for p in _forms(jm.parent) if vertical else _functions(jm.parent):
             whole = jm.level_pullback(p, vertical)
             assert whole
             for K in jm.parent.theta_levels(range(jm.parent.n + 1)):
@@ -477,7 +503,7 @@ class TestOneLevel:
     @pytest.mark.parametrize("vertical", [False, True, HORIZONTAL])
     def test_mostly_colliding_level_pullback_at_each_level(self, ym_model, vertical):
         jm = JetModel(ym_model)
-        p = colliding_form(ym_model)
+        p = colliding_form(ym_model, de_rham if vertical else lambda c: c)
         whole = jm.level_pullback(p, vertical)
         assert whole
         for K in ym_model.theta_levels(range(5)):
@@ -542,8 +568,8 @@ def test_yang_mills_jet_count(n, top, checks):
 
 
 class TestImageLevels:
-    """JetRegistry._level builds each level of the image of u, du, d_v u and
-    D u alone; the whole expansion of u, differentiated and split by theta
+    """JetRegistry._level builds each level of the image of u, d_v u and D u
+    alone; the whole expansion of u, differentiated and split by theta
     level, is the oracle."""
 
     @pytest.mark.parametrize("name", ["ym_weak", "base_differentials"])
@@ -552,17 +578,19 @@ class TestImageLevels:
         jm = JetModel(m)
         coords = m.fiber_coords()
         for u in (next(u for u in coords if not u.parity), next(u for u in coords if u.parity)):
-            # u, du and d_v u have every level, D u every level but ()
-            assert check_image_levels(jm, u) == 4 * 2 ** m.n - 1
+            # u and d_v u have every level, D u every level but ()
+            assert check_image_levels(jm, u) == 3 * 2 ** m.n - 1
 
     def test_a_level_is_built_when_first_asked_for(self, ym_model):
         jm = JetModel(ym_model)
         u = ym_model.fiber_coords()[0]
-        du = jm.registry._level(u, False, (1, 3))
-        # psi_{|13}, and psi_{|013} and psi_{|123} beside dtheta^0 and dtheta^2
-        assert len(du) == 3 and jm.registry_stats()["jet_coordinates"] == 3
-        assert jm.registry._level(u, False, (1, 3)) is du
+        Du = jm.registry._level(u, HORIZONTAL, (1, 3))
+        # psi_{1|3} and psi_{3|1}
+        assert len(Du) == 2 and jm.registry_stats()["jet_coordinates"] == 2
+        assert jm.registry._level(u, HORIZONTAL, (1, 3)) is Du
+        # psi_{|13}, which d_v u reads too
         jm.registry._level(u, None, (1, 3))
+        jm.registry._level(u, True, (1, 3))
         assert jm.registry_stats()["jet_coordinates"] == 3
 
 
@@ -581,32 +609,32 @@ class TestLevelForm:
     def test_vertical_levels(self, vertical_case):
         jm = vertical_case
         for levels in (jm.vertical_chibar_levels(), jm.vertical_omegabar_levels()):
-            assert not check_level_form(jm, levels, forms=True).is_zero()
+            assert not check_level_form(jm, levels).is_zero()
 
     def test_scalar_levels(self, vertical_case):
         # on the base-dim-3 restricted model every level of the pulled-back
         # chi is the volume, which D kills; the hamiltonian adds lower ones
         jm = vertical_case
-        check_level_form(jm, jm.level_pullback(jm.parent.chi, HORIZONTAL), forms=False)
+        check_level_form(jm, jm.level_pullback(jm.parent.chi, HORIZONTAL))
         try:
             solve_hamiltonian(jm.parent)
         except NotExactError:
             return
-        assert not check_level_form(jm, jm.bv_levels(), forms=False).is_zero()
+        assert not check_level_form(jm, jm.bv_levels()).is_zero()
 
     def test_mostly_colliding_levels(self, ym_model):
         jm = JetModel(ym_model)
         p = colliding_form(ym_model)
-        assert not check_level_form(jm, jm.level_pullback(p, True), forms=True).is_zero()
+        assert not check_level_form(jm, jm.level_pullback(p, True)).is_zero()
         # horizontally each term reaches the volume, which D kills
-        check_level_form(jm, jm.level_pullback(p, HORIZONTAL), forms=False)
+        check_level_form(jm, jm.level_pullback(p, HORIZONTAL))
 
     def test_broken_model_levels(self, broken_ym):
         jm = JetModel(broken_ym)
         for levels in (jm.vertical_chibar_levels(), jm.vertical_omegabar_levels()):
-            assert not check_level_form(jm, levels, forms=True).is_zero()
+            assert not check_level_form(jm, levels).is_zero()
         horizontal = jm.level_pullback(broken_ym.chi, HORIZONTAL)
-        assert not check_level_form(jm, horizontal, forms=False).is_zero()
+        assert not check_level_form(jm, horizontal).is_zero()
 
     def test_descent_residuals_are_the_whole_form_components(self, broken_ym):
         # the level k residual is the theta-degree k component of

@@ -18,6 +18,7 @@ from gpde.parser import (
     parse_model,
     parse_with_diagnostics,
 )
+from gpde.printing import poly_text
 
 from conftest import build_ce, build_maxwell, build_toy, build_ym
 
@@ -376,6 +377,27 @@ def test_eps_arity():
     model, diags = parse_with_diagnostics(bad)
     assert model is None
     assert [str(d) for d in diags] == ["<string>:4:7: error: eps takes 2 indices, got 1"]
+
+
+def test_eps_is_the_levi_civita_symbol():
+    text = ("base dim = 2;\nmetric = diag(-1, 1);\ncoord A[a] : gh = 0;\n"
+            "chi = eps[a, b]*theta[a]*d(A[b]);\n")
+    assert poly_text(parse_model(text).chi) == "th0*dA[1] - th1*dA[0]"
+
+
+@pytest.mark.parametrize("text", [
+    "model foo;\nbase dim = 1;\ncoord u : gh = 0;\n",
+    "base dim = 1;\nmodel foo;\ncoord u : gh = 0;\n",
+    "base dim = 1;\ncoord u : gh = 0;\nmodel foo;\n",
+])
+def test_model_statement_names_the_model_wherever_it_stands(text):
+    assert parse_model(text, name="stem").name == "foo"
+
+
+def test_second_model_statement_is_a_diagnostic():
+    model, diags = parse_with_diagnostics("model foo;\nbase dim = 1;\nmodel bar;\n", name="stem")
+    assert model is None
+    assert [str(d) for d in diags] == ["<string>:3:1: error: model name declared twice"]
 
 
 def test_lexer_error_is_a_diagnostic():
