@@ -80,6 +80,8 @@ def _parse_point(spec: str, candidates: Dict[str, Generator]) -> Dict[Generator,
         if g is None:
             raise _usage(f"unknown coordinate {name.strip()!r} in --at "
                          f"(known: {', '.join(sorted(candidates))})")
+        if g in point:
+            raise _usage(f"coordinate {name.strip()!r} given twice in --at")
         try:
             point[g] = rational(Fraction(val.strip()))
         except (ValueError, ZeroDivisionError):
@@ -182,6 +184,8 @@ def _run_boundary(m: Model, args) -> Report:
     try:
         kill = [int(s) for s in args.kill.split(",") if s.strip() != ""]
     except ValueError:
+        kill = []
+    if not kill:
         raise _usage(f"--kill expects comma separated base directions, got {args.kill!r}")
     absent = [a for a in kill if a not in m.base_indices]
     if absent:

@@ -18,8 +18,8 @@ theta(k; i1..ik) volume cofactors, and eps/eta/inveta (metric required).
 A reference X{k} selects the k-th component (1..dim) of a Lie-valued
 coordinate, on either side of a Q-rule.  A denominator must expand to
 constant terms only; their sum is the divisor, and a zero sum is an error.
-Lowercase index variables repeated inside an additive term are summed over
-the base range; variables appearing once must be bound by the left side.
+An index variable (any name in index position) repeated in an additive term is
+summed over the base range; one appearing once must be bound by the left side.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .algebra import (
     LieValued,
     Poly,
     Scalar,
-    accumulate,
     lie_bracket,
     qdiv,
     sort_sign,
@@ -280,13 +279,12 @@ class Evaluator:
         env.pop(head, None)   # a base of dimension 0 assigns nothing
         return total
 
-    def argument_value(self, node, env):
-        """Value of a bracket or d(...) argument, whose index variables the
-        enclosing statement has bound in env."""
+    def argument_value(self, node, env, in_tr=False):
+        """Value of a bracket, d(...) or Tr(...) argument, whose index
+        variables the enclosing statement has bound in env."""
         total = None
         for coeff, factors in _distribute(node):
-            total = self._add(total, self.eval_term(coeff, factors, env, in_tr=False),
-                              node[-1])
+            total = self._add(total, self.eval_term(coeff, factors, env, in_tr), node[-1])
         return total
 
     def _add(self, a, b, span):
@@ -365,10 +363,7 @@ class Evaluator:
                 return LieValued(v.lie, [de_rham(c) for c in v.components])
             return de_rham(v)
         if kind == "tr":
-            terms: dict = {}
-            for coeff, factors in _distribute(node[1]):
-                accumulate(terms, self.eval_term(coeff, factors, env, in_tr=True).terms.items())
-            return Poly(self.b.space, terms)
+            return self.argument_value(node[1], env, in_tr=True)
         if kind == "theta_basis":
             idx = tuple(self.index_value(a, env) for a in node[1])
             ths = [self.b.theta[a] for a in self.b.base_indices]
@@ -456,7 +451,7 @@ class ModelParser:
         self.builder: Optional[ModelBuilder] = None
         self.evaluator: Optional[Evaluator] = None
         self._chi_seen = False
-        self._weak = False
+        self._weak: Optional[bool] = None
         self._q_values: Dict[Generator, Tuple[Poly, Span]] = {}
 
     # token cursor ---------------------------------------------------------
@@ -628,7 +623,7 @@ class ModelParser:
                     self.diags.append(Diagnostic("error", str(e), span))
         if self._chi_seen is not False:
             b.chi(self._chi_seen)
-        b.weak(self._weak)
+        b.weak(self._weak is True)
         b.name = self.name
         try:
             model = b.build()
@@ -664,25 +659,10 @@ class ModelParser:
         t = self.peek()
         if t.kind != "name":
             raise _error(f"expected a declaration, found {t.value!r}", t.span)
-        kw = t.value
-        if kw == "base":
-            self.stmt_base()
-        elif kw == "metric":
-            self.stmt_metric()
-        elif kw == "lie":
-            self.stmt_lie()
-        elif kw == "coord":
-            self.stmt_coord()
-        elif kw == "Q":
-            self.stmt_q()
-        elif kw == "chi":
-            self.stmt_chi()
-        elif kw == "weak":
-            self.stmt_weak()
-        elif kw == "model":
-            self.stmt_model()
-        else:
-            raise _error(f"unknown declaration {kw!r}", t.span)
+        stmt = self.STATEMENTS.get(t.value)
+        if stmt is None:
+            raise _error(f"unknown declaration {t.value!r}", t.span)
+        stmt(self)
 
     def stmt_model(self):
         t = self.next()
@@ -841,12 +821,9 @@ class ModelParser:
         free = [a[1] for a in args if a[0] == "var"]
         if len(set(free)) != len(free):
             raise _error("left-hand index variables must be distinct", span)
-
-        assignments = [{}]
-        for v in free:
-            assignments = [dict(env, **{v: a}) for env in assignments
-                           for a in b.base_indices]
-        for env in assignments:
+        # the first variable varies slowest
+        for values in itertools.product(b.base_indices, repeat=len(free)):
+            env = dict(zip(free, values))
             lie, comps = ev.resolve(target, env)
             value = ev.statement_value(rhs, env)
             if name in ("x", "theta"):
@@ -912,13 +889,20 @@ class ModelParser:
         self._chi_seen = value
 
     def stmt_weak(self):
-        self.next()
+        t = self.next()
         self.expect("=")
         v = self.expect("name")
         if v.value not in ("true", "false"):
             raise _error("weak takes true or false", v.span)
         self.expect(";")
+        if self._weak is not None:
+            raise _error("weak declared twice", t.span)
         self._weak = v.value == "true"
+
+    # statement keyword -> the method that parses the statement
+    STATEMENTS = {"base": stmt_base, "metric": stmt_metric, "lie": stmt_lie,
+                  "coord": stmt_coord, "Q": stmt_q, "chi": stmt_chi, "weak": stmt_weak,
+                  "model": stmt_model}
 
 
 def parse_with_diagnostics(text: str, name: str = "model",

@@ -8,13 +8,13 @@ systems rather than their size; rref and nullspace are dense adapters.  The
 form is flattened to a coefficient system over a declared universe of
 coordinates; it is read off in one walk over the form's terms.  Kernel
 vectors are constant rational combinations of coordinate directions,
-computed exactly and certified without sampling (see kernel_basis), and
-survivors are returned as the canonical (reduced row echelon) basis of the
-linear forms annihilating the kernel, so coordinate kernels give back plain
-surviving coordinates and trace-like combinations come out with unit
-leading coefficient.  Whether an evolutionary field descends is decided
-when reducing; the projected field itself (ReducedModel.s_action), which no
-verdict reads, is built on first read.
+computed exactly and certified without sampling (see kernel_basis).  Each
+survivor is the linear form annihilating the kernel that is 1 at one free
+column of the kernel's reduced row echelon form and 0 at the other free
+columns, so coordinate kernels give back plain surviving coordinates; its
+leading coefficient need not be 1.  Whether an evolutionary field descends
+is decided when reducing; the projected field itself (ReducedModel.s_action),
+which no verdict reads, is built on first read.
 """
 
 from __future__ import annotations

@@ -314,6 +314,11 @@ def test_unknown_model_name(capsys):
     (["bv-identities", "maxwell_weak", "--order", "-2"],
      "gpde: --order must be nonnegative, got -2"),
     (["reduce", "toy_dim0", "--order", "-1"], "gpde: --order must be nonnegative, got -1"),
+    (["boundary", "maxwell_weak", "--kill", ","],
+     "gpde: --kill expects comma separated base directions, got ','"),
+    (["boundary", "maxwell_weak", "--kill", ""],
+     "gpde: --kill expects comma separated base directions, got ''"),
+    (["reduce", "toy_dim0", "--at", "u=1,u=2"], "gpde: coordinate 'u' given twice in --at"),
 ])
 def test_usage_errors_exit_2_with_one_line(argv, message, capsys):
     # exit code 1 is kept for a failed check; a usage error prints no report

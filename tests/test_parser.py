@@ -400,6 +400,34 @@ def test_second_model_statement_is_a_diagnostic():
     assert [str(d) for d in diags] == ["<string>:3:1: error: model name declared twice"]
 
 
+def test_second_weak_statement_is_a_diagnostic():
+    text = "base dim = 2; weak = true; weak = false; coord u : gh = 0;"
+    model, diags = parse_with_diagnostics(text)
+    assert model is None
+    assert [str(d) for d in diags] == ["<string>:1:28: error: weak declared twice"]
+    # the value is read first, so a bad second value is reported as such
+    model, diags = parse_with_diagnostics("base dim = 2; weak = true; weak = maybe;")
+    assert [str(d) for d in diags] == ["<string>:1:35: error: weak takes true or false"]
+
+
+@pytest.mark.parametrize("text", ["base dim = 1;\ncoord u : gh = 0;\nq u = 1;\n",
+                                  "base dim = 1;\nChi = 0;\n",
+                                  "BASE dim = 1;\n"])
+def test_statement_keywords_are_case_sensitive(text):
+    model, diags = parse_with_diagnostics(text)
+    assert model is None
+    assert any(d.message.startswith("unknown declaration") for d in diags)
+
+
+@pytest.mark.parametrize("body,factor", [("F[c, d]*d(C) + 2*F[c, d]*d(C)", 3),
+                                         ("F[c, d]*d(C) - F[c, d]*d(C)", 0)])
+def test_tr_sums_every_term_of_its_argument(body, factor):
+    text = open_builtin("ym_weak")
+    assert text.count("Tr(F[c, d]*d(C))") == 1
+    chi = parse_model(text.replace("Tr(F[c, d]*d(C))", f"Tr({body})")).chi
+    assert poly_text(chi) == poly_text(factor * load_builtin("ym_weak").chi)
+
+
 def test_lexer_error_is_a_diagnostic():
     model, diags = parse_with_diagnostics("base dim = 1; $")
     assert model is None
