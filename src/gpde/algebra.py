@@ -27,20 +27,25 @@ dict and set lookups hash in C.  A set of generators therefore iterates in an
 order that depends on memory addresses; whatever must not depend on it walks
 the generators in their canonical `_sort` order.
 
-The two kernels behind every jet verb, graded derivations and substitution,
-do each piece of work once.  `derive` keeps, for one call, a table from each
-distinct generator to its image terms (or None for a zero image), so
-image(g), its normal form, the zero test and the space check run once per
-generator, in order of first occurrence.  Each Leibniz
-term then costs one merge: prefix * im * suffix equals
-(-1)^(p(im) p(suffix)) (prefix suffix) * im, where prefix suffix is already
-canonical and p(im) is read off the image term itself, since an image need
-not be homogeneous.  `substitute` moves each monomial's mapped factors to
-the right of its unmapped factors U, folding the Koszul sign into the
-coefficient, and multiplies the images into {U: +-c} one at a time, left to
-right.  Starting from U, an image term that repeats an odd factor of U (a
-theta, say) drops at its first merge, not after the images have been
-multiplied out; a term with no mapped factor is added as it is.
+The kernels behind every jet verb, the de Rham differential, graded
+derivations and substitution, do each piece of work once.  d and d_v
+(`cartan.de_rham`) form no product: every image is one generator dg, which
+is written into g's monomial and walked to its sorted slot, with sign
+(-1)^(parity of the prefix) times (-1)^(p(dg) p(the factors it passes)).
+`derive` serves the derivations whose images are sums (i_V, Q, D_a and
+`jets.vertical_lie`).  It keeps, for one call, a table from each distinct
+generator to its image terms (or None for a zero image), so image(g), its
+normal form, the zero test and the space check run once per generator, in
+order of first occurrence.  Each Leibniz term then costs one merge:
+prefix * im * suffix equals (-1)^(p(im) p(suffix)) (prefix suffix) * im,
+where prefix suffix is already canonical and p(im) is read off the image
+term itself, since an image need not be homogeneous.  `substitute` moves
+each monomial's mapped factors to the right of its unmapped factors U,
+folding the Koszul sign into the coefficient, and multiplies the images
+into {U: +-c} one at a time, left to right.  Starting from U, an image term
+that repeats an odd factor of U (a theta, say) drops at its first merge,
+not after the images have been multiplied out; a term with no mapped
+factor is added as it is.
 """
 
 from __future__ import annotations
@@ -102,9 +107,11 @@ class Generator:
 
     Identity is structural: two declarations with the same key are the same
     object (interned per Space), so equality and hashing are by identity.
-    The sort key orders base coordinates before fiber coordinates before
-    jets, with differentials adjacent to their coordinate, so canonical
-    monomials put the theta-volume factor leftmost.  The Space owns its
+    The sort key is (role, name, indices, form degree): base coordinates,
+    then fiber coordinates, jets and vertical differentials (VDIFF).  A full
+    differential keeps its coordinate's role and sorts by its name "d" +
+    name, so it need not sit next to its coordinate: dx sorts left of x,
+    dtheta left of theta, dC after every F.  The Space owns its
     generators and a generator points back to it weakly, so neither keeps
     the other alive; `space` raises once the Space is gone.
     """

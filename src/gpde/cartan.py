@@ -19,6 +19,7 @@ from .algebra import (
     Generator,
     Poly,
     Space,
+    accumulate,
     derive,
     normal_form,
 )
@@ -93,22 +94,51 @@ def de_rham(p, vertical: bool = False) -> Poly:
     """The differential d (or the vertical differential with vertical=True).
 
     d sends every coordinate to its differential and every differential to
-    zero.  The vertical differential only moves fiber and jet coordinates,
-    leaving base coordinates and all differentials alone.
+    zero; the vertical differential moves only fiber and jet coordinates.
+    In closed form, with no monomial product: each factor g^e that d moves
+    gives e g^(e-1) with dg in g's slot, signed (-1)^(parity of the prefix),
+    and dg then walks to its sorted slot, which need not be next to g (dx
+    sorts left of x, dC right of every F), with sign (-1)^(p(dg) p(the
+    factors it passes)).  An even dg already there gains one power; an odd
+    one kills the term.
     """
     p = normal_form(p)
     space = p.space
     if space is None:
         return Poly.zero()
+    diff: dict = {}     # generator -> its differential, or None when d fixes it
 
-    def img(g):
-        if g.fdeg:
-            return None
-        if vertical and g.role not in (FIBER, JET):
-            return None
-        return Poly.gen(space.differential(g, vertical=vertical))
+    def terms():
+        for m, c in p.terms.items():
+            odd = 0         # parity of the factors before g
+            for idx, (g, e) in enumerate(m):
+                dg = diff.get(g, False)
+                if dg is False:
+                    moved = not g.fdeg and (not vertical or g.role in (FIBER, JET))
+                    dg = diff[g] = space.differential(g, vertical) if moved else None
+                if dg is not None:
+                    coeff = -c if odd else c
+                    if e > 1:
+                        coeff *= e
+                        rest = m[:idx] + ((g, e - 1),) + m[idx + 1:]
+                    else:
+                        rest = m[:idx] + m[idx + 1:]
+                    # walk dg from g's slot to its own; rest[j] is then any dg already there
+                    key, j, flip = dg._sort, idx + (e > 1), 0
+                    while j and key <= rest[j - 1][0]._sort:
+                        j -= 1
+                        flip ^= rest[j][0].parity & rest[j][1]
+                    while j < len(rest) and rest[j][0]._sort < key:
+                        flip ^= rest[j][0].parity & rest[j][1]
+                        j += 1
+                    if j == len(rest) or rest[j][0] is not dg:
+                        yield (rest[:j] + ((dg, 1),) + rest[j:],
+                               -coeff if flip & dg.parity else coeff)
+                    elif not dg.parity:
+                        yield rest[:j] + ((dg, rest[j][1] + 1),) + rest[j + 1:], coeff
+                odd ^= g.parity & e
 
-    return derive(p, 1, img)
+    return Poly._adopt(space, accumulate({}, terms()))
 
 
 def d_vertical(p) -> Poly:

@@ -86,6 +86,8 @@ def _parse_point(spec: str, candidates: Dict[str, Generator]) -> Dict[Generator,
             point[g] = rational(Fraction(val.strip()))
         except (ValueError, ZeroDivisionError):
             raise _usage(f"bad rational value {val.strip()!r} in --at")
+    if not point:
+        raise _usage(f"--at expects name=value pairs, got {spec!r}")
     return point
 
 
@@ -161,7 +163,7 @@ def _run_reduce(m: Model, args) -> Report:
         universe = form_universe(form)
         s = jm.s
     point = None
-    if args.at:
+    if args.at is not None:
         names = {gen_text(g): g for mono in form.terms for g, _ in mono if g.fdeg == 0}
         names.update({gen_text(g): g for g in universe})
         point = _parse_point(args.at, names)

@@ -14,6 +14,8 @@ from gpde.algebra import (
     BASE_THETA,
     BASE_X,
     FIBER,
+    JET,
+    VDIFF,
     GradedAlgebraError,
     LieValued,
     Poly,
@@ -771,6 +773,82 @@ def reference_derive(p: Poly, parity: int, image) -> Poly:
                 acc = acc + term
             prefix_parity ^= (g.parity & 1) * (e & 1)
     return acc
+
+
+def reference_de_rham(p: Poly, vertical: bool = False) -> Poly:
+    """d (or d_v with vertical=True) as the loop oracle reference_derive of
+    parity 1 with the one-generator images g -> dg, on fiber and jet
+    coordinates only under d_v, so every image is placed by Poly products."""
+    def image(g):
+        if g.fdeg or (vertical and g.role not in (FIBER, JET)):
+            return None
+        return Poly.gen(p.space.differential(g, vertical=vertical))
+
+    return reference_derive(p, 1, image)
+
+
+def de_rham_pool():
+    """Coordinates, their differentials and the vertical differentials of
+    the fiber and jet ones, chosen so that d meets every placement: dx and
+    dtheta sort left of x and theta, dC (C odd, dC even) and dA sort right
+    past F, and a jet's dv lands in the VDIFF tail."""
+    sp = Space("de_rham_oracle")
+    coords = []
+    for a in range(2):
+        coords.append(sp.coordinate("x", BASE_X, 0, base_index=(a,)))
+        coords.append(sp.coordinate("theta", BASE_THETA, 1, base_index=(a,)))
+    coords.append(sp.coordinate("A", FIBER, 0, base_index=(0,)))
+    coords.append(sp.coordinate("C", FIBER, 1))
+    coords.append(sp.coordinate("F", FIBER, 0, base_index=(0, 1)))
+    coords.append(sp.coordinate("A", JET, -1, base_index=(0,), jet_I=(1,)))
+    coords.append(sp.coordinate("C", JET, 0, jet_I=(0,)))
+    pool = coords + [sp.differential(g) for g in coords]
+    pool += [sp.differential(g, vertical=True) for g in coords if g.role in (FIBER, JET)]
+    return sp, pool
+
+
+def de_rham_cases(m, vertical: bool):
+    """The placements d meets on the monomial m (see suite_de_rham)."""
+    seen = set()
+    for g, e in m:
+        if g.fdeg or (vertical and g.role not in (FIBER, JET)):
+            continue
+        dg = g.space.differential(g, vertical=vertical)
+        if dg._sort < g._sort:
+            seen.add("left")
+        if any(g._sort < h._sort < dg._sort for h, _ in m):
+            seen.add("right past")
+        if e > 1:
+            seen.add("power")
+        if any(h is dg for h, _ in m):
+            seen.add("vanish" if dg.parity else "merge")
+        if vertical and any(h.role == VDIFF for h, _ in m) \
+                and any(h.role in (BASE_X, BASE_THETA) for h, _ in m):
+            seen.add("vertical tail")
+    return seen
+
+
+def suite_de_rham(cases: int = 1000, seed: int = 53):
+    """The closed-form de_rham and d_vertical against reference_de_rham on
+    seeded polynomials; the cases must hit a differential sorting left of
+    its coordinate, one moving right past other coordinates, a power, an
+    even differential already present (C dC^2 -> dC^3), an odd one already
+    present, and d_v on a jet term with a VDIFF tail and base factors."""
+    sp, pool = de_rham_pool()
+    rng = random.Random(seed)
+    seen = set()
+    for k in range(cases):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            terms[rand_canonical_monomial(rng, pool, max_len=6)] = rand_scalar(rng)
+        p = Poly(sp, terms)
+        for vertical, got in ((False, de_rham(p)), (True, d_vertical(p))):
+            assert got == reference_de_rham(p, vertical), f"de_rham({vertical}), case {k}"
+            assert_normal(got, "de_rham")
+            for m in p.terms:
+                seen |= de_rham_cases(m, vertical)
+    want = {"left", "right past", "power", "merge", "vanish", "vertical tail"}
+    assert seen == want, f"vacuous de_rham suite: cases {seen}"
 
 
 def reference_substitute(p: Poly, mapping) -> Poly:

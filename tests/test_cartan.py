@@ -79,6 +79,27 @@ class TestDifferential:
             assert d_vertical(d_vertical(p)).is_zero()
             assert (de_rham(d_vertical(p)) + d_vertical(de_rham(p))).is_zero()
 
+    def test_d_forms_no_monomial_product(self, ym_model, monkeypatch):
+        # d and d_v put each differential in its slot in closed form; routing
+        # them back through derive would multiply every image into its
+        # monomial with mono_mul, which the same counter sees in interior()
+        import gpde.algebra
+
+        calls = []
+        real = gpde.algebra.mono_mul
+
+        def mono_mul(m1, m2):
+            calls.append((m1, m2))
+            return real(m1, m2)
+
+        monkeypatch.setattr(gpde.algebra, "mono_mul", mono_mul)
+        chi = ym_model.chi
+        w, dv = de_rham(chi), d_vertical(chi)
+        assert not w.is_zero() and not dv.is_zero()
+        assert calls == []
+        interior(ym_model.q, w)
+        assert calls
+
 
 class TestVectorField:
     def test_apply_on_function(self, setup):

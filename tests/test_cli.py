@@ -319,6 +319,8 @@ def test_unknown_model_name(capsys):
     (["boundary", "maxwell_weak", "--kill", ""],
      "gpde: --kill expects comma separated base directions, got ''"),
     (["reduce", "toy_dim0", "--at", "u=1,u=2"], "gpde: coordinate 'u' given twice in --at"),
+    (["reduce", "toy_dim0", "--at", ","], "gpde: --at expects name=value pairs, got ','"),
+    (["reduce", "toy_dim0", "--at", ""], "gpde: --at expects name=value pairs, got ''"),
 ])
 def test_usage_errors_exit_2_with_one_line(argv, message, capsys):
     # exit code 1 is kept for a failed check; a usage error prints no report

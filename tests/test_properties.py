@@ -36,6 +36,10 @@ def test_mono_mul_oracle():
     pr.suite_mono_mul(CASES)
 
 
+def test_de_rham_oracle():
+    pr.suite_de_rham(CASES)
+
+
 def test_trusted_sums():
     pr.suite_trusted_sums(CASES)
 
