@@ -127,7 +127,6 @@ class Generator:
         "jet_I",
         "jet_J",
         "parity",
-        "_key",
         "_sort",
     )
 
@@ -143,8 +142,7 @@ class Generator:
         self.jet_J = jet_J
         self.parity = (gh + fdeg) & 1
         li = -1 if lie_index is None else lie_index
-        self._key = (role, name, base_index, li, jet_I, jet_J, fdeg)
-        self._sort = self._key
+        self._sort = (role, name, base_index, li, jet_I, jet_J, fdeg)
 
     @property
     def space(self) -> "Space":
@@ -408,30 +406,24 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def _degree(self, of, what: str) -> Optional[int]:
+        """The degree of(m) shared by every monomial, None when there is
+        none; raises DegreeError, "polynomial is not <what>", when they
+        differ."""
+        ds = {of(m) for m in self.terms}
+        if len(ds) > 1:
+            raise DegreeError(f"polynomial is not {what}")
+        return ds.pop() if ds else None
+
     def parity(self) -> Optional[int]:
         """Koszul parity if homogeneous, else raises DegreeError."""
-        ps = {mono_parity(m) for m in self.terms}
-        if not ps:
-            return None
-        if len(ps) > 1:
-            raise DegreeError("polynomial is not parity-homogeneous")
-        return ps.pop()
+        return self._degree(mono_parity, "parity-homogeneous")
 
     def fdeg(self) -> Optional[int]:
-        ds = {mono_fdeg(m) for m in self.terms}
-        if not ds:
-            return None
-        if len(ds) > 1:
-            raise DegreeError("polynomial is not form-degree homogeneous")
-        return ds.pop()
+        return self._degree(mono_fdeg, "form-degree homogeneous")
 
     def gh(self) -> Optional[int]:
-        gs = {mono_gh(m) for m in self.terms}
-        if not gs:
-            return None
-        if len(gs) > 1:
-            raise DegreeError("polynomial is not ghost-homogeneous")
-        return gs.pop()
+        return self._degree(mono_gh, "ghost-homogeneous")
 
     def constant_term(self) -> Scalar:
         return self.terms.get((), 0)
@@ -619,6 +611,27 @@ def derive(p: Poly, parity: int, image) -> Poly:
     return Poly._adopt(space, acc)
 
 
+def partials(p: Poly, column: Mapping[Generator, object]) -> dict:
+    """{column[g]: terms of the left partial derivative of p along g} for
+    the generators g in column, summed over those sharing a key, in one walk
+    over p's terms.  Removing one factor g is a derivation of the parity of
+    g, so it picks up the left-Leibniz sign of derive(), (-1)^(parity(g) *
+    parity of the monomial prefix), and g^e leaves e copies of g^(e-1)."""
+    acc: dict = {}
+    for m, c in p.terms.items():
+        prefix = 0
+        for idx, (g, e) in enumerate(m):
+            A = column.get(g)
+            if A is not None:
+                coeff = c * e if e > 1 else c
+                if prefix & g.parity:
+                    coeff = -coeff
+                rest = m[:idx] + ((g, e - 1),) if e > 1 else m[:idx]
+                accumulate(acc.setdefault(A, {}), ((rest + m[idx + 1:], coeff),))
+            prefix ^= g.parity & e
+    return acc
+
+
 def theta_split(p: Poly):
     """Each term of p as (J, rest, monomial, coefficient) with monomial the
     term's own and p == sum coefficient * theta^J * rest: J lists the base
@@ -747,40 +760,31 @@ class LieValued:
         return all(c.is_zero() for c in self.components)
 
 
+def _pairing(table, x: LieValued, y: LieValued) -> Poly:
+    """table_{bc} x^b y^c over a dim x dim coefficient table (an f plane, or
+    kappa), factors kept in the given order."""
+    space = None
+    acc: dict = {}
+    for b, row in enumerate(table):
+        for c, coef in enumerate(row):
+            if coef:
+                prod = x[b] * y[c]
+                space = _unify(space, prod.space)
+                accumulate(acc, ((m, coef * v) for m, v in prod.terms.items()))
+    return Poly._adopt(space, acc)
+
+
 def lie_bracket(x: LieValued, y: LieValued) -> LieValued:
     """[x, y]^a = f^a_{bc} x^b y^c.  Works for any parity of the entries;
     signs come from the graded product of the component polynomials."""
     x._check(y)
-    lie = x.lie
-    out = []
-    for a in range(lie.dim):
-        space = None
-        acc: dict = {}
-        for b in range(lie.dim):
-            for c in range(lie.dim):
-                coef = lie.f[a][b][c]
-                if coef:
-                    prod = x[b] * y[c]
-                    space = _unify(space, prod.space)
-                    accumulate(acc, ((m, coef * v) for m, v in prod.terms.items()))
-        out.append(Poly._adopt(space, acc))
-    return LieValued(lie, out)
+    return LieValued(x.lie, [_pairing(plane, x, y) for plane in x.lie.f])
 
 
 def trace_pair(x: LieValued, y: LieValued) -> Poly:
     """kappa(x, y) = kappa_{ab} x^a y^b, factors kept in the given order."""
     x._check(y)
-    lie = x.lie
-    space = None
-    acc: dict = {}
-    for a in range(lie.dim):
-        for b in range(lie.dim):
-            k = lie.kappa[a][b]
-            if k:
-                prod = x[a] * y[b]
-                space = _unify(space, prod.space)
-                accumulate(acc, ((m, k * v) for m, v in prod.terms.items()))
-    return Poly._adopt(space, acc)
+    return _pairing(x.lie.kappa, x, y)
 
 
 # background tensors ---------------------------------------------------

@@ -32,13 +32,7 @@ from .density import (  # noqa: F401
     ghost_sector,
 )
 from .jets import JetModel, check_bv_identities, check_descent
-from .model import (
-    Model,
-    NotExactError,
-    check_solution,
-    solve_hamiltonian,
-    standard_checks,
-)
+from .model import Model, check_solution, solve_hamiltonian, standard_checks
 from .parser import DslError, builtin_names, load_builtin, load_model
 from .printing import equations, gen_text, poly_latex, poly_text
 from .reduction import ReductionError, form_universe, reduce_form
@@ -91,12 +85,6 @@ def _parse_point(spec: str, candidates: Dict[str, Generator]) -> Dict[Generator,
     return point
 
 
-def _failed(name: str, e: GradedAlgebraError) -> CheckResult:
-    """A check that an error ended; a NotExactError counts its residual."""
-    residual = e.residual.num_terms() if isinstance(e, NotExactError) else 0
-    return CheckResult(name, False, residual_terms=residual, detail=str(e))
-
-
 def _render(value, poly):
     """A report output as text: a Poly through poly, survivor equations
     joined by '; ', anything else unchanged."""
@@ -119,8 +107,8 @@ def _run_hamiltonian(m: Model, args) -> Report:
     try:
         L = solve_hamiltonian(m)
     except GradedAlgebraError as e:
-        return rep.add(_failed("hamiltonian_exists", e))
-    rep.checks += [CheckResult("hamiltonian_exists", True)] + check_solution(m, L)
+        return rep.add(CheckResult.refused("hamiltonian_exists", e))
+    rep.checks += [CheckResult.of("hamiltonian_exists")] + check_solution(m, L)
     rep.outputs["hamiltonian"] = L
     return rep
 
@@ -139,7 +127,7 @@ def _run_bv_action(m: Model, args) -> Report:
     if args.ghost is not None:
         dens = ghost_sector(dens, args.ghost)
         rep.outputs["ghost"] = args.ghost
-    rep.add(CheckResult("bv_action", True, detail=f"{dens.num_terms()} terms"))
+    rep.add(CheckResult.of("bv_action", detail=f"{dens.num_terms()} terms"))
     rep.outputs["bv_action"] = dens
     return rep
 
@@ -147,7 +135,7 @@ def _run_bv_action(m: Model, args) -> Report:
 def _run_reduce(m: Model, args) -> Report:
     rep = Report(m.name)
     if m.chi is None:
-        rep.add(CheckResult("reduction", False, detail="model has no presymplectic potential"))
+        rep.add(CheckResult.refused("reduction", "model has no presymplectic potential"))
         return rep
     if m.n == 0:
         form = m.omega()
@@ -157,8 +145,7 @@ def _run_reduce(m: Model, args) -> Report:
         jm = JetModel(m)
         form = jm.vertical_top()
         if form.is_zero():
-            rep.add(CheckResult("reduction", False,
-                                detail="vertical two-form has no top component"))
+            rep.add(CheckResult.refused("reduction", "vertical two-form has no top component"))
             return rep
         universe = form_universe(form)
         s = jm.s
@@ -170,12 +157,10 @@ def _run_reduce(m: Model, args) -> Report:
     try:
         red = reduce_form(form, universe, point=point, s=s)
     except ReductionError as e:
-        rep.add(CheckResult("reduction", False, detail=str(e)))
-        return rep
-    split = red.split_residual()
-    rep.add(CheckResult("reduction", split.is_zero(), residual_terms=split.num_terms(),
-                        detail=f"kernel {len(red.kernel_vectors)}, "
-                               f"survivors {len(red.survivors)}"))
+        return rep.add(CheckResult.refused("reduction", e))
+    rep.add(CheckResult.of("reduction", red.split_residual(),
+                           detail=f"kernel {len(red.kernel_vectors)}, "
+                                  f"survivors {len(red.survivors)}"))
     rep.outputs["survivors"] = red.survivor_equations()
     rep.outputs["reduced"] = red.reduced_form
     return rep
@@ -201,7 +186,7 @@ def _run_boundary(m: Model, args) -> Report:
     try:
         rep.outputs["charge_integrand"] = br.jets.bv_top()
     except GradedAlgebraError as e:
-        rep.add(_failed("charge_integrand", e))
+        rep.add(CheckResult.refused("charge_integrand", e))
     return rep
 
 
@@ -285,7 +270,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         rep = _VERBS[args.verb](m, args)
     except GradedAlgebraError as e:
-        rep = Report(m.name).add(_failed(args.verb.replace("-", "_"), e))
+        rep = Report(m.name).add(CheckResult.refused(args.verb.replace("-", "_"), e))
     poly = poly_latex if args.format == "latex" else poly_text
     rep.outputs = {k: _render(v, poly) for k, v in rep.outputs.items()}
     if args.format == "json":

@@ -24,12 +24,12 @@ from .algebra import (
     Poly,
     Scalar,
     accumulate,
-    derive,
+    partials,
     qdiv,
 )
 from .cartan import VectorField
 from .jets import JetModel, theta_coefficients
-from .model import Model
+from .model import Model, base_q
 from .reduction import ReducedModel, form_universe, reduce_form
 from .report import CheckResult
 
@@ -135,14 +135,14 @@ def euler_lagrange(jm: JetModel, dens: Poly) -> Dict[Generator, Poly]:
     prolongations psi_{I|J} occur: the sum over I of (-1)^{|I|} D_I (left
     partial w.r.t. psi_{I|J}).  Keys come in canonical generator order."""
     out: Dict[Generator, dict] = {}
-    for g in dens.generators():
-        if g.role == JET:
-            u, I, J = jm.jet_of(g)
-            partial = derive(dens, g.parity, lambda h, g=g: 1 if h is g else None)
-            for a in I:
-                partial = jm.total_derivative(a).apply(partial)
-            accumulate(out.setdefault(jm.jet(u, (), J)[1], {}),
-                       (-partial if len(I) & 1 else partial).terms.items())
+    column = {g: g for g in dens.generators() if g.role == JET}
+    for g, terms in partials(dens, column).items():
+        u, I, J = jm.jet_of(g)
+        partial = Poly._adopt(dens.space, terms)
+        for a in I:
+            partial = jm.total_derivative(a).apply(partial)
+        accumulate(out.setdefault(jm.jet(u, (), J)[1], {}),
+                   (-partial if len(I) & 1 else partial).terms.items())
     return {g: Poly(dens.space, out[g]) for g in sorted(out, key=lambda g: g._sort) if out[g]}
 def el_equivalent(jm: JetModel, a: Poly, b: Poly) -> bool:
     return not euler_lagrange(jm, a - b)
@@ -191,10 +191,8 @@ def restrict_to_submanifold(m: Model, keep: Iterable[int]) -> Model:
     full = dict(ksub0)
     full.update({m.space.differential(g): Poly.zero() for g in ksub0})
 
-    coeffs: Dict[Generator, Poly] = {}
-    for a in keep:
-        coeffs[m.x[a]] = Poly.gen(m.theta[a])
-        coeffs[m.theta[a]] = Poly.zero()
+    x, theta = {a: m.x[a] for a in keep}, {a: m.theta[a] for a in keep}
+    coeffs = base_q(x, theta)
     for g in m.fiber_coords():
         coeffs[g] = m.q.coefficient(g).substitute(ksub0)
     q = VectorField(m.space, 1, coeffs=coeffs, name="Q|")
@@ -205,9 +203,7 @@ def restrict_to_submanifold(m: Model, keep: Iterable[int]) -> Model:
 
         tensors = BackgroundTensors([tensors.diag[m.base_indices.index(a)] for a in keep])
     return Model(m.space, f"{m.name}_on_{''.join(map(str, keep))}",
-                 len(keep), keep,
-                 {a: m.x[a] for a in keep}, {a: m.theta[a] for a in keep},
-                 m.fibers, q, chi, m.lies, tensors, m.weak)
+                 len(keep), keep, x, theta, m.fibers, q, chi, m.lies, tensors, m.weak)
 
 
 def tangency_residuals(m: Model, keep: Iterable[int]) -> Dict[Generator, Poly]:
@@ -241,17 +237,13 @@ def boundary_reduction(m: Model, kill: Iterable[int]) -> BoundaryReduction:
     if absent:
         raise GradedAlgebraError(f"cannot kill absent base directions {absent}")
     keep = [a for a in m.base_indices if a not in kill]
-    checks = []
-    tang = tangency_residuals(m, keep)
-    bad = sum(p.num_terms() for p in tang.values())
-    checks.append(CheckResult("tangency", bad == 0, residual_terms=bad))
+    checks = [CheckResult.of("tangency", *tangency_residuals(m, keep).values())]
     mr = restrict_to_submanifold(m, keep)
     jr = JetModel(mr)
     top = jr.vertical_top()
     if top.is_zero():
         raise GradedAlgebraError("boundary two-form has no top theta component")
     reduced = reduce_form(top, form_universe(top), s=jr.s)
-    split = reduced.split_residual()
-    checks.append(CheckResult("kernel_split", split.is_zero(), residual_terms=split.num_terms(),
-                              detail=f"kernel dimension {len(reduced.kernel_vectors)}"))
+    checks.append(CheckResult.of("kernel_split", reduced.split_residual(),
+                                 detail=f"kernel dimension {len(reduced.kernel_vectors)}"))
     return BoundaryReduction(mr, jr, reduced, checks)

@@ -537,18 +537,11 @@ class JetModel:
 # identity checks -----------------------------------------------------------
 
 
-def _split_result(name: str, levels: dict) -> CheckResult:
-    """The verdict reads the whole residual, given in level form: its terms
-    are those of all levels, since theta^J keeps distinct monomials apart."""
-    total = sum(len(t) for t in levels.values())
-    return CheckResult(name, not total, residual_terms=total)
-
-
-def check_descent(jm: JetModel) -> List[CheckResult]:
-    """The descent tower: L_s keeps the theta level of the vertical
-    pulled-back two-form and L_D raises it by one, so the residual of
-    degree k is L_s omega_k + L_D omega_{k-1}, read off the levels J with
-    |J| = k of (L_s + L_D) omega; the two contributions must cancel.
+def descent_residuals(jm: JetModel) -> dict:
+    """The levels {J: terms} of (L_s + L_D) omega on the vertical pulled-back
+    two-form omega.  L_s keeps the theta level and L_D raises it by one, so
+    the levels with |J| = k hold the descent residual of degree k,
+    L_s omega_k + L_D omega_{k-1}: the two contributions must cancel.
 
     Both Lie derivatives come from Cartan's formula on a closed form.  On
     vertical forms L_s = [i_s, d_v] = i_s d_v - d_v i_s, and each level of
@@ -557,19 +550,24 @@ def check_descent(jm: JetModel) -> List[CheckResult]:
     -d_v D chi (the minus from D passing d_v).  The residual is therefore
     -d_v(i_s omega + D chi), level by level, from the two cached level
     forms; the hamiltonian is not needed."""
-    res = jm.levelwise(_level_sum(jm.i_s_omegabar_levels(), jm.total_chibar_levels()),
-                       lambda p: -d_vertical(p), odd=True)
-    by_degree: Dict[int, dict] = {}
-    for J, t in res.items():
-        by_degree.setdefault(len(J), {})[J] = t
-    return [_split_result(f"descent_theta_{k}", by_degree.get(k, {}))
+    return jm.levelwise(_level_sum(jm.i_s_omegabar_levels(), jm.total_chibar_levels()),
+                        lambda p: -d_vertical(p), odd=True)
+
+
+def check_descent(jm: JetModel) -> List[CheckResult]:
+    """The descent tower: one verdict per theta degree k of
+    descent_residuals."""
+    by_degree: Dict[int, list] = {}
+    for J, t in descent_residuals(jm).items():
+        by_degree.setdefault(len(J), []).append(t)
+    return [CheckResult.of(f"descent_theta_{k}", *by_degree.get(k, ()))
             for k in range(jm.parent.n + 2)]
 
 
-def check_bv_identities(jm: JetModel) -> List[CheckResult]:
-    """Two master identities tying the vertical two-form, the pulled-back
-    potential and the BV scalar i_D chibar + lbar together, each residual a
-    sum over theta levels: i_s keeps the level with no sign, d_v with
+def master_residuals(jm: JetModel) -> Dict[str, dict]:
+    """The levels of the two master identities tying the vertical two-form,
+    the pulled-back potential and the BV scalar i_D chibar + lbar together,
+    by check name: i_s keeps the level with no sign, d_v passes it with
     (-1)^{|J|}, and D moves level J to J + a for the free directions a.
     i_s kills base differentials, so i_s i_s of the vertical two-form is
     that of omegabar; its half is read by one substitution per level."""
@@ -578,8 +576,13 @@ def check_bv_identities(jm: JetModel) -> List[CheckResult]:
                     jm.total_chibar_levels())
     r2 = _level_sum(jm.half_i_s_i_s_levels(),
                     {J: _negated(t) for J, t in jm.total_levels(scalar).items()})
-    return [_split_result("master_vertical", r1),
-            _split_result("master_scalar", r2)]
+    return {"master_vertical": r1, "master_scalar": r2}
+
+
+def check_bv_identities(jm: JetModel) -> List[CheckResult]:
+    """One verdict per master identity of master_residuals."""
+    return [CheckResult.of(name, *levels.values())
+            for name, levels in master_residuals(jm).items()]
 
 
 def bv_lagrangian(jm: JetModel) -> Poly:

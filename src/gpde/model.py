@@ -182,6 +182,15 @@ class Model:
                                 for a, x in self.x.items()}})
 
 
+def base_q(x: Dict[int, Generator], theta: Dict[int, Generator]) -> Dict[Generator, Poly]:
+    """The canonical odd vector field of the base: x^a -> theta^a, theta^a -> 0."""
+    out = {}
+    for a, g in x.items():
+        out[g] = Poly.gen(theta[a])
+        out[theta[a]] = Poly.zero()
+    return out
+
+
 def build_base(space: Space, base_indices) -> Tuple[Dict[int, Generator], Dict[int, Generator]]:
     xs, ths = {}, {}
     for a in base_indices:
@@ -263,10 +272,7 @@ class ModelBuilder:
         return self
 
     def build(self) -> Model:
-        coeffs: Dict[Generator, Poly] = {}
-        for a in self.base_indices:
-            coeffs[self.x[a]] = Poly.gen(self.theta[a])
-            coeffs[self.theta[a]] = Poly.zero()
+        coeffs = base_q(self.x, self.theta)
         for fam in self.fibers.values():
             for g in fam.coords():
                 coeffs[g] = Poly.zero()
@@ -284,12 +290,8 @@ class ModelBuilder:
 def check_projection(m: Model) -> CheckResult:
     """Q must cover the canonical odd vector field of the base:
     Q(x^a) = theta^a and Q(theta^a) = 0."""
-    bad = 0
-    for a in m.base_indices:
-        r1 = m.q.coefficient(m.x[a]) - Poly.gen(m.theta[a])
-        r2 = m.q.coefficient(m.theta[a])
-        bad += r1.num_terms() + r2.num_terms()
-    return CheckResult("projection", bad == 0, residual_terms=bad)
+    return CheckResult.of("projection", *(m.q.coefficient(g) - q
+                                          for g, q in base_q(m.x, m.theta).items()))
 
 
 def q_square(m: Model) -> Dict[Generator, Poly]:
@@ -306,15 +308,16 @@ def q_square(m: Model) -> Dict[Generator, Poly]:
 
 def check_nilpotency(m: Model) -> CheckResult:
     sq = q_square(m)
-    bad = sum(p.num_terms() for p in sq.values())
+    if not m.weak:
+        return CheckResult.of("nilpotency", *sq.values())
+    # PASS by definition on a weak model; the detail lists where Q^2 is nonzero
     nonzero = [g for g, p in sq.items() if not p.is_zero()]
-    if m.weak:
-        detail = "weak model, nilpotency not required"
-        if nonzero:
-            from .printing import gen_text
-            detail += "; nonzero on " + ", ".join(sorted(gen_text(g) for g in nonzero))
-        return CheckResult("nilpotency_pattern", True, residual_terms=bad, detail=detail)
-    return CheckResult("nilpotency", bad == 0, residual_terms=bad)
+    detail = "weak model, nilpotency not required"
+    if nonzero:
+        from .printing import gen_text
+        detail += "; nonzero on " + ", ".join(sorted(gen_text(g) for g in nonzero))
+    return CheckResult("nilpotency_pattern", True,
+                       residual_terms=sum(p.num_terms() for p in sq.values()), detail=detail)
 
 
 def presymplectic_residuals(m: Model) -> Dict[str, Poly]:
@@ -333,15 +336,13 @@ def check_presymplectic(m: Model) -> List[CheckResult]:
     form.  omega = d chi is closed by construction, so the closedness
     residual is read for the record and is empty; the other three FAIL
     with the reason on a Q that does not project to the base."""
-    r_closed = de_rham(m.omega())
-    results = [CheckResult("closed", r_closed.is_zero(), residual_terms=r_closed.num_terms())]
+    results = [CheckResult.of("closed", de_rham(m.omega()))]
     try:
         residuals = presymplectic_residuals(m)
     except GradedAlgebraError as e:
-        return results + [CheckResult(name, False, detail=str(e)) for name in
+        return results + [CheckResult.refused(name, e) for name in
                           ("q_invariance", "double_contraction", "hamiltonian_obstruction")]
-    return results + [CheckResult(name, r.is_zero(), residual_terms=r.num_terms())
-                      for name, r in residuals.items()]
+    return results + [CheckResult.of(name, r) for name, r in residuals.items()]
 
 
 def fiber_euler_field(m: Model) -> VectorField:
@@ -376,12 +377,8 @@ def solve_hamiltonian(m: Model) -> Poly:
 
 
 def check_solution(m: Model, L: Poly) -> List[CheckResult]:
-    res = m.ideal_reduce(m.iq_omega() + de_rham(L))
-    out = [CheckResult("hamiltonian_relation", res.is_zero(), residual_terms=res.num_terms())]
-    ql = m.q.apply(L)
-    out.append(CheckResult("q_annihilates_hamiltonian", ql.is_zero(),
-                           residual_terms=ql.num_terms()))
-    return out
+    return [CheckResult.of("hamiltonian_relation", m.ideal_reduce(m.iq_omega() + de_rham(L))),
+            CheckResult.of("q_annihilates_hamiltonian", m.q.apply(L))]
 
 
 def standard_checks(m: Model) -> List[CheckResult]:

@@ -42,7 +42,7 @@ from .algebra import (
     trace_pair,
 )
 from .cartan import de_rham
-from .model import Model, ModelBuilder, check_potential
+from .model import Model, ModelBuilder, base_q, check_potential
 
 RESERVED = {"x", "theta", "d", "Tr", "eps", "eta", "inveta", "diag",
             "base", "metric", "lie", "coord", "Q", "chi", "weak",
@@ -715,7 +715,10 @@ class ModelParser:
             st = self.expect("name")
             if st.value == "dim":
                 self.expect("=")
+                span = self.peek().span
                 dim = self.expect_int()
+                if dim < 1:
+                    raise _error("lie dimension must be at least 1", span)
                 self.expect(";")
             elif st.value == "f":
                 idx = []
@@ -830,12 +833,10 @@ class ModelParser:
                 if isinstance(value, LieValued):
                     raise _error("base coordinates take scalar Q-rules", span)
                 g = comps[0][1]
-                a = g.base_index[0]
-                canonical = Poly.gen(b.theta[a]) if name == "x" else Poly.zero()
-                if value == canonical:
+                if value == base_q(b.x, b.theta)[g]:
                     continue
                 self.diags.append(Diagnostic(
-                    "warning", f"Q-rule for {name}[{a}] overrides the canonical "
+                    "warning", f"Q-rule for {name}[{g.base_index[0]}] overrides the canonical "
                     f"base differential", span))
                 self.store_q(g, value, span)
                 continue

@@ -32,6 +32,7 @@ from .algebra import (
     Poly,
     Scalar,
     accumulate,
+    partials,
     qdiv,
     rational,
 )
@@ -152,26 +153,6 @@ def form_universe(form: Poly) -> List[Generator]:
                    if g.fdeg == 1}, key=lambda g: g._sort)
 
 
-def _factor_derivatives(p: Poly, column: Dict[Generator, int]) -> Dict[int, dict]:
-    """The terms of the derivation that removes one factor g of p, for each
-    column A = column[g]: it has the parity of g, so it picks up the
-    left-Leibniz sign of derive(), (-1)^(parity(g) * parity of the monomial
-    prefix), and g^e leaves e copies of g^(e-1).  One walk over p's terms."""
-    acc: Dict[int, dict] = {}
-    for m, c in p.terms.items():
-        prefix = 0
-        for idx, (g, e) in enumerate(m):
-            A = column.get(g)
-            if A is not None:
-                coeff = c * e if e > 1 else c
-                if prefix & g.parity:
-                    coeff = -coeff
-                rest = m[:idx] + ((g, e - 1),) if e > 1 else m[:idx]
-                accumulate(acc.setdefault(A, {}), ((rest + m[idx + 1:], coeff),))
-            prefix ^= g.parity & e
-    return acc
-
-
 class PresymplecticMatrix:
     """Contractions of a two-form along the unit field of each universe
     coordinate.  A constant vector K is in the kernel of the form exactly
@@ -179,7 +160,7 @@ class PresymplecticMatrix:
 
     Contracting the unit field of u^A removes a differential of u^A
     (horizontal or vertical), so all columns come from one walk over the
-    form's terms (see _factor_derivatives)."""
+    form's terms (see algebra.partials)."""
 
     def __init__(self, form: Poly, universe: Sequence[Generator]):
         self.universe = list(universe)
@@ -187,7 +168,7 @@ class PresymplecticMatrix:
         index = {g: A for A, g in enumerate(self.universe)}
         column = {g: index[space.coordinate_of(g)] for g in form.generators()
                   if g.fdeg and space.coordinate_of(g) in index}
-        acc = _factor_derivatives(form, column)
+        acc = partials(form, column)
         self.columns = [Poly(space, acc.get(A, {})) for A in range(len(self.universe))]
 
     def is_constant(self) -> bool:
@@ -386,12 +367,12 @@ def reduce_form(form: Poly, universe: Sequence[Generator],
         # from the partials along the coordinates the kernel moves
         moved = {universe[A]: A for vec in kernel for A in vec}
         for expr in images.values():
-            partials = _factor_derivatives(expr, moved)
-            for vec in kernel if partials else ():
+            by_column = partials(expr, moved)
+            for vec in kernel if by_column else ():
                 along: dict = {}
-                for A in partials.keys() & vec.keys():
+                for A in by_column.keys() & vec.keys():
                     k = vec[A]
-                    accumulate(along, ((m, k * c) for m, c in partials[A].items()))
+                    accumulate(along, ((m, k * c) for m, c in by_column[A].items()))
                 if along:
                     raise ReductionError(
                         "the evolutionary field does not descend: "

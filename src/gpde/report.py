@@ -1,10 +1,15 @@
-"""Check results and report rendering (text, JSON, LaTeX)."""
+"""Check results and report rendering (text, JSON, LaTeX).
+
+Every verdict is made here: a check hands over the residuals that must
+vanish (CheckResult.of), or the error that ended it (CheckResult.refused)."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 from typing import Dict, List
+
+from .algebra import Poly
 
 
 @dataclass
@@ -13,6 +18,22 @@ class CheckResult:
     passed: bool
     residual_terms: int = 0
     detail: str = ""
+
+    @classmethod
+    def of(cls, name: str, *residuals, detail: str = "") -> "CheckResult":
+        """PASS exactly when every residual is empty, residual_terms their
+        total term count.  A residual is a Poly or the terms dict of one
+        theta level; levels keep distinct monomials apart, so the terms of
+        a level form are those of all its levels."""
+        terms = sum(len(r.terms if isinstance(r, Poly) else r) for r in residuals)
+        return cls(name, not terms, terms, detail)
+
+    @classmethod
+    def refused(cls, name: str, error) -> "CheckResult":
+        """A FAIL for the check that an error, or a message, ended; an error
+        that carries a residual (NotExactError) counts its terms."""
+        residual = getattr(error, "residual", None)
+        return cls(name, False, 0 if residual is None else residual.num_terms(), str(error))
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"

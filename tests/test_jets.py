@@ -8,16 +8,18 @@ from gpde.density import restrict_to_submanifold
 from gpde.jets import (
     HORIZONTAL,
     JetModel,
-    _split_result,
     bv_lagrangian,
     check_bv_identities,
     check_descent,
+    descent_residuals,
+    master_residuals,
     theta_coefficients,
     vertical_lie,
 )
 from gpde.cli import main
 from gpde.model import ModelBuilder, NotExactError, solve_hamiltonian
 from gpde.parser import load_builtin, parse_model
+from gpde.report import CheckResult
 from properties import (
     assemble_levels,
     broken_ym_source,
@@ -240,6 +242,10 @@ class TestDescentAndMasters:
         for r in check_bv_identities(jet_maxwell):
             assert r.passed and r.residual_terms == 0, r.name
 
+    def test_master_residuals_vanish_on_ym_weak(self):
+        jm = JetModel(load_builtin("ym_weak"))
+        assert master_residuals(jm) == {"master_vertical": {}, "master_scalar": {}}
+
     def test_bv_lagrangian_structure(self, jet_maxwell):
         jm = jet_maxwell
         dens = bv_lagrangian(jm)
@@ -324,7 +330,7 @@ class TestVerticalFirst:
         # a single first-derivative jet is the whole residual: no PASS
         jm = JetModel(maxwell_model)
         _, g = jm.jet(maxwell_model.fibers["C"].gen(li=0), (0,), ())
-        r = _split_result("one_jet", {(): Poly.gen(g).terms})
+        r = CheckResult.of("one_jet", Poly.gen(g).terms)
         assert not r.passed
         assert r.residual_terms == 1
 
@@ -664,6 +670,12 @@ def test_broken_model_fails_descent_and_master_identities(broken_ym, tmp_path, c
     assert "[FAIL] bv_identities residual_terms=54  (" in capsys.readouterr().out
 
 
+def test_broken_model_descent_residuals_at_degree_2(broken_ym):
+    # the 36 terms that `gpde descent` prints for descent_theta_2
+    res = descent_residuals(JetModel(broken_ym))
+    assert sum(len(t) for J, t in res.items() if len(J) == 2) == 36
+
+
 class TestCartanDescent:
     """The descent tower read off Cartan's formula: d_v omega = 0 level by
     level, so L_s omega = -d_v i_s omega, and L_D omega = -d_v D chi_v,
@@ -681,20 +693,11 @@ class TestCartanDescent:
     def test_half_double_contraction_broken_model(self, broken_ym):
         assert check_half_double_contraction(JetModel(broken_ym)) > 0
 
-    def test_descent_residual_is_the_whole_form_lie_derivative(self, broken_ym, monkeypatch):
+    def test_descent_residual_is_the_whole_form_lie_derivative(self, broken_ym):
         # the residual levels themselves, not only their counts: the level
         # J residual is the theta^J coefficient of (L_s + L_D) omega
-        import gpde.jets as jets
-
         jm = JetModel(broken_ym)
-        read, real = {}, jets._split_result
-
-        def split_result(name, levels):
-            read.update(levels)
-            return real(name, levels)
-
-        monkeypatch.setattr(jets, "_split_result", split_result)
-        check_descent(jm)
+        read = descent_residuals(jm)
         om = assemble_levels(jm, jm.vertical_omegabar_levels())
         want = theta_coefficients(vertical_lie(jm.s, om) + vertical_lie(jm.D, om))
         assert want and set(read) == set(want)

@@ -19,6 +19,7 @@ from gpde.model import (
     standard_checks,
 )
 from gpde.parser import parse_model
+from gpde.report import CheckResult
 
 from conftest import build_maxwell
 from properties import broken_ym_source, non_projecting_ym_source, reference_presymplectic
@@ -392,3 +393,31 @@ class TestHamiltonian:
             "double_contraction", "hamiltonian_obstruction",
         ]
         assert all(r.passed for r in out)
+
+
+class TestVerdicts:
+    """CheckResult.of and CheckResult.refused, which make every verdict."""
+
+    def test_of_a_poly(self, maxwell_model):
+        x = Poly.gen(maxwell_model.x[0])
+        assert CheckResult.of("r", x * x + 3, detail="d") == CheckResult("r", False, 2, "d")
+        assert CheckResult.of("r", x - x) == CheckResult("r", True, 0, "")
+
+    def test_of_level_dicts(self, maxwell_model):
+        x = Poly.gen(maxwell_model.x[0])
+        levels = {(): (x * x).terms, (0,): (x + 1).terms}
+        assert CheckResult.of("r", *levels.values()) == CheckResult("r", False, 3, "")
+        assert CheckResult.of("r", {}, {}) == CheckResult("r", True, 0, "")
+
+    def test_of_no_residual(self):
+        assert CheckResult.of("r", detail="d") == CheckResult("r", True, 0, "d")
+
+    def test_refused(self):
+        assert CheckResult.refused("r", GradedAlgebraError("no chi")) == \
+            CheckResult("r", False, 0, "no chi")
+        assert CheckResult.refused("r", "no top") == CheckResult("r", False, 0, "no top")
+
+    def test_refused_counts_a_not_exact_residual(self, maxwell_model):
+        res = Poly.gen(maxwell_model.x[0]) + Poly.gen(maxwell_model.x[1])
+        assert CheckResult.refused("r", NotExactError("not exact", res)) == \
+            CheckResult("r", False, 2, "not exact")

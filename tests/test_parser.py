@@ -102,13 +102,13 @@ def model_structure(m):
     """Everything model_to_source prints, with generators by structural key,
     so that models of two spaces compare."""
     def terms(p):
-        return {tuple((g._key, e) for g, e in mono): c for mono, c in p.terms.items()}
+        return {tuple((g._sort, e) for g, e in mono): c for mono, c in p.terms.items()}
 
     return (m.n, m.weak, None if m.tensors is None else tuple(m.tensors.diag),
             {k: (lie.dim, lie.f, lie.kappa) for k, lie in m.lies.items()},
             [(fam.name, fam.gh, fam.slots, fam.antisym, fam.lie and fam.lie.name)
              for fam in m.fibers.values()],
-            {g._key: terms(m.q.coefficient(g)) for g in m.fiber_coords()},
+            {g._sort: terms(m.q.coefficient(g)) for g in m.fiber_coords()},
             None if m.chi is None else terms(m.chi))
 
 
@@ -490,10 +490,15 @@ def test_semicolon_inside_theta_ends_no_statement():
     assert [d.message for d in diags] == ["expected ')', found ';'", "unknown declaration 'foo'"]
 
 
-def test_zero_dimensional_lie_algebra_roundtrip():
-    src = model_to_source(parse_model("base dim = 0;\nlie g { dim = 0; }\ncoord u : gh = 0;\n"))
-    assert "kappa = diag();" in src
-    assert model_to_source(parse_model(src, name="model")) == src
+@pytest.mark.parametrize("dim", ["0", "-1"])
+def test_lie_dimension_below_one_is_refused(dim):
+    # at the dim value: -1 got "kappa diagonal length does not match dim",
+    # and 0 was accepted
+    bad = f"base dim = 0;\nlie g {{ dim = {dim}; }}\ncoord u : gh = 0;\n"
+    model, diags = parse_with_diagnostics(bad)
+    assert model is None
+    assert [d.message for d in diags] == ["lie dimension must be at least 1"]
+    assert bad.splitlines()[1][diags[0].span.col - 1:].startswith(dim)
 
 
 def _builtin_token_texts():
