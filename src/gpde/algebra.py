@@ -672,6 +672,8 @@ class LieAlgebraData:
 
     def validate(self):
         d = self.dim
+        if d < 1:
+            raise GradedAlgebraError("lie dimension must be at least 1")
         f, k = self.f, self.kappa
         for a in range(d):
             for b in range(d):

@@ -138,17 +138,14 @@ def _run_reduce(m: Model, args) -> Report:
         rep.add(CheckResult.refused("reduction", "model has no presymplectic potential"))
         return rep
     if m.n == 0:
-        form = m.omega()
-        universe = m.fiber_coords()
-        s = m.q
+        form, universe, s = m.omega(), m.fiber_coords(), m.q
     else:
         jm = JetModel(m)
         form = jm.vertical_top()
-        if form.is_zero():
-            rep.add(CheckResult.refused("reduction", "vertical two-form has no top component"))
-            return rep
-        universe = form_universe(form)
-        s = jm.s
+        universe, s = form_universe(form), jm.s
+    if form.is_zero():
+        return rep.add(CheckResult.refused("reduction", "vertical two-form has no top component"
+                                           if m.n else "presymplectic two-form is zero"))
     point = None
     if args.at is not None:
         names = {gen_text(g): g for mono in form.terms for g, _ in mono if g.fdeg == 0}

@@ -213,6 +213,8 @@ class ModelBuilder:
     """Incremental construction with validation at build time."""
 
     def __init__(self, name: str, n: int):
+        if n < 0:
+            raise GradedAlgebraError("base dimension must be >= 0")
         self.name = name
         self.n = n
         self.space = Space(name)

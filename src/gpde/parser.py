@@ -20,12 +20,17 @@ coordinate, on either side of a Q-rule.  A denominator must expand to
 constant terms only; their sum is the divisor, and a zero sum is an error.
 An index variable (any name in index position) repeated in an additive term is
 summed over the base range; one appearing once must be bound by the left side.
+A comment runs from `#` or `//` to the end of the line.  An int literal is
+ASCII digits, a name starts with a letter or `_` and goes on with Unicode word
+characters, and any other character is one diagnostic.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Tuple
+import os
+import re
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .algebra import (
     DegreeError,
@@ -65,13 +70,11 @@ class Span:
         return f"{self.source}:{self.line}:{self.col}"
 
 
-class Diagnostic:
-    def __init__(self, severity: str, message: str, span: Optional[Span],
-                 hint: Optional[str] = None):
-        self.severity = severity
-        self.message = message
-        self.span = span
-        self.hint = hint
+class Diagnostic(NamedTuple):
+    severity: str
+    message: str
+    span: Optional[Span]
+    hint: Optional[str] = None
 
     def __str__(self):
         loc = f"{self.span}: " if self.span else ""
@@ -103,58 +106,42 @@ class Token:
         self.value = value
         self.span = span
 
-    def __repr__(self):
-        return f"Token({self.kind}, {self.value!r})"
+
+# blanks and a comment, then a newline, an int literal, a word, another character or the end
+_TOKEN = re.compile(r"([ \t\r]*(?:(?:#|//)[^\n]*)?)(?:(\n)|([0-9]+)|(\w+)|(.)|\Z)", re.S)
 
 
 def tokenize(text: str, source: str, diags: List[Diagnostic]) -> List[Token]:
-    """Tokens of text, ending in an eof token.  An int literal is a run of
-    ASCII digits.  An unexpected character is reported in diags and skipped."""
+    """Tokens of text and an eof token; each unexpected character goes to diags."""
     toks = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#" or text[i:i + 2] == "//":
-            j = text.find("\n", i)
-            j = n if j < 0 else j
-            col += j - i
-            i = j
-            continue
-        span = Span(source, line, col)
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            toks.append(Token("int", int(text[i:j]), span))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("name", text[i:j], span))
-            col += j - i
-            i = j
-            continue
-        if ch in PUNCT:
-            toks.append(Token(ch, ch, span))
-        else:
-            diags.append(Diagnostic("error", f"unexpected character {ch!r}", span))
-        i += 1
-        col += 1
+    line, line_start, start = 1, 0, 0
+    while start is not None:   # scanned again only after a word that starts badly
+        i, start = start, None
+        for blank, newline, number, word, other in _TOKEN.findall(text, i):
+            i += len(blank)
+            if newline:
+                i += 1
+                line, line_start = line + 1, i
+                continue
+            span = Span(source, line, i - line_start + 1)
+            if other:
+                i += 1
+                if other in PUNCT:
+                    toks.append(Token(other, other, span))
+                else:
+                    diags.append(Diagnostic("error", f"unexpected character {other!r}", span))
+            elif word:
+                if not (word[0].isalpha() or word[0] == "_"):
+                    diags.append(Diagnostic("error", f"unexpected character {word[0]!r}", span))
+                    start = i + 1
+                    break
+                i += len(word)
+                toks.append(Token("name", word, span))
+            elif number:
+                i += len(number)
+                toks.append(Token("int", int(number), span))
     # the value is what a diagnostic prints as the found token
-    toks.append(Token("eof", "end of file", Span(source, line, col)))
+    toks.append(Token("eof", "end of file", Span(source, line, i - line_start + 1)))
     return toks
 
 
@@ -265,19 +252,14 @@ class Evaluator:
                                  f"bound by the left-hand side", node[-1],
                                  hint="repeated variables are summed")
                 dummies.append(v)
-            total = self._sum_assignments(coeff, factors, dict(bound), dummies, total,
-                                          node[-1])
+            env = dict(bound)
+            # the first dummy varies slowest; most terms have none to bind
+            for values in itertools.product(self.b.base_indices, repeat=len(dummies)):
+                if dummies:
+                    env.update(zip(dummies, values))
+                total = self._add(total, self.eval_term(coeff, factors, env, in_tr=False),
+                                  node[-1])
         return total if total is not None else Poly.zero()
-
-    def _sum_assignments(self, coeff, factors, env, dummies, total, span):
-        if not dummies:
-            return self._add(total, self.eval_term(coeff, factors, env, in_tr=False), span)
-        head, rest = dummies[0], dummies[1:]
-        for a in self.b.base_indices:
-            env[head] = a
-            total = self._sum_assignments(coeff, factors, env, rest, total, span)
-        env.pop(head, None)   # a base of dimension 0 assigns nothing
-        return total
 
     def argument_value(self, node, env, in_tr=False):
         """Value of a bracket, d(...) or Tr(...) argument, whose index
@@ -464,25 +446,19 @@ class ModelParser:
         self.pos += 1
         return t
 
-    def expect(self, kind) -> Token:
+    def expect(self, kind, word=None) -> Token:
+        """The next token, which must be of the kind and, given a word, be it."""
         t = self.next()
-        if t.kind != kind:
-            raise _error(f"expected {kind!r}, found {t.value!r}", t.span)
-        return t
-
-    def expect_name(self, word) -> Token:
-        t = self.next()
-        if t.kind != "name" or t.value != word:
-            raise _error(f"expected {word!r}, found {t.value!r}", t.span)
+        if t.kind != kind or word is not None and t.value != word:
+            raise _error(f"expected {word or kind!r}, found {t.value!r}", t.span)
         return t
 
     def expect_int(self) -> int:
-        neg = False
-        if self.peek().kind == "-":
+        neg = self.peek().kind == "-"
+        if neg:
             self.next()
-            neg = True
-        t = self.expect("int")
-        return -t.value if neg else t.value
+        value = self.expect("int").value
+        return -value if neg else value
 
     def expect_rational(self) -> Scalar:
         v = self.expect_int()
@@ -675,19 +651,20 @@ class ModelParser:
 
     def stmt_base(self):
         t = self.next()
-        self.expect_name("dim")
+        self.expect("name", "dim")
         self.expect("=")
         n = self.expect_int()
         self.expect(";")
         if self.builder is not None:
             raise _error("base dimension declared twice", t.span)
-        if n < 0:
-            raise _error("base dimension must be >= 0", t.span)
-        self.builder = ModelBuilder(self.name, n)
+        try:
+            self.builder = ModelBuilder(self.name, n)
+        except GradedAlgebraError as e:
+            raise _error(str(e), t.span)
         self.evaluator = Evaluator(self.builder)
 
     def parse_diag(self) -> List[Scalar]:
-        self.expect_name("diag")
+        self.expect("name", "diag")
         self.expect("(")
         return self.comma_list(self.expect_rational, ")")
 
@@ -790,7 +767,7 @@ class ModelParser:
             if len(set(slots)) != len(slots):
                 raise _error("index slots must use distinct variables", name_tok.span)
         self.expect(":")
-        self.expect_name("gh")
+        self.expect("name", "gh")
         self.expect("=")
         gh = self.expect_int()
         antisym = False
@@ -853,15 +830,11 @@ class ModelParser:
                     raise _error(f"Q-rule for {name!r} must be {lie.name}-valued", span)
                 values = value.components
             for (sign, g), v in zip(comps, values):
-                self.assign_component(sign, g, v, span)
-
-    def assign_component(self, sign, g, value: Poly, span):
-        if sign == 0:
-            if not value.is_zero():
-                raise _error("nonzero Q-rule on a vanishing antisymmetric component",
-                             span)
-            return
-        self.store_q(g, value if sign == 1 else -value, span)
+                if sign != 0:
+                    self.store_q(g, v if sign == 1 else -v, span)
+                elif not v.is_zero():
+                    raise _error("nonzero Q-rule on a vanishing antisymmetric component",
+                                 span)
 
     def store_q(self, g: Generator, value: Poly, span):
         prev = self._q_values.get(g)
@@ -926,8 +899,6 @@ def parse_model(text: str, name: str = "model", source: str = "<string>") -> Mod
 def load_model(path) -> Model:
     """Parse a model file.  A file that cannot be read, or is not UTF-8
     text, gives a DslError whose diagnostic names only the file."""
-    import os
-
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -941,23 +912,21 @@ def load_model(path) -> Model:
     return parse_model(text, name=stem, source=str(path))
 
 
-def load_builtin(name: str) -> Model:
-    """Load one of the packaged model files by stem name."""
+def _models():
+    """The directory of the packaged model files."""
     from importlib import resources
 
-    ref = resources.files(__package__).joinpath("models").joinpath(f"{name}.gpde")
-    text = ref.read_text(encoding="utf-8")
+    return resources.files(__package__) / "models"
+
+
+def load_builtin(name: str) -> Model:
+    """Load one of the packaged model files by stem name."""
+    text = (_models() / f"{name}.gpde").read_text(encoding="utf-8")
     return parse_model(text, name=name, source=f"models/{name}.gpde")
 
 
 def builtin_names() -> List[str]:
-    from importlib import resources
-
-    out = []
-    for entry in resources.files(__package__).joinpath("models").iterdir():
-        if entry.name.endswith(".gpde"):
-            out.append(entry.name[:-5])
-    return sorted(out)
+    return sorted(e.name[:-5] for e in _models().iterdir() if e.name.endswith(".gpde"))
 
 
 # canonical printing ---------------------------------------------------------

@@ -187,6 +187,60 @@ def test_descent_and_identities_maxwell(capsys):
     assert "master_vertical" in out and "master_scalar" in out
 
 
+def test_descent_alone_passes_every_level_on_ym(capsys):
+    # descent builds i_s of the vertical two-form without the master identities
+    rc, out, err = run(["descent", "ym_weak"], capsys)
+    assert (rc, err) == (0, "")
+    assert [ln for ln in out.splitlines() if ln.startswith("[")] == [
+        f"[PASS] descent_theta_{k} residual_terms=0" for k in range(6)]
+
+
+def test_report_on_ym_at_base_dim_8(tmp_path, capsys):
+    # above every golden: each pull-back builds only the image levels it
+    # reads, and every verdict passes up to the top of the descent tower
+    from properties import ym_source
+
+    path = tmp_path / "ym8.gpde"
+    path.write_text(ym_source(8))
+    rc, out, err = run(["report", str(path)], capsys)
+    assert (rc, err) == (0, "")
+    lines = [ln for ln in out.splitlines() if ln.startswith("[")]
+    assert lines and all(ln.startswith("[PASS] ") for ln in lines)
+    assert "[PASS] descent_theta_9 residual_terms=0" in lines
+
+
+@pytest.mark.parametrize("text, at", [
+    ("base dim = 0; coord u : gh = 0; chi = 0;", []),
+    ("base dim = 0; coord u : gh = 0; chi = 0;", ["--at", "u=1"]),
+    ("base dim = 0; chi = 0;", []),
+])
+def test_reduce_refuses_a_zero_two_form_on_a_point(text, at, tmp_path, capsys):
+    # d chi = 0 leaves nothing to reduce: a failed check, not a traceback
+    path = tmp_path / "zero.gpde"
+    path.write_text(text)
+    rc, out, err = run(["reduce", str(path)] + at, capsys)
+    assert rc == 1
+    assert out == ("model: zero\n[FAIL] reduction residual_terms=0  "
+                   "(presymplectic two-form is zero)\nresult: FAILED\n")
+    assert err == "FAIL reduction residual_terms=0 presymplectic two-form is zero\n"
+
+
+def test_reduce_refuses_a_vertical_form_without_top_component(tmp_path, capsys):
+    path = tmp_path / "zero.gpde"
+    path.write_text("base dim = 1; coord u : gh = 0; chi = 0;")
+    rc, _, err = run(["reduce", str(path)], capsys)
+    assert (rc, err) == (1, "FAIL reduction residual_terms=0 "
+                            "vertical two-form has no top component\n")
+
+
+def test_there_is_no_prolong_verb(capsys):
+    # jets are made on demand, never truncated to an order
+    with pytest.raises(SystemExit) as info:
+        main(["prolong", "ym_weak"])
+    assert info.value.code == 2
+    assert "invalid choice: 'prolong'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [["reduce", "ym_weak"], ["descent", "maxwell_weak"],
                                   ["bv-identities", "maxwell_weak"]])
 def test_order_changes_no_output(argv, capsys):

@@ -84,6 +84,13 @@ class TestBuilder:
         with pytest.raises(DegreeError):
             b.build()
 
+    def test_data_the_reader_refuses_is_refused(self):
+        # model_to_source would write `base dim = -1;` and `dim = 0;`
+        with pytest.raises(GradedAlgebraError, match="^base dimension must be >= 0$"):
+            ModelBuilder("m", -1)
+        with pytest.raises(GradedAlgebraError, match="^lie dimension must be at least 1$"):
+            LieAlgebraData.abelian(0, "g")
+
     def test_missing_q_rules_default_to_zero(self):
         b = ModelBuilder("defaults", 1)
         u = b.fiber("u", gh=0).gen()

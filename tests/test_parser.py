@@ -550,6 +550,34 @@ def test_int_literals_are_ascii_digits(digit):
         "<string>:1:13: error: expected 'int', found ';'"]
 
 
+@pytest.mark.parametrize("line, col", [
+    ("\tcoord u : gh = $;\n", 17),       # a tab is one column
+    ("coord u : gh = $;\r\n", 16),       # so is a \r, before a newline
+    ("coord u\r\t: gh = $;\r\n", 17),    # or not
+])
+def test_tab_and_carriage_return_columns(line, col):
+    model, diags = parse_with_diagnostics("base dim = 1;\r\n" + line)
+    assert [str(d) for d in diags] == [
+        f"<string>:2:{col}: error: unexpected character '$'",
+        f"<string>:2:{col + 1}: error: expected 'int', found ';'"]
+
+
+@pytest.mark.parametrize("tail", ["# end", "//", "\n// end", "\n#"])
+def test_comment_at_end_of_file_without_newline(tail):
+    assert list(parse_model("base dim = 1;\ncoord u : gh = 0;" + tail).fibers) == ["u"]
+
+
+def test_unexpected_character_inside_a_word():
+    # it splits the word; a non-ASCII digit inside a word is part of it, and
+    # only at the start is it one unexpected character
+    model, diags = parse_with_diagnostics("base dim = 1;\ncoord u$v : gh = 0;\n")
+    assert [str(d) for d in diags] == ["<string>:2:8: error: unexpected character '$'",
+                                       "<string>:2:9: error: expected ':', found 'v'"]
+    model, diags = parse_with_diagnostics("base dim = 1;\ncoord ²u : gh = 0;\n")
+    assert [str(d) for d in diags] == ["<string>:2:7: error: unexpected character '²'"]
+    assert list(parse_model("base dim = 1;\ncoord u² : gh = 0;\n").fibers) == ["u²"]
+
+
 def test_unicode_letter_names_tokenize():
     model = parse_model("base dim = 0;\ncoord ψ2 : gh = 0;\ncoord v : gh = -1;\n"
                         "Q v = ψ2*ψ2;\n")
