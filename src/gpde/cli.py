@@ -73,7 +73,7 @@ def _parse_point(spec: str, candidates: Dict[str, Generator]) -> Dict[Generator,
         g = candidates.get(name.strip())
         if g is None:
             raise _usage(f"unknown coordinate {name.strip()!r} in --at "
-                         f"(known: {', '.join(sorted(candidates))})")
+                         f"(known: {', '.join(sorted(candidates)) or 'none'})")
         if g in point:
             raise _usage(f"coordinate {name.strip()!r} given twice in --at")
         try:
@@ -143,14 +143,14 @@ def _run_reduce(m: Model, args) -> Report:
         jm = JetModel(m)
         form = jm.vertical_top()
         universe, s = form_universe(form), jm.s
-    if form.is_zero():
-        return rep.add(CheckResult.refused("reduction", "vertical two-form has no top component"
-                                           if m.n else "presymplectic two-form is zero"))
     point = None
     if args.at is not None:
         names = {gen_text(g): g for mono in form.terms for g, _ in mono if g.fdeg == 0}
         names.update({gen_text(g): g for g in universe})
         point = _parse_point(args.at, names)
+    if form.is_zero():
+        return rep.add(CheckResult.refused("reduction", "vertical two-form has no top component"
+                                           if m.n else "presymplectic two-form is zero"))
     try:
         red = reduce_form(form, universe, point=point, s=s)
     except ReductionError as e:

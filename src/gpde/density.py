@@ -231,11 +231,13 @@ class BoundaryReduction:
 
 def boundary_reduction(m: Model, kill: Iterable[int]) -> BoundaryReduction:
     """Restrict, prolong, verticalize, and quotient by the kernel of the top
-    theta-degree block of the boundary two-form."""
+    theta-degree block of the boundary two-form.  The projection is checked
+    on m: restricting rebuilds the canonical base part of Q."""
     kill = set(kill)
     absent = sorted(kill.difference(m.base_indices))
     if absent:
         raise GradedAlgebraError(f"cannot kill absent base directions {absent}")
+    m.require_projection()
     keep = [a for a in m.base_indices if a not in kill]
     checks = [CheckResult.of("tangency", *tangency_residuals(m, keep).values())]
     mr = restrict_to_submanifold(m, keep)

@@ -353,6 +353,7 @@ class JetModel:
     it keeps working."""
 
     def __init__(self, parent: Model):
+        parent.require_projection()
         self.registry = reg = JetRegistry(parent)
         self.parent = parent
         self.space = parent.space

@@ -160,12 +160,18 @@ class Model:
             self._omega = de_rham(self.chi)
         return self._omega
 
+    def require_projection(self) -> None:
+        """Refuse a Q that does not project to the base (check_projection):
+        the ideal I is Q-stable, and the jet prolongation s + D is the
+        pulled-back Q, only for a Q that does."""
+        if not check_projection(self).passed:
+            raise GradedAlgebraError("Q does not project to the base")
+
     def iq_omega(self) -> Poly:
         """i_Q omega modulo the dtheta^a, cached for the presymplectic
         checks and the hamiltonian; refused unless Q projects to the base."""
         if self._iq_omega is None:
-            if not check_projection(self).passed:
-                raise GradedAlgebraError("Q does not project to the base")
+            self.require_projection()
             self._iq_omega = interior(self.q, self.drop_dtheta(self.omega()))
         return self._iq_omega
 

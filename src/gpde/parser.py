@@ -353,12 +353,8 @@ class Evaluator:
         return self.eval_ref(node, env)
 
     def index_value(self, atom, env) -> int:
-        if atom[0] == "int":
-            a = atom[1]
-        else:
-            if atom[1] not in env:
-                raise _error(f"unbound index variable {atom[1]!r}", atom[2])
-            a = env[atom[1]]
+        # statement_value binds every variable of a term before evaluating it
+        a = atom[1] if atom[0] == "int" else env[atom[1]]
         if a not in self.b.base_indices:
             raise _error(f"index {a} outside the base range", atom[2])
         return a
@@ -956,11 +952,12 @@ def model_to_source(m: Model) -> str:
         kd = ", ".join(str(lie.kappa[i][i]) for i in range(lie.dim))
         lines.append(f"  kappa = diag({kd});")
         lines.append("}")
-    letters = "abcdefgh"
     for fam in m.fibers.values():
         head = fam.name
         if fam.slots:
-            head += "[" + ", ".join(letters[:fam.slots]) + "]"
+            # a to h, then a8, a9, ...: one distinct name per slot
+            head += "[" + ", ".join("abcdefgh"[k] if k < 8 else f"a{k}"
+                                    for k in range(fam.slots)) + "]"
         attrs = f"gh = {fam.gh}"
         if fam.antisym:
             attrs += " antisym"

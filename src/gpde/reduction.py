@@ -2,19 +2,21 @@
 
 All linear algebra is exact over the rationals and works on sparse rows
 {column: value} that store only their nonzero entries (sparse_rref), from
-the coefficient system through the kernel, its annihilator and the inverse
-basis change, so its cost follows the nonzeros of the (mostly empty)
-systems rather than their size; rref and nullspace are dense adapters.  The
-form is flattened to a coefficient system over a declared universe of
-coordinates; it is read off in one walk over the form's terms.  Kernel
-vectors are constant rational combinations of coordinate directions,
-computed exactly and certified without sampling (see kernel_basis).  Each
-survivor is the linear form annihilating the kernel that is 1 at one free
-column of the kernel's reduced row echelon form and 0 at the other free
-columns, so coordinate kernels give back plain surviving coordinates; its
-leading coefficient need not be 1.  Whether an evolutionary field descends
-is decided when reducing; the projected field itself (ReducedModel.s_action),
-which no verdict reads, is built on first read.
+the coefficient system to the kernel and its annihilator, so its cost
+follows the nonzeros of the (mostly empty) systems rather than their size;
+rref and nullspace are dense adapters.  The form is flattened to a
+coefficient system over a declared universe of coordinates; it is read off
+in one walk over the form's terms.  Kernel vectors are constant rational
+combinations of coordinate directions, computed exactly and certified
+without sampling (see kernel_basis).  Each survivor is the linear form
+annihilating the kernel that is 1 at one free column of the kernel's
+reduced row echelon form and 0 at the other free columns, so coordinate
+kernels give back plain surviving coordinates (its leading coefficient need
+not be 1), and the map sending each survivor to its free column is a
+section of the quotient.  The reduced form and the projected field
+(ReducedModel.s_action, which no verdict reads, built on first read) are
+read along that section: the form vanishes on the kernel and a field that
+descends is constant along it, so every section gives the same result.
 """
 
 from __future__ import annotations
@@ -227,15 +229,15 @@ class ReducedModel:
     """Quotient by the kernel distribution.
 
     survivors[i] is a fresh coordinate generator representing the linear
-    form survivor_forms[i] over the original universe; form is the two-form
-    that was reduced (the body of the input) and reduced_form the same form
-    rewritten in the surviving differentials.  Given images (each survivor's
-    image under the evolutionary field, over the universe) and tinv (the
-    survivor part {i: t} of each universe coordinate), s_action is the
-    projected field on the survivors, built on first read."""
+    form survivor_forms[i] over the original universe, which is 1 at the
+    i-th free column of kernel_vectors (the kernel's reduced row echelon
+    form); form is the two-form that was reduced (the body of the input)
+    and reduced_form the same form rewritten in the surviving differentials.
+    Given images (each survivor's image under the evolutionary field, over
+    the universe), s_action is the projected field, built on first read."""
 
     def __init__(self, space, survivors, survivor_forms, kernel_vectors,
-                 reduced_form, universe, form, images=None, tinv=None):
+                 reduced_form, universe, form, images=None):
         self.space = space
         self.survivors = survivors
         self.survivor_forms = survivor_forms
@@ -244,17 +246,18 @@ class ReducedModel:
         self.universe = universe
         self.form = form
         self.images = images
-        self.tinv = tinv
 
     @functools.cached_property
     def s_action(self) -> Optional[Dict[Generator, Poly]]:
-        """Each survivor image with the universe coordinates replaced by
-        their survivor parts (the kernel part dropped, which is evaluation
-        at kernel coordinates zero); None when no field was given."""
+        """Each survivor image along the free-column section: the universe
+        coordinate at survivor i's free column becomes w_i, every other one
+        0.  None when no field was given."""
         if self.images is None:
             return None
-        csub = {g: Poly(self.space, {((self.survivors[i], 1),): t for i, t in row.items()})
-                for g, row in zip(self.universe, self.tinv)}
+        pivots = {next(A for A, c in enumerate(vec) if c) for vec in self.kernel_vectors}
+        free = (g for A, g in enumerate(self.universe) if A not in pivots)
+        csub = {g: Poly.zero() for g in self.universe}
+        csub.update({g: Poly.gen(w) for g, w in zip(free, self.survivors)})
         return {w: expr.substitute({h: csub[h] for h in expr.generators() if h in csub})
                 for w, expr in self.images.items()}
 
@@ -317,26 +320,18 @@ def reduce_form(form: Poly, universe: Sequence[Generator],
                 "no graded splitting exists"
             )
 
-    # the linear forms vanishing on the kernel (all of them when it is empty)
+    # the linear forms vanishing on the kernel, one per free column: 1 there
+    # and otherwise nonzero only at the pivots of kernel rows holding that
+    # column, so the check above makes each one ghost degree
     ann = sparse_nullspace(kernel, pivots, ncols)
-    # each annihilator row is 1 at a free column and otherwise nonzero only
-    # at the pivots of kernel rows holding that column, so the check above
-    # makes it one ghost degree
+    taken = set(pivots)
+    free = [A for A in range(ncols) if A not in taken]
     first = _first_free_index(space)
-    survivors = [space.coordinate(f"w{first + i}", FIBER, universe[min(lam)].gh)
-                 for i, lam in enumerate(ann)]
+    survivors = [space.coordinate(f"w{first + i}", FIBER, universe[A].gh)
+                 for i, A in enumerate(free)]
+    section = dict(zip(free, survivors))
 
-    # the survivor part of the inverse basis change: the (survivor rows;
-    # kernel rows) basis change is invertible (each annihilator row is 1 at
-    # its free column, each kernel row at its pivot), so the reduced
-    # (survivor rows | unit columns; kernel rows) system has row A equal to
-    # u^A = sum_i tinv[A][i] w_i plus a kernel part
-    red, _ = sparse_rref([{**lam, ncols + i: 1} for i, lam in enumerate(ann)]
-                         + [dict(vec) for vec in kernel], ncols + len(ann))
-    tinv = [{k - ncols: v for k, v in row.items() if k >= ncols} for row in red]
-
-    # each differential present in the form to the matching survivor
-    # differentials
+    # along the section: du at a free column to dw, du at a pivot to 0
     dsub: Dict[Generator, Poly] = {}
     for mono in body.terms:
         for g, _ in mono:
@@ -349,9 +344,9 @@ def reduce_form(form: Poly, universe: Sequence[Generator],
                     f"form contains the differential of {base.name!r}, "
                     "which is outside the universe"
                 )
-            vertical = g.role == VDIFF
-            dsub[g] = Poly(space, {((space.differential(survivors[i], vertical=vertical), 1),): t
-                                   for i, t in tinv[A].items()})
+            w = section.get(A)
+            dsub[g] = (Poly.zero() if w is None else
+                       Poly.gen(space.differential(w, vertical=g.role == VDIFF)))
     reduced = body.substitute(dsub)
 
     images = None
@@ -380,4 +375,4 @@ def reduce_form(form: Poly, universe: Sequence[Generator],
                     )
 
     return ReducedModel(space, survivors, _dense(ann, ncols),
-                        _dense(kernel, ncols), reduced, universe, body, images, tinv)
+                        _dense(kernel, ncols), reduced, universe, body, images)

@@ -111,7 +111,7 @@ def _wrong_survivor_forms(reduce_form):
         rm = reduce_form(*args, **kwargs)
         forms = [[2 * c for c in rm.survivor_forms[0]]] + rm.survivor_forms[1:]
         return ReducedModel(rm.space, rm.survivors, forms, rm.kernel_vectors,
-                            rm.reduced_form, rm.universe, rm.form, rm.images, rm.tinv)
+                            rm.reduced_form, rm.universe, rm.form, rm.images)
 
     return reduce
 
@@ -353,6 +353,9 @@ def test_unknown_model_name(capsys):
         main(["check", "no_such_model"])
 
 
+NO_TOP = "no_top_component.gpde"
+
+
 @pytest.mark.parametrize("argv,message", [
     (["check", "no_such_model"], "gpde: no file 'no_such_model' and no builtin of that name"),
     (["boundary", "maxwell_weak", "--kill", "a"],
@@ -375,9 +378,15 @@ def test_unknown_model_name(capsys):
     (["reduce", "toy_dim0", "--at", "u=1,u=2"], "gpde: coordinate 'u' given twice in --at"),
     (["reduce", "toy_dim0", "--at", ","], "gpde: --at expects name=value pairs, got ','"),
     (["reduce", "toy_dim0", "--at", ""], "gpde: --at expects name=value pairs, got ''"),
+    # --at is read before the form is found to have no top component
+    (["reduce", NO_TOP, "--at", "nope=1"],
+     "gpde: unknown coordinate 'nope' in --at (known: none)"),
+    (["reduce", NO_TOP, "--at", "bad"], "gpde: --at expects name=value pairs, got 'bad'"),
 ])
-def test_usage_errors_exit_2_with_one_line(argv, message, capsys):
+def test_usage_errors_exit_2_with_one_line(argv, message, tmp_path, monkeypatch, capsys):
     # exit code 1 is kept for a failed check; a usage error prints no report
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / NO_TOP).write_text("base dim = 1; coord u : gh = 0; chi = 0;")
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2

@@ -319,6 +319,20 @@ class TestNonProjecting:
             assert f"[FAIL] {name} " in out, name
             assert f"[PASS] {name} " not in out, name
 
+    @pytest.mark.parametrize("argv", [["descent"], ["reduce"], ["boundary", "--kill", "0"]],
+                             ids=["descent", "reduce", "boundary"])
+    def test_jet_verbs_refuse_naming_the_projection(self, argv, tmp_path, capsys):
+        # the jet prolongation s + D is the pulled-back Q only for a projecting
+        # Q; boundary restricts first, which rebuilds a canonical base part
+        from gpde.cli import main
+
+        path = tmp_path / "non_projecting.gpde"
+        path.write_text(non_projecting_ym_source())
+        assert main([argv[0], str(path)] + argv[1:]) == 1
+        out, err = capsys.readouterr()
+        assert "[PASS]" not in out
+        assert err == f"FAIL {argv[0]} residual_terms=0 Q does not project to the base\n"
+
 
 class TestHamiltonian:
     def test_toy_value_frozen(self, toy_model):

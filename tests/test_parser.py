@@ -121,6 +121,75 @@ def test_built_models_roundtrip(m):
     assert model_to_source(again) == src
 
 
+@pytest.mark.parametrize("slots", [8, 9, 11])
+def test_families_of_many_slots_roundtrip(slots):
+    zeros = ", ".join(["0"] * slots)
+    names = ", ".join(f"s{k}" for k in range(slots))
+    m = parse_model(f"base dim = 1; coord u : gh = 1; coord F[{names}] : gh = 0; "
+                    f"Q F[{zeros}] = u;")
+    src = model_to_source(m)
+    head = "a, b, c, d, e, f, g, h" + "".join(f", a{k}" for k in range(8, slots))
+    assert f"coord F[{head}] : gh = 0;" in src
+    again = parse_model(src)
+    assert model_structure(again) == model_structure(m)
+    assert model_to_source(again) == src
+
+
+LIE_G = "lie g { dim = 3; f[1][2][3] = 1; antisymmetrize; }\n"
+UV2 = "base dim = 2;\ncoord u : gh = 0;\ncoord v : gh = -1;\n"
+
+
+@pytest.mark.parametrize("text, where, message", [
+    ("base dim = 0;\n" + LIE_G + "coord C : gh = 1 in g;\ncoord v : gh = 2;\n"
+     "Q C = [C, C] + v;\n", "5:14", "cannot add a scalar and a lie-algebra valued expression"),
+    (UV2 + "chi = x[5]*v*d(u);\n", "4:9", "index 5 outside the base range"),
+    (UV2 + "chi = x[0, 1]*v*d(u);\n", "4:7", "x takes one base index"),
+    (UV2 + "chi = u{1}*v*d(u);\n", "4:7", "'u' carries no lie algebra"),
+    ("base dim = 2;\nmetric = diag(1, 1);\ncoord u : gh = 0;\ncoord v : gh = -1;\n"
+     "chi = eta[0]*v*d(u);\n", "5:7", "eta takes two indices"),
+    ("base dim = 0;\nlie g { f[1][2][3] = 1; }\n", "2:5",
+     "lie 'g' does not declare its dimension"),
+    ("base dim = 0;\nlie g { dim = 2; f[1][2][3] = 1; }\n", "2:18", "lie index 3 outside 1..2"),
+    ("base dim = 0;\nlie g { dim = 3; f[1][1][2] = 1; antisymmetrize; }\n", "2:18",
+     "antisymmetrize needs distinct indices"),
+    ("base dim = 0;\nlie g { dim = 3; f[1][2][3] = 1; f[2][1][3] = 1; antisymmetrize; }\n",
+     "2:34", "conflicting structure constants"),
+    ("base dim = 0;\nlie g { dim = 3; f[1][2][3] = 1; antisymmetrize; kappa = diag(1, 1); }\n",
+     "2:5", "kappa diagonal length does not match dim"),
+    ("base dim = 2;\ncoord F[a, a] : gh = 0;\n", "2:7",
+     "index slots must use distinct variables"),
+    ("base dim = 2;\ncoord u : gh = 1;\ncoord F[a, b] : gh = 0;\nQ F[a, a] = u;\n", "4:3",
+     "left-hand index variables must be distinct"),
+    ("base dim = 1;\n" + LIE_G + "coord C : gh = 1 in g;\nQ x[0] = C;\n", "4:3",
+     "base coordinates take scalar Q-rules"),
+    ("base dim = 0;\n" + LIE_G + "coord C : gh = 1 in g;\nQ C{1} = [C, C];\n", "4:3",
+     "a single lie component takes a scalar rule"),
+    ("base dim = 0;\n" + LIE_G + "coord C : gh = 1 in g;\ncoord u : gh = 2;\nQ u = [C, C];\n",
+     "5:3", "'u' carries no lie algebra"),
+    ("base dim = 2;\ncoord u : gh = 1;\ncoord F[a, b] : gh = 0 antisym;\nQ F[0, 0] = u;\n",
+     "4:3", "nonzero Q-rule on a vanishing antisymmetric component"),
+    ("base dim = 0;\n" + LIE_G + "coord C : gh = 1 in g;\ncoord v : gh = -2;\nchi = v*C;\n",
+     "5:1", "chi must be a scalar expression; wrap lie factors in Tr(...)"),
+    ("base dim = -1;\n", "1:1", "base dimension must be >= 0"),
+], ids=["scalar_plus_lie", "index_range", "x_arity", "lie_selector_on_scalar", "eta_arity",
+        "lie_no_dim", "lie_index_range", "antisymmetrize_repeated", "conflicting_constants",
+        "kappa_length", "slot_names", "lhs_variables", "base_q_lie_valued",
+        "lie_component_lie_valued", "scalar_q_lie_valued", "vanishing_component",
+        "chi_lie_valued", "negative_base_dim"])
+def test_diagnostic_message_and_location(text, where, message):
+    model, diags = parse_with_diagnostics(text)
+    assert model is None
+    assert [str(d) for d in diags] == [f"<string>:{where}: error: {message}"]
+
+
+def test_adding_a_zero_scalar_to_a_lie_value_is_accepted():
+    # eta[0, 1] is 0 on a diagonal metric, so the scalar term drops out
+    head = "base dim = 2;\nmetric = diag(1, 1);\n" + LIE_G + "coord C : gh = 1 in g;\n" \
+        "coord v : gh = 2;\n"
+    assert model_to_source(parse_model(head + "Q C = [C, C] + eta[0, 1]*v;\n")) == \
+        model_to_source(parse_model(head + "Q C = [C, C];\n"))
+
+
 def test_byte_deterministic_parse():
     text = open_builtin("ym_weak")
     a = parse_model(text, name="ym_weak")

@@ -387,12 +387,41 @@ class TestKernelConstancySign:
             reduce_form(form, [a, b, p, r], s=VectorField(sp, 0, coeffs={a: image}))
 
 
-@pytest.mark.parametrize("name", ["toy_dim0", "maxwell_weak", "ym_weak"])
-def test_s_action_on_first_read_matches_eager_reference(name):
+@pytest.mark.parametrize("name, kill", [
+    ("toy_dim0", None), ("maxwell_weak", None), ("ym_weak", None),
+    ("maxwell_weak", 0), ("ym_weak", 0),
+], ids=["toy_dim0", "maxwell_weak", "ym_weak",
+        "maxwell_weak-boundary_kill0", "ym_weak-boundary_kill0"])
+def test_s_action_on_first_read_matches_eager_reference(name, kill):
+    """s_action reads the field along the free-column section; the reference
+    reads it along the inverse of the (survivor; kernel) basis change, which
+    is another section wherever a survivor mixes columns."""
     pytest.importorskip("sympy")
-    form, universe, s = _top_block(name)
+    form, universe, s = _top_block(name, kill)
     rm = reduce_form(form, universe, s=s)
+    if kill is not None:
+        assert any(sum(1 for c in lam if c) > 1 for lam in rm.survivor_forms)
     got = rm.s_action
     assert got == reference_s_action(rm, s)
     assert rm.s_action is got
     assert any(not img.is_zero() for img in got.values())
+
+
+def test_reduce_form_eliminates_twice(monkeypatch):
+    """One elimination for the kernel of the coefficient system, one for its
+    reduced row echelon form; the quotient is read along the free columns,
+    with no third system for an inverse basis change."""
+    import gpde.reduction
+
+    calls = []
+    real = gpde.reduction.sparse_rref
+
+    def sparse_rref(rows, ncols):
+        calls.append(ncols)
+        return real(rows, ncols)
+
+    form, universe, s = _top_block("ym_weak")
+    monkeypatch.setattr(gpde.reduction, "sparse_rref", sparse_rref)
+    rm = reduce_form(form, universe, s=s)
+    assert rm.kernel_vectors and rm.split_residual().is_zero()
+    assert calls == [len(universe)] * 2
