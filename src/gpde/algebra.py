@@ -154,9 +154,6 @@ class Generator:
     def __repr__(self):
         return f"<gen {self.name} gh={self.gh} fdeg={self.fdeg}>"
 
-    def __lt__(self, other):
-        return self._sort < other._sort
-
 
 def _unify(a: Optional["Space"], b: Optional["Space"]) -> Optional["Space"]:
     if a is None:

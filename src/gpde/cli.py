@@ -174,7 +174,7 @@ def _run_boundary(m: Model, args) -> Report:
     absent = [a for a in kill if a not in m.base_indices]
     if absent:
         raise _usage(f"no base direction {absent[0]} to kill (base directions: "
-                     f"{', '.join(map(str, m.base_indices))})")
+                     f"{', '.join(map(str, m.base_indices)) or 'none'})")
     br = boundary_reduction(m, kill)
     for c in br.checks:
         rep.add(c)

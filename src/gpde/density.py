@@ -144,36 +144,23 @@ def euler_lagrange(jm: JetModel, dens: Poly) -> Dict[Generator, Poly]:
         accumulate(out.setdefault(jm.jet(u, (), J)[1], {}),
                    (-partial if len(I) & 1 else partial).terms.items())
     return {g: Poly(dens.space, out[g]) for g in sorted(out, key=lambda g: g._sort) if out[g]}
+
+
 def el_equivalent(jm: JetModel, a: Poly, b: Poly) -> bool:
     return not euler_lagrange(jm, a - b)
 
 
 def el_proportional(jm: JetModel, a: Poly, b: Poly) -> Tuple[bool, Optional[Scalar]]:
     """Whether a and b have proportional variational content; returns the
-    single scalar when it exists."""
-    ea = euler_lagrange(jm, a)
-    eb = euler_lagrange(jm, b)
+    single scalar when it exists.  E is linear, so lambda is read off one
+    term of E(b), and it is the scalar exactly when E(a - lambda*b) = 0."""
+    ea, eb = euler_lagrange(jm, a), euler_lagrange(jm, b)
     if not eb:
-        return (not ea), None
-    lam = None
-    for g, pb in eb.items():
-        pa = ea.get(g, Poly.zero())
-        for mono, cb in pb.terms.items():
-            ca = pa.coefficient(mono)
-            cand = qdiv(ca, cb)
-            if lam is None:
-                lam = cand
-            elif lam != cand:
-                return False, None
-    if lam is None:
-        return (not ea), None
-    keys = set(ea) | set(eb)
-    for g in keys:
-        pa = ea.get(g, Poly.zero())
-        pb = eb.get(g, Poly.zero())
-        if not (pa - lam * pb).is_zero():
-            return False, None
-    return True, lam
+        return not ea, None
+    g, pb = next(iter(eb.items()))
+    mono, cb = next(iter(pb.terms.items()))
+    lam = qdiv(ea[g].coefficient(mono) if g in ea else 0, cb)
+    return (True, lam) if el_equivalent(jm, a, lam * b) else (False, None)
 
 
 # boundary restriction ------------------------------------------------------

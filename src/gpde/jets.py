@@ -38,14 +38,15 @@ vertical two-form omega is d_v of a level of the vertical pull-back chi_v
 of chi, so d_v omega = 0 by construction (d_v d_v = 0) and
 L_s omega = -d_v i_s omega.  D_a moves jets and x^a only and d_v x^a = 0, so
 D_a commutes with d_v and L_D omega = -d_v D chi_v, the minus from the odd
-theta^a passing d_v.  The jet model caches i_s omega and D chi_v as levels;
-the descent tower and the first master identity both read them.
+theta^a passing d_v.  The jet model keeps i_s omega and D chi_v among its
+level forms; the descent tower and the first master identity both read them.
 
-Ownership: a JetModel owns its fields D, D_a and s.  Their rules hold the
-JetRegistry (space, parent model, jet coordinates and image levels) and
-the D_a table, never the JetModel, and s reaches its own coefficients
-through a weak reference, so a request's jet model and its level caches
-are freed by reference counting, with no cycle for the collector to find.
+Ownership: a JetModel owns its fields D, D_a and s and its one store of
+level forms.  The fields' rules hold the JetRegistry (space, parent model,
+jet coordinates and image levels) and the D_a table, never the JetModel,
+and s reaches its own coefficients through a weak reference, so a request's
+jet model and its level forms are freed by reference counting, with no
+cycle for the collector to find.
 """
 
 from __future__ import annotations
@@ -134,15 +135,12 @@ def _negated(terms: dict) -> dict:
     return {m: -c for m, c in terms.items()}
 
 
-def vertical_lie(V: VectorField, p: Poly, dv_images: Optional[dict] = None) -> Poly:
+def vertical_lie(V: VectorField, p: Poly) -> Poly:
     """Lie derivative along an evolutionary-type field on vertical forms:
     coordinates move by V, vertical differentials by
-    dv(c) -> (-1)^{parity(V)} dv(V(c)).  Rejects horizontal differentials.
-    dv_images, when given, keeps the images of vertical differentials of V
-    across calls."""
+    dv(c) -> (-1)^{parity(V)} dv(V(c)).  Rejects horizontal differentials."""
     space = p.space
     sign = -1 if V.parity else 1
-    dv = {} if dv_images is None else dv_images
 
     def img(g):
         if g.fdeg == 0:
@@ -150,10 +148,7 @@ def vertical_lie(V: VectorField, p: Poly, dv_images: Optional[dict] = None) -> P
             return v if not v.is_zero() else None
         if g.role != VDIFF:
             raise DegreeError("vertical_lie acts on vertical forms only")
-        v = dv.get(g)
-        if v is None:
-            v = dv[g] = sign * d_vertical(V.coefficient(space.coordinate_of(g)))
-        return v
+        return sign * d_vertical(V.coefficient(space.coordinate_of(g)))
 
     return derive(p, V.parity, img)
 
@@ -303,7 +298,7 @@ class JetRegistry:
             return Poly.scalar(1) if g.base_index[0] == a else None
         return self._no_bundle_coordinate(g)
 
-    def s_rule(self, totals: "_TotalDerivatives", s: "weakref.ref[VectorField]", g: Generator):
+    def s_rule(self, totals: Dict[int, VectorField], s: "weakref.ref[VectorField]", g: Generator):
         """s on a jet: its seed at a level jet, D_a of s of the jet below
         otherwise.  s is reached weakly, and is alive, since its rule runs
         only inside s.coefficient."""
@@ -326,31 +321,30 @@ class JetRegistry:
         return None
 
 
-class _TotalDerivatives(dict):
-    """a -> D_a, each built on first use; its rule holds the registry only."""
-
-    def __init__(self, registry: JetRegistry):
-        super().__init__()
-        self.registry = registry
-
-    def __missing__(self, a: int) -> VectorField:
-        td = self[a] = VectorField(self.registry.space, 0, name=f"D_{a}",
-                                   rule=functools.partial(self.registry.total_rule, a))
-        return td
+def _level_form(build):
+    """A JetModel level form, built on first read and kept in jm._levels
+    under the method's name."""
+    @functools.wraps(build)
+    def read(jm: "JetModel") -> dict:
+        levels = jm._levels.get(build.__name__)
+        if levels is None:
+            levels = jm._levels[build.__name__] = build(jm)
+        return levels
+    return read
 
 
 class JetModel:
     """The super-jet prolongation of a model, with no truncation order.
 
     Jet coordinates are materialized on demand.  Pull-backs are built level
-    by level, and the seeds of s per level, on demand; the forms the checks
-    read are cached as levels (chi_v, its d_v, i_s of that and D chi_v), and
-    no check builds omegabar().
+    by level, and the seeds of s per level, on demand.  The level forms the
+    checks read (chi_v, its d_v, i_s of that, D chi_v, the BV scalar) are
+    built on first read and kept in one store; no check builds omegabar().
 
-    A JetModel owns its fields D, D_a and s; their rules hold the jet
-    registry and the D_a table, never the JetModel, so a JetModel and its
-    level caches are freed by reference counting, and a field that outlives
-    it keeps working."""
+    A JetModel owns its fields D, s and D_a, one per base direction; their
+    rules hold the jet registry and the D_a table, never the JetModel, so a
+    JetModel and its level forms are freed by reference counting, and a
+    field that outlives it keeps working."""
 
     def __init__(self, parent: Model):
         parent.require_projection()
@@ -359,13 +353,10 @@ class JetModel:
         self.space = parent.space
         self._top = reg._top
         self._info = reg._info
-        self._totals = _TotalDerivatives(reg)
-        self._vertical_chibar: Optional[dict] = None
-        self._vertical_omegabar: Optional[dict] = None
-        self._i_s_omegabar: Optional[dict] = None
-        self._total_chibar: Optional[dict] = None
-        self._bv_levels: Optional[dict] = None
-        self._dv_images: Dict[VectorField, dict] = {}
+        self._totals = {a: VectorField(self.space, 0, name=f"D_{a}",
+                                       rule=functools.partial(reg.total_rule, a))
+                        for a in self._top}
+        self._levels: Dict[str, dict] = {}  # the level forms, by method name
         self.D = VectorField(self.space, 1, rule=reg.d_rule, name="D")
         self.s = VectorField(self.space, 1, name="s")
         self.s.rule = functools.partial(reg.s_rule, self._totals, weakref.ref(self.s))
@@ -385,11 +376,6 @@ class JetModel:
     def level_pullback(self, p: Poly, vertical=None, level=None) -> dict:
         return self.registry.level_pullback(p, vertical, level)
 
-    def lie(self, V: VectorField, p: Poly) -> Poly:
-        """vertical_lie(V, p), the images of V on vertical differentials
-        built once per jet model, not once per level."""
-        return vertical_lie(V, p, self._dv_images.setdefault(V, {}))
-
     def levelwise(self, levels: dict, op, odd: bool) -> dict:
         """A level-preserving operator on a level form: op(terms) at each
         level, with the sign (-1)^{|J|} of passing theta^J when op is odd
@@ -404,15 +390,15 @@ class JetModel:
     def total_levels(self, levels: dict) -> dict:
         """D = theta^a D_a on a level form: level J moves to J + a as
         (-1)^{|J|} sort_sign(J + a) theta^{J+a} D_a(terms), over the free
-        directions a not in J only.  D_a acts as lie(D_a, .), which is
-        D_a.apply on functions."""
+        directions a not in J only.  D_a acts as vertical_lie(D_a, .), which
+        is D_a.apply on functions."""
         out: dict = {}
         for J, t in levels.items():
             p = Poly._adopt(self.space, t)
             for a in self._top:
                 if a in J:
                     continue
-                r = self.lie(self.total_derivative(a), p).terms
+                r = vertical_lie(self._totals[a], p).terms
                 if not r:
                     continue
                 sign, JA = _join(J + (a,))
@@ -424,6 +410,9 @@ class JetModel:
     # the two odd vector fields --------------------------------------------
 
     def total_derivative(self, a: int) -> VectorField:
+        if a not in self._totals:
+            raise GradedAlgebraError(f"no base direction {a} for a total derivative (base "
+                                     f"directions: {', '.join(map(str, self._top)) or 'none'})")
         return self._totals[a]
 
     # pulled-back structures -------------------------------------------------
@@ -449,28 +438,24 @@ class JetModel:
     def omegabar(self) -> Poly:
         return de_rham(self.chibar())
 
+    @_level_form
     def vertical_chibar_levels(self) -> dict:
-        """The levels of the vertical pull-back of chi, cached."""
-        if self._vertical_chibar is None:
-            self._vertical_chibar = self.level_pullback(self._chi(), vertical=True)
-        return self._vertical_chibar
+        """The levels of the vertical pull-back of chi."""
+        return self.level_pullback(self._chi(), vertical=True)
 
+    @_level_form
     def vertical_omegabar_levels(self) -> dict:
-        """The levels of d_v of the vertical pull-back of chi, cached: the
-        two-form the descent tower and the master identities read."""
-        if self._vertical_omegabar is None:
-            self._vertical_omegabar = self.levelwise(self.vertical_chibar_levels(),
-                                                     d_vertical, odd=True)
-        return self._vertical_omegabar
+        """The levels of d_v of the vertical pull-back of chi: the two-form
+        the descent tower and the master identities read."""
+        return self.levelwise(self.vertical_chibar_levels(), d_vertical, odd=True)
 
+    @_level_form
     def i_s_omegabar_levels(self) -> dict:
-        """The levels of i_s of the vertical two-form, cached: i_s keeps the
-        level with no sign.  The descent tower and the first master identity
-        both read it."""
-        if self._i_s_omegabar is None:
-            self._i_s_omegabar = self.levelwise(self.vertical_omegabar_levels(),
-                                               functools.partial(interior, self.s), odd=False)
-        return self._i_s_omegabar
+        """The levels of i_s of the vertical two-form: i_s keeps the level
+        with no sign.  The descent tower and the first master identity both
+        read it."""
+        return self.levelwise(self.vertical_omegabar_levels(),
+                              functools.partial(interior, self.s), odd=False)
 
     def half_i_s_i_s_levels(self) -> dict:
         """The levels of 1/2 i_s i_s of the vertical two-form, each by one
@@ -485,11 +470,10 @@ class JetModel:
 
         return self.levelwise(self.vertical_omegabar_levels(), half, odd=False)
 
+    @_level_form
     def total_chibar_levels(self) -> dict:
-        """The levels of D of the vertical pull-back of chi, cached."""
-        if self._total_chibar is None:
-            self._total_chibar = self.total_levels(self.vertical_chibar_levels())
-        return self._total_chibar
+        """The levels of D of the vertical pull-back of chi."""
+        return self.total_levels(self.vertical_chibar_levels())
 
     def vertical_top(self) -> Poly:
         """The theta-volume level of vertical_omegabar_levels(), the form
@@ -502,12 +486,10 @@ class JetModel:
     def lbar(self) -> Poly:
         return self._supersection_pullback(solve_hamiltonian(self.parent))
 
+    @_level_form
     def bv_levels(self) -> dict:
-        """The levels of the horizontal pull-back of chi + h, cached."""
-        if self._bv_levels is None:
-            self._bv_levels = self.level_pullback(self._chi() + solve_hamiltonian(self.parent),
-                                                  HORIZONTAL)
-        return self._bv_levels
+        """The levels of the horizontal pull-back of chi + h."""
+        return self.level_pullback(self._chi() + solve_hamiltonian(self.parent), HORIZONTAL)
 
     def bv_top(self) -> Poly:
         """The theta-volume level of bv_levels(), the BV scalar
@@ -549,7 +531,7 @@ def descent_residuals(jm: JetModel) -> dict:
     omega is d_v of a level of the pulled-back chi, so d_v omega = 0 and
     L_s omega = -d_v i_s omega.  D_a commutes with d_v, so L_D omega =
     -d_v D chi (the minus from D passing d_v).  The residual is therefore
-    -d_v(i_s omega + D chi), level by level, from the two cached level
+    -d_v(i_s omega + D chi), level by level, from the two stored level
     forms; the hamiltonian is not needed."""
     return jm.levelwise(_level_sum(jm.i_s_omegabar_levels(), jm.total_chibar_levels()),
                         lambda p: -d_vertical(p), odd=True)

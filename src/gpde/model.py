@@ -261,7 +261,7 @@ class ModelBuilder:
         value = normal_form(value)
         if g in self._q_rules:
             raise GradedAlgebraError(f"q-rule for {g.name!r} declared twice")
-        if g.role not in (BASE_X, BASE_THETA) and not value.is_zero():
+        if not value.is_zero():
             if value.fdeg() != 0:
                 raise DegreeError(f"q-rule for {g.name!r} is not a function")
             if value.gh() != g.gh + 1:

@@ -108,6 +108,11 @@ class TestPolyArithmetic:
         q = p * p
         assert q == 4 * Poly.gen(x) * Poly.gen(x) + 4 * Poly.gen(x) + 1
 
+    def test_scalar_minus_poly(self, sp):
+        x = Poly.gen(mk_x(sp, 1)[0])
+        assert 1 - x == -(x - 1)
+        assert (1 - x) + x == Poly.scalar(1)
+
     def test_division(self, sp):
         x = mk_x(sp, 1)[0]
         p = Poly.gen(x) / 2

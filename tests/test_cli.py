@@ -382,6 +382,8 @@ NO_TOP = "no_top_component.gpde"
     (["reduce", NO_TOP, "--at", "nope=1"],
      "gpde: unknown coordinate 'nope' in --at (known: none)"),
     (["reduce", NO_TOP, "--at", "bad"], "gpde: --at expects name=value pairs, got 'bad'"),
+    (["boundary", "toy_dim0", "--kill", "0"],
+     "gpde: no base direction 0 to kill (base directions: none)"),
 ])
 def test_usage_errors_exit_2_with_one_line(argv, message, tmp_path, monkeypatch, capsys):
     # exit code 1 is kept for a failed check; a usage error prints no report
@@ -432,6 +434,30 @@ def test_latex_level_jet_is_not_its_bundle_coordinate():
     latex = {J: poly_latex(Poly.gen(jm.jet(F, (2,), J)[1])) for J in ((), (3,))}
     assert latex == {(): "F^{1}_{0 1 2 |}", (3,): "F^{1}_{0 1 2 |3}"}
     assert poly_latex(Poly.gen(jm.jet(F)[1])) == "F^{1}_{0 1 |}" != poly_latex(Poly.gen(F))
+
+
+def test_text_and_latex_of_differentials_and_constants():
+    from fractions import Fraction
+
+    from gpde import load_builtin, poly_latex, poly_text
+    from gpde.algebra import Poly
+
+    m = load_builtin("toy_dim0")
+    u = m.fiber_coords()[0]
+    assert poly_latex(Poly.gen(m.space.differential(u))) == r"\mathrm{d}u"
+    assert poly_latex(Poly.gen(m.space.differential(u, vertical=True))) == r"\mathrm{d_v}u"
+    assert poly_latex(Poly.scalar(Fraction(-1, 2))) == r"-\tfrac{1}{2}"
+    assert poly_latex(Poly.scalar(3)) == "3"
+    m = load_builtin("maxwell_weak")
+    assert poly_text(Poly.gen(m.space.differential(m.x[0]))) == "dx0"
+
+
+def test_boundary_killing_every_direction_fails(capsys):
+    rc, out, err = run(["boundary", "maxwell_weak", "--kill", "0,1,2,3"], capsys)
+    assert rc == 1
+    assert "[FAIL] boundary residual_terms=0  (boundary two-form has no top theta component)" \
+        in out
+    assert "FAIL boundary" in err
 
 
 def test_module_entry_point():

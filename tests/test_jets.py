@@ -4,7 +4,7 @@ import pytest
 
 from gpde.algebra import BASE_THETA, BASE_X, FIBER, JET, GradedAlgebraError, Poly
 from gpde.cartan import d_vertical, de_rham, interior
-from gpde.density import restrict_to_submanifold
+from gpde.density import boundary_reduction, restrict_to_submanifold
 from gpde.jets import (
     HORIZONTAL,
     JetModel,
@@ -138,6 +138,14 @@ class TestVectorFields:
         p = Poly.gen(g) * Poly.gen(jm.parent.x[0])
         d0, d1 = jm.total_derivative(0), jm.total_derivative(1)
         assert d0.apply(d1.apply(p)) == d1.apply(d0.apply(p))
+
+    def test_total_derivative_refuses_an_absent_direction(self, maxwell_model):
+        jm = boundary_reduction(maxwell_model, [0]).jets
+        assert jm.total_derivative(1).name == "D_1"
+        with pytest.raises(GradedAlgebraError) as err:
+            jm.total_derivative(0)
+        assert str(err.value) == \
+            "no base direction 0 for a total derivative (base directions: 1, 2, 3)"
 
     def test_d_squared_zero_on_jets(self, jet_maxwell):
         jm = jet_maxwell
@@ -526,7 +534,7 @@ class TestOneLevel:
     def test_vertical_top_builds_no_vertical_form(self, ym_model):
         jm = JetModel(ym_model)
         assert not jm.vertical_top().is_zero()
-        assert jm._vertical_omegabar is None and jm._vertical_chibar is None
+        assert not jm._levels
 
     def test_checks_read_s_on_low_levels_only(self, ym_model):
         # every term of ym_weak's chi holds two thetas, so the checks read s
@@ -717,9 +725,9 @@ class TestCartanDescent:
                 contracted.extend(J for J, t in om.items() if p.terms is t)
             return real_interior(V, p)
 
-        def vertical_lie(V, p, dv_images=None):
+        def vertical_lie(V, p):
             lie_fields.append(V)
-            return real_lie(V, p, dv_images)
+            return real_lie(V, p)
 
         monkeypatch.setattr(jets, "interior", interior)
         monkeypatch.setattr(jets, "vertical_lie", vertical_lie)

@@ -171,15 +171,42 @@ UV2 = "base dim = 2;\ncoord u : gh = 0;\ncoord v : gh = -1;\n"
     ("base dim = 0;\n" + LIE_G + "coord C : gh = 1 in g;\ncoord v : gh = -2;\nchi = v*C;\n",
      "5:1", "chi must be a scalar expression; wrap lie factors in Tr(...)"),
     ("base dim = -1;\n", "1:1", "base dimension must be >= 0"),
+    ("base dim = 3;\nmetric = diag(1, 2);\n", "2:1", "metric dimension does not match the base"),
+    ("base dim = 1;\ncoord u : gh = 0;\ncoord u : gh = 1;\n", "3:7",
+     "fiber family 'u' declared twice"),
 ], ids=["scalar_plus_lie", "index_range", "x_arity", "lie_selector_on_scalar", "eta_arity",
         "lie_no_dim", "lie_index_range", "antisymmetrize_repeated", "conflicting_constants",
         "kappa_length", "slot_names", "lhs_variables", "base_q_lie_valued",
         "lie_component_lie_valued", "scalar_q_lie_valued", "vanishing_component",
-        "chi_lie_valued", "negative_base_dim"])
+        "chi_lie_valued", "negative_base_dim", "metric_length", "repeated_coord"])
 def test_diagnostic_message_and_location(text, where, message):
     model, diags = parse_with_diagnostics(text)
     assert model is None
     assert [str(d) for d in diags] == [f"<string>:{where}: error: {message}"]
+
+
+@pytest.mark.parametrize("text, where, message", [
+    ("base dim = 1;\nQ x[0] = x[0];\n", "2:3", "q-rule for 'x' must have ghost 1, got 0"),
+    ("base dim = 2;\ncoord u : gh = 0;\nQ theta[1] = x[0];\n", "3:3",
+     "q-rule for 'th' must have ghost 2, got 0"),
+], ids=["x", "theta"])
+def test_base_q_rule_is_validated_at_its_statement(text, where, message):
+    # the override warning stands beside the error, so the list has both
+    model, diags = parse_with_diagnostics(text)
+    assert model is None
+    assert [d.severity for d in diags] == ["warning", "error"]
+    assert str(diags[1]) == f"<string>:{where}: error: {message}"
+    assert str(diags[0]).startswith(f"<string>:{where}: warning: Q-rule for ")
+
+
+@pytest.mark.parametrize("rule, same_as", [
+    ("Q C = 0;", ""),
+    ("Q C = 0*u + [C, C];", "Q C = [C, C];"),
+    ("Q C = [C, C]*u;", "Q C = u*[C, C];"),
+], ids=["zero", "zero_scalar_first", "lie_times_scalar"])
+def test_lie_valued_q_rules_load(rule, same_as):
+    head = "base dim = 0;\n" + LIE_G + "coord C : gh = 1 in g;\ncoord u : gh = 0;\n"
+    assert model_to_source(parse_model(head + rule)) == model_to_source(parse_model(head + same_as))
 
 
 def test_adding_a_zero_scalar_to_a_lie_value_is_accepted():

@@ -281,6 +281,11 @@ class TestReduce:
         assert rm.kernel_vectors == []
         assert rm.reduced_form.num_terms() == 1
 
+    def test_no_field_gives_no_s_action(self, flat_space):
+        sp, a, b, k = flat_space
+        rm = reduce_form(de_rham(Poly.gen(a)) * de_rham(Poly.gen(b)), [a, b, k])
+        assert rm.s_action is None
+
     def test_wrong_survivor_form_fails_the_split_check(self, flat_space):
         sp, a, b, k = flat_space
         form = de_rham(Poly.gen(a)) * de_rham(Poly.gen(b))
