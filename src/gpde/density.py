@@ -27,9 +27,8 @@ from .algebra import (
     partials,
     qdiv,
 )
-from .cartan import VectorField
 from .jets import JetModel, theta_coefficients
-from .model import Model, base_q
+from .model import Model
 from .reduction import ReducedModel, form_universe, reduce_form
 from .report import CheckResult
 
@@ -179,10 +178,7 @@ def restrict_to_submanifold(m: Model, keep: Iterable[int]) -> Model:
     full.update({m.space.differential(g): Poly.zero() for g in ksub0})
 
     x, theta = {a: m.x[a] for a in keep}, {a: m.theta[a] for a in keep}
-    coeffs = base_q(x, theta)
-    for g in m.fiber_coords():
-        coeffs[g] = m.q.coefficient(g).substitute(ksub0)
-    q = VectorField(m.space, 1, coeffs=coeffs, name="Q|")
+    q_rules = {g: m.q.coefficient(g).substitute(ksub0) for g in m.fiber_coords()}
     chi = m.chi.substitute(full) if m.chi is not None else None
     tensors = m.tensors
     if tensors is not None:
@@ -190,7 +186,7 @@ def restrict_to_submanifold(m: Model, keep: Iterable[int]) -> Model:
 
         tensors = BackgroundTensors([tensors.diag[m.base_indices.index(a)] for a in keep])
     return Model(m.space, f"{m.name}_on_{''.join(map(str, keep))}",
-                 len(keep), keep, x, theta, m.fibers, q, chi, m.lies, tensors, m.weak)
+                 len(keep), keep, x, theta, m.fibers, q_rules, chi, m.lies, tensors, m.weak)
 
 
 def tangency_residuals(m: Model, keep: Iterable[int]) -> Dict[Generator, Poly]:

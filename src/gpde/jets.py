@@ -165,10 +165,18 @@ class JetRegistry:
         self._info: Dict[Generator, Tuple[Generator, Tuple[int, ...], Tuple[int, ...]]] = {}
         self._images: Dict[tuple, dict] = {}  # (u, mode) -> {K: terms}
 
+    def require_directions(self, directions, what: str) -> None:
+        """Refuse a direction outside the base, naming what it was for."""
+        for a in directions:
+            if a not in self._top:
+                raise GradedAlgebraError(f"no base direction {a} for {what} (base directions: "
+                                         f"{', '.join(map(str, self._top)) or 'none'})")
+
     def jet(self, fiber_gen: Generator, I=(), J=()):
         """The jet coordinate psi_{I|J} of a bundle coordinate.  I is
         symmetrized silently; J antisymmetrizes with a sign, returning
-        (0, None) on a repeated odd direction."""
+        (0, None) on a repeated odd direction.  The image levels call it per
+        level, so it leaves the directions to JetModel.jet and jet_of."""
         if fiber_gen.role != FIBER:
             raise GradedAlgebraError("jets are indexed by bundle fiber coordinates")
         I = tuple(sorted(I))
@@ -190,6 +198,7 @@ class JetRegistry:
                                       lie_index=g.lie_index, declare=False)
             if u is None:
                 raise GradedAlgebraError(f"jet coordinate {g.name!r} of no bundle coordinate")
+            self.require_directions(g.jet_I + g.jet_J, "a jet coordinate")
             self.jet(u, g.jet_I, g.jet_J)
         return self._info[g]
 
@@ -364,6 +373,7 @@ class JetModel:
     # jet coordinates (see JetRegistry) ------------------------------------
 
     def jet(self, fiber_gen: Generator, I=(), J=()):
+        self.registry.require_directions((*I, *J), "a jet coordinate")
         return self.registry.jet(fiber_gen, I, J)
 
     def jet_of(self, g: Generator):
@@ -410,9 +420,7 @@ class JetModel:
     # the two odd vector fields --------------------------------------------
 
     def total_derivative(self, a: int) -> VectorField:
-        if a not in self._totals:
-            raise GradedAlgebraError(f"no base direction {a} for a total derivative (base "
-                                     f"directions: {', '.join(map(str, self._top)) or 'none'})")
+        self.registry.require_directions((a,), "a total derivative")
         return self._totals[a]
 
     # pulled-back structures -------------------------------------------------

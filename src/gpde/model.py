@@ -32,6 +32,7 @@ from .algebra import (
     sort_sign,
 )
 from .cartan import VectorField, de_rham, interior
+from .printing import gen_dsl, gen_text
 from .report import CheckResult
 
 
@@ -104,11 +105,13 @@ class FiberFamily:
 
 
 class Model:
-    """A gauge PDE model over an odd tangent base of dimension n."""
+    """A gauge PDE model over an odd tangent base of dimension n.  Q is
+    assembled here from the canonical base part (base_q), zero on each fiber
+    coordinate and q_rules, in that order; the rules and chi come validated."""
 
     def __init__(self, space: Space, name: str, n: int, base_indices,
                  x: Dict[int, Generator], theta: Dict[int, Generator],
-                 fibers: Dict[str, FiberFamily], q: VectorField,
+                 fibers: Dict[str, FiberFamily], q_rules: Dict[Generator, Poly],
                  chi: Optional[Poly], lies: Dict[str, LieAlgebraData],
                  tensors: Optional[BackgroundTensors], weak: bool):
         self.space = space
@@ -118,7 +121,10 @@ class Model:
         self.x = dict(x)
         self.theta = dict(theta)
         self.fibers = dict(fibers)
-        self.q = q
+        coeffs = base_q(self.x, self.theta)
+        coeffs.update((g, Poly.zero()) for g in self.fiber_coords())
+        coeffs.update(q_rules)
+        self.q = VectorField(space, 1, coeffs=coeffs, name="Q")
         self.chi = chi
         self.lies = dict(lies)
         self.tensors = tensors
@@ -216,7 +222,10 @@ def check_potential(chi: Optional[Poly], n: int) -> None:
 
 
 class ModelBuilder:
-    """Incremental construction with validation at build time."""
+    """Incremental construction of a Model.  Each call validates its rule:
+    a Q-rule is a function of ghost one above its coordinate's, repeated
+    only with an equal value, and a second chi, metric, lie algebra or
+    fiber family raises.  build() validates chi and hands the rules on."""
 
     def __init__(self, name: str, n: int):
         if n < 0:
@@ -259,19 +268,24 @@ class ModelBuilder:
 
     def q_rule(self, g: Generator, value) -> "ModelBuilder":
         value = normal_form(value)
-        if g in self._q_rules:
-            raise GradedAlgebraError(f"q-rule for {g.name!r} declared twice")
+        prev = self._q_rules.get(g)
+        if prev is not None:
+            if prev == value:
+                return self
+            raise GradedAlgebraError("conflicting Q-rules for the same coordinate")
         if not value.is_zero():
             if value.fdeg() != 0:
-                raise DegreeError(f"q-rule for {g.name!r} is not a function")
+                raise DegreeError(f"q-rule for {gen_dsl(g)!r} is not a function")
             if value.gh() != g.gh + 1:
                 raise DegreeError(
-                    f"q-rule for {g.name!r} must have ghost {g.gh + 1}, got {value.gh()}"
+                    f"q-rule for {gen_dsl(g)!r} must have ghost {g.gh + 1}, got {value.gh()}"
                 )
         self._q_rules[g] = value
         return self
 
     def chi(self, value) -> "ModelBuilder":
+        if self._chi is not None:
+            raise GradedAlgebraError("chi declared twice")
         self._chi = normal_form(value)
         return self
 
@@ -280,15 +294,9 @@ class ModelBuilder:
         return self
 
     def build(self) -> Model:
-        coeffs = base_q(self.x, self.theta)
-        for fam in self.fibers.values():
-            for g in fam.coords():
-                coeffs[g] = Poly.zero()
-        coeffs.update(self._q_rules)
-        q = VectorField(self.space, 1, coeffs=coeffs, name="Q")
         check_potential(self._chi, self.n)
         return Model(self.space, self.name, self.n, self.base_indices,
-                     self.x, self.theta, self.fibers, q, self._chi,
+                     self.x, self.theta, self.fibers, self._q_rules, self._chi,
                      self.lies, self.tensors, self._weak)
 
 
@@ -322,7 +330,6 @@ def check_nilpotency(m: Model) -> CheckResult:
     nonzero = [g for g, p in sq.items() if not p.is_zero()]
     detail = "weak model, nilpotency not required"
     if nonzero:
-        from .printing import gen_text
         detail += "; nonzero on " + ", ".join(sorted(gen_text(g) for g in nonzero))
     return CheckResult("nilpotency_pattern", True,
                        residual_terms=sum(p.num_terms() for p in sq.values()), detail=detail)

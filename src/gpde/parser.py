@@ -33,7 +33,6 @@ import re
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .algebra import (
-    DegreeError,
     Generator,
     GradedAlgebraError,
     LieAlgebraData,
@@ -414,7 +413,10 @@ MAX_NESTING = 100
 
 
 class ModelParser:
-    """Statement and expression parser driving a ModelBuilder."""
+    """Statement and expression parser driving a ModelBuilder.  The parser
+    checks syntax, names, index ranges, lie-valuedness and chi's degree; a
+    statement then hands its rules to the builder, which refuses repeats
+    and ill-typed Q-rules.  Each error is a diagnostic at its statement."""
 
     LBP = {"+": 10, "-": 10, "*": 20, "/": 20}
     OPS = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
@@ -428,9 +430,7 @@ class ModelParser:
         self._named = False     # a model statement was read
         self.builder: Optional[ModelBuilder] = None
         self.evaluator: Optional[Evaluator] = None
-        self._chi_seen = False
         self._weak: Optional[bool] = None
-        self._q_values: Dict[Generator, Tuple[Poly, Span]] = {}
 
     # token cursor ---------------------------------------------------------
 
@@ -586,20 +586,11 @@ class ModelParser:
             self.diags.append(Diagnostic(
                 "error", "empty model: no base dimension declared", None))
             raise DslError(self.diags)
-        for g, (value, span) in self._q_values.items():
-            try:
-                b.q_rule(g, value)
-            except (DegreeError, GradedAlgebraError) as e:
-                # one error per Q statement, not one per component it sets
-                if not any(d.span is span and d.severity == "error" for d in self.diags):
-                    self.diags.append(Diagnostic("error", str(e), span))
-        if self._chi_seen is not False:
-            b.chi(self._chi_seen)
         b.weak(self._weak is True)
         b.name = self.name
         try:
             model = b.build()
-        except (DegreeError, GradedAlgebraError) as e:
+        except GradedAlgebraError as e:
             self.diags.append(Diagnostic("error", str(e), None))
         self._raise_on_errors()
         return model
@@ -833,16 +824,14 @@ class ModelParser:
                                  span)
 
     def store_q(self, g: Generator, value: Poly, span):
-        prev = self._q_values.get(g)
-        if prev is not None:
-            if prev[0] == value:
-                return
-            raise _error("conflicting Q-rules for the same coordinate", span)
-        self._q_values[g] = (value, span)
+        try:
+            self.builder.q_rule(g, value)
+        except GradedAlgebraError as e:
+            raise _error(str(e), span) from None
 
     def stmt_chi(self):
         t = self.next()
-        self.need_builder(t.span)
+        b = self.need_builder(t.span)
         self.expect("=")
         rhs = self.expr()
         self.expect(";")
@@ -850,13 +839,11 @@ class ModelParser:
         if isinstance(value, LieValued):
             raise _error("chi must be a scalar expression; wrap lie factors "
                          "in Tr(...)", t.span)
-        if self._chi_seen is not False:
-            raise _error("chi declared twice", t.span)
         try:
-            check_potential(value, self.builder.n)
+            check_potential(value, b.n)
+            b.chi(value)
         except GradedAlgebraError as e:
             raise _error(str(e), t.span) from None
-        self._chi_seen = value
 
     def stmt_weak(self):
         t = self.next()

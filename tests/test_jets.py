@@ -147,6 +147,27 @@ class TestVectorFields:
         assert str(err.value) == \
             "no base direction 0 for a total derivative (base directions: 1, 2, 3)"
 
+    def test_jet_refuses_an_absent_direction(self, jet_maxwell):
+        C = jet_maxwell.parent.fibers["C"].gen(li=0)
+        for I, J in (((7,), ()), ((), (7,)), ((0, 7), (1,))):
+            with pytest.raises(GradedAlgebraError) as err:
+                jet_maxwell.jet(C, I, J)
+            assert str(err.value) == \
+                "no base direction 7 for a jet coordinate (base directions: 0, 1, 2, 3)"
+
+    def test_restricted_jets_refuse_a_jet_of_a_killed_direction(self, maxwell_model,
+                                                                 jet_maxwell):
+        jm = boundary_reduction(maxwell_model, [0]).jets
+        C = maxwell_model.fibers["C"].gen(li=0)
+        assert jm.jet_of(jet_maxwell.jet(C, (1,), (2,))[1]) == (C, (1,), (2,))
+        message = "no base direction 0 for a jet coordinate (base directions: 1, 2, 3)"
+        for I, J in (((0,), ()), ((), (0,))):
+            g = jet_maxwell.jet(C, I, J)[1]
+            for act in (jm.s.coefficient, lambda g: jm.D.apply(Poly.gen(g))):
+                with pytest.raises(GradedAlgebraError) as err:
+                    act(g)
+                assert str(err.value) == message
+
     def test_d_squared_zero_on_jets(self, jet_maxwell):
         jm = jet_maxwell
         for fam in ("C", "F"):

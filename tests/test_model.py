@@ -61,6 +61,27 @@ class TestBuilder:
         with pytest.raises(DegreeError):
             b.q_rule(u, Poly.gen(w))
 
+    def test_q_rule_repeat_must_equal_the_stored_rule(self):
+        b = ModelBuilder("repeat", 0)
+        u = b.fiber("u", gh=0).gen()
+        v = b.fiber("v", gh=-1).gen()
+        b.q_rule(v, Poly.gen(u) * Poly.gen(u))
+        b.q_rule(v, Poly.gen(u) * Poly.gen(u))
+        with pytest.raises(GradedAlgebraError,
+                           match="^conflicting Q-rules for the same coordinate$"):
+            b.q_rule(v, 2 * Poly.gen(u) * Poly.gen(u))
+        assert b.build().q.coefficient(v) == Poly.gen(u) * Poly.gen(u)
+
+    def test_second_chi_is_refused(self):
+        # the second call used to replace the first, building a model with chi = 0
+        b = ModelBuilder("chi_twice", 0)
+        u = b.fiber("u", gh=0).gen()
+        v = b.fiber("v", gh=-1).gen()
+        b.chi(Poly.gen(v) * de_rham(Poly.gen(u)))
+        with pytest.raises(GradedAlgebraError, match="^chi declared twice$"):
+            b.chi(0)
+        assert b.build().chi == Poly.gen(v) * de_rham(Poly.gen(u))
+
     def test_duplicate_declarations_rejected(self):
         b = ModelBuilder("dup", 1)
         b.fiber("u", gh=0)

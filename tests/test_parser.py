@@ -186,9 +186,9 @@ def test_diagnostic_message_and_location(text, where, message):
 
 
 @pytest.mark.parametrize("text, where, message", [
-    ("base dim = 1;\nQ x[0] = x[0];\n", "2:3", "q-rule for 'x' must have ghost 1, got 0"),
+    ("base dim = 1;\nQ x[0] = x[0];\n", "2:3", "q-rule for 'x[0]' must have ghost 1, got 0"),
     ("base dim = 2;\ncoord u : gh = 0;\nQ theta[1] = x[0];\n", "3:3",
-     "q-rule for 'th' must have ghost 2, got 0"),
+     "q-rule for 'theta[1]' must have ghost 2, got 0"),
 ], ids=["x", "theta"])
 def test_base_q_rule_is_validated_at_its_statement(text, where, message):
     # the override warning stands beside the error, so the list has both
@@ -392,6 +392,25 @@ def test_chi_twice():
     with pytest.raises(DslError) as err:
         parse_model(bad)
     assert any("twice" in d.message for d in err.value.diagnostics)
+
+
+def test_q_rule_error_stands_beside_a_chi_error():
+    # each Q-rule is validated at its statement, not after the last one
+    text = ("base dim = 0;\ncoord u : gh = 0;\ncoord v : gh = 0;\nQ v = u;\n"
+            "chi = v*d(u);\n")
+    model, diags = parse_with_diagnostics(text)
+    assert model is None
+    assert [str(d) for d in diags] == [
+        "<string>:4:3: error: q-rule for 'v' must have ghost 1, got 0",
+        "<string>:5:1: error: presymplectic potential must have ghost -1, got 0"]
+
+
+def test_a_chi_refused_for_its_degree_is_not_declared():
+    text = UV + "chi = u*d(u);\nchi = v*d(u);\n"
+    model, diags = parse_with_diagnostics(text)
+    assert model is None
+    assert [str(d) for d in diags] == [
+        "<string>:4:1: error: presymplectic potential must have ghost -1, got 0"]
 
 
 def test_base_dim_must_come_first():
