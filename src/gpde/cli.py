@@ -171,10 +171,10 @@ def _run_boundary(m: Model, args) -> Report:
         kill = []
     if not kill:
         raise _usage(f"--kill expects comma separated base directions, got {args.kill!r}")
-    absent = [a for a in kill if a not in m.base_indices]
-    if absent:
-        raise _usage(f"no base direction {absent[0]} to kill (base directions: "
-                     f"{', '.join(map(str, m.base_indices)) or 'none'})")
+    try:
+        m.require_directions(kill, "to kill")
+    except GradedAlgebraError as e:
+        raise _usage(str(e))
     br = boundary_reduction(m, kill)
     for c in br.checks:
         rep.add(c)

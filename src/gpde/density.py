@@ -18,6 +18,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from .algebra import (
     FIBER,
     JET,
+    BackgroundTensors,
     DegreeError,
     Generator,
     GradedAlgebraError,
@@ -145,10 +146,6 @@ def euler_lagrange(jm: JetModel, dens: Poly) -> Dict[Generator, Poly]:
     return {g: Poly(dens.space, out[g]) for g in sorted(out, key=lambda g: g._sort) if out[g]}
 
 
-def el_equivalent(jm: JetModel, a: Poly, b: Poly) -> bool:
-    return not euler_lagrange(jm, a - b)
-
-
 def el_proportional(jm: JetModel, a: Poly, b: Poly) -> Tuple[bool, Optional[Scalar]]:
     """Whether a and b have proportional variational content; returns the
     single scalar when it exists.  E is linear, so lambda is read off one
@@ -159,7 +156,7 @@ def el_proportional(jm: JetModel, a: Poly, b: Poly) -> Tuple[bool, Optional[Scal
     g, pb = next(iter(eb.items()))
     mono, cb = next(iter(pb.terms.items()))
     lam = qdiv(ea[g].coefficient(mono) if g in ea else 0, cb)
-    return (True, lam) if el_equivalent(jm, a, lam * b) else (False, None)
+    return (True, lam) if not euler_lagrange(jm, a - lam * b) else (False, None)
 
 
 # boundary restriction ------------------------------------------------------
@@ -170,9 +167,7 @@ def restrict_to_submanifold(m: Model, keep: Iterable[int]) -> Model:
     partners and differentials are set to zero in the Q-structure and the
     presymplectic potential.  Fiber content is untouched."""
     keep = tuple(sorted(keep))
-    unknown = [a for a in keep if a not in m.base_indices]
-    if unknown:
-        raise GradedAlgebraError(f"cannot keep absent base directions {unknown}")
+    m.require_directions(keep, "to keep")
     ksub0 = _killed_coordinates(m, keep)
     full = dict(ksub0)
     full.update({m.space.differential(g): Poly.zero() for g in ksub0})
@@ -182,8 +177,6 @@ def restrict_to_submanifold(m: Model, keep: Iterable[int]) -> Model:
     chi = m.chi.substitute(full) if m.chi is not None else None
     tensors = m.tensors
     if tensors is not None:
-        from .algebra import BackgroundTensors
-
         tensors = BackgroundTensors([tensors.diag[m.base_indices.index(a)] for a in keep])
     return Model(m.space, f"{m.name}_on_{''.join(map(str, keep))}",
                  len(keep), keep, x, theta, m.fibers, q_rules, chi, m.lies, tensors, m.weak)
@@ -216,10 +209,8 @@ def boundary_reduction(m: Model, kill: Iterable[int]) -> BoundaryReduction:
     """Restrict, prolong, verticalize, and quotient by the kernel of the top
     theta-degree block of the boundary two-form.  The projection is checked
     on m: restricting rebuilds the canonical base part of Q."""
-    kill = set(kill)
-    absent = sorted(kill.difference(m.base_indices))
-    if absent:
-        raise GradedAlgebraError(f"cannot kill absent base directions {absent}")
+    kill = tuple(kill)
+    m.require_directions(kill, "to kill")
     m.require_projection()
     keep = [a for a in m.base_indices if a not in kill]
     checks = [CheckResult.of("tangency", *tangency_residuals(m, keep).values())]

@@ -42,7 +42,9 @@ theta^a passing d_v.  The jet model keeps i_s omega and D chi_v among its
 level forms; the descent tower and the first master identity both read them.
 
 Ownership: a JetModel owns its fields D, D_a and s and its one store of
-level forms.  The fields' rules hold the JetRegistry (space, parent model,
+level forms, `_derived`: each level form is built on its first read and
+kept there under its method's name (model.derived), and a build that raises
+stores nothing.  The fields' rules hold the JetRegistry (space, parent model,
 jet coordinates and image levels) and the D_a table, never the JetModel,
 and s reaches its own coefficients through a weak reference, so a request's
 jet model and its level forms are freed by reference counting, with no
@@ -73,7 +75,7 @@ from .algebra import (
     theta_split,
 )
 from .cartan import VectorField, d_vertical, de_rham, interior
-from .model import Model, solve_hamiltonian
+from .model import Model, derived, solve_hamiltonian
 from .report import CheckResult
 
 
@@ -165,13 +167,6 @@ class JetRegistry:
         self._info: Dict[Generator, Tuple[Generator, Tuple[int, ...], Tuple[int, ...]]] = {}
         self._images: Dict[tuple, dict] = {}  # (u, mode) -> {K: terms}
 
-    def require_directions(self, directions, what: str) -> None:
-        """Refuse a direction outside the base, naming what it was for."""
-        for a in directions:
-            if a not in self._top:
-                raise GradedAlgebraError(f"no base direction {a} for {what} (base directions: "
-                                         f"{', '.join(map(str, self._top)) or 'none'})")
-
     def jet(self, fiber_gen: Generator, I=(), J=()):
         """The jet coordinate psi_{I|J} of a bundle coordinate.  I is
         symmetrized silently; J antisymmetrizes with a sign, returning
@@ -198,7 +193,7 @@ class JetRegistry:
                                       lie_index=g.lie_index, declare=False)
             if u is None:
                 raise GradedAlgebraError(f"jet coordinate {g.name!r} of no bundle coordinate")
-            self.require_directions(g.jet_I + g.jet_J, "a jet coordinate")
+            self.parent.require_directions(g.jet_I + g.jet_J, "for a jet coordinate")
             self.jet(u, g.jet_I, g.jet_J)
         return self._info[g]
 
@@ -330,18 +325,6 @@ class JetRegistry:
         return None
 
 
-def _level_form(build):
-    """A JetModel level form, built on first read and kept in jm._levels
-    under the method's name."""
-    @functools.wraps(build)
-    def read(jm: "JetModel") -> dict:
-        levels = jm._levels.get(build.__name__)
-        if levels is None:
-            levels = jm._levels[build.__name__] = build(jm)
-        return levels
-    return read
-
-
 class JetModel:
     """The super-jet prolongation of a model, with no truncation order.
 
@@ -365,7 +348,7 @@ class JetModel:
         self._totals = {a: VectorField(self.space, 0, name=f"D_{a}",
                                        rule=functools.partial(reg.total_rule, a))
                         for a in self._top}
-        self._levels: Dict[str, dict] = {}  # the level forms, by method name
+        self._derived: Dict[str, dict] = {}  # the level forms, see model.derived
         self.D = VectorField(self.space, 1, rule=reg.d_rule, name="D")
         self.s = VectorField(self.space, 1, name="s")
         self.s.rule = functools.partial(reg.s_rule, self._totals, weakref.ref(self.s))
@@ -373,7 +356,7 @@ class JetModel:
     # jet coordinates (see JetRegistry) ------------------------------------
 
     def jet(self, fiber_gen: Generator, I=(), J=()):
-        self.registry.require_directions((*I, *J), "a jet coordinate")
+        self.parent.require_directions((*I, *J), "for a jet coordinate")
         return self.registry.jet(fiber_gen, I, J)
 
     def jet_of(self, g: Generator):
@@ -420,7 +403,7 @@ class JetModel:
     # the two odd vector fields --------------------------------------------
 
     def total_derivative(self, a: int) -> VectorField:
-        self.registry.require_directions((a,), "a total derivative")
+        self.parent.require_directions((a,), "for a total derivative")
         return self._totals[a]
 
     # pulled-back structures -------------------------------------------------
@@ -446,18 +429,18 @@ class JetModel:
     def omegabar(self) -> Poly:
         return de_rham(self.chibar())
 
-    @_level_form
+    @derived
     def vertical_chibar_levels(self) -> dict:
         """The levels of the vertical pull-back of chi."""
         return self.level_pullback(self._chi(), vertical=True)
 
-    @_level_form
+    @derived
     def vertical_omegabar_levels(self) -> dict:
         """The levels of d_v of the vertical pull-back of chi: the two-form
         the descent tower and the master identities read."""
         return self.levelwise(self.vertical_chibar_levels(), d_vertical, odd=True)
 
-    @_level_form
+    @derived
     def i_s_omegabar_levels(self) -> dict:
         """The levels of i_s of the vertical two-form: i_s keeps the level
         with no sign.  The descent tower and the first master identity both
@@ -478,7 +461,7 @@ class JetModel:
 
         return self.levelwise(self.vertical_omegabar_levels(), half, odd=False)
 
-    @_level_form
+    @derived
     def total_chibar_levels(self) -> dict:
         """The levels of D of the vertical pull-back of chi."""
         return self.total_levels(self.vertical_chibar_levels())
@@ -494,7 +477,7 @@ class JetModel:
     def lbar(self) -> Poly:
         return self._supersection_pullback(solve_hamiltonian(self.parent))
 
-    @_level_form
+    @derived
     def bv_levels(self) -> dict:
         """The levels of the horizontal pull-back of chi + h."""
         return self.level_pullback(self._chi() + solve_hamiltonian(self.parent), HORIZONTAL)
@@ -574,9 +557,3 @@ def check_bv_identities(jm: JetModel) -> List[CheckResult]:
     """One verdict per master identity of master_residuals."""
     return [CheckResult.of(name, *levels.values())
             for name, levels in master_residuals(jm).items()]
-
-
-def bv_lagrangian(jm: JetModel) -> Poly:
-    """Top theta-degree component of the BV scalar, the D-contraction of the
-    pulled-back potential plus the pulled-back hamiltonian."""
-    return jm.parent.theta_volume() * jm.bv_top()

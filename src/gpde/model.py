@@ -8,10 +8,14 @@ They are posed for a Q that projects to the base (Q x^a = theta^a,
 Q theta^a = 0), which keeps I stable under L_Q as d does; on any other Q
 they are refused.
 i_Q keeps only the dtheta^a part of I, so omega is contracted modulo the
-dtheta^a and reduced modulo I after."""
+dtheta^a and reduced modulo I after.
+omega, i_Q omega and the hamiltonian are `derived`: each is built on its
+first read and kept in the model's one store, `_derived`, under its
+function's name; a build that raises stores nothing."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -104,6 +108,17 @@ class FiberFamily:
                                     for i in range(self.lie.dim)])
 
 
+def derived(build):
+    """Build on first read, keep in owner._derived (see the module docstring)."""
+    @functools.wraps(build)
+    def read(owner):
+        form = owner._derived.get(build.__name__)
+        if form is None:
+            form = owner._derived[build.__name__] = build(owner)
+        return form
+    return read
+
+
 class Model:
     """A gauge PDE model over an odd tangent base of dimension n.  Q is
     assembled here from the canonical base part (base_q), zero on each fiber
@@ -129,9 +144,7 @@ class Model:
         self.lies = dict(lies)
         self.tensors = tensors
         self.weak = weak
-        self._omega: Optional[Poly] = None
-        self._iq_omega: Optional[Poly] = None
-        self._hamiltonian: Optional[Poly] = None
+        self._derived: Dict[str, Poly] = {}  # see derived
 
     # structure access ---------------------------------------------------
 
@@ -153,18 +166,18 @@ class Model:
         return Poly(self.space, {tuple((self.theta[j], 1) for j in J) + ((symbol(J), 1),): 1
                                  for J in self.theta_levels(sizes)})
 
-    def theta_volume(self) -> Poly:
-        acc = Poly.scalar(1)
-        for a in self.base_indices:
-            acc = acc * Poly.gen(self.theta[a])
-        return acc
+    def require_directions(self, directions, what: str) -> None:
+        """Refuse a direction outside the base, naming what it was for."""
+        for a in directions:
+            if a not in self.base_indices:
+                raise GradedAlgebraError(f"no base direction {a} {what} (base directions: "
+                                         f"{', '.join(map(str, self.base_indices)) or 'none'})")
 
+    @derived
     def omega(self) -> Poly:
         if self.chi is None:
             raise GradedAlgebraError(f"model {self.name!r} has no presymplectic potential")
-        if self._omega is None:
-            self._omega = de_rham(self.chi)
-        return self._omega
+        return de_rham(self.chi)
 
     def require_projection(self) -> None:
         """Refuse a Q that does not project to the base (check_projection):
@@ -173,13 +186,12 @@ class Model:
         if not check_projection(self).passed:
             raise GradedAlgebraError("Q does not project to the base")
 
+    @derived
     def iq_omega(self) -> Poly:
-        """i_Q omega modulo the dtheta^a, cached for the presymplectic
-        checks and the hamiltonian; refused unless Q projects to the base."""
-        if self._iq_omega is None:
-            self.require_projection()
-            self._iq_omega = interior(self.q, self.drop_dtheta(self.omega()))
-        return self._iq_omega
+        """i_Q omega modulo the dtheta^a, read by the presymplectic checks
+        and the hamiltonian; refused unless Q projects to the base."""
+        self.require_projection()
+        return interior(self.q, self.drop_dtheta(self.omega()))
 
     # the ideal I generated by (dx^a - theta^a) and dtheta^a -----------------
 
@@ -267,20 +279,28 @@ class ModelBuilder:
         return fam
 
     def q_rule(self, g: Generator, value) -> "ModelBuilder":
-        value = normal_form(value)
-        prev = self._q_rules.get(g)
-        if prev is not None:
-            if prev == value:
-                return self
-            raise GradedAlgebraError("conflicting Q-rules for the same coordinate")
-        if not value.is_zero():
-            if value.fdeg() != 0:
-                raise DegreeError(f"q-rule for {gen_dsl(g)!r} is not a function")
-            if value.gh() != g.gh + 1:
-                raise DegreeError(
-                    f"q-rule for {gen_dsl(g)!r} must have ghost {g.gh + 1}, got {value.gh()}"
-                )
-        self._q_rules[g] = value
+        return self.q_rules([(g, value)])
+
+    def q_rules(self, rules) -> "ModelBuilder":
+        """Store the (coordinate, value) rules of one statement, all or none:
+        each is checked against the stored rules and the earlier ones."""
+        staged: Dict[Generator, Poly] = {}
+        for g, value in rules:
+            value = normal_form(value)
+            prev = staged.get(g, self._q_rules.get(g))
+            if prev is not None:
+                if prev == value:
+                    continue
+                raise GradedAlgebraError("conflicting Q-rules for the same coordinate")
+            if not value.is_zero():
+                if value.fdeg() != 0:
+                    raise DegreeError(f"q-rule for {gen_dsl(g)!r} is not a function")
+                if value.gh() != g.gh + 1:
+                    raise DegreeError(
+                        f"q-rule for {gen_dsl(g)!r} must have ghost {g.gh + 1}, got {value.gh()}"
+                    )
+            staged[g] = value
+        self._q_rules.update(staged)
         return self
 
     def chi(self, value) -> "ModelBuilder":
@@ -369,14 +389,13 @@ def _fiber_degree(mono) -> int:
     return sum(e for g, e in mono if g.role == FIBER)
 
 
+@derived
 def solve_hamiltonian(m: Model) -> Poly:
     """Reconstruct the covariant Hamiltonian L from i_Q omega + dL in I,
     normalized so the fiber-independent part of L vanishes; then
     L_Q omega = -d i_Q omega is in I too.  Solved once per model: a second
     call returns the same Poly.  Raises NotExactError when no such local
     function exists, on every call."""
-    if m._hamiltonian is not None:
-        return m._hamiltonian
     alpha = m.ideal_reduce(m.iq_omega())
     f = interior(fiber_euler_field(m), alpha.form_component(1))
     # modulo I only fiber differentials are left, and i_E du = u: no term
@@ -387,7 +406,6 @@ def solve_hamiltonian(m: Model) -> Poly:
         raise NotExactError(
             f"reduced contraction is not the fiber differential of a local "
             f"function ({res.num_terms()} residual terms)", res)
-    m._hamiltonian = L
     return L
 
 

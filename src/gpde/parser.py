@@ -788,6 +788,7 @@ class ModelParser:
         free = [a[1] for a in args if a[0] == "var"]
         if len(set(free)) != len(free):
             raise _error("left-hand index variables must be distinct", span)
+        rules = []
         # the first variable varies slowest
         for values in itertools.product(b.base_indices, repeat=len(free)):
             env = dict(zip(free, values))
@@ -802,7 +803,7 @@ class ModelParser:
                 self.diags.append(Diagnostic(
                     "warning", f"Q-rule for {name}[{g.base_index[0]}] overrides the canonical "
                     f"base differential", span))
-                self.store_q(g, value, span)
+                rules.append((g, value))
                 continue
             if lie is None:
                 if isinstance(value, LieValued):
@@ -818,14 +819,12 @@ class ModelParser:
                 values = value.components
             for (sign, g), v in zip(comps, values):
                 if sign != 0:
-                    self.store_q(g, v if sign == 1 else -v, span)
+                    rules.append((g, v if sign == 1 else -v))
                 elif not v.is_zero():
                     raise _error("nonzero Q-rule on a vanishing antisymmetric component",
                                  span)
-
-    def store_q(self, g: Generator, value: Poly, span):
         try:
-            self.builder.q_rule(g, value)
+            b.q_rules(rules)
         except GradedAlgebraError as e:
             raise _error(str(e), span) from None
 

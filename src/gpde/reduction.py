@@ -173,10 +173,6 @@ class PresymplecticMatrix:
         acc = partials(form, column)
         self.columns = [Poly(space, acc.get(A, {})) for A in range(len(self.universe))]
 
-    def is_constant(self) -> bool:
-        return not any(g.fdeg == 0 for col in self.columns for mono in col.terms
-                       for g, _ in mono)
-
     def kernel(self) -> List[List[Scalar]]:
         """One sparse row per monomial of the columns, holding that
         monomial's coefficient in each column."""
@@ -216,12 +212,11 @@ def kernel_basis(form: Poly, universe: Sequence[Generator],
     body = _body(form, point)
     pm = PresymplecticMatrix(body, universe)
     kernel = pm.kernel()
-    if not pm.is_constant():
-        coords = sorted({g for col in pm.columns for mono in col.terms
-                         for g, _ in mono if g.fdeg == 0}, key=lambda g: g._sort)
-        if all(len(kernel_basis(body, universe, {g: value(k) for k, g in enumerate(coords)}))
-               > len(kernel) for value in _WITNESSES):
-            raise ReductionError("kernel distribution is not constant in these coordinates")
+    coords = sorted({g for col in pm.columns for mono in col.terms
+                     for g, _ in mono if g.fdeg == 0}, key=lambda g: g._sort)
+    if coords and all(len(kernel_basis(body, universe, {g: w(k) for k, g in enumerate(coords)}))
+                      > len(kernel) for w in _WITNESSES):
+        raise ReductionError("kernel distribution is not constant in these coordinates")
     return kernel
 
 

@@ -468,6 +468,11 @@ def test_module_entry_point():
     assert "result: OK" in proc.stdout
 
 
+def test_every_public_name_resolves():
+    import gpde
+    assert [name for name in gpde.__all__ if not hasattr(gpde, name)] == []
+
+
 @pytest.mark.parametrize("content, message", [
     (b"\xff\xfe", "not UTF-8 text: byte 0xff at offset 0"),
     (b"base dim = 1;\n\xc3(", "not UTF-8 text: byte 0xc3 at offset 14"),

@@ -9,7 +9,6 @@ from gpde.density import (
     action_density,
     boundary_reduction,
     covariance_residual,
-    el_equivalent,
     el_proportional,
     euler_lagrange,
     gauge_variation,
@@ -211,8 +210,8 @@ def test_euler_lagrange_ignores_total_derivatives(maxwell_model):
     for j in currents:
         for a in (0, 1, 3):
             shifted = base + jm.total_derivative(a).apply(j)
-            assert el_equivalent(jm, base, shifted)
-            assert not el_equivalent(jm, base + psi(jm, "C", J=(1,)), base)
+            assert euler_lagrange(jm, shifted) == euler_lagrange(jm, base)
+            assert euler_lagrange(jm, base + psi(jm, "C", J=(1,))) != euler_lagrange(jm, base)
 
 
 def test_el_proportional(maxwell_model):
@@ -282,8 +281,9 @@ def test_restricted_potential_keeps_only_time_blocks(maxwell_model):
 
 
 def test_restriction_rejects_unknown_directions(maxwell_model):
-    with pytest.raises(GradedAlgebraError):
+    with pytest.raises(GradedAlgebraError) as err:
         restrict_to_submanifold(maxwell_model, (1, 2, 7))
+    assert str(err.value) == "no base direction 7 to keep (base directions: 0, 1, 2, 3)"
 
 
 def test_boundary_reduction_maxwell(maxwell_model):
@@ -465,9 +465,11 @@ def test_action_density_without_chi_makes_no_jet():
 
 
 def test_boundary_reduction_refuses_absent_kill_directions(maxwell_model):
-    for kill, absent in (([9], r"\[9\]"), ([0, 7, 5], r"\[5, 7\]")):
-        with pytest.raises(GradedAlgebraError, match=f"cannot kill absent base directions {absent}"):
+    for kill, absent in (([9], 9), ([0, 7, 5], 7)):
+        with pytest.raises(GradedAlgebraError) as err:
             boundary_reduction(maxwell_model, kill=kill)
+        assert str(err.value) == \
+            f"no base direction {absent} to kill (base directions: 0, 1, 2, 3)"
 
 
 def test_jet_of_no_bundle_coordinate_is_refused():

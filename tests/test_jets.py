@@ -2,13 +2,12 @@ from collections import Counter
 
 import pytest
 
-from gpde.algebra import BASE_THETA, BASE_X, FIBER, JET, GradedAlgebraError, Poly
+from gpde.algebra import BASE_THETA, BASE_X, FIBER, JET, GradedAlgebraError, Poly, theta_basis
 from gpde.cartan import d_vertical, de_rham, interior
 from gpde.density import boundary_reduction, restrict_to_submanifold
 from gpde.jets import (
     HORIZONTAL,
     JetModel,
-    bv_lagrangian,
     check_bv_identities,
     check_descent,
     descent_residuals,
@@ -277,7 +276,8 @@ class TestDescentAndMasters:
 
     def test_bv_lagrangian_structure(self, jet_maxwell):
         jm = jet_maxwell
-        dens = bv_lagrangian(jm)
+        m = jm.parent
+        dens = theta_basis([m.theta[a] for a in m.base_indices], ()) * jm.bv_top()
         assert not dens.is_zero()
         assert dens.gh() == 4
         assert set(theta_components(dens)) == {4}
@@ -555,7 +555,7 @@ class TestOneLevel:
     def test_vertical_top_builds_no_vertical_form(self, ym_model):
         jm = JetModel(ym_model)
         assert not jm.vertical_top().is_zero()
-        assert not jm._levels
+        assert not jm._derived
 
     def test_checks_read_s_on_low_levels_only(self, ym_model):
         # every term of ym_weak's chi holds two thetas, so the checks read s

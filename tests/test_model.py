@@ -18,7 +18,7 @@ from gpde.model import (
     solve_hamiltonian,
     standard_checks,
 )
-from gpde.parser import parse_model
+from gpde.parser import load_builtin, parse_model
 from gpde.report import CheckResult
 
 from conftest import build_maxwell
@@ -71,6 +71,22 @@ class TestBuilder:
                            match="^conflicting Q-rules for the same coordinate$"):
             b.q_rule(v, 2 * Poly.gen(u) * Poly.gen(u))
         assert b.build().q.coefficient(v) == Poly.gen(u) * Poly.gen(u)
+
+    def test_q_rules_store_all_or_none(self):
+        b = ModelBuilder("staged", 0)
+        u = b.fiber("u", gh=0).gen()
+        v, w = b.fiber("v", gh=-1).gen(), b.fiber("w", gh=-1).gen()
+        uu = Poly.gen(u) * Poly.gen(u)
+        b.q_rule(w, uu)
+        with pytest.raises(GradedAlgebraError, match="^conflicting Q-rules"):
+            b.q_rules([(v, uu), (w, 2 * uu)])
+        with pytest.raises(GradedAlgebraError, match="^conflicting Q-rules"):
+            b.q_rules([(v, uu), (v, 2 * uu)])
+        with pytest.raises(DegreeError):
+            b.q_rules([(v, uu), (w, uu), (u, Poly.gen(u))])
+        b.q_rules([(v, 3 * uu), (v, 3 * uu), (w, uu)])
+        m = b.build()
+        assert (m.q.coefficient(v), m.q.coefficient(w)) == (3 * uu, uu)
 
     def test_second_chi_is_refused(self):
         # the second call used to replace the first, building a model with chi = 0
@@ -410,9 +426,9 @@ class TestHamiltonian:
             solve_hamiltonian(ce_model)
 
     def test_solved_once_per_model(self):
-        m = build_maxwell()
-        L = solve_hamiltonian(m)
-        assert solve_hamiltonian(m) is L
+        for m in (build_maxwell(), load_builtin("ym_weak")):
+            L = solve_hamiltonian(m)
+            assert solve_hamiltonian(m) is L
 
     def test_failure_raises_on_every_call(self):
         # the inexact model of test_not_exact_carries_its_residual
@@ -422,11 +438,13 @@ class TestHamiltonian:
         c = b.fiber("c", gh=1).gen()
         b.q_rule(w, Poly.gen(u) * Poly.gen(u))
         b.chi(Poly.gen(c) * de_rham(Poly.gen(w)))
-        m = b.build()
-        for _ in range(2):
-            with pytest.raises(NotExactError) as info:
-                solve_hamiltonian(m)
-            assert info.value.residual.num_terms() == 2
+        # a failed solve stores nothing, so each call solves and raises again
+        for m, terms in ((b.build(), 2), (parse_model(broken_ym_source()), 54)):
+            for _ in range(2):
+                with pytest.raises(NotExactError) as info:
+                    solve_hamiltonian(m)
+                assert info.value.residual.num_terms() == terms
+            assert "solve_hamiltonian" not in m._derived
 
     def test_standard_checks_shape(self, maxwell_model):
         out = standard_checks(maxwell_model)

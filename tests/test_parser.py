@@ -373,6 +373,17 @@ def test_conflicting_q_rules():
     assert any("conflicting" in d.message.lower() for d in err.value.diagnostics)
 
 
+def test_a_failed_q_statement_stores_none_of_its_rules():
+    # line 5 sets u[0] = 2*w and then conflicts at u[1]; nothing of it is
+    # stored, so line 6 is the first rule for u[0]
+    text = ("base dim = 2;\ncoord u[a] : gh = 0;\ncoord w : gh = 1;\n"
+            "Q u[1] = w;\nQ u[a] = 2*w;\nQ u[0] = 3*w;\n")
+    model, diags = parse_with_diagnostics(text)
+    assert model is None
+    assert [str(d) for d in diags] == [
+        "<string>:5:3: error: conflicting Q-rules for the same coordinate"]
+
+
 def test_reserved_coordinate_name():
     with pytest.raises(DslError) as err:
         parse_model("base dim = 1;\ncoord theta : gh = 0;\n")

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gpde.algebra import FIBER, Poly, Space
+from gpde.algebra import FIBER, Poly, Space, theta_basis
 from gpde.cartan import VectorField, d_vertical, de_rham, interior
 from gpde.density import restrict_to_submanifold
 from gpde.jets import JetModel
@@ -132,13 +132,6 @@ class TestKernel:
         form = de_rham(Poly.gen(a)) * de_rham(Poly.gen(b)) \
             + Poly.gen(c) * de_rham(Poly.gen(a)) * de_rham(Poly.gen(k))
         assert kernel_basis(form, [a, b, k]) == [[F(0), F(0), F(1)]]
-
-    def test_matrix_constant_detection(self, flat_space):
-        sp, a, b, k = flat_space
-        const = de_rham(Poly.gen(a)) * de_rham(Poly.gen(b))
-        assert PresymplecticMatrix(const, [a, b]).is_constant()
-        dep = Poly.gen(k) * const
-        assert not PresymplecticMatrix(dep, [a, b]).is_constant()
 
 
 def interior_columns(form, universe):
@@ -273,7 +266,7 @@ class TestReduce:
         sp = m.space
         u = sp.coordinate("ru", FIBER, 0)
         w = sp.coordinate("rw", FIBER, 0)
-        vol = m.theta_volume()
+        vol = theta_basis([m.theta[a] for a in m.base_indices], ())
         form = vol * de_rham(Poly.gen(u)) * de_rham(Poly.gen(w))
         stripped = theta_top_coefficient(m, form)
         assert stripped == de_rham(Poly.gen(u)) * de_rham(Poly.gen(w))
