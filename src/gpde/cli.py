@@ -23,15 +23,10 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .algebra import Generator, GradedAlgebraError, Poly, Scalar, rational
+from .jets import JetModel, boundary_reduction, check_bv_identities, check_descent, ghost_sector
 # action_density and generic_supersection are not called here (the verbs
 # read JetModel.bv_top), but perfbench/spans.py times them under these names
-from .density import (  # noqa: F401
-    action_density,
-    boundary_reduction,
-    generic_supersection,
-    ghost_sector,
-)
-from .jets import JetModel, check_bv_identities, check_descent
+from .jets import action_density, generic_supersection  # noqa: F401
 from .model import Model, check_solution, solve_hamiltonian, standard_checks
 from .parser import DslError, builtin_names, load_builtin, load_model
 from .printing import equations, gen_text, poly_latex, poly_text

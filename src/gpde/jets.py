@@ -20,9 +20,19 @@ and, at the theta-volume level only, the top block the reductions quotient
 by; the horizontal one reads its form modulo the contact ideal
 (Model.ideal_reduce: dx^a to theta^a, dtheta^a to zero) and gives the BV
 scalar i_D chibar + hbar out of chi + h.  chibar and omegabar = d(chibar),
-which no check reads, are one substitution along the generic supersection,
+which no check reads, are Section.pull along the generic supersection,
 apart from the level engine.  Jets are made as the pull-backs and seeds ask
 for them, so the jet space is never truncated.
+
+A section assigns to every bundle fiber coordinate u a theta-expansion
+sum_J theta^J c_J in the jet coordinates; the generic supersection takes
+c_J = psi_{|J}.  Pulling back along a section gives the covariance residual
+(curvature), the gauge variation of the level jets, and the first-order
+action density: the top level of the BV scalar pulled back along the
+prolonged section, psi_{I|J} of u to D_I c_J.  The variational calculus on
+jet expressions uses the total derivatives D_I.  Boundary reduction
+restricts a model (model.restrict_to_submanifold), prolongs it and
+quotients the top block of its vertical two-form (reduction.reduce_form).
 
 The forms the checks read stay in level form {J: terms}, standing for
 sum_J theta^J * terms, as the pull-backs return them.  s, i_s, d_v and each
@@ -56,7 +66,7 @@ from __future__ import annotations
 import functools
 import itertools
 import weakref
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .algebra import (
     BASE_THETA,
@@ -68,14 +78,24 @@ from .algebra import (
     Generator,
     GradedAlgebraError,
     Poly,
+    Scalar,
     _sandwich,
     accumulate,
     derive,
+    partials,
+    qdiv,
     sort_sign,
     theta_split,
 )
 from .cartan import VectorField, d_vertical, de_rham, interior
-from .model import Model, derived, solve_hamiltonian
+from .model import (
+    Model,
+    derived,
+    restrict_to_submanifold,
+    solve_hamiltonian,
+    tangency_residuals,
+)
+from .reduction import ReducedModel, form_universe, reduce_form
 from .report import CheckResult
 
 
@@ -286,13 +306,11 @@ class JetRegistry:
 
     # the rules of D, D_a and s ----------------------------------------------
 
-    def d_rule(self, g: Generator):
-        if g.role == JET:
-            fib, I, J = self.jet_of(g)
-            return self.parent.theta_expansion([1], lambda K: self.jet(fib, I + K, J)[1])
-        if g.role == BASE_X:
-            return Poly.gen(self.parent.theta[g.base_index[0]])
-        return self._no_bundle_coordinate(g)
+    def d_rule(self, totals: Dict[int, VectorField], g: Generator):
+        """D = theta^a D_a, read off the D_a table."""
+        self._no_bundle_coordinate(g)
+        return sum((Poly.gen(self.parent.theta[a]) * Da.coefficient(g)
+                    for a, Da in totals.items()), Poly.zero())
 
     def total_rule(self, a: int, g: Generator):
         if g.role == JET:
@@ -332,11 +350,8 @@ class JetModel:
     by level, and the seeds of s per level, on demand.  The level forms the
     checks read (chi_v, its d_v, i_s of that, D chi_v, the BV scalar) are
     built on first read and kept in one store; no check builds omegabar().
-
-    A JetModel owns its fields D, s and D_a, one per base direction; their
-    rules hold the jet registry and the D_a table, never the JetModel, so a
-    JetModel and its level forms are freed by reference counting, and a
-    field that outlives it keeps working."""
+    Its fields D, s and D_a (one per base direction) keep working when they
+    outlive it (module docstring, Ownership)."""
 
     def __init__(self, parent: Model):
         parent.require_projection()
@@ -349,7 +364,8 @@ class JetModel:
                                        rule=functools.partial(reg.total_rule, a))
                         for a in self._top}
         self._derived: Dict[str, dict] = {}  # the level forms, see model.derived
-        self.D = VectorField(self.space, 1, rule=reg.d_rule, name="D")
+        self.D = VectorField(self.space, 1, rule=functools.partial(reg.d_rule, self._totals),
+                             name="D")
         self.s = VectorField(self.space, 1, name="s")
         self.s.rule = functools.partial(reg.s_rule, self._totals, weakref.ref(self.s))
 
@@ -413,18 +429,8 @@ class JetModel:
             raise GradedAlgebraError("model has no presymplectic potential")
         return self.parent.chi
 
-    def _supersection_pullback(self, p: Poly) -> Poly:
-        """p along the generic supersection by one substitution: u to its
-        theta-expansion, du to the expansion's de_rham."""
-        mapping = {}
-        for g in p.generators():
-            if g.role == FIBER:
-                exp = self.theta_expansion(self.space.coordinate_of(g) if g.fdeg else g)
-                mapping[g] = de_rham(exp) if g.fdeg else exp
-        return p.substitute(mapping)
-
     def chibar(self) -> Poly:
-        return self._supersection_pullback(self._chi())
+        return generic_supersection(self).pull(self._chi())
 
     def omegabar(self) -> Poly:
         return de_rham(self.chibar())
@@ -475,7 +481,7 @@ class JetModel:
         return -top if len(self._top) & 1 else top
 
     def lbar(self) -> Poly:
-        return self._supersection_pullback(solve_hamiltonian(self.parent))
+        return generic_supersection(self).pull(solve_hamiltonian(self.parent))
 
     @derived
     def bv_levels(self) -> dict:
@@ -516,13 +522,8 @@ def descent_residuals(jm: JetModel) -> dict:
     two-form omega.  L_s keeps the theta level and L_D raises it by one, so
     the levels with |J| = k hold the descent residual of degree k,
     L_s omega_k + L_D omega_{k-1}: the two contributions must cancel.
-
-    Both Lie derivatives come from Cartan's formula on a closed form.  On
-    vertical forms L_s = [i_s, d_v] = i_s d_v - d_v i_s, and each level of
-    omega is d_v of a level of the pulled-back chi, so d_v omega = 0 and
-    L_s omega = -d_v i_s omega.  D_a commutes with d_v, so L_D omega =
-    -d_v D chi (the minus from D passing d_v).  The residual is therefore
-    -d_v(i_s omega + D chi), level by level, from the two stored level
+    By Cartan's formula (module docstring) the residual is
+    -d_v(i_s omega + D chi_v), level by level, from the two stored level
     forms; the hamiltonian is not needed."""
     return jm.levelwise(_level_sum(jm.i_s_omegabar_levels(), jm.total_chibar_levels()),
                         lambda p: -d_vertical(p), odd=True)
@@ -557,3 +558,169 @@ def check_bv_identities(jm: JetModel) -> List[CheckResult]:
     """One verdict per master identity of master_residuals."""
     return [CheckResult.of(name, *levels.values())
             for name, levels in master_residuals(jm).items()]
+
+
+# sections and densities ------------------------------------------------------
+
+
+class Section:
+    """Theta-expansion of every bundle fiber coordinate in the jet
+    coordinates of `jets`."""
+
+    def __init__(self, jets: JetModel, mapping: Dict[Generator, Poly]):
+        self.jets = jets
+        self.mapping = dict(mapping)
+
+    def __getitem__(self, g: Generator) -> Poly:
+        return self.mapping[g]
+
+    def pull(self, p: Poly) -> Poly:
+        """p along the section by one substitution: u to sec[u], du to
+        de_rham(sec[u])."""
+        mapping = dict(self.mapping)
+        for g in p.generators():
+            if g.role == FIBER and g.fdeg:
+                mapping[g] = de_rham(self.mapping[self.jets.space.coordinate_of(g)])
+        return p.substitute(mapping)
+
+
+def generic_supersection(jm: JetModel) -> Section:
+    """u -> sum_J theta^J psi_{|J} over all levels: the full BV-BFV field
+    content, ghost degrees of the level jets running from gh(u) downwards."""
+    return Section(jm, {u: jm.theta_expansion(u) for u in jm.parent.fiber_coords()})
+
+
+def generic_section(jm: JetModel) -> Section:
+    """Ghost-zero field content only: each fiber coordinate keeps the levels
+    matching its ghost degree (none when that is negative)."""
+    m = jm.parent
+    return Section(jm, {u: m.theta_expansion([u.gh] if u.gh >= 0 else [],
+                                             lambda J: jm.jet(u, (), J)[1])
+                        for u in m.fiber_coords()})
+
+
+def covariance_residual(sec: Section) -> Dict[Generator, Poly]:
+    """R(u) = section-pullback of Q(u) minus D of the section image.
+    Vanishes exactly on solutions; the theta-bilinear part is the curvature."""
+    jm = sec.jets
+    return {u: sec.pull(jm.parent.q.coefficient(u)) - jm.D.apply(sec[u])
+            for u in jm.parent.fiber_coords()}
+
+
+def gauge_variation(sec: Section) -> Dict[Generator, Poly]:
+    """BRST-type variation of every level jet psi_{|J} of u in sec[u], read
+    off level J of the covariance residual.  Registers no generator beyond
+    those of the residual."""
+    out = {}
+    for u, res in covariance_residual(sec).items():
+        coeffs = theta_coefficients(res)
+        for g in sec[u].generators():
+            if g.role == JET and not g.jet_I and sec.jets.jet_of(g)[0] is u:
+                c = coeffs.get(g.jet_J, Poly.zero())
+                out[g] = -c if len(g.jet_J) & 1 else c
+    return out
+
+
+def action_density(sec: Section) -> Poly:
+    """First-order action integrand: the theta-volume coefficient of the BV
+    scalar of the section's jet model, pulled back along the prolonged
+    section: psi_{I|J} of u goes to D_I c_J where sec[u] = sum_J theta^J c_J."""
+    jm = sec.jets
+    m = jm.parent
+    if m.chi is None:
+        raise GradedAlgebraError("model has no presymplectic potential")
+    levels = {}     # the theta levels c_J of each image
+    for u in m.fiber_coords():
+        img = sec[u]
+        if any(g.role == FIBER for g in img.generators()):
+            raise GradedAlgebraError(f"bundle coordinate inside the section image of {u.name}")
+        if img.terms and img.parity() != u.parity:
+            raise DegreeError(f"substitution image for {u.name} has wrong parity")
+        levels[u] = theta_coefficients(img)
+    top = jm.bv_top()
+    mapping = {}
+    for g in top.generators():
+        if g.role == JET:
+            u, I, J = jm.jet_of(g)
+            c = levels[u].get(J, Poly.zero())
+            for a in I:
+                c = jm.total_derivative(a).apply(c)
+            mapping[g] = c
+    return top.substitute(mapping)
+
+
+def ghost_sector(p: Poly, gh: int) -> Poly:
+    """Terms whose positive-ghost jet coordinates carry total degree gh.
+
+    A BV-type density is homogeneous in the plain total, so the useful
+    grading counts the ghost content only: the gh=0 sector of a master
+    density is exactly the part free of ghosts and their momenta."""
+
+    def pred(mono):
+        return sum(g.gh * e for g, e in mono if g.role == JET and g.gh > 0) == gh
+
+    return p.filter(pred)
+
+
+# variational calculus ------------------------------------------------------
+
+
+def euler_lagrange(jm: JetModel, dens: Poly) -> Dict[Generator, Poly]:
+    """Variational derivative with respect to every level jet psi_{|J} whose
+    prolongations psi_{I|J} occur: the sum over I of (-1)^{|I|} D_I (left
+    partial w.r.t. psi_{I|J}).  Keys come in canonical generator order."""
+    out: Dict[Generator, dict] = {}
+    column = {g: g for g in dens.generators() if g.role == JET}
+    for g, terms in partials(dens, column).items():
+        u, I, J = jm.jet_of(g)
+        partial = Poly._adopt(dens.space, terms)
+        for a in I:
+            partial = jm.total_derivative(a).apply(partial)
+        accumulate(out.setdefault(jm.jet(u, (), J)[1], {}),
+                   (-partial if len(I) & 1 else partial).terms.items())
+    return {g: Poly(dens.space, out[g]) for g in sorted(out, key=lambda g: g._sort) if out[g]}
+
+
+def el_proportional(jm: JetModel, a: Poly, b: Poly) -> Tuple[bool, Optional[Scalar]]:
+    """Whether a and b have proportional variational content; returns the
+    single scalar when it exists.  E is linear, so lambda is read off one
+    term of E(b), and it is the scalar exactly when E(a - lambda*b) = 0."""
+    ea, eb = euler_lagrange(jm, a), euler_lagrange(jm, b)
+    if not eb:
+        return not ea, None
+    g, pb = next(iter(eb.items()))
+    mono, cb = next(iter(pb.terms.items()))
+    lam = qdiv(ea[g].coefficient(mono) if g in ea else 0, cb)
+    return (True, lam) if not euler_lagrange(jm, a - lam * b) else (False, None)
+
+
+# boundary reduction --------------------------------------------------------
+
+
+class BoundaryReduction:
+    def __init__(self, restricted: Model, jets: JetModel, reduced: ReducedModel,
+                 checks: List[CheckResult]):
+        self.restricted = restricted
+        self.jets = jets
+        self.reduced = reduced
+        self.checks = checks
+
+
+def boundary_reduction(m: Model, kill: Iterable[int]) -> BoundaryReduction:
+    """Restrict, prolong, verticalize, and quotient by the kernel of the top
+    theta-degree block of the boundary two-form.  The projection is checked
+    on m: restricting rebuilds the canonical base part of Q."""
+    kill = tuple(kill)
+    m.require_directions(kill, "to kill")
+    m.require_projection()
+    keep = [a for a in m.base_indices if a not in kill]
+    checks = [CheckResult.of("tangency", *tangency_residuals(m, keep).values())]
+    mr = restrict_to_submanifold(m, keep)
+    jr = JetModel(mr)
+    top = jr.vertical_top()
+    if top.is_zero():
+        raise GradedAlgebraError("boundary two-form has no top theta component")
+    reduced = reduce_form(top, form_universe(top), s=jr.s)
+    checks.append(CheckResult.of("kernel_split", reduced.split_residual(),
+                                 detail=f"kernel dimension {len(reduced.kernel_vectors)}"))
+    return BoundaryReduction(mr, jr, reduced, checks)

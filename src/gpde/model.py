@@ -1,6 +1,10 @@
 """Gauge PDE models: graded fiber bundle data, homological vector field,
 presymplectic potential, and the associated consistency checks.
 
+The structure descends to submanifolds of the base: restricting to the
+directions kept sets x^a, theta^a and their differentials of every other
+direction to zero in Q and chi, and leaves the fibers as they are.
+
 The compatibility conditions hold modulo the ideal I generated by
 dx^a - theta^a and dtheta^a, and are read on the quotient: each residual
 is reduced (dx^a -> theta^a, dtheta^a -> 0), never tested for membership.
@@ -120,21 +124,20 @@ def derived(build):
 
 
 class Model:
-    """A gauge PDE model over an odd tangent base of dimension n.  Q is
+    """A gauge PDE model over the odd tangent base of the directions
+    base_indices, n of them, with the x^a and theta^a of build_base.  Q is
     assembled here from the canonical base part (base_q), zero on each fiber
     coordinate and q_rules, in that order; the rules and chi come validated."""
 
-    def __init__(self, space: Space, name: str, n: int, base_indices,
-                 x: Dict[int, Generator], theta: Dict[int, Generator],
+    def __init__(self, space: Space, name: str, base_indices,
                  fibers: Dict[str, FiberFamily], q_rules: Dict[Generator, Poly],
                  chi: Optional[Poly], lies: Dict[str, LieAlgebraData],
                  tensors: Optional[BackgroundTensors], weak: bool):
         self.space = space
         self.name = name
-        self.n = n
         self.base_indices = tuple(base_indices)
-        self.x = dict(x)
-        self.theta = dict(theta)
+        self.n = len(self.base_indices)
+        self.x, self.theta = build_base(space, self.base_indices)
         self.fibers = dict(fibers)
         coeffs = base_q(self.x, self.theta)
         coeffs.update((g, Poly.zero()) for g in self.fiber_coords())
@@ -216,6 +219,8 @@ def base_q(x: Dict[int, Generator], theta: Dict[int, Generator]) -> Dict[Generat
 
 
 def build_base(space: Space, base_indices) -> Tuple[Dict[int, Generator], Dict[int, Generator]]:
+    """x^a and theta^a of each base direction, interned in space: every
+    call returns the same generators."""
     xs, ths = {}, {}
     for a in base_indices:
         xs[a] = space.coordinate("x", BASE_X, 0, base_index=(a,))
@@ -315,9 +320,49 @@ class ModelBuilder:
 
     def build(self) -> Model:
         check_potential(self._chi, self.n)
-        return Model(self.space, self.name, self.n, self.base_indices,
-                     self.x, self.theta, self.fibers, self._q_rules, self._chi,
-                     self.lies, self.tensors, self._weak)
+        return Model(self.space, self.name, self.base_indices, self.fibers,
+                     self._q_rules, self._chi, self.lies, self.tensors, self._weak)
+
+
+# restriction to a submanifold of the base ----------------------------------
+
+
+def restrict_to_submanifold(m: Model, keep: Iterable[int]) -> Model:
+    """Kill the base directions outside `keep`: their coordinates, odd
+    partners and differentials are set to zero in the Q-structure and the
+    presymplectic potential.  Fiber content is untouched."""
+    keep = tuple(sorted(keep))
+    m.require_directions(keep, "to keep")
+    for a, b in zip(keep, keep[1:]):
+        if a == b:
+            raise GradedAlgebraError(f"base direction {a} to keep given twice")
+    ksub0 = _killed_coordinates(m, keep)
+    full = dict(ksub0)
+    full.update({m.space.differential(g): Poly.zero() for g in ksub0})
+    q_rules = {g: m.q.coefficient(g).substitute(ksub0) for g in m.fiber_coords()}
+    chi = m.chi.substitute(full) if m.chi is not None else None
+    tensors = m.tensors
+    if tensors is not None:
+        tensors = BackgroundTensors([tensors.diag[m.base_indices.index(a)] for a in keep])
+    return Model(m.space, f"{m.name}_on_{''.join(map(str, keep))}", keep, m.fibers,
+                 q_rules, chi, m.lies, tensors, m.weak)
+
+
+def tangency_residuals(m: Model, keep: Iterable[int]) -> Dict[Generator, Poly]:
+    """The Q-image of every killed coordinate, restricted to the surface;
+    nonzero entries mean Q is not tangent to the restriction.  On a Q that
+    projects to the base (Q x^a = theta^a, Q theta^a = 0) every entry is
+    zero, theta^a being killed with x^a; boundary reduction refuses any
+    other Q before it reads them, so its `tangency` line cannot FAIL."""
+    ksub = _killed_coordinates(m, tuple(keep))
+    return {g: m.q.coefficient(g).substitute(ksub) for g in ksub}
+
+
+def _killed_coordinates(m: Model, keep: Tuple[int, ...]) -> Dict[Generator, Poly]:
+    """x^a and theta^a of every base direction outside keep, each sent to
+    zero: the restriction to the surface."""
+    return {g: Poly.zero() for a in m.base_indices if a not in keep
+            for g in (m.x[a], m.theta[a])}
 
 
 # checks ------------------------------------------------------------------

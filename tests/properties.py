@@ -669,7 +669,7 @@ def suite_lie_validate(cases: int = 500, seed: int = 47):
 def suite_el_invariance(cases: int = 1000, seed: int = 23):
     """The variational derivative annihilates total derivatives, so adding a
     divergence never changes the equivalence class of a density."""
-    from gpde.density import euler_lagrange
+    from gpde.jets import euler_lagrange
 
     jm = variational_model()
     rng = random.Random(seed)
@@ -1469,10 +1469,9 @@ def suite_even_sympy(cases: int = 50, seed: int = 43):
 def maxwell_specializations(m: Model):
     """Abelian limit of every curved-model acceptance check: strict
     nilpotency, exact residuals, golden formula matches, boundary pipeline."""
-    from gpde.density import (action_density, boundary_reduction,
-                              el_proportional, generic_supersection,
-                              ghost_sector)
-    from gpde.jets import JetModel, check_bv_identities, check_descent
+    from gpde.jets import (JetModel, action_density, boundary_reduction,
+                           check_bv_identities, check_descent, el_proportional,
+                           generic_supersection, ghost_sector)
     from gpde.model import check_presymplectic, check_solution, q_square, solve_hamiltonian
 
     lie = lie_of(m)

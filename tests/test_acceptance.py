@@ -14,9 +14,12 @@ import properties as pr
 from conftest import build_ce, build_maxwell, build_ym
 
 from gpde.cli import main as cli_main
-from gpde.density import (
+from gpde.jets import (
+    JetModel,
     action_density,
     boundary_reduction,
+    check_bv_identities,
+    check_descent,
     covariance_residual,
     el_proportional,
     gauge_variation,
@@ -24,7 +27,6 @@ from gpde.density import (
     generic_supersection,
     ghost_sector,
 )
-from gpde.jets import JetModel, check_bv_identities, check_descent
 from gpde.model import check_presymplectic, check_solution, q_square, solve_hamiltonian
 
 

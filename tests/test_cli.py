@@ -147,14 +147,33 @@ def test_reduction_pass_needs_the_split(capsys, monkeypatch):
 
 
 def test_kernel_split_is_checked(capsys, monkeypatch):
-    import gpde.density
+    import gpde.jets
 
-    monkeypatch.setattr(gpde.density, "reduce_form",
-                        _wrong_survivor_forms(gpde.density.reduce_form))
+    monkeypatch.setattr(gpde.jets, "reduce_form",
+                        _wrong_survivor_forms(gpde.jets.reduce_form))
     rc, out, err = run(["boundary", "maxwell_weak", "--kill", "0"], capsys)
     assert rc == 1
     assert "FAIL kernel_split residual_terms=" in err
     assert "[PASS] tangency" in out
+
+
+def test_benchmark_tracer_names_resolve():
+    """perfbench/spans.py wraps gpde names from outside the package, by
+    name; a name that moves or goes must fail here, not only in a traced
+    benchmark run.  The file is run by runpy, not imported, so no bytecode
+    is written next to it."""
+    import runpy
+
+    import gpde.cli
+    from gpde.jets import JetModel
+    from gpde.report import Report
+
+    spans = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"))
+    assert [a for a in spans["CLI_CALLS"] if not hasattr(gpde.cli, a)] == []
+    assert [a for a in spans["JET_METHODS"] + ["registry_stats"]
+            if not hasattr(JetModel, a)] == []
+    assert [a for a in spans["RENDERERS"] if not hasattr(Report, a)] == []
+    assert callable(gpde.cli.main)
 
 
 def test_check_error_has_a_location(tmp_path, capsys):

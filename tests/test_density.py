@@ -3,8 +3,10 @@ import itertools
 import pytest
 
 from gpde.algebra import JET, DegreeError, GradedAlgebraError, Poly, theta_split
-from gpde.cartan import VectorField, interior
-from gpde.density import (
+from gpde.cartan import VectorField, de_rham, interior
+from gpde.cli import main as cli_main
+from gpde.jets import (
+    JetModel,
     Section,
     action_density,
     boundary_reduction,
@@ -15,14 +17,18 @@ from gpde.density import (
     generic_section,
     generic_supersection,
     ghost_sector,
-    restrict_to_submanifold,
-    tangency_residuals,
+    theta_coefficients,
 )
-from gpde.jets import JetModel, theta_coefficients
-from gpde.parser import load_builtin
+from gpde.model import restrict_to_submanifold, tangency_residuals
+from gpde.parser import load_builtin, parse_model
 
 from conftest import build_ce, build_maxwell, build_toy
-from properties import assemble_levels, curved_model, reference_action_density
+from properties import (
+    assemble_levels,
+    curved_model,
+    reference_action_density,
+    ym_weak_source,
+)
 
 
 def fib(m, fam, idx=(), li=None):
@@ -91,6 +97,16 @@ def test_flat_section_kills_residual(maxwell_model):
     sec = Section(jm, mapping)
     C = fib(m, "C")
     assert covariance_residual(sec)[C].is_zero()
+
+
+def test_pull_sends_du_to_d_of_the_image(maxwell_model):
+    m = maxwell_model
+    sec = flat_section_with_theta_levels(JetModel(m))
+    C, F01 = fib(m, "C"), fib(m, "F", (0, 1))
+    dC, dx0 = (Poly.gen(m.space.differential(g)) for g in (C, m.x[0]))
+    assert sec.pull(dC) == de_rham(sec[C])
+    assert sec.pull(Poly.gen(F01) * dC + Poly.gen(C) * dx0) == \
+        sec[F01] * de_rham(sec[C]) + sec[C] * dx0
 
 
 # gauge variation vs the jet evolutionary field -----------------------------
@@ -284,6 +300,32 @@ def test_restriction_rejects_unknown_directions(maxwell_model):
     with pytest.raises(GradedAlgebraError) as err:
         restrict_to_submanifold(maxwell_model, (1, 2, 7))
     assert str(err.value) == "no base direction 7 to keep (base directions: 0, 1, 2, 3)"
+
+
+def test_restriction_rejects_a_repeated_direction(maxwell_model):
+    with pytest.raises(GradedAlgebraError) as err:
+        restrict_to_submanifold(maxwell_model, (1, 1, 2))
+    assert str(err.value) == "base direction 1 to keep given twice"
+
+
+def test_repeated_kill_direction_kills_it_once(capsys):
+    outs = []
+    for kill in ("0", "0,0"):
+        assert cli_main(["boundary", "maxwell_weak", "--kill", kill]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+def test_tangency_is_read_only_on_a_projecting_Q():
+    """Q x^0 = theta^1 is not tangent to the surface x^0 = 0, but it does not
+    project to the base either, and boundary_reduction refuses that before
+    it reads the tangency residuals: its tangency line cannot FAIL."""
+    m = parse_model(ym_weak_source() + "Q x[0] = theta[1];\n", name="ym_tilted")
+    res = tangency_residuals(m, (1, 2, 3))
+    assert sum(p.num_terms() for p in res.values()) == 1
+    assert res[m.x[0]] == Poly.gen(m.theta[1])
+    with pytest.raises(GradedAlgebraError, match="Q does not project to the base"):
+        boundary_reduction(m, [0])
 
 
 def test_boundary_reduction_maxwell(maxwell_model):

@@ -21,8 +21,7 @@ from gpde.algebra import (
     rational,
 )
 from gpde.cli import _VERBS, _parse_point, build_parser
-from gpde.density import el_proportional
-from gpde.jets import JetModel
+from gpde.jets import JetModel, el_proportional
 from gpde.model import solve_hamiltonian
 from gpde.parser import builtin_names, load_builtin, parse_model
 from gpde.reduction import nullspace, rref

@@ -4,10 +4,10 @@ import pytest
 
 from gpde.algebra import BASE_THETA, BASE_X, FIBER, JET, GradedAlgebraError, Poly, theta_basis
 from gpde.cartan import d_vertical, de_rham, interior
-from gpde.density import boundary_reduction, restrict_to_submanifold
 from gpde.jets import (
     HORIZONTAL,
     JetModel,
+    boundary_reduction,
     check_bv_identities,
     check_descent,
     descent_residuals,
@@ -16,7 +16,7 @@ from gpde.jets import (
     vertical_lie,
 )
 from gpde.cli import main
-from gpde.model import ModelBuilder, NotExactError, solve_hamiltonian
+from gpde.model import ModelBuilder, NotExactError, restrict_to_submanifold, solve_hamiltonian
 from gpde.parser import load_builtin, parse_model
 from gpde.report import CheckResult
 from properties import (
@@ -26,6 +26,7 @@ from properties import (
     check_half_double_contraction,
     check_image_levels,
     check_level_form,
+    curved_model,
     theta_components,
     theta_top_coefficient,
     ym_source,
@@ -167,6 +168,21 @@ class TestVectorFields:
                     act(g)
                 assert str(err.value) == message
 
+    def test_D_is_theta_times_the_total_derivatives(self, jet_maxwell):
+        jm = jet_maxwell
+        m = jm.parent
+        C = m.fibers["C"].gen(li=0)
+        jet = jm.jet(C, (1,), (2,))[1]
+        for g in (jet, m.x[2], m.theta[2]):
+            want = sum((Poly.gen(m.theta[a]) * jm.total_derivative(a).coefficient(g)
+                        for a in m.base_indices), Poly.zero())
+            assert jm.D.coefficient(g) == want
+        assert jm.D.coefficient(jet) == sum(
+            (Poly.gen(m.theta[a]) * Poly.gen(jm.jet(C, (1, a), (2,))[1]) for a in range(4)),
+            Poly.zero())
+        assert jm.D.coefficient(m.x[2]) == Poly.gen(m.theta[2])
+        assert jm.D.coefficient(m.theta[2]).is_zero()
+
     def test_d_squared_zero_on_jets(self, jet_maxwell):
         jm = jet_maxwell
         for fam in ("C", "F"):
@@ -225,6 +241,13 @@ class TestPullback:
     def test_pullback_commutes_with_d(self, jet_maxwell):
         jm = jet_maxwell
         assert jm.omegabar() == reference_pullback(jm, jm.parent.omega(), False)
+
+    @pytest.mark.parametrize("name", ["maxwell_weak", "curved_1_3"])
+    def test_chibar_is_the_substitution(self, name, maxwell_model):
+        jm = JetModel(maxwell_model if name == "maxwell_weak" else curved_model(1, 3))
+        chibar = jm.chibar()
+        assert not chibar.is_zero()
+        assert chibar == reference_chibar(jm)
 
     def test_theta_degree_sets(self, jet_maxwell):
         jm = jet_maxwell

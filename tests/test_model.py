@@ -4,7 +4,6 @@ import pytest
 
 from gpde.algebra import DegreeError, GradedAlgebraError, LieAlgebraData, Poly
 from gpde.cartan import de_rham, interior, lie_derivative
-from gpde.density import restrict_to_submanifold
 from gpde.model import (
     Model,
     ModelBuilder,
@@ -15,6 +14,7 @@ from gpde.model import (
     check_solution,
     presymplectic_residuals,
     q_square,
+    restrict_to_submanifold,
     solve_hamiltonian,
     standard_checks,
 )

@@ -5,8 +5,8 @@ import pytest
 
 from gpde.algebra import FIBER, Poly, Space, theta_basis
 from gpde.cartan import VectorField, d_vertical, de_rham, interior
-from gpde.density import restrict_to_submanifold
-from gpde.jets import JetModel
+from gpde.jets import JetModel, boundary_reduction
+from gpde.model import restrict_to_submanifold
 from gpde.parser import load_builtin
 from gpde.printing import equations
 from gpde.reduction import (
@@ -305,7 +305,6 @@ class TestReduce:
         assert lines[1] == "w1 = b"
 
     def test_second_reduction_on_one_model(self):
-        from gpde.density import boundary_reduction
         m = load_builtin("maxwell_weak")
         jm = JetModel(m)
         top = jm.vertical_top()
