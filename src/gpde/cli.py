@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional
@@ -58,7 +59,8 @@ def _load(ref: str) -> Model:
 
 def _parse_point(spec: str, candidates: Dict[str, Generator]) -> Dict[Generator, Scalar]:
     point = {}
-    for item in spec.split(","):
+    # a name may hold commas, but only inside brackets: F[0,1]{1}[|], C{1}[|0,1]
+    for item in re.split(r",(?![^\[]*\])", spec):
         item = item.strip()
         if not item:
             continue

@@ -66,7 +66,7 @@ from __future__ import annotations
 import functools
 import itertools
 import weakref
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .algebra import (
     BASE_THETA,
@@ -530,8 +530,10 @@ def descent_residuals(jm: JetModel) -> dict:
 
 
 def check_descent(jm: JetModel) -> List[CheckResult]:
-    """The descent tower: one verdict per theta degree k of
-    descent_residuals."""
+    """The descent tower: one verdict per theta degree k = 0, ..., n + 1 of
+    descent_residuals.  A level J lists distinct base directions, so no
+    residual has degree n + 1: descent_theta_{n+1} reads no residual and
+    cannot FAIL; it is kept so that the tower has n + 2 lines."""
     by_degree: Dict[int, list] = {}
     for J, t in descent_residuals(jm).items():
         by_degree.setdefault(len(J), []).append(t)
@@ -697,13 +699,11 @@ def el_proportional(jm: JetModel, a: Poly, b: Poly) -> Tuple[bool, Optional[Scal
 # boundary reduction --------------------------------------------------------
 
 
-class BoundaryReduction:
-    def __init__(self, restricted: Model, jets: JetModel, reduced: ReducedModel,
-                 checks: List[CheckResult]):
-        self.restricted = restricted
-        self.jets = jets
-        self.reduced = reduced
-        self.checks = checks
+class BoundaryReduction(NamedTuple):
+    restricted: Model
+    jets: JetModel
+    reduced: ReducedModel
+    checks: List[CheckResult]
 
 
 def boundary_reduction(m: Model, kill: Iterable[int]) -> BoundaryReduction:

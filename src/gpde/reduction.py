@@ -1,22 +1,23 @@
 """Kernel distribution of the presymplectic form and the reduced phase space.
 
 All linear algebra is exact over the rationals and works on sparse rows
-{column: value} that store only their nonzero entries (sparse_rref), from
-the coefficient system to the kernel and its annihilator, so its cost
-follows the nonzeros of the (mostly empty) systems rather than their size;
-rref and nullspace are dense adapters.  The form is flattened to a
-coefficient system over a declared universe of coordinates; it is read off
-in one walk over the form's terms.  Kernel vectors are constant rational
-combinations of coordinate directions, computed exactly and certified
-without sampling (see kernel_basis).  Each survivor is the linear form
-annihilating the kernel that is 1 at one free column of the kernel's
-reduced row echelon form and 0 at the other free columns, so coordinate
-kernels give back plain surviving coordinates (its leading coefficient need
-not be 1), and the map sending each survivor to its free column is a
-section of the quotient.  The reduced form and the projected field
-(ReducedModel.s_action, which no verdict reads, built on first read) are
-read along that section: the form vanishes on the kernel and a field that
-descends is constant along it, so every section gives the same result.
+{column: value} that store only their nonzero entries (sparse_rref), so its
+cost follows the nonzeros of the (mostly empty) systems rather than their
+size.  The form is flattened to one coefficient system over a declared
+universe of coordinates (coefficient_rows, one walk over the form's terms);
+its kernel stays sparse into the second elimination, which brings it to
+reduced row echelon form; rref, nullspace and kernel_basis are dense
+adapters.  Kernel vectors are constant rational combinations of coordinate
+directions, computed exactly and certified without sampling (see
+kernel_basis).  Each survivor is the linear form annihilating the kernel
+that is 1 at one free column of the kernel's reduced row echelon form and 0
+at the other free columns, so coordinate kernels give back plain surviving
+coordinates (its leading coefficient need not be 1).  The section sends the
+coordinate at each free column to its survivor and every pivot coordinate
+to 0; it is built once per reduction, and the reduced form and the
+projected field (ReducedModel.s_action, which no verdict reads, built on
+first read) are read along it: the form vanishes on the kernel and a field
+that descends is constant along it, so every section gives the same result.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .algebra import (
     qdiv,
     rational,
 )
-from .cartan import VectorField
+from .cartan import VectorField, de_rham
 
 
 class ReductionError(GradedAlgebraError):
@@ -155,33 +156,21 @@ def form_universe(form: Poly) -> List[Generator]:
                    if g.fdeg == 1}, key=lambda g: g._sort)
 
 
-class PresymplecticMatrix:
-    """Contractions of a two-form along the unit field of each universe
-    coordinate.  A constant vector K is in the kernel of the form exactly
-    when sum_A K^A columns[A] vanishes identically.
-
-    Contracting the unit field of u^A removes a differential of u^A
-    (horizontal or vertical), so all columns come from one walk over the
-    form's terms (see algebra.partials)."""
-
-    def __init__(self, form: Poly, universe: Sequence[Generator]):
-        self.universe = list(universe)
-        space = form.space
-        index = {g: A for A, g in enumerate(self.universe)}
-        column = {g: index[space.coordinate_of(g)] for g in form.generators()
-                  if g.fdeg and space.coordinate_of(g) in index}
-        acc = partials(form, column)
-        self.columns = [Poly(space, acc.get(A, {})) for A in range(len(self.universe))]
-
-    def kernel(self) -> List[List[Scalar]]:
-        """One sparse row per monomial of the columns, holding that
-        monomial's coefficient in each column."""
-        rows: Dict = {}
-        for A, col in enumerate(self.columns):
-            for mono, c in col.terms.items():
-                rows.setdefault(mono, {})[A] = c
-        n = len(self.universe)
-        return _dense(sparse_nullspace(*sparse_rref(list(rows.values()), n), n), n)
+def coefficient_rows(form: Poly, universe: Sequence[Generator]) -> Dict[tuple, Dict[int, Scalar]]:
+    """{monomial: {column A: its coefficient in the contraction of the form
+    along the unit field of universe coordinate A}}; a constant vector is in
+    the kernel of the form exactly when it annihilates every row.  The
+    contraction removes a differential of u^A (horizontal or vertical), so
+    one walk over the form's terms gives every column (algebra.partials)."""
+    space = form.space
+    index = {g: A for A, g in enumerate(universe)}
+    column = {g: index[space.coordinate_of(g)] for g in form.generators()
+              if g.fdeg and space.coordinate_of(g) in index}
+    rows: Dict[tuple, Dict[int, Scalar]] = {}
+    for A, terms in partials(form, column).items():
+        for mono, c in terms.items():
+            rows.setdefault(mono, {})[A] = c
+    return rows
 
 
 def _body(form: Poly, point: Optional[Dict[Generator, Scalar]] = None) -> Poly:
@@ -197,27 +186,33 @@ def _body(form: Poly, point: Optional[Dict[Generator, Scalar]] = None) -> Poly:
 _WITNESSES = (lambda k: Fraction(2 * k + 3, 2), lambda k: Fraction(-5, 2 * k + 7))
 
 
-def kernel_basis(form: Poly, universe: Sequence[Generator],
-                 point: Optional[Dict[Generator, Scalar]] = None) -> List[List[Scalar]]:
-    """Kernel of the form's body over the universe, as constant vectors.
-
-    Given a point, the body is evaluated there and the kernel is the
-    pointwise one.  Otherwise even coordinates stay symbolic; kernel() keys
-    its rows by the full monomial, so the nullspace K0 is exactly the set of
-    constant vectors annihilating the form identically.  K0 lies in the
-    kernel at every point, so a fixed point where the kernel has the
-    dimension of K0 certifies K0 as the generic kernel.  A point can only
-    support a refusal: when both fixed points show a larger kernel, the
-    kernel distribution is taken to vary and the form is refused."""
-    body = _body(form, point)
-    pm = PresymplecticMatrix(body, universe)
-    kernel = pm.kernel()
-    coords = sorted({g for col in pm.columns for mono in col.terms
-                     for g, _ in mono if g.fdeg == 0}, key=lambda g: g._sort)
-    if coords and all(len(kernel_basis(body, universe, {g: w(k) for k, g in enumerate(coords)}))
+def _kernel(body: Poly, universe: Sequence[Generator]) -> List[Dict[int, Scalar]]:
+    """Kernel of a body over the universe as sparse constant vectors, one
+    per free column of its coefficient system (see kernel_basis)."""
+    rows = coefficient_rows(body, universe)
+    coords = sorted({g for mono in rows for g, _ in mono if g.fdeg == 0}, key=lambda g: g._sort)
+    n = len(universe)
+    kernel = sparse_nullspace(*sparse_rref(list(rows.values()), n), n)
+    if coords and all(len(_kernel(_body(body, {g: w(k) for k, g in enumerate(coords)}), universe))
                       > len(kernel) for w in _WITNESSES):
         raise ReductionError("kernel distribution is not constant in these coordinates")
     return kernel
+
+
+def kernel_basis(form: Poly, universe: Sequence[Generator],
+                 point: Optional[Dict[Generator, Scalar]] = None) -> List[List[Scalar]]:
+    """Kernel of the form's body over the universe, as dense constant
+    vectors; a dense adapter over the sparse kernel that reduce_form reads.
+
+    Given a point, the body is evaluated there and the kernel is the
+    pointwise one.  Otherwise even coordinates stay symbolic; the rows of
+    coefficient_rows are keyed by the full monomial, so the nullspace K0 is
+    exactly the set of constant vectors annihilating the form identically.
+    K0 lies in the kernel at every point, so a fixed point where the kernel
+    has the dimension of K0 certifies K0 as the generic kernel.  A point can
+    only support a refusal: when both fixed points show a larger kernel, the
+    kernel distribution is taken to vary and the form is refused."""
+    return _dense(_kernel(_body(form, point), universe), len(universe))
 
 
 class ReducedModel:
@@ -226,13 +221,14 @@ class ReducedModel:
     survivors[i] is a fresh coordinate generator representing the linear
     form survivor_forms[i] over the original universe, which is 1 at the
     i-th free column of kernel_vectors (the kernel's reduced row echelon
-    form); form is the two-form that was reduced (the body of the input)
-    and reduced_form the same form rewritten in the surviving differentials.
+    form); section maps each universe coordinate to its survivor at a free
+    column and to 0 at a pivot; form is the two-form that was reduced (the
+    body of the input) and reduced_form the same form along the section.
     Given images (each survivor's image under the evolutionary field, over
     the universe), s_action is the projected field, built on first read."""
 
     def __init__(self, space, survivors, survivor_forms, kernel_vectors,
-                 reduced_form, universe, form, images=None):
+                 reduced_form, universe, form, section, images=None):
         self.space = space
         self.survivors = survivors
         self.survivor_forms = survivor_forms
@@ -240,41 +236,32 @@ class ReducedModel:
         self.reduced_form = reduced_form
         self.universe = universe
         self.form = form
+        self.section = section
         self.images = images
 
     @functools.cached_property
     def s_action(self) -> Optional[Dict[Generator, Poly]]:
-        """Each survivor image along the free-column section: the universe
-        coordinate at survivor i's free column becomes w_i, every other one
-        0.  None when no field was given."""
+        """Each survivor image along the section.  None when no field was
+        given."""
         if self.images is None:
             return None
-        pivots = {next(A for A, c in enumerate(vec) if c) for vec in self.kernel_vectors}
-        free = (g for A, g in enumerate(self.universe) if A not in pivots)
-        csub = {g: Poly.zero() for g in self.universe}
-        csub.update({g: Poly.gen(w) for g, w in zip(free, self.survivors)})
-        return {w: expr.substitute({h: csub[h] for h in expr.generators() if h in csub})
+        sec = self.section
+        return {w: expr.substitute({h: sec[h] for h in expr.generators() if h in sec})
                 for w, expr in self.images.items()}
 
     def split_residual(self) -> Poly:
-        """reduced_form with each survivor differential dw_i replaced by its
-        linear form sum_A lambda_i^A du^A (vertical where dw_i is), minus the
-        form that was reduced: zero exactly when the quotient keeps all of
-        the form."""
-        space = self.space
-        lam = dict(zip(self.survivors, self.survivor_forms))
-        back = {}
-        for dw in self.reduced_form.generators():
-            if dw.fdeg:
-                vertical = dw.role == VDIFF
-                back[dw] = Poly(space, {((space.differential(u, vertical=vertical), 1),): c
-                                        for u, c in zip(self.universe,
-                                                        lam[space.coordinate_of(dw)]) if c})
+        """reduced_form with each survivor differential dw_i replaced by the
+        differential (vertical where dw_i is) of the linear form of w_i in
+        survivor_equations, minus the form that was reduced: zero exactly
+        when the quotient keeps all of the form."""
+        lam = dict(self.survivor_equations())
+        back = {dw: de_rham(lam[self.space.coordinate_of(dw)], vertical=dw.role == VDIFF)
+                for dw in self.reduced_form.generators() if dw.fdeg}
         return self.reduced_form.substitute(back) - self.form
 
     def survivor_equations(self) -> List[Tuple[Generator, Poly]]:
         """Each survivor with the linear form it stands for."""
-        return [(g, Poly(self.space, {((self.universe[A], 1),): c for A, c in enumerate(lam)}))
+        return [(g, Poly(self.space, {((self.universe[A], 1),): c for A, c in enumerate(lam) if c}))
                 for g, lam in zip(self.survivors, self.survivor_forms)]
 
 
@@ -304,10 +291,9 @@ def reduce_form(form: Poly, universe: Sequence[Generator],
     """
     universe = list(universe)
     ncols = len(universe)
-    index = {g: A for A, g in enumerate(universe)}
     space = form.space
     body = _body(form, point)
-    kernel, pivots = sparse_rref(_sparse(kernel_basis(body, universe)), ncols)
+    kernel, pivots = sparse_rref(_kernel(body, universe), ncols)
     for vec in kernel:
         if len({universe[A].gh for A in vec}) > 1:
             raise ReductionError(
@@ -324,24 +310,18 @@ def reduce_form(form: Poly, universe: Sequence[Generator],
     first = _first_free_index(space)
     survivors = [space.coordinate(f"w{first + i}", FIBER, universe[A].gh)
                  for i, A in enumerate(free)]
-    section = dict(zip(free, survivors))
+    section = {g: Poly.zero() for g in universe}
+    section.update((universe[A], Poly.gen(w)) for A, w in zip(free, survivors))
 
-    # along the section: du at a free column to dw, du at a pivot to 0
+    # du to the differential of its image along the section
     dsub: Dict[Generator, Poly] = {}
-    for mono in body.terms:
-        for g, _ in mono:
-            if g.fdeg != 1 or g in dsub:
-                continue
+    for g in sorted(body.generators(), key=lambda g: g._sort):
+        if g.fdeg == 1:
             base = space.coordinate_of(g)
-            A = index.get(base)
-            if A is None:
-                raise ReductionError(
-                    f"form contains the differential of {base.name!r}, "
-                    "which is outside the universe"
-                )
-            w = section.get(A)
-            dsub[g] = (Poly.zero() if w is None else
-                       Poly.gen(space.differential(w, vertical=g.role == VDIFF)))
+            if base not in section:
+                raise ReductionError(f"form contains the differential of {base.name!r}, "
+                                     "which is outside the universe")
+            dsub[g] = de_rham(section[base], vertical=g.role == VDIFF)
     reduced = body.substitute(dsub)
 
     images = None
@@ -370,4 +350,4 @@ def reduce_form(form: Poly, universe: Sequence[Generator],
                     )
 
     return ReducedModel(space, survivors, _dense(ann, ncols),
-                        _dense(kernel, ncols), reduced, universe, body, images)
+                        _dense(kernel, ncols), reduced, universe, body, section, images)

@@ -16,8 +16,9 @@ Two kinds of case:
   `model_to_source` text.
 * verbs: every verb on every builtin; `report` and `reduce` on ym_weak at
   base dims 4 to 8; every verb on the broken and the non-projecting ym_weak
-  variants; `reduce` on base-dim-0 models whose chi is 0.  A case records
-  stdout, stderr and the exit code of `gpde.cli.main`.
+  variants; `reduce` on base-dim-0 models whose chi is 0; `reduce --at` at
+  points of toy_dim0 and ym_weak, whose coordinate names may hold commas.  A
+  case records stdout, stderr and the exit code of `gpde.cli.main`.
 
 The cases are built once, from NEW_SRC's builtin model files.  `--quick`
 keeps a slice of each kind that runs in about a second.
@@ -44,6 +45,9 @@ VERBS = [["check"], ["hamiltonian"], ["descent"], ["bv-identities"], ["bv-action
          ["report"], ["report", "--format", "json"], ["report", "--format", "latex"]]
 # one-character edits: the scanner's classes, and non-ASCII word characters
 MUTANT_CHARS = list("019axQ_;:,=+-*/()[]{} \t\r\n#") + ["²", "٣", "é", "€"]
+# evaluated reductions; the ym_weak names hold commas inside their brackets
+AT_POINTS = [("toy_dim0", "u=2,v=-1/3"), ("ym_weak", "F[0,1]{1}[|]=1"),
+             ("ym_weak", "F[0,1]{1}[|]=1,C{1}[|0,1]=2")]
 ZERO_CHI = {
     "zero_chi": "base dim = 0;\ncoord u : gh = 0;\nchi = 0;\n",
     "zero_chi_bare": "base dim = 0;\nchi = 0;\n",
@@ -98,6 +102,7 @@ def build_cases(new_src, quick=False):
     runs += [verb[:1] + [f"{name}.gpde"] + verb[1:]
              for name in ("broken_ym", "non_projecting_ym") for verb in VERBS]
     runs += [["reduce", f"{name}.gpde"] + at for name in ZERO_CHI for at in ([], ["--at", "u=1"])]
+    runs += [["reduce", name, "--at", at] for name, at in AT_POINTS]
     if quick:
         runs = [r for r in runs if r[1] in ("toy_dim0", "ce_aksz", "zero_chi.gpde")
                 and r[0] in ("check", "reduce")]

@@ -102,6 +102,24 @@ def test_reduce_at_point(capsys):
     assert "survivors: w0 = u; w1 = v" in out
 
 
+def test_at_splits_only_at_commas_outside_brackets():
+    from fractions import Fraction
+
+    from gpde.cli import _parse_point
+
+    names = {"F[0,1]{1}[|]": "f", "C{1}[|0,1]": "c", "u": "u"}
+    assert _parse_point("F[0,1]{1}[|]=1,C{1}[|0,1]=-2/3, u=2", names) == \
+        {"f": 1, "c": Fraction(-2, 3), "u": 2}
+
+
+@pytest.mark.parametrize("at", ["F[0,1]{1}[|]=1", "F[0,1]{1}[|]=1,C{1}[|0,1]=2"])
+def test_reduce_at_names_holding_commas(at, capsys):
+    # a multi-slot fiber and a jet at theta level 2 have commas in their names
+    rc, out, err = run(["reduce", "ym_weak", "--at", at], capsys)
+    assert (rc, err) == (0, "")
+    assert "[PASS] reduction residual_terms=0  (kernel 39, survivors 66)" in out
+
+
 def _wrong_survivor_forms(reduce_form):
     """reduce_form with the first survivor form doubled, so the reduced form
     no longer lifts back to the form that was reduced."""
@@ -111,7 +129,7 @@ def _wrong_survivor_forms(reduce_form):
         rm = reduce_form(*args, **kwargs)
         forms = [[2 * c for c in rm.survivor_forms[0]]] + rm.survivor_forms[1:]
         return ReducedModel(rm.space, rm.survivors, forms, rm.kernel_vectors,
-                            rm.reduced_form, rm.universe, rm.form, rm.images)
+                            rm.reduced_form, rm.universe, rm.form, rm.section, rm.images)
 
     return reduce
 
@@ -216,7 +234,8 @@ def test_descent_alone_passes_every_level_on_ym(capsys):
 
 def test_report_on_ym_at_base_dim_8(tmp_path, capsys):
     # above every golden: each pull-back builds only the image levels it
-    # reads, and every verdict passes up to the top of the descent tower
+    # reads, and every verdict passes up to the top of the descent tower,
+    # descent_theta_8 (|J| = n); descent_theta_9 is printed but reads no level
     from properties import ym_source
 
     path = tmp_path / "ym8.gpde"
@@ -225,7 +244,7 @@ def test_report_on_ym_at_base_dim_8(tmp_path, capsys):
     assert (rc, err) == (0, "")
     lines = [ln for ln in out.splitlines() if ln.startswith("[")]
     assert lines and all(ln.startswith("[PASS] ") for ln in lines)
-    assert "[PASS] descent_theta_9 residual_terms=0" in lines
+    assert "[PASS] descent_theta_8 residual_terms=0" in lines
 
 
 @pytest.mark.parametrize("text, at", [

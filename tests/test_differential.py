@@ -10,7 +10,7 @@ def test_a_tree_agrees_with_itself(capsys):
     tree = str(Path(gpde.__file__).resolve().parents[1])
     assert main([tree, tree, "--quick"]) == 0
     out = capsys.readouterr().out
-    assert out.startswith("166 parse cases, 6 verb cases (")
+    assert out.startswith("166 parse cases, 7 verb cases (")
     assert out.endswith("; 0 differ\n")
 
 

@@ -728,6 +728,22 @@ def test_broken_model_descent_residuals_at_degree_2(broken_ym):
     assert sum(len(t) for J, t in res.items() if len(J) == 2) == 36
 
 
+@pytest.mark.parametrize("name", ["toy_dim0", "maxwell_weak", "ym_weak", "broken_ym"])
+def test_no_descent_level_lies_above_the_base_dimension(name):
+    """A level J of descent_residuals is a strictly increasing tuple of the
+    n base directions, so |J| <= n and descent_theta_{n+1} is read from no
+    residual: it passes on every model, the broken one too.  ce_aksz has no
+    presymplectic potential, so no descent tower."""
+    m = parse_model(broken_ym_source()) if name == "broken_ym" else load_builtin(name)
+    jm = JetModel(m)
+    # the level forms the residual is built from reach |J| = n: the bound is tight
+    sources = {**jm.i_s_omegabar_levels(), **jm.total_chibar_levels()}
+    assert max(len(J) for J in sources) == m.n
+    assert all(len(J) <= m.n for J in descent_residuals(jm))
+    top = check_descent(jm)[-1]
+    assert (top.name, top.passed, top.residual_terms) == (f"descent_theta_{m.n + 1}", True, 0)
+
+
 class TestCartanDescent:
     """The descent tower read off Cartan's formula: d_v omega = 0 level by
     level, so L_s omega = -d_v i_s omega, and L_D omega = -d_v D chi_v,

@@ -10,9 +10,9 @@ from gpde.model import restrict_to_submanifold
 from gpde.parser import load_builtin
 from gpde.printing import equations
 from gpde.reduction import (
-    PresymplecticMatrix,
     ReducedModel,
     ReductionError,
+    coefficient_rows,
     form_universe,
     kernel_basis,
     nullspace,
@@ -136,15 +136,17 @@ class TestKernel:
 
 def interior_columns(form, universe):
     """One interior() contraction per unit field, the definition the
-    one-pass PresymplecticMatrix columns must reproduce."""
+    one-pass coefficient_rows must reproduce, column by column."""
     return [interior(VectorField(form.space, -g.gh, coeffs={g: 1}), form) for g in universe]
 
 
 def assert_columns_match(form, universe):
-    got = PresymplecticMatrix(form, universe).columns
+    got = [{} for _ in universe]
+    for mono, row in coefficient_rows(form, universe).items():
+        for A, c in row.items():
+            got[A][mono] = c
     want = interior_columns(form, universe)
-    assert [c.terms for c in got] == [c.terms for c in want]
-    assert [c.space for c in got] == [c.space for c in want]
+    assert got == [c.terms for c in want]
 
 
 class TestPresymplecticColumns:
@@ -286,7 +288,7 @@ class TestReduce:
         assert rm.split_residual().is_zero()
         forms = [rm.survivor_forms[0], [F(0), F(1), F(1)]]
         wrong = ReducedModel(sp, rm.survivors, forms, rm.kernel_vectors,
-                             rm.reduced_form, rm.universe, rm.form)
+                             rm.reduced_form, rm.universe, rm.form, rm.section)
         assert wrong.split_residual() == \
             de_rham(Poly.gen(a)) * de_rham(Poly.gen(k))
 
@@ -337,14 +339,11 @@ def _top_block(name, kill=None):
 @pytest.mark.parametrize("name", ["maxwell_weak", "ym_weak"])
 def test_sparse_kernel_matches_dense_reference(name, kill):
     top, universe, _ = _top_block(name, kill)
-    pm = PresymplecticMatrix(top, universe)
-    rows = {}
-    for A, col in enumerate(pm.columns):
-        for mono, c in col.terms.items():
-            rows.setdefault(mono, [F(0)] * len(universe))[A] = F(c)
-    want = reference_nullspace(list(rows.values()), len(universe))
+    rows = [[F(row.get(A, 0)) for A in range(len(universe))]
+            for row in coefficient_rows(top, universe).values()]
+    want = reference_nullspace(rows, len(universe))
     assert want, "vacuous: the block has no kernel"
-    assert pm.kernel() == want
+    assert kernel_basis(top, universe) == want
 
 
 class TestKernelConstancySign:
@@ -372,6 +371,9 @@ class TestKernelConstancySign:
         assert rm.kernel_vectors == [[0, 0, 1, -1]]
         wa, wb, wpr = rm.survivors
         assert rm.survivor_forms[2] == [0, 0, 1, 1]
+        # the section: each free column to its survivor, the pivot p to 0
+        assert rm.section == {a: Poly.gen(wa), b: Poly.gen(wb), p: Poly.zero(),
+                              r: Poly.gen(wpr)}
         assert rm.s_action[wa] == Poly.gen(q) * Poly.gen(wpr)
         assert rm.s_action[wb].is_zero()
 
