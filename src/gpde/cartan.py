@@ -1,11 +1,13 @@
-"""Vector fields, de Rham and vertical differentials, contraction, Lie derivative.
+"""Vector fields, de Rham and vertical differentials, and contraction.
 
 Conventions used throughout the kernel:
   * d is a left derivation of parity 1 with d(coord) = dcoord, d(dcoord) = 0.
   * i_V has parity parity(V)+1 and contracts any differential to the field's
     coefficient on the underlying coordinate: i_V(dc) = V(c), i_V(c) = 0.
   * L_V is the graded commutator [i_V, d] = i_V d - (-1)^{parity(i_V)} d i_V,
-    so L_V acts as +V on functions for every parity of V.
+    so L_V acts as +V on functions for every parity of V.  No function here
+    builds it: the checks read it off Cartan's formula on closed forms
+    (model.presymplectic_residuals, jets.descent_residuals).
 """
 
 from __future__ import annotations
@@ -161,22 +163,3 @@ def interior(V: VectorField, p) -> Poly:
         return c if not c.is_zero() else None
 
     return derive(p, ipar, img)
-
-
-def lie_derivative(V: VectorField, p) -> Poly:
-    """L_V = [i_V, d] = i_V d - (-1)^{parity(i_V)} d i_V."""
-    i_dp, d_ip = interior(V, de_rham(p)), de_rham(interior(V, p))
-    return i_dp - d_ip if V.parity else i_dp + d_ip
-
-
-def vf_commutator(V: VectorField, W: VectorField, name: str = "") -> VectorField:
-    """Graded commutator [V, W] = V W - (-1)^{|V||W|} W V as a vector field."""
-    if V.space is not W.space:
-        raise DegreeError("commutator of vector fields on different spaces")
-    sign = -1 if (V.parity and W.parity) else 1
-
-    def rule(g):
-        return V.apply(W.coefficient(g)) - sign * W.apply(V.coefficient(g))
-
-    return VectorField(V.space, V.gh + W.gh, rule=rule,
-                       name=name or f"[{V.name},{W.name}]")

@@ -155,7 +155,7 @@ def _run_reduce(m: Model, args) -> Report:
     rep.add(CheckResult.of("reduction", red.split_residual(),
                            detail=f"kernel {len(red.kernel_vectors)}, "
                                   f"survivors {len(red.survivors)}"))
-    rep.outputs["survivors"] = red.survivor_equations()
+    rep.outputs["survivors"] = red.survivor_equations
     rep.outputs["reduced"] = red.reduced_form
     return rep
 
@@ -175,7 +175,7 @@ def _run_boundary(m: Model, args) -> Report:
     br = boundary_reduction(m, kill)
     for c in br.checks:
         rep.add(c)
-    rep.outputs["survivors"] = br.reduced.survivor_equations()
+    rep.outputs["survivors"] = br.reduced.survivor_equations
     rep.outputs["reduced"] = br.reduced.reduced_form
     try:
         rep.outputs["charge_integrand"] = br.jets.bv_top()

@@ -26,11 +26,11 @@ for them, so the jet space is never truncated.
 
 A section assigns to every bundle fiber coordinate u a theta-expansion
 sum_J theta^J c_J in the jet coordinates; the generic supersection takes
-c_J = psi_{|J}.  Pulling back along a section gives the covariance residual
-(curvature), the gauge variation of the level jets, and the first-order
-action density: the top level of the BV scalar pulled back along the
-prolonged section, psi_{I|J} of u to D_I c_J.  The variational calculus on
-jet expressions uses the total derivatives D_I.  Boundary reduction
+c_J = psi_{|J}.  Pulling back along a section gives the first-order action
+density: the top level of the BV scalar pulled back along the prolonged
+section, psi_{I|J} of u to D_I c_J, which along the generic supersection is
+that top level itself.  The gauge variation of a level jet psi_{|J} is its
+seed s(psi_{|J}).  Boundary reduction
 restricts a model (model.restrict_to_submanifold), prolongs it and
 quotients the top block of its vertical two-form (reduction.reduce_form).
 
@@ -78,12 +78,9 @@ from .algebra import (
     Generator,
     GradedAlgebraError,
     Poly,
-    Scalar,
     _sandwich,
     accumulate,
     derive,
-    partials,
-    qdiv,
     sort_sign,
     theta_split,
 )
@@ -592,37 +589,6 @@ def generic_supersection(jm: JetModel) -> Section:
     return Section(jm, {u: jm.theta_expansion(u) for u in jm.parent.fiber_coords()})
 
 
-def generic_section(jm: JetModel) -> Section:
-    """Ghost-zero field content only: each fiber coordinate keeps the levels
-    matching its ghost degree (none when that is negative)."""
-    m = jm.parent
-    return Section(jm, {u: m.theta_expansion([u.gh] if u.gh >= 0 else [],
-                                             lambda J: jm.jet(u, (), J)[1])
-                        for u in m.fiber_coords()})
-
-
-def covariance_residual(sec: Section) -> Dict[Generator, Poly]:
-    """R(u) = section-pullback of Q(u) minus D of the section image.
-    Vanishes exactly on solutions; the theta-bilinear part is the curvature."""
-    jm = sec.jets
-    return {u: sec.pull(jm.parent.q.coefficient(u)) - jm.D.apply(sec[u])
-            for u in jm.parent.fiber_coords()}
-
-
-def gauge_variation(sec: Section) -> Dict[Generator, Poly]:
-    """BRST-type variation of every level jet psi_{|J} of u in sec[u], read
-    off level J of the covariance residual.  Registers no generator beyond
-    those of the residual."""
-    out = {}
-    for u, res in covariance_residual(sec).items():
-        coeffs = theta_coefficients(res)
-        for g in sec[u].generators():
-            if g.role == JET and not g.jet_I and sec.jets.jet_of(g)[0] is u:
-                c = coeffs.get(g.jet_J, Poly.zero())
-                out[g] = -c if len(g.jet_J) & 1 else c
-    return out
-
-
 def action_density(sec: Section) -> Poly:
     """First-order action integrand: the theta-volume coefficient of the BV
     scalar of the section's jet model, pulled back along the prolonged
@@ -662,38 +628,6 @@ def ghost_sector(p: Poly, gh: int) -> Poly:
         return sum(g.gh * e for g, e in mono if g.role == JET and g.gh > 0) == gh
 
     return p.filter(pred)
-
-
-# variational calculus ------------------------------------------------------
-
-
-def euler_lagrange(jm: JetModel, dens: Poly) -> Dict[Generator, Poly]:
-    """Variational derivative with respect to every level jet psi_{|J} whose
-    prolongations psi_{I|J} occur: the sum over I of (-1)^{|I|} D_I (left
-    partial w.r.t. psi_{I|J}).  Keys come in canonical generator order."""
-    out: Dict[Generator, dict] = {}
-    column = {g: g for g in dens.generators() if g.role == JET}
-    for g, terms in partials(dens, column).items():
-        u, I, J = jm.jet_of(g)
-        partial = Poly._adopt(dens.space, terms)
-        for a in I:
-            partial = jm.total_derivative(a).apply(partial)
-        accumulate(out.setdefault(jm.jet(u, (), J)[1], {}),
-                   (-partial if len(I) & 1 else partial).terms.items())
-    return {g: Poly(dens.space, out[g]) for g in sorted(out, key=lambda g: g._sort) if out[g]}
-
-
-def el_proportional(jm: JetModel, a: Poly, b: Poly) -> Tuple[bool, Optional[Scalar]]:
-    """Whether a and b have proportional variational content; returns the
-    single scalar when it exists.  E is linear, so lambda is read off one
-    term of E(b), and it is the scalar exactly when E(a - lambda*b) = 0."""
-    ea, eb = euler_lagrange(jm, a), euler_lagrange(jm, b)
-    if not eb:
-        return not ea, None
-    g, pb = next(iter(eb.items()))
-    mono, cb = next(iter(pb.terms.items()))
-    lam = qdiv(ea[g].coefficient(mono) if g in ea else 0, cb)
-    return (True, lam) if not euler_lagrange(jm, a - lam * b) else (False, None)
 
 
 # boundary reduction --------------------------------------------------------

@@ -680,10 +680,13 @@ class ModelParser:
             if st.value == "dim":
                 self.expect("=")
                 span = self.peek().span
-                dim = self.expect_int()
-                if dim < 1:
+                value = self.expect_int()
+                if value < 1:
                     raise _error("lie dimension must be at least 1", span)
                 self.expect(";")
+                if dim is not None:
+                    raise _error("lie dimension declared twice", st.span)
+                dim = value
             elif st.value == "f":
                 idx = []
                 for _ in range(3):
@@ -696,8 +699,11 @@ class ModelParser:
                 entries.append((idx[0], idx[1], idx[2], val, st.span))
             elif st.value == "kappa":
                 self.expect("=")
-                kappa_diag = self.parse_diag()
+                value = self.parse_diag()
                 self.expect(";")
+                if kappa_diag is not None:
+                    raise _error("kappa declared twice", st.span)
+                kappa_diag = value
             elif st.value == "antisymmetrize":
                 antisymmetrize = True
                 self.expect(";")

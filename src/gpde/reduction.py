@@ -6,13 +6,13 @@ cost follows the nonzeros of the (mostly empty) systems rather than their
 size.  The form is flattened to one coefficient system over a declared
 universe of coordinates (coefficient_rows, one walk over the form's terms);
 its kernel stays sparse into the second elimination, which brings it to
-reduced row echelon form; rref, nullspace and kernel_basis are dense
-adapters.  Kernel vectors are constant rational combinations of coordinate
-directions, computed exactly and certified without sampling (see
-kernel_basis).  Each survivor is the linear form annihilating the kernel
-that is 1 at one free column of the kernel's reduced row echelon form and 0
-at the other free columns, so coordinate kernels give back plain surviving
-coordinates (its leading coefficient need not be 1).  The section sends the
+reduced row echelon form; rref and nullspace are dense adapters.  Kernel
+vectors are constant rational combinations of coordinate directions,
+computed exactly and certified without sampling (see _kernel).  Each
+survivor is the linear form annihilating the kernel that is 1 at one free
+column of the kernel's reduced row echelon form and 0 at the other free
+columns, so coordinate kernels give back plain surviving coordinates (its
+leading coefficient need not be 1).  The section sends the
 coordinate at each free column to its survivor and every pivot coordinate
 to 0; it is built once per reduction, and the reduced form and the
 projected field (ReducedModel.s_action, which no verdict reads, built on
@@ -188,7 +188,16 @@ _WITNESSES = (lambda k: Fraction(2 * k + 3, 2), lambda k: Fraction(-5, 2 * k + 7
 
 def _kernel(body: Poly, universe: Sequence[Generator]) -> List[Dict[int, Scalar]]:
     """Kernel of a body over the universe as sparse constant vectors, one
-    per free column of its coefficient system (see kernel_basis)."""
+    per free column of its coefficient system.
+
+    A body taken at a point (_body with a point) gives the pointwise
+    kernel.  Otherwise even coordinates stay symbolic; the rows of
+    coefficient_rows are keyed by the full monomial, so the nullspace K0 is
+    exactly the set of constant vectors annihilating the form identically.
+    K0 lies in the kernel at every point, so a fixed point where the kernel
+    has the dimension of K0 certifies K0 as the generic kernel.  A point can
+    only support a refusal: when both fixed points show a larger kernel, the
+    kernel distribution is taken to vary and the form is refused."""
     rows = coefficient_rows(body, universe)
     coords = sorted({g for mono in rows for g, _ in mono if g.fdeg == 0}, key=lambda g: g._sort)
     n = len(universe)
@@ -197,22 +206,6 @@ def _kernel(body: Poly, universe: Sequence[Generator]) -> List[Dict[int, Scalar]
                       > len(kernel) for w in _WITNESSES):
         raise ReductionError("kernel distribution is not constant in these coordinates")
     return kernel
-
-
-def kernel_basis(form: Poly, universe: Sequence[Generator],
-                 point: Optional[Dict[Generator, Scalar]] = None) -> List[List[Scalar]]:
-    """Kernel of the form's body over the universe, as dense constant
-    vectors; a dense adapter over the sparse kernel that reduce_form reads.
-
-    Given a point, the body is evaluated there and the kernel is the
-    pointwise one.  Otherwise even coordinates stay symbolic; the rows of
-    coefficient_rows are keyed by the full monomial, so the nullspace K0 is
-    exactly the set of constant vectors annihilating the form identically.
-    K0 lies in the kernel at every point, so a fixed point where the kernel
-    has the dimension of K0 certifies K0 as the generic kernel.  A point can
-    only support a refusal: when both fixed points show a larger kernel, the
-    kernel distribution is taken to vary and the form is refused."""
-    return _dense(_kernel(_body(form, point), universe), len(universe))
 
 
 class ReducedModel:
@@ -254,13 +247,15 @@ class ReducedModel:
         differential (vertical where dw_i is) of the linear form of w_i in
         survivor_equations, minus the form that was reduced: zero exactly
         when the quotient keeps all of the form."""
-        lam = dict(self.survivor_equations())
+        lam = dict(self.survivor_equations)
         back = {dw: de_rham(lam[self.space.coordinate_of(dw)], vertical=dw.role == VDIFF)
                 for dw in self.reduced_form.generators() if dw.fdeg}
         return self.reduced_form.substitute(back) - self.form
 
+    @functools.cached_property
     def survivor_equations(self) -> List[Tuple[Generator, Poly]]:
-        """Each survivor with the linear form it stands for."""
+        """Each survivor with the linear form it stands for, built on first
+        read: split_residual and the verbs' survivor output read one list."""
         return [(g, Poly(self.space, {((self.universe[A], 1),): c for A, c in enumerate(lam) if c}))
                 for g, lam in zip(self.survivors, self.survivor_forms)]
 
@@ -281,7 +276,7 @@ def reduce_form(form: Poly, universe: Sequence[Generator],
                 point: Optional[Dict[Generator, Scalar]] = None,
                 s: Optional[VectorField] = None) -> ReducedModel:
     """Quotient the universe by the kernel of the form's body (see
-    kernel_basis; with a point the reduction is pointwise).
+    _kernel; with a point the reduction is pointwise).
 
     Refuses kernels that mix ghost degrees (no graded splitting exists).
     When an evolutionary field s is supplied, the projected action must be

@@ -10,7 +10,9 @@ from gpde.algebra import (
     Poly,
     Space,
 )
-from gpde.cartan import VectorField, d_vertical, de_rham, interior, lie_derivative, vf_commutator
+from gpde.cartan import VectorField, d_vertical, de_rham, interior
+
+from properties import lie_derivative, vf_commutator
 
 
 @pytest.fixture

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from gpde.algebra import JET, DegreeError, GradedAlgebraError, Poly, theta_split
+from gpde.algebra import JET, DegreeError, GradedAlgebraError, Poly
 from gpde.cartan import VectorField, de_rham, interior
 from gpde.cli import main as cli_main
 from gpde.jets import (
@@ -10,11 +10,6 @@ from gpde.jets import (
     Section,
     action_density,
     boundary_reduction,
-    covariance_residual,
-    el_proportional,
-    euler_lagrange,
-    gauge_variation,
-    generic_section,
     generic_supersection,
     ghost_sector,
     theta_coefficients,
@@ -25,7 +20,11 @@ from gpde.parser import load_builtin, parse_model
 from conftest import build_ce, build_maxwell, build_toy
 from properties import (
     assemble_levels,
+    covariance_residual,
     curved_model,
+    el_proportional,
+    euler_lagrange,
+    generic_section,
     reference_action_density,
     ym_weak_source,
 )
@@ -109,70 +108,50 @@ def test_pull_sends_du_to_d_of_the_image(maxwell_model):
         sec[F01] * de_rham(sec[C]) + sec[C] * dx0
 
 
-# gauge variation vs the jet evolutionary field -----------------------------
+# gauge variation: the seeds of the jet evolutionary field -----------------
+
+
+def level_seeds_match_covariance_residual(jm, depth):
+    """Level J of the covariance residual along the generic supersection is
+    (-1)^{|J|} s(psi_{|J}): the pulled-back Q is s + D on expansions."""
+    m = jm.parent
+    res = covariance_residual(generic_supersection(jm))
+    for u in m.fiber_coords():
+        coeffs = theta_coefficients(res[u])
+        for k in range(depth):
+            for J in itertools.combinations(m.base_indices, k):
+                _, jg = jm.jet(u, (), J)
+                want = coeffs.get(J, Poly.zero())
+                assert jm.s.coefficient(jg) == (-want if k & 1 else want)
 
 
 def test_gauge_variation_matches_jet_seeds_maxwell(maxwell_model):
-    m = maxwell_model
-    jm = JetModel(m)
-    var = gauge_variation(generic_supersection(jm))
-    for u in m.fiber_coords():
-        for k in range(3):
-            for J in itertools.combinations(m.base_indices, k):
-                _, jg = jm.jet(u, (), J)
-                assert var[jg] == jm.s.coefficient(jg)
+    level_seeds_match_covariance_residual(JetModel(maxwell_model), 3)
 
 
 def test_gauge_variation_matches_jet_seeds_ym(ym_model):
-    m = ym_model
-    jm = JetModel(m)
-    var = gauge_variation(generic_supersection(jm))
-    for u in m.fiber_coords():
-        for k in range(2):
-            for J in itertools.combinations(m.base_indices, k):
-                _, jg = jm.jet(u, (), J)
-                assert var[jg] == jm.s.coefficient(jg)
-
-
-def test_gauge_variation_registers_no_fields():
-    # the residual registers the derivative jets the variation contains;
-    # reading it off by theta level must add nothing, least of all the
-    # level jets a ghost-zero section leaves out
-    m = build_maxwell()
-    sec = generic_section(JetModel(m))
-    res = covariance_residual(sec)
-    before = len(m.space.generators())
-    var = gauge_variation(sec)
-    assert len(m.space.generators()) == before
-    want = {}
-    for u in m.fiber_coords():
-        coeffs = theta_coefficients(res[u])
-        for J, rest, _, _ in theta_split(sec[u]):
-            ((g, _),) = rest
-            want[g] = (-1) ** len(J) * coeffs.get(J, Poly.zero())
-    assert var == want
-    assert len(var) == 10
+    level_seeds_match_covariance_residual(JetModel(ym_model), 2)
 
 
 def test_gauge_variation_ce_formulas(ce_model):
     m = ce_model
     jm = JetModel(m)
-    var = gauge_variation(generic_supersection(jm))
     # ghost: s c = -(1/2)[c, c], component 1 of su(2) reads -c2*c3
     _, c1 = jm.jet(fib(m, "C", li=0))
-    assert var[c1] == -psi(jm, "C", li=1) * psi(jm, "C", li=2)
+    assert jm.s.coefficient(c1) == -psi(jm, "C", li=1) * psi(jm, "C", li=2)
     # connection: s A_a = del_a c + [A_a, c]
     _, a01 = jm.jet(fib(m, "C", li=0), (), (0,))
     want = (psi(jm, "C", li=0, I=(0,))
             + psi(jm, "C", J=(0,), li=1) * psi(jm, "C", li=2)
             - psi(jm, "C", J=(0,), li=2) * psi(jm, "C", li=1))
-    assert var[a01] == want
+    assert jm.s.coefficient(a01) == want
 
 
 def test_gauge_variation_squares_to_zero(ce_model):
     m = ce_model
     jm = JetModel(m)
-    var = gauge_variation(generic_supersection(jm))
+    levels = [jm.jet(u, (), J)[1] for u in m.fiber_coords() for J in m.theta_levels(range(m.n + 1))]
+    var = {g: jm.s.coefficient(g) for g in levels}
     space = m.space
 
     def srule(g):

@@ -21,12 +21,12 @@ from gpde.algebra import (
     rational,
 )
 from gpde.cli import _VERBS, _parse_point, build_parser
-from gpde.jets import JetModel, el_proportional
+from gpde.jets import JetModel
 from gpde.model import solve_hamiltonian
 from gpde.parser import builtin_names, load_builtin, parse_model
 from gpde.reduction import nullspace, rref
 
-from properties import assert_normal, is_normal
+from properties import assert_normal, el_proportional, is_normal
 
 
 # Q v = u with chi = v du contracts to u^2, of fiber degree k = 2

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from gpde.algebra import DegreeError, GradedAlgebraError, LieAlgebraData, Poly
-from gpde.cartan import de_rham, interior, lie_derivative
+from gpde.cartan import de_rham, interior
 from gpde.model import (
     Model,
     ModelBuilder,
@@ -22,7 +22,12 @@ from gpde.parser import load_builtin, parse_model
 from gpde.report import CheckResult
 
 from conftest import build_maxwell
-from properties import broken_ym_source, non_projecting_ym_source, reference_presymplectic
+from properties import (
+    broken_ym_source,
+    lie_derivative,
+    non_projecting_ym_source,
+    reference_presymplectic,
+)
 
 # chi and Q depend on x, so omega and its contractions carry dx^a terms
 X_DEPENDENT = """
@@ -42,6 +47,15 @@ coord u : gh = 0;
 coord C : gh = 1;
 Q u = C;
 chi = C*d(x[0]) + u*d(theta[1]) + theta[0]*u*d(u) + C*d(u);
+"""
+
+# i_Q i_Q omega = 2 u c, so the double_contraction line FAILs
+DOUBLE_CONTRACTION_FAILS = """
+model double_contraction_fails;
+base dim = 0;
+coord u : gh = 0; coord c : gh = 1; coord z : gh = -1;
+Q z = u; Q u = c;
+chi = z*d(u);
 """
 
 
@@ -255,7 +269,8 @@ class TestPresymplectic:
 
 
 @pytest.fixture(scope="module", params=["maxwell_weak", "ym_weak", "broken_ym", "restricted",
-                                        "x_dependent", "base_differentials"])
+                                        "x_dependent", "base_differentials",
+                                        "double_contraction_fails"])
 def cartan_case(request, maxwell_model, ym_model):
     return {"maxwell_weak": lambda: maxwell_model,
             "ym_weak": lambda: ym_model,
@@ -263,6 +278,7 @@ def cartan_case(request, maxwell_model, ym_model):
             "restricted": lambda: restrict_to_submanifold(ym_model, (1, 2, 3)),
             "x_dependent": lambda: parse_model(X_DEPENDENT),
             "base_differentials": lambda: parse_model(BASE_DIFFERENTIALS),
+            "double_contraction_fails": lambda: parse_model(DOUBLE_CONTRACTION_FAILS),
             }[request.param]()
 
 
@@ -296,6 +312,18 @@ class TestCartanFormula:
         whole = interior(m.q, de_rham(m.chi))
         assert interior(m.q, m.ideal_reduce(m.omega())) != m.ideal_reduce(whole)
         assert m.ideal_reduce(m.iq_omega()) == m.ideal_reduce(whole)
+
+    def test_double_contraction_fails_against_the_oracle(self, tmp_path, capsys):
+        from gpde.cli import main
+
+        m = parse_model(DOUBLE_CONTRACTION_FAILS)
+        want = m.ideal_reduce(reference_presymplectic(m)[1])
+        assert want == 2 * Poly.gen(m.fibers["u"].gen()) * Poly.gen(m.fibers["c"].gen())
+        assert presymplectic_residuals(m)["double_contraction"] == want
+        path = tmp_path / "double_contraction_fails.gpde"
+        path.write_text(DOUBLE_CONTRACTION_FAILS)
+        assert main(["check", str(path)]) == 1
+        assert "[FAIL] double_contraction residual_terms=1\n" in capsys.readouterr().out
 
     def test_report_contracts_omega_once(self, monkeypatch, capsys):
         import gpde.cartan

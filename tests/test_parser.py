@@ -174,11 +174,16 @@ UV2 = "base dim = 2;\ncoord u : gh = 0;\ncoord v : gh = -1;\n"
     ("base dim = 3;\nmetric = diag(1, 2);\n", "2:1", "metric dimension does not match the base"),
     ("base dim = 1;\ncoord u : gh = 0;\ncoord u : gh = 1;\n", "3:7",
      "fiber family 'u' declared twice"),
+    ("base dim = 0;\nlie g { dim = 3; f[1][2][3] = 1; antisymmetrize; dim = 3; }\n", "2:50",
+     "lie dimension declared twice"),
+    ("base dim = 0;\nlie g { dim = 3; f[1][2][3] = 1; antisymmetrize; kappa = diag(1, 1, 1);"
+     " kappa = diag(2, 2, 2); }\n", "2:73", "kappa declared twice"),
 ], ids=["scalar_plus_lie", "index_range", "x_arity", "lie_selector_on_scalar", "eta_arity",
         "lie_no_dim", "lie_index_range", "antisymmetrize_repeated", "conflicting_constants",
         "kappa_length", "slot_names", "lhs_variables", "base_q_lie_valued",
         "lie_component_lie_valued", "scalar_q_lie_valued", "vanishing_component",
-        "chi_lie_valued", "negative_base_dim", "metric_length", "repeated_coord"])
+        "chi_lie_valued", "negative_base_dim", "metric_length", "repeated_coord",
+        "repeated_lie_dim", "repeated_kappa"])
 def test_diagnostic_message_and_location(text, where, message):
     model, diags = parse_with_diagnostics(text)
     assert model is None

@@ -14,7 +14,6 @@ from gpde.reduction import (
     ReductionError,
     coefficient_rows,
     form_universe,
-    kernel_basis,
     nullspace,
     reduce_form,
     rref,
@@ -22,6 +21,7 @@ from gpde.reduction import (
 from properties import (
     assemble_levels,
     reference_nullspace,
+    reference_rref,
     reference_s_action,
     theta_components,
     theta_top_coefficient,
@@ -68,7 +68,7 @@ class TestKernel:
     def test_untouched_coordinate_is_kernel(self, flat_space):
         sp, a, b, k = flat_space
         form = de_rham(Poly.gen(a)) * de_rham(Poly.gen(b))
-        kern = kernel_basis(form, [a, b, k])
+        kern = reduce_form(form, [a, b, k]).kernel_vectors
         assert kern == [[F(0), F(0), F(1)]]
 
     def test_combination_kernel(self):
@@ -79,7 +79,7 @@ class TestKernel:
         for g in p:
             one_form = one_form + de_rham(Poly.gen(g))
         form = one_form * de_rham(Poly.gen(c))
-        kern = kernel_basis(form, p + [c])
+        kern = reduce_form(form, p + [c]).kernel_vectors
         assert len(kern) == 2
         for v in kern:
             assert sum(v[:3]) == 0 and v[3] == 0
@@ -90,9 +90,9 @@ class TestKernel:
         a = sp.coordinate("a", FIBER, 0)
         b = sp.coordinate("b", FIBER, 0)
         form = Poly.gen(u) * de_rham(Poly.gen(a)) * de_rham(Poly.gen(b))
-        generic = kernel_basis(form, [a, b])
+        generic = reduce_form(form, [a, b]).kernel_vectors
         assert generic == []
-        at_zero = kernel_basis(form, [a, b], point={u: F(0)})
+        at_zero = reduce_form(form, [a, b], point={u: F(0)}).kernel_vectors
         assert len(at_zero) == 2
 
     def test_rotating_kernel_refused(self):
@@ -103,10 +103,10 @@ class TestKernel:
         form = de_rham(Poly.gen(a)) * (de_rham(Poly.gen(b))
                                        + Poly.gen(u) * de_rham(Poly.gen(c)))
         with pytest.raises(ReductionError, match="not constant"):
-            kernel_basis(form, [a, b, c])
-        with pytest.raises(ReductionError, match="not constant"):
             reduce_form(form, [a, b, c])
-        assert kernel_basis(form, [a, b, c], point={u: F(2)}) == [[F(0), F(-2), F(1)]]
+        # at u = 2 the kernel is the line of (0, -2, 1), in reduced row echelon form
+        at_two = reduce_form(form, [a, b, c], point={u: F(2)})
+        assert at_two.kernel_vectors == [[F(0), F(1), F(-1, 2)]]
 
     def test_rank_drop_on_a_hypersurface_reduces(self):
         # degenerate at u = 1 only: the generic kernel is empty
@@ -124,14 +124,14 @@ class TestKernel:
         sp = Space("cert")
         u, a, b, k = (sp.coordinate(n, FIBER, 0) for n in "uabk")
         form = Poly.gen(u) * de_rham(Poly.gen(a)) * de_rham(Poly.gen(b))
-        assert kernel_basis(form, [a, b, k]) == [[F(0), F(0), F(1)]]
+        assert reduce_form(form, [a, b, k]).kernel_vectors == [[F(0), F(0), F(1)]]
 
     def test_odd_coordinates_are_set_to_zero(self, flat_space):
         sp, a, b, k = flat_space
         c = sp.coordinate("c", FIBER, 1)
         form = de_rham(Poly.gen(a)) * de_rham(Poly.gen(b)) \
             + Poly.gen(c) * de_rham(Poly.gen(a)) * de_rham(Poly.gen(k))
-        assert kernel_basis(form, [a, b, k]) == [[F(0), F(0), F(1)]]
+        assert reduce_form(form, [a, b, k]).kernel_vectors == [[F(0), F(0), F(1)]]
 
 
 def interior_columns(form, universe):
@@ -292,6 +292,13 @@ class TestReduce:
         assert wrong.split_residual() == \
             de_rham(Poly.gen(a)) * de_rham(Poly.gen(k))
 
+    def test_survivor_equations_are_built_once(self, flat_space):
+        sp, a, b, k = flat_space
+        rm = reduce_form(de_rham(Poly.gen(a)) * de_rham(Poly.gen(b)), [a, b, k])
+        first = rm.survivor_equations
+        assert rm.split_residual().is_zero()
+        assert rm.survivor_equations is first
+
     def test_outside_universe_differential_refused(self, flat_space):
         sp, a, b, k = flat_space
         form = de_rham(Poly.gen(a)) * de_rham(Poly.gen(b))
@@ -302,7 +309,7 @@ class TestReduce:
         sp, a, b, k = flat_space
         form = de_rham(Poly.gen(a)) * de_rham(Poly.gen(b))
         rm = reduce_form(form, [a, b, k])
-        lines = equations(rm.survivor_equations())
+        lines = equations(rm.survivor_equations)
         assert lines[0] == "w0 = a"
         assert lines[1] == "w1 = b"
 
@@ -343,7 +350,8 @@ def test_sparse_kernel_matches_dense_reference(name, kill):
             for row in coefficient_rows(top, universe).values()]
     want = reference_nullspace(rows, len(universe))
     assert want, "vacuous: the block has no kernel"
-    assert kernel_basis(top, universe) == want
+    # reduce_form keeps the kernel in reduced row echelon form
+    assert reduce_form(top, universe).kernel_vectors == reference_rref(want)[0]
 
 
 class TestKernelConstancySign:
