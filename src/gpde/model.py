@@ -228,21 +228,12 @@ def build_base(space: Space, base_indices) -> Tuple[Dict[int, Generator], Dict[i
     return xs, ths
 
 
-def check_potential(chi: Optional[Poly], n: int) -> None:
-    """A presymplectic potential is absent, zero or a one-form of ghost n - 1."""
-    if chi is None or chi.is_zero():
-        return
-    if chi.fdeg() != 1:
-        raise DegreeError("presymplectic potential must be a one-form")
-    if chi.gh() != n - 1:
-        raise DegreeError(f"presymplectic potential must have ghost {n - 1}, got {chi.gh()}")
-
-
 class ModelBuilder:
-    """Incremental construction of a Model.  Each call validates its rule:
-    a Q-rule is a function of ghost one above its coordinate's, repeated
-    only with an equal value, and a second chi, metric, lie algebra or
-    fiber family raises.  build() validates chi and hands the rules on."""
+    """Incremental construction of a Model.  Each call checks its rule when
+    it is given: a Q-rule is on a coordinate, a function of ghost one above
+    the coordinate's and repeated only with an equal value; chi is zero or a
+    one-form of ghost n - 1; and a second chi, metric, lie algebra or fiber
+    family raises.  build() only assembles the model."""
 
     def __init__(self, name: str, n: int):
         if n < 0:
@@ -291,6 +282,8 @@ class ModelBuilder:
         each is checked against the stored rules and the earlier ones."""
         staged: Dict[Generator, Poly] = {}
         for g, value in rules:
+            if g.fdeg:
+                raise DegreeError(f"q-rule for {gen_dsl(g)!r} is declared on a differential")
             value = normal_form(value)
             prev = staged.get(g, self._q_rules.get(g))
             if prev is not None:
@@ -309,9 +302,16 @@ class ModelBuilder:
         return self
 
     def chi(self, value) -> "ModelBuilder":
+        value = normal_form(value)
+        if not value.is_zero():
+            if value.fdeg() != 1:
+                raise DegreeError("presymplectic potential must be a one-form")
+            if value.gh() != self.n - 1:
+                raise DegreeError(f"presymplectic potential must have ghost {self.n - 1}, "
+                                  f"got {value.gh()}")
         if self._chi is not None:
             raise GradedAlgebraError("chi declared twice")
-        self._chi = normal_form(value)
+        self._chi = value
         return self
 
     def weak(self, flag: bool = True) -> "ModelBuilder":
@@ -319,7 +319,6 @@ class ModelBuilder:
         return self
 
     def build(self) -> Model:
-        check_potential(self._chi, self.n)
         return Model(self.space, self.name, self.base_indices, self.fibers,
                      self._q_rules, self._chi, self.lies, self.tensors, self._weak)
 

@@ -46,7 +46,7 @@ from .algebra import (
     trace_pair,
 )
 from .cartan import de_rham
-from .model import Model, ModelBuilder, base_q, check_potential
+from .model import Model, ModelBuilder, base_q
 
 RESERVED = {"x", "theta", "d", "Tr", "eps", "eta", "inveta", "diag",
             "base", "metric", "lie", "coord", "Q", "chi", "weak",
@@ -95,6 +95,15 @@ class DslError(GradedAlgebraError):
 def _error(message: str, span: Optional[Span], hint: Optional[str] = None) -> DslError:
     """The DslError carrying one error diagnostic; callers raise it."""
     return DslError([Diagnostic("error", message, span, hint)])
+
+
+def _given(span: Span, rule, *args, **kwargs):
+    """rule(*args, **kwargs), a ModelBuilder call; the rule it refuses is
+    an error diagnostic at span."""
+    try:
+        return rule(*args, **kwargs)
+    except GradedAlgebraError as e:
+        raise _error(str(e), span) from None
 
 
 class Token:
@@ -414,9 +423,10 @@ MAX_NESTING = 100
 
 class ModelParser:
     """Statement and expression parser driving a ModelBuilder.  The parser
-    checks syntax, names, index ranges, lie-valuedness and chi's degree; a
-    statement then hands its rules to the builder, which refuses repeats
-    and ill-typed Q-rules.  Each error is a diagnostic at its statement."""
+    checks syntax, names, index ranges and lie-valuedness; a statement then
+    hands its rules to the builder (_given), which refuses repeats,
+    ill-typed Q-rules and a chi of the wrong degree.  Each error is a
+    diagnostic at its statement."""
 
     LBP = {"+": 10, "-": 10, "*": 20, "/": 20}
     OPS = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
@@ -566,10 +576,6 @@ class ModelParser:
                          hint="start with: base dim = <n>;")
         return self.builder
 
-    def _raise_on_errors(self):
-        if any(d.severity == "error" for d in self.diags):
-            raise DslError(self.diags)
-
     def parse(self) -> Model:
         """Build the model; a DslError raised here carries self.diags."""
         while self.peek().kind != "eof":
@@ -580,7 +586,8 @@ class ModelParser:
                 self.diags.extend(e.diagnostics)
                 self.pos = start
                 self.skip_statement()
-        self._raise_on_errors()
+        if any(d.severity == "error" for d in self.diags):
+            raise DslError(self.diags)
         b = self.builder
         if b is None:
             self.diags.append(Diagnostic(
@@ -588,12 +595,7 @@ class ModelParser:
             raise DslError(self.diags)
         b.weak(self._weak is True)
         b.name = self.name
-        try:
-            model = b.build()
-        except GradedAlgebraError as e:
-            self.diags.append(Diagnostic("error", str(e), None))
-        self._raise_on_errors()
-        return model
+        return b.build()
 
     def skip_statement(self):
         """Skip the statement that begins at the current token: past its
@@ -644,10 +646,7 @@ class ModelParser:
         self.expect(";")
         if self.builder is not None:
             raise _error("base dimension declared twice", t.span)
-        try:
-            self.builder = ModelBuilder(self.name, n)
-        except GradedAlgebraError as e:
-            raise _error(str(e), t.span)
+        self.builder = _given(t.span, ModelBuilder, self.name, n)
         self.evaluator = Evaluator(self.builder)
 
     def parse_diag(self) -> List[Scalar]:
@@ -661,10 +660,7 @@ class ModelParser:
         self.expect("=")
         vals = self.parse_diag()
         self.expect(";")
-        try:
-            b.metric(vals)
-        except GradedAlgebraError as e:
-            raise _error(str(e), t.span)
+        _given(t.span, b.metric, vals)
 
     def stmt_lie(self):
         t = self.next()
@@ -713,23 +709,25 @@ class ModelParser:
         if dim is None:
             raise _error(f"lie {name_tok.value!r} does not declare its dimension",
                          name_tok.span)
-        f = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+        # each entry fixes its constant, and under antisymmetrize the five
+        # permuted ones, to one value: a repeat must keep it
+        consts: Dict[Tuple[int, int, int], Scalar] = {}
         for a, bb, c, val, span in entries:
             for k in (a, bb, c):
                 if not 1 <= k <= dim:
                     raise _error(f"lie index {k} outside 1..{dim}", span)
+            base = (a - 1, bb - 1, c - 1)
+            perms = [(0, 1, 2)]
             if antisymmetrize:
-                base = (a - 1, bb - 1, c - 1)
                 if len(set(base)) != 3:
                     raise _error("antisymmetrize needs distinct indices", span)
-                for perm in itertools.permutations(range(3)):
-                    sgn = sort_sign(perm)[0]
-                    p = [base[k] for k in perm]
-                    if f[p[0]][p[1]][p[2]] not in (0, sgn * val):
-                        raise _error("conflicting structure constants", span)
-                    f[p[0]][p[1]][p[2]] = sgn * val
-            else:
-                f[a - 1][bb - 1][c - 1] = val
+                perms = itertools.permutations(range(3))
+            for perm in perms:
+                v = sort_sign(perm)[0] * val
+                if consts.setdefault(tuple(base[k] for k in perm), v) != v:
+                    raise _error("conflicting structure constants", span)
+        f = [[[consts.get((i, j, k), 0) for k in range(dim)] for j in range(dim)]
+             for i in range(dim)]
         if kappa_diag is None:
             kappa_diag = [1] * dim
         if len(kappa_diag) != dim:
@@ -770,6 +768,8 @@ class ModelParser:
             if attr.value == "antisym":
                 antisym = True
             elif attr.value == "in":
+                if lie is not None:
+                    raise _error(f"lie algebra of {name!r} declared twice", attr.span)
                 lname = self.expect("name")
                 lie = b.lies.get(lname.value)
                 if lie is None:
@@ -777,10 +777,7 @@ class ModelParser:
             else:
                 raise _error(f"unknown coordinate attribute {attr.value!r}", attr.span)
         self.expect(";")
-        try:
-            b.fiber(name, gh, slots=len(slots), antisym=antisym, lie=lie)
-        except GradedAlgebraError as e:
-            raise _error(str(e), name_tok.span)
+        _given(name_tok.span, b.fiber, name, gh, slots=len(slots), antisym=antisym, lie=lie)
 
     def stmt_q(self):
         t = self.next()
@@ -829,10 +826,7 @@ class ModelParser:
                 elif not v.is_zero():
                     raise _error("nonzero Q-rule on a vanishing antisymmetric component",
                                  span)
-        try:
-            b.q_rules(rules)
-        except GradedAlgebraError as e:
-            raise _error(str(e), span) from None
+        _given(span, b.q_rules, rules)
 
     def stmt_chi(self):
         t = self.next()
@@ -844,11 +838,7 @@ class ModelParser:
         if isinstance(value, LieValued):
             raise _error("chi must be a scalar expression; wrap lie factors "
                          "in Tr(...)", t.span)
-        try:
-            check_potential(value, b.n)
-            b.chi(value)
-        except GradedAlgebraError as e:
-            raise _error(str(e), t.span) from None
+        _given(t.span, b.chi, value)
 
     def stmt_weak(self):
         t = self.next()

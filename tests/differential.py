@@ -11,9 +11,9 @@ differs.  The exit status is 0 when every case agrees and 1 otherwise.
 Two kinds of case:
 
 * parse: the sources of perfbench's `model_corpus` (cycles 0 and 1 at seed
-  7), the builtin model files and seeded one-character mutants of them.  A
-  case records every diagnostic string and, when a model loads, its
-  `model_to_source` text.
+  7), the builtin model files, seeded one-character mutants of them and the
+  sources of REPEATS.  A case records every diagnostic string and, when a
+  model loads, its `model_to_source` text.
 * verbs: every verb on every builtin; `report` and `reduce` on ym_weak at
   base dims 4 to 8; every verb on the broken and the non-projecting ym_weak
   variants; `reduce` on base-dim-0 models whose chi is 0; `reduce --at` at
@@ -51,6 +51,17 @@ AT_POINTS = [("toy_dim0", "u=2,v=-1/3"), ("ym_weak", "F[0,1]{1}[|]=1"),
 ZERO_CHI = {
     "zero_chi": "base dim = 0;\ncoord u : gh = 0;\nchi = 0;\n",
     "zero_chi_bare": "base dim = 0;\nchi = 0;\n",
+}
+
+# a rule given twice with another value: a structure constant without
+# antisymmetrize, and the lie algebra of a coordinate
+REPEATS = {
+    "plain_constant": "base dim = 0;\nlie g {\n  dim = 3;\n  f[1][2][3] = 5;\n"
+                      "  f[1][2][3] = 1;\n  f[1][3][2] = -1;\n  f[2][3][1] = 1;\n"
+                      "  f[2][1][3] = -1;\n  f[3][1][2] = 1;\n  f[3][2][1] = -1;\n}\n"
+                      "coord C : gh = 1 in g;\nQ C = -1/2*[C, C];\n",
+    "second_in": "base dim = 0;\nlie g { dim = 1; }\nlie h { dim = 1; }\n"
+                 "coord C : gh = 1 in g in h;\n",
 }
 
 
@@ -92,6 +103,8 @@ def build_cases(new_src, quick=False):
     cases += [(f"parse/builtin/{name}", "parse", src) for name, src in builtins.items()]
     cases += [(f"parse/mutant/{i}", "parse", src)
               for i, src in enumerate(mutants(bases, count))]
+    if not quick:
+        cases += [(f"parse/repeat/{name}", "parse", src) for name, src in REPEATS.items()]
 
     files = {"broken_ym.gpde": broken_ym_source(),
              "non_projecting_ym.gpde": non_projecting_ym_source(),

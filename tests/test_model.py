@@ -86,6 +86,14 @@ class TestBuilder:
             b.q_rule(v, 2 * Poly.gen(u) * Poly.gen(u))
         assert b.build().q.coefficient(v) == Poly.gen(u) * Poly.gen(u)
 
+    def test_q_rule_on_a_differential_is_refused_at_the_call(self):
+        b = ModelBuilder("on_du", 0)
+        u = b.fiber("u", gh=0).gen()
+        with pytest.raises(DegreeError,
+                           match=r"^q-rule for 'd\(u\)' is declared on a differential$"):
+            b.q_rule(b.space.differential(u), 0)
+        assert b.build().q.coefficient(u).is_zero()
+
     def test_q_rules_store_all_or_none(self):
         b = ModelBuilder("staged", 0)
         u = b.fiber("u", gh=0).gen()
@@ -124,16 +132,14 @@ class TestBuilder:
     def test_chi_degree_validated(self):
         b = ModelBuilder("bad_chi", 2)
         u = b.fiber("u", gh=1).gen()
-        b.chi(Poly.gen(u))
         with pytest.raises(DegreeError):
-            b.build()
+            b.chi(Poly.gen(u))
 
     def test_chi_ghost_validated(self):
         b = ModelBuilder("bad_chi_gh", 2)
         u = b.fiber("u", gh=0).gen()
-        b.chi(de_rham(Poly.gen(u)))
         with pytest.raises(DegreeError):
-            b.build()
+            b.chi(de_rham(Poly.gen(u)))
 
     def test_data_the_reader_refuses_is_refused(self):
         # model_to_source would write `base dim = -1;` and `dim = 0;`

@@ -178,16 +178,42 @@ UV2 = "base dim = 2;\ncoord u : gh = 0;\ncoord v : gh = -1;\n"
      "lie dimension declared twice"),
     ("base dim = 0;\nlie g { dim = 3; f[1][2][3] = 1; antisymmetrize; kappa = diag(1, 1, 1);"
      " kappa = diag(2, 2, 2); }\n", "2:73", "kappa declared twice"),
+    ("base dim = 0;\nlie g { dim = 3; f[1][2][3] = 5; f[1][2][3] = 1; }\n", "2:34",
+     "conflicting structure constants"),
+    ("base dim = 0;\nlie g { dim = 1; }\nlie h { dim = 1; }\ncoord C : gh = 1 in g in h;\n",
+     "4:23", "lie algebra of 'C' declared twice"),
+    # the builder's refusals, each at the span of its statement
+    ("base dim = 1;\nmetric = diag(1);\nmetric = diag(1);\n", "3:1", "metric declared twice"),
+    ("base dim = 0;\nlie g { dim = 1; }\nlie g { dim = 1; }\n", "3:5",
+     "lie algebra 'g' declared twice"),
+    ("base dim = 0;\ncoord u : gh = 0;\ncoord v : gh = -1;\nchi = v*d(u);\nchi = v*d(u);\n",
+     "5:1", "chi declared twice"),
+    ("base dim = 2;\nmetric = diag(1, 0);\n", "2:1", "metric diagonal entries must be nonzero"),
+    ("base dim = 0;\ncoord F[a] : gh = 0;\n", "2:7",
+     "family 'F' has index slots but no base indices"),
 ], ids=["scalar_plus_lie", "index_range", "x_arity", "lie_selector_on_scalar", "eta_arity",
         "lie_no_dim", "lie_index_range", "antisymmetrize_repeated", "conflicting_constants",
         "kappa_length", "slot_names", "lhs_variables", "base_q_lie_valued",
         "lie_component_lie_valued", "scalar_q_lie_valued", "vanishing_component",
         "chi_lie_valued", "negative_base_dim", "metric_length", "repeated_coord",
-        "repeated_lie_dim", "repeated_kappa"])
+        "repeated_lie_dim", "repeated_kappa", "conflicting_plain_constants", "second_in",
+        "repeated_metric", "repeated_lie", "repeated_chi", "metric_zero_entry",
+        "slots_on_dim0"])
 def test_diagnostic_message_and_location(text, where, message):
     model, diags = parse_with_diagnostics(text)
     assert model is None
     assert [str(d) for d in diags] == [f"<string>:{where}: error: {message}"]
+
+
+def test_a_plain_structure_constant_may_repeat_its_value():
+    # su(2), its six constants written out
+    block = "base dim = 0;\nlie g { dim = 3; %s}\n" % "".join(
+        f"f[{a}][{b}][{c}] = {s}; " for a, b, c, s in (
+            (1, 2, 3, 1), (1, 3, 2, -1), (2, 3, 1, 1), (2, 1, 3, -1), (3, 1, 2, 1), (3, 2, 1, -1)))
+    once = parse_model(block)
+    twice = parse_model(block.replace("}", "f[1][2][3] = 1; }"))
+    assert model_to_source(twice) == model_to_source(once)
+    assert twice.lies["g"].f[0][1][2] == 1
 
 
 @pytest.mark.parametrize("text, where, message", [
