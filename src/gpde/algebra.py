@@ -422,12 +422,6 @@ class Poly:
     def gh(self) -> Optional[int]:
         return self._degree(mono_gh, "ghost-homogeneous")
 
-    def constant_term(self) -> Scalar:
-        return self.terms.get((), 0)
-
-    def coefficient(self, m: Monomial) -> Scalar:
-        return self.terms.get(m, 0)
-
     def generators(self):
         seen = set()
         for m in self.terms:
@@ -478,7 +472,7 @@ class Poly:
     def __truediv__(self, other) -> "Poly":
         if isinstance(other, Poly):
             if other.terms and set(other.terms) == {()}:
-                other = other.constant_term()
+                other = other.terms[()]
             else:
                 raise DegreeError("division only by nonzero scalars")
         c = rational(other)

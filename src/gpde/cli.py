@@ -200,18 +200,6 @@ def _run_report(m: Model, args) -> Report:
     return rep
 
 
-_VERBS = {
-    "check": _run_check,
-    "hamiltonian": _run_hamiltonian,
-    "descent": _run_descent,
-    "bv-identities": _run_bv_identities,
-    "bv-action": _run_bv_action,
-    "reduce": _run_reduce,
-    "boundary": _run_boundary,
-    "report": _run_report,
-}
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every later
@@ -221,8 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="symbolic checks for presymplectic gauge PDE models")
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    def verb(name, help):
+    def verb(name, run, help):
         p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("model", help="builtin model name or path to a model file")
         p.add_argument("--format", choices=("text", "json", "latex"),
                        default="text", help="report rendering")
@@ -233,21 +222,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--order", type=int, default=0,
                        help="no effect: jets are made on demand, never truncated")
 
-    verb("check", "projection, nilpotency and presymplectic compatibility")
-    verb("hamiltonian", "solve for the covariant hamiltonian and verify it")
-    order(verb("descent", "descent tower on the vertical two-form"))
-    order(verb("bv-identities", "master identities on the jet prolongation"))
-    p = verb("bv-action", "field-space action density from a generic section")
+    verb("check", _run_check, "projection, nilpotency and presymplectic compatibility")
+    verb("hamiltonian", _run_hamiltonian, "solve for the covariant hamiltonian and verify it")
+    order(verb("descent", _run_descent, "descent tower on the vertical two-form"))
+    order(verb("bv-identities", _run_bv_identities, "master identities on the jet prolongation"))
+    p = verb("bv-action", _run_bv_action, "field-space action density from a generic section")
     p.add_argument("--ghost", type=int, default=None,
                    help="restrict the density to one ghost degree")
-    p = verb("reduce", "kernel reduction of the vertical two-form")
+    p = verb("reduce", _run_reduce, "kernel reduction of the vertical two-form")
     order(p)
     p.add_argument("--at", default=None,
                    help="evaluation point, comma separated name=rational pairs")
-    p = verb("boundary", "restrict to a submanifold and reduce the boundary form")
+    p = verb("boundary", _run_boundary, "restrict to a submanifold and reduce the boundary form")
     p.add_argument("--kill", required=True,
                    help="comma separated base directions to drop")
-    verb("report", "full check battery with hamiltonian and action outputs")
+    verb("report", _run_report, "full check battery with hamiltonian and action outputs")
     return ap
 
 
@@ -262,7 +251,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(str(d), file=sys.stderr)
         return 2
     try:
-        rep = _VERBS[args.verb](m, args)
+        rep = args.run(m, args)
     except GradedAlgebraError as e:
         rep = Report(m.name).add(CheckResult.refused(args.verb.replace("-", "_"), e))
     poly = poly_latex if args.format == "latex" else poly_text

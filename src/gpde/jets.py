@@ -188,7 +188,7 @@ class JetRegistry:
         """The jet coordinate psi_{I|J} of a bundle coordinate.  I is
         symmetrized silently; J antisymmetrizes with a sign, returning
         (0, None) on a repeated odd direction.  The image levels call it per
-        level, so it leaves the directions to JetModel.jet and jet_of."""
+        level, so it leaves the directions to JetModel.jet and to jet_of below."""
         if fiber_gen.role != FIBER:
             raise GradedAlgebraError("jets are indexed by bundle fiber coordinates")
         I = tuple(sorted(I))
@@ -372,15 +372,9 @@ class JetModel:
         self.parent.require_directions((*I, *J), "for a jet coordinate")
         return self.registry.jet(fiber_gen, I, J)
 
-    def jet_of(self, g: Generator):
-        return self.registry.jet_of(g)
-
     def theta_expansion(self, fiber_gen: Generator) -> Poly:
         return self.parent.theta_expansion(range(self.parent.n + 1),
                                            lambda J: self.jet(fiber_gen, (), J)[1])
-
-    def level_pullback(self, p: Poly, vertical=None, level=None) -> dict:
-        return self.registry.level_pullback(p, vertical, level)
 
     def levelwise(self, levels: dict, op, odd: bool) -> dict:
         """A level-preserving operator on a level form: op(terms) at each
@@ -435,7 +429,7 @@ class JetModel:
     @derived
     def vertical_chibar_levels(self) -> dict:
         """The levels of the vertical pull-back of chi."""
-        return self.level_pullback(self._chi(), vertical=True)
+        return self.registry.level_pullback(self._chi(), vertical=True)
 
     @derived
     def vertical_omegabar_levels(self) -> dict:
@@ -474,7 +468,8 @@ class JetModel:
         whose kernel the reductions quotient by.  d_v passes each theta with a
         sign, so it is (-1)^n d_v of the volume level of the vertical
         pull-back of chi, and only that level is built."""
-        top = d_vertical(Poly._adopt(self.space, self.level_pullback(self._chi(), True, self._top)))
+        top = self.registry.level_pullback(self._chi(), True, self._top)
+        top = d_vertical(Poly._adopt(self.space, top))
         return -top if len(self._top) & 1 else top
 
     def lbar(self) -> Poly:
@@ -483,7 +478,8 @@ class JetModel:
     @derived
     def bv_levels(self) -> dict:
         """The levels of the horizontal pull-back of chi + h."""
-        return self.level_pullback(self._chi() + solve_hamiltonian(self.parent), HORIZONTAL)
+        return self.registry.level_pullback(self._chi() + solve_hamiltonian(self.parent),
+                                            HORIZONTAL)
 
     def bv_top(self) -> Poly:
         """The theta-volume level of bv_levels(), the BV scalar
@@ -609,7 +605,7 @@ def action_density(sec: Section) -> Poly:
     mapping = {}
     for g in top.generators():
         if g.role == JET:
-            u, I, J = jm.jet_of(g)
+            u, I, J = jm.registry.jet_of(g)
             c = levels[u].get(J, Poly.zero())
             for a in I:
                 c = jm.total_derivative(a).apply(c)

@@ -86,9 +86,6 @@ class FiberFamily:
     def coords(self) -> List[Generator]:
         return list(self._gens.values())
 
-    def index_combos(self):
-        return sorted({idx for idx, _ in self._gens})
-
     def gen(self, idx: Tuple[int, ...] = (), li: Optional[int] = None) -> Generator:
         return self._gens[(tuple(idx), li)]
 
@@ -273,9 +270,6 @@ class ModelBuilder:
                           lie=lie, base_indices=self.base_indices)
         self.fibers[name] = fam
         return fam
-
-    def q_rule(self, g: Generator, value) -> "ModelBuilder":
-        return self.q_rules([(g, value)])
 
     def q_rules(self, rules) -> "ModelBuilder":
         """Store the (coordinate, value) rules of one statement, all or none:

@@ -233,19 +233,19 @@ def _signed_gen(sign: int, g: Optional[Generator]) -> Poly:
 class Evaluator:
     """Turns expression trees into Poly / LieValued values over a builder.
 
-    During one statement_value call each factor node is evaluated once per
-    assignment of the index variables that occur in it; later uses read the
-    memo.  Only a factor that evaluated without error has a memo entry."""
+    During one statement, over every value of its left-hand indices, each
+    factor node is evaluated once per assignment of the index variables that
+    occur in it; later uses read the memo, which ModelParser.statement
+    empties.  Only a factor that evaluated without error has a memo entry."""
 
     def __init__(self, builder: ModelBuilder):
         self.b = builder
         self._memo: dict = {}         # (id(node), its variables' values) -> value
         self._node_vars: dict = {}    # id(node) -> the index variables in it
 
-    def statement_value(self, node, bound: Dict[str, int]):
-        """Evaluate with Einstein summation over repeated free variables."""
-        # node ids are unique only while one statement's tree is alive
-        self._memo, self._node_vars = {}, {}
+    def statement_value(self, node, bound: Dict[str, int], in_tr=False):
+        """Evaluate with Einstein summation over repeated free variables.  The
+        statement binds every variable of a bracket, d(...) or Tr(...) argument."""
         total = None
         for coeff, factors in _distribute(node):
             counts: Dict[str, int] = {}
@@ -265,17 +265,8 @@ class Evaluator:
             for values in itertools.product(self.b.base_indices, repeat=len(dummies)):
                 if dummies:
                     env.update(zip(dummies, values))
-                total = self._add(total, self.eval_term(coeff, factors, env, in_tr=False),
-                                  node[-1])
+                total = self._add(total, self.eval_term(coeff, factors, env, in_tr), node[-1])
         return total if total is not None else Poly.zero()
-
-    def argument_value(self, node, env, in_tr=False):
-        """Value of a bracket, d(...) or Tr(...) argument, whose index
-        variables the enclosing statement has bound in env."""
-        total = None
-        for coeff, factors in _distribute(node):
-            total = self._add(total, self.eval_term(coeff, factors, env, in_tr), node[-1])
-        return total
 
     def _add(self, a, b, span):
         if a is None:
@@ -340,20 +331,20 @@ class Evaluator:
     def _eval_factor(self, node, env):
         kind = node[0]
         if kind == "bracket":
-            a = self.argument_value(node[1], env)
-            bb = self.argument_value(node[2], env)
+            a = self.statement_value(node[1], env)
+            bb = self.statement_value(node[2], env)
             if not isinstance(a, LieValued) or not isinstance(bb, LieValued):
                 raise _error("the bracket needs lie-algebra valued arguments", node[3])
             if a.lie is not bb.lie:
                 raise _error(_MIXED_LIE, node[3])
             return lie_bracket(a, bb)
         if kind == "d":
-            v = self.argument_value(node[1], env)
+            v = self.statement_value(node[1], env)
             if isinstance(v, LieValued):
                 return LieValued(v.lie, [de_rham(c) for c in v.components])
             return de_rham(v)
         if kind == "tr":
-            return self.argument_value(node[1], env, in_tr=True)
+            return self.statement_value(node[1], env, in_tr=True)
         if kind == "theta_basis":
             idx = tuple(self.index_value(a, env) for a in node[1])
             ths = [self.b.theta[a] for a in self.b.base_indices]
@@ -627,6 +618,9 @@ class ModelParser:
         stmt = self.STATEMENTS.get(t.value)
         if stmt is None:
             raise _error(f"unknown declaration {t.value!r}", t.span)
+        if self.evaluator is not None:
+            # node ids are unique only while one statement's tree is alive
+            self.evaluator._memo, self.evaluator._node_vars = {}, {}
         stmt(self)
 
     def stmt_model(self):

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,8 @@ def build_toy():
     v = b.fiber("v", gh=-1).gen()
     z = b.fiber("z", gh=-1).gen()
     up = Poly.gen(u)
-    b.q_rule(v, up * up)
-    b.q_rule(z, up * up * up)
+    b.q_rules([(v, up * up)])
+    b.q_rules([(z, up * up * up)])
     b.chi(Poly.gen(v) * de_rham(up))
     return b.build()
 
@@ -29,7 +30,7 @@ def build_ce(n=2, lie=None):
     Cv = C.as_lie_valued()
     br = lie_bracket(Cv, Cv)
     for i in range(lie.dim):
-        b.q_rule(C.gen(li=i), Fraction(-1, 2) * br[i])
+        b.q_rules([(C.gen(li=i), Fraction(-1, 2) * br[i])])
     return b.build()
 
 
@@ -56,12 +57,12 @@ def build_curved(name, lie, weak=True):
                     continue
                 sign, g = F.resolve((a, bb), li=i)
                 rhs = rhs + Fraction(sign, 2) * Poly.gen(ths[a]) * Poly.gen(ths[bb]) * Poly.gen(g)
-        b.q_rule(C.gen(li=i), rhs)
-    for (a, bb) in F.index_combos():
+        b.q_rules([(C.gen(li=i), rhs)])
+    for (a, bb) in itertools.combinations(b.base_indices, 2):
         Fv = F.as_lie_valued((a, bb))
         br = lie_bracket(Fv, Cv)
         for i in range(lie.dim):
-            b.q_rule(F.gen((a, bb), li=i), br[i])
+            b.q_rules([(F.gen((a, bb), li=i), br[i])])
     bg = b.tensors
     chi = Poly.zero()
     for a in range(n):

@@ -16,9 +16,10 @@ Two kinds of case:
   model loads, its `model_to_source` text.
 * verbs: every verb on every builtin; `report` and `reduce` on ym_weak at
   base dims 4 to 8; every verb on the broken and the non-projecting ym_weak
-  variants; `reduce` on base-dim-0 models whose chi is 0; `reduce --at` at
-  points of toy_dim0 and ym_weak, whose coordinate names may hold commas.  A
-  case records stdout, stderr and the exit code of `gpde.cli.main`.
+  variants and on METRIC, the one model whose statements read eta and eps;
+  `reduce` on base-dim-0 models whose chi is 0; `reduce --at` at points of
+  toy_dim0 and ym_weak, whose coordinate names may hold commas.  A case
+  records stdout, stderr and the exit code of `gpde.cli.main`.
 
 The cases are built once, from NEW_SRC's builtin model files.  `--quick`
 keeps a slice of each kind that runs in about a second.
@@ -48,6 +49,9 @@ MUTANT_CHARS = list("019axQ_;:,=+-*/()[]{} \t\r\n#") + ["²", "٣", "é", "€"]
 # evaluated reductions; the ym_weak names hold commas inside their brackets
 AT_POINTS = [("toy_dim0", "u=2,v=-1/3"), ("ym_weak", "F[0,1]{1}[|]=1"),
              ("ym_weak", "F[0,1]{1}[|]=1,C{1}[|0,1]=2")]
+# a base-dim-2 model whose Q and chi contract with eta and eps
+METRIC = ("base dim = 2;\nmetric = diag(-1, 2);\ncoord u : gh = 0;\ncoord A[a] : gh = 0;\n"
+          "Q u = theta[a]*eta[a, b]*A[b];\nchi = eps[a, b]*eta[b, c]*theta[a]*u*d(A[c]);\n")
 ZERO_CHI = {
     "zero_chi": "base dim = 0;\ncoord u : gh = 0;\nchi = 0;\n",
     "zero_chi_bare": "base dim = 0;\nchi = 0;\n",
@@ -107,13 +111,13 @@ def build_cases(new_src, quick=False):
         cases += [(f"parse/repeat/{name}", "parse", src) for name, src in REPEATS.items()]
 
     files = {"broken_ym.gpde": broken_ym_source(),
-             "non_projecting_ym.gpde": non_projecting_ym_source(),
+             "non_projecting_ym.gpde": non_projecting_ym_source(), "metric.gpde": METRIC,
              **{f"ym{n}.gpde": ym_source(n) for n in range(4, 9)},
              **{f"{name}.gpde": src for name, src in ZERO_CHI.items()}}
     runs = [verb[:1] + [name] + verb[1:] for name in builtins for verb in VERBS]
     runs += [[verb, f"ym{n}.gpde"] for n in range(4, 9) for verb in ("report", "reduce")]
     runs += [verb[:1] + [f"{name}.gpde"] + verb[1:]
-             for name in ("broken_ym", "non_projecting_ym") for verb in VERBS]
+             for name in ("broken_ym", "non_projecting_ym", "metric") for verb in VERBS]
     runs += [["reduce", f"{name}.gpde"] + at for name in ZERO_CHI for at in ([], ["--at", "u=1"])]
     runs += [["reduce", name, "--at", at] for name, at in AT_POINTS]
     if quick:

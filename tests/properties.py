@@ -212,7 +212,7 @@ def euler_lagrange(jm: JetModel, dens: Poly) -> Dict:
     out: Dict = {}
     column = {g: g for g in dens.generators() if g.role == JET}
     for g, terms in partials(dens, column).items():
-        u, I, J = jm.jet_of(g)
+        u, I, J = jm.registry.jet_of(g)
         partial = Poly._adopt(dens.space, terms)
         for a in I:
             partial = jm.total_derivative(a).apply(partial)
@@ -230,7 +230,7 @@ def el_proportional(jm: JetModel, a: Poly, b: Poly):
         return not ea, None
     g, pb = next(iter(eb.items()))
     mono, cb = next(iter(pb.terms.items()))
-    lam = qdiv(ea[g].coefficient(mono) if g in ea else 0, cb)
+    lam = qdiv(ea[g].terms.get(mono, 0) if g in ea else 0, cb)
     return (True, lam) if not euler_lagrange(jm, a - lam * b) else (False, None)
 
 

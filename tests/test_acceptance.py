@@ -7,6 +7,7 @@ criterion output, or through pytest (-s to see the lines on success)."""
 
 import contextlib
 import io
+import itertools
 import time
 from fractions import Fraction
 
@@ -61,7 +62,7 @@ def test_criterion_2_curved_model_residuals():
         lie = pr.lie_of(m)
         for i in range(lie.dim):
             assert qs.get(m.fibers["C"].gen(li=i), pr.Poly.zero()).is_zero()
-        for (a, b) in m.fibers["F"].index_combos():
+        for (a, b) in itertools.combinations(m.base_indices, 2):
             for i in range(lie.dim):
                 got = qs[m.fibers["F"].gen((a, b), li=i)]
                 assert got == pr.weak_nilpotency_pattern(m, a, b, i)

@@ -159,7 +159,7 @@ class TestVectorFields:
                                                                  jet_maxwell):
         jm = boundary_reduction(maxwell_model, [0]).jets
         C = maxwell_model.fibers["C"].gen(li=0)
-        assert jm.jet_of(jet_maxwell.jet(C, (1,), (2,))[1]) == (C, (1,), (2,))
+        assert jm.registry.jet_of(jet_maxwell.jet(C, (1,), (2,))[1]) == (C, (1,), (2,))
         message = "no base direction 0 for a jet coordinate (base directions: 1, 2, 3)"
         for I, J in (((0,), ()), ((), (0,))):
             g = jet_maxwell.jet(C, I, J)[1]
@@ -312,7 +312,7 @@ def build_base_differentials():
     b = ModelBuilder("base_differentials", 2)
     ug, Cg = b.fiber("u", gh=0).gen(), b.fiber("C", gh=1).gen()
     u, C = Poly.gen(ug), Poly.gen(Cg)
-    b.q_rule(ug, C)
+    b.q_rules([(ug, C)])
     x0, th0, th1 = (Poly.gen(g) for g in (b.x[0], b.theta[0], b.theta[1]))
     b.chi(C * de_rham(x0) + u * de_rham(th1) + th0 * u * de_rham(u) + C * de_rham(u))
     return b.build()
@@ -459,7 +459,7 @@ class TestLevelPullback:
         jm = vertical_case
         for vertical in (True, HORIZONTAL, True):
             for p in _forms(jm.parent):
-                got = assemble_levels(jm, jm.level_pullback(p, vertical))
+                got = assemble_levels(jm, jm.registry.level_pullback(p, vertical))
                 assert not got.is_zero()
                 assert got == reference_pullback(jm, p, vertical)
 
@@ -468,9 +468,9 @@ class TestLevelPullback:
         jm = vertical_case
         for level in (None, jm._top):
             with pytest.raises(GradedAlgebraError, match="vertically or horizontally"):
-                jm.level_pullback(jm.parent.chi, level=level)
+                jm.registry.level_pullback(jm.parent.chi, level=level)
         for p in _functions(jm.parent):
-            got = assemble_levels(jm, jm.level_pullback(p))
+            got = assemble_levels(jm, jm.registry.level_pullback(p))
             assert got == reference_pullback(jm, p, False)
 
     def test_seeds_match_substitution(self, vertical_case):
@@ -488,7 +488,7 @@ class TestLevelPullback:
         jm = vertical_case
         valid = set(jm.parent.theta_levels(range(jm.parent.n + 1)))
         for vertical in (HORIZONTAL, True):
-            levels = jm.level_pullback(jm.parent.chi, vertical)
+            levels = jm.registry.level_pullback(jm.parent.chi, vertical)
             assert set(levels) <= valid and all(levels.values())
             acc = assemble_levels(jm, levels)
             assert acc == reference_pullback(jm, jm.parent.chi, vertical)
@@ -497,7 +497,7 @@ class TestLevelPullback:
         # base_differentials holds dx^0, which goes to theta^0, and dtheta^1;
         # chibar is a substitution, apart from the level pull-backs
         jm = vertical_case
-        got = assemble_levels(jm, jm.level_pullback(jm.parent.chi, HORIZONTAL))
+        got = assemble_levels(jm, jm.registry.level_pullback(jm.parent.chi, HORIZONTAL))
         assert not got.is_zero()
         assert got == interior(jm.D, jm.chibar())
 
@@ -512,7 +512,7 @@ class TestLevelPullback:
     def test_mostly_colliding_levels(self, ym_model, vertical):
         jm = JetModel(ym_model)
         p = colliding_form(ym_model)
-        got = assemble_levels(jm, jm.level_pullback(p, vertical))
+        got = assemble_levels(jm, jm.registry.level_pullback(p, vertical))
         assert not got.is_zero()
         assert got == reference_pullback(jm, p, vertical)
 
@@ -524,7 +524,7 @@ class TestLevelPullback:
         C = [ym_model.fibers["C"].gen(li=i) for i in range(3)]
         _, psi = jm.jet(C[2], (0,), ())
         p = Poly.gen(C[0]) * de_rham(Poly.gen(C[1])) * Poly.gen(psi) * de_rham(Poly.gen(psi))
-        got = assemble_levels(jm, jm.level_pullback(p, vertical))
+        got = assemble_levels(jm, jm.registry.level_pullback(p, vertical))
         assert not got.is_zero()
         assert got == reference_pullback(jm, p, vertical)
 
@@ -538,7 +538,7 @@ class TestLevelPullback:
         dx = de_rham(Poly.gen(ym_model.x[1]))
         p = F * F * de_rham(C) + F * F * F * G * G * dx * de_rham(F) + G * G * C * de_rham(G)
         assert any(e > 1 for mono in p.terms for _, e in mono)
-        got = assemble_levels(jm, jm.level_pullback(p, vertical))
+        got = assemble_levels(jm, jm.registry.level_pullback(p, vertical))
         assert not got.is_zero()
         assert got == reference_pullback(jm, p, vertical)
 
@@ -553,19 +553,19 @@ class TestOneLevel:
         # with no mode (False), the functions the seeds of s read
         jm = vertical_case
         for p in _forms(jm.parent) if vertical else _functions(jm.parent):
-            whole = jm.level_pullback(p, vertical)
+            whole = jm.registry.level_pullback(p, vertical)
             assert whole
             for K in jm.parent.theta_levels(range(jm.parent.n + 1)):
-                assert jm.level_pullback(p, vertical, level=K) == whole.get(K, {}), K
+                assert jm.registry.level_pullback(p, vertical, level=K) == whole.get(K, {}), K
 
     @pytest.mark.parametrize("vertical", [False, True, HORIZONTAL])
     def test_mostly_colliding_level_pullback_at_each_level(self, ym_model, vertical):
         jm = JetModel(ym_model)
         p = colliding_form(ym_model, de_rham if vertical else lambda c: c)
-        whole = jm.level_pullback(p, vertical)
+        whole = jm.registry.level_pullback(p, vertical)
         assert whole
         for K in ym_model.theta_levels(range(5)):
-            assert jm.level_pullback(p, vertical, level=K) == whole.get(K, {}), K
+            assert jm.registry.level_pullback(p, vertical, level=K) == whole.get(K, {}), K
 
     def test_vertical_top_is_the_volume_coefficient(self, vertical_case):
         # restricted has base dim 3, where d_v passing the volume flips the sign
@@ -673,7 +673,7 @@ class TestLevelForm:
         # on the base-dim-3 restricted model every level of the pulled-back
         # chi is the volume, which D kills; the hamiltonian adds lower ones
         jm = vertical_case
-        check_level_form(jm, jm.level_pullback(jm.parent.chi, HORIZONTAL))
+        check_level_form(jm, jm.registry.level_pullback(jm.parent.chi, HORIZONTAL))
         try:
             solve_hamiltonian(jm.parent)
         except NotExactError:
@@ -683,15 +683,15 @@ class TestLevelForm:
     def test_mostly_colliding_levels(self, ym_model):
         jm = JetModel(ym_model)
         p = colliding_form(ym_model)
-        assert not check_level_form(jm, jm.level_pullback(p, True)).is_zero()
+        assert not check_level_form(jm, jm.registry.level_pullback(p, True)).is_zero()
         # horizontally each term reaches the volume, which D kills
-        check_level_form(jm, jm.level_pullback(p, HORIZONTAL))
+        check_level_form(jm, jm.registry.level_pullback(p, HORIZONTAL))
 
     def test_broken_model_levels(self, broken_ym):
         jm = JetModel(broken_ym)
         for levels in (jm.vertical_chibar_levels(), jm.vertical_omegabar_levels()):
             assert not check_level_form(jm, levels).is_zero()
-        horizontal = jm.level_pullback(broken_ym.chi, HORIZONTAL)
+        horizontal = jm.registry.level_pullback(broken_ym.chi, HORIZONTAL)
         assert not check_level_form(jm, horizontal).is_zero()
 
     def test_descent_residuals_are_the_whole_form_components(self, broken_ym):

@@ -73,17 +73,17 @@ class TestBuilder:
         u = b.fiber("u", gh=0).gen()
         w = b.fiber("w", gh=2).gen()
         with pytest.raises(DegreeError):
-            b.q_rule(u, Poly.gen(w))
+            b.q_rules([(u, Poly.gen(w))])
 
     def test_q_rule_repeat_must_equal_the_stored_rule(self):
         b = ModelBuilder("repeat", 0)
         u = b.fiber("u", gh=0).gen()
         v = b.fiber("v", gh=-1).gen()
-        b.q_rule(v, Poly.gen(u) * Poly.gen(u))
-        b.q_rule(v, Poly.gen(u) * Poly.gen(u))
+        b.q_rules([(v, Poly.gen(u) * Poly.gen(u))])
+        b.q_rules([(v, Poly.gen(u) * Poly.gen(u))])
         with pytest.raises(GradedAlgebraError,
                            match="^conflicting Q-rules for the same coordinate$"):
-            b.q_rule(v, 2 * Poly.gen(u) * Poly.gen(u))
+            b.q_rules([(v, 2 * Poly.gen(u) * Poly.gen(u))])
         assert b.build().q.coefficient(v) == Poly.gen(u) * Poly.gen(u)
 
     def test_q_rule_on_a_differential_is_refused_at_the_call(self):
@@ -91,7 +91,7 @@ class TestBuilder:
         u = b.fiber("u", gh=0).gen()
         with pytest.raises(DegreeError,
                            match=r"^q-rule for 'd\(u\)' is declared on a differential$"):
-            b.q_rule(b.space.differential(u), 0)
+            b.q_rules([(b.space.differential(u), 0)])
         assert b.build().q.coefficient(u).is_zero()
 
     def test_q_rules_store_all_or_none(self):
@@ -99,7 +99,7 @@ class TestBuilder:
         u = b.fiber("u", gh=0).gen()
         v, w = b.fiber("v", gh=-1).gen(), b.fiber("w", gh=-1).gen()
         uu = Poly.gen(u) * Poly.gen(u)
-        b.q_rule(w, uu)
+        b.q_rules([(w, uu)])
         with pytest.raises(GradedAlgebraError, match="^conflicting Q-rules"):
             b.q_rules([(v, uu), (w, 2 * uu)])
         with pytest.raises(GradedAlgebraError, match="^conflicting Q-rules"):
@@ -200,7 +200,7 @@ class TestProjectionAndNilpotency:
 
     def test_base_override_breaks_projection(self):
         b = ModelBuilder("broken", 1)
-        b.q_rule(b.x[0], Poly.zero())
+        b.q_rules([(b.x[0], Poly.zero())])
         m = b.build()
         r = check_projection(m)
         assert not r.passed
@@ -435,7 +435,7 @@ class TestHamiltonian:
         u = b.fiber("u", gh=0).gen()
         w = b.fiber("w", gh=-1).gen()
         c = b.fiber("c", gh=1).gen()
-        b.q_rule(w, Poly.gen(u) * Poly.gen(u))
+        b.q_rules([(w, Poly.gen(u) * Poly.gen(u))])
         b.chi(Poly.gen(c) * de_rham(Poly.gen(w)))
         m = b.build()
         with pytest.raises(NotExactError):
@@ -448,7 +448,7 @@ class TestHamiltonian:
         u = b.fiber("u", gh=0).gen()
         w = b.fiber("w", gh=-1).gen()
         c = b.fiber("c", gh=1).gen()
-        b.q_rule(w, Poly.gen(u) * Poly.gen(u))
+        b.q_rules([(w, Poly.gen(u) * Poly.gen(u))])
         b.chi(Poly.gen(c) * de_rham(Poly.gen(w)))
         with pytest.raises(NotExactError) as info:
             solve_hamiltonian(b.build())
@@ -470,7 +470,7 @@ class TestHamiltonian:
         u = b.fiber("u", gh=0).gen()
         w = b.fiber("w", gh=-1).gen()
         c = b.fiber("c", gh=1).gen()
-        b.q_rule(w, Poly.gen(u) * Poly.gen(u))
+        b.q_rules([(w, Poly.gen(u) * Poly.gen(u))])
         b.chi(Poly.gen(c) * de_rham(Poly.gen(w)))
         # a failed solve stores nothing, so each call solves and raises again
         for m, terms in ((b.build(), 2), (parse_model(broken_ym_source()), 54)):

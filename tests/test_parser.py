@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from gpde.cli import main
 from gpde.parser import (
     MAX_NESTING,
     DslError,
+    Evaluator,
     builtin_names,
     load_builtin,
     model_to_source,
@@ -92,7 +94,7 @@ def built_models(draw):
 
     for g in coords:
         if draw(st.booleans()):
-            b.q_rule(g, poly(g.gh + 1, {f: Poly.gen(f) for f in factors}))
+            b.q_rules([(g, poly(g.gh + 1, {f: Poly.gen(f) for f in factors}))])
     if coords and draw(st.booleans()):
         b.chi(poly(n - 1, {u: de_rham(Poly.gen(u)) for u in coords}))
     return b.weak(draw(st.booleans())).build()
@@ -272,6 +274,23 @@ def test_simple_model_evaluates_sums():
     # chi = sum_a theta(1; a) x^a v du with n = 2
     assert m.chi is not None and m.chi.fdeg() == 1
     assert m.chi.num_terms() == 2
+
+
+def test_a_factor_is_evaluated_once_per_statement(monkeypatch):
+    # u holds no index variable, so one value serves every a of the left-hand
+    # side; theta[a] is evaluated once per value of a
+    calls = Counter()
+    eval_factor = Evaluator._eval_factor
+
+    def counted(self, node, env):
+        calls[node[1]] += 1
+        return eval_factor(self, node, env)
+
+    monkeypatch.setattr(Evaluator, "_eval_factor", counted)
+    m = parse_model("base dim = 3; coord u : gh = 0; coord A[a] : gh = 0; Q A[a] = theta[a]*u;")
+    assert calls == {"u": 1, "theta": 3}
+    assert all(m.q.coefficient(m.fibers["A"].gen((a,))) == Poly.gen(m.theta[a]) *
+               Poly.gen(m.fibers["u"].gen()) for a in range(3))
 
 
 def test_triple_bracket_is_rejected_at_second_comma():
