@@ -12,7 +12,9 @@ owns its terms dict (no other Poly or caller shares it).  The public
 constructor copies, filters and normalises its input to establish them;
 every sum in the kernel is built in place by `accumulate`, which deletes
 entries that cancel and stores an integral Fraction as its int numerator,
-and the result is handed to the unfiltered `Poly._adopt`.  `rational` is the
+every product (Poly products, Lie brackets and pairings, the Leibniz terms
+of `derive`) in place by `_mul_into`, which keeps the same contract, and
+the result is handed to the unfiltered `Poly._adopt`.  `rational` is the
 one conversion into normal form and refuses a float; `qdiv` is the one exact
 quotient, since int / int is a float in Python.  `is_zero` and equality rely
 on the first invariant, in-place accumulation on the last; the second keeps
@@ -45,7 +47,9 @@ folding the Koszul sign into the coefficient, and multiplies the images
 into {U: +-c} one at a time, left to right.  Starting from U, an image term
 that repeats an odd factor of U (a theta, say) drops at its first merge,
 not after the images have been multiplied out; a term with no mapped
-factor is added as it is.
+factor is added as it is.  `lie_bracket` and `trace_pair` scale each term of
+x^b * y^c by its structure constant or pairing entry as it is formed, into
+one dict per result: no product of two components is built on its own.
 """
 
 from __future__ import annotations
@@ -308,7 +312,8 @@ def accumulate(acc: dict, pairs) -> dict:
     Entries that cancel are deleted, zero coefficients are never stored and
     an integral Fraction is stored as its int numerator, so a dict built
     only through this function from Scalar coefficients may be adopted by a
-    Poly without filtering.  Every sum in the kernel goes through here."""
+    Poly without filtering.  Every sum in the kernel goes through here, and
+    every product through `_mul_into`, which keeps the same contract."""
     get = acc.get
     for m, c in pairs:
         old = get(m)
@@ -325,37 +330,55 @@ def accumulate(acc: dict, pairs) -> dict:
     return acc
 
 
-def _sandwich(prefix: Monomial, coeff: Scalar, terms: Mapping[Monomial, Scalar]):
-    """The (monomial, coefficient) pairs of prefix * (coeff * terms), with
-    Koszul signs; products in which an odd generator squares are dropped.
-    A unit coeff costs no product, a term coefficient of int 1 or -1 only
-    a sign, and coeff is negated at most once per call."""
-    unit = coeff == 1
-    neg = None
-    for m, c in terms.items():
-        r = mono_mul(prefix, m)
-        if r is None:
-            continue
-        sign, m = r
-        if unit:
-            yield m, (c if sign > 0 else -c)
-        elif type(c) is int and (c == 1 or c == -1):
-            if (sign > 0) == (c > 0):
-                yield m, coeff
+def _mul_into(acc: dict, pairs, terms: Mapping[Monomial, Scalar], scale: Scalar = 1) -> dict:
+    """Add scale * sum prefix * (coeff * terms) over the (prefix, coeff)
+    pairs into acc in place and return it, with Koszul signs; products in
+    which an odd generator squares are dropped.  Every coefficient and
+    scale is nonzero.  The contract is accumulate's: entries that cancel
+    are deleted and an integral Fraction is stored as its int.  Every
+    product in the kernel goes through here.  A unit coeff costs no
+    product, a term coefficient of int 1 or -1 only a sign, and coeff is
+    negated at most once per prefix."""
+    get = acc.get
+    items = terms.items()
+    scaled = scale != 1
+    for prefix, coeff in pairs:
+        if scaled:
+            coeff = coeff * scale
+        unit = coeff == 1
+        neg = None
+        for m, c in items:
+            r = mono_mul(prefix, m)
+            if r is None:
+                continue
+            sign, m = r
+            if unit:
+                if sign < 0:
+                    c = -c
+            elif type(c) is int and (c == 1 or c == -1):
+                if (sign > 0) == (c > 0):
+                    c = coeff
+                else:
+                    if neg is None:
+                        neg = -coeff
+                    c = neg
             else:
-                if neg is None:
-                    neg = -coeff
-                yield m, neg
-        else:
-            yield m, coeff * (c if sign > 0 else -c)
+                c = coeff * (c if sign > 0 else -c)
+            old = get(m)
+            if old is not None:
+                c = old + c
+                if not c:
+                    del acc[m]
+                    continue
+            if type(c) is Fraction and c.denominator == 1:
+                c = c.numerator
+            acc[m] = c
+    return acc
 
 
 def _product(a: Mapping[Monomial, Scalar], b: Mapping[Monomial, Scalar]) -> dict:
     """The terms dict of the graded product a * b."""
-    out: dict = {}
-    for m, c in a.items():
-        accumulate(out, _sandwich(m, c, b))
-    return out
+    return _mul_into({}, a.items(), b)
 
 
 class Poly:
@@ -597,7 +620,7 @@ def derive(p: Poly, parity: int, image) -> Poly:
                 if parity & prefix_parity:
                     coeff = -coeff
                 suffix_parity = total ^ prefix_parity ^ (g.parity & e)
-                accumulate(acc, _sandwich(rest, coeff, entry[suffix_parity]))
+                _mul_into(acc, ((rest, coeff),), entry[suffix_parity])
             prefix_parity ^= g.parity & e
     return Poly._adopt(space, acc)
 
@@ -761,9 +784,9 @@ def _pairing(table, x: LieValued, y: LieValued) -> Poly:
     for b, row in enumerate(table):
         for c, coef in enumerate(row):
             if coef:
-                prod = x[b] * y[c]
-                space = _unify(space, prod.space)
-                accumulate(acc, ((m, coef * v) for m, v in prod.terms.items()))
+                xb, yc = x[b], y[c]
+                space = _unify(space, _unify(xb.space, yc.space))
+                _mul_into(acc, xb.terms.items(), yc.terms, coef)
     return Poly._adopt(space, acc)
 
 

@@ -78,7 +78,7 @@ from .algebra import (
     Generator,
     GradedAlgebraError,
     Poly,
-    _sandwich,
+    _mul_into,
     accumulate,
     derive,
     sort_sign,
@@ -135,9 +135,7 @@ def _level_product(levels: dict, parity: int, image, target: tuple, last: bool) 
             sign, JL = _join(J + L)
             if len(L) & (parity ^ len(J)) & 1:
                 sign = -sign
-            acc = out.setdefault(JL, {})
-            for a, c in A.items():
-                accumulate(acc, _sandwich(a, c if sign > 0 else -c, R))
+            _mul_into(out.setdefault(JL, {}), A.items(), R, sign)
     return out
 
 

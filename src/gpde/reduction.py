@@ -23,6 +23,7 @@ that descends is constant along it, so every section gives the same result.
 from __future__ import annotations
 
 import functools
+import weakref
 from collections import defaultdict
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -260,16 +261,26 @@ class ReducedModel:
                 for g, lam in zip(self.survivors, self.survivor_forms)]
 
 
+# space -> (generators read so far, first free survivor index)
+_numbered = weakref.WeakKeyDictionary()
+
+
 def _first_free_index(space) -> int:
     """One past the largest i such that a coordinate named w<i> exists.
 
     Survivors are interned in the form's space, so a later reduction in the
     same space must number its survivors on from there: reusing a name would
     either redeclare it with another ghost number or silently identify two
-    unrelated survivors."""
-    taken = [g.name[1:] for g in space.generators()
-             if g.fdeg == 0 and g.name.startswith("w")]
-    return 1 + max((int(t) for t in taken if t.isdigit()), default=-1)
+    unrelated survivors.  A space only gains generators, in order, so each
+    call reads only those declared since the last call on the same space."""
+    scanned, first = _numbered.get(space, (0, 0))
+    gens = space.generators()
+    for g in gens[scanned:]:
+        digits = g.name[1:]
+        if g.fdeg == 0 and g.name.startswith("w") and digits.isdecimal():
+            first = max(first, int(digits) + 1)
+    _numbered[space] = (len(gens), first)
+    return first
 
 
 def reduce_form(form: Poly, universe: Sequence[Generator],

@@ -8,7 +8,7 @@ dumps the outputs as JSON; the dumps are compared case by case, in order,
 and the first case that differs is printed with a diff of each field that
 differs.  The exit status is 0 when every case agrees and 1 otherwise.
 
-Two kinds of case:
+Three kinds of case:
 
 * parse: the sources of perfbench's `model_corpus` (cycles 0 and 1 at seed
   7), the builtin model files, seeded one-character mutants of them and the
@@ -20,14 +20,20 @@ Two kinds of case:
   `reduce` on base-dim-0 models whose chi is 0; `reduce --at` at points of
   toy_dim0 and ym_weak, whose coordinate names may hold commas.  A case
   records stdout, stderr and the exit code of `gpde.cli.main`.
+* kernel: every call of perfbench's `kernel_api` schedule at KERNEL_SEED,
+  built in each tree.  A case records the result canonically: sorted
+  (monomial text, coefficient) pairs per Poly or Lie component, the rows
+  and pivots of `rref`, the vectors of `nullspace`, the `mono_mul` tuple.
 
-The cases are built once, from NEW_SRC's builtin model files.  `--quick`
-keeps a slice of each kind that runs in about a second.
+The cases are built once, from NEW_SRC's builtin model files and kernel
+schedule.  `--quick` keeps a slice of each kind that runs in about a second,
+and of the kernel calls the `.small` ones.
 """
 
 from __future__ import annotations
 
 import difflib
+import functools
 import io
 import json
 import os
@@ -52,6 +58,7 @@ AT_POINTS = [("toy_dim0", "u=2,v=-1/3"), ("ym_weak", "F[0,1]{1}[|]=1"),
 # a base-dim-2 model whose Q and chi contract with eta and eps
 METRIC = ("base dim = 2;\nmetric = diag(-1, 2);\ncoord u : gh = 0;\ncoord A[a] : gh = 0;\n"
           "Q u = theta[a]*eta[a, b]*A[b];\nchi = eps[a, b]*eta[b, c]*theta[a]*u*d(A[c]);\n")
+KERNEL_SEED = 7
 ZERO_CHI = {
     "zero_chi": "base dim = 0;\ncoord u : gh = 0;\nchi = 0;\n",
     "zero_chi_bare": "base dim = 0;\nchi = 0;\n",
@@ -84,14 +91,16 @@ def mutants(bases, count, seed=5):
 
 
 def build_cases(new_src, quick=False):
-    """The cases [(case id, kind, payload)], parse cases first, and the
-    model files {name: text} the verbs read.  A parse payload is the source
-    text, a verb payload the argv."""
+    """The cases [(case id, kind, payload)], parse cases first and kernel
+    cases last, and the model files {name: text} the verbs read.  A parse
+    payload is the source text, a verb payload the argv, a kernel payload
+    the call's position in the schedule."""
     if "gpde" not in sys.modules:   # properties.py reads ym_weak from gpde's models
         sys.path.insert(0, str(new_src))
     if str(ROOT) not in sys.path:
         sys.path.append(str(ROOT))
     from perfbench.inputs import corpus_cycle
+    from perfbench.kernel import schedule
     from properties import broken_ym_source, non_projecting_ym_source, ym_source
 
     models = Path(new_src) / "gpde" / "models"
@@ -124,6 +133,9 @@ def build_cases(new_src, quick=False):
         runs = [r for r in runs if r[1] in ("toy_dim0", "ce_aksz", "zero_chi.gpde")
                 and r[0] in ("check", "reduce")]
     cases += [("verbs/" + " ".join(argv), "verb", argv) for argv in runs]
+    cases += [(f"kernel/{call.op}.{call.size_class}/{i}", "kernel", i)
+              for i, call in enumerate(schedule(KERNEL_SEED))
+              if not quick or call.size_class == "small"]
     return cases, files
 
 
@@ -157,6 +169,52 @@ def verb_case(argv):
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
+def coefficient_text(c) -> str:
+    """An int as itself, a Fraction as n/d even when d is 1, so that a
+    coefficient out of normal form shows as a difference."""
+    return str(c) if type(c) is int else f"{c.numerator}/{c.denominator}"
+
+
+def monomial_text(m) -> str:
+    # the kernel_api generators x<i>, c<i> and their differentials have no indices
+    return "*".join(g.name + (f"^{e}" if e > 1 else "") for g, e in m) or "1"
+
+
+def poly_dump(p) -> list:
+    return sorted((monomial_text(m), coefficient_text(c)) for m, c in p.terms.items())
+
+
+def kernel_dump(op, r):
+    """The result of a kernel call of the named operation as JSON."""
+    if op == "algebra.mono_mul":
+        return None if r is None else [r[0], monomial_text(r[1])]
+    if op == "reduction.rref":
+        return {"rows": [[coefficient_text(x) for x in row] for row in r[0]], "pivots": r[1]}
+    if op == "reduction.nullspace":
+        return [[coefficient_text(x) for x in vec] for vec in r]
+    if op == "algebra.lie_bracket":
+        return [poly_dump(c) for c in r.components]
+    return poly_dump(r)
+
+
+@functools.cache
+def kernel_calls():
+    """The kernel_api schedule, built once per worker."""
+    if str(ROOT) not in sys.path:
+        sys.path.append(str(ROOT))
+    from perfbench.kernel import schedule
+
+    return schedule(KERNEL_SEED)
+
+
+def kernel_case(i):
+    call = kernel_calls()[i]
+    try:
+        return {"result": kernel_dump(call.op, call.fn(*call.args))}
+    except Exception as e:
+        return {"raised": f"{type(e).__name__}: {e}"}
+
+
 def worker(job_path, out_path):
     """Read {"cases": ..., "files": ...} from the job file, write the files
     into the working directory, run the cases and write
@@ -166,8 +224,8 @@ def worker(job_path, out_path):
     job = json.loads(Path(job_path).read_text(encoding="utf-8"))
     for name, text in job["files"].items():
         Path(name).write_text(text, encoding="utf-8")
-    results = {cid: parse_case(payload) if kind == "parse" else verb_case(payload)
-               for cid, kind, payload in job["cases"]}
+    run = {"parse": parse_case, "verb": verb_case, "kernel": kernel_case}
+    results = {cid: run[kind](payload) for cid, kind, payload in job["cases"]}
     Path(out_path).write_text(json.dumps({"gpde": gpde.__file__, "results": results}))
 
 
@@ -200,6 +258,13 @@ def run_trees(trees, cases, files):
     return dumps
 
 
+def _lines(value) -> list:
+    """A field as lines: a list item by item (JSON when not a string)."""
+    if isinstance(value, list):
+        return [x if isinstance(x, str) else json.dumps(x) for x in value]
+    return str(value).splitlines()
+
+
 def field_diff(old, new) -> str:
     """A unified diff of each field of two case outputs that differs."""
     lines = []
@@ -207,9 +272,8 @@ def field_diff(old, new) -> str:
         a, b = old.get(key), new.get(key)
         if a == b:
             continue
-        a_lines = a if isinstance(a, list) else str(a).splitlines()
-        b_lines = b if isinstance(b, list) else str(b).splitlines()
-        lines += difflib.unified_diff(a_lines, b_lines, f"old {key}", f"new {key}", lineterm="")
+        lines += difflib.unified_diff(_lines(a), _lines(b), f"old {key}", f"new {key}",
+                                      lineterm="")
     return "\n".join(lines)
 
 

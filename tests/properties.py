@@ -833,6 +833,19 @@ def reference_sum(*polys) -> Poly:
     return Poly(None, total)
 
 
+def reference_product(p: Poly, q: Poly) -> Poly:
+    """p * q term by term: each pair of monomials merged by
+    reference_mono_mul into a one-term Poly, the parts added by
+    reference_sum; shares no code with the kernel's product."""
+    parts = []
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            r = reference_mono_mul(m1, m2)
+            if r is not None:
+                parts.append(Poly(None, {r[1]: r[0] * c1 * c2}))
+    return reference_sum(*parts)
+
+
 def reference_derive(p: Poly, parity: int, image) -> Poly:
     """Loop version of algebra.derive: every Leibniz contribution is a
     one-term Poly built through the public constructor, multiplied by the
@@ -1228,6 +1241,85 @@ def suite_trusted_sums(cases: int = 1000, seed: int = 29):
             ref = reference_substitute(src, mp)
             assert results[name] == ref and results[name].space is ref.space, \
                 f"{name} reference, case {k}"
+
+
+# the scales perfbench/inputs.py rescales su(2) with
+SU2_SCALES = [Fraction(v) for v in ("1", "-1", "2", "-2", "1/2", "-1/2", "3", "2/3", "-3/2")]
+
+
+def rescaled_su2(rng: random.Random):
+    """su(2) in the basis e_i' = s_i e_i: f'[a][b][c] = s_b s_c / s_a
+    f[a][b][c] and kappa' = lam diag(s_i^2), Fractions in general."""
+    from gpde.algebra import LieAlgebraData
+
+    s = [rng.choice(SU2_SCALES) for _ in range(3)]
+    lam = rng.choice(SU2_SCALES)
+    f = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        f[a][b][c] = s[b] * s[c] / s[a]
+        f[a][c][b] = -f[a][b][c]
+    kappa = [[lam * s[i] * s[i] if i == j else 0 for j in range(3)] for i in range(3)]
+    return LieAlgebraData("su2_rescaled", 3, f, kappa)
+
+
+def reference_pairing(table, x: LieValued, y: LieValued) -> Poly:
+    """sum_bc table[b][c] x^b y^c, each product by reference_product and
+    scaled afterwards."""
+    parts = []
+    for b, row in enumerate(table):
+        for c, coef in enumerate(row):
+            prod = reference_product(x[b], y[c])
+            parts.append(Poly(None, {m: coef * v for m, v in prod.terms.items()}))
+    return reference_sum(*parts)
+
+
+def suite_rational_products(cases: int = 1000, seed: int = 59):
+    """p * q, lie_bracket and trace_pair against reference_product on a
+    rescaled su(2) with Fraction structure constants and pairing, over
+    arguments of mixed parity with Fraction coefficients.  Every result is
+    in normal form, and the exact cancellations [x, x] = 0 for even x and
+    [x, y] + (-1)^{|x||y|} [y, x] = 0 leave empty dicts.  The cases must
+    reach a bracket coefficient that is an int other than +-1 under
+    non-integral structure constants, and a nonzero x whose [x, x] cancels
+    inside one call."""
+    sp, pool = playground()
+    pool = pool + [sp.differential(g) for g in pool]
+    rng = random.Random(seed)
+    hits = set()
+    for k in range(cases):
+        lie = rescaled_su2(rng)
+        p = rand_poly(rng, pool, terms=4)
+        q = rand_poly(rng, pool, terms=4)
+        got = p * q
+        assert got == reference_product(p, q), f"p * q, case {k}"
+        assert_normal(got, f"p * q, case {k}")
+
+        px, py = rng.randint(0, 1), rng.randint(0, 1)
+        x = rand_lie_valued(rng, lie, pool, px)
+        y = rand_lie_valued(rng, lie, pool, py)
+        bracket = lie_bracket(x, y)
+        for a, comp in enumerate(bracket.components):
+            assert comp == reference_pairing(lie.f[a], x, y), f"[x, y]^{a}, case {k}"
+            assert_normal(comp, f"[x, y]^{a}, case {k}")
+            if any(type(v) is int and abs(v) != 1 for v in comp.terms.values()) \
+                    and any(type(v) is Fraction for row in lie.f[a] for v in row):
+                hits.add("integral coefficient")
+        pair = trace_pair(x, y)
+        assert pair == reference_pairing(lie.kappa, x, y), f"trace_pair, case {k}"
+        assert_normal(pair, f"trace_pair, case {k}")
+
+        sgn = -1 if px and py else 1
+        swapped = lie_bracket(y, x)
+        for a in range(3):
+            assert (bracket[a] + sgn * swapped[a]).terms == {}, \
+                f"[x, y] + (-1)^(|x||y|) [y, x], component {a}, case {k}"
+        assert trace_pair(y, x) == sgn * pair, f"trace_pair symmetry, case {k}"
+        if not px:
+            square = lie_bracket(x, x)
+            assert all(c.terms == {} for c in square.components), f"[x, x], case {k}"
+            if sum(not c.is_zero() for c in x.components) > 1:
+                hits.add("cancelled square")
+    assert hits == {"integral coefficient", "cancelled square"}, f"vacuous suite: {hits}"
 
 
 def suite_long_monomials(cases: int = 500, seed: int = 53):

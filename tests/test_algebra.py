@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -308,6 +309,39 @@ class TestLieAlgebra:
         j = lie_bracket(X, lie_bracket(Y, Z)) + lie_bracket(Y, lie_bracket(Z, X)) \
             + lie_bracket(Z, lie_bracket(X, Y))
         assert j.is_zero()
+
+    def test_a_pairing_builds_no_intermediate_product(self, sp, monkeypatch):
+        # each component of [x, y] and kappa(x, y) is summed in place into
+        # the one dict its Poly adopts: no throwaway x^b * y^c Poly and no
+        # accumulate pass to scale it by f or kappa
+        import gpde.algebra
+
+        lie = LieAlgebraData.su2()
+        a, b, c, d = (Poly.gen(sp.coordinate(n, FIBER, 0)) for n in "abcd")
+        e, f, g = (Poly.gen(sp.coordinate(n, FIBER, 1)) for n in "efg")
+        x = LieValued(lie, [a, b, c + d])
+        y = LieValued(lie, [e, f, g])
+        calls = Counter()
+        adopt, accumulate = Poly._adopt.__func__, gpde.algebra.accumulate
+
+        def counted_adopt(cls, space, terms):
+            calls["adopt"] += 1
+            return adopt(cls, space, terms)
+
+        def counted_accumulate(acc, pairs):
+            calls["accumulate"] += 1
+            return accumulate(acc, pairs)
+
+        monkeypatch.setattr(Poly, "_adopt", classmethod(counted_adopt))
+        monkeypatch.setattr(gpde.algebra, "accumulate", counted_accumulate)
+        br = lie_bracket(x, y)
+        assert calls == {"adopt": 3}
+        calls.clear()
+        tr = trace_pair(x, y)
+        assert calls == {"adopt": 1}
+        monkeypatch.undo()
+        assert [br[0], br[1], br[2]] == [b * g - (c + d) * f, (c + d) * e - a * g, a * f - b * e]
+        assert tr == a * e + b * f + (c + d) * g
 
     def test_component_count_checked(self):
         lie = LieAlgebraData.su2()

@@ -25,6 +25,10 @@ def test_trusted_sums():
     pr.suite_trusted_sums(CASES)
 
 
+def test_rational_products_oracle():
+    pr.suite_rational_products(CASES)
+
+
 def test_long_monomial_oracles():
     pr.suite_long_monomials(CASES)
 

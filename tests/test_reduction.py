@@ -329,6 +329,35 @@ class TestReduce:
             [f"w{len(names) + i}" for i in range(len(second.survivors))]
 
 
+class TestSurvivorNumbering:
+    @staticmethod
+    def names(sp, a, b, k):
+        form = de_rham(Poly.gen(a)) * de_rham(Poly.gen(b))
+        return [g.name for g in reduce_form(form, [a, b, k]).survivors]
+
+    def test_two_reductions_in_one_space_number_on(self, flat_space):
+        assert self.names(*flat_space) == ["w0", "w1"]
+        assert self.names(*flat_space) == ["w2", "w3"]
+
+    def test_a_user_coordinate_is_numbered_past(self, flat_space):
+        flat_space[0].coordinate("w7", FIBER, 0)
+        assert self.names(*flat_space) == ["w8", "w9"]
+
+    def test_only_a_decimal_suffix_is_a_survivor_number(self, flat_space):
+        # "²".isdigit() holds, but int("²") raises
+        flat_space[0].coordinate("w²", FIBER, 0)
+        assert self.names(*flat_space) == ["w0", "w1"]
+
+    def test_the_second_call_reads_only_new_generators(self, flat_space):
+        sp, a, *_ = flat_space
+        assert self.names(*flat_space) == ["w0", "w1"]
+        # a generator the first call read is not read again: renamed to w50
+        # it does not move the numbering, while a new w20 does
+        a.name = "w50"
+        sp.coordinate("w20", FIBER, 0)
+        assert self.names(*flat_space) == ["w21", "w22"]
+
+
 def _top_block(name, kill=None):
     """The theta-volume block that reduce (kill None) or boundary --kill
     reduces, with its universe and evolutionary field."""
