@@ -18,6 +18,9 @@ theta(k; i1..ik) volume cofactors, and eps/eta/inveta (metric required).
 A reference X{k} selects the k-th component (1..dim) of a Lie-valued
 coordinate, on either side of a Q-rule.  A denominator must expand to
 constant terms only; their sum is the divisor, and a zero sum is an error.
+The parser distributes each expression into terms as it reads it, checking
+each denominator then; a Factor is built once and carries the memo of its
+values over its statement, which the Evaluator reads.
 An index variable (any name in index position) repeated in an additive term is
 summed over the base range; one appearing once must be bound by the left side.
 A comment runs from `#` or `//` to the end of the line.  An int literal is
@@ -33,7 +36,6 @@ import re
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .algebra import (
-    Generator,
     GradedAlgebraError,
     LieAlgebraData,
     LieValued,
@@ -153,111 +155,60 @@ def tokenize(text: str, source: str, diags: List[Diagnostic]) -> List[Token]:
     return toks
 
 
-# expression AST: tuples (kind, ..., span) ----------------------------------
+# expressions, distributed as they are read ----------------------------------
 
 
-def _collect_vars(node, counts: Dict[str, int]):
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        kind = node[0]
+class Factor:
+    """One factor of a distributed term, built once as it is read.  parts
+    are, by kind: "ref" the name, index atoms and lie selector; "theta_basis"
+    the index atoms; "bracket" both arguments; "d" and "tr" the argument itself.
+    An argument is an expression already distributed, (terms, span).  vars
+    names each occurrence of an index variable in the factor, arguments
+    included; memo holds its values during its statement, keyed by theirs."""
+
+    __slots__ = ("kind", "parts", "span", "vars", "memo")
+
+    def __init__(self, kind: str, parts: tuple, span: Span):
+        self.kind, self.parts, self.span, self.memo = kind, parts, span, {}
         if kind in ("ref", "theta_basis"):
-            for a in (node[2] if kind == "ref" else node[1]):
-                if a[0] == "var":
-                    counts[a[1]] = counts.get(a[1], 0) + 1
-        elif kind in ("neg", "d", "tr"):
-            stack.append(node[1])
-        elif kind in ("add", "sub", "mul", "div", "bracket"):
-            stack += (node[2], node[1])
-
-
-def _divisor(node) -> Scalar:
-    """The constant a division node divides by."""
-    denom = _distribute(node[2])
-    if any(fs for _, fs in denom):
-        raise _error("division is only defined by numeric constants", node[3])
-    c2 = sum(c for c, _ in denom)
-    if c2 == 0:
-        raise _error("division by zero", node[3])
-    return c2
-
-
-def _distribute(node) -> List[Tuple[Scalar, List]]:
-    """Expand an expression into (coefficient, factor list) terms.
-
-    A chain of binary operators nests to the left, as deep as it is long, so
-    a chain of sums or of products is walked in a loop: each denominator is
-    expanded on the way down and every other right operand on the way up,
-    the order of a recursive walk.  Only the nesting the parser bounds (see
-    MAX_NESTING) recurses."""
-    kind = node[0]
-    if kind == "num":
-        return [(node[1], [])]
-    if kind == "neg":
-        return [(-c, fs) for c, fs in _distribute(node[1])]
-    if kind in ("add", "sub"):
-        spine = []
-        while node[0] in ("add", "sub"):
-            spine.append(node)
-            node = node[1]
-        out = _distribute(node)
-        for op in reversed(spine):
-            right = _distribute(op[2])
-            out += right if op[0] == "add" else [(-c, fs) for c, fs in right]
-        return out
-    if kind in ("mul", "div"):
-        spine = []
-        while node[0] in ("mul", "div"):
-            spine.append((node, _divisor(node) if node[0] == "div" else None))
-            node = node[1]
-        out = _distribute(node)
-        for op, divisor in reversed(spine):
-            if divisor is None:
-                right = _distribute(op[2])
-                out = [(c1 * c2, f1 + f2) for c1, f1 in out for c2, f2 in right]
-            else:
-                out = [(qdiv(c, divisor), fs) for c, fs in out]
-        return out
-    return [(1, [node])]
+            atoms = parts[1] if kind == "ref" else parts
+            self.vars = tuple(a[1] for a in atoms if a[0] == "var")
+        else:   # each factor of an argument once, however many terms hold it
+            args = parts if kind == "bracket" else (parts,)
+            inner = dict.fromkeys(f for terms, _ in args for _, fs in terms for f in fs)
+            self.vars = tuple(v for f in inner for v in f.vars)
 
 
 _MIXED_LIE = "mixing values of different lie algebras"
 
 
-def _signed_gen(sign: int, g: Optional[Generator]) -> Poly:
-    if sign == 0:
-        return Poly.zero()
-    return Poly.gen(g) if sign == 1 else -Poly.gen(g)
-
-
 class Evaluator:
-    """Turns expression trees into Poly / LieValued values over a builder.
+    """Turns distributed expressions into Poly / LieValued values over a builder.
 
     During one statement, over every value of its left-hand indices, each
-    factor node is evaluated once per assignment of the index variables that
-    occur in it; later uses read the memo, which ModelParser.statement
-    empties.  Only a factor that evaluated without error has a memo entry."""
+    factor is evaluated once per assignment of the index variables that
+    occur in it; later uses read the memo the factor carries, which goes
+    with the statement's expression.  Only a factor that evaluated without
+    error has a memo entry."""
 
     def __init__(self, builder: ModelBuilder):
         self.b = builder
-        self._memo: dict = {}         # (id(node), its variables' values) -> value
-        self._node_vars: dict = {}    # id(node) -> the index variables in it
 
-    def statement_value(self, node, bound: Dict[str, int], in_tr=False):
-        """Evaluate with Einstein summation over repeated free variables.  The
-        statement binds every variable of a bracket, d(...) or Tr(...) argument."""
+    def statement_value(self, expr, bound: Dict[str, int], in_tr=False):
+        """Evaluate a distributed expression with Einstein summation over
+        repeated free variables.  The statement binds every variable of a
+        bracket, d(...) or Tr(...) argument."""
+        terms, span = expr
         total = None
-        for coeff, factors in _distribute(node):
-            counts: Dict[str, int] = {}
-            for f in factors:
-                _collect_vars(f, counts)
+        for coeff, factors in terms:
+            names = [v for f in factors for v in f.vars]
             dummies = []
-            for v, k in sorted(counts.items()):
+            for v in sorted(set(names)):
                 if v in bound:
                     continue
-                if k == 1:
+                if names.count(v) == 1:
                     raise _error(f"index variable {v!r} appears once and is not "
-                                 f"bound by the left-hand side", node[-1],
+                                 f"bound by the left-hand side", span,
                                  hint="repeated variables are summed")
                 dummies.append(v)
             env = dict(bound)
@@ -265,7 +216,7 @@ class Evaluator:
             for values in itertools.product(self.b.base_indices, repeat=len(dummies)):
                 if dummies:
                     env.update(zip(dummies, values))
-                total = self._add(total, self.eval_term(coeff, factors, env, in_tr), node[-1])
+                total = self._add(total, self.eval_term(coeff, factors, env, in_tr), span)
         return total if total is not None else Poly.zero()
 
     def _add(self, a, b, span):
@@ -292,10 +243,10 @@ class Evaluator:
             if value is None:
                 value = v
             else:
-                value, paired = self._mul(value, v, in_tr, paired, f[-1])
+                value, paired = self._mul(value, v, in_tr, paired, f.span)
         if in_tr and (paired != 1 or isinstance(value, LieValued)):
             raise _error("Tr needs exactly two lie-algebra valued factors in "
-                         "each term", factors[-1][-1] if factors else None)
+                         "each term", factors[-1].span if factors else None)
         return value
 
     def _mul(self, a, b, in_tr, paired, span):
@@ -314,42 +265,37 @@ class Evaluator:
         raise _error("product of two lie-algebra valued expressions; use Tr(...) "
                      "or the bracket [.,.]", span)
 
-    def eval_factor(self, node, env):
-        """Value of one factor of a distributed term: a bracket, d(...),
-        Tr(...), theta(k; ...) or a reference."""
-        names = self._node_vars.get(id(node))
-        if names is None:
-            counts: Dict[str, int] = {}
-            _collect_vars(node, counts)
-            names = self._node_vars[id(node)] = tuple(counts)
-        key = (id(node),) + tuple(env.get(v) for v in names)
-        value = self._memo.get(key)
+    def eval_factor(self, f: Factor, env):
+        """Value of one factor of a distributed term, from its memo when the
+        factor's variables had these values before."""
+        key = tuple(env[v] for v in f.vars)
+        value = f.memo.get(key)
         if value is None:
-            value = self._memo[key] = self._eval_factor(node, env)
+            value = f.memo[key] = self._eval_factor(f, env)
         return value
 
-    def _eval_factor(self, node, env):
-        kind = node[0]
+    def _eval_factor(self, f: Factor, env):
+        kind = f.kind
         if kind == "bracket":
-            a = self.statement_value(node[1], env)
-            bb = self.statement_value(node[2], env)
+            a = self.statement_value(f.parts[0], env)
+            bb = self.statement_value(f.parts[1], env)
             if not isinstance(a, LieValued) or not isinstance(bb, LieValued):
-                raise _error("the bracket needs lie-algebra valued arguments", node[3])
+                raise _error("the bracket needs lie-algebra valued arguments", f.span)
             if a.lie is not bb.lie:
-                raise _error(_MIXED_LIE, node[3])
+                raise _error(_MIXED_LIE, f.span)
             return lie_bracket(a, bb)
         if kind == "d":
-            v = self.statement_value(node[1], env)
+            v = self.statement_value(f.parts, env)
             if isinstance(v, LieValued):
                 return LieValued(v.lie, [de_rham(c) for c in v.components])
             return de_rham(v)
         if kind == "tr":
-            return self.statement_value(node[1], env, in_tr=True)
+            return self.statement_value(f.parts, env, in_tr=True)
         if kind == "theta_basis":
-            idx = tuple(self.index_value(a, env) for a in node[1])
+            idx = tuple(self.index_value(a, env) for a in f.parts)
             ths = [self.b.theta[a] for a in self.b.base_indices]
             return theta_basis(ths, idx)
-        return self.eval_ref(node, env)
+        return self.eval_ref(f, env)
 
     def index_value(self, atom, env) -> int:
         # statement_value binds every variable of a term before evaluating it
@@ -358,12 +304,12 @@ class Evaluator:
             raise _error(f"index {a} outside the base range", atom[2])
         return a
 
-    def resolve(self, node, env):
+    def resolve(self, ref: Factor, env):
         """Resolve an x, theta or fiber reference to (lie, [(sign, generator)]).
         lie is the algebra when the reference is Lie-valued, with one pair per
         component; otherwise it is None with a single pair.  Sign 0 marks a
         vanishing antisymmetric component."""
-        _, name, args, lie_sel, span = node
+        (name, args, lie_sel), span = ref.parts, ref.span
         b = self.b
         if name in ("x", "theta"):
             if len(args) != 1 or lie_sel is not None:
@@ -386,8 +332,8 @@ class Evaluator:
             raise _error(f"lie component {lie_sel} outside 1..{fam.lie.dim}", span)
         return None, [fam.resolve(idx, lie_sel - 1)]
 
-    def eval_ref(self, node, env):
-        _, name, args, _, span = node
+    def eval_ref(self, ref: Factor, env):
+        (name, args, _), span = ref.parts, ref.span
         b = self.b
         if name in ("eta", "inveta", "eps"):
             if b.tensors is None:
@@ -401,14 +347,16 @@ class Evaluator:
                 raise _error(f"{name} takes two indices", span)
             fn = b.tensors.eta if name == "eta" else b.tensors.inveta
             return Poly.scalar(fn(idx[0], idx[1]))
-        lie, comps = self.resolve(node, env)
-        values = [_signed_gen(sign, g) for sign, g in comps]
+        lie, comps = self.resolve(ref, env)
+        values = [Poly.zero() if sign == 0 else Poly.gen(g) if sign == 1 else -Poly.gen(g)
+                  for sign, g in comps]
         return values[0] if lie is None else LieValued(lie, values)
 
 
-# levels of (...), unary minus, [.,.], d(...) and Tr(...) an expression may
-# nest; each level costs about four Python frames when it is parsed and
-# evaluated, so a model at the limit still loads from 200 frames deep
+# levels of (...), unary minus, [.,.], d(...) and Tr(...) an expression may nest;
+# reading a level costs 3 Python frames (4 for d and Tr), evaluating one costs 4
+# for [.,.], d and Tr and none for the others, so a model at the limit still
+# loads from 200 frames deep
 MAX_NESTING = 100
 
 
@@ -420,7 +368,6 @@ class ModelParser:
     diagnostic at its statement."""
 
     LBP = {"+": 10, "-": 10, "*": 20, "/": 20}
-    OPS = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
 
     def __init__(self, text: str, source: str, name: str):
         self.diags: List[Diagnostic] = []
@@ -482,12 +429,29 @@ class ModelParser:
     # expressions ----------------------------------------------------------
 
     def expr(self, rbp: int = 0):
-        """Pratt parser for the expression sublanguage."""
-        left = self.nud(self.next())
+        """Pratt parser for the expression sublanguage, distributing as it
+        reads: (terms, span), the terms (coefficient, factor list) pairs and
+        the span that of the last operator read at this level, or else of
+        the first token.  A chain of operators is read in this loop."""
+        terms, span = self.nud(self.next())
         while self.LBP.get(self.peek().kind, 0) > rbp:
             t = self.next()
-            left = (self.OPS[t.kind], left, self.expr(self.LBP[t.kind]), t.span)
-        return left
+            right, _ = self.expr(self.LBP[t.kind])
+            if t.kind == "+":
+                terms += right
+            elif t.kind == "-":
+                terms += [(-c, fs) for c, fs in right]
+            elif t.kind == "*":
+                terms = [(c1 * c2, f1 + f2) for c1, f1 in terms for c2, f2 in right]
+            else:   # a denominator must expand to constants; their sum is the divisor
+                if any(fs for _, fs in right):
+                    raise _error("division is only defined by numeric constants", t.span)
+                divisor = sum(c for c, _ in right)
+                if divisor == 0:
+                    raise _error("division by zero", t.span)
+                terms = [(qdiv(c, divisor), fs) for c, fs in terms]
+            span = t.span
+        return terms, span
 
     def nested(self, opener: Token, rbp: int = 0):
         """An expression one nesting level below the opener token."""
@@ -502,13 +466,14 @@ class ModelParser:
 
     def nud(self, t: Token):
         if t.kind == "int":
-            return ("num", t.value, t.span)
+            return [(t.value, [])], t.span
         if t.kind == "(":
             e = self.nested(t)
             self.expect(")")
             return e
         if t.kind == "-":
-            return ("neg", self.nested(t, 25), t.span)
+            terms, _ = self.nested(t, 25)
+            return [(-c, fs) for c, fs in terms], t.span
         if t.kind == "[":
             left = self.nested(t)
             self.expect(",")
@@ -516,18 +481,18 @@ class ModelParser:
             closer = self.next()
             if closer.kind != "]":
                 raise _error("the bracket takes exactly two arguments", closer.span)
-            return ("bracket", left, right, t.span)
+            return [(1, [Factor("bracket", (left, right), t.span)])], t.span
         if t.kind == "name":
-            return self.name_atom(t)
+            return [(1, [self.name_atom(t)])], t.span
         raise _error(f"unexpected token {t.value!r}", t.span)
 
-    def name_atom(self, t: Token):
+    def name_atom(self, t: Token) -> Factor:
         name = t.value
         if name in ("d", "Tr") and self.peek().kind == "(":
             self.next()
             e = self.nested(t)
             self.expect(")")
-            return ("d" if name == "d" else "tr", e, t.span)
+            return Factor("d" if name == "d" else "tr", e, t.span)
         if name == "theta" and self.peek().kind == "(":
             self.next()
             k = self.expect("int").value
@@ -535,21 +500,21 @@ class ModelParser:
             idx = self.comma_list(self.index_atom, ")")
             if len(idx) != k:
                 raise _error(f"theta({k}; ...) takes {k} indices, got {len(idx)}", t.span)
-            return ("theta_basis", idx, t.span)
+            return Factor("theta_basis", tuple(idx), t.span)
         return self.reference(t)
 
-    def reference(self, name_tok: Token):
+    def reference(self, name_tok: Token) -> Factor:
         """The `[i, ...]{k}` tail, both parts optional, of a name."""
-        args = []
+        args = ()
         lie_sel = None
         if self.peek().kind == "[":
             self.next()
-            args = self.comma_list(self.index_atom, "]")
+            args = tuple(self.comma_list(self.index_atom, "]"))
         if self.peek().kind == "{":
             self.next()
             lie_sel = self.expect("int").value
             self.expect("}")
-        return ("ref", name_tok.value, args, lie_sel, name_tok.span)
+        return Factor("ref", (name_tok.value, args, lie_sel), name_tok.span)
 
     def index_atom(self):
         t = self.next()
@@ -618,9 +583,6 @@ class ModelParser:
         stmt = self.STATEMENTS.get(t.value)
         if stmt is None:
             raise _error(f"unknown declaration {t.value!r}", t.span)
-        if self.evaluator is not None:
-            # node ids are unique only while one statement's tree is alive
-            self.evaluator._memo, self.evaluator._node_vars = {}, {}
         stmt(self)
 
     def stmt_model(self):
@@ -781,7 +743,7 @@ class ModelParser:
         rhs = self.expr()
         self.expect(";")
         ev = self.evaluator
-        _, name, args, lie_sel, span = target
+        (name, args, lie_sel), span = target.parts, target.span
         free = [a[1] for a in args if a[0] == "var"]
         if len(set(free)) != len(free):
             raise _error("left-hand index variables must be distinct", span)

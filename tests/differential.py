@@ -11,9 +11,10 @@ differs.  The exit status is 0 when every case agrees and 1 otherwise.
 Three kinds of case:
 
 * parse: the sources of perfbench's `model_corpus` (cycles 0 and 1 at seed
-  7), the builtin model files, seeded one-character mutants of them and the
-  sources of REPEATS.  A case records every diagnostic string and, when a
-  model loads, its `model_to_source` text.
+  7), the builtin model files, seeded one-character mutants of them, the
+  sources of REPEATS and READER, and ym_weak at base dims 12 and 16.  A
+  case records every diagnostic string and, when a model loads, its
+  `model_to_source` text.
 * verbs: every verb on every builtin; `report` and `reduce` on ym_weak at
   base dims 4 to 8; every verb on the broken and the non-projecting ym_weak
   variants and on METRIC, the one model whose statements read eta and eps;
@@ -75,6 +76,19 @@ REPEATS = {
                  "coord C : gh = 1 in g in h;\n",
 }
 
+# statements whose diagnostics depend on the order the reader checks in: a
+# denominator beside another error, and terms summed over an empty base
+READER = {
+    "undeclared_target": "base dim = 1;\ncoord u : gh = 0;\nQ A[a] = u/u;\n",
+    "target_arity": "base dim = 1;\ncoord A[a] : gh = 0;\nQ A = 1/0;\n",
+    "undeclared_factor": "base dim = 0;\nlie g { dim = 3; f[1][2][3] = 1; antisymmetrize; }\n"
+                         "coord C : gh = 1 in g;\nQ C = w*[C, C/C];\n",
+    "two_divisions": "base dim = 0;\ncoord u : gh = 0;\ncoord v : gh = -1;\nQ u = v/u/0;\n",
+    "empty_base_division": "base dim = 0;\nQ x[a] = 1/0;\n",
+    "empty_base_sum": "base dim = 0;\ncoord u : gh = 0;\nQ u = x[a]*x[a]*zzz;\n",
+    "empty_base_target": "base dim = 0;\nQ x[a] = zzz;\n",
+}
+
 
 def mutants(bases, count, seed=5):
     """count seeded sources, each one base with one character deleted,
@@ -118,6 +132,9 @@ def build_cases(new_src, quick=False):
               for i, src in enumerate(mutants(bases, count))]
     if not quick:
         cases += [(f"parse/repeat/{name}", "parse", src) for name, src in REPEATS.items()]
+        cases += [(f"parse/reader/{name}", "parse", src) for name, src in READER.items()]
+        # the large index sums of the reader
+        cases += [(f"parse/reader/ym{n}", "parse", ym_source(n)) for n in (12, 16)]
 
     files = {"broken_ym.gpde": broken_ym_source(),
              "non_projecting_ym.gpde": non_projecting_ym_source(), "metric.gpde": METRIC,

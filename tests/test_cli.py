@@ -422,6 +422,7 @@ NO_TOP = "no_top_component.gpde"
     (["reduce", NO_TOP, "--at", "bad"], "gpde: --at expects name=value pairs, got 'bad'"),
     (["boundary", "toy_dim0", "--kill", "0"],
      "gpde: no base direction 0 to kill (base directions: none)"),
+    (["boundary", "ym_weak", "--kill", "0,0"], "gpde: base direction 0 to kill given twice"),
 ])
 def test_usage_errors_exit_2_with_one_line(argv, message, tmp_path, monkeypatch, capsys):
     # exit code 1 is kept for a failed check; a usage error prints no report

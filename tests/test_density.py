@@ -4,7 +4,6 @@ import pytest
 
 from gpde.algebra import JET, DegreeError, GradedAlgebraError, Poly
 from gpde.cartan import VectorField, de_rham, interior
-from gpde.cli import main as cli_main
 from gpde.jets import (
     JetModel,
     Section,
@@ -285,14 +284,6 @@ def test_restriction_rejects_a_repeated_direction(maxwell_model):
     with pytest.raises(GradedAlgebraError) as err:
         restrict_to_submanifold(maxwell_model, (1, 1, 2))
     assert str(err.value) == "base direction 1 to keep given twice"
-
-
-def test_repeated_kill_direction_kills_it_once(capsys):
-    outs = []
-    for kill in ("0", "0,0"):
-        assert cli_main(["boundary", "maxwell_weak", "--kill", kill]) == 0
-        outs.append(capsys.readouterr().out)
-    assert outs[0] == outs[1]
 
 
 def test_tangency_is_read_only_on_a_projecting_Q():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpde.algebra import LieAlgebraData, Poly
+from gpde.algebra import LieAlgebraData, LieValued, Poly, lie_bracket
 from gpde.cartan import de_rham
 from gpde.model import ModelBuilder, q_square, standard_checks
 from gpde.cli import main
@@ -282,15 +282,24 @@ def test_a_factor_is_evaluated_once_per_statement(monkeypatch):
     calls = Counter()
     eval_factor = Evaluator._eval_factor
 
-    def counted(self, node, env):
-        calls[node[1]] += 1
-        return eval_factor(self, node, env)
+    def counted(self, f, env):
+        calls[f.parts[0] if f.kind == "ref" else f.kind] += 1
+        return eval_factor(self, f, env)
 
     monkeypatch.setattr(Evaluator, "_eval_factor", counted)
     m = parse_model("base dim = 3; coord u : gh = 0; coord A[a] : gh = 0; Q A[a] = theta[a]*u;")
     assert calls == {"u": 1, "theta": 3}
     assert all(m.q.coefficient(m.fibers["A"].gen((a,))) == Poly.gen(m.theta[a]) *
                Poly.gen(m.fibers["u"].gen()) for a in range(3))
+    # the bracket and each C in it hold no index variable either
+    calls.clear()
+    m = parse_model("base dim = 3;\n" + LIE_G + "coord C : gh = 1 in g;\n"
+                    "coord B[a] : gh = 2 in g;\nQ B[a] = theta[a]*[C, C];\n")
+    assert calls == {"bracket": 1, "C": 2, "theta": 3}
+    C = LieValued(m.lies["g"], [Poly.gen(m.fibers["C"].gen((), k)) for k in range(3)])
+    assert all(m.q.coefficient(m.fibers["B"].gen((a,), k)) ==
+               Poly.gen(m.theta[a]) * lie_bracket(C, C).components[k]
+               for a in range(3) for k in range(3))
 
 
 def test_triple_bracket_is_rejected_at_second_comma():
@@ -515,6 +524,26 @@ def test_zero_denominator_inside_an_argument(text):
     assert [d.message for d in diags] == ["division by zero"]
     line = text.splitlines()[diags[0].span.line - 1]
     assert line[diags[0].span.col - 1] == "/"
+
+
+# each statement holds another error as well; the denominator is checked
+# when it is read, before any name is resolved, so its error comes first
+@pytest.mark.parametrize("text, message", [
+    ("base dim = 1;\ncoord u : gh = 0;\nQ A[a] = u/u;\n",
+     "division is only defined by numeric constants"),
+    ("base dim = 1;\ncoord A[a] : gh = 0;\nQ A = 1/0;\n", "division by zero"),
+    (SU2_C + "Q C = w*[C, C/C];\n", "division is only defined by numeric constants"),
+    (UV + "Q u = v/u/0;\n", "division is only defined by numeric constants"),
+    ("base dim = 0;\nQ x[a] = 1/0;\n", "division by zero"),
+], ids=["undeclared_target", "target_arity", "undeclared_factor", "first_of_two_divisions",
+        "empty_base"])
+def test_a_denominator_is_checked_when_it_is_read(text, message):
+    model, diags = parse_with_diagnostics(text)
+    assert model is None
+    assert [d.message for d in diags] == [message]
+    # at the first '/' of the statement, the last line
+    lines = text.splitlines()
+    assert (diags[0].span.line, diags[0].span.col) == (len(lines), lines[-1].index("/") + 1)
 
 
 def test_numeric_denominator_sums_are_folded():
@@ -807,8 +836,8 @@ def test_nesting_at_the_limit_loads_from_deep_in_the_stack(kind, tmp_path, capsy
 
 
 def test_long_operator_chains_are_not_nesting():
-    """A chain of sums or products nests to the left in the syntax tree, as
-    deep as it is long, and is still expanded without recursion."""
+    """A chain of sums or products is read in one loop, however long it is,
+    and is distributed as it is read, without recursion."""
     head = "base dim = 0;\ncoord u : gh = 0;\ncoord v : gh = -1;\n"
     for rule, want in (("+".join(["u*u"] * 3000), "Q v = 3000*u*u;"),
                        ("u*u" + "-u*u" * 2999, "Q v = -2998*u*u;"),
