@@ -169,12 +169,9 @@ def _run_boundary(m: Model, args) -> Report:
     if not kill:
         raise _usage(f"--kill expects comma separated base directions, got {args.kill!r}")
     try:
-        m.require_directions(kill, "to kill")
+        m.require_distinct_directions(kill, "to kill")
     except GradedAlgebraError as e:
         raise _usage(str(e))
-    for a in kill:
-        if kill.count(a) > 1:
-            raise _usage(f"base direction {a} to kill given twice")
     br = boundary_reduction(m, kill)
     for c in br.checks:
         rep.add(c)

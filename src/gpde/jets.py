@@ -639,7 +639,7 @@ def boundary_reduction(m: Model, kill: Iterable[int]) -> BoundaryReduction:
     theta-degree block of the boundary two-form.  The projection is checked
     on m: restricting rebuilds the canonical base part of Q."""
     kill = tuple(kill)
-    m.require_directions(kill, "to kill")
+    m.require_distinct_directions(kill, "to kill")
     m.require_projection()
     keep = [a for a in m.base_indices if a not in kill]
     checks = [CheckResult.of("tangency", *tangency_residuals(m, keep).values())]

@@ -173,6 +173,13 @@ class Model:
                 raise GradedAlgebraError(f"no base direction {a} {what} (base directions: "
                                          f"{', '.join(map(str, self.base_indices)) or 'none'})")
 
+    def require_distinct_directions(self, directions, what: str) -> None:
+        """require_directions, and refuse a direction given twice."""
+        self.require_directions(directions, what)
+        for a in directions:
+            if directions.count(a) > 1:
+                raise GradedAlgebraError(f"base direction {a} {what} given twice")
+
     @derived
     def omega(self) -> Poly:
         if self.chi is None:
@@ -325,10 +332,7 @@ def restrict_to_submanifold(m: Model, keep: Iterable[int]) -> Model:
     partners and differentials are set to zero in the Q-structure and the
     presymplectic potential.  Fiber content is untouched."""
     keep = tuple(sorted(keep))
-    m.require_directions(keep, "to keep")
-    for a, b in zip(keep, keep[1:]):
-        if a == b:
-            raise GradedAlgebraError(f"base direction {a} to keep given twice")
+    m.require_distinct_directions(keep, "to keep")
     ksub0 = _killed_coordinates(m, keep)
     full = dict(ksub0)
     full.update({m.space.differential(g): Poly.zero() for g in ksub0})

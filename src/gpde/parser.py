@@ -23,13 +23,21 @@ each denominator then; a Factor is built once and carries the memo of its
 values over its statement, which the Evaluator reads.
 An index variable (any name in index position) repeated in an additive term is
 summed over the base range; one appearing once must be bound by the left side.
+A sum runs only over the index values where every eta, inveta, eps and
+theta(k; ...) factor of its term is nonzero.  Before it sums anything, a
+statement plans each term once (Evaluator.plan): every name in it is
+checked, with every other error that no index value can change, even when
+its sum is empty.
 A comment runs from `#` or `//` to the end of the line.  An int literal is
 ASCII digits, a name starts with a letter or `_` and goes on with Unicode word
-characters, and any other character is one diagnostic.
+characters, and any other character is one diagnostic.  A token is a
+(kind, value, offset) tuple; a diagnostic carries the offset of its token
+until ModelParser.parse turns it into a Span of line and column.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import os
 import re
@@ -74,7 +82,7 @@ class Span:
 class Diagnostic(NamedTuple):
     severity: str
     message: str
-    span: Optional[Span]
+    span: Optional[Span]   # inside the reader, the offset of a token in the text
     hint: Optional[str] = None
 
     def __str__(self):
@@ -94,64 +102,53 @@ class DslError(GradedAlgebraError):
         super().__init__(msg or "model file is invalid")
 
 
-def _error(message: str, span: Optional[Span], hint: Optional[str] = None) -> DslError:
-    """The DslError carrying one error diagnostic; callers raise it."""
-    return DslError([Diagnostic("error", message, span, hint)])
+def _error(message: str, at, hint: Optional[str] = None) -> DslError:
+    """The DslError carrying one error diagnostic at an offset (or a Span);
+    callers raise it."""
+    return DslError([Diagnostic("error", message, at, hint)])
 
 
-def _given(span: Span, rule, *args, **kwargs):
+def _given(at: int, rule, *args, **kwargs):
     """rule(*args, **kwargs), a ModelBuilder call; the rule it refuses is
-    an error diagnostic at span."""
+    an error diagnostic at the offset."""
     try:
         return rule(*args, **kwargs)
     except GradedAlgebraError as e:
-        raise _error(str(e), span) from None
+        raise _error(str(e), at) from None
 
 
-class Token:
-    __slots__ = ("kind", "value", "span")
-
-    def __init__(self, kind, value, span):
-        self.kind = kind
-        self.value = value
-        self.span = span
+# blanks, newlines and comments, then an int literal, a word, another character or the end
+_TOKEN = re.compile(r"((?:[ \t\r\n]+|(?:#|//)[^\n]*)*)(?:([0-9]+)|(\w+)|(.)|\Z)", re.S)
 
 
-# blanks and a comment, then a newline, an int literal, a word, another character or the end
-_TOKEN = re.compile(r"([ \t\r]*(?:(?:#|//)[^\n]*)?)(?:(\n)|([0-9]+)|(\w+)|(.)|\Z)", re.S)
-
-
-def tokenize(text: str, source: str, diags: List[Diagnostic]) -> List[Token]:
-    """Tokens of text and an eof token; each unexpected character goes to diags."""
+def tokenize(text: str, diags: List[Diagnostic]) -> List[tuple]:
+    """Tokens of text, (kind, value, offset), and an eof token; each
+    unexpected character goes to diags at its offset."""
     toks = []
-    line, line_start, start = 1, 0, 0
+    append = toks.append
+    start = 0
     while start is not None:   # scanned again only after a word that starts badly
         i, start = start, None
-        for blank, newline, number, word, other in _TOKEN.findall(text, i):
+        for blank, number, word, other in _TOKEN.findall(text, i):
             i += len(blank)
-            if newline:
-                i += 1
-                line, line_start = line + 1, i
-                continue
-            span = Span(source, line, i - line_start + 1)
-            if other:
-                i += 1
-                if other in PUNCT:
-                    toks.append(Token(other, other, span))
-                else:
-                    diags.append(Diagnostic("error", f"unexpected character {other!r}", span))
-            elif word:
+            if word:
                 if not (word[0].isalpha() or word[0] == "_"):
-                    diags.append(Diagnostic("error", f"unexpected character {word[0]!r}", span))
+                    diags.append(Diagnostic("error", f"unexpected character {word[0]!r}", i))
                     start = i + 1
                     break
+                append(("name", word, i))
                 i += len(word)
-                toks.append(Token("name", word, span))
+            elif other:
+                if other in PUNCT:
+                    append((other, other, i))
+                else:
+                    diags.append(Diagnostic("error", f"unexpected character {other!r}", i))
+                i += 1
             elif number:
+                append(("int", int(number), i))
                 i += len(number)
-                toks.append(Token("int", int(number), span))
     # the value is what a diagnostic prints as the found token
-    toks.append(Token("eof", "end of file", Span(source, line, i - line_start + 1)))
+    append(("eof", "end of file", i))
     return toks
 
 
@@ -162,14 +159,17 @@ class Factor:
     """One factor of a distributed term, built once as it is read.  parts
     are, by kind: "ref" the name, index atoms and lie selector; "theta_basis"
     the index atoms; "bracket" both arguments; "d" and "tr" the argument itself.
-    An argument is an expression already distributed, (terms, span).  vars
-    names each occurrence of an index variable in the factor, arguments
-    included; memo holds its values during its statement, keyed by theirs."""
+    An argument is an expression already distributed, (terms, offset), and
+    an index atom is ("int" or "var", value, offset).  vars names each
+    occurrence of an index variable in the factor, arguments included; memo
+    holds its values during its statement, keyed by theirs.  Once
+    Evaluator.factor_lie has checked the factor, lie is the lie algebra of
+    its values (None for a scalar) and args the plans of its arguments."""
 
-    __slots__ = ("kind", "parts", "span", "vars", "memo")
+    __slots__ = ("kind", "parts", "at", "vars", "memo", "lie", "args")
 
-    def __init__(self, kind: str, parts: tuple, span: Span):
-        self.kind, self.parts, self.span, self.memo = kind, parts, span, {}
+    def __init__(self, kind: str, parts: tuple, at: int):
+        self.kind, self.parts, self.at, self.memo, self.args = kind, parts, at, {}, None
         if kind in ("ref", "theta_basis"):
             atoms = parts[1] if kind == "ref" else parts
             self.vars = tuple(a[1] for a in atoms if a[0] == "var")
@@ -180,46 +180,223 @@ class Factor:
 
 
 _MIXED_LIE = "mixing values of different lie algebras"
+# the background tensors, each with whether its nonzero entries have equal
+# indices (eta, inveta) or distinct ones (eps, and theta(k; ...))
+_SPARSE = {"eta": True, "inveta": True, "eps": False}
+
+
+def _mul(a, b):
+    """a*b.  Two lie values meet only as the pair of a Tr term, the one
+    product of them that a plan admits."""
+    if isinstance(a, LieValued):
+        if isinstance(b, LieValued):
+            return trace_pair(a, b)
+        return LieValued(a.lie, [c * b for c in a.components])
+    if isinstance(b, LieValued):
+        return LieValued(b.lie, [a * c for c in b.components])
+    return a * b
 
 
 class Evaluator:
     """Turns distributed expressions into Poly / LieValued values over a builder.
 
+    A statement first plans its expressions (plan): each term is checked
+    once, in the order evaluation reads it, for every error that does not
+    depend on index values.  Evaluation then raises only the two that do:
+    a nonzero scalar added to a lie value, and (in ModelParser.stmt_q) a
+    nonzero rule on a vanishing antisymmetric component.
+
     During one statement, over every value of its left-hand indices, each
     factor is evaluated once per assignment of the index variables that
     occur in it; later uses read the memo the factor carries, which goes
-    with the statement's expression.  Only a factor that evaluated without
-    error has a memo entry."""
+    with the statement's expression."""
 
     def __init__(self, builder: ModelBuilder):
         self.b = builder
 
-    def statement_value(self, expr, bound: Dict[str, int], in_tr=False):
-        """Evaluate a distributed expression with Einstein summation over
-        repeated free variables.  The statement binds every variable of a
-        bracket, d(...) or Tr(...) argument."""
-        terms, span = expr
-        total = None
+    # the plan: every error no index value can change ------------------------
+
+    def plan(self, expr, bound=None, in_tr=False):
+        """The plan of a distributed expression, (terms, offset, lie): each
+        term (coefficient, factors, dummies, sparse, zero) with the variables
+        it sums over, the (equal, index atoms) of its eta, inveta, eps and
+        theta(k; ...) factors, and the zero of its values when they are lie
+        values (else None); lie is the lie algebra of the sum's values, None
+        for scalars.  bound names the variables the left-hand side binds;
+        None binds every variable, as the statement does for a bracket,
+        d(...) or Tr(...) argument."""
+        terms, at = expr
+        planned, lie = [], None
         for coeff, factors in terms:
-            names = [v for f in factors for v in f.vars]
             dummies = []
-            for v in sorted(set(names)):
-                if v in bound:
-                    continue
-                if names.count(v) == 1:
-                    raise _error(f"index variable {v!r} appears once and is not "
-                                 f"bound by the left-hand side", span,
-                                 hint="repeated variables are summed")
-                dummies.append(v)
-            env = dict(bound)
-            # the first dummy varies slowest; most terms have none to bind
-            for values in itertools.product(self.b.base_indices, repeat=len(dummies)):
-                if dummies:
-                    env.update(zip(dummies, values))
-                total = self._add(total, self.eval_term(coeff, factors, env, in_tr), span)
+            if bound is not None:
+                names = [v for f in factors for v in f.vars]
+                for v in sorted(set(names)):
+                    if v in bound:
+                        continue
+                    if names.count(v) == 1:
+                        raise _error(f"index variable {v!r} appears once and is not "
+                                     f"bound by the left-hand side", at,
+                                     hint="repeated variables are summed")
+                    dummies.append(v)
+            term_lie = self.term_lie(factors, in_tr)
+            if term_lie is not None:
+                if lie is None:
+                    lie = term_lie
+                elif lie is not term_lie:
+                    raise _error(_MIXED_LIE, at)
+            sparse = tuple((False, f.parts) if f.kind == "theta_basis" else
+                           (_SPARSE[f.parts[0]], f.parts[1]) for f in factors
+                           if f.kind == "theta_basis" or f.kind == "ref" and f.parts[0] in _SPARSE)
+            zero = None if term_lie is None else LieValued(term_lie, [Poly.zero()] * term_lie.dim)
+            planned.append((coeff, factors, tuple(dummies), sparse, zero))
+        return planned, at, lie
+
+    def term_lie(self, factors, in_tr):
+        """The lie algebra of a term's values, None for a scalar: at most one
+        lie factor, or inside Tr exactly one pair of them."""
+        lie, paired = None, False
+        for f in factors:
+            f_lie = self.factor_lie(f)
+            if f_lie is None:
+                continue
+            if lie is None:
+                lie = f_lie
+            elif in_tr and not paired:
+                if lie is not f_lie:
+                    raise _error(_MIXED_LIE, f.at)
+                lie, paired = None, True
+            else:
+                raise _error("product of two lie-algebra valued expressions; use Tr(...) "
+                             "or the bracket [.,.]", f.at)
+        if in_tr and (not paired or lie is not None):
+            raise _error("Tr needs exactly two lie-algebra valued factors in "
+                         "each term", factors[-1].at if factors else None)
+        return lie
+
+    def factor_lie(self, f: Factor):
+        """The lie algebra of a factor's values, None for a scalar; its
+        arguments are planned on the first call."""
+        if f.args is None:
+            kind = f.kind
+            lie, args = None, ()
+            if kind in ("bracket", "d", "tr"):
+                exprs = f.parts if kind == "bracket" else (f.parts,)
+                args = tuple(self.plan(e, in_tr=kind == "tr") for e in exprs)
+                lie = args[0][2]
+                if kind == "bracket":
+                    if lie is None or args[1][2] is None:
+                        raise _error("the bracket needs lie-algebra valued arguments", f.at)
+                    if lie is not args[1][2]:
+                        raise _error(_MIXED_LIE, f.at)
+                elif kind == "tr":
+                    lie = None
+            elif kind == "theta_basis":
+                self.check_indices(f.parts)
+            else:
+                lie = self.ref_lie(f)
+            f.lie, f.args = lie, args
+        return f.lie
+
+    def ref_lie(self, ref: Factor):
+        name, args, _ = ref.parts
+        b = self.b
+        if name not in _SPARSE:
+            return self.coordinate_lie(ref)
+        if b.tensors is None:
+            raise _error(f"{name} requires a metric declaration", ref.at)
+        self.check_indices(args)
+        if name == "eps":
+            if len(args) != b.n:
+                raise _error(f"eps takes {b.n} indices, got {len(args)}", ref.at)
+        elif len(args) != 2:
+            raise _error(f"{name} takes two indices", ref.at)
+        return None
+
+    def coordinate_lie(self, ref: Factor):
+        """The lie algebra of an x, theta or fiber reference's values, None
+        for a scalar; a Q target is checked here too."""
+        (name, args, lie_sel), at = ref.parts, ref.at
+        if name in ("x", "theta"):
+            if len(args) != 1 or lie_sel is not None:
+                raise _error(f"{name} takes one base index", at)
+            self.check_indices(args)
+            return None
+        fam = self.b.fibers.get(name)
+        if fam is None:
+            raise _error(f"undeclared symbol {name!r}", at)
+        if len(args) != fam.slots:
+            raise _error(f"{name!r} takes {fam.slots} base indices, got {len(args)}", at)
+        self.check_indices(args)
+        if lie_sel is None:
+            return fam.lie
+        if fam.lie is None:
+            raise _error(f"{name!r} carries no lie algebra", at)
+        if not 1 <= lie_sel <= fam.lie.dim:
+            raise _error(f"lie component {lie_sel} outside 1..{fam.lie.dim}", at)
+        return None
+
+    def check_indices(self, atoms):
+        # a variable takes base values only, so only a literal can be outside
+        for kind, a, at in atoms:
+            if kind == "int" and a not in self.b.base_indices:
+                raise _error(f"index {a} outside the base range", at)
+
+    # evaluation -------------------------------------------------------------
+
+    def statement_value(self, plan, env: Dict[str, int]):
+        """The value of a planned expression, with Einstein summation over
+        each term's dummies; env binds every other variable."""
+        terms, at, _ = plan
+        base = self.b.base_indices
+        total = None
+        for coeff, factors, dummies, sparse, zero in terms:
+            if dummies and not base:
+                continue   # a sum over the empty base
+            # a lie term adds a zero of its type, however many of its
+            # assignments are skipped as zero: that makes a zero scalar sum
+            # lie-valued, and a nonzero one refuses it
+            if zero is not None and not isinstance(total, LieValued):
+                total = self._add(total, zero, at)
+            scope = dict(env) if dummies else env
+            for values in self.assignments(dummies, sparse, env) if dummies or sparse else ((),):
+                scope.update(zip(dummies, values))
+                total = self._add(total, self.eval_term(coeff, factors, scope), at)
         return total if total is not None else Poly.zero()
 
-    def _add(self, a, b, span):
+    def assignments(self, dummies, sparse, env) -> List[tuple]:
+        """The values of dummies, the first varying slowest as in
+        itertools.product, at which none of the sparse factors vanishes: an
+        equal pair binds an index to the value of the other, and a distinct
+        one rules that value out.  env gives every other variable."""
+        pos = {v: k for k, v in enumerate(dummies)}
+        # rules[k]: (i, value, equal), tested once dummy k is bound against
+        # dummy i < k, or against the value when i is -1
+        rules = [[] for _ in dummies]
+        for equal, atoms in sparse:
+            slots = sorted((pos[a], None) if a in pos else (-1, a if kind == "int" else env[a])
+                           for kind, a, _ in atoms)
+            for (i, x), (j, y) in [slots] if equal else itertools.combinations(slots, 2):
+                if j < 0:
+                    if (x == y) != equal:
+                        return []
+                elif i != j:
+                    rules[j].append((i, x, equal))
+                elif not equal:
+                    return []
+        out = [()]
+        for rule in rules:
+            grown = []
+            for p in out:
+                fixed = {x if i < 0 else p[i] for i, x, equal in rule if equal}
+                if len(fixed) > 1:
+                    continue
+                avoid = {x if i < 0 else p[i] for i, x, equal in rule if not equal}
+                grown += [p + (v,) for v in fixed or self.b.base_indices if v not in avoid]
+            out = grown
+        return out
+
+    def _add(self, a, b, at):
         if a is None:
             return b
         if isinstance(a, LieValued) != isinstance(b, LieValued):
@@ -227,43 +404,20 @@ class Evaluator:
                 return b
             if isinstance(b, Poly) and b.is_zero():
                 return a
-            raise _error("cannot add a scalar and a lie-algebra valued expression", span)
-        if isinstance(a, LieValued) and a.lie is not b.lie:
-            raise _error(_MIXED_LIE, span)
+            raise _error("cannot add a scalar and a lie-algebra valued expression", at)
         if b.is_zero():
             return a
+        if a.is_zero():
+            return b
         return a + b
 
-    def eval_term(self, coeff, factors, env, in_tr):
+    def eval_term(self, coeff, factors, env):
         # a unit coefficient is not multiplied in: the first factor starts the product
         value = None if factors and coeff == 1 else Poly.scalar(coeff)
-        paired = 0
         for f in factors:
             v = self.eval_factor(f, env)
-            if value is None:
-                value = v
-            else:
-                value, paired = self._mul(value, v, in_tr, paired, f.span)
-        if in_tr and (paired != 1 or isinstance(value, LieValued)):
-            raise _error("Tr needs exactly two lie-algebra valued factors in "
-                         "each term", factors[-1].span if factors else None)
+            value = v if value is None else _mul(value, v)
         return value
-
-    def _mul(self, a, b, in_tr, paired, span):
-        a_lie = isinstance(a, LieValued)
-        b_lie = isinstance(b, LieValued)
-        if not a_lie and not b_lie:
-            return a * b, paired
-        if not a_lie:
-            return LieValued(b.lie, [a * c for c in b.components]), paired
-        if not b_lie:
-            return LieValued(a.lie, [c * b for c in a.components]), paired
-        if in_tr and paired == 0:
-            if a.lie is not b.lie:
-                raise _error(_MIXED_LIE, span)
-            return trace_pair(a, b), 1
-        raise _error("product of two lie-algebra valued expressions; use Tr(...) "
-                     "or the bracket [.,.]", span)
 
     def eval_factor(self, f: Factor, env):
         """Value of one factor of a distributed term, from its memo when the
@@ -277,76 +431,47 @@ class Evaluator:
     def _eval_factor(self, f: Factor, env):
         kind = f.kind
         if kind == "bracket":
-            a = self.statement_value(f.parts[0], env)
-            bb = self.statement_value(f.parts[1], env)
-            if not isinstance(a, LieValued) or not isinstance(bb, LieValued):
-                raise _error("the bracket needs lie-algebra valued arguments", f.span)
-            if a.lie is not bb.lie:
-                raise _error(_MIXED_LIE, f.span)
-            return lie_bracket(a, bb)
+            return lie_bracket(self.statement_value(f.args[0], env),
+                               self.statement_value(f.args[1], env))
         if kind == "d":
-            v = self.statement_value(f.parts, env)
+            v = self.statement_value(f.args[0], env)
             if isinstance(v, LieValued):
                 return LieValued(v.lie, [de_rham(c) for c in v.components])
             return de_rham(v)
         if kind == "tr":
-            return self.statement_value(f.parts, env, in_tr=True)
+            return self.statement_value(f.args[0], env)
         if kind == "theta_basis":
-            idx = tuple(self.index_value(a, env) for a in f.parts)
             ths = [self.b.theta[a] for a in self.b.base_indices]
-            return theta_basis(ths, idx)
+            return theta_basis(ths, [a if k == "int" else env[a] for k, a, _ in f.parts])
         return self.eval_ref(f, env)
-
-    def index_value(self, atom, env) -> int:
-        # statement_value binds every variable of a term before evaluating it
-        a = atom[1] if atom[0] == "int" else env[atom[1]]
-        if a not in self.b.base_indices:
-            raise _error(f"index {a} outside the base range", atom[2])
-        return a
 
     def resolve(self, ref: Factor, env):
         """Resolve an x, theta or fiber reference to (lie, [(sign, generator)]).
         lie is the algebra when the reference is Lie-valued, with one pair per
         component; otherwise it is None with a single pair.  Sign 0 marks a
         vanishing antisymmetric component."""
-        (name, args, lie_sel), span = ref.parts, ref.span
+        name, args, lie_sel = ref.parts
         b = self.b
+        idx = tuple(a if kind == "int" else env[a] for kind, a, _ in args)
         if name in ("x", "theta"):
-            if len(args) != 1 or lie_sel is not None:
-                raise _error(f"{name} takes one base index", span)
-            a = self.index_value(args[0], env)
-            return None, [(1, b.x[a] if name == "x" else b.theta[a])]
-        fam = b.fibers.get(name)
-        if fam is None:
-            raise _error(f"undeclared symbol {name!r}", span)
-        if len(args) != fam.slots:
-            raise _error(f"{name!r} takes {fam.slots} base indices, got {len(args)}", span)
-        idx = tuple(self.index_value(a, env) for a in args)
-        if lie_sel is None:
-            if fam.lie is None:
-                return None, [fam.resolve(idx, None)]
-            return fam.lie, [fam.resolve(idx, li) for li in range(fam.lie.dim)]
-        if fam.lie is None:
-            raise _error(f"{name!r} carries no lie algebra", span)
-        if not 1 <= lie_sel <= fam.lie.dim:
-            raise _error(f"lie component {lie_sel} outside 1..{fam.lie.dim}", span)
-        return None, [fam.resolve(idx, lie_sel - 1)]
+            return None, [(1, (b.x if name == "x" else b.theta)[idx[0]])]
+        fam = b.fibers[name]
+        if fam.lie is None or lie_sel is not None:
+            return None, [fam.resolve(idx, None if lie_sel is None else lie_sel - 1)]
+        # the index tuple is sorted once for every component
+        sign, g = fam.resolve(idx, 0)
+        if not sign:
+            return fam.lie, [(0, None)] * fam.lie.dim
+        return fam.lie, [(sign, fam.gen(g.base_index, li)) for li in range(fam.lie.dim)]
 
     def eval_ref(self, ref: Factor, env):
-        (name, args, _), span = ref.parts, ref.span
-        b = self.b
-        if name in ("eta", "inveta", "eps"):
-            if b.tensors is None:
-                raise _error(f"{name} requires a metric declaration", span)
-            idx = [self.index_value(a, env) for a in args]
+        name, args, _ = ref.parts
+        if name in _SPARSE:
+            idx = [a if kind == "int" else env[a] for kind, a, _ in args]
+            t = self.b.tensors
             if name == "eps":
-                if len(idx) != b.n:
-                    raise _error(f"eps takes {b.n} indices, got {len(idx)}", span)
-                return Poly.scalar(b.tensors.eps(idx))
-            if len(idx) != 2:
-                raise _error(f"{name} takes two indices", span)
-            fn = b.tensors.eta if name == "eta" else b.tensors.inveta
-            return Poly.scalar(fn(idx[0], idx[1]))
+                return Poly.scalar(t.eps(idx))
+            return Poly.scalar((t.eta if name == "eta" else t.inveta)(*idx))
         lie, comps = self.resolve(ref, env)
         values = [Poly.zero() if sign == 0 else Poly.gen(g) if sign == 1 else -Poly.gen(g)
                   for sign, g in comps]
@@ -354,9 +479,9 @@ class Evaluator:
 
 
 # levels of (...), unary minus, [.,.], d(...) and Tr(...) an expression may nest;
-# reading a level costs 3 Python frames (4 for d and Tr), evaluating one costs 4
-# for [.,.], d and Tr and none for the others, so a model at the limit still
-# loads from 200 frames deep
+# reading a level costs 3 Python frames (4 for d and Tr), planning one costs 3
+# and evaluating one 4 for [.,.], d and Tr and none for the others, so a model
+# at the limit still loads from 200 frames deep
 MAX_NESTING = 100
 
 
@@ -370,8 +495,9 @@ class ModelParser:
     LBP = {"+": 10, "-": 10, "*": 20, "/": 20}
 
     def __init__(self, text: str, source: str, name: str):
+        self.text, self.source = text, source
         self.diags: List[Diagnostic] = []
-        self.toks = tokenize(text, source, self.diags)
+        self.toks = tokenize(text, self.diags)
         self.pos = 0
         self.depth = 0          # expression nesting, bounded by MAX_NESTING
         self.name = name
@@ -380,47 +506,47 @@ class ModelParser:
         self.evaluator: Optional[Evaluator] = None
         self._weak: Optional[bool] = None
 
-    # token cursor ---------------------------------------------------------
+    # token cursor: a token is (kind, value, offset) ----------------------
 
-    def peek(self) -> Token:
+    def peek(self) -> tuple:
         return self.toks[self.pos]
 
-    def next(self) -> Token:
+    def next(self) -> tuple:
         t = self.toks[self.pos]
         self.pos += 1
         return t
 
-    def expect(self, kind, word=None) -> Token:
+    def expect(self, kind, word=None) -> tuple:
         """The next token, which must be of the kind and, given a word, be it."""
         t = self.next()
-        if t.kind != kind or word is not None and t.value != word:
-            raise _error(f"expected {word or kind!r}, found {t.value!r}", t.span)
+        if t[0] != kind or word is not None and t[1] != word:
+            raise _error(f"expected {word or kind!r}, found {t[1]!r}", t[2])
         return t
 
     def expect_int(self) -> int:
-        neg = self.peek().kind == "-"
+        neg = self.peek()[0] == "-"
         if neg:
             self.next()
-        value = self.expect("int").value
+        value = self.expect("int")[1]
         return -value if neg else value
 
     def expect_rational(self) -> Scalar:
         v = self.expect_int()
-        if self.peek().kind == "/":
+        if self.peek()[0] == "/":
             self.next()
-            span = self.peek().span
+            at = self.peek()[2]
             denom = self.expect_int()
             if denom == 0:
-                raise _error("division by zero", span)
+                raise _error("division by zero", at)
             v = qdiv(v, denom)
         return v
 
     def comma_list(self, item, close: str) -> list:
         """Parse `item, item, ...` (possibly empty) and the closing token."""
         out = []
-        if self.peek().kind != close:
+        if self.peek()[0] != close:
             out.append(item())
-            while self.peek().kind == ",":
+            while self.peek()[0] == ",":
                 self.next()
                 out.append(item())
         self.expect(close)
@@ -430,111 +556,111 @@ class ModelParser:
 
     def expr(self, rbp: int = 0):
         """Pratt parser for the expression sublanguage, distributing as it
-        reads: (terms, span), the terms (coefficient, factor list) pairs and
-        the span that of the last operator read at this level, or else of
-        the first token.  A chain of operators is read in this loop."""
-        terms, span = self.nud(self.next())
-        while self.LBP.get(self.peek().kind, 0) > rbp:
-            t = self.next()
-            right, _ = self.expr(self.LBP[t.kind])
-            if t.kind == "+":
+        reads: (terms, offset), the terms (coefficient, factor list) pairs
+        and the offset that of the last operator read at this level, or else
+        of the first token.  A chain of operators is read in this loop."""
+        terms, at = self.nud(self.next())
+        while self.LBP.get(self.peek()[0], 0) > rbp:
+            op, _, at = self.next()
+            right, _ = self.expr(self.LBP[op])
+            if op == "+":
                 terms += right
-            elif t.kind == "-":
+            elif op == "-":
                 terms += [(-c, fs) for c, fs in right]
-            elif t.kind == "*":
+            elif op == "*":
                 terms = [(c1 * c2, f1 + f2) for c1, f1 in terms for c2, f2 in right]
             else:   # a denominator must expand to constants; their sum is the divisor
                 if any(fs for _, fs in right):
-                    raise _error("division is only defined by numeric constants", t.span)
+                    raise _error("division is only defined by numeric constants", at)
                 divisor = sum(c for c, _ in right)
                 if divisor == 0:
-                    raise _error("division by zero", t.span)
+                    raise _error("division by zero", at)
                 terms = [(qdiv(c, divisor), fs) for c, fs in terms]
-            span = t.span
-        return terms, span
+        return terms, at
 
-    def nested(self, opener: Token, rbp: int = 0):
+    def nested(self, opener: tuple, rbp: int = 0):
         """An expression one nesting level below the opener token."""
         if self.depth == MAX_NESTING:
-            raise _error(f"expression nested more than {MAX_NESTING} levels deep",
-                         opener.span)
+            raise _error(f"expression nested more than {MAX_NESTING} levels deep", opener[2])
         self.depth += 1
         try:
             return self.expr(rbp)
         finally:
             self.depth -= 1
 
-    def nud(self, t: Token):
-        if t.kind == "int":
-            return [(t.value, [])], t.span
-        if t.kind == "(":
+    def nud(self, t: tuple):
+        kind, value, at = t
+        if kind == "int":
+            return [(value, [])], at
+        if kind == "(":
             e = self.nested(t)
             self.expect(")")
             return e
-        if t.kind == "-":
+        if kind == "-":
             terms, _ = self.nested(t, 25)
-            return [(-c, fs) for c, fs in terms], t.span
-        if t.kind == "[":
+            return [(-c, fs) for c, fs in terms], at
+        if kind == "[":
             left = self.nested(t)
             self.expect(",")
             right = self.nested(t)
             closer = self.next()
-            if closer.kind != "]":
-                raise _error("the bracket takes exactly two arguments", closer.span)
-            return [(1, [Factor("bracket", (left, right), t.span)])], t.span
-        if t.kind == "name":
-            return [(1, [self.name_atom(t)])], t.span
-        raise _error(f"unexpected token {t.value!r}", t.span)
+            if closer[0] != "]":
+                raise _error("the bracket takes exactly two arguments", closer[2])
+            return [(1, [Factor("bracket", (left, right), at)])], at
+        if kind == "name":
+            return [(1, [self.name_atom(t)])], at
+        raise _error(f"unexpected token {value!r}", at)
 
-    def name_atom(self, t: Token) -> Factor:
-        name = t.value
-        if name in ("d", "Tr") and self.peek().kind == "(":
+    def name_atom(self, t: tuple) -> Factor:
+        _, name, at = t
+        if name in ("d", "Tr") and self.peek()[0] == "(":
             self.next()
             e = self.nested(t)
             self.expect(")")
-            return Factor("d" if name == "d" else "tr", e, t.span)
-        if name == "theta" and self.peek().kind == "(":
+            return Factor("d" if name == "d" else "tr", e, at)
+        if name == "theta" and self.peek()[0] == "(":
             self.next()
-            k = self.expect("int").value
+            k = self.expect("int")[1]
             self.expect(";")
             idx = self.comma_list(self.index_atom, ")")
             if len(idx) != k:
-                raise _error(f"theta({k}; ...) takes {k} indices, got {len(idx)}", t.span)
-            return Factor("theta_basis", tuple(idx), t.span)
+                raise _error(f"theta({k}; ...) takes {k} indices, got {len(idx)}", at)
+            return Factor("theta_basis", tuple(idx), at)
         return self.reference(t)
 
-    def reference(self, name_tok: Token) -> Factor:
+    def reference(self, name_tok: tuple) -> Factor:
         """The `[i, ...]{k}` tail, both parts optional, of a name."""
         args = ()
         lie_sel = None
-        if self.peek().kind == "[":
+        if self.peek()[0] == "[":
             self.next()
             args = tuple(self.comma_list(self.index_atom, "]"))
-        if self.peek().kind == "{":
+        if self.peek()[0] == "{":
             self.next()
-            lie_sel = self.expect("int").value
+            lie_sel = self.expect("int")[1]
             self.expect("}")
-        return Factor("ref", (name_tok.value, args, lie_sel), name_tok.span)
+        return Factor("ref", (name_tok[1], args, lie_sel), name_tok[2])
 
     def index_atom(self):
-        t = self.next()
-        if t.kind == "int":
-            return ("int", t.value, t.span)
-        if t.kind == "name":
-            return ("var", t.value, t.span)
-        raise _error("expected an index", t.span)
+        kind, value, at = self.next()
+        if kind == "int":
+            return ("int", value, at)
+        if kind == "name":
+            return ("var", value, at)
+        raise _error("expected an index", at)
 
     # statements -----------------------------------------------------------
 
-    def need_builder(self, span) -> ModelBuilder:
+    def need_builder(self, at) -> ModelBuilder:
         if self.builder is None:
-            raise _error("the base dimension must be declared first", span,
+            raise _error("the base dimension must be declared first", at,
                          hint="start with: base dim = <n>;")
         return self.builder
 
     def parse(self) -> Model:
-        """Build the model; a DslError raised here carries self.diags."""
-        while self.peek().kind != "eof":
+        """Build the model; a DslError raised here carries self.diags, each
+        located by a Span."""
+        while self.peek()[0] != "eof":
             start = self.pos
             try:
                 self.statement()
@@ -542,67 +668,82 @@ class ModelParser:
                 self.diags.extend(e.diagnostics)
                 self.pos = start
                 self.skip_statement()
-        if any(d.severity == "error" for d in self.diags):
-            raise DslError(self.diags)
-        b = self.builder
-        if b is None:
+        failed = any(d.severity == "error" for d in self.diags)
+        if not failed and self.builder is None:
+            failed = True
             self.diags.append(Diagnostic(
                 "error", "empty model: no base dimension declared", None))
+        if self.diags:
+            self.diags = self.located(self.diags)
+        if failed:
             raise DslError(self.diags)
+        b = self.builder
         b.weak(self._weak is True)
         b.name = self.name
         return b.build()
+
+    def located(self, diags: List[Diagnostic]) -> List[Diagnostic]:
+        """diags with each offset replaced by the Span of its line and column
+        in the source; a tab or a \\r is one column."""
+        starts = [0, *itertools.accumulate(len(line) + 1 for line in self.text.split("\n"))]
+        out = []
+        for d in diags:
+            if isinstance(d.span, int):
+                line = bisect.bisect_right(starts, d.span)
+                d = d._replace(span=Span(self.source, line, d.span - starts[line - 1] + 1))
+            out.append(d)
+        return out
 
     def skip_statement(self):
         """Skip the statement that begins at the current token: past its
         closing ';' or, for a lie block, past the '}' that ends the block.  The
         ';' of theta(k; ...), which follows 'theta ( int', ends nothing; any
         other ';' does, so an unclosed '(' hides no later statement."""
-        block = self.peek().kind == "name" and self.peek().value == "lie"
+        block = self.peek()[:2] == ("name", "lie")
         depth = 0
         while True:
-            t = self.peek()
-            if t.kind == "eof":
+            kind = self.peek()[0]
+            if kind == "eof":
                 return
             self.next()
-            if t.kind == "{":
+            if kind == "{":
                 depth += 1
-            elif t.kind == "}":
+            elif kind == "}":
                 depth -= 1
                 if depth < 0 or (block and depth == 0):
                     return
-            elif t.kind == ";" and depth == 0:
-                head = [(x.kind, x.value) for x in self.toks[max(self.pos - 4, 0):self.pos - 2]]
-                if head != [("name", "theta"), ("(", "(")] or self.toks[self.pos - 2].kind != "int":
+            elif kind == ";" and depth == 0:
+                head = [x[:2] for x in self.toks[max(self.pos - 4, 0):self.pos - 2]]
+                if head != [("name", "theta"), ("(", "(")] or self.toks[self.pos - 2][0] != "int":
                     return
 
     def statement(self):
-        t = self.peek()
-        if t.kind != "name":
-            raise _error(f"expected a declaration, found {t.value!r}", t.span)
-        stmt = self.STATEMENTS.get(t.value)
+        kind, value, at = self.peek()
+        if kind != "name":
+            raise _error(f"expected a declaration, found {value!r}", at)
+        stmt = self.STATEMENTS.get(value)
         if stmt is None:
-            raise _error(f"unknown declaration {t.value!r}", t.span)
+            raise _error(f"unknown declaration {value!r}", at)
         stmt(self)
 
     def stmt_model(self):
-        t = self.next()
-        name = self.expect("name").value
+        at = self.next()[2]
+        name = self.expect("name")[1]
         self.expect(";")
         if self._named:
-            raise _error("model name declared twice", t.span)
+            raise _error("model name declared twice", at)
         self._named = True
         self.name = name
 
     def stmt_base(self):
-        t = self.next()
+        at = self.next()[2]
         self.expect("name", "dim")
         self.expect("=")
         n = self.expect_int()
         self.expect(";")
         if self.builder is not None:
-            raise _error("base dimension declared twice", t.span)
-        self.builder = _given(t.span, ModelBuilder, self.name, n)
+            raise _error("base dimension declared twice", at)
+        self.builder = _given(at, ModelBuilder, self.name, n)
         self.evaluator = Evaluator(self.builder)
 
     def parse_diag(self) -> List[Scalar]:
@@ -611,35 +752,34 @@ class ModelParser:
         return self.comma_list(self.expect_rational, ")")
 
     def stmt_metric(self):
-        t = self.next()
-        b = self.need_builder(t.span)
+        at = self.next()[2]
+        b = self.need_builder(at)
         self.expect("=")
         vals = self.parse_diag()
         self.expect(";")
-        _given(t.span, b.metric, vals)
+        _given(at, b.metric, vals)
 
     def stmt_lie(self):
-        t = self.next()
-        b = self.need_builder(t.span)
-        name_tok = self.expect("name")
+        b = self.need_builder(self.next()[2])
+        _, lie_name, name_at = self.expect("name")
         self.expect("{")
         dim = None
-        entries: List[Tuple[int, int, int, Scalar, Span]] = []
+        entries: List[Tuple[int, int, int, Scalar, int]] = []
         kappa_diag: Optional[List[Scalar]] = None
         antisymmetrize = False
-        while self.peek().kind != "}":
-            st = self.expect("name")
-            if st.value == "dim":
+        while self.peek()[0] != "}":
+            _, entry, at = self.expect("name")
+            if entry == "dim":
                 self.expect("=")
-                span = self.peek().span
+                value_at = self.peek()[2]
                 value = self.expect_int()
                 if value < 1:
-                    raise _error("lie dimension must be at least 1", span)
+                    raise _error("lie dimension must be at least 1", value_at)
                 self.expect(";")
                 if dim is not None:
-                    raise _error("lie dimension declared twice", st.span)
+                    raise _error("lie dimension declared twice", at)
                 dim = value
-            elif st.value == "f":
+            elif entry == "f":
                 idx = []
                 for _ in range(3):
                     self.expect("[")
@@ -648,164 +788,161 @@ class ModelParser:
                 self.expect("=")
                 val = self.expect_rational()
                 self.expect(";")
-                entries.append((idx[0], idx[1], idx[2], val, st.span))
-            elif st.value == "kappa":
+                entries.append((idx[0], idx[1], idx[2], val, at))
+            elif entry == "kappa":
                 self.expect("=")
                 value = self.parse_diag()
                 self.expect(";")
                 if kappa_diag is not None:
-                    raise _error("kappa declared twice", st.span)
+                    raise _error("kappa declared twice", at)
                 kappa_diag = value
-            elif st.value == "antisymmetrize":
+            elif entry == "antisymmetrize":
                 antisymmetrize = True
                 self.expect(";")
             else:
-                raise _error(f"unknown lie-block entry {st.value!r}", st.span)
+                raise _error(f"unknown lie-block entry {entry!r}", at)
         self.expect("}")
         if dim is None:
-            raise _error(f"lie {name_tok.value!r} does not declare its dimension",
-                         name_tok.span)
+            raise _error(f"lie {lie_name!r} does not declare its dimension", name_at)
         # each entry fixes its constant, and under antisymmetrize the five
         # permuted ones, to one value: a repeat must keep it
         consts: Dict[Tuple[int, int, int], Scalar] = {}
-        for a, bb, c, val, span in entries:
+        for a, bb, c, val, at in entries:
             for k in (a, bb, c):
                 if not 1 <= k <= dim:
-                    raise _error(f"lie index {k} outside 1..{dim}", span)
+                    raise _error(f"lie index {k} outside 1..{dim}", at)
             base = (a - 1, bb - 1, c - 1)
             perms = [(0, 1, 2)]
             if antisymmetrize:
                 if len(set(base)) != 3:
-                    raise _error("antisymmetrize needs distinct indices", span)
+                    raise _error("antisymmetrize needs distinct indices", at)
                 perms = itertools.permutations(range(3))
             for perm in perms:
                 v = sort_sign(perm)[0] * val
                 if consts.setdefault(tuple(base[k] for k in perm), v) != v:
-                    raise _error("conflicting structure constants", span)
+                    raise _error("conflicting structure constants", at)
         f = [[[consts.get((i, j, k), 0) for k in range(dim)] for j in range(dim)]
              for i in range(dim)]
         if kappa_diag is None:
             kappa_diag = [1] * dim
         if len(kappa_diag) != dim:
-            raise _error("kappa diagonal length does not match dim", name_tok.span)
+            raise _error("kappa diagonal length does not match dim", name_at)
         kappa = [[kappa_diag[i] if i == j else 0 for j in range(dim)]
                  for i in range(dim)]
         try:
-            data = LieAlgebraData(name_tok.value, dim, f, kappa)
+            data = LieAlgebraData(lie_name, dim, f, kappa)
             b.lie(data)
         except GradedAlgebraError as e:
             hint = None
             if "antisymmetric" in str(e) and not antisymmetrize:
                 hint = "add 'antisymmetrize;' to complete the given entries"
-            raise _error(str(e), name_tok.span, hint)
+            raise _error(str(e), name_at, hint)
 
     def stmt_coord(self):
-        t = self.next()
-        b = self.need_builder(t.span)
-        name_tok = self.expect("name")
-        name = name_tok.value
+        b = self.need_builder(self.next()[2])
+        _, name, name_at = self.expect("name")
         if name in RESERVED:
-            raise _error(f"{name!r} is reserved and cannot name a coordinate",
-                         name_tok.span)
+            raise _error(f"{name!r} is reserved and cannot name a coordinate", name_at)
         slots = []
-        if self.peek().kind == "[":
+        if self.peek()[0] == "[":
             self.next()
-            slots = self.comma_list(lambda: self.expect("name").value, "]")
+            slots = self.comma_list(lambda: self.expect("name")[1], "]")
             if len(set(slots)) != len(slots):
-                raise _error("index slots must use distinct variables", name_tok.span)
+                raise _error("index slots must use distinct variables", name_at)
         self.expect(":")
         self.expect("name", "gh")
         self.expect("=")
         gh = self.expect_int()
         antisym = False
         lie = None
-        while self.peek().kind == "name":
-            attr = self.next()
-            if attr.value == "antisym":
+        while self.peek()[0] == "name":
+            _, attr, at = self.next()
+            if attr == "antisym":
                 antisym = True
-            elif attr.value == "in":
+            elif attr == "in":
                 if lie is not None:
-                    raise _error(f"lie algebra of {name!r} declared twice", attr.span)
-                lname = self.expect("name")
-                lie = b.lies.get(lname.value)
+                    raise _error(f"lie algebra of {name!r} declared twice", at)
+                _, lie_name, lie_at = self.expect("name")
+                lie = b.lies.get(lie_name)
                 if lie is None:
-                    raise _error(f"undeclared lie algebra {lname.value!r}", lname.span)
+                    raise _error(f"undeclared lie algebra {lie_name!r}", lie_at)
             else:
-                raise _error(f"unknown coordinate attribute {attr.value!r}", attr.span)
+                raise _error(f"unknown coordinate attribute {attr!r}", at)
         self.expect(";")
-        _given(name_tok.span, b.fiber, name, gh, slots=len(slots), antisym=antisym, lie=lie)
+        _given(name_at, b.fiber, name, gh, slots=len(slots), antisym=antisym, lie=lie)
 
     def stmt_q(self):
-        t = self.next()
-        b = self.need_builder(t.span)
+        b = self.need_builder(self.next()[2])
         target = self.reference(self.expect("name"))
         self.expect("=")
         rhs = self.expr()
         self.expect(";")
         ev = self.evaluator
-        (name, args, lie_sel), span = target.parts, target.span
-        free = [a[1] for a in args if a[0] == "var"]
+        (name, args, lie_sel), at = target.parts, target.at
+        free = [a for kind, a, _ in args if kind == "var"]
         if len(set(free)) != len(free):
-            raise _error("left-hand index variables must be distinct", span)
+            raise _error("left-hand index variables must be distinct", at)
+        ev.coordinate_lie(target)
+        plan = ev.plan(rhs, set(free))
         rules = []
         # the first variable varies slowest
         for values in itertools.product(b.base_indices, repeat=len(free)):
             env = dict(zip(free, values))
             lie, comps = ev.resolve(target, env)
-            value = ev.statement_value(rhs, env)
+            value = ev.statement_value(plan, env)
             if name in ("x", "theta"):
                 if isinstance(value, LieValued):
-                    raise _error("base coordinates take scalar Q-rules", span)
+                    raise _error("base coordinates take scalar Q-rules", at)
                 g = comps[0][1]
                 if value == base_q(b.x, b.theta)[g]:
                     continue
                 self.diags.append(Diagnostic(
                     "warning", f"Q-rule for {name}[{g.base_index[0]}] overrides the canonical "
-                    f"base differential", span))
+                    f"base differential", at))
                 rules.append((g, value))
                 continue
             if lie is None:
                 if isinstance(value, LieValued):
                     raise _error("a single lie component takes a scalar rule"
                                  if lie_sel is not None
-                                 else f"{name!r} carries no lie algebra", span)
+                                 else f"{name!r} carries no lie algebra", at)
                 values = [value]
             else:
                 if isinstance(value, Poly) and value.is_zero():
                     value = LieValued(lie, [Poly.zero()] * lie.dim)
                 if not isinstance(value, LieValued) or value.lie is not lie:
-                    raise _error(f"Q-rule for {name!r} must be {lie.name}-valued", span)
+                    raise _error(f"Q-rule for {name!r} must be {lie.name}-valued", at)
                 values = value.components
             for (sign, g), v in zip(comps, values):
                 if sign != 0:
                     rules.append((g, v if sign == 1 else -v))
                 elif not v.is_zero():
-                    raise _error("nonzero Q-rule on a vanishing antisymmetric component",
-                                 span)
-        _given(span, b.q_rules, rules)
+                    raise _error("nonzero Q-rule on a vanishing antisymmetric component", at)
+        _given(at, b.q_rules, rules)
 
     def stmt_chi(self):
-        t = self.next()
-        b = self.need_builder(t.span)
+        at = self.next()[2]
+        b = self.need_builder(at)
         self.expect("=")
         rhs = self.expr()
         self.expect(";")
-        value = self.evaluator.statement_value(rhs, {})
+        ev = self.evaluator
+        value = ev.statement_value(ev.plan(rhs, set()), {})
         if isinstance(value, LieValued):
             raise _error("chi must be a scalar expression; wrap lie factors "
-                         "in Tr(...)", t.span)
-        _given(t.span, b.chi, value)
+                         "in Tr(...)", at)
+        _given(at, b.chi, value)
 
     def stmt_weak(self):
-        t = self.next()
+        at = self.next()[2]
         self.expect("=")
-        v = self.expect("name")
-        if v.value not in ("true", "false"):
-            raise _error("weak takes true or false", v.span)
+        _, value, value_at = self.expect("name")
+        if value not in ("true", "false"):
+            raise _error("weak takes true or false", value_at)
         self.expect(";")
         if self._weak is not None:
-            raise _error("weak declared twice", t.span)
-        self._weak = v.value == "true"
+            raise _error("weak declared twice", at)
+        self._weak = value == "true"
 
     # statement keyword -> the method that parses the statement
     STATEMENTS = {"base": stmt_base, "metric": stmt_metric, "lie": stmt_lie,

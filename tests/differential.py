@@ -12,8 +12,8 @@ Three kinds of case:
 
 * parse: the sources of perfbench's `model_corpus` (cycles 0 and 1 at seed
   7), the builtin model files, seeded one-character mutants of them, the
-  sources of REPEATS and READER, and ym_weak at base dims 12 and 16.  A
-  case records every diagnostic string and, when a model loads, its
+  sources of REPEATS, READER and SPARSE, and ym_weak at base dims 12 and
+  16.  A case records every diagnostic string and, when a model loads, its
   `model_to_source` text.
 * verbs: every verb on every builtin; `report` and `reduce` on ym_weak at
   base dims 4 to 8; every verb on the broken and the non-projecting ym_weak
@@ -89,6 +89,42 @@ READER = {
     "empty_base_target": "base dim = 0;\nQ x[a] = zzz;\n",
 }
 
+LIE_G = "lie g { dim = 3; f[1][2][3] = 1; antisymmetrize; }\n"
+# sums the reader runs only over the nonzeros of eta, inveta, eps and
+# theta(k; ...): eps at base dims 3 and 4, literal and repeated indices, and
+# lie terms whose every assignment is skipped as zero
+SPARSE = {
+    "eps3": "base dim = 3;\nmetric = diag(-1, 1, 1);\ncoord u : gh = 0;\ncoord A[a] : gh = 0;\n"
+            "chi = eps[a, b, c]*theta[a]*theta[b]*u*d(A[c]);\n",
+    "eps4": "base dim = 4;\nmetric = diag(-1, 1, 1, 1);\ncoord u : gh = 0;\ncoord A[a] : gh = 0;\n"
+            "chi = eps[a, b, c, d]*theta[a]*theta[b]*theta[c]*u*d(A[d]);\n",
+    "eps_bound": "base dim = 3;\nmetric = diag(1, 2, 3);\ncoord u : gh = 0;\n"
+                 "coord A[a] : gh = 1;\ncoord B[a, b] : gh = 1 antisym;\n"
+                 "Q A[a] = eps[a, b, c]*theta[b]*theta[c]*u"
+                 " + eps[a, 0, b]*eta[b, c]*x[c]*theta[1]*theta[2]*u;\n"
+                 "Q B[a, b] = eps[a, b, c]*inveta[c, 2]*theta[c]*theta[0]*u;\n",
+    "eps_repeated": "base dim = 4;\nmetric = diag(-1, 1, 1, 1);\ncoord u : gh = 0;\n"
+                    "coord v : gh = 2;\n"
+                    "Q u = eps[a, b, a, c]*theta[b]*theta[c]*x[a]*x[a] + eps[0, 1, 2, 2]*v;\n",
+    "theta_literal": "base dim = 3;\ncoord u : gh = 0;\ncoord w : gh = 0;\n"
+                     "Q u = theta(2; 0, a)*x[a]*w + theta(3; 2, a, b)*theta[a]*x[b]*w;\n",
+    "theta_repeated": "base dim = 3;\ncoord u : gh = 0;\ncoord v : gh = -1;\n"
+                      "chi = theta(2; a, a)*x[a]*v*d(u) + theta(3; a, b, a)*theta[b]*v*d(u)"
+                      " + theta(2; 1, 1)*v*d(u) + theta(2; a, b)*x[a]*x[b]*v*d(u);\n",
+    "theta_beyond_base": "base dim = 2;\ncoord u : gh = 0;\ncoord w : gh = 0;\n"
+                         "Q u = theta(3; a, b, c)*x[a]*x[b]*x[c]*w + theta(1; a)*x[a]*w;\n",
+    "lie_term_beside_scalar": "base dim = 2;\nmetric = diag(1, 1);\n" + LIE_G
+                              + "coord C : gh = 1 in g;\ncoord u : gh = 2;\ncoord v : gh = 1;\n"
+                              "Q v = u + eps[a, b]*eta[a, b]*[C, C];\n",
+    "lie_term_alone": "base dim = 2;\nmetric = diag(1, 1);\n" + LIE_G
+                      + "coord C : gh = 1 in g;\ncoord u : gh = 2;\ncoord v : gh = 1;\n"
+                      "Q v = 0*u + eps[a, b]*eta[a, b]*[C, C];\n",
+    "lie_zero_sum": "base dim = 2;\nmetric = diag(1, 1);\n" + LIE_G
+                    + "coord C : gh = 1 in g;\ncoord u : gh = 2;\ncoord B : gh = 1 in g;\n"
+                    "Q B = eps[a, b]*eta[a, b]*[C, C] + eta[0, 1]*u"
+                    " + theta(2; a, b)*eta[a, b]*[C, C];\n",
+}
+
 
 def mutants(bases, count, seed=5):
     """count seeded sources, each one base with one character deleted,
@@ -133,6 +169,7 @@ def build_cases(new_src, quick=False):
     if not quick:
         cases += [(f"parse/repeat/{name}", "parse", src) for name, src in REPEATS.items()]
         cases += [(f"parse/reader/{name}", "parse", src) for name, src in READER.items()]
+        cases += [(f"parse/sparse/{name}", "parse", src) for name, src in SPARSE.items()]
         # the large index sums of the reader
         cases += [(f"parse/reader/ym{n}", "parse", ym_source(n)) for n in (12, 16)]
 

@@ -286,6 +286,13 @@ def test_restriction_rejects_a_repeated_direction(maxwell_model):
     assert str(err.value) == "base direction 1 to keep given twice"
 
 
+def test_boundary_reduction_rejects_a_repeated_kill_direction(maxwell_model):
+    # the Python API refuses the repeat as the CLI's --kill 0,0 does
+    with pytest.raises(GradedAlgebraError) as err:
+        boundary_reduction(maxwell_model, (0, 0))
+    assert str(err.value) == "base direction 0 to kill given twice"
+
+
 def test_tangency_is_read_only_on_a_projecting_Q():
     """Q x^0 = theta^1 is not tangent to the surface x^0 = 0, but it does not
     project to the base either, and boundary_reduction refuses that before

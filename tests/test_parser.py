@@ -795,6 +795,83 @@ def test_sum_over_an_empty_base_is_zero():
     assert "Q v = u*u;" in model_to_source(model)
 
 
+@pytest.mark.parametrize("text, where", [
+    ("base dim = 0;\ncoord u : gh = 0;\nQ u = x[a]*x[a]*zzz;\n", "3:17"),
+    ("base dim = 0;\nQ x[a] = zzz;\n", "2:10"),
+], ids=["summed_term", "target_variable"])
+def test_names_in_a_sum_over_an_empty_base_are_checked(text, where, tmp_path, capsys):
+    # the sums are empty, yet every name in them is checked
+    path = tmp_path / "empty.gpde"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == f"{path}:{where}: error: undeclared symbol 'zzz'\n"
+
+
+EPS4 = ("base dim = 4;\nmetric = diag(-1, 1, 1, 1);\ncoord u : gh = 0;\ncoord A[a] : gh = 0;\n"
+        "chi = eps[a, b, c, d]*theta[a]*theta[b]*theta[c]*u*d(A[d]);\n")
+
+
+def test_a_sum_runs_over_the_nonzero_sparse_factors_only(monkeypatch):
+    """ym_weak's chi, inveta[a, c]*inveta[b, d]*theta(2; a, b)*Tr(...), is
+    nonzero only where a = c, b = d and a != b: 12 of the 256 assignments
+    of its dummies at base dim 4.  eps[a, b, c, d] is nonzero at 24 of 256."""
+    counts = Counter()
+    eval_term = Evaluator.eval_term
+
+    def counted(self, coeff, factors, env):
+        for f in factors:
+            if f.kind == "theta_basis" or f.kind == "ref" and f.parts[0] == "eps":
+                counts[f.kind if f.kind == "theta_basis" else "eps"] += 1
+        return eval_term(self, coeff, factors, env)
+
+    monkeypatch.setattr(Evaluator, "eval_term", counted)
+    load_builtin("ym_weak")
+    assert counts == {"theta_basis": 12}
+    counts.clear()
+    chi = parse_model(EPS4).chi
+    assert counts == {"eps": 24}
+    # eps_{abcd} theta^a theta^b theta^c = -6 theta(1; d), one term per d
+    assert poly_text(chi) == poly_text(parse_model(EPS4.replace(
+        "eps[a, b, c, d]*theta[a]*theta[b]*theta[c]", "-6*theta(1; d)")).chi)
+
+
+PRUNED_HEAD = ("base dim = 2;\nmetric = diag(1, 1);\n" + LIE_G + "coord C : gh = 1 in g;\n"
+               "coord u : gh = 2;\ncoord v : gh = 1;\n")
+
+
+@pytest.mark.parametrize("rule, message", [
+    ("Q v = u + eps[a, b]*eta[a, b]*[C, C];",
+     "<string>:7:9: error: cannot add a scalar and a lie-algebra valued expression"),
+    ("Q v = 0*u + eps[a, b]*eta[a, b]*[C, C];", "<string>:7:3: error: 'v' carries no lie algebra"),
+    ("chi = eps[a, b]*eta[a, b]*C*v;",
+     "<string>:7:1: error: chi must be a scalar expression; wrap lie factors in Tr(...)"),
+], ids=["beside_a_scalar", "after_a_zero_scalar", "chi"])
+def test_a_lie_term_skipped_as_zero_keeps_its_type(rule, message):
+    # eps[a, b]*eta[a, b] vanishes at every assignment, so no value of the
+    # bracket is summed; the sum is still a lie-valued zero
+    model, diags = parse_with_diagnostics(PRUNED_HEAD + rule + "\n")
+    assert model is None
+    assert [str(d) for d in diags] == [message]
+
+
+def test_spans_are_located_from_offsets():
+    # CRLF line ends, tabs, a comment, a word that starts with ², an
+    # unexpected @ and a last line without a newline
+    text = ("base dim = 1;\r\n"
+            "\tcoord u : gh = 0; // a comment @ ²\r\n"
+            "coord ²w : gh = 1;\r\n"
+            "\tcoord v : gh = @;\r\n"
+            "chi = v*d(u)")
+    model, diags = parse_with_diagnostics(text)
+    assert model is None
+    assert [str(d) for d in diags] == [
+        "<string>:3:7: error: unexpected character '²'",
+        "<string>:4:17: error: unexpected character '@'",
+        "<string>:4:18: error: expected 'int', found ';'",
+        "<string>:5:13: error: expected ';', found 'end of file'"]
+    assert [(d.span.line, d.span.col) for d in diags] == [(3, 7), (4, 17), (4, 18), (5, 13)]
+
+
 NESTED_HEAD = "base dim = 1;\ncoord u : gh = 0;\ncoord c : gh = 1;\n"
 NESTED = {  # kind -> (the opening character of a level, the body at n levels)
     "parentheses": ("(", lambda n: "Q u = " + "(" * n + "c" + ")" * n + ";"),
