@@ -3,7 +3,9 @@
 All linear algebra is exact over the rationals and works on sparse rows
 {column: value} that store only their nonzero entries (sparse_rref), so its
 cost follows the nonzeros of the (mostly empty) systems rather than their
-size.  The form is flattened to one coefficient system over a declared
+size.  The elimination is fraction-free, over primitive integer rows, with
+one exact division per entry at the end; the result does not depend on
+that.  The form is flattened to one coefficient system over a declared
 universe of coordinates (coefficient_rows, one walk over the form's terms);
 its kernel stays sparse into the second elimination, which brings it to
 reduced row echelon form; rref and nullspace are dense adapters.  Kernel
@@ -26,6 +28,7 @@ import functools
 import weakref
 from collections import defaultdict
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (
@@ -52,16 +55,29 @@ def sparse_rref(rows: List[Dict[int, Scalar]], ncols: int
     """Reduced row echelon form of sparse rows {column: value} holding no
     zero, which it consumes; returns (nonzero rows, pivot columns).
 
-    Each column keeps a superset of the rows with an entry there, so a
-    column is found and cleared only in those rows, over the pivot row's
-    entries only.  The pivot is the shortest candidate row, which keeps
-    fill-in low; the result does not depend on it, since the reduced row
+    The elimination is fraction-free: each row is scaled in place to a
+    primitive integer vector (its entries read through rational, so a float
+    is refused), cleared against a pivot row by an integer combination of
+    the two and divided by its content; each pivot row is divided by its own
+    pivot once at the end.  Each column keeps a superset of the rows with an
+    entry there, so a column is found and cleared only in those rows, over
+    the pivot row's entries only.  The pivot is the shortest candidate row,
+    which keeps fill-in low; the result does not depend on it nor on the
+    scaling (which keeps where entries are nonzero), since the reduced row
     echelon form of a matrix is unique.  Its entries are in the normal form
     of gpde.algebra: an int when integral, else a Fraction."""
     holders: Dict[int, set] = defaultdict(set)
     for i, row in enumerate(rows):
-        for k in row:
+        d = 1
+        for k, v in row.items():
             holders[k].add(i)
+            if type(v) is not int:
+                v = row[k] = rational(v)
+                d = lcm(d, v.denominator)
+        if d != 1:
+            for k, v in row.items():
+                row[k] = v.numerator * (d // v.denominator)
+        _primitive(row)
     free = set(range(len(rows)))
     done: List[Dict[int, Scalar]] = []
     pivots = []
@@ -82,14 +98,17 @@ def sparse_rref(rows: List[Dict[int, Scalar]], ncols: int
         free.discard(best)
         prow = rows[best]
         pv = prow.pop(c)
-        if pv != 1:
-            prow = rows[best] = {k: qdiv(v, pv) for k, v in prow.items()}
         # prow holds no column left of c, so fill-in lands right of it
         for i in hold:
             row = rows[i]
             f = row.pop(c, None)
             if f is None:
                 continue
+            g = gcd(pv, f)
+            a, f = pv // g, f // g
+            if a != 1:
+                for k, v in row.items():
+                    row[k] = a * v
             for k, v in prow.items():
                 old = row.get(k)
                 if old is None:
@@ -101,14 +120,24 @@ def sparse_rref(rows: List[Dict[int, Scalar]], ncols: int
                         row[k] = new
                     else:
                         del row[k]
-        prow[c] = 1
+            _primitive(row)
+        prow[c] = pv
         done.append(prow)
         pivots.append(c)
-    for row in done:
-        for k, v in row.items():
-            if type(v) is not int:
-                row[k] = rational(v)
+    for row, c in zip(done, pivots):
+        pv = row[c]
+        if pv != 1:
+            for k, v in row.items():
+                row[k] = qdiv(v, pv)
     return done, pivots
+
+
+def _primitive(row: Dict[int, int]) -> None:
+    """Divide an integer row by its content, in place."""
+    g = gcd(*row.values())
+    if g > 1:
+        for k, v in row.items():
+            row[k] = v // g
 
 
 def sparse_nullspace(red: List[Dict[int, Scalar]], pivots: List[int],

@@ -1522,6 +1522,101 @@ def suite_rref(cases: int = 1000, seed: int = 37):
     assert seen == {"zero", "rows", "cols", "neither"}, f"vacuous rref suite: {seen}"
 
 
+# the Mersenne primes 2**107 - 1 and 2**127 - 1, both above 10**30
+HUGE_PRIMES = (2 ** 107 - 1, 2 ** 127 - 1)
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+ENTRY_KINDS = ("int", "integral", "mixed", "huge", "coprime")
+# an int, an integral and a proper Fraction, by (type, integral)
+MIXED = {(int, True), (Fraction, True), (Fraction, False)}
+
+
+def rand_typed_matrix(rng: random.Random, kind: str):
+    """Seeded matrix of up to 8 x 10 whose entries are of one kind: "int"
+    (plain ints), "integral" (integral Fractions, as the kernel benchmark
+    passes them), "mixed" (ints, integral and proper Fractions in one row),
+    "huge" (numerators and denominators above 10**30) or "coprime" (column j
+    has the j-th prime as denominator, so a row's denominators are pairwise
+    coprime).  Each row is zero, a random sparse row or an integer
+    combination of two earlier ones, so the rank is often deficient."""
+    nrows, ncols = rng.randint(1, 8), rng.randint(1, 10)
+
+    def entry(j):
+        n = rng.randint(-9, 9) or 1
+        if kind == "huge":
+            return Fraction(n * 10 ** 31 + rng.randint(1, 10 ** 6), rng.choice(HUGE_PRIMES))
+        if kind == "coprime":
+            return Fraction(n, PRIMES[j])
+        if kind == "mixed" and rng.random() < 0.4:
+            return Fraction(n, rng.randint(2, 5))
+        return Fraction(n)
+
+    M = []
+    for _ in range(nrows):
+        roll = rng.random()
+        if roll < 0.1:
+            row = [Fraction(0)] * ncols
+        elif roll < 0.5 and len(M) >= 2:
+            r1, r2 = rng.sample(M, 2)
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            row = [a * x + b * y for x, y in zip(r1, r2)]
+        else:
+            fill = rng.uniform(0.3, 1)
+            row = [entry(j) if rng.random() < fill else Fraction(0) for j in range(ncols)]
+        M.append([Fraction(v) for v in row])
+
+    def cast(v):
+        if v.denominator != 1 or kind == "integral":
+            return v
+        if kind == "mixed":
+            return rng.choice((int(v), v))
+        return int(v) if kind == "int" else v
+
+    return [[cast(v) for v in row] for row in M]
+
+
+def suite_rref_entry_types(cases: int = 300, seed: int = 43):
+    """rref and its sparse core on the entry kinds of rand_typed_matrix (in
+    turn) against reference_rref on the same rows as Fractions, entry for
+    entry and pivot for pivot; every result entry is in normal form, so an
+    integral one is an int, and rref leaves its input as it was.  The cases
+    must reach every kind, a row holding an int, an integral and a proper
+    Fraction, entries above 10**30 and deficient rank."""
+    from gpde.reduction import rref, sparse_rref
+
+    rng = random.Random(seed)
+    seen = set()
+    for k in range(cases):
+        kind = ENTRY_KINDS[k % len(ENTRY_KINDS)]
+        M = rand_typed_matrix(rng, kind)
+        before = [[(type(v), v) for v in row] for row in M]
+        ncols = len(M[0])
+        want_red, want_piv = reference_rref([[Fraction(v) for v in row] for row in M])
+        red, piv = rref(M)
+        assert [[(type(v), v) for v in row] for row in M] == before, \
+            f"rref changed its input, case {k} ({kind})"
+        assert piv == want_piv, f"rref pivots, case {k} ({kind})"
+        assert red == want_red, f"rref rows, case {k} ({kind})"
+        assert all(is_normal(v) for row in red for v in row), \
+            f"rref entries not in normal form, case {k} ({kind})"
+        sred, spiv = sparse_rref([{j: v for j, v in enumerate(row) if v} for row in M], ncols)
+        assert spiv == want_piv, f"sparse rref pivots, case {k} ({kind})"
+        assert [[row.get(j, 0) for j in range(ncols)] for row in sred] == want_red, \
+            f"sparse rref rows, case {k} ({kind})"
+        assert all(v and is_normal(v) for row in sred for v in row.values()), \
+            f"sparse rref entries, case {k} ({kind})"
+        seen.add(kind)
+        if any(abs(Fraction(v).numerator) > 10 ** 30 and Fraction(v).denominator > 10 ** 30
+               for row in M for v in row):
+            seen.add("huge entry")
+        if any(MIXED <= {(type(v), Fraction(v).denominator == 1) for v in row if v}
+               for row in M):
+            seen.add("mixed row")
+        if len(piv) < min(len(M), ncols):
+            seen.add("deficient rank")
+    want = set(ENTRY_KINDS) | {"mixed row", "huge entry", "deficient rank"}
+    assert seen == want, f"vacuous entry-type rref suite: {seen}"
+
+
 def suite_rref_sympy(cases: int = 50, seed: int = 41):
     """rref against sympy's Matrix.rref on matrices from the same generator;
     sympy is used by the tests only."""

@@ -95,6 +95,18 @@ def test_constructor_normalises_and_refuses_float():
         Poly(sp, {((x, 1),): 0.5})
 
 
+@pytest.mark.parametrize("rows", [
+    [[2, 1], [1, 0.5]],  # the float would cancel against the first row
+    [[0.5, 1]],          # the float is the pivot
+    [[1, 0.5]],          # the float is cleared by the pivot
+])
+def test_elimination_refuses_a_float_wherever_it_sits(rows):
+    with pytest.raises(TypeError, match="cannot coerce float into an exact rational"):
+        rref(rows)
+    with pytest.raises(TypeError, match="cannot coerce float into an exact rational"):
+        nullspace(rows, 2)
+
+
 # every division site, with int operands -------------------------------------
 
 

@@ -37,6 +37,10 @@ def test_rref_oracle():
     pr.suite_rref(CASES)
 
 
+def test_rref_entry_types():
+    pr.suite_rref_entry_types()
+
+
 def test_rref_sympy_cross_check():
     pytest.importorskip("sympy")
     pr.suite_rref_sympy(50)
