@@ -393,8 +393,9 @@ class Poly:
 
     def __init__(self, space: Optional[Space], terms: Mapping[Monomial, Scalar]):
         self.space = space
-        self.terms = {m: c if type(c) is int else rational(c)
-                      for m, c in terms.items() if c}
+        # each coefficient is read before the zero test, so a float zero is refused too
+        self.terms = {m: r for m, c in terms.items()
+                      if (r := c if type(c) is int else rational(c))}
 
     # constructors -----------------------------------------------------
 

@@ -154,7 +154,11 @@ def sparse_nullspace(red: List[Dict[int, Scalar]], pivots: List[int],
 
 
 def _sparse(rows: List[List[Scalar]]) -> List[Dict[int, Scalar]]:
-    return [{c: v for c, v in enumerate(row) if v} for row in rows]
+    # an entry that is not an int or a Fraction is read before the zero test,
+    # so a float zero is refused too; sparse_rref reads the others
+    return [{c: r for c, v in enumerate(row)
+             if (r := v if type(v) is int or type(v) is Fraction else rational(v))}
+            for row in rows]
 
 
 def _dense(rows: List[Dict[int, Scalar]], ncols: int) -> List[List[Scalar]]:

@@ -1,19 +1,19 @@
 """Check results and report rendering (text, JSON, LaTeX).
 
 Every verdict is made here: a check hands over the residuals that must
-vanish (CheckResult.of), or the error that ended it (CheckResult.refused)."""
+vanish (CheckResult.of), or the error that ended it (CheckResult.refused).
+CheckResult is an immutable NamedTuple and compares like a tuple of its four
+fields.  json is imported only by Report.to_json, so a text verdict never
+loads it."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, NamedTuple, Optional
 
 from .algebra import Poly
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     residual_terms: int = 0
@@ -43,11 +43,12 @@ class CheckResult:
         return msg
 
 
-@dataclass
 class Report:
-    model: str
-    checks: List[CheckResult] = field(default_factory=list)
-    outputs: Dict[str, object] = field(default_factory=dict)
+    def __init__(self, model: str, checks: Optional[List[CheckResult]] = None,
+                 outputs: Optional[Dict[str, object]] = None):
+        self.model = model
+        self.checks = [] if checks is None else checks
+        self.outputs = {} if outputs is None else outputs
 
     def add(self, check: CheckResult) -> "Report":
         self.checks.append(check)
@@ -66,6 +67,8 @@ class Report:
         return "\n".join(lines)
 
     def to_json(self) -> str:
+        import json
+
         payload = {
             "model": self.model,
             "checks": [

@@ -421,6 +421,16 @@ class TestScalarCoercion:
         assert isinstance(repr(p), str)
         assert repr(Poly.zero()) == "0"
 
+    @pytest.mark.parametrize("c", [0.0, 0.5])
+    def test_float_coefficient_refused_even_when_zero(self, sp, c):
+        m = ((mk_x(sp, 1)[0], 1),)
+        with pytest.raises(TypeError, match="cannot coerce float"):
+            Poly(sp, {m: c})
+
+    def test_float_structure_constant_refused(self):
+        with pytest.raises(TypeError, match="cannot coerce float"):
+            LieAlgebraData("u1", 1, [[[0.0]]], [[1]])
+
 
 class TestEqualityContract:
     def test_foreign_operands_compare_unequal(self, sp):

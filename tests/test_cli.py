@@ -507,6 +507,28 @@ def test_module_entry_point():
     assert "result: OK" in proc.stdout
 
 
+# what a fresh interpreter holds at -c, then what importing gpde adds, one
+# name a line on stderr; then one JSON verdict on stdout
+IMPORT_SET = """import sys
+before = set(sys.modules)
+import gpde, gpde.cli
+sys.stderr.write("".join(m + "\\n" for m in sorted(set(sys.modules) - before)))
+sys.exit(gpde.cli.main(["check", "toy_dim0", "--format", "json"]))
+"""
+
+
+def test_import_loads_no_heavy_stdlib_module():
+    """Importing gpde and its command line loads none of dataclasses,
+    inspect, json, ast or dis; a JSON verdict still renders, importing json
+    on its first use."""
+    proc = subprocess.run([sys.executable, "-c", IMPORT_SET], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stderr.split())
+    assert "gpde.cli" in added
+    assert added & {"dataclasses", "inspect", "json", "ast", "dis"} == set()
+    assert json.loads(proc.stdout)["model"] == "toy_dim0"
+
+
 def test_every_public_name_resolves():
     import gpde
     assert [name for name in gpde.__all__ if not hasattr(gpde, name)] == []

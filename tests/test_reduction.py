@@ -54,6 +54,12 @@ class TestLinearAlgebra:
     def test_rref_empty(self):
         assert rref([]) == ([], [])
 
+    def test_float_zero_refused(self):
+        with pytest.raises(TypeError, match="cannot coerce float"):
+            rref([[1, 0.0]])
+        with pytest.raises(TypeError, match="cannot coerce float"):
+            nullspace([[0.0, 1]], 2)
+
 
 @pytest.fixture
 def flat_space():
